@@ -350,6 +350,48 @@ mod tests {
     }
 
     #[test]
+    fn batch_consumer_keeps_the_per_sample_accounting() {
+        use nopfs_obs::{names, ObsCtx};
+        let (epochs, f) = (3u64, 50usize);
+        let sizes = Arc::new(vec![500u64; f]);
+        let obs = ObsCtx::traced();
+        let config = JobConfig::new(9, epochs, 8, small_system(), TimeScale::new(1e-6))
+            .with_obs(obs.clone());
+        let job = Job::new(config, Arc::clone(&sizes));
+        let pfs = job.make_pfs();
+        materialize(&pfs, &sizes);
+        let per_rank = job.run(&pfs, |w| {
+            let mut batches = 0usize;
+            while w.next_batch().is_some() {
+                batches += 1;
+            }
+            (batches, w.stats())
+        });
+        let batches: usize = per_rank.iter().map(|(b, _)| b).sum();
+        let consumed: u64 = per_rank.iter().map(|(_, s)| s.samples_consumed).sum();
+        assert_eq!(consumed, epochs * f as u64, "one count per sample");
+        let events = obs.tracer.export();
+        let count_of = |name: &str| events.iter().filter(|e| e.name == name).count();
+        assert_eq!(
+            count_of(names::EV_EPOCH),
+            per_rank.len() * epochs as usize,
+            "one instant per rank and epoch"
+        );
+        assert!(
+            count_of(names::EV_STALL) <= batches,
+            "at most one stall span per batch"
+        );
+        let waits = obs
+            .snapshot()
+            .histograms
+            .iter()
+            .filter(|h| h.name == names::WORKER_STALL_LATENCY)
+            .map(|h| h.value.count)
+            .sum::<u64>();
+        assert_eq!(waits, batches as u64, "one stall observation per batch");
+    }
+
+    #[test]
     fn survives_transient_pfs_faults() {
         let sizes = Arc::new(vec![1_000u64; 40]);
         let config = JobConfig::new(5, 1, 4, small_system(), TimeScale::new(1e-6));

@@ -113,7 +113,12 @@ impl StatsCollector {
     }
 
     pub fn count_consumed(&self) {
-        self.consumed.inc();
+        self.add_consumed(1);
+    }
+
+    /// Counts `n` delivered samples (a whole batch) at once.
+    pub fn add_consumed(&self, n: u64) {
+        self.consumed.add(n);
     }
 
     /// Raw cumulative registry values (no baseline subtraction).

@@ -166,56 +166,75 @@ struct WorkerCtx {
     obs: ObsCtx,
 }
 
+/// What [`WorkerCtx::staging_probe`] decided for one sample: the bytes
+/// and their trace label when a local tier or a peer served them
+/// (`None`: the origin must), and whether the self-healing fill
+/// applies.
+type Probe = (Option<(Bytes, &'static str)>, bool);
+
+/// Buffers a staging prefetcher reuses from claim to claim, so a run
+/// allocates nothing once they have grown to [`STAGE_BATCH`].
+#[derive(Default)]
+struct StageScratch {
+    probes: Vec<Probe>,
+    /// The claimed samples the origin must supply, in claim order.
+    origin_ids: Vec<SampleId>,
+    /// The fetched run in stream order, as `ReorderStage::push_run`
+    /// takes (and empties) it.
+    run: Vec<(SampleId, Bytes)>,
+}
+
 impl WorkerCtx {
     /// Vectored staging fetch: per-sample source selection via
     /// [`Self::staging_probe`], but every sample that resolves to
     /// the origin is fetched in **one** batched
     /// [`TierStack::read_origin_many`] round-trip instead of one origin
-    /// read (and one `t(γ)` reader registration) per sample. Bytes come
-    /// back in input order; statistics, self-healing fills, and trace
-    /// spans are per sample, unchanged.
-    fn fetch_many_for_staging(&self, ks: &[SampleId]) -> Vec<Bytes> {
+    /// read (and one `t(γ)` reader registration) per sample. The bytes
+    /// land in `scratch.run` in input order; statistics, self-healing
+    /// fills, and trace spans are per sample, unchanged.
+    fn fetch_many_for_staging(&self, ks: &[SampleId], scratch: &mut StageScratch) {
+        let StageScratch {
+            probes,
+            origin_ids,
+            run,
+        } = scratch;
         let t0 = self.obs.tracer.is_active().then(Instant::now);
         // Phase 1: pick a source per sample; local and remote samples
         // are served immediately, origin-destined ones are queued.
-        let mut served: Vec<Option<(Bytes, &'static str)>> = Vec::with_capacity(ks.len());
-        let mut needs_fill = Vec::with_capacity(ks.len());
-        let mut origin_pos: Vec<usize> = Vec::new();
-        for (i, &k) in ks.iter().enumerate() {
-            let (s, nf) = self.staging_probe(k);
-            if s.is_none() {
-                origin_pos.push(i);
+        origin_ids.clear();
+        for &k in ks {
+            let probe = self.staging_probe(k);
+            if probe.0.is_none() {
+                origin_ids.push(k);
             }
-            served.push(s);
-            needs_fill.push(nf);
+            probes.push(probe);
         }
         // Phase 2: one vectored origin read for everything that needs it.
-        if !origin_pos.is_empty() {
-            let ids: Vec<SampleId> = origin_pos.iter().map(|&i| ks[i]).collect();
-            let datas = origin_read_many_retry(&self.tiers, &ids, &self.stats);
-            for (&i, data) in origin_pos.iter().zip(datas) {
-                served[i] = Some((data, "pfs"));
-            }
+        let mut from_origin = if origin_ids.is_empty() {
+            Vec::new()
+        } else {
+            origin_read_many_retry(&self.tiers, origin_ids, &self.stats)
         }
+        .into_iter();
         // Phase 3: self-healing fills and trace spans, in input order.
-        ks.iter()
-            .zip(served.into_iter().zip(needs_fill))
-            .map(|(&k, (s, nf))| {
-                let (data, who) = s.expect("every staged sample is fetched");
-                if nf {
-                    self.self_healing_fill(k, &data);
-                }
-                if let Some(t0) = t0 {
-                    self.obs.tracer.complete(
-                        names::EV_FETCH,
-                        "worker",
-                        t0,
-                        vec![("sample", k.into()), ("served", who.into())],
-                    );
-                }
-                data
-            })
-            .collect()
+        for (&k, (served, needs_fill)) in ks.iter().zip(probes.drain(..)) {
+            let (data, who) = served.unwrap_or_else(|| {
+                let data = from_origin.next().expect("every staged sample is fetched");
+                (data, "pfs")
+            });
+            if needs_fill {
+                self.self_healing_fill(k, &data);
+            }
+            if let Some(t0) = t0 {
+                self.obs.tracer.complete(
+                    names::EV_FETCH,
+                    "worker",
+                    t0,
+                    vec![("sample", k.into()), ("served", who.into())],
+                );
+            }
+            run.push((k, data));
+        }
     }
 
     /// Self-healing fill: if this sample is assigned to one of our
@@ -232,7 +251,7 @@ impl WorkerCtx {
     /// the origin must supply the bytes (already counted as a PFS
     /// fetch); the `bool` is whether the self-healing fill applies
     /// (the sample was not cataloged locally when the fetch started).
-    fn staging_probe(&self, k: SampleId) -> (Option<(Bytes, &'static str)>, bool) {
+    fn staging_probe(&self, k: SampleId) -> Probe {
         let sys = &self.shared.config.system;
         let size = self.shared.sizes[k as usize];
 
@@ -279,13 +298,13 @@ impl WorkerCtx {
         );
 
         let served = match choice {
-            Location::Local(_) => match self.tiers.get_cached(k) {
+            Location::Local(c) => match self.tiers.get_cached_in(usize::from(c), k) {
                 Some(d) => {
                     self.stats.count_local();
                     Some((d, "local"))
                 }
                 // Catalog raced an eviction (not expected under NoPFS's
-                // no-eviction placement, but recoverable): `get_cached`
+                // no-eviction placement, but recoverable): the read
                 // repaired the stale entry; go to the PFS for the bytes.
                 None => {
                     self.stats.count_pfs();
@@ -473,35 +492,37 @@ impl WorkerHandle {
 
         // Staging prefetchers: p0 threads each claiming a run of stream
         // positions per round, fetching the run through the vectored
-        // staging path. Pushing a claimed run in ascending order keeps
-        // the stage deadlock-free: the thread holding the globally next
-        // position always pushes it first, and the stage always admits
-        // the head position.
+        // staging path and staging it as one run. The stage admits a
+        // run in ascending order, which keeps it deadlock-free: the
+        // thread holding the globally next position offers it first,
+        // and the stage always admits the head position.
         let position = Arc::new(AtomicU64::new(0));
         for _ in 0..sys.staging.threads.max(1) {
             let ctx = Arc::clone(&ctx);
             let stream = Arc::clone(&stream);
             let position = Arc::clone(&position);
-            threads.push(std::thread::spawn(move || 'rounds: loop {
-                if ctx.stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let base = position.fetch_add(STAGE_BATCH, Ordering::SeqCst);
-                if base >= stream.len() as u64 {
-                    break;
-                }
-                let end = (base + STAGE_BATCH).min(stream.len() as u64);
-                let ks = &stream[base as usize..end as usize];
-                let datas = ctx.fetch_many_for_staging(ks);
-                for (off, (&k, data)) in ks.iter().zip(datas).enumerate() {
-                    // Preprocess-and-store: the model's write_i(k). Each
-                    // of the p0 threads pays it independently, so the
-                    // aggregate preprocessing rate scales with the
-                    // thread count, as in the performance model.
-                    let wt = ctx.shared.config.system.write_time(data.len() as u64);
-                    ctx.shared.config.scale.wait(wt);
-                    if !ctx.stage.push(base + off as u64, k, data) {
-                        break 'rounds; // stage closed
+            threads.push(std::thread::spawn(move || {
+                let mut scratch = StageScratch::default();
+                loop {
+                    if ctx.stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let base = position.fetch_add(STAGE_BATCH, Ordering::SeqCst);
+                    if base >= stream.len() as u64 {
+                        break;
+                    }
+                    let end = (base + STAGE_BATCH).min(stream.len() as u64);
+                    ctx.fetch_many_for_staging(&stream[base as usize..end as usize], &mut scratch);
+                    for (_, data) in &scratch.run {
+                        // Preprocess-and-store: the model's write_i(k). Each
+                        // of the p0 threads pays it independently, so the
+                        // aggregate preprocessing rate scales with the
+                        // thread count, as in the performance model.
+                        let wt = ctx.shared.config.system.write_time(data.len() as u64);
+                        ctx.shared.config.scale.wait(wt);
+                    }
+                    if !ctx.stage.push_run(base, &mut scratch.run) {
+                        break; // stage closed
                     }
                 }
             }));
@@ -567,13 +588,9 @@ impl WorkerHandle {
         self.consumed.checked_div(self.epoch_len).unwrap_or(0)
     }
 
-    /// Next sample in access-stream order, blocking on the staging
-    /// buffer; `None` once the run is exhausted. Blocked time is
-    /// recorded as consumer stall.
-    pub fn next_sample(&mut self) -> Option<(SampleId, Bytes)> {
-        if self.consumed >= self.stream.len() as u64 {
-            return None;
-        }
+    /// Opens one consumer wait on the staging buffer: marks an epoch
+    /// start in the trace and starts the stall clock.
+    fn begin_pop(&self) -> Instant {
         if self.epoch_len > 0 && self.consumed.is_multiple_of(self.epoch_len) {
             self.ctx.obs.tracer.instant(
                 names::EV_EPOCH,
@@ -581,8 +598,15 @@ impl WorkerHandle {
                 vec![("epoch", self.current_epoch().into())],
             );
         }
-        let t0 = Instant::now();
-        let item = self.ctx.stage.pop()?;
+        Instant::now()
+    }
+
+    /// Closes the wait opened at `t0` that delivered `got` samples:
+    /// the blocked time is recorded as consumer stall, once per wait.
+    fn end_pop(&mut self, t0: Instant, got: usize) {
+        if got == 0 {
+            return; // stage closed under us: nothing was delivered
+        }
         let stalled = t0.elapsed();
         if self.ctx.obs.tracer.is_active() && stalled > std::time::Duration::from_micros(50) {
             // Only material stalls become spans; sub-50µs pops are the
@@ -595,9 +619,21 @@ impl WorkerHandle {
             );
         }
         self.ctx.stats.add_stall(stalled);
-        self.ctx.stats.count_consumed();
-        self.consumed += 1;
-        Some(item)
+        self.ctx.stats.add_consumed(got as u64);
+        self.consumed += got as u64;
+    }
+
+    /// Next sample in access-stream order, blocking on the staging
+    /// buffer; `None` once the run is exhausted. Blocked time is
+    /// recorded as consumer stall.
+    pub fn next_sample(&mut self) -> Option<(SampleId, Bytes)> {
+        if self.consumed >= self.stream.len() as u64 {
+            return None;
+        }
+        let t0 = self.begin_pop();
+        let item = self.ctx.stage.pop();
+        self.end_pop(t0, usize::from(item.is_some()));
+        item
     }
 
     /// The configured per-worker mini-batch size.
@@ -608,7 +644,8 @@ impl WorkerHandle {
     /// Next local mini-batch (up to `batch_size` samples, never
     /// crossing an epoch boundary); `None` once exhausted. Epoch
     /// semantics come from the workspace-shared
-    /// [`crate::next_batch_len`].
+    /// [`crate::next_batch_len`]. The batch is one wait on the staging
+    /// buffer: its blocked time is one consumer stall.
     pub fn next_batch(&mut self) -> Option<Vec<(SampleId, Bytes)>> {
         let want = crate::next_batch_len(
             self.consumed,
@@ -620,12 +657,9 @@ impl WorkerHandle {
             return None;
         }
         let mut batch = Vec::with_capacity(want);
-        for _ in 0..want {
-            match self.next_sample() {
-                Some(item) => batch.push(item),
-                None => break,
-            }
-        }
+        let t0 = self.begin_pop();
+        let got = self.ctx.stage.pop_many(want, &mut batch);
+        self.end_pop(t0, got);
         if batch.is_empty() {
             None
         } else {

@@ -60,15 +60,7 @@ pub fn select_source(
     size: u64,
     gamma: usize,
 ) -> Location {
-    let mut candidates: Vec<Location> = Vec::with_capacity(3);
-    if let Some(c) = local {
-        candidates.push(Location::Local(c));
-    }
-    if let Some(c) = remote {
-        candidates.push(Location::Remote(c));
-    }
-    candidates.push(Location::Pfs);
-    select_source_tiered(sys, &candidates, size, gamma)
+    select_source_degraded(sys, local, remote, size, gamma, true)
 }
 
 /// Graceful degradation under an unhealthy origin: like
@@ -86,17 +78,21 @@ pub fn select_source_degraded(
     gamma: usize,
     origin_available: bool,
 ) -> Location {
-    let mut candidates: Vec<Location> = Vec::with_capacity(3);
-    if let Some(c) = local {
-        candidates.push(Location::Local(c));
+    // At most three candidates, kept on the stack: the runtime makes
+    // this call once per staged sample.
+    let mut candidates = [Location::Pfs; 3];
+    let mut n = 0;
+    for loc in [local.map(Location::Local), remote.map(Location::Remote)]
+        .into_iter()
+        .flatten()
+    {
+        candidates[n] = loc;
+        n += 1;
     }
-    if let Some(c) = remote {
-        candidates.push(Location::Remote(c));
+    if origin_available || n == 0 {
+        n += 1; // the slot already holds `Location::Pfs`
     }
-    if origin_available || candidates.is_empty() {
-        candidates.push(Location::Pfs);
-    }
-    select_source_tiered(sys, &candidates, size, gamma)
+    select_source_tiered(sys, &candidates[..n], size, gamma)
 }
 
 /// Per-worker PFS share (bytes/s) during bulk staging phases: all `N`

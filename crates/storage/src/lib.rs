@@ -27,9 +27,10 @@
 //!   economics (latency floor, parallelism-dependent throughput,
 //!   coalescing) with seeded disturbances (spikes, throttles,
 //!   brownouts).
-//! - [`shard`] — [`shard::ShardedMap`], the N-way sharded concurrent
-//!   map behind every structure the fetch hot path touches, so readers
-//!   of different samples never contend on one lock word.
+//! - [`shard`] — [`shard::ShardedMap`], the sharded dense slot table
+//!   behind every structure the fetch hot path touches: readers of
+//!   different samples never contend on one lock word, and a hit is a
+//!   page-directory probe plus one slot load.
 //! - [`resilience`] — the full failure domain over any source:
 //!   [`resilience::ResilientSource`] composes per-read deadlines,
 //!   hedged requests, taxonomy-aware retry, and a circuit breaker,
@@ -57,7 +58,7 @@ pub use resilience::{
     BreakerConfig, BreakerState, CircuitBreaker, HedgeConfig, ResilienceConfig, ResilienceStats,
     ResilientSource,
 };
-pub use shard::{ShardedMap, DEFAULT_SHARDS};
+pub use shard::{ShardedMap, SHARDS};
 pub use staging::{ProducerGuard, ProducerLost, StagingBuffer, StagingStats};
 pub use tier::{
     build_stack, build_stack_in_registry, DataSource, ErrorClass, PromotePolicy, SourceError,

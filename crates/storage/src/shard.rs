@@ -1,4 +1,4 @@
-//! N-way sharded concurrent maps for the fetch hot path.
+//! Sharded dense slot tables for the fetch hot path.
 //!
 //! The paper's premise is that I/O, not compute, bounds training — yet
 //! a fetch path that funnels every sample through one global lock
@@ -6,46 +6,163 @@
 //! production worker counts the binding constraint is per-core read
 //! throughput (arxiv 2108.06322), so every map a read touches — the
 //! backend's id→bytes store, the catalog, the size table — is sharded
-//! here: sample ids hash onto `N` independent `RwLock<HashMap>` shards,
+//! here: sample ids spread over [`SHARDS`] independently locked shards,
 //! concurrent readers of different samples take different locks, and
 //! the shared cache line a single lock word would bounce between cores
 //! disappears. Capacity accounting moves to relaxed atomics with a CAS
 //! reservation loop run while holding only the entry's shard lock, so
 //! not even the byte budget is a global section.
 //!
-//! Shard count defaults to [`DEFAULT_SHARDS`] (a power of two so the
-//! id→shard map is a multiply-and-mask, not a division). Dense sample
-//! ids are bit-mixed before masking so striding access patterns spread
-//! across shards instead of resonating with one.
+//! Sample ids are *dense* (`0..F`), so a shard is not a hash table but a
+//! paged slot table: fixed-size pages of `Option<V>` found through a
+//! small sorted page directory. A hit is one directory probe (a few
+//! hundred bytes per shard for a 100k-sample dataset — it stays in
+//! L1/L2) plus one slot load, where a `HashMap` paid a SipHash and two
+//! dependent cache misses. Pages are allocated when first written, so
+//! memory follows the pages touched and sparse ids (a far namespace
+//! base, `u64::MAX`) cost one page each, not a table.
+//!
+//! An id splits into `local = id >> 4` and a shard picked from its low
+//! four bits XOR a Fibonacci mix of `local`: consecutive ids land in
+//! sixteen different shards, strided ids are spread by the mix, and
+//! `(shard, local)` still names the id uniquely, so each shard indexes
+//! its pages by `local` and stays dense.
 
 use parking_lot::RwLock;
-use std::collections::HashMap;
 
-/// Default shard count. 16 shards keep worst-case lock convoys to
-/// 1/16th of a global lock at negligible memory cost; the count is a
-/// constructor parameter for callers that know their concurrency.
-pub const DEFAULT_SHARDS: usize = 16;
+/// Number of shards: 16 keep worst-case lock convoys to 1/16th of a
+/// global lock at negligible memory cost. A power of two, so the
+/// id→shard map is a multiply and a mask, not a division.
+pub const SHARDS: usize = 16;
 
-/// Mixes a sample id into a shard index in `0..shards` (`shards` must
-/// be a power of two). Fibonacci multiplicative hashing: one multiply,
-/// one shift — cheap enough for a path that runs on every read.
+const SHARD_BITS: u32 = SHARDS.trailing_zeros();
+
+/// Slots per page: 256 keep a page of payload handles at 8 KiB and the
+/// directory of a 131k-sample shard at 32 entries.
+const PAGE_SLOTS: usize = 256;
+
+const PAGE_BITS: u32 = PAGE_SLOTS.trailing_zeros();
+
+/// `PAGE_SLOTS` slots.
+type Page<V> = Box<[Option<V>]>;
+
+/// Four well-mixed bits of `local` (Fibonacci multiplicative hashing:
+/// the high bits of the golden-ratio product), so strided ids do not
+/// resonate with one shard.
 #[inline]
-fn shard_of(id: u64, mask: usize) -> usize {
-    // High bits of the golden-ratio product are well mixed even for
-    // dense/strided ids.
-    ((id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) as usize) & mask
+fn mix(local: u64) -> u64 {
+    local.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SHARD_BITS)
 }
 
-/// An N-way sharded `HashMap<u64, V>`: the concurrent map behind every
-/// structure on the fetch hot path (backend stores, the cache catalog,
-/// size tables, promotion membership).
+/// Splits an id into its shard index and its index within the shard.
+#[inline]
+fn split(id: u64) -> (usize, u64) {
+    let local = id >> SHARD_BITS;
+    (((id ^ mix(local)) & (SHARDS as u64 - 1)) as usize, local)
+}
+
+/// Inverse of [`split`].
+#[inline]
+fn join(shard: usize, local: u64) -> u64 {
+    (local << SHARD_BITS) | ((shard as u64 ^ mix(local)) & (SHARDS as u64 - 1))
+}
+
+/// One shard of a [`ShardedMap`]: the slot table behind a shard lock,
+/// exposed through [`ShardedMap::shard`] for compound operations that
+/// must hold the entry's lock across a check-then-act sequence.
+#[derive(Debug)]
+pub struct Shard<V> {
+    index: usize,
+    /// `(page number, page)`, sorted by page number.
+    dir: Vec<(u64, Page<V>)>,
+    len: usize,
+}
+
+impl<V> Shard<V> {
+    /// Position of page `page_no` in the directory, or where it would
+    /// be inserted. Dense ids from zero put page `i` at index `i`, so
+    /// that slot is tried before the binary search.
+    #[inline]
+    fn find_page(&self, page_no: u64) -> Result<usize, usize> {
+        let dense = usize::try_from(page_no).unwrap_or(usize::MAX);
+        if self.dir.get(dense).is_some_and(|&(no, _)| no == page_no) {
+            return Ok(dense);
+        }
+        self.dir.binary_search_by_key(&page_no, |&(no, _)| no)
+    }
+
+    #[inline]
+    fn get_local(&self, local: u64) -> Option<&V> {
+        let i = self.find_page(local >> PAGE_BITS).ok()?;
+        self.dir[i].1[local as usize % PAGE_SLOTS].as_ref()
+    }
+
+    fn insert_local(&mut self, local: u64, value: V) -> Option<V> {
+        let page_no = local >> PAGE_BITS;
+        let i = self.find_page(page_no).unwrap_or_else(|i| {
+            let page = (0..PAGE_SLOTS).map(|_| None).collect();
+            self.dir.insert(i, (page_no, page));
+            i
+        });
+        let old = self.dir[i].1[local as usize % PAGE_SLOTS].replace(value);
+        self.len += usize::from(old.is_none());
+        old
+    }
+
+    fn remove_local(&mut self, local: u64) -> Option<V> {
+        let i = self.find_page(local >> PAGE_BITS).ok()?;
+        let old = self.dir[i].1[local as usize % PAGE_SLOTS].take();
+        self.len -= usize::from(old.is_some());
+        old
+    }
+
+    /// The index of `id` within this shard.
+    ///
+    /// # Panics
+    /// Panics if `id` belongs to another shard: its slot here is some
+    /// other id's.
+    #[inline]
+    fn local_of(&self, id: u64) -> u64 {
+        let (shard, local) = split(id);
+        assert_eq!(shard, self.index, "id {id} belongs to another shard");
+        local
+    }
+
+    /// The value for `id`.
+    ///
+    /// # Panics
+    /// Panics if `id` belongs to another shard.
+    #[inline]
+    pub fn get(&self, id: &u64) -> Option<&V> {
+        self.get_local(self.local_of(*id))
+    }
+
+    /// Inserts, returning the displaced value.
+    ///
+    /// # Panics
+    /// Panics if `id` belongs to another shard.
+    pub fn insert(&mut self, id: u64, value: V) -> Option<V> {
+        self.insert_local(self.local_of(id), value)
+    }
+
+    /// Removes, returning the value if present.
+    ///
+    /// # Panics
+    /// Panics if `id` belongs to another shard.
+    pub fn remove(&mut self, id: &u64) -> Option<V> {
+        self.remove_local(self.local_of(*id))
+    }
+}
+
+/// A concurrent `u64 → V` map for dense sample ids: the table behind
+/// every structure on the fetch hot path (backend stores, the cache
+/// catalog, size tables, promotion membership).
 ///
 /// Reads and writes of different shards never contend; reads of the
 /// same shard share a `RwLock` read guard. All methods take `&self`.
 #[derive(Debug)]
 pub struct ShardedMap<V> {
-    shards: Vec<RwLock<HashMap<u64, V>>>,
-    mask: usize,
+    shards: Vec<RwLock<Shard<V>>>,
 }
 
 impl<V> Default for ShardedMap<V> {
@@ -55,17 +172,18 @@ impl<V> Default for ShardedMap<V> {
 }
 
 impl<V> ShardedMap<V> {
-    /// A map with [`DEFAULT_SHARDS`] shards.
+    /// An empty map (no page is allocated until the first insert).
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// A map with `shards` shards (rounded up to a power of two, min 1).
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
         Self {
-            shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
-            mask: n - 1,
+            shards: (0..SHARDS)
+                .map(|index| {
+                    RwLock::new(Shard {
+                        index,
+                        dir: Vec::new(),
+                        len: 0,
+                    })
+                })
+                .collect(),
         }
     }
 
@@ -79,8 +197,8 @@ impl<V> ShardedMap<V> {
     /// capacity reservation: lock the shard, read the displaced entry's
     /// size, CAS the byte budget, then insert).
     #[inline]
-    pub fn shard(&self, id: u64) -> &RwLock<HashMap<u64, V>> {
-        &self.shards[shard_of(id, self.mask)]
+    pub fn shard(&self, id: u64) -> &RwLock<Shard<V>> {
+        &self.shards[split(id).0]
     }
 
     /// Index of the shard holding `id` (in `0..shard_count()`), for
@@ -88,47 +206,56 @@ impl<V> ShardedMap<V> {
     /// per-shard FIFO promotion queues beside a membership map).
     #[inline]
     pub fn index_of(&self, id: u64) -> usize {
-        shard_of(id, self.mask)
+        split(id).0
     }
 
     /// Inserts, returning the displaced value.
     pub fn insert(&self, id: u64, value: V) -> Option<V> {
-        self.shard(id).write().insert(id, value)
+        let (shard, local) = split(id);
+        self.shards[shard].write().insert_local(local, value)
     }
 
     /// Removes, returning the value if present.
     pub fn remove(&self, id: u64) -> Option<V> {
-        self.shard(id).write().remove(&id)
+        let (shard, local) = split(id);
+        self.shards[shard].write().remove_local(local)
     }
 
     /// Whether `id` is present.
     pub fn contains(&self, id: u64) -> bool {
-        self.shard(id).read().contains_key(&id)
+        self.with(id, |_| ()).is_some()
     }
 
     /// Total entries across all shards (takes each shard's read lock in
     /// turn — a consistent-enough count for statistics, not a snapshot).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards.iter().map(|s| s.read().len).sum()
     }
 
     /// Whether every shard is empty.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
+        self.shards.iter().all(|s| s.read().len == 0)
     }
 
     /// Applies `f` to the value under the entry's shard read lock.
+    #[inline]
     pub fn with<R>(&self, id: u64, f: impl FnOnce(&V) -> R) -> Option<R> {
-        self.shard(id).read().get(&id).map(f)
+        let (shard, local) = split(id);
+        self.shards[shard].read().get_local(local).map(f)
     }
 
     /// Folds `f` over every entry, shard by shard (each shard's read
     /// lock is held only for its own pass).
     pub fn fold<A>(&self, init: A, mut f: impl FnMut(A, u64, &V) -> A) -> A {
         let mut acc = init;
-        for shard in &self.shards {
-            for (k, v) in shard.read().iter() {
-                acc = f(acc, *k, v);
+        for (index, shard) in self.shards.iter().enumerate() {
+            for (page_no, page) in &shard.read().dir {
+                for (slot, value) in page.iter().enumerate() {
+                    if let Some(v) = value {
+                        let local = (page_no << PAGE_BITS) | slot as u64;
+                        acc = f(acc, join(index, local), v);
+                    }
+                }
             }
         }
         acc
@@ -137,8 +264,9 @@ impl<V> ShardedMap<V> {
 
 impl<V: Clone> ShardedMap<V> {
     /// Clones the value for `id` out of its shard.
+    #[inline]
     pub fn get(&self, id: u64) -> Option<V> {
-        self.shard(id).read().get(&id).cloned()
+        self.with(id, V::clone)
     }
 }
 
@@ -147,9 +275,10 @@ impl<V: PartialEq> ShardedMap<V> {
     /// compare-and-remove under the shard lock). Returns whether the
     /// entry was removed.
     pub fn remove_if(&self, id: u64, expected: &V) -> bool {
-        let mut shard = self.shard(id).write();
-        if shard.get(&id) == Some(expected) {
-            shard.remove(&id);
+        let (shard, local) = split(id);
+        let mut shard = self.shards[shard].write();
+        if shard.get_local(local) == Some(expected) {
+            shard.remove_local(local);
             true
         } else {
             false
@@ -160,19 +289,18 @@ impl<V: PartialEq> ShardedMap<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nopfs_util::rng::Xoshiro256pp;
+    use std::collections::HashMap;
     use std::sync::Arc;
 
-    #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(ShardedMap::<u8>::with_shards(0).shard_count(), 1);
-        assert_eq!(ShardedMap::<u8>::with_shards(1).shard_count(), 1);
-        assert_eq!(ShardedMap::<u8>::with_shards(5).shard_count(), 8);
-        assert_eq!(ShardedMap::<u8>::new().shard_count(), DEFAULT_SHARDS);
+    fn pages<V>(m: &ShardedMap<V>) -> usize {
+        m.shards.iter().map(|s| s.read().dir.len()).sum()
     }
 
     #[test]
     fn basic_map_operations() {
         let m = ShardedMap::new();
+        assert_eq!(m.shard_count(), SHARDS);
         assert!(m.is_empty());
         assert_eq!(m.insert(1, "a"), None);
         assert_eq!(m.insert(1, "b"), Some("a"));
@@ -197,14 +325,63 @@ mod tests {
     }
 
     #[test]
-    fn dense_ids_spread_across_shards() {
-        let m = ShardedMap::<u8>::with_shards(16);
-        let mut hit = vec![false; m.shard_count()];
-        for id in 0..64u64 {
-            hit[shard_of(id, m.mask)] = true;
+    fn sequential_and_strided_ids_spread_across_shards() {
+        for stride in [1u64, 16, 64, 4096] {
+            let mut hit = [false; SHARDS];
+            for j in 0..64u64 {
+                hit[split(j * stride).0] = true;
+            }
+            let used = hit.iter().filter(|&&h| h).count();
+            assert!(
+                used >= SHARDS / 2,
+                "stride {stride} clumped into {used} of {SHARDS} shards"
+            );
         }
-        let used = hit.iter().filter(|&&h| h).count();
-        assert!(used >= 8, "dense ids clumped into {used} of 16 shards");
+    }
+
+    #[test]
+    fn split_and_join_are_inverse() {
+        let far = (0..64u64).flat_map(|k| [(1 << 40) + k, u64::MAX - k]);
+        for id in (0..10_000u64).chain(far) {
+            let (shard, local) = split(id);
+            assert_eq!(join(shard, local), id);
+        }
+    }
+
+    #[test]
+    fn shard_guard_operates_on_its_own_ids() {
+        let m = ShardedMap::new();
+        let mut shard = m.shard(42).write();
+        assert_eq!(shard.insert(42, 1u8), None);
+        assert_eq!(shard.get(&42), Some(&1));
+        assert_eq!(shard.remove(&42), Some(1));
+        assert_eq!(shard.get(&42), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "belongs to another shard")]
+    fn shard_guard_rejects_a_foreign_id() {
+        let m = ShardedMap::<u8>::new();
+        let foreign = (0..).find(|&id| m.index_of(id) != m.index_of(0)).unwrap();
+        m.shard(0).read().get(&foreign);
+    }
+
+    #[test]
+    fn a_far_id_costs_one_page() {
+        let m = ShardedMap::new();
+        assert_eq!(pages(&m), 0);
+        m.insert(1 << 40, 1u8);
+        assert_eq!(pages(&m), 1);
+        m.insert(u64::MAX, 2);
+        assert_eq!(pages(&m), 2);
+        assert_eq!(m.get(1 << 40), Some(1));
+        assert_eq!(m.get(u64::MAX), Some(2));
+        // A dense run fills pages before it opens new ones.
+        let dense = ShardedMap::new();
+        for id in 0..(SHARDS * PAGE_SLOTS) as u64 {
+            dense.insert(id, id);
+        }
+        assert_eq!(pages(&dense), SHARDS);
     }
 
     #[test]
@@ -216,6 +393,55 @@ mod tests {
         let sum = m.fold(0u64, |acc, _, v| acc + v);
         assert_eq!(sum, (0..100u64).map(|i| i * 2).sum());
         assert_eq!(m.fold(0usize, |acc, _, _| acc + 1), 100);
+    }
+
+    /// Random operation sequences agree with a `HashMap` oracle, over
+    /// ids that mix dense runs, strides, a far base and the id-space
+    /// edge.
+    #[test]
+    fn agrees_with_a_hashmap_model() {
+        for seed in 0..8u64 {
+            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            let m = ShardedMap::<u64>::new();
+            let mut model = HashMap::<u64, u64>::new();
+            for step in 0..4_000u64 {
+                let k = rng.next_u64() % 600;
+                let id = match rng.next_u64() % 6 {
+                    0 | 1 => k,
+                    2 => k * 16,
+                    3 => k * 64,
+                    4 => (1 << 40) + k,
+                    _ => u64::MAX - k % 4,
+                };
+                match rng.next_u64() % 6 {
+                    0 | 1 => assert_eq!(m.insert(id, step), model.insert(id, step)),
+                    2 => assert_eq!(m.remove(id), model.remove(&id)),
+                    3 => {
+                        let expected = rng.next_u64() % (step + 1);
+                        let hit = model.get(&id) == Some(&expected);
+                        if hit {
+                            model.remove(&id);
+                        }
+                        assert_eq!(m.remove_if(id, &expected), hit);
+                    }
+                    4 => assert_eq!(m.with(id, |v| v + 1), model.get(&id).map(|v| v + 1)),
+                    _ => {
+                        assert_eq!(m.get(id), model.get(&id).copied());
+                        assert_eq!(m.contains(id), model.contains_key(&id));
+                    }
+                }
+                assert_eq!(m.len(), model.len());
+                assert_eq!(m.is_empty(), model.is_empty());
+            }
+            let mut entries = m.fold(Vec::new(), |mut acc, id, &v| {
+                acc.push((id, v));
+                acc
+            });
+            entries.sort_unstable();
+            let mut expected: Vec<(u64, u64)> = model.into_iter().collect();
+            expected.sort_unstable();
+            assert_eq!(entries, expected, "seed {seed}");
+        }
     }
 
     #[test]

@@ -852,7 +852,15 @@ impl TierStack {
     /// lookup (`None` when uncached — callers do *not* fall through to
     /// the origin here).
     pub fn get_cached(&self, id: SampleId) -> Option<Bytes> {
-        let tier = self.locate(id)?;
+        self.get_cached_in(self.locate(id)?, id)
+    }
+
+    /// [`Self::get_cached`] for a caller that has already
+    /// [located](Self::locate) `id` in cache tier `tier` (a fetch path
+    /// that picked its source from the catalog entry): serves the
+    /// sample from that tier, repairing the catalog entry when it
+    /// turns out stale.
+    pub fn get_cached_in(&self, tier: usize, id: SampleId) -> Option<Bytes> {
         match self.read_tier(tier, id) {
             Ok(data) => Some(data),
             Err(_) => {
