@@ -168,6 +168,9 @@ pub struct GlobalPlacement {
     /// pointer chase in a probe.
     holders: Vec<(WorkerId, u8)>,
     holder_offsets: Vec<usize>,
+    /// Bytes of the samples no worker caches, as a share of the
+    /// dataset's.
+    uncached_share: f64,
 }
 
 impl GlobalPlacement {
@@ -243,6 +246,7 @@ impl GlobalPlacement {
                 .map(|a| a.assigned_count() as usize)
                 .sum(),
         );
+        let (mut uncached_bytes, mut total_bytes) = (0u64, 0u64);
         for k in 0..f {
             holder_offsets.push(holders.len());
             for (w, a) in assignments.iter().enumerate() {
@@ -251,12 +255,17 @@ impl GlobalPlacement {
                     holders.push((w, c));
                 }
             }
+            total_bytes += sizes[k];
+            if holder_offsets[k] == holders.len() {
+                uncached_bytes += sizes[k];
+            }
         }
         holder_offsets.push(holders.len());
         Self {
             assignments,
             holders,
             holder_offsets,
+            uncached_share: uncached_bytes as f64 / total_bytes.max(1) as f64,
         }
     }
 
@@ -269,6 +278,22 @@ impl GlobalPlacement {
     pub fn holders(&self, sample: SampleId) -> &[(WorkerId, u8)] {
         let k = sample as usize;
         &self.holders[self.holder_offsets[k]..self.holder_offsets[k + 1]]
+    }
+
+    /// Whether no worker caches `sample`: every access to it, on any
+    /// worker and in any epoch, is an origin read. The plan settles
+    /// this before the first fetch.
+    pub fn is_uncached(&self, sample: SampleId) -> bool {
+        let k = sample as usize;
+        self.holder_offsets[k] == self.holder_offsets[k + 1]
+    }
+
+    /// The bytes of the samples no worker caches as a share of the
+    /// dataset's — and of every worker's access stream, since each
+    /// epoch visits each sample once. Zero exactly when every sample
+    /// has a holder.
+    pub fn uncached_share(&self) -> f64 {
+        self.uncached_share
     }
 
     /// Number of workers.
@@ -446,6 +471,26 @@ mod tests {
         let p = GlobalPlacement::compute(&spec, 4, &sizes, &caps);
         assert!(p.coverage() <= 0.2 + 1e-9);
         assert!(p.coverage() > 0.0);
+    }
+
+    #[test]
+    fn uncached_share_weighs_the_holderless_samples_by_size() {
+        let spec = ShuffleSpec::new(11, 100, 2, 4, false);
+        let sizes: Vec<u64> = (0..100).map(|k| 10 + k % 7).collect();
+        let p = GlobalPlacement::compute(&spec, 4, &sizes, &[vec![150], vec![150]]);
+        let uncached: u64 = (0..100u64)
+            .filter(|&k| p.holders(k).is_empty())
+            .map(|k| sizes[k as usize])
+            .sum();
+        assert!(uncached > 0);
+        for k in 0..100u64 {
+            assert_eq!(p.is_uncached(k), p.holders(k).is_empty(), "sample {k}");
+        }
+        let total: u64 = sizes.iter().sum();
+        assert_eq!(p.uncached_share(), uncached as f64 / total as f64);
+        // Every sample held somewhere: exactly zero, not merely small.
+        let full = GlobalPlacement::compute(&spec, 4, &sizes, &[vec![2_000], vec![0]]);
+        assert_eq!(full.uncached_share(), 0.0);
     }
 
     #[test]

@@ -527,4 +527,134 @@ mod tests {
             }
         }
     }
+
+    /// One worker whose two cache classes hold half of `sizes` between
+    /// them, on an unpaced system whose model wants every lane the
+    /// Lassen curve's knee allows (eight: two prefetcher threads turned
+    /// lanes plus six spawned off the launch path).
+    fn half_cached_system(sizes: &[u64], staging: u64) -> SystemSpec {
+        let total: u64 = sizes.iter().sum();
+        let mut sys = fig8_small_cluster();
+        sys.workers = 1;
+        sys.compute = 1e12;
+        sys.staging.capacity = staging;
+        sys.staging.threads = 2;
+        sys.classes[0].capacity = total / 5;
+        sys.classes[1].capacity = total * 3 / 10;
+        sys
+    }
+
+    #[test]
+    fn every_origin_read_is_a_fill_or_an_uncached_position_exactly_once() {
+        let sizes: Arc<Vec<u64>> = Arc::new((0..240u64).map(|k| 500 + k % 5 * 100).collect());
+        // A window (and stage) smaller than one sample, then a roomy one.
+        for staging in [1, 8 * 900] {
+            let sys = half_cached_system(&sizes, staging);
+            let config = JobConfig::new(21, 3, 8, sys.clone(), TimeScale::new(1e-6));
+            let job = Job::new(config, Arc::clone(&sizes));
+            let placement = job.placement();
+            assert_eq!(sys.origin_lanes(placement.uncached_share()), 8);
+            let pfs = job.make_pfs();
+            materialize(&pfs, &sizes);
+            let mut out = job.run(&pfs, |w| {
+                let mut ids = Vec::new();
+                while let Some(batch) = w.next_batch() {
+                    for (id, data) in batch {
+                        assert_eq!(data.len() as u64, sizes[id as usize]);
+                        assert_eq!(data[0], (id % 256) as u8, "corrupt sample {id}");
+                        ids.push(id);
+                    }
+                }
+                let fills: u64 = w.tier_stats().iter().map(|t| t.fills).sum();
+                (ids, fills, w.stats())
+            });
+            let (ids, fills, stats) = out.pop().expect("one rank");
+            let spec = job.config().shuffle_spec(sizes.len() as u64);
+            let expect = nopfs_clairvoyance::stream::AccessStream::new(spec, 0, 3).materialize();
+            assert_eq!(ids, expect, "staging = {staging}");
+            let uncached = expect.iter().filter(|&&k| placement.is_uncached(k)).count() as u64;
+            assert!(uncached > 0 && uncached < expect.len() as u64);
+            // With one rank every origin read is the read behind a fill
+            // (a prefetcher's, or a staging thread's self-healing one)
+            // or serves a position nobody caches — once each, whichever
+            // of lane and staging thread got to the position.
+            assert_eq!(pfs.stats().reads, fills + uncached, "staging = {staging}");
+            assert!(stats.pfs_fetches >= uncached);
+        }
+    }
+
+    #[test]
+    fn shutdown_mid_run_wakes_blocked_lanes_and_staging_threads() {
+        // Real time, a PFS slow enough that lanes are always mid-read or
+        // asleep on the window budget, a consumer that stops early so the
+        // staging threads end up blocked on a full stage.
+        let sizes: Arc<Vec<u64>> = Arc::new(vec![4_000u64; 120]);
+        let mut sys = half_cached_system(&sizes, 4 * 4_000);
+        sys.pfs_read = nopfs_perfmodel::ThroughputCurve::flat(2.0e6);
+        let config = JobConfig::new(22, 2, 4, sys, TimeScale::realtime());
+        let job = Job::new(config, Arc::clone(&sizes));
+        let pfs = job.make_pfs();
+        materialize(&pfs, &sizes);
+        let got = job.run(&pfs, |w| {
+            let first = w.next_batch().map_or(0, |b| b.len());
+            // `run` shuts the worker down when this returns: it must.
+            first
+        });
+        assert_eq!(got, vec![4]);
+    }
+
+    #[test]
+    fn staging_thread_time_is_origin_wait_plus_write_plus_push_block() {
+        use nopfs_obs::{names, ObsCtx};
+        // Nothing is cached (no cache class at all), so every position
+        // goes through the window; one staging thread; real time.
+        let sizes: Arc<Vec<u64>> = Arc::new(vec![10_000u64; 64]);
+        let mut sys = fig8_small_cluster();
+        sys.workers = 1;
+        sys.classes.clear();
+        sys.staging.capacity = 4 * 10_000;
+        sys.staging.threads = 1;
+        sys.pfs_read = nopfs_perfmodel::ThroughputCurve::flat(4.0e6); // 0.16 s of reads
+        sys = sys.with_compute_mbps(1_000.0, 8.0); // 0.08 s of write_time
+        let scale = TimeScale::realtime();
+        let obs = ObsCtx::new();
+        let config = JobConfig::new(23, 1, 4, sys, scale).with_obs(obs.clone());
+        let job = Job::new(config, Arc::clone(&sizes));
+        assert_eq!(job.placement().uncached_share(), 1.0);
+        let pfs = job.make_pfs();
+        materialize(&pfs, &sizes);
+        let mut worker = job.launch_workers(&pfs).pop().expect("one rank");
+        let started = Instant::now();
+        // The consumer is late: the stage fills and the staging thread
+        // blocks in its push; afterwards the consumer drains as fast as
+        // samples arrive, so the loop ends with the consumption.
+        scale.wait(0.1);
+        let mut n = 0;
+        while let Some(batch) = worker.next_batch() {
+            n += batch.len();
+        }
+        let wall = started.elapsed().as_nanos() as f64;
+        worker.shutdown();
+        assert_eq!(n, 64);
+        let snap = obs.snapshot();
+        let parts = [
+            names::WORKER_STAGING_ORIGIN_WAIT_NANOS,
+            names::WORKER_STAGING_WRITE_NANOS,
+            names::STAGING_PUSH_BLOCKED_NANOS,
+        ]
+        .map(|name| snap.counter_total(name) as f64);
+        assert!(parts.iter().all(|&p| p > 0.0), "{parts:?}");
+        let sum: f64 = parts.iter().sum();
+        assert!(
+            (sum - wall).abs() <= 0.02 * wall,
+            "origin wait + write + push block = {parts:?} ns, loop wall {wall} ns"
+        );
+        assert!(parts[1] >= 0.08e9, "write_time is modelled: {parts:?}");
+        assert_eq!(
+            obs.registry
+                .gauge_with(names::WORKER_WINDOW_BYTES, &[("rank", "0")])
+                .get(),
+            0
+        );
+    }
 }

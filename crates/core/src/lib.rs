@@ -35,6 +35,7 @@ pub mod job;
 pub mod msg;
 pub mod stats;
 pub mod tiers;
+mod window;
 pub mod worker;
 
 pub use config::JobConfig;

@@ -10,6 +10,12 @@
 //! - **staging prefetchers** — `p_0` threads that walk the access
 //!   stream `R`, pick the fastest source for each sample via the
 //!   performance model, and fill the position-ordered staging buffer;
+//! - **origin lanes** — when the placement leaves samples that no
+//!   worker caches, as many origin readers as the performance model
+//!   asks for walk `R` ahead of the staging threads and park those
+//!   samples' bytes in the `OriginWindow`, so that `γ` is chosen by
+//!   the model while `p_0` keeps meaning preprocess-and-store
+//!   pipelines;
 //! - **a serving loop** — answers other workers' sample requests from
 //!   the local caches, paying the modelled wire cost;
 //! - **the consumer** — [`WorkerHandle`], the training loop's
@@ -18,17 +24,19 @@
 use crate::config::JobConfig;
 use crate::msg::{Msg, RemoteReply};
 use crate::stats::{SetupStats, StatsCollector, WorkerStats};
+use crate::window::{OriginWindow, Taken};
 use crate::SampleId;
 use bytes::Bytes;
 use nopfs_clairvoyance::placement::GlobalPlacement;
 use nopfs_clairvoyance::sampler::ShuffleSpec;
 use nopfs_net::Endpoint;
-use nopfs_obs::{names, ObsCtx};
+use nopfs_obs::{names, Counter, ObsCtx};
 use nopfs_perfmodel::Location;
 use nopfs_pfs::Pfs;
 use nopfs_storage::{
     ReorderStage, ResilienceStats, SourceError, SourceHealth, TierStack, TierStats,
 };
+use nopfs_util::timing::precise_wait;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -160,17 +168,31 @@ struct WorkerCtx {
     /// class is this worker itself; for remote fetches we need the
     /// rank of the fastest holder. Derived from placement on the fly.
     stage: ReorderStage,
+    /// Where the origin lanes park the samples no worker caches; `None`
+    /// when the placement covers the whole dataset (no lane runs).
+    window: Option<OriginWindow>,
+    /// Time the staging threads waited for origin bytes, and spent in
+    /// `write_time` (`worker.staging.*`).
+    origin_wait_nanos: Counter,
+    write_nanos: Counter,
     /// Rank-scoped observability context: the registry the collector
     /// and tier counters registered into, plus the tracer fetch/stall
     /// spans land in.
     obs: ObsCtx,
 }
 
-/// What [`WorkerCtx::staging_probe`] decided for one sample: the bytes
-/// and their trace label when a local tier or a peer served them
-/// (`None`: the origin must), and whether the self-healing fill
-/// applies.
-type Probe = (Option<(Bytes, &'static str)>, bool);
+/// What phase 1 of a staging fetch settled for one sample: its bytes,
+/// unless the staging thread has to read the origin for them, and
+/// whether the self-healing fill applies.
+type Probe = (Option<Bytes>, bool);
+
+/// How many samples of one staged run each source served.
+#[derive(Default)]
+struct RunSources {
+    local: u64,
+    remote: u64,
+    pfs: u64,
+}
 
 /// Buffers a staging prefetcher reuses from claim to claim, so a run
 /// allocates nothing once they have grown to [`STAGE_BATCH`].
@@ -185,25 +207,47 @@ struct StageScratch {
 }
 
 impl WorkerCtx {
-    /// Vectored staging fetch: per-sample source selection via
-    /// [`Self::staging_probe`], but every sample that resolves to
-    /// the origin is fetched in **one** batched
+    /// Vectored staging fetch of the run of stream positions starting
+    /// at `base`: per-sample source selection via
+    /// [`Self::staging_probe`] — or, for a sample no worker caches, a
+    /// take from the origin look-ahead window — then every sample still
+    /// without bytes is fetched in **one** batched
     /// [`TierStack::read_origin_many`] round-trip instead of one origin
     /// read (and one `t(γ)` reader registration) per sample. The bytes
-    /// land in `scratch.run` in input order; statistics, self-healing
-    /// fills, and trace spans are per sample, unchanged.
-    fn fetch_many_for_staging(&self, ks: &[SampleId], scratch: &mut StageScratch) {
+    /// land in `scratch.run` in input order; statistics and
+    /// self-healing fills are per sample, the trace span per run.
+    /// Returns `false` when the window was closed under it (shutdown).
+    fn fetch_many_for_staging(
+        &self,
+        base: u64,
+        ks: &[SampleId],
+        scratch: &mut StageScratch,
+    ) -> bool {
         let StageScratch {
             probes,
             origin_ids,
             run,
         } = scratch;
         let t0 = self.obs.tracer.is_active().then(Instant::now);
-        // Phase 1: pick a source per sample; local and remote samples
-        // are served immediately, origin-destined ones are queued.
+        let mut sources = RunSources::default();
+        // Phase 1: pick a source per sample; local, remote and
+        // read-ahead samples are served immediately, the rest queued.
         origin_ids.clear();
-        for &k in ks {
-            let probe = self.staging_probe(k);
+        probes.clear();
+        for (pos, &k) in (base..).zip(ks) {
+            let probe = match &self.window {
+                Some(window) if self.shared.placement.is_uncached(k) => {
+                    // No holder anywhere: the origin is the only source.
+                    self.stats.count_pfs();
+                    sources.pfs += 1;
+                    match window.take(pos) {
+                        Taken::Parked(data) => (Some(data), false),
+                        Taken::Unclaimed => (None, false),
+                        Taken::Closed => return false,
+                    }
+                }
+                _ => self.staging_probe(k, &mut sources),
+            };
             if probe.0.is_none() {
                 origin_ids.push(k);
             }
@@ -213,28 +257,36 @@ impl WorkerCtx {
         let mut from_origin = if origin_ids.is_empty() {
             Vec::new()
         } else {
-            origin_read_many_retry(&self.tiers, origin_ids, &self.stats)
+            let reading = Instant::now();
+            let datas = origin_read_many_retry(&self.tiers, origin_ids, &self.stats);
+            self.origin_wait_nanos
+                .add(reading.elapsed().as_nanos() as u64);
+            datas
         }
         .into_iter();
-        // Phase 3: self-healing fills and trace spans, in input order.
+        // Phase 3: self-healing fills, in input order.
         for (&k, (served, needs_fill)) in ks.iter().zip(probes.drain(..)) {
-            let (data, who) = served.unwrap_or_else(|| {
-                let data = from_origin.next().expect("every staged sample is fetched");
-                (data, "pfs")
-            });
+            let data = served
+                .unwrap_or_else(|| from_origin.next().expect("every staged sample is fetched"));
             if needs_fill {
                 self.self_healing_fill(k, &data);
             }
-            if let Some(t0) = t0 {
-                self.obs.tracer.complete(
-                    names::EV_FETCH,
-                    "worker",
-                    t0,
-                    vec![("sample", k.into()), ("served", who.into())],
-                );
-            }
             run.push((k, data));
         }
+        if let Some(t0) = t0 {
+            self.obs.tracer.complete(
+                names::EV_FETCH,
+                "worker",
+                t0,
+                vec![
+                    ("base", base.into()),
+                    ("local", sources.local.into()),
+                    ("remote", sources.remote.into()),
+                    ("pfs", sources.pfs.into()),
+                ],
+            );
+        }
+        true
     }
 
     /// Self-healing fill: if this sample is assigned to one of our
@@ -246,12 +298,13 @@ impl WorkerCtx {
         }
     }
 
-    /// Phase 1 of a staging fetch: the source decision, plus the bytes
-    /// when a local tier or a remote peer can serve them. `None` means
-    /// the origin must supply the bytes (already counted as a PFS
-    /// fetch); the `bool` is whether the self-healing fill applies
-    /// (the sample was not cataloged locally when the fetch started).
-    fn staging_probe(&self, k: SampleId) -> Probe {
+    /// Phase 1 of a staging fetch: the source decision (counted in the
+    /// statistics and in `sources`), plus the bytes when a local tier
+    /// or a remote peer can serve them. `None` means the origin must
+    /// supply the bytes (already counted as a PFS fetch); the `bool` is
+    /// whether the self-healing fill applies (the sample was not
+    /// cataloged locally when the fetch started).
+    fn staging_probe(&self, k: SampleId, sources: &mut RunSources) -> Probe {
         let sys = &self.shared.config.system;
         let size = self.shared.sizes[k as usize];
 
@@ -301,13 +354,15 @@ impl WorkerCtx {
             Location::Local(c) => match self.tiers.get_cached_in(usize::from(c), k) {
                 Some(d) => {
                     self.stats.count_local();
-                    Some((d, "local"))
+                    sources.local += 1;
+                    Some(d)
                 }
                 // Catalog raced an eviction (not expected under NoPFS's
                 // no-eviction placement, but recoverable): the read
                 // repaired the stale entry; go to the PFS for the bytes.
                 None => {
                     self.stats.count_pfs();
+                    sources.pfs += 1;
                     None
                 }
             },
@@ -316,24 +371,92 @@ impl WorkerCtx {
                 match self.request_remote(owner, k) {
                     Some(d) => {
                         self.stats.count_remote();
-                        Some((d, "remote"))
+                        sources.remote += 1;
+                        Some(d)
                     }
                     None => {
                         // Heuristic false positive: the holder had not
                         // prefetched the sample yet. Not an error.
                         self.stats.count_false_positive();
                         self.stats.count_pfs();
+                        sources.pfs += 1;
                         None
                     }
                 }
             }
             Location::Pfs => {
                 self.stats.count_pfs();
+                sources.pfs += 1;
                 None
             }
             Location::Staging => unreachable!("staging is never a fetch candidate"),
         };
         (served, local_tier.is_none())
+    }
+
+    /// One origin lane: claims the stream positions whose sample no
+    /// worker caches, in order and ahead of the staging threads, and
+    /// parks each one's bytes in the window — until the stream ends or
+    /// the window closes. The stream is scanned as the lanes advance,
+    /// never up front.
+    fn run_lane(&self, stream: &[SampleId]) {
+        let Some(window) = &self.window else {
+            return;
+        };
+        let next_uncached = |from: u64| {
+            let from = usize::try_from(from).ok()?;
+            let ahead = stream.get(from..)?;
+            let i = ahead
+                .iter()
+                .position(|&k| self.shared.placement.is_uncached(k))?;
+            Some(((from + i) as u64, self.shared.sizes[ahead[i] as usize]))
+        };
+        while let Some(pos) = window.claim(next_uncached) {
+            let data = origin_read_retry(&self.tiers, stream[pos as usize], &self.stats);
+            window.deliver(pos, data);
+        }
+    }
+
+    /// One staging prefetcher: claims a run of stream positions per
+    /// round from the counter it shares with its siblings, fetches the
+    /// run through the vectored staging path, pays its `write_time`
+    /// and stages it as one run. The stage admits a run in ascending
+    /// order, which keeps it deadlock-free: the thread holding the
+    /// globally next position offers it first, and the stage always
+    /// admits the head position.
+    fn run_staging(&self, stream: &[SampleId], position: &AtomicU64) {
+        let config = &self.shared.config;
+        let mut scratch = StageScratch::default();
+        while !self.stop.load(Ordering::Relaxed) {
+            let base = position.fetch_add(STAGE_BATCH, Ordering::SeqCst);
+            if base >= stream.len() as u64 {
+                break;
+            }
+            let end = (base + STAGE_BATCH).min(stream.len() as u64);
+            if !self.fetch_many_for_staging(
+                base,
+                &stream[base as usize..end as usize],
+                &mut scratch,
+            ) {
+                break; // window closed
+            }
+            // Preprocess-and-store: the model's write_i(k), linear in
+            // the bytes, so the run pays it as one wait (per-sample
+            // waits are short enough to be spun away whole). Each of
+            // the p0 threads pays it independently, so the aggregate
+            // preprocessing rate scales with the thread count, as in
+            // the performance model.
+            let bytes: u64 = scratch.run.iter().map(|(_, d)| d.len() as u64).sum();
+            let wait = config.scale.to_wall(config.system.write_time(bytes));
+            if !wait.is_zero() {
+                let writing = Instant::now();
+                precise_wait(wait);
+                self.write_nanos.add(writing.elapsed().as_nanos() as u64);
+            }
+            if !self.stage.push_run(base, &mut scratch.run) {
+                break; // stage closed
+            }
+        }
     }
 
     fn request_remote(&self, owner: usize, k: SampleId) -> Option<Bytes> {
@@ -440,6 +563,23 @@ impl WorkerHandle {
                 .collect::<Vec<_>>(),
         );
         let stage = ReorderStage::new_in_registry(sys.staging.capacity, &obs.registry);
+        // Origin look-ahead, sized by the performance model from the
+        // plan alone: as many lanes as keep the never-cached share of
+        // the stream arriving at the compute rate, a window of the
+        // staging buffer's size. A plan that covers the dataset has no
+        // lane and no window.
+        let lanes = sys.origin_lanes(shared.placement.uncached_share());
+        let origin_wait_nanos = obs
+            .registry
+            .counter(names::WORKER_STAGING_ORIGIN_WAIT_NANOS);
+        let window = (lanes > 0).then(|| {
+            OriginWindow::new(
+                sys.staging.capacity,
+                &obs.registry,
+                origin_wait_nanos.clone(),
+            )
+        });
+        let write_nanos = obs.registry.counter(names::WORKER_STAGING_WRITE_NANOS);
         let stream = Arc::clone(&shared.streams[rank]);
         let epoch_len = shared.spec.worker_epoch_len(rank);
 
@@ -453,6 +593,9 @@ impl WorkerHandle {
             stop,
             progress,
             stage,
+            window,
+            origin_wait_nanos,
+            write_nanos,
             obs,
         });
 
@@ -463,8 +606,12 @@ impl WorkerHandle {
         // in vectored chunks so a coalescing PFS merges adjacent ids
         // into fewer requests; progress advances per completed chunk
         // (conservative: the remote heuristic only sees finished work).
-        for class in 0..ctx.tiers.cache_tiers() {
+        // Its list drained, a prefetcher thread turns into an origin
+        // lane instead of exiting: the lanes cost the launch no spawn.
+        let cache_tiers = ctx.tiers.cache_tiers();
+        for class in 0..cache_tiers {
             let ctx = Arc::clone(&ctx);
+            let stream = Arc::clone(&stream);
             threads.push(std::thread::spawn(move || {
                 let assignment = ctx.shared.placement.assignment(ctx.rank);
                 let order = assignment.prefetch_order(class);
@@ -487,44 +634,30 @@ impl WorkerHandle {
                     done += chunk.len() as u64;
                     ctx.progress[class].store(done, Ordering::Relaxed);
                 }
+                if class < lanes {
+                    ctx.run_lane(&stream);
+                }
             }));
         }
 
-        // Staging prefetchers: p0 threads each claiming a run of stream
-        // positions per round, fetching the run through the vectored
-        // staging path and staging it as one run. The stage admits a
-        // run in ascending order, which keeps it deadlock-free: the
-        // thread holding the globally next position offers it first,
-        // and the stage always admits the head position.
+        // Staging prefetchers: p0 threads walking the stream run by run
+        // off one shared position counter. The first also starts, off
+        // the launch path, the lanes the model wants beyond one per
+        // prefetcher thread.
         let position = Arc::new(AtomicU64::new(0));
+        let mut extra_lanes = lanes.saturating_sub(cache_tiers);
         for _ in 0..sys.staging.threads.max(1) {
             let ctx = Arc::clone(&ctx);
             let stream = Arc::clone(&stream);
             let position = Arc::clone(&position);
+            let spawn_lanes = std::mem::take(&mut extra_lanes);
             threads.push(std::thread::spawn(move || {
-                let mut scratch = StageScratch::default();
-                loop {
-                    if ctx.stop.load(Ordering::Relaxed) {
-                        break;
+                std::thread::scope(|s| {
+                    for _ in 0..spawn_lanes {
+                        s.spawn(|| ctx.run_lane(&stream));
                     }
-                    let base = position.fetch_add(STAGE_BATCH, Ordering::SeqCst);
-                    if base >= stream.len() as u64 {
-                        break;
-                    }
-                    let end = (base + STAGE_BATCH).min(stream.len() as u64);
-                    ctx.fetch_many_for_staging(&stream[base as usize..end as usize], &mut scratch);
-                    for (_, data) in &scratch.run {
-                        // Preprocess-and-store: the model's write_i(k). Each
-                        // of the p0 threads pays it independently, so the
-                        // aggregate preprocessing rate scales with the
-                        // thread count, as in the performance model.
-                        let wt = ctx.shared.config.system.write_time(data.len() as u64);
-                        ctx.shared.config.scale.wait(wt);
-                    }
-                    if !ctx.stage.push_run(base, &mut scratch.run) {
-                        break; // stage closed
-                    }
-                }
+                    ctx.run_staging(&stream, &position);
+                });
             }));
         }
 
@@ -706,6 +839,9 @@ impl WorkerHandle {
         self.finished = true;
         self.ctx.stop.store(true, Ordering::SeqCst);
         self.ctx.stage.close();
+        if let Some(window) = &self.ctx.window {
+            window.close();
+        }
         for t in self.threads.drain(..) {
             t.join().expect("worker thread panicked");
         }

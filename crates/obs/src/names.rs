@@ -28,6 +28,21 @@ pub const WORKER_CONSUMED: &str = "worker.consumed";
 /// Per-stall latency distribution (ns).
 pub const WORKER_STALL_LATENCY: &str = "worker.stall_latency_ns";
 
+// --- Staging-thread time accounting ---
+// Where a worker's staging threads spend their loop: these two and
+// `staging.push_blocked_nanos` leave of its wall time only the fetches
+// from local tiers and peers (and the CPU work per sample).
+
+/// Nanoseconds staging threads waited for origin bytes: blocked on the
+/// look-ahead window for a lane's read, or reading the origin
+/// themselves.
+pub const WORKER_STAGING_ORIGIN_WAIT_NANOS: &str = "worker.staging.origin_wait_nanos";
+/// Nanoseconds staging threads spent in the modelled `write_time`.
+pub const WORKER_STAGING_WRITE_NANOS: &str = "worker.staging.write_nanos";
+/// Bytes parked in (or being read into) the origin look-ahead window
+/// (gauge).
+pub const WORKER_WINDOW_BYTES: &str = "worker.window.bytes";
+
 // --- Tier counters (`TierStats` view, labelled `tier=<name>`) ---
 
 /// Tier read hits.
@@ -97,6 +112,8 @@ pub const STAGING_PUSHED: &str = "staging.pushed";
 pub const STAGING_POPPED: &str = "staging.popped";
 /// Bytes currently buffered (gauge).
 pub const STAGING_USED_BYTES: &str = "staging.used_bytes";
+/// Nanoseconds producers slept in a push because the stage was full.
+pub const STAGING_PUSH_BLOCKED_NANOS: &str = "staging.push_blocked_nanos";
 
 // --- Simulator (`sim.*`) ---
 // Labelled `loc=<staging|local|remote|pfs>`: the fetch source the
@@ -107,7 +124,9 @@ pub const SIM_FETCH: &str = "sim.fetch";
 
 // --- Trace event names (categories: worker/tier/resilience/elastic/sim) ---
 
-/// Span: one staging fetch, arg `served` ∈ local/remote/pfs.
+/// Span: one staged run of consecutive stream positions, from claim to
+/// fetched; args `base` (first position) and `local`/`remote`/`pfs`
+/// (how many of the run's samples each source served).
 pub const EV_FETCH: &str = "fetch";
 /// Span: the consumer stalled waiting on the staging buffer.
 pub const EV_STALL: &str = "staging_stall";

@@ -125,6 +125,21 @@ impl ThroughputCurve {
         Self::from_points(&pts)
     }
 
+    /// The knee `γ*`: the smallest whole count whose aggregate
+    /// throughput is within 5 % of the most the curve delivers at any
+    /// whole count up to its last measured point. Adding streams past
+    /// it buys nothing (a saturating curve) or loses bandwidth (a
+    /// thrashing one), so it never lies past the curve's argmax.
+    pub fn knee(&self) -> usize {
+        let last = self.points[self.points.len() - 1].0.ceil().max(1.0) as usize;
+        let best = (1..=last)
+            .map(|g| self.at(g as f64))
+            .fold(f64::MIN, f64::max);
+        (1..=last)
+            .find(|&g| self.at(g as f64) >= 0.95 * best)
+            .expect("the argmax itself qualifies")
+    }
+
     /// The measured points, ascending in `x`.
     pub fn points(&self) -> &[(f64, f64)] {
         &self.points

@@ -10,7 +10,10 @@
 //!
 //! `avail_i(f)` models `p_0` load-balanced prefetch threads pipelining
 //! reads into the staging buffer; the second term is the trainer still
-//! computing on the previous sample. Whenever `avail` exceeds the
+//! computing on the previous sample. Where origin lanes read a sample
+//! ahead of that pipeline ([`ConsumeAccumulator::push_ahead`]), its
+//! fetch is charged to the lanes instead and `avail_i(f)` is the later
+//! of the two pipelines. Whenever `avail` exceeds the
 //! compute-ready time the trainer *stalls* — the quantity Fig. 12
 //! reports and every I/O optimization in the paper tries to drive to
 //! zero.
@@ -39,6 +42,8 @@ pub struct ConsumeAccumulator {
     compute: f64,
     p0: f64,
     cum_read: f64,
+    /// Cumulative fetch time of the samples read ahead, per lane.
+    cum_ahead: f64,
     t_prev: f64,
     prev_size: u64,
     total_stall: f64,
@@ -61,6 +66,7 @@ impl ConsumeAccumulator {
             compute,
             p0: f64::from(p0),
             cum_read: 0.0,
+            cum_ahead: 0.0,
             t_prev: 0.0,
             prev_size: 0,
             total_stall: 0.0,
@@ -74,7 +80,31 @@ impl ConsumeAccumulator {
     pub fn push(&mut self, read_time: f64, size: u64) -> AccessTiming {
         debug_assert!(read_time >= 0.0, "negative read time");
         self.cum_read += read_time;
-        let avail = self.cum_read / self.p0;
+        self.consume(size)
+    }
+
+    /// Records an access whose sample `lanes ≥ 1` origin lanes read
+    /// ahead of the staging pipeline: the `p_0` threads pay only its
+    /// `write_time`, the lanes its `fetch_time` between them, and the
+    /// sample is available once both pipelines have got to it —
+    /// `avail_i(f) = max(Σ read/p_0, Σ fetch_ahead/lanes)`.
+    pub fn push_ahead(
+        &mut self,
+        fetch_time: f64,
+        lanes: usize,
+        write_time: f64,
+        size: u64,
+    ) -> AccessTiming {
+        debug_assert!(fetch_time >= 0.0 && write_time >= 0.0, "negative time");
+        debug_assert!(lanes >= 1, "reading ahead takes a lane");
+        self.cum_ahead += fetch_time / lanes as f64;
+        self.cum_read += write_time;
+        self.consume(size)
+    }
+
+    /// The recurrence step once the access's costs are booked.
+    fn consume(&mut self, size: u64) -> AccessTiming {
+        let avail = (self.cum_read / self.p0).max(self.cum_ahead);
         let compute_ready = self.t_prev + self.prev_size as f64 / self.compute;
         let consumed = avail.max(compute_ready);
         let stall = (avail - compute_ready).max(0.0);
@@ -188,6 +218,26 @@ mod tests {
         let tl = consume_timeline(&[4.0, 4.0], &[1, 1], 1e18, 4);
         let consumed: Vec<f64> = tl.accesses.iter().map(|a| a.consumed).collect();
         assert_eq!(consumed, vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn reading_ahead_moves_the_fetch_off_the_staging_pipeline() {
+        // Four samples, fetch 4 s and write 1 s each, instant compute.
+        // In series on one staging thread: avail = 5, 10, 15, 20.
+        let mut serial = ConsumeAccumulator::new(1e18, 1);
+        // Read ahead by two lanes: the lanes deliver at 2, 4, 6, 8, the
+        // staging thread's writes at 1, 2, 3, 4 — the lanes bind.
+        let mut ahead = ConsumeAccumulator::new(1e18, 1);
+        for i in 1..=4 {
+            assert_eq!(serial.push(5.0, 1).avail, 5.0 * f64::from(i));
+            assert_eq!(ahead.push_ahead(4.0, 2, 1.0, 1).avail, 2.0 * f64::from(i));
+        }
+        // With eight lanes the writes bind instead.
+        let mut wide = ConsumeAccumulator::new(1e18, 1);
+        assert_eq!(wide.push_ahead(4.0, 8, 1.0, 1).avail, 1.0);
+        // Accesses the staging threads fetch themselves still queue
+        // behind the writes already booked.
+        assert_eq!(wide.push(3.0, 1).avail, 4.0);
     }
 
     #[test]

@@ -173,6 +173,29 @@ impl SystemSpec {
         (s / self.preprocess).max(s / self.staging.write_per_thread())
     }
 
+    /// Origin look-ahead lanes per worker: how many concurrent origin
+    /// streams each worker keeps on the samples no worker caches, whose
+    /// bytes are `uncached_share` of the access stream.
+    ///
+    /// `clamp(⌈u·c ÷ (t(γ*)/γ*)⌉, 1, ⌈γ*/N⌉)`: as many streams as keep
+    /// the uncached bytes arriving at the compute rate `c`, priced at
+    /// the per-stream rate of the curve's knee `γ*`
+    /// ([`ThroughputCurve::knee`]), and never more than the worker's
+    /// share of `γ*` — past it the PFS has nothing more to give, and
+    /// on a shared PFS the extra streams only slow other tenants. Zero
+    /// when every sample is cached somewhere. The threaded runtime and
+    /// the simulator both size their lanes with this one function.
+    pub fn origin_lanes(&self, uncached_share: f64) -> usize {
+        if uncached_share <= 0.0 {
+            return 0;
+        }
+        let knee = self.pfs_read.knee();
+        let per_stream = self.pfs_read.per_thread(knee as f64);
+        let wanted = (uncached_share * self.compute / per_stream).ceil();
+        // A float-to-int cast saturates, which the clamp then bounds.
+        (wanted as usize).clamp(1, knee.div_ceil(self.workers))
+    }
+
     /// Fetch time for `size` bytes from `location` (`γ` only matters for
     /// PFS). `Staging` costs zero fetch.
     pub fn fetch_time(&self, location: Location, size: u64, gamma: usize) -> f64 {
@@ -336,6 +359,45 @@ mod tests {
     #[test]
     fn fastest_source_empty_is_none() {
         assert_eq!(sys().fastest_source(&[], 1, 1), None);
+    }
+
+    #[test]
+    fn origin_lanes_follow_demand_up_to_the_knee() {
+        // The ledger's contended PFS: t(γ) = 10 MB/s per stream up to
+        // γ* = 4. Two workers at c = 64 MB/s with a fifth of the stream
+        // uncached need 12.8 MB/s each: two streams, which is also each
+        // worker's share of γ*.
+        let mut s = sys().with_workers(2);
+        s.pfs_read = presets::saturating_pfs_curve(40.0 * MB, 4.0);
+        assert_eq!(s.pfs_read.knee(), 4);
+        assert_eq!(s.origin_lanes(0.2), 2);
+        assert_eq!(s.origin_lanes(0.05), 1, "one stream covers 3.2 MB/s");
+        assert_eq!(s.origin_lanes(1.0), 2, "capped at the share of γ*");
+        // The Lassen-like presets: one ~360 MB/s stream outruns compute.
+        for preset in [presets::fig8_small_cluster(), presets::lassen_like()] {
+            assert_eq!(preset.origin_lanes(0.2), 1, "{}", preset.name);
+            assert_eq!(preset.origin_lanes(1.0), 1, "{}", preset.name);
+        }
+        // Full coverage: nothing to look ahead for.
+        assert_eq!(s.origin_lanes(0.0), 0);
+    }
+
+    #[test]
+    fn origin_lanes_never_pass_a_thrashing_curves_argmax() {
+        // Aggregate throughput peaks at 8 readers and collapses beyond;
+        // however starved compute is, the job keeps at most 8 streams.
+        let curve = presets::thrashing_pfs_curve(64.0, 100.0 * MB);
+        assert_eq!(curve.knee(), 8);
+        for workers in [1, 2, 4, 8] {
+            let mut s = sys().with_workers(workers);
+            s.pfs_read = curve.clone();
+            s.compute = 1e12;
+            assert_eq!(s.origin_lanes(1.0) * workers, 8, "N = {workers}");
+        }
+        // More workers than γ*: one lane each is the floor.
+        let mut s = sys().with_workers(32);
+        s.pfs_read = curve;
+        assert_eq!(s.origin_lanes(1.0), 1);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! restarted rank's in-flight batch — the staged-but-unconsumed samples
 //! the runtime throws away and replays).
 
-use crate::engine::Acc;
+use crate::engine::{push_access, Acc, PfsClients};
 use crate::policies::{self, PolicyImpl};
 use crate::result::{SimError, SimResult};
 use crate::scenario::Scenario;
@@ -243,28 +243,26 @@ fn simulate_epoch(
     let mut gamma = (n * threads_per_worker).max(1);
     let iterations = seqs.iter().map(|s| s.len().div_ceil(b)).max().unwrap_or(0);
     for h in 0..iterations {
-        let mut pfs_workers = 0usize;
+        let mut pfs_clients = 0usize;
         for (w, seq) in seqs.iter().enumerate() {
             let lo = h * b;
             if lo >= seq.len() {
                 continue;
             }
             let hi = ((h + 1) * b).min(seq.len());
-            let mut used_pfs = false;
+            let mut clients = PfsClients::default();
             for &k in &seq[lo..hi] {
                 let now = accs[w].last();
                 let size = scenario.sizes[k as usize];
                 let loc = p.source(w, k, size, now, gamma);
-                let read = sys.read_time(loc, size, gamma);
-                accs[w].push(read, size);
-                used_pfs |= matches!(loc, Location::Pfs);
+                let lanes = p.origin_lanes(k);
+                push_access(&mut accs[w], sys, None, loc, size, gamma, lanes);
+                clients.note(loc, lanes);
                 p.on_consumed(w, k, now);
             }
-            if used_pfs {
-                pfs_workers += 1;
-            }
+            pfs_clients += clients.count(threads_per_worker);
         }
-        gamma = (pfs_workers * threads_per_worker).max(1);
+        gamma = pfs_clients.max(1);
     }
     accs.iter().map(Acc::finish).fold(0.0, f64::max)
 }

@@ -22,7 +22,7 @@
 //! share the filesystem), so only the PFS couples tenants.
 
 use crate::cloud::CloudModel;
-use crate::engine::{loc_index, Acc};
+use crate::engine::{loc_index, push_access, Acc, PfsClients, Priced};
 use crate::policies;
 use crate::result::{Breakdown, SimError, SimResult};
 use crate::scenario::Scenario;
@@ -163,7 +163,7 @@ impl<'a> JobState<'a> {
         let n = sys.workers;
         let b = scenario.batch_size;
         let h = self.iter;
-        let mut pfs_workers = 0usize;
+        let mut pfs_clients = 0usize;
         for w in 0..n {
             let seq = &self.seqs[w];
             let lo = h * b;
@@ -171,7 +171,7 @@ impl<'a> JobState<'a> {
                 continue;
             }
             let hi = ((h + 1) * b).min(seq.len());
-            let mut used_pfs = false;
+            let mut clients = PfsClients::default();
             for &k in &seq[lo..hi] {
                 let now = self.accs[w].last();
                 let size = scenario.sizes[k as usize];
@@ -179,11 +179,20 @@ impl<'a> JobState<'a> {
                 let loc = self
                     .policy
                     .source_degraded(w, k, size, now, gamma, origin_ok);
-                let read = match (&mut self.cloud, loc) {
-                    (Some(c), nopfs_perfmodel::Location::Pfs) => c.read_cost(now, size, gamma),
-                    _ => sys.read_time(loc, size, gamma),
-                };
-                let (consumed, stall) = self.accs[w].push(read, size);
+                let lanes = self.policy.origin_lanes(k);
+                let Priced {
+                    read,
+                    consumed,
+                    stall,
+                } = push_access(
+                    &mut self.accs[w],
+                    sys,
+                    self.cloud.as_mut(),
+                    loc,
+                    size,
+                    gamma,
+                    lanes,
+                );
                 let interval = consumed - self.prev_consumed[w];
                 let busy = (interval - stall).max(0.0);
                 let overlapped_fetch = read.min(busy);
@@ -191,14 +200,12 @@ impl<'a> JobState<'a> {
                     .attribute(loc, stall + overlapped_fetch, busy - overlapped_fetch);
                 self.prev_consumed[w] = consumed;
                 self.fetch_counts[loc_index(loc)] += 1;
-                used_pfs |= matches!(loc, nopfs_perfmodel::Location::Pfs);
+                clients.note(loc, lanes);
                 self.policy.on_consumed(w, k, consumed);
             }
-            if used_pfs {
-                pfs_workers += 1;
-            }
+            pfs_clients += clients.count(self.threads_per_worker);
         }
-        self.gamma_self = pfs_workers * self.threads_per_worker;
+        self.gamma_self = pfs_clients;
         self.iter += 1;
         if self.iter >= self.iterations {
             self.load_epoch(self.epoch + 1);

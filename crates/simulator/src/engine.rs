@@ -21,7 +21,7 @@ use crate::result::{Breakdown, SimError, SimResult};
 use crate::scenario::Scenario;
 use nopfs_obs::{names, ObsCtx};
 use nopfs_perfmodel::equations::ConsumeAccumulator;
-use nopfs_perfmodel::Location;
+use nopfs_perfmodel::{Location, SystemSpec};
 use nopfs_policy::PolicyId;
 
 /// Per-worker consumption state: either the pipelined `t_{i,f}`
@@ -76,6 +76,26 @@ impl Acc {
         }
     }
 
+    /// Records an access read ahead by `lanes` origin lanes (see
+    /// [`ConsumeAccumulator::push_ahead`]); returns
+    /// `(consumed_at, stall)`. A synchronous reader has no lanes and
+    /// pays both parts in series.
+    pub(crate) fn push_ahead(
+        &mut self,
+        fetch: f64,
+        lanes: usize,
+        write: f64,
+        size: u64,
+    ) -> (f64, f64) {
+        match self {
+            Acc::Overlapped(a) => {
+                let timing = a.push_ahead(fetch, lanes, write, size);
+                (timing.consumed, timing.stall)
+            }
+            Acc::Serial { .. } => self.push(fetch + write, size),
+        }
+    }
+
     pub(crate) fn last(&self) -> f64 {
         match self {
             Acc::Overlapped(a) => a.last_consumed(),
@@ -100,6 +120,81 @@ impl Acc {
                 ..
             } => *t + *prev_size as f64 / *compute,
         }
+    }
+}
+
+/// One access as [`push_access`] priced it and the worker's recurrence
+/// consumed it.
+pub(crate) struct Priced {
+    /// The access's share of prefetch-pipeline time: `read_i`, or for
+    /// a sample read ahead its per-lane fetch plus its write.
+    pub read: f64,
+    pub consumed: f64,
+    pub stall: f64,
+}
+
+/// Prices one access of `size` bytes from `loc` by the performance
+/// model (the cloud model for origin reads, when the scenario has one)
+/// and feeds it to the worker's recurrence. `lanes > 0`: the policy
+/// reads this sample ahead with that many origin lanes per worker, so
+/// its fetch is priced at `γ = N·lanes` — the lanes are the job's PFS
+/// clients for it — and charged to the lanes, its `write_time` to the
+/// `p_0` pipeline.
+pub(crate) fn push_access(
+    acc: &mut Acc,
+    sys: &SystemSpec,
+    cloud: Option<&mut CloudModel>,
+    loc: Location,
+    size: u64,
+    gamma: usize,
+    lanes: usize,
+) -> Priced {
+    let now = acc.last();
+    if lanes > 0 && matches!(loc, Location::Pfs) {
+        let gamma = sys.workers * lanes;
+        let fetch = match cloud {
+            Some(c) => c.read_cost(now, size, gamma),
+            None => sys.fetch_pfs(size, gamma),
+        };
+        let write = sys.write_time(size);
+        let (consumed, stall) = acc.push_ahead(fetch, lanes, write, size);
+        return Priced {
+            read: fetch / lanes as f64 + write,
+            consumed,
+            stall,
+        };
+    }
+    let read = match (cloud, loc) {
+        (Some(c), Location::Pfs) => c.read_cost(now, size, gamma),
+        _ => sys.read_time(loc, size, gamma),
+    };
+    let (consumed, stall) = acc.push(read, size);
+    Priced {
+        read,
+        consumed,
+        stall,
+    }
+}
+
+/// A worker's PFS clients over one iteration: its `p_0` staging
+/// threads if any of them read the PFS, plus the origin lanes that
+/// read ahead for it.
+#[derive(Default)]
+pub(crate) struct PfsClients {
+    staged: bool,
+    lanes: usize,
+}
+
+impl PfsClients {
+    pub(crate) fn note(&mut self, loc: Location, lanes: usize) {
+        if matches!(loc, Location::Pfs) {
+            self.staged |= lanes == 0;
+            self.lanes = self.lanes.max(lanes);
+        }
+    }
+
+    pub(crate) fn count(&self, threads_per_worker: usize) -> usize {
+        usize::from(self.staged) * threads_per_worker + self.lanes
     }
 }
 
@@ -182,7 +277,7 @@ pub fn run_with_obs(
         let seqs = p.transform_epoch(epoch, seqs, &shuffle);
         let iterations = seqs.iter().map(|s| s.len().div_ceil(b)).max().unwrap_or(0);
         for h in 0..iterations {
-            let mut pfs_workers = 0usize;
+            let mut pfs_clients = 0usize;
             for w in 0..n {
                 let seq = &seqs[w];
                 let lo = h * b;
@@ -190,7 +285,7 @@ pub fn run_with_obs(
                     continue;
                 }
                 let hi = ((h + 1) * b).min(seq.len());
-                let mut used_pfs = false;
+                let mut clients = PfsClients::default();
                 for &k in &seq[lo..hi] {
                     let now = accs[w].last();
                     let size = scenario.sizes[k as usize];
@@ -201,11 +296,12 @@ pub fn run_with_obs(
                     // still reach the origin and wait out the breaker.
                     let origin_ok = cloud.as_ref().is_none_or(|c| c.available(now));
                     let loc = p.source_degraded(w, k, size, now, gamma, origin_ok);
-                    let read = match (&mut cloud, loc) {
-                        (Some(c), Location::Pfs) => c.read_cost(now, size, gamma),
-                        _ => sys.read_time(loc, size, gamma),
-                    };
-                    let (consumed, stall) = accs[w].push(read, size);
+                    let lanes = p.origin_lanes(k);
+                    let Priced {
+                        read,
+                        consumed,
+                        stall,
+                    } = push_access(&mut accs[w], sys, cloud.as_mut(), loc, size, gamma, lanes);
                     let interval = consumed - prev_consumed[w];
                     // Attribute to the fetch source both the stall and
                     // the overlapped fetch activity within the interval
@@ -217,14 +313,12 @@ pub fn run_with_obs(
                     prev_consumed[w] = consumed;
                     fetch_counts[loc_index(loc)] += 1;
                     fetch_counters[loc_index(loc)].inc();
-                    used_pfs |= matches!(loc, Location::Pfs);
+                    clients.note(loc, lanes);
                     p.on_consumed(w, k, consumed);
                 }
-                if used_pfs {
-                    pfs_workers += 1;
-                }
+                pfs_clients += clients.count(threads_per_worker);
             }
-            gamma = (pfs_workers * threads_per_worker).max(1);
+            gamma = pfs_clients.max(1);
         }
         if std::env::var_os("NOPFS_SIM_DEBUG").is_some() {
             eprintln!(
@@ -381,6 +475,52 @@ mod tests {
             nopfs.execution_time,
             lb.execution_time
         );
+    }
+
+    #[test]
+    fn nopfs_reads_the_never_cached_tail_ahead_at_the_models_gamma() {
+        // The ledger's paper-regime workload in miniature: two workers,
+        // a PFS of 10 MB/s per stream up to four, caches the size of 0.8
+        // of the dataset (the two workers' picks overlap, so a quarter
+        // of it has no holder), one staging thread each. That quarter
+        // of each epoch, read in series with the writes by the one
+        // staging thread at 10 MB/s, takes longer than the epoch's
+        // compute; two lanes per worker (γ = 4, the curve's knee) fetch
+        // it inside it.
+        let mut sys = fig8_small_cluster();
+        sys.workers = 2;
+        sys.pfs_read = saturating_pfs_curve(40.0 * MB, 4.0);
+        sys.staging.threads = 1;
+        sys.staging.capacity = 1_000_000;
+        sys.classes[0].capacity = 16_000_000;
+        sys.classes[1].capacity = 16_000_000;
+        let s = Scenario::new("paper-regime", sys, vec![20_000u64; 4_000], 6, 8, 7);
+        let p = policies::build(PolicyId::NoPfs, &s).unwrap();
+        let lanes: Vec<usize> = (0..4_000).map(|k| p.origin_lanes(k)).collect();
+        assert!(lanes.iter().all(|&l| l == 0 || l == 2));
+        let uncached = lanes.iter().filter(|&&l| l == 2).count();
+        assert!((800..=1_200).contains(&uncached), "{uncached} of 4000");
+
+        // Epoch boundaries on the model clock, from the engine's own
+        // epoch instants; the caches are warm from the third epoch on.
+        let obs = ObsCtx::traced();
+        run_with_obs(&s, PolicyId::NoPfs, &obs).unwrap();
+        let starts: Vec<f64> = obs
+            .tracer
+            .export()
+            .iter()
+            .filter(|e| e.name == names::EV_EPOCH)
+            .map(|e| e.model_s)
+            .collect();
+        assert_eq!(starts.len(), 6);
+        let compute = 40.0e6 / (64.0 * MB); // one worker's epoch, 0.625 s
+        for pair in starts[2..].windows(2) {
+            let epoch = pair[1] - pair[0];
+            assert!(
+                (compute - 1e-9..1.05 * compute).contains(&epoch),
+                "steady epoch {epoch} s against {compute} s of compute"
+            );
+        }
     }
 
     #[test]

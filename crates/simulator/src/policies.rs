@@ -15,7 +15,7 @@
 use crate::result::SimError;
 use crate::scenario::Scenario;
 use nopfs_clairvoyance::engine::{SetupOptions, SetupPass};
-use nopfs_clairvoyance::placement::{CacheAssignment, UNASSIGNED};
+use nopfs_clairvoyance::placement::GlobalPlacement;
 use nopfs_clairvoyance::sampler::EpochShuffle;
 use nopfs_clairvoyance::SampleId;
 use nopfs_perfmodel::{Location, SystemSpec};
@@ -76,6 +76,13 @@ pub(crate) trait PolicyImpl {
         _origin_ok: bool,
     ) -> Location {
         self.source(worker, sample, size, now, gamma)
+    }
+
+    /// How many origin lanes per worker read `sample` ahead of the
+    /// staging pipeline whenever it is fetched from the PFS; 0 (the
+    /// default) when the `p_0` staging threads fetch it themselves.
+    fn origin_lanes(&self, _sample: SampleId) -> usize {
+        0
     }
 
     /// Called after the access is consumed at time `now`.
@@ -205,10 +212,16 @@ impl PolicyImpl for Perfect {
 /// before its prefetcher reached it becomes cached at consumption time —
 /// the paper's "that prefetcher will retrieve and cache the sample
 /// itself" self-healing.
+///
+/// Samples the placement leaves without any holder are read ahead by
+/// origin lanes, as in the runtime's `core::worker`: the lane count is
+/// the same [`SystemSpec::origin_lanes`] of the same uncached share.
 struct NoPfs {
     sys: SystemSpec,
-    /// Per worker: class of each sample or UNASSIGNED.
-    class_of: Vec<Vec<u8>>,
+    /// Who caches what, in which class.
+    placement: GlobalPlacement,
+    /// Origin lanes per worker for the samples nobody caches.
+    lanes: usize,
     /// Per worker: modelled time at which each sample is cached locally.
     ready: Vec<Vec<f32>>,
     /// Per worker: samples cached early by self-healing.
@@ -220,7 +233,6 @@ impl NoPfs {
         let sys = scenario.system.clone();
         let n = sys.workers;
         let spec = scenario.shuffle_spec();
-        let caps = sys.class_capacities();
         // One engine pass derives frequencies and first-access inputs
         // for every worker (the per-worker recomputation here used to
         // cost O(N·E·F) shuffle generations).
@@ -240,15 +252,10 @@ impl NoPfs {
             .sum::<u32>()
             .max(1);
 
-        let mut class_of = Vec::with_capacity(n);
+        let placement = artifacts.placement(&scenario.sizes, &vec![sys.class_capacities(); n]);
         let mut ready = Vec::with_capacity(n);
         for w in 0..n {
-            let assignment = CacheAssignment::compute(
-                artifacts.table.counts(w),
-                &artifacts.first_access[w],
-                &scenario.sizes,
-                &caps,
-            );
+            let assignment = placement.assignment(w);
             let mut ready_w = vec![f32::INFINITY; scenario.sizes.len()];
             for (j, class) in sys.classes.iter().enumerate() {
                 let write_bw = class.write.at(f64::from(class.prefetch_threads.max(1)));
@@ -261,12 +268,12 @@ impl NoPfs {
                     ready_w[k as usize] = (cum as f64 / fill_rate) as f32;
                 }
             }
-            class_of.push(assignment.class_map().to_vec());
             ready.push(ready_w);
         }
         Self {
+            lanes: sys.origin_lanes(placement.uncached_share()),
             sys,
-            class_of,
+            placement,
             ready,
             overrides: vec![HashSet::new(); n],
         }
@@ -279,22 +286,22 @@ impl NoPfs {
     /// The `{local class, fastest remote holder}` candidate pair at
     /// model time `now` — the inputs to the shared selection rule.
     fn candidates(&self, w: usize, k: SampleId, now: f64) -> (Option<u8>, Option<u8>) {
-        let own = self.class_of[w][k as usize];
-        let local = (own != UNASSIGNED && self.locally_ready(w, k, now)).then_some(own);
+        let local = self
+            .placement
+            .assignment(w)
+            .class_of(k)
+            .filter(|_| self.locally_ready(w, k, now));
         // Fastest remote holder whose prefetcher (per the progress
         // estimate) already cached the sample. Remote self-heal state is
         // deliberately not consulted — the runtime heuristic can't see
         // it either.
-        let mut remote: Option<u8> = None;
-        for (o, classes) in self.class_of.iter().enumerate() {
-            if o == w {
-                continue;
-            }
-            let c = classes[k as usize];
-            if c != UNASSIGNED && f64::from(self.ready[o][k as usize]) <= now {
-                remote = Some(remote.map_or(c, |b| b.min(c)));
-            }
-        }
+        let remote = self
+            .placement
+            .holders(k)
+            .iter()
+            .filter(|&&(o, _)| o != w && f64::from(self.ready[o][k as usize]) <= now)
+            .map(|&(_, c)| c)
+            .min();
         (local, remote)
     }
 }
@@ -324,12 +331,20 @@ impl PolicyImpl for NoPfs {
         select_source_degraded(&self.sys, local, remote, size, gamma, origin_ok)
     }
 
+    fn origin_lanes(&self, k: SampleId) -> usize {
+        if self.placement.is_uncached(k) {
+            self.lanes
+        } else {
+            0
+        }
+    }
+
     fn on_consumed(&mut self, w: usize, k: SampleId, now: f64) {
         // Self-healing: consuming a sample that its class prefetcher had
         // not reached caches it immediately (the staging fetch doubles
         // as the class fill).
-        let c = self.class_of[w][k as usize];
-        if c != UNASSIGNED && f64::from(self.ready[w][k as usize]) > now {
+        let assigned = self.placement.assignment(w).class_of(k).is_some();
+        if assigned && f64::from(self.ready[w][k as usize]) > now {
             self.overrides[w].insert(k);
         }
     }
@@ -354,7 +369,9 @@ mod tests {
         // Find a sample assigned to worker 0 whose prefetcher reaches it
         // late, then consume it before that.
         let k = (0..200u64)
-            .find(|&k| np.class_of[0][k as usize] != UNASSIGNED && np.ready[0][k as usize] > 0.1)
+            .find(|&k| {
+                np.placement.assignment(0).class_of(k).is_some() && np.ready[0][k as usize] > 0.1
+            })
             .expect("some sample is assigned with a late ready time");
         assert!(!np.locally_ready(0, k, 0.05));
         np.on_consumed(0, k, 0.05);
@@ -366,7 +383,7 @@ mod tests {
         let s = tiny_scenario(200, 1_000_000);
         let mut np = NoPfs::new(&s);
         let k = (0..200u64)
-            .find(|&k| np.class_of[0][k as usize] == 0)
+            .find(|&k| np.placement.assignment(0).class_of(k) == Some(0))
             .expect("worker 0 caches something in RAM");
         // Far in the future everything is prefetched.
         let loc = np.source(0, k, 1_000_000, 1e12, 4);

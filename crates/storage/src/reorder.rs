@@ -52,12 +52,14 @@ struct State {
 }
 
 /// Registry handles (`staging.*` metrics): cumulative push/pop
-/// counters and a live occupancy gauge, updated inside the state lock.
+/// counters and a live occupancy gauge, updated inside the state lock,
+/// and the time producers slept on a full stage.
 #[derive(Debug)]
 struct Metrics {
     pushed: Counter,
     popped: Counter,
     used_bytes: Gauge,
+    push_blocked_nanos: Counter,
 }
 
 #[derive(Debug)]
@@ -111,6 +113,7 @@ impl ReorderStage {
                     pushed: registry.counter(names::STAGING_PUSHED),
                     popped: registry.counter(names::STAGING_POPPED),
                     used_bytes: registry.gauge(names::STAGING_USED_BYTES),
+                    push_blocked_nanos: registry.counter(names::STAGING_PUSH_BLOCKED_NANOS),
                 },
                 space: Condvar::new(),
                 data: Condvar::new(),
@@ -207,7 +210,12 @@ impl ReorderStage {
                 self.inner.data.notify_all();
             }
             st.space_waiting = true;
+            let blocked = Instant::now();
             self.inner.space.wait(&mut st);
+            self.inner
+                .metrics
+                .push_blocked_nanos
+                .add(blocked.elapsed().as_nanos() as u64);
         }
     }
 

@@ -196,10 +196,10 @@ mod tests {
     }
 
     #[test]
-    fn compute_rate_dominates_no_io_epoch_time() {
-        // With a slow modelled GPU, epoch time ≈ bytes/c. The scale must
-        // map modelled durations well above wall-clock overhead
-        // (1 model second = 10 ms here), or scheduling noise dominates.
+    fn compute_rate_bounds_no_io_epoch_time_from_below() {
+        // With a slow modelled GPU the epoch takes at least bytes/c:
+        // a modelled wait never returns early. How much longer it takes
+        // is scheduling noise, which no bound on a shared host holds.
         let mut cfg = config(1, 1);
         cfg.scale = TimeScale::new(1e-2);
         let sizes = Arc::new(vec![10_000u64; 16]);
@@ -211,15 +211,20 @@ mod tests {
         };
         let metrics = runner.run(|l| run_training_loop(l, &loop_cfg, None));
         let t = metrics[0].epoch_times[0];
-        assert!((t - 0.16).abs() < 0.06, "epoch time {t}");
+        assert!(t >= 0.16 - 1e-6, "epoch time {t} beats the model");
+        assert_eq!(metrics[0].batch_times.len(), 4);
     }
 
     #[test]
-    fn allreduce_synchronizes_batch_times() {
-        // Two workers advance in lockstep because of the allreduce.
+    fn allreduce_holds_the_fast_worker_to_the_slow_ones_pace() {
+        // Rank 1 computes 4x slower. The per-step allreduce lets rank 1
+        // get at most one step ahead of rank 0's start, so from its own
+        // start rank 0 still waits out rank 1's other three steps:
+        // three times what rank 0 computes for, whatever the scheduler
+        // does. Without the collective it would take its own 0.08 s.
         let mut cfg = config(2, 1);
         cfg.scale = TimeScale::new(1e-2);
-        let sizes = Arc::new(vec![5_000u64; 16]);
+        let sizes = Arc::new(vec![5_000u64; 32]); // 4 steps of 20 KB per rank
         let endpoints = parking_lot::Mutex::new(
             nopfs_net::cluster::<Vec<f32>>(2, nopfs_net::NetConfig::new(1e12, cfg.scale))
                 .into_iter()
@@ -227,20 +232,25 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         let runner = NoIoRunner::new(cfg.clone(), sizes);
-        let loop_cfg = TrainLoopConfig {
-            compute_rate: 1e6,
-            scale: cfg.scale,
-            grad_elems: 64,
-        };
         let metrics = runner.run(|loader| {
-            let ep = endpoints.lock()[loader.rank()]
-                .take()
-                .expect("one take per rank");
+            let rank = loader.rank();
+            let ep = endpoints.lock()[rank].take().expect("one take per rank");
+            let loop_cfg = TrainLoopConfig {
+                compute_rate: if rank == 0 { 1e6 } else { 0.25e6 },
+                scale: cfg.scale,
+                grad_elems: 64,
+            };
             run_training_loop(loader, &loop_cfg, Some(&ep))
         });
         assert_eq!(metrics.len(), 2);
-        let (a, b) = (metrics[0].epoch_times[0], metrics[1].epoch_times[0]);
-        let rel = (a - b).abs() / a.max(b);
-        assert!(rel < 0.35, "synchronized workers diverged: {a} vs {b}");
+        for m in &metrics {
+            assert_eq!(m.batches_per_epoch, vec![4]);
+        }
+        let (fast, slow) = (metrics[0].epoch_times[0], metrics[1].epoch_times[0]);
+        assert!(slow >= 0.32 - 1e-6, "slow rank beats its model: {slow}");
+        assert!(
+            fast >= 0.24 - 1e-6,
+            "fast rank ran ahead of the slow one: {fast}"
+        );
     }
 }

@@ -144,14 +144,17 @@ mod tests {
     }
 
     #[test]
-    fn precise_wait_accuracy_short() {
-        // 100 µs wait should land within ~50 µs of target.
+    fn precise_wait_never_returns_early_on_a_spun_wait() {
+        // 100 µs is below the spin threshold: the whole wait is spun.
+        // How far past the deadline it returns is the scheduler's
+        // doing, not this function's, so only the lower side is held.
         let target = Duration::from_micros(100);
-        let t0 = Instant::now();
-        precise_wait(target);
-        let e = t0.elapsed();
-        assert!(e >= target, "returned early: {e:?}");
-        assert!(e < target + Duration::from_micros(300), "overshoot: {e:?}");
+        for _ in 0..20 {
+            let t0 = Instant::now();
+            precise_wait(target);
+            let e = t0.elapsed();
+            assert!(e >= target, "returned early: {e:?}");
+        }
     }
 
     #[test]

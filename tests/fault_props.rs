@@ -63,11 +63,26 @@ fn spec() -> ShuffleSpec {
     ShuffleSpec::new(SEED, SAMPLES, WORKERS, BATCH, false)
 }
 
+/// [`small_system`] with caches that hold a third of the dataset per
+/// worker, so that the placement leaves samples no worker caches and
+/// every worker runs its origin look-ahead (lanes, window) beside the
+/// staging threads.
+fn scarce_system() -> SystemSpec {
+    let mut sys = small_system();
+    sys.classes[0].capacity = 8 * SAMPLE_BYTES;
+    sys.classes[1].capacity = 12 * SAMPLE_BYTES;
+    sys
+}
+
 /// The undisturbed global stream every disturbed run must reproduce.
 fn canon() -> Vec<u64> {
+    canon_on(&small_system())
+}
+
+fn canon_on(sys: &SystemSpec) -> Vec<u64> {
     elastic_global_stream(
         PolicyId::NoPfs,
-        &small_system(),
+        sys,
         &vec![SAMPLE_BYTES; SAMPLES as usize],
         &spec(),
         EPOCHS,
@@ -78,8 +93,12 @@ fn canon() -> Vec<u64> {
 
 /// Runs the threaded elastic runtime under `plan`.
 fn elastic_run(plan: FaultPlan) -> ElasticReport {
+    elastic_run_on(small_system(), plan)
+}
+
+fn elastic_run_on(sys: SystemSpec, plan: FaultPlan) -> ElasticReport {
     let sizes = Arc::new(vec![SAMPLE_BYTES; SAMPLES as usize]);
-    let config = JobConfig::new(SEED, EPOCHS, BATCH, small_system(), TimeScale::new(1e-6));
+    let config = JobConfig::new(SEED, EPOCHS, BATCH, sys, TimeScale::new(1e-6));
     let job = ElasticJob::new(config, Arc::clone(&sizes), plan).expect("clamped plan is valid");
     let pfs = job.make_pfs();
     for (id, &s) in sizes.iter().enumerate() {
@@ -120,6 +139,42 @@ fn expected_replans(plan: &FaultPlan) -> usize {
         .filter(|&n| n != WORKERS)
         .collect::<BTreeSet<_>>()
         .len()
+}
+
+/// The origin look-ahead under faults: with caches smaller than the
+/// dataset every worker reads the never-cached positions ahead through
+/// its lanes, and a crash at a step (lanes torn down mid-read, workers
+/// relaunched over warm tiers) or a burst of transient read errors (on
+/// lane reads as on any other) still ends with the bit-identical
+/// stream.
+#[test]
+fn origin_look_ahead_keeps_the_stream_under_a_crash_and_under_read_bursts() {
+    let sys = scarce_system();
+    let placement = nopfs::clairvoyance::GlobalPlacement::compute(
+        &spec(),
+        EPOCHS,
+        &vec![SAMPLE_BYTES; SAMPLES as usize],
+        &vec![sys.class_capacities(); WORKERS],
+    );
+    assert!(sys.origin_lanes(placement.uncached_share()) >= 1);
+    let canon = canon_on(&sys);
+    assert_eq!(canon, canon_on(&small_system()), "the stream is the seed's");
+
+    let crash = FaultPlan::fault_free().crash(1, 2, 1);
+    let report = elastic_run_on(sys.clone(), crash);
+    assert_eq!(report.global_stream, canon);
+    assert_eq!(report.recoveries, 1);
+    assert_eq!(report.stats.samples_consumed, SAMPLES * EPOCHS);
+
+    let bursts = FaultPlan::fault_free().with_read_errors(ReadErrors {
+        rate: 0.2,
+        max_burst: 2,
+        seed: 0xB0,
+    });
+    let report = elastic_run_on(sys, bursts);
+    assert_eq!(report.global_stream, canon);
+    assert!(report.injected_read_errors > 0);
+    assert!(report.read_retries >= report.injected_read_errors);
 }
 
 proptest! {
