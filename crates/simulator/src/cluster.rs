@@ -368,6 +368,52 @@ mod tests {
     }
 
     #[test]
+    fn a_nopfs_tenants_origin_lanes_share_the_pfs_with_co_tenants() {
+        // Caches so small that most of the dataset has no holder: the
+        // NoPFS tenant's origin lanes read it every epoch, and they are
+        // PFS clients like everybody else's readers. Seven naive
+        // co-tenants on a PFS that saturates at three readers slow
+        // those reads down; the tenant still finishes ahead of them,
+        // because the part it caches never touches the PFS again.
+        let small = |seed: u64| {
+            let mut s = tenant_scenario("small", seed);
+            s.system.classes[0].capacity = 8 * 1_000_000;
+            s.system.classes[1].capacity = 8 * 1_000_000;
+            s
+        };
+        let policy = policies::build(PolicyId::NoPfs, &small(51)).unwrap();
+        let read_ahead = (0..800).filter(|&k| policy.origin_lanes(k) > 0);
+        assert!(read_ahead.count() > 400, "most samples have no holder");
+        let nopfs_solo = run_solo(&small(51), PolicyId::NoPfs)
+            .unwrap()
+            .execution_time;
+        let naive_solo = run_solo(&small(52), PolicyId::Naive)
+            .unwrap()
+            .execution_time;
+        let tenants: Vec<SimTenant> = (0..8)
+            .map(|i| {
+                let policy = if i == 0 {
+                    PolicyId::NoPfs
+                } else {
+                    PolicyId::Naive
+                };
+                SimTenant::new(small(51 + i), policy)
+            })
+            .collect();
+        let results = run_cluster(&tenants).unwrap();
+        let nopfs_slowdown = results[0].execution_time / nopfs_solo;
+        assert!(
+            nopfs_slowdown > 1.3,
+            "uncached reads contend for the PFS: {nopfs_slowdown}x"
+        );
+        assert!(
+            results[1].execution_time / naive_solo > 1.3,
+            "and so do the naive tenants' reads"
+        );
+        assert!(results[0].execution_time < results[1].execution_time);
+    }
+
+    #[test]
     fn stagger_defers_contention() {
         // A tenant starting after the others have finished must see
         // (almost) no interference.

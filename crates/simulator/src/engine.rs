@@ -135,11 +135,11 @@ pub(crate) struct Priced {
 
 /// Prices one access of `size` bytes from `loc` by the performance
 /// model (the cloud model for origin reads, when the scenario has one)
-/// and feeds it to the worker's recurrence. `lanes > 0`: the policy
-/// reads this sample ahead with that many origin lanes per worker, so
-/// its fetch is priced at `γ = N·lanes` — the lanes are the job's PFS
-/// clients for it — and charged to the lanes, its `write_time` to the
-/// `p_0` pipeline.
+/// at `gamma` PFS clients — the staging readers and origin lanes of
+/// every tenant, this job's included — and feeds it to the worker's
+/// recurrence. `lanes > 0`: the policy reads this sample ahead with
+/// that many origin lanes per worker, so its fetch is charged to the
+/// lanes and its `write_time` to the `p_0` pipeline.
 pub(crate) fn push_access(
     acc: &mut Acc,
     sys: &SystemSpec,
@@ -151,7 +151,6 @@ pub(crate) fn push_access(
 ) -> Priced {
     let now = acc.last();
     if lanes > 0 && matches!(loc, Location::Pfs) {
-        let gamma = sys.workers * lanes;
         let fetch = match cloud {
             Some(c) => c.read_cost(now, size, gamma),
             None => sys.fetch_pfs(size, gamma),
