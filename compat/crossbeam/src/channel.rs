@@ -3,8 +3,10 @@
 //! A straightforward `Mutex<VecDeque>` + two-`Condvar` implementation.
 //! Disconnection follows crossbeam's rules: a channel is disconnected
 //! when all senders or all receivers have dropped; receivers drain
-//! buffered messages before reporting disconnection, and blocked
-//! senders on a full bounded channel fail once every receiver is gone.
+//! buffered messages before reporting disconnection, blocked senders
+//! on a full bounded channel fail once every receiver is gone, and the
+//! last receiver to go discards what is still buffered (nobody can
+//! receive it; its destructors should not wait for the senders).
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -207,8 +209,11 @@ impl<T> Drop for Receiver<T> {
         let mut inner = lock(&self.0.inner);
         inner.receivers -= 1;
         if inner.receivers == 0 {
+            let discarded = std::mem::take(&mut inner.queue);
             drop(inner);
             self.0.not_full.notify_all();
+            // Outside the lock: a message's destructor may use channels.
+            drop(discarded);
         }
     }
 }
@@ -360,6 +365,17 @@ mod tests {
         let (tx, rx) = unbounded();
         drop(rx);
         assert!(tx.send(1).is_err());
+    }
+
+    #[test]
+    fn the_last_receiver_discards_buffered_messages() {
+        let (tx, rx) = unbounded();
+        let (inner_tx, inner_rx) = unbounded::<u32>();
+        tx.send(inner_tx).unwrap();
+        drop(rx);
+        // `tx` is still alive, yet the buffered sender is gone.
+        assert_eq!(inner_rx.recv(), Err(RecvError));
+        drop(tx);
     }
 
     #[test]

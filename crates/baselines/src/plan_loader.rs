@@ -13,15 +13,17 @@
 //!   stream and serve each access from the source the core decides —
 //!   local class backend, a peer over the modelled interconnect, or
 //!   the PFS (caching first-touch fills where the core says so);
-//! - a **serving loop** answers peers' sample requests from the local
-//!   backends, paying the modelled wire cost.
+//! - a **serving loop** ([`nopfs_core::peer::serve`], the one NoPFS
+//!   workers run) answers peers' fetch frames from the local backends,
+//!   paying the modelled wire cost.
 //!
 //! One implementation therefore covers every core-backed policy; the
 //! policies differ only in the decisions their cores return.
 
 use crate::DataLoader;
 use bytes::Bytes;
-use nopfs_core::msg::{Msg, RemoteReply};
+use nopfs_core::msg::Msg;
+use nopfs_core::peer::{self, PeerClient};
 use nopfs_core::stats::{StatsCollector, WorkerStats};
 use nopfs_core::{JobConfig, SampleId};
 use nopfs_net::{cluster, Endpoint, NetConfig};
@@ -286,8 +288,9 @@ impl PlanCtx {
 
     /// Serves one access from the source the core decides, with PFS
     /// fallback when a cache or peer does not actually hold the sample
-    /// (store-full inserts, epoch races).
-    fn fetch(&self, k: SampleId, epoch: u64) -> Bytes {
+    /// (store-full inserts, epoch races). A peer is asked through the
+    /// calling thread's `peers` client, in a frame of one sample.
+    fn fetch(&self, k: SampleId, epoch: u64, peers: &mut PeerClient) -> Bytes {
         match self.core.source(self.rank, k, epoch) {
             Source::Local(_) => {
                 if self.wait_for_fill(self.rank, k) {
@@ -301,25 +304,14 @@ impl PlanCtx {
                 self.pfs_fallback(k, epoch)
             }
             Source::Remote { owner, .. } => {
-                if self.wait_for_fill(owner as usize, k) {
-                    let (tx, rx) = crossbeam::channel::bounded::<RemoteReply>(1);
-                    if self
-                        .endpoint
-                        .send(
-                            owner as usize,
-                            Msg::Request {
-                                sample: k,
-                                reply: tx,
-                            },
-                        )
-                        .is_ok()
-                    {
-                        if let Ok(reply) = rx.recv() {
-                            if let Some(data) = reply.data {
-                                self.stats.count_remote();
-                                return data;
-                            }
-                        }
+                let owner = owner as usize;
+                if self.wait_for_fill(owner, k) {
+                    peers.want(owner, k);
+                    peers.post(&self.endpoint);
+                    peers.collect();
+                    if let Some(data) = peers.take(owner, k) {
+                        self.stats.count_remote();
+                        return data;
                     }
                 }
                 self.pfs_fallback(k, epoch)
@@ -432,6 +424,7 @@ impl PlanLoader {
             let position = Arc::clone(&position);
             threads.push(std::thread::spawn(move || {
                 ctx.ready.wait();
+                let mut peers = PeerClient::new();
                 loop {
                     if ctx.stop.load(Ordering::Relaxed) {
                         break;
@@ -442,7 +435,7 @@ impl PlanLoader {
                     }
                     let k = stream[pos as usize];
                     let epoch = pos.checked_div(ctx.epoch_len).unwrap_or(0);
-                    let data = ctx.fetch(k, epoch);
+                    let data = ctx.fetch(k, epoch, &mut peers);
                     debug_assert_eq!(data.len() as u64, sizes[k as usize]);
                     // Preprocess-and-store: the model's write_i(k).
                     let wt = ctx.config.system.write_time(data.len() as u64);
@@ -454,25 +447,10 @@ impl PlanLoader {
             }));
         }
 
-        // Serving loop: answer peers' sample requests until shutdown.
+        // Serving loop: answer peers' fetch frames until shutdown.
         let server = {
             let ctx = Arc::clone(&ctx);
-            std::thread::spawn(move || {
-                while let Ok(env) = ctx.endpoint.recv() {
-                    match env.msg {
-                        Msg::Request { sample, reply } => {
-                            let data = ctx.tiers.get_cached(sample);
-                            if let Some(d) = &data {
-                                // Pay the wire cost of the payload.
-                                ctx.endpoint.pace(d.len() as u64);
-                            }
-                            let _ = reply.send(RemoteReply { sample, data });
-                        }
-                        Msg::Shutdown => break,
-                        Msg::Digest(_) => {}
-                    }
-                }
-            })
+            std::thread::spawn(move || peer::serve(&ctx.endpoint, &ctx.tiers))
         };
 
         Self {

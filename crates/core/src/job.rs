@@ -446,6 +446,191 @@ mod tests {
         }
     }
 
+    /// Two workers on an unpaced system whose RAM class holds half of
+    /// `sizes` each (and a little slack) and nothing else: what a worker
+    /// does not hold, its peer does.
+    fn two_halves_system(sizes: &[u64]) -> SystemSpec {
+        let total: u64 = sizes.iter().sum();
+        let mut sys = fig8_small_cluster();
+        sys.workers = 2;
+        sys.compute = 1e12;
+        sys.staging.capacity = total;
+        sys.staging.threads = 1;
+        sys.classes[0].capacity = total / 2 + 2 * sizes[0];
+        sys.classes[1].capacity = 0;
+        sys
+    }
+
+    /// Consumes `w` to the end, checking every payload, and returns the
+    /// ids delivered — once `w`'s class prefetchers have cached all the
+    /// plan assigns to it: the staging threads, a stage's worth ahead
+    /// of the consumer at most, then ask peers for the rest of the
+    /// stream however the threads were scheduled before.
+    fn drain_checked(w: &mut WorkerHandle, job: &Job, sizes: &[u64]) -> Vec<u64> {
+        let assignment = job.placement().assignment(w.rank());
+        let assigned = (0..sizes.len() as u64)
+            .filter(|&k| assignment.class_of(k).is_some())
+            .count() as u64;
+        while w.tier_stats().iter().map(|t| t.fills).sum::<u64>() < assigned {
+            std::thread::yield_now();
+        }
+        let mut ids = Vec::new();
+        while let Some(batch) = w.next_batch() {
+            for (id, data) in batch {
+                assert_eq!(data.len() as u64, sizes[id as usize]);
+                assert_eq!(data[0], (id % 256) as u8, "corrupt sample {id}");
+                ids.push(id);
+            }
+        }
+        ids
+    }
+
+    fn expected_stream(job: &Job, f: usize, rank: usize) -> Vec<u64> {
+        let config = job.config();
+        let spec = config.shuffle_spec(f as u64);
+        nopfs_clairvoyance::stream::AccessStream::new(spec, rank, config.epochs).materialize()
+    }
+
+    #[test]
+    fn peer_fetches_go_out_as_one_frame_per_owner_per_run() {
+        use crate::worker::STAGE_BATCH;
+        use nopfs_obs::{names, ObsCtx};
+        // N = 2: one possible owner, so at most one frame per run; then
+        // N = 4 with two staging threads (two reply channels), where a
+        // run asks up to three owners.
+        for (workers, threads) in [(2, 1), (4, 2)] {
+            let sizes = Arc::new(vec![1_000u64; 96]);
+            let mut sys = two_halves_system(&sizes);
+            sys.workers = workers;
+            sys.staging.threads = threads;
+            let obs = ObsCtx::new();
+            let config = JobConfig::new(31, 6, 8, sys, TimeScale::new(1e-6)).with_obs(obs.clone());
+            let job = Job::new(config, Arc::clone(&sizes));
+            let pfs = job.make_pfs();
+            materialize(&pfs, &sizes);
+            let out = job.run(&pfs, |w| {
+                (w.rank(), drain_checked(w, &job, &sizes), w.stats())
+            });
+            let mut merged = WorkerStats::default();
+            let mut runs = 0;
+            for (rank, ids, stats) in &out {
+                assert_eq!(ids, &expected_stream(&job, sizes.len(), *rank));
+                runs += (ids.len() as u64).div_ceil(STAGE_BATCH);
+                merged.merge(stats);
+            }
+            assert_eq!(merged.total_fetches(), merged.samples_consumed);
+            assert!(merged.remote_fetches > 0, "{merged:?}");
+            let asked = merged.remote_fetches + merged.false_positives;
+            let frames = obs.snapshot().counter_total(names::WORKER_PEER_FRAMES);
+            assert!(
+                frames >= asked.div_ceil(STAGE_BATCH) && frames <= asked,
+                "{frames} frames for {asked} samples"
+            );
+            assert!(
+                frames <= runs * (workers as u64 - 1),
+                "{frames} frames in {runs} runs"
+            );
+        }
+    }
+
+    #[test]
+    fn a_run_that_holds_a_remote_sample_twice_gets_it_twice() {
+        // Epochs of five samples per worker: every run of eight straddles
+        // an epoch boundary, and whatever a worker reads in both epochs
+        // is in the run twice.
+        let sizes = Arc::new(vec![1_000u64; 10]);
+        let config = JobConfig::new(32, 60, 4, two_halves_system(&sizes), TimeScale::new(1e-6));
+        let job = Job::new(config, Arc::clone(&sizes));
+        let placement = job.placement();
+        let held_by_the_peer_only = |rank: usize, k: u64| {
+            let holders = placement.holders(k);
+            !holders.is_empty() && holders.iter().all(|&(o, _)| o != rank)
+        };
+        let twice_remote = expected_stream(&job, sizes.len(), 0)
+            .chunks(crate::worker::STAGE_BATCH as usize)
+            .filter(|run| {
+                run.iter()
+                    .enumerate()
+                    .any(|(i, &k)| held_by_the_peer_only(0, k) && run[..i].contains(&k))
+            })
+            .count();
+        assert!(
+            twice_remote > 10,
+            "the stream has no such run: {twice_remote}"
+        );
+        let pfs = job.make_pfs();
+        materialize(&pfs, &sizes);
+        let out = job.run(&pfs, |w| {
+            (w.rank(), drain_checked(w, &job, &sizes), w.stats())
+        });
+        for (rank, ids, stats) in out {
+            assert_eq!(ids, expected_stream(&job, sizes.len(), rank));
+            assert_eq!(stats.total_fetches(), stats.samples_consumed);
+            assert!(stats.remote_fetches > 0, "{stats:?}");
+        }
+    }
+
+    #[test]
+    fn unanswered_frames_are_booked_as_false_positives_and_read_from_the_origin() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let sizes = Arc::new(vec![1_000u64; 64]);
+        let config = JobConfig::new(33, 4, 8, two_halves_system(&sizes), TimeScale::new(1e-6));
+        let job = Job::new(config, Arc::clone(&sizes));
+        let pfs = job.make_pfs();
+        materialize(&pfs, &sizes);
+        let mut eps = cluster::<Msg>(2, NetConfig::new(1e12, TimeScale::new(1e-6)));
+        let ep1 = eps.pop().expect("rank 1");
+        let ep0 = eps.pop().expect("rank 0");
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            // Rank 1 joins the setup and the shutdown barrier, but is no
+            // worker: every frame that reaches it is dropped unanswered.
+            s.spawn(|| {
+                ep1.allgather(Msg::Digest(job.shared.digests[1]))
+                    .expect("rank 0 is alive");
+                ep1.barrier();
+                while !done.load(Ordering::SeqCst) {
+                    drop(ep1.recv_timeout(std::time::Duration::from_millis(1)));
+                }
+                ep1.barrier();
+            });
+            let mut w = WorkerHandle::launch(0, Arc::clone(&job.shared), pfs.clone(), ep0);
+            let ids = drain_checked(&mut w, &job, &sizes);
+            done.store(true, Ordering::SeqCst);
+            w.shutdown();
+            assert_eq!(ids, expected_stream(&job, sizes.len(), 0));
+            let stats = w.stats();
+            assert!(stats.false_positives > 0, "{stats:?}");
+            assert_eq!(stats.remote_fetches, 0);
+            assert!(stats.pfs_fetches >= stats.false_positives);
+            assert_eq!(stats.total_fetches(), stats.samples_consumed);
+        });
+    }
+
+    #[test]
+    fn shutdown_with_a_frame_in_flight_joins_cleanly() {
+        use nopfs_obs::{names, ObsCtx};
+        // Real time and an interconnect that takes 4 ms per frame, in
+        // front of a PFS slower still: once the caches are filled the
+        // staging threads are in a frame exchange most of the time.
+        let sizes = Arc::new(vec![2_000u64; 64]);
+        let mut sys = two_halves_system(&sizes);
+        sys.interconnect = 4.0e6;
+        sys.pfs_read = nopfs_perfmodel::ThroughputCurve::flat(2.0e6);
+        let obs = ObsCtx::new();
+        let config = JobConfig::new(34, 50, 8, sys, TimeScale::realtime()).with_obs(obs.clone());
+        let job = Job::new(config, Arc::clone(&sizes));
+        let pfs = job.make_pfs();
+        materialize(&pfs, &sizes);
+        job.run(&pfs, |w| {
+            // `run` shuts the worker down as soon as a frame has gone out.
+            while obs.snapshot().counter_total(names::WORKER_PEER_FRAMES) == 0 {
+                w.next_batch()
+                    .expect("a frame goes out before the stream ends");
+            }
+        });
+    }
+
     #[test]
     fn single_worker_runs_without_peers() {
         let mut sys = small_system();

@@ -33,6 +33,7 @@ pub mod config;
 pub mod elastic;
 pub mod job;
 pub mod msg;
+pub mod peer;
 pub mod stats;
 pub mod tiers;
 mod window;

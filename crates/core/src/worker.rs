@@ -16,13 +16,15 @@
 //!   samples' bytes in the `OriginWindow`, so that `γ` is chosen by
 //!   the model while `p_0` keeps meaning preprocess-and-store
 //!   pipelines;
-//! - **a serving loop** — answers other workers' sample requests from
-//!   the local caches, paying the modelled wire cost;
+//! - **a serving loop** — [`crate::peer::serve`]: answers other
+//!   workers' fetch frames from the local caches, paying the modelled
+//!   wire cost;
 //! - **the consumer** — [`WorkerHandle`], the training loop's
 //!   iterator over `(sample id, bytes)` in exact `R` order.
 
 use crate::config::JobConfig;
-use crate::msg::{Msg, RemoteReply};
+use crate::msg::Msg;
+use crate::peer::PeerClient;
 use crate::stats::{SetupStats, StatsCollector, WorkerStats};
 use crate::window::{OriginWindow, Taken};
 use crate::SampleId;
@@ -30,7 +32,7 @@ use bytes::Bytes;
 use nopfs_clairvoyance::placement::GlobalPlacement;
 use nopfs_clairvoyance::sampler::ShuffleSpec;
 use nopfs_net::Endpoint;
-use nopfs_obs::{names, Counter, ObsCtx};
+use nopfs_obs::{names, Counter, ObsCtx, Registry};
 use nopfs_perfmodel::Location;
 use nopfs_pfs::Pfs;
 use nopfs_storage::{
@@ -75,7 +77,7 @@ const FILL_BATCH: usize = 16;
 /// buffers at most this many fetched samples before staging them, so
 /// the claim size also bounds out-of-order memory beyond the stage's
 /// own capacity.
-const STAGE_BATCH: u64 = 8;
+pub(crate) const STAGE_BATCH: u64 = 8;
 
 /// Reads `id` from the hierarchy's origin with patient, bounded
 /// retries.
@@ -181,10 +183,19 @@ struct WorkerCtx {
     obs: ObsCtx,
 }
 
-/// What phase 1 of a staging fetch settled for one sample: its bytes,
-/// unless the staging thread has to read the origin for them, and
-/// whether the self-healing fill applies.
-type Probe = (Option<Bytes>, bool);
+/// What phase 1 of a staging fetch settled for one sample.
+enum Pick {
+    /// A local tier or the look-ahead window had the bytes.
+    Served(Bytes),
+    /// The sample is in the run's frame to this peer.
+    Peer(usize),
+    /// The run's origin read supplies the bytes (already counted as a
+    /// PFS fetch).
+    Origin,
+}
+
+/// A [`Pick`], and whether the self-healing fill applies.
+type Probe = (Pick, bool);
 
 /// How many samples of one staged run each source served.
 #[derive(Default)]
@@ -194,11 +205,44 @@ struct RunSources {
     pfs: u64,
 }
 
+/// A staging thread's requester half of the peer protocol and the
+/// counters it reports to (`worker.peer.frames`,
+/// `worker.staging.peer_wait_nanos`), made by the thread on its first
+/// remote pick: a worker that never asks a peer has neither.
+struct PeerLeg {
+    client: PeerClient,
+    frames: Counter,
+    wait_nanos: Counter,
+}
+
+impl PeerLeg {
+    fn new(registry: &Registry) -> Self {
+        Self {
+            client: PeerClient::new(),
+            frames: registry.counter(names::WORKER_PEER_FRAMES),
+            wait_nanos: registry.counter(names::WORKER_STAGING_PEER_WAIT_NANOS),
+        }
+    }
+
+    /// Sends the frames of the run's wanted samples — every one before
+    /// the first reply is awaited — and sleeps until all are back.
+    fn exchange(&mut self, endpoint: &Endpoint<Msg>) {
+        let frames = self.client.post(endpoint);
+        if frames > 0 {
+            self.frames.add(frames);
+            let waiting = Instant::now();
+            self.client.collect();
+            self.wait_nanos.add(waiting.elapsed().as_nanos() as u64);
+        }
+    }
+}
+
 /// Buffers a staging prefetcher reuses from claim to claim, so a run
 /// allocates nothing once they have grown to [`STAGE_BATCH`].
 #[derive(Default)]
 struct StageScratch {
     probes: Vec<Probe>,
+    peer: Option<PeerLeg>,
     /// The claimed samples the origin must supply, in claim order.
     origin_ids: Vec<SampleId>,
     /// The fetched run in stream order, as `ReorderStage::push_run`
@@ -210,8 +254,9 @@ impl WorkerCtx {
     /// Vectored staging fetch of the run of stream positions starting
     /// at `base`: per-sample source selection via
     /// [`Self::staging_probe`] — or, for a sample no worker caches, a
-    /// take from the origin look-ahead window — then every sample still
-    /// without bytes is fetched in **one** batched
+    /// take from the origin look-ahead window —, then the samples
+    /// picked from peers go out as **one** frame per owner and every
+    /// sample still without bytes is fetched in **one** batched
     /// [`TierStack::read_origin_many`] round-trip instead of one origin
     /// read (and one `t(γ)` reader registration) per sample. The bytes
     /// land in `scratch.run` in input order; statistics and
@@ -225,14 +270,14 @@ impl WorkerCtx {
     ) -> bool {
         let StageScratch {
             probes,
+            peer,
             origin_ids,
             run,
         } = scratch;
         let t0 = self.obs.tracer.is_active().then(Instant::now);
         let mut sources = RunSources::default();
-        // Phase 1: pick a source per sample; local, remote and
-        // read-ahead samples are served immediately, the rest queued.
-        origin_ids.clear();
+        // Phase 1: pick a source per sample; local and read-ahead
+        // samples are served immediately, the rest queued.
         probes.clear();
         for (pos, &k) in (base..).zip(ks) {
             let probe = match &self.window {
@@ -241,19 +286,51 @@ impl WorkerCtx {
                     self.stats.count_pfs();
                     sources.pfs += 1;
                     match window.take(pos) {
-                        Taken::Parked(data) => (Some(data), false),
-                        Taken::Unclaimed => (None, false),
+                        Taken::Parked(data) => (Pick::Served(data), false),
+                        Taken::Unclaimed => (Pick::Origin, false),
                         Taken::Closed => return false,
                     }
                 }
                 _ => self.staging_probe(k, &mut sources),
             };
-            if probe.0.is_none() {
-                origin_ids.push(k);
+            if let Pick::Peer(owner) = probe.0 {
+                peer.get_or_insert_with(|| PeerLeg::new(&self.obs.registry))
+                    .client
+                    .want(owner, k);
             }
             probes.push(probe);
         }
-        // Phase 2: one vectored origin read for everything that needs it.
+        // Phase 2: the peers' samples, one frame per owner; what a peer
+        // did not have joins the origin's list.
+        if let Some(peer) = peer {
+            peer.exchange(&self.endpoint);
+        }
+        origin_ids.clear();
+        for (&k, (pick, _)) in ks.iter().zip(probes.iter_mut()) {
+            if let Pick::Peer(owner) = *pick {
+                let peer = peer.as_mut().expect("a peer pick made the client");
+                *pick = match peer.client.take(owner, k) {
+                    Some(data) => {
+                        self.stats.count_remote();
+                        sources.remote += 1;
+                        Pick::Served(data)
+                    }
+                    None => {
+                        // Heuristic false positive: the holder had not
+                        // prefetched the sample yet (or the frame never
+                        // reached it). Not an error.
+                        self.stats.count_false_positive();
+                        self.stats.count_pfs();
+                        sources.pfs += 1;
+                        Pick::Origin
+                    }
+                };
+            }
+            if matches!(pick, Pick::Origin) {
+                origin_ids.push(k);
+            }
+        }
+        // Phase 3: one vectored origin read for everything that needs it.
         let mut from_origin = if origin_ids.is_empty() {
             Vec::new()
         } else {
@@ -264,10 +341,13 @@ impl WorkerCtx {
             datas
         }
         .into_iter();
-        // Phase 3: self-healing fills, in input order.
-        for (&k, (served, needs_fill)) in ks.iter().zip(probes.drain(..)) {
-            let data = served
-                .unwrap_or_else(|| from_origin.next().expect("every staged sample is fetched"));
+        // Phase 4: self-healing fills, in input order.
+        for (&k, (pick, needs_fill)) in ks.iter().zip(probes.drain(..)) {
+            let data = match pick {
+                Pick::Served(data) => data,
+                Pick::Origin => from_origin.next().expect("every staged sample is fetched"),
+                Pick::Peer(_) => unreachable!("phase 2 settled every peer pick"),
+            };
             if needs_fill {
                 self.self_healing_fill(k, &data);
             }
@@ -298,12 +378,12 @@ impl WorkerCtx {
         }
     }
 
-    /// Phase 1 of a staging fetch: the source decision (counted in the
-    /// statistics and in `sources`), plus the bytes when a local tier
-    /// or a remote peer can serve them. `None` means the origin must
-    /// supply the bytes (already counted as a PFS fetch); the `bool` is
-    /// whether the self-healing fill applies (the sample was not
-    /// cataloged locally when the fetch started).
+    /// Phase 1 of a staging fetch: the source decision, plus the bytes
+    /// when a local tier can serve them. Local and PFS decisions are
+    /// counted here (in the statistics and in `sources`), a peer
+    /// decision when its frame is back; the `bool` is whether the
+    /// self-healing fill applies (the sample was not cataloged locally
+    /// when the fetch started).
     fn staging_probe(&self, k: SampleId, sources: &mut RunSources) -> Probe {
         let sys = &self.shared.config.system;
         let size = self.shared.sizes[k as usize];
@@ -350,12 +430,12 @@ impl WorkerCtx {
             origin_ok,
         );
 
-        let served = match choice {
+        let pick = match choice {
             Location::Local(c) => match self.tiers.get_cached_in(usize::from(c), k) {
                 Some(d) => {
                     self.stats.count_local();
                     sources.local += 1;
-                    Some(d)
+                    Pick::Served(d)
                 }
                 // Catalog raced an eviction (not expected under NoPFS's
                 // no-eviction placement, but recoverable): the read
@@ -363,35 +443,21 @@ impl WorkerCtx {
                 None => {
                     self.stats.count_pfs();
                     sources.pfs += 1;
-                    None
+                    Pick::Origin
                 }
             },
             Location::Remote(_) => {
                 let (owner, _) = best_remote.expect("remote choice implies a holder");
-                match self.request_remote(owner, k) {
-                    Some(d) => {
-                        self.stats.count_remote();
-                        sources.remote += 1;
-                        Some(d)
-                    }
-                    None => {
-                        // Heuristic false positive: the holder had not
-                        // prefetched the sample yet. Not an error.
-                        self.stats.count_false_positive();
-                        self.stats.count_pfs();
-                        sources.pfs += 1;
-                        None
-                    }
-                }
+                Pick::Peer(owner)
             }
             Location::Pfs => {
                 self.stats.count_pfs();
                 sources.pfs += 1;
-                None
+                Pick::Origin
             }
             Location::Staging => unreachable!("staging is never a fetch candidate"),
         };
-        (served, local_tier.is_none())
+        (pick, local_tier.is_none())
     }
 
     /// One origin lane: claims the stream positions whose sample no
@@ -457,22 +523,6 @@ impl WorkerCtx {
                 break; // stage closed
             }
         }
-    }
-
-    fn request_remote(&self, owner: usize, k: SampleId) -> Option<Bytes> {
-        let (tx, rx) = crossbeam::channel::bounded::<RemoteReply>(1);
-        self.endpoint
-            .send(
-                owner,
-                Msg::Request {
-                    sample: k,
-                    reply: tx,
-                },
-            )
-            .ok()?;
-        let reply = rx.recv().ok()?;
-        debug_assert_eq!(reply.sample, k);
-        reply.data
     }
 }
 
@@ -661,27 +711,10 @@ impl WorkerHandle {
             }));
         }
 
-        // Serving loop: answer remote requests until shutdown.
+        // Serving loop: answer peers' fetch frames until shutdown.
         let server = {
             let ctx = Arc::clone(&ctx);
-            std::thread::spawn(move || {
-                while let Ok(env) = ctx.endpoint.recv() {
-                    match env.msg {
-                        Msg::Request { sample, reply } => {
-                            let data = ctx.tiers.get_cached(sample);
-                            if let Some(d) = &data {
-                                // Pay the wire cost of the payload.
-                                ctx.endpoint.pace(d.len() as u64);
-                            }
-                            let _ = reply.send(RemoteReply { sample, data });
-                        }
-                        Msg::Shutdown => break,
-                        Msg::Digest(_) => {
-                            // Setup finished before this loop started.
-                        }
-                    }
-                }
-            })
+            std::thread::spawn(move || crate::peer::serve(&ctx.endpoint, &ctx.tiers))
         };
 
         Self {

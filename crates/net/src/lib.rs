@@ -230,22 +230,29 @@ impl Endpoint<Vec<f32>> {
     /// Star-topology sum-allreduce through rank 0. Rank 0 receives and
     /// reduces every contribution, then broadcasts the result: an
     /// O(n·|buf|) hotspot on rank 0, so it serves only as the small-`n`
-    /// fallback of [`Self::allreduce_sum`].
+    /// fallback of [`Self::allreduce_sum`]. Rank 0 answers each peer in
+    /// the buffer that peer sent, so it allocates nothing at `n = 2`.
     pub fn allreduce_sum_star(&self, buf: &mut [f32]) -> Result<(), NetError> {
         let n = self.world_size();
         if n == 1 {
             return Ok(());
         }
         if self.rank == 0 {
+            // The contributions, kept to answer in: the latest one by
+            // itself, so that `earlier` stays unallocated at n = 2.
+            let mut earlier = Vec::new();
+            let mut latest = None;
             for _ in 0..n - 1 {
                 let env = self.recv()?;
                 assert_eq!(env.msg.len(), buf.len(), "allreduce length mismatch");
                 for (a, b) in buf.iter_mut().zip(&env.msg) {
                     *a += b;
                 }
+                earlier.extend(latest.replace(env));
             }
-            for to in 1..n {
-                self.send(to, buf.to_vec())?;
+            for mut env in earlier.into_iter().chain(latest) {
+                env.msg.copy_from_slice(buf);
+                self.send(env.from, env.msg)?;
             }
         } else {
             self.send(0, buf.to_vec())?;

@@ -29,9 +29,9 @@ pub const WORKER_CONSUMED: &str = "worker.consumed";
 pub const WORKER_STALL_LATENCY: &str = "worker.stall_latency_ns";
 
 // --- Staging-thread time accounting ---
-// Where a worker's staging threads spend their loop: these two and
+// Where a worker's staging threads spend their loop: these three and
 // `staging.push_blocked_nanos` leave of its wall time only the fetches
-// from local tiers and peers (and the CPU work per sample).
+// from local tiers (and the CPU work per sample).
 
 /// Nanoseconds staging threads waited for origin bytes: blocked on the
 /// look-ahead window for a lane's read, or reading the origin
@@ -39,6 +39,12 @@ pub const WORKER_STALL_LATENCY: &str = "worker.stall_latency_ns";
 pub const WORKER_STAGING_ORIGIN_WAIT_NANOS: &str = "worker.staging.origin_wait_nanos";
 /// Nanoseconds staging threads spent in the modelled `write_time`.
 pub const WORKER_STAGING_WRITE_NANOS: &str = "worker.staging.write_nanos";
+/// Nanoseconds staging threads waited for peers to answer their fetch
+/// frames.
+pub const WORKER_STAGING_PEER_WAIT_NANOS: &str = "worker.staging.peer_wait_nanos";
+/// Fetch frames sent to peers: one per owner per staged run that takes
+/// samples from that owner.
+pub const WORKER_PEER_FRAMES: &str = "worker.peer.frames";
 /// Bytes parked in (or being read into) the origin look-ahead window
 /// (gauge).
 pub const WORKER_WINDOW_BYTES: &str = "worker.window.bytes";
