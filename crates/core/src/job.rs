@@ -631,6 +631,138 @@ mod tests {
         });
     }
 
+    /// One worker on an unpaced system whose RAM and SSD classes hold
+    /// two fifths and three fifths of `sizes`: every sample is cached
+    /// locally, in one tier or the other.
+    fn ram_and_ssd_system(sizes: &[u64]) -> SystemSpec {
+        let total: u64 = sizes.iter().sum();
+        let mut sys = fig8_small_cluster();
+        sys.workers = 1;
+        sys.compute = 1e12;
+        sys.staging.capacity = 16 * sizes[0];
+        sys.staging.threads = 1;
+        sys.classes[0].capacity = total * 2 / 5;
+        sys.classes[1].capacity = total - total * 2 / 5;
+        sys
+    }
+
+    #[test]
+    fn a_run_with_picks_in_two_tiers_is_one_sweep_per_tier() {
+        use crate::worker::STAGE_BATCH;
+        use nopfs_obs::{names, ObsCtx};
+        let sizes = Arc::new(vec![1_000u64; 80]);
+        let obs = ObsCtx::new();
+        let config = JobConfig::new(41, 6, 8, ram_and_ssd_system(&sizes), TimeScale::new(1e-6))
+            .with_obs(obs.clone());
+        let job = Job::new(config, Arc::clone(&sizes));
+        let assignment = job.placement().assignment(0);
+        let stream = expected_stream(&job, sizes.len(), 0);
+        let runs = stream.chunks(STAGE_BATCH as usize);
+        let in_both = runs
+            .clone()
+            .filter(|run| {
+                [0, 1]
+                    .iter()
+                    .all(|&c| run.iter().any(|&k| assignment.class_of(k) == Some(c)))
+            })
+            .count();
+        assert!(in_both > runs.len() / 2, "{in_both} of {} runs", runs.len());
+        let pfs = job.make_pfs();
+        materialize(&pfs, &sizes);
+        let mut out = job.run(&pfs, |w| {
+            (drain_checked(w, &job, &sizes), w.stats(), w.tier_stats())
+        });
+        let (ids, stats, tiers) = out.pop().expect("one rank");
+        assert_eq!(ids, stream);
+        assert_eq!(stats.total_fetches(), stats.samples_consumed);
+        assert_eq!(stats.remote_fetches, 0);
+        // Once the prefetchers have filled the tiers, every sample is
+        // served by the tier that holds it.
+        assert!(
+            stats.local_fetches > stats.samples_consumed / 2,
+            "{stats:?}"
+        );
+        assert_eq!(stats.local_fetches, tiers[0].hits + tiers[1].hits);
+        assert!(tiers[0].hits > 0 && tiers[1].hits > 0, "{tiers:?}");
+        // One latency observation per sweep that hit: at most one per
+        // tier and run, where a read per sample would leave one per hit.
+        let snap = obs.snapshot();
+        for (j, tier) in tiers[..2].iter().enumerate() {
+            let sweeps: u64 = snap
+                .histograms
+                .iter()
+                .filter(|h| h.name == names::TIER_READ_LATENCY)
+                .filter(|h| h.labels.iter().any(|(k, v)| k == "tier" && *v == tier.name))
+                .map(|h| h.value.count)
+                .sum();
+            assert!(
+                sweeps > 0 && sweeps <= runs.len() as u64 && sweeps < tier.hits,
+                "tier {j}: {sweeps} observations, {} hits, {} runs",
+                tier.hits,
+                runs.len()
+            );
+        }
+    }
+
+    #[test]
+    fn a_sample_gone_from_its_tier_behind_the_catalog_is_read_from_the_origin() {
+        let sizes = Arc::new(vec![1_000u64; 80]);
+        let sys = ram_and_ssd_system(&sizes);
+        let scale = TimeScale::new(1e-6);
+        let config = JobConfig::new(42, 1, 8, sys.clone(), scale);
+        let job = Job::new(config, Arc::clone(&sizes));
+        let pfs = job.make_pfs();
+        materialize(&pfs, &sizes);
+        // The worker gets its hierarchy warm — every sample filled into
+        // the class the plan assigns it to, so the prefetchers have
+        // nothing to do — except that a few samples have since left
+        // their tier without the catalog being told: `locate` still
+        // names the tier when the staging thread picks a source.
+        let tiers = crate::class_tier_stack(&sys, scale, Arc::new(pfs.clone()));
+        let assignment = job.placement().assignment(0);
+        for k in 0..sizes.len() as u64 {
+            let class = assignment
+                .class_of(k)
+                .expect("the classes hold the dataset");
+            let data = pfs.read(k).expect("materialized");
+            tiers.fill(class as usize, k, data).expect("planned to fit");
+        }
+        let gone = [3u64, 4, 40, 77];
+        for k in gone {
+            let tier = tiers.locate(k).expect("just filled");
+            assert!(tiers.source(tier).evict(k));
+            assert_eq!(tiers.locate(k), Some(tier));
+        }
+        let endpoint = cluster::<Msg>(1, NetConfig::new(sys.interconnect, scale))
+            .pop()
+            .expect("rank 0");
+        let mut w = WorkerHandle::launch_with_tiers(
+            0,
+            Arc::clone(&job.shared),
+            pfs.clone(),
+            endpoint,
+            Some(tiers),
+        );
+        let mut ids = Vec::new();
+        while let Some(batch) = w.next_batch() {
+            for (id, data) in batch {
+                assert_eq!(data[0], (id % 256) as u8, "corrupt sample {id}");
+                ids.push(id);
+            }
+        }
+        w.shutdown();
+        // One epoch reads every sample once: the four stale entries are
+        // booked as PFS fetches, in runs whose other samples the same
+        // sweep served, and the stream is whole.
+        assert_eq!(ids, expected_stream(&job, sizes.len(), 0));
+        let stats = w.stats();
+        assert_eq!(stats.pfs_fetches, gone.len() as u64, "{stats:?}");
+        assert_eq!(stats.local_fetches, (sizes.len() - gone.len()) as u64);
+        assert_eq!(stats.total_fetches(), stats.samples_consumed);
+        let misses: u64 = w.tier_stats()[..2].iter().map(|t| t.misses).sum();
+        assert_eq!(misses, gone.len() as u64);
+    }
+
     #[test]
     fn single_worker_runs_without_peers() {
         let mut sys = small_system();

@@ -12,13 +12,15 @@
 //! run that holds the same id twice gets two slots and two payloads.
 //!
 //! The serving half is [`serve`], every loader's serving loop: per
-//! frame one `get_cached` sweep over the slots and **one**
-//! `Endpoint::pace` for the bytes found — the same bandwidth term as a
-//! reply per sample, the latency once per message as on a real
-//! transport.
+//! frame one [`TierStack::read_tier_many`] sweep per tier that holds
+//! any of its slots — the requester's local leg, run on the owner's
+//! side — and **one** `Endpoint::pace` for the bytes found: the same
+//! bandwidth term as a reply per sample, the latency once per message
+//! as on a real transport.
 //!
 //! A frame's slot buffer makes the round trip and stays with the
-//! client for the owner's next frame, so in the steady state neither
+//! client for the owner's next frame, and the serving loop reuses its
+//! own two buffers from frame to frame, so in the steady state neither
 //! half allocates.
 
 use crate::msg::{Frame, Msg, Slots};
@@ -130,13 +132,40 @@ impl PeerClient {
 /// frames from `tiers` until [`Msg::Shutdown`] arrives or the cluster
 /// is gone.
 pub fn serve(endpoint: &Endpoint<Msg>, tiers: &TierStack) {
+    // Reused from frame to frame: the tier that holds each slot's
+    // sample, and the ids of one tier's sweep.
+    let mut located: Vec<Option<usize>> = Vec::new();
+    let mut ids: Vec<SampleId> = Vec::new();
     while let Ok(env) = endpoint.recv() {
         match env.msg {
             Msg::Fetch(mut frame) => {
+                located.clear();
+                located.extend(frame.slots.iter().map(|&(id, _)| tiers.locate(id)));
                 let mut found = 0u64;
-                for (id, data) in &mut frame.slots {
-                    *data = tiers.get_cached(*id);
-                    found += data.as_ref().map_or(0, |d| d.len() as u64);
+                for tier in 0..tiers.cache_tiers() {
+                    ids.clear();
+                    ids.extend(
+                        frame
+                            .slots
+                            .iter()
+                            .zip(&located)
+                            .filter(|(_, at)| **at == Some(tier))
+                            .map(|(&(id, _), _)| id),
+                    );
+                    if ids.is_empty() {
+                        continue;
+                    }
+                    let mut slots = frame
+                        .slots
+                        .iter_mut()
+                        .zip(&located)
+                        .filter(|(_, at)| **at == Some(tier))
+                        .map(|(slot, _)| slot);
+                    tiers.read_tier_many(tier, &ids, |r| {
+                        let (_, data) = slots.next().expect("one result per id");
+                        *data = r.ok();
+                        found += data.as_ref().map_or(0, |d| d.len() as u64);
+                    });
                 }
                 if found > 0 {
                     // Pay the wire cost of the payload.
@@ -168,14 +197,17 @@ mod tests {
         Bytes::from(vec![id as u8; 16])
     }
 
-    /// A hierarchy over an empty PFS with `ids` cached in its first tier.
+    /// A hierarchy over an empty PFS with `ids` cached: the even ones
+    /// in its first tier, the odd ones in its second.
     fn tiers_holding(ids: &[SampleId]) -> TierStack {
         let sys = fig8_small_cluster();
         let scale = TimeScale::new(1e-6);
         let pfs = Pfs::in_memory(sys.pfs_read.clone(), scale);
         let tiers = crate::class_tier_stack(&sys, scale, Arc::new(pfs));
         for &id in ids {
-            tiers.fill(0, id, payload(id)).expect("the tier has room");
+            tiers
+                .fill((id % 2) as usize, id, payload(id))
+                .expect("the tier has room");
         }
         tiers
     }
@@ -211,20 +243,19 @@ mod tests {
 
     #[test]
     fn a_frame_comes_back_filled_in_request_order() {
-        against_servers(&[&[3, 5]], |ep| {
+        against_servers(&[&[3, 5, 6]], |ep| {
             let mut peers = PeerClient::new();
-            // Cached and uncached ids mixed, one id twice: four slots.
-            let wanted = [3, 99, 5, 3];
+            // Ids cached in either tier and uncached ones mixed, one
+            // id twice: six slots.
+            let wanted = [3, 99, 6, 5, 3, 8];
             for id in wanted {
                 peers.want(1, id);
             }
             assert_eq!(peers.post(ep), 1);
             peers.collect();
             let got: Vec<_> = wanted.iter().map(|&id| peers.take(1, id)).collect();
-            assert_eq!(
-                got,
-                [Some(payload(3)), None, Some(payload(5)), Some(payload(3))]
-            );
+            let held = |id| Some(payload(id));
+            assert_eq!(got, [held(3), None, held(6), held(5), held(3), None]);
             // Nothing wanted, nothing sent.
             assert_eq!(peers.post(ep), 0);
         });

@@ -79,7 +79,13 @@ impl StatsCollector {
     }
 
     pub fn count_local(&self) {
-        self.local.inc();
+        self.add_local(1);
+    }
+
+    /// Counts `n` fetches served by a local tier (one sweep's worth)
+    /// at once.
+    pub fn add_local(&self, n: u64) {
+        self.local.add(n);
     }
 
     pub fn count_remote(&self) {

@@ -33,8 +33,9 @@ use nopfs_clairvoyance::placement::GlobalPlacement;
 use nopfs_clairvoyance::sampler::ShuffleSpec;
 use nopfs_net::Endpoint;
 use nopfs_obs::{names, Counter, ObsCtx, Registry};
-use nopfs_perfmodel::Location;
+use nopfs_perfmodel::{Location, SystemSpec};
 use nopfs_pfs::Pfs;
+use nopfs_policy::RateCard;
 use nopfs_storage::{
     ReorderStage, ResilienceStats, SourceError, SourceHealth, TierStack, TierStats,
 };
@@ -185,8 +186,11 @@ struct WorkerCtx {
 
 /// What phase 1 of a staging fetch settled for one sample.
 enum Pick {
-    /// A local tier or the look-ahead window had the bytes.
+    /// The bytes are here: the look-ahead window had them, or the
+    /// run's sweep of a local tier or a peer's reply has brought them.
     Served(Bytes),
+    /// The sample is in the run's sweep of this local tier.
+    Local(usize),
     /// The sample is in the run's frame to this peer.
     Peer(usize),
     /// The run's origin read supplies the bytes (already counted as a
@@ -239,9 +243,14 @@ impl PeerLeg {
 
 /// Buffers a staging prefetcher reuses from claim to claim, so a run
 /// allocates nothing once they have grown to [`STAGE_BATCH`].
-#[derive(Default)]
 struct StageScratch {
+    /// What does not depend on the sample in a source decision: the
+    /// class rates for the thread's lifetime, the origin's `t(γ)/γ`
+    /// and health as sampled at the start of the current run.
+    card: RateCard,
     probes: Vec<Probe>,
+    /// The claimed samples one local tier serves, in claim order.
+    local_ids: Vec<SampleId>,
     peer: Option<PeerLeg>,
     /// The claimed samples the origin must supply, in claim order.
     origin_ids: Vec<SampleId>,
@@ -250,17 +259,32 @@ struct StageScratch {
     run: Vec<(SampleId, Bytes)>,
 }
 
+impl StageScratch {
+    fn new(sys: &SystemSpec) -> Self {
+        Self {
+            card: RateCard::new(sys),
+            probes: Vec::new(),
+            local_ids: Vec::new(),
+            peer: None,
+            origin_ids: Vec::new(),
+            run: Vec::new(),
+        }
+    }
+}
+
 impl WorkerCtx {
     /// Vectored staging fetch of the run of stream positions starting
-    /// at `base`: per-sample source selection via
-    /// [`Self::staging_probe`] — or, for a sample no worker caches, a
-    /// take from the origin look-ahead window —, then the samples
-    /// picked from peers go out as **one** frame per owner and every
-    /// sample still without bytes is fetched in **one** batched
+    /// at `base`, every leg of it run-granular: per-sample source
+    /// selection via [`Self::staging_probe`] — or, for a sample no
+    /// worker caches, a take from the origin look-ahead window —, then
+    /// the samples picked from a local tier are read in **one**
+    /// [`TierStack::read_tier_many`] sweep per tier, the samples picked
+    /// from peers go out as **one** frame per owner, and every sample
+    /// still without bytes is fetched in **one** batched
     /// [`TierStack::read_origin_many`] round-trip instead of one origin
     /// read (and one `t(γ)` reader registration) per sample. The bytes
-    /// land in `scratch.run` in input order; statistics and
-    /// self-healing fills are per sample, the trace span per run.
+    /// land in `scratch.run` in input order; self-healing fills are
+    /// per sample, statistics per sweep, the trace span per run.
     /// Returns `false` when the window was closed under it (shutdown).
     fn fetch_many_for_staging(
         &self,
@@ -269,15 +293,27 @@ impl WorkerCtx {
         scratch: &mut StageScratch,
     ) -> bool {
         let StageScratch {
+            card,
             probes,
+            local_ids,
             peer,
             origin_ids,
             run,
         } = scratch;
         let t0 = self.obs.tracer.is_active().then(Instant::now);
         let mut sources = RunSources::default();
-        // Phase 1: pick a source per sample; local and read-ahead
-        // samples are served immediately, the rest queued.
+        // Live PFS contention — the readers already in flight plus us —
+        // and the origin's health, sampled once for the run: when its
+        // circuit breaker is open (health `Unavailable`) the run steers
+        // to peers or local tiers instead of queueing on a source that
+        // will fail fast anyway.
+        card.refresh(
+            &self.shared.config.system,
+            self.pfs.reader_count() + 1,
+            self.tiers.origin_health() != SourceHealth::Unavailable,
+        );
+        // Phase 1: pick a source per sample; read-ahead samples are
+        // served immediately, the rest queued by source.
         probes.clear();
         for (pos, &k) in (base..).zip(ks) {
             let probe = match &self.window {
@@ -291,7 +327,7 @@ impl WorkerCtx {
                         Taken::Closed => return false,
                     }
                 }
-                _ => self.staging_probe(k, &mut sources),
+                _ => self.staging_probe(k, card, &mut sources),
             };
             if let Pick::Peer(owner) = probe.0 {
                 peer.get_or_insert_with(|| PeerLeg::new(&self.obs.registry))
@@ -300,7 +336,46 @@ impl WorkerCtx {
             }
             probes.push(probe);
         }
-        // Phase 2: the peers' samples, one frame per owner; what a peer
+        // Phase 2: the local samples, one sweep per tier that has any.
+        for tier in 0..self.tiers.cache_tiers() {
+            let picked = |pick: &Pick| matches!(pick, Pick::Local(t) if *t == tier);
+            local_ids.clear();
+            local_ids.extend(
+                ks.iter()
+                    .zip(probes.iter())
+                    .filter(|(_, (pick, _))| picked(pick))
+                    .map(|(&k, _)| k),
+            );
+            if local_ids.is_empty() {
+                continue;
+            }
+            let mut picks = probes
+                .iter_mut()
+                .map(|(pick, _)| pick)
+                .filter(|pick| picked(pick));
+            let mut served = 0;
+            self.tiers.read_tier_many(tier, local_ids, |r| {
+                let pick = picks.next().expect("one result per id");
+                *pick = match r {
+                    Ok(data) => {
+                        served += 1;
+                        Pick::Served(data)
+                    }
+                    // Catalog raced an eviction (not expected under
+                    // NoPFS's no-eviction placement, but recoverable):
+                    // the sweep repaired the stale entry; the sample
+                    // joins the origin's list.
+                    Err(_) => {
+                        self.stats.count_pfs();
+                        sources.pfs += 1;
+                        Pick::Origin
+                    }
+                };
+            });
+            self.stats.add_local(served);
+            sources.local += served;
+        }
+        // Phase 3: the peers' samples, one frame per owner; what a peer
         // did not have joins the origin's list.
         if let Some(peer) = peer {
             peer.exchange(&self.endpoint);
@@ -330,7 +405,7 @@ impl WorkerCtx {
                 origin_ids.push(k);
             }
         }
-        // Phase 3: one vectored origin read for everything that needs it.
+        // Phase 4: one vectored origin read for everything that needs it.
         let mut from_origin = if origin_ids.is_empty() {
             Vec::new()
         } else {
@@ -341,12 +416,13 @@ impl WorkerCtx {
             datas
         }
         .into_iter();
-        // Phase 4: self-healing fills, in input order.
+        // Phase 5: self-healing fills, in input order.
         for (&k, (pick, needs_fill)) in ks.iter().zip(probes.drain(..)) {
             let data = match pick {
                 Pick::Served(data) => data,
                 Pick::Origin => from_origin.next().expect("every staged sample is fetched"),
-                Pick::Peer(_) => unreachable!("phase 2 settled every peer pick"),
+                Pick::Local(_) => unreachable!("phase 2 settled every local pick"),
+                Pick::Peer(_) => unreachable!("phase 3 settled every peer pick"),
             };
             if needs_fill {
                 self.self_healing_fill(k, &data);
@@ -378,14 +454,13 @@ impl WorkerCtx {
         }
     }
 
-    /// Phase 1 of a staging fetch: the source decision, plus the bytes
-    /// when a local tier can serve them. Local and PFS decisions are
-    /// counted here (in the statistics and in `sources`), a peer
-    /// decision when its frame is back; the `bool` is whether the
-    /// self-healing fill applies (the sample was not cataloged locally
-    /// when the fetch started).
-    fn staging_probe(&self, k: SampleId, sources: &mut RunSources) -> Probe {
-        let sys = &self.shared.config.system;
+    /// Phase 1 of a staging fetch: the source decision, and nothing
+    /// but the decision. A PFS decision is counted here (in the
+    /// statistics and in `sources`), a local one when its tier's sweep
+    /// is done, a peer one when its frame is back; the `bool` is
+    /// whether the self-healing fill applies (the sample was not
+    /// cataloged locally when the fetch started).
+    fn staging_probe(&self, k: SampleId, card: &RateCard, sources: &mut RunSources) -> Probe {
         let size = self.shared.sizes[k as usize];
 
         let local_tier = self.tiers.locate(k);
@@ -411,41 +486,20 @@ impl WorkerCtx {
             }
         }
 
-        // Live PFS contention: the readers already in flight plus us.
         // The pick itself is the workspace-wide NoPFS selection rule —
         // the ordered-tier-list argmin (`select_source_tiered`) that
         // the simulator's NoPFS policy also funnels into, reached via
-        // the degraded {local tier, remote tier, origin} wrapper: when
-        // the origin's circuit breaker is open (health `Unavailable`),
-        // the fetch steers to peers or local tiers instead of queueing
-        // on a source that will fail fast anyway.
-        let gamma = self.pfs.reader_count() + 1;
-        let origin_ok = self.tiers.origin_health() != SourceHealth::Unavailable;
-        let choice = nopfs_policy::decision::select_source_degraded(
-            sys,
+        // the degraded {local tier, remote tier, origin} wrapper
+        // (`select_source_degraded`), whose sample-independent inputs
+        // the run's rate card holds.
+        let choice = card.select(
             local_tier.map(|t| t as u8),
             best_remote.map(|(_, c)| c),
             size,
-            gamma,
-            origin_ok,
         );
 
         let pick = match choice {
-            Location::Local(c) => match self.tiers.get_cached_in(usize::from(c), k) {
-                Some(d) => {
-                    self.stats.count_local();
-                    sources.local += 1;
-                    Pick::Served(d)
-                }
-                // Catalog raced an eviction (not expected under NoPFS's
-                // no-eviction placement, but recoverable): the read
-                // repaired the stale entry; go to the PFS for the bytes.
-                None => {
-                    self.stats.count_pfs();
-                    sources.pfs += 1;
-                    Pick::Origin
-                }
-            },
+            Location::Local(c) => Pick::Local(usize::from(c)),
             Location::Remote(_) => {
                 let (owner, _) = best_remote.expect("remote choice implies a holder");
                 Pick::Peer(owner)
@@ -492,7 +546,7 @@ impl WorkerCtx {
     /// admits the head position.
     fn run_staging(&self, stream: &[SampleId], position: &AtomicU64) {
         let config = &self.shared.config;
-        let mut scratch = StageScratch::default();
+        let mut scratch = StageScratch::new(&config.system);
         while !self.stop.load(Ordering::Relaxed) {
             let base = position.fetch_add(STAGE_BATCH, Ordering::SeqCst);
             if base >= stream.len() as u64 {

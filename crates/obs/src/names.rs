@@ -69,7 +69,9 @@ pub const TIER_DEMOTIONS: &str = "tier.demotions";
 pub const TIER_EVICTIONS: &str = "tier.evictions";
 /// Bytes evicted from this tier.
 pub const TIER_BYTES_EVICTED: &str = "tier.bytes_evicted";
-/// Per-read service latency distribution (ns), hits only.
+/// Read service latency distribution (ns) — one observation per
+/// vectored read: mean ns per hit (a single read is a vector of one;
+/// a read that hit nothing observes nothing).
 pub const TIER_READ_LATENCY: &str = "tier.read_latency_ns";
 
 // --- Resilience counters (`ResilienceStats` view) ---

@@ -79,6 +79,15 @@ pub trait StorageBackend: Send + Sync {
     /// Retrieves a sample, paying the backend's read cost.
     fn get(&self, id: SampleId) -> Option<Bytes>;
 
+    /// Vectored [`Self::get`]: hands `sink` each id with what `get`
+    /// finds for it, in order. A backend whose read cost is settled
+    /// per call overrides it to settle once for the whole sweep.
+    fn get_many(&self, ids: &[SampleId], sink: &mut dyn FnMut(SampleId, Option<Bytes>)) {
+        for &id in ids {
+            sink(id, self.get(id));
+        }
+    }
+
     /// Whether the sample is present (metadata only; free).
     fn contains(&self, id: SampleId) -> bool;
 
@@ -331,6 +340,21 @@ impl<B: StorageBackend> StorageBackend for ThrottledBackend<B> {
         Some(data)
     }
 
+    /// The inner sweep first, then **one** charge for the bytes found:
+    /// the bucket's pacing is debt-based, so one caller's
+    /// `acquire(a); acquire(b)` and `acquire(a + b)` wait the same,
+    /// and the sweep reads the clock once instead of once per sample.
+    fn get_many(&self, ids: &[SampleId], sink: &mut dyn FnMut(SampleId, Option<Bytes>)) {
+        let mut found = 0u64;
+        self.inner.get_many(ids, &mut |id, data| {
+            found += data.as_ref().map_or(0, |d| d.len() as u64);
+            sink(id, data);
+        });
+        if found > 0 {
+            self.read_bucket.acquire(found);
+        }
+    }
+
     fn contains(&self, id: SampleId) -> bool {
         self.inner.contains(id)
     }
@@ -444,6 +468,61 @@ mod tests {
         b.insert(2, Bytes::from(vec![0u8; 1_000_000])).unwrap();
         let dt = t0.elapsed().as_secs_f64();
         assert!(dt > 0.07, "write too fast: {dt}");
+    }
+
+    fn sweep(b: &dyn StorageBackend, ids: &[SampleId]) -> Vec<(SampleId, Option<Bytes>)> {
+        let mut got = Vec::new();
+        b.get_many(ids, &mut |id, data| got.push((id, data)));
+        got
+    }
+
+    #[test]
+    fn throttled_sweep_is_charged_its_found_bytes_once() {
+        // A bucket that all but never refills: what is left of its
+        // 1000-byte burst says what has been charged.
+        let b = ThrottledBackend {
+            inner: MemoryBackend::new("ssd", 1_000),
+            read_bucket: Arc::new(TokenBucket::new(1e-6, 1_000.0)),
+            write_bucket: Arc::new(TokenBucket::new(1e9, 1e9)),
+        };
+        b.insert(1, Bytes::from(vec![1u8; 100])).unwrap();
+        b.insert(2, Bytes::from(vec![2u8; 50])).unwrap();
+        // Found, absent and repeated ids: one entry each, in order,
+        // and 100 + 50 + 100 bytes charged.
+        let got = sweep(&b, &[1, 9, 2, 1]);
+        let lens: Vec<_> = got
+            .iter()
+            .map(|(id, d)| (*id, d.as_ref().map(Bytes::len)))
+            .collect();
+        assert_eq!(
+            lens,
+            [(1, Some(100)), (9, None), (2, Some(50)), (1, Some(100))]
+        );
+        assert!(!b.read_bucket.try_acquire(751));
+        // A sweep that finds nothing charges nothing.
+        assert_eq!(sweep(&b, &[7, 8]), [(7, None), (8, None)]);
+        assert!(b.read_bucket.try_acquire(750));
+    }
+
+    #[test]
+    fn throttled_sweep_follows_rate_like_single_gets() {
+        // 10 MB/s: a sweep of 50 × 10 KB is 50 ms of reading.
+        let b = ThrottledBackend::new(
+            MemoryBackend::new("ssd", 10_000_000),
+            10.0e6,
+            1.0e9,
+            TimeScale::realtime(),
+        );
+        let ids: Vec<SampleId> = (0..50).collect();
+        for &id in &ids {
+            b.insert(id, Bytes::from(vec![0u8; 10_000])).unwrap();
+        }
+        sweep(&b, &ids); // drain burst
+        let t0 = Instant::now();
+        let got = sweep(&b, &ids);
+        let dt = t0.elapsed().as_secs_f64();
+        assert!(got.iter().all(|(_, d)| d.is_some()));
+        assert!(dt >= 0.7 * 0.05, "sweep too fast: {dt}");
     }
 
     #[test]

@@ -29,6 +29,7 @@ use nopfs_obs::{names, Counter, Histogram, Registry};
 use nopfs_util::timing::TimeScale;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -189,13 +190,27 @@ pub trait DataSource: Send + Sync {
     /// Size in bytes of a stored sample (metadata only; free).
     fn size_of(&self, id: SampleId) -> Option<u64>;
 
+    /// Vectored read into the caller's `sink`: one result per id, in
+    /// order, nothing allocated. The default loops over
+    /// [`DataSource::read`]; the backends' blanket impl forwards to
+    /// [`StorageBackend::get_many`], so a throttled cache tier settles
+    /// its read cost once per sweep. The cache tiers' hit path
+    /// ([`TierStack::read_tier_many`]) reads through this.
+    fn read_each(&self, ids: &[SampleId], sink: &mut dyn FnMut(Result<Bytes, SourceError>)) {
+        for &id in ids {
+            sink(self.read(id));
+        }
+    }
+
     /// Reads a batch of samples, one result per id, in order.
     ///
-    /// The default loops over [`DataSource::read`]; sources with
+    /// The default collects [`DataSource::read_each`]; sources with
     /// per-request overhead (object stores) override it to *coalesce*
     /// adjacent ids into fewer requests.
     fn read_many(&self, ids: &[SampleId]) -> Vec<Result<Bytes, SourceError>> {
-        ids.iter().map(|&id| self.read(id)).collect()
+        let mut out = Vec::with_capacity(ids.len());
+        self.read_each(ids, &mut |r| out.push(r));
+        out
     }
 
     /// Coarse liveness, for callers that want to steer around a
@@ -223,6 +238,12 @@ impl<B: StorageBackend> DataSource for B {
 
     fn read(&self, id: SampleId) -> Result<Bytes, SourceError> {
         StorageBackend::get(self, id).ok_or(SourceError::NotFound(id))
+    }
+
+    fn read_each(&self, ids: &[SampleId], sink: &mut dyn FnMut(Result<Bytes, SourceError>)) {
+        StorageBackend::get_many(self, ids, &mut |id, data| {
+            sink(data.ok_or(SourceError::NotFound(id)))
+        });
     }
 
     fn write(&self, id: SampleId, data: Bytes) -> Result<(), SourceError> {
@@ -340,7 +361,8 @@ struct Counters {
     demotions: Counter,
     evictions: Counter,
     bytes_evicted: Counter,
-    /// Per-read service latency (ns), recorded on hits.
+    /// Service latency (ns): one observation per vectored read that
+    /// hit, the mean per hit.
     read_latency: Histogram,
     /// Registry values at construction, subtracted from stats views.
     base: [u64; 9],
@@ -698,12 +720,9 @@ impl TierStack {
                     }
                     return Ok(data);
                 }
-                // Stale catalog entry (raced eviction): repair and fall
-                // through to the origin.
-                Err(SourceError::NotFound(_)) => {
-                    self.uncatalog_from(id, hit_tier);
-                    stale = Some(hit_tier);
-                }
+                // Stale catalog entry (raced eviction), repaired by the
+                // tier read: fall through to the origin.
+                Err(SourceError::NotFound(_)) => stale = Some(hit_tier),
                 Err(e) => return Err(e),
             }
         }
@@ -747,10 +766,7 @@ impl TierStack {
                         out[pos] = Some(Ok(data));
                         continue;
                     }
-                    Err(SourceError::NotFound(_)) => {
-                        self.uncatalog_from(id, hit_tier);
-                        stale = Some(hit_tier);
-                    }
+                    Err(SourceError::NotFound(_)) => stale = Some(hit_tier),
                     Err(e) => {
                         out[pos] = Some(Err(e));
                         continue;
@@ -780,31 +796,71 @@ impl TierStack {
             .collect()
     }
 
+    /// Vectored read of `ids` directly from tier `tier` (no promotion,
+    /// no fallback): `sink` gets one result per id, in order. **The**
+    /// hit path — every cache-tier read of the stack is a call of
+    /// this, [`Self::read_tier`] and [`Self::get_cached_in`] its
+    /// length-1 case.
+    ///
+    /// The call reads the clock once, not once per id: a clock read is
+    /// a fence, and between two of them a sample's dependent cache
+    /// misses (slot, then payload header) cannot overlap its
+    /// neighbours'. So the sweep books `hits`, `bytes_read` and
+    /// `misses` once, and — when anything hit — **one** observation of
+    /// `tier.read_latency_ns`: the mean per hit. An id the tier turns
+    /// out not to hold ([`SourceError::NotFound`]: a stale catalog
+    /// entry, a raced eviction) counts a miss and is uncataloged; any
+    /// other error is that source's transient trouble, reads as a
+    /// failed fetch and leaves the entry — the bytes are still there.
+    pub fn read_tier_many(
+        &self,
+        tier: usize,
+        ids: &[SampleId],
+        mut sink: impl FnMut(Result<Bytes, SourceError>),
+    ) {
+        let slot = &self.inner.tiers[tier];
+        let (mut hits, mut bytes, mut misses) = (0u64, 0u64, 0u64);
+        let mut at = ids.iter();
+        // Only pay for the clock when a histogram is listening.
+        let t0 = slot.counters.read_latency.is_active().then(Instant::now);
+        slot.source.read_each(ids, &mut |r| {
+            let id = *at.next().expect("one result per id");
+            match &r {
+                Ok(data) => {
+                    hits += 1;
+                    bytes += data.len() as u64;
+                }
+                Err(SourceError::NotFound(_)) => {
+                    misses += 1;
+                    self.uncatalog_from(id, tier);
+                }
+                Err(_) => {}
+            }
+            sink(r);
+        });
+        if misses > 0 {
+            slot.counters.misses.add(misses);
+        }
+        let Some(hits) = NonZeroU64::new(hits) else {
+            return;
+        };
+        if let Some(t0) = t0 {
+            let nanos = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+            slot.counters.read_latency.record(nanos / hits);
+        }
+        slot.counters.hits.add(hits.get());
+        slot.counters.bytes_read.add(bytes);
+    }
+
     /// Reads `id` directly from tier `tier`, recording only that tier's
     /// hit or miss (no promotion, no fallback).
     ///
     /// # Errors
     /// [`SourceError::NotFound`] when the tier does not hold the sample.
     pub fn read_tier(&self, tier: usize, id: SampleId) -> Result<Bytes, SourceError> {
-        let slot = &self.inner.tiers[tier];
-        // Only pay for the clock when a histogram is listening.
-        let t0 = slot.counters.read_latency.is_active().then(Instant::now);
-        match slot.source.read(id) {
-            Ok(data) => {
-                if let Some(t0) = t0 {
-                    slot.counters.read_latency.record_duration(t0.elapsed());
-                }
-                slot.counters.hits.inc();
-                slot.counters.bytes_read.add(data.len() as u64);
-                Ok(data)
-            }
-            Err(e) => {
-                if matches!(e, SourceError::NotFound(_)) {
-                    slot.counters.misses.inc();
-                }
-                Err(e)
-            }
-        }
+        let mut got = None;
+        self.read_tier_many(tier, &[id], |r| got = Some(r));
+        got.expect("one result per id")
     }
 
     /// Reads `id` from the origin tier (no cache probe, no promotion).
@@ -859,15 +915,11 @@ impl TierStack {
     /// [located](Self::locate) `id` in cache tier `tier` (a fetch path
     /// that picked its source from the catalog entry): serves the
     /// sample from that tier, repairing the catalog entry when it
-    /// turns out stale.
+    /// turns out stale. A tier that fails the read for any other
+    /// reason also yields `None`, but keeps its entry: the resident
+    /// bytes are served again once the source recovers.
     pub fn get_cached_in(&self, tier: usize, id: SampleId) -> Option<Bytes> {
-        match self.read_tier(tier, id) {
-            Ok(data) => Some(data),
-            Err(_) => {
-                self.uncatalog_from(id, tier);
-                None
-            }
-        }
+        self.read_tier(tier, id).ok()
     }
 
     /// A planned (pinned) fill: stores `id` into cache tier `tier` and
@@ -969,12 +1021,19 @@ impl TierStack {
         }
     }
 
-    /// Removes the catalog entry only if it still points at `tier` —
-    /// a concurrent promotion may have re-cataloged the sample at a
-    /// faster tier, and blindly removing would orphan that resident
-    /// copy (capacity spent, never served).
+    /// Removes the catalog entry only if it still points at `tier`
+    /// and the tier does not hold the sample — a concurrent promotion
+    /// may have re-cataloged the sample at a faster tier, or put it
+    /// back into this one after the eviction or stale read that sent
+    /// the caller here, and removing the entry then would orphan that
+    /// resident copy (capacity spent, never served).
     fn uncatalog_from(&self, id: SampleId, tier: usize) {
-        if self.inner.catalog.remove_if(id, tier as u8) {
+        let source = &self.inner.tiers[tier].source;
+        let gone = self
+            .inner
+            .catalog
+            .remove_if_gone(id, tier as u8, || source.contains(id));
+        if gone {
             self.inner.sizes.remove(id);
         }
     }
@@ -1356,6 +1415,53 @@ mod tests {
         // A raced eviction behind the stack's back repairs the catalog.
         assert!(stack.source(0).evict(1));
         assert!(stack.get_cached(1).is_none());
+        assert_eq!(stack.locate(1), None);
+    }
+
+    #[test]
+    fn a_tiers_transient_error_fails_the_fetch_and_keeps_the_entry() {
+        use crate::fault::{ErrorInjection, FaultySource};
+        // A cache tier that fails every other read of a sample: one
+        // injected failure, then one clean read.
+        let ram = Arc::new(FaultySource::new(
+            mem("ram", 100),
+            ErrorInjection::new(0.999, 1, 7),
+        ));
+        let stack = TierStack::new(vec![ram.clone(), origin_with(4, 10)], PromotePolicy::Never);
+        stack.fill(0, 1, Bytes::from(vec![1u8; 10])).unwrap();
+        assert!(stack.get_cached(1).is_none());
+        assert_eq!(ram.injected(), 1, "the read failed in the tier");
+        // The bytes are still resident, so the entry must be too:
+        // dropping it would orphan them (capacity spent, never served).
+        assert_eq!(stack.locate(1), Some(0));
+        assert_eq!(stack.source(0).used(), 10);
+        let ram_stats = stack.stats(0);
+        assert_eq!((ram_stats.hits, ram_stats.misses), (0, 0));
+        // The burst over, the tier serves the sample again.
+        assert_eq!(stack.get_cached(1), Some(Bytes::from(vec![1u8; 10])));
+        assert_eq!(stack.stats(0).hits, 1);
+    }
+
+    #[test]
+    fn a_late_uncatalog_spares_a_sample_put_back_into_the_tier() {
+        // An eviction takes the bytes first and the catalog entry
+        // second; in between, a racing read can find the entry stale
+        // and promote the sample back into the same tier. The race,
+        // played in sequence:
+        let stack = TierStack::new(
+            vec![mem("ram", 100), origin_with(4, 10)],
+            PromotePolicy::IfFits,
+        );
+        stack.read(1).unwrap();
+        assert!(stack.source(0).evict(1)); // the eviction's first half
+        stack.read(1).unwrap(); // the racing read: repaired, promoted back
+        assert_eq!(stack.locate(1), Some(0));
+        stack.uncatalog_from(1, 0); // the eviction's second half
+        assert_eq!(stack.locate(1), Some(0), "a resident copy lost its entry");
+        // What is resident is cataloged: evicting by the catalog
+        // drains the tier.
+        assert!(stack.evict(0, 1));
+        assert_eq!(stack.source(0).used(), 0);
         assert_eq!(stack.locate(1), None);
     }
 

@@ -20,7 +20,7 @@
 
 use bytes::Bytes;
 use nopfs::baselines::run_policy;
-use nopfs::core::{ElasticJob, JobConfig};
+use nopfs::core::{ElasticJob, Job, JobConfig, WorkerStats};
 use nopfs::perfmodel::presets::fig8_small_cluster;
 use nopfs::perfmodel::{SystemSpec, ThroughputCurve};
 use nopfs::pfs::Pfs;
@@ -100,15 +100,8 @@ fn system(cfg: &Config) -> SystemSpec {
     sys
 }
 
-/// Runs the runtime leg, returning each rank's delivered ids (in
-/// delivery order) and its stats, or the refusal message.
-#[allow(clippy::type_complexity)]
-fn runtime_leg(
-    policy: PolicyId,
-    cfg: &Config,
-) -> Result<Vec<(Vec<u64>, nopfs::core::WorkerStats)>, String> {
-    let config = JobConfig::new(SEED, EPOCHS, BATCH, system(cfg), TimeScale::new(1e-6));
-    let sizes = Arc::new(vec![SAMPLE_BYTES; cfg.samples as usize]);
+/// An unpaced PFS holding `cfg`'s dataset.
+fn materialized_pfs(cfg: &Config) -> Pfs {
     let pfs = Pfs::in_memory(ThroughputCurve::flat(1e12), TimeScale::new(1e-6));
     for id in 0..cfg.samples {
         pfs.put(
@@ -116,6 +109,16 @@ fn runtime_leg(
             Bytes::from(vec![(id % 256) as u8; SAMPLE_BYTES as usize]),
         );
     }
+    pfs
+}
+
+/// Runs the runtime leg, returning each rank's delivered ids (in
+/// delivery order) and its stats, or the refusal message.
+#[allow(clippy::type_complexity)]
+fn runtime_leg(policy: PolicyId, cfg: &Config) -> Result<Vec<(Vec<u64>, WorkerStats)>, String> {
+    let config = JobConfig::new(SEED, EPOCHS, BATCH, system(cfg), TimeScale::new(1e-6));
+    let sizes = Arc::new(vec![SAMPLE_BYTES; cfg.samples as usize]);
+    let pfs = materialized_pfs(cfg);
     let outcome = run_policy(policy, config, sizes, &pfs, |l| {
         let mut got = Vec::new();
         while let Some((id, _)) = l.next_sample() {
@@ -314,19 +317,66 @@ fn runtime_and_simulator_recover_identical_streams_under_one_fault_plan() {
 /// that steady-state fetches stop hitting the PFS.
 #[test]
 fn nopfs_source_selection_agrees_when_caches_warm() {
-    let cfg = &CONFIGS[0]; // ample: everything cacheable
-    let sim = sim_leg(PolicyId::NoPfs, cfg).expect("supported");
-    let runtime = runtime_leg(PolicyId::NoPfs, cfg).expect("supported");
+    // Ample (everything cacheable), and long enough that what the
+    // runtime's staging threads can fetch before its caches are warm
+    // is well under the share asserted below.
+    const WARM_EPOCHS: u64 = 4 * EPOCHS;
+    let cfg = &CONFIGS[0];
+    let scenario = Scenario::new(
+        cfg.name,
+        system(cfg),
+        vec![SAMPLE_BYTES; cfg.samples as usize],
+        WARM_EPOCHS,
+        BATCH,
+        SEED,
+    );
+    let sim = nopfs::simulator::run(&scenario, PolicyId::NoPfs).expect("supported");
     // Simulator: cached fetches dominate (fetch_counts = [staging,
     // local, remote, pfs]).
     let total: u64 = sim.fetch_counts.iter().sum();
     assert!(sim.fetch_counts[1] + sim.fetch_counts[2] > 0);
     assert!((sim.fetch_counts[3] as f64) < 0.75 * total as f64);
-    // Runtime: same shape from the same selection rule.
-    let mut merged = runtime[0].1.clone();
-    for (_, s) in &runtime[1..] {
-        merged.merge(s);
-    }
+
+    // Runtime: same shape from the same selection rule. "Warm" is
+    // made to hold instead of raced for: each rank is consumed only
+    // once its tiers have counted as many fills as the plan assigns to
+    // it. Until then the staging threads get two runs in flight and a
+    // stage's worth ahead of the consumer, 32 of a rank's 128
+    // positions; each of those may have been filled twice (the staging
+    // thread's self-healing fill and the prefetcher's), leaving as
+    // many samples uncached when the count is reached: half the stream
+    // at the very worst, everything else is read from a cache.
+    let config = JobConfig::new(SEED, WARM_EPOCHS, BATCH, system(cfg), TimeScale::new(1e-6));
+    let sizes = Arc::new(vec![SAMPLE_BYTES; cfg.samples as usize]);
+    let job = Job::new(config, sizes);
+    let pfs = materialized_pfs(cfg);
+    let mut merged = WorkerStats::default();
+    std::thread::scope(|s| {
+        let ranks: Vec<_> = job
+            .launch_workers(&pfs)
+            .into_iter()
+            .map(|mut w| {
+                let job = &job;
+                s.spawn(move || {
+                    let assignment = job.placement().assignment(w.rank());
+                    let assigned = (0..cfg.samples)
+                        .filter(|&k| assignment.class_of(k).is_some())
+                        .count() as u64;
+                    while w.tier_stats().iter().map(|t| t.fills).sum::<u64>() < assigned {
+                        std::thread::yield_now();
+                    }
+                    while w.next_sample().is_some() {}
+                    let stats = w.stats();
+                    w.shutdown();
+                    stats
+                })
+            })
+            .collect();
+        for rank in ranks {
+            merged.merge(&rank.join().expect("rank panicked"));
+        }
+    });
+    assert_eq!(merged.total_fetches(), WARM_EPOCHS * cfg.samples);
     assert!(merged.local_fetches + merged.remote_fetches > 0);
     assert!((merged.pfs_fetches as f64) < 0.75 * merged.total_fetches() as f64);
 }

@@ -6,8 +6,9 @@
 //! capacity.
 
 use bytes::Bytes;
+use nopfs::obs::{names, Registry, Snapshot};
 use nopfs::pfs::Pfs;
-use nopfs::storage::{MemoryBackend, PromotePolicy, TierStack};
+use nopfs::storage::{DataSource, MemoryBackend, PromotePolicy, TierStack};
 use nopfs::util::rng::Xoshiro256pp;
 use nopfs::util::timing::TimeScale;
 use proptest::prelude::*;
@@ -33,16 +34,34 @@ fn materialized_pfs(seed: u64, n: u64) -> (Pfs, Vec<Bytes>) {
 }
 
 fn stack_over(pfs: &Pfs, caps: &[u64], promote: PromotePolicy) -> TierStack {
-    let mut sources: Vec<Arc<dyn nopfs::storage::DataSource>> = caps
+    stack_in_registry(pfs, caps, promote, &Registry::new())
+}
+
+fn stack_in_registry(
+    pfs: &Pfs,
+    caps: &[u64],
+    promote: PromotePolicy,
+    registry: &Registry,
+) -> TierStack {
+    let mut sources: Vec<Arc<dyn DataSource>> = caps
         .iter()
         .enumerate()
         .map(|(j, &cap)| {
-            Arc::new(MemoryBackend::new(format!("tier{j}"), cap))
-                as Arc<dyn nopfs::storage::DataSource>
+            Arc::new(MemoryBackend::new(format!("tier{j}"), cap)) as Arc<dyn DataSource>
         })
         .collect();
     sources.push(Arc::new(pfs.clone()));
-    TierStack::new(sources, promote)
+    TierStack::new_in_registry(sources, promote, registry)
+}
+
+/// Observations in `registry`'s `tier.read_latency_ns` histograms.
+fn latency_observations(registry: &Registry) -> u64 {
+    Snapshot::capture(registry)
+        .histograms
+        .iter()
+        .filter(|h| h.name == names::TIER_READ_LATENCY)
+        .map(|h| h.value.count)
+        .sum()
 }
 
 proptest! {
@@ -223,6 +242,76 @@ proptest! {
         for j in 0..caps.len() {
             prop_assert_eq!(stack.stats(j).used, 0, "tier {} leaked bytes", j);
             prop_assert_eq!(stack.source(j).count(), 0);
+        }
+    }
+
+    /// `read_tier_many` is the sequence of `get_cached_in` calls it
+    /// replaces: on two- and three-tier stacks, over ids cached in the
+    /// tier read, cached elsewhere, cached nowhere, repeated within a
+    /// call and evicted behind the catalog's back, it returns the same
+    /// bytes and leaves the same hits, misses, bytes read, residency
+    /// and catalog — and one latency observation per call that hit,
+    /// where the single reads leave one per hit.
+    #[test]
+    fn vectored_tier_reads_equal_the_single_reads_they_replace(
+        seed in any::<u64>(),
+        three_tiers in any::<bool>(),
+        cached in prop::collection::vec(0u64..32, 0..32),
+        stale in prop::collection::vec(0u64..32, 0..8),
+        calls in prop::collection::vec(
+            (0usize..2, prop::collection::vec(0u64..32, 0..12)),
+            1..10,
+        ),
+    ) {
+        let (pfs, payloads) = materialized_pfs(seed, 32);
+        let cache_tiers = if three_tiers { 2 } else { 1 };
+        let caps = vec![64 * 32; cache_tiers];
+        let (single_reg, vectored_reg) = (Registry::new(), Registry::new());
+        let single = stack_in_registry(&pfs, &caps, PromotePolicy::Never, &single_reg);
+        let vectored = stack_in_registry(&pfs, &caps, PromotePolicy::Never, &vectored_reg);
+        for stack in [&single, &vectored] {
+            for &id in &cached {
+                let tier = (id ^ seed) as usize % cache_tiers;
+                stack.fill(tier, id, payloads[id as usize].clone()).expect("roomy tiers");
+            }
+            for &id in &stale {
+                if let Some(tier) = stack.locate(id) {
+                    stack.source(tier).evict(id);
+                    prop_assert_eq!(stack.locate(id), Some(tier), "the catalog was not told");
+                }
+            }
+        }
+        for (tier, ids) in &calls {
+            let tier = tier % cache_tiers;
+            let (seen_single, seen_vectored) =
+                (latency_observations(&single_reg), latency_observations(&vectored_reg));
+            let one_by_one: Vec<Option<Bytes>> =
+                ids.iter().map(|&id| single.get_cached_in(tier, id)).collect();
+            let mut swept = Vec::new();
+            vectored.read_tier_many(tier, ids, |r| swept.push(r.ok()));
+            prop_assert_eq!(&swept, &one_by_one);
+            for (data, &id) in swept.iter().zip(ids) {
+                if let Some(data) = data {
+                    prop_assert_eq!(data, &payloads[id as usize]);
+                }
+            }
+            for j in 0..cache_tiers {
+                let (a, b) = (single.stats(j), vectored.stats(j));
+                prop_assert_eq!(
+                    (a.hits, a.misses, a.bytes_read, a.used),
+                    (b.hits, b.misses, b.bytes_read, b.used),
+                    "tier {}", j
+                );
+            }
+            for id in 0..32 {
+                prop_assert_eq!(single.locate(id), vectored.locate(id), "catalog entry of {}", id);
+            }
+            let hits = swept.iter().flatten().count() as u64;
+            prop_assert_eq!(latency_observations(&single_reg) - seen_single, hits);
+            prop_assert_eq!(
+                latency_observations(&vectored_reg) - seen_vectored,
+                u64::from(hits > 0)
+            );
         }
     }
 
