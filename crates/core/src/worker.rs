@@ -33,9 +33,8 @@ use nopfs_clairvoyance::placement::GlobalPlacement;
 use nopfs_clairvoyance::sampler::ShuffleSpec;
 use nopfs_net::Endpoint;
 use nopfs_obs::{names, Counter, ObsCtx, Registry};
-use nopfs_perfmodel::{Location, SystemSpec};
+use nopfs_perfmodel::Location;
 use nopfs_pfs::Pfs;
-use nopfs_policy::RateCard;
 use nopfs_storage::{
     ReorderStage, ResilienceStats, SourceError, SourceHealth, TierStack, TierStats,
 };
@@ -243,11 +242,8 @@ impl PeerLeg {
 
 /// Buffers a staging prefetcher reuses from claim to claim, so a run
 /// allocates nothing once they have grown to [`STAGE_BATCH`].
+#[derive(Default)]
 struct StageScratch {
-    /// What does not depend on the sample in a source decision: the
-    /// class rates for the thread's lifetime, the origin's `t(γ)/γ`
-    /// and health as sampled at the start of the current run.
-    card: RateCard,
     probes: Vec<Probe>,
     /// The claimed samples one local tier serves, in claim order.
     local_ids: Vec<SampleId>,
@@ -257,19 +253,6 @@ struct StageScratch {
     /// The fetched run in stream order, as `ReorderStage::push_run`
     /// takes (and empties) it.
     run: Vec<(SampleId, Bytes)>,
-}
-
-impl StageScratch {
-    fn new(sys: &SystemSpec) -> Self {
-        Self {
-            card: RateCard::new(sys),
-            probes: Vec::new(),
-            local_ids: Vec::new(),
-            peer: None,
-            origin_ids: Vec::new(),
-            run: Vec::new(),
-        }
-    }
 }
 
 impl WorkerCtx {
@@ -293,7 +276,6 @@ impl WorkerCtx {
         scratch: &mut StageScratch,
     ) -> bool {
         let StageScratch {
-            card,
             probes,
             local_ids,
             peer,
@@ -302,16 +284,6 @@ impl WorkerCtx {
         } = scratch;
         let t0 = self.obs.tracer.is_active().then(Instant::now);
         let mut sources = RunSources::default();
-        // Live PFS contention — the readers already in flight plus us —
-        // and the origin's health, sampled once for the run: when its
-        // circuit breaker is open (health `Unavailable`) the run steers
-        // to peers or local tiers instead of queueing on a source that
-        // will fail fast anyway.
-        card.refresh(
-            &self.shared.config.system,
-            self.pfs.reader_count() + 1,
-            self.tiers.origin_health() != SourceHealth::Unavailable,
-        );
         // Phase 1: pick a source per sample; read-ahead samples are
         // served immediately, the rest queued by source.
         probes.clear();
@@ -327,7 +299,7 @@ impl WorkerCtx {
                         Taken::Closed => return false,
                     }
                 }
-                _ => self.staging_probe(k, card, &mut sources),
+                _ => self.staging_probe(k, &mut sources),
             };
             if let Pick::Peer(owner) = probe.0 {
                 peer.get_or_insert_with(|| PeerLeg::new(&self.obs.registry))
@@ -460,7 +432,8 @@ impl WorkerCtx {
     /// is done, a peer one when its frame is back; the `bool` is
     /// whether the self-healing fill applies (the sample was not
     /// cataloged locally when the fetch started).
-    fn staging_probe(&self, k: SampleId, card: &RateCard, sources: &mut RunSources) -> Probe {
+    fn staging_probe(&self, k: SampleId, sources: &mut RunSources) -> Probe {
+        let sys = &self.shared.config.system;
         let size = self.shared.sizes[k as usize];
 
         let local_tier = self.tiers.locate(k);
@@ -486,16 +459,23 @@ impl WorkerCtx {
             }
         }
 
+        // Live PFS contention: the readers already in flight plus us.
         // The pick itself is the workspace-wide NoPFS selection rule —
         // the ordered-tier-list argmin (`select_source_tiered`) that
         // the simulator's NoPFS policy also funnels into, reached via
-        // the degraded {local tier, remote tier, origin} wrapper
-        // (`select_source_degraded`), whose sample-independent inputs
-        // the run's rate card holds.
-        let choice = card.select(
+        // the degraded {local tier, remote tier, origin} wrapper: when
+        // the origin's circuit breaker is open (health `Unavailable`),
+        // the fetch steers to peers or local tiers instead of queueing
+        // on a source that will fail fast anyway.
+        let gamma = self.pfs.reader_count() + 1;
+        let origin_ok = self.tiers.origin_health() != SourceHealth::Unavailable;
+        let choice = nopfs_policy::decision::select_source_degraded(
+            sys,
             local_tier.map(|t| t as u8),
             best_remote.map(|(_, c)| c),
             size,
+            gamma,
+            origin_ok,
         );
 
         let pick = match choice {
@@ -546,7 +526,7 @@ impl WorkerCtx {
     /// admits the head position.
     fn run_staging(&self, stream: &[SampleId], position: &AtomicU64) {
         let config = &self.shared.config;
-        let mut scratch = StageScratch::new(&config.system);
+        let mut scratch = StageScratch::default();
         while !self.stop.load(Ordering::Relaxed) {
             let base = position.fetch_add(STAGE_BATCH, Ordering::SeqCst);
             if base >= stream.len() as u64 {
@@ -736,7 +716,7 @@ impl WorkerHandle {
                         }
                     }
                     done += chunk.len() as u64;
-                    ctx.progress[class].store(done, Ordering::Relaxed);
+                    ctx.progress[class].store(done, Ordering::Release);
                 }
                 if class < lanes {
                     ctx.run_lane(&stream);
@@ -897,6 +877,19 @@ impl WorkerHandle {
     /// [`TierStack`].
     pub fn tier_stats(&self) -> Vec<TierStats> {
         self.ctx.tiers.all_stats()
+    }
+
+    /// Whether the class prefetchers are through with their fill lists:
+    /// each has walked its whole list, or its thread has ended (told
+    /// to stop, or panicked — [`Self::shutdown`] surfaces that). From
+    /// then on this rank's caches are as warm as the plan makes them.
+    pub fn prefetch_done(&self) -> bool {
+        let assignment = self.ctx.shared.placement.assignment(self.ctx.rank);
+        let prefetchers = self.threads.iter().take(self.ctx.tiers.cache_tiers());
+        prefetchers.enumerate().all(|(class, thread)| {
+            let walked = self.ctx.progress[class].load(Ordering::Acquire);
+            thread.is_finished() || walked >= assignment.prefetch_order(class).len() as u64
+        })
     }
 
     /// Resilience counters from the hierarchy's origin chain (retries,

@@ -34,4 +34,4 @@ pub mod system;
 
 pub use curve::ThroughputCurve;
 pub use equations::{consume_timeline, ConsumeTimeline};
-pub use system::{fastest_by_rate, Location, StagingSpec, StorageClass, SystemSpec};
+pub use system::{Location, StagingSpec, StorageClass, SystemSpec};

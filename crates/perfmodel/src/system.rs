@@ -144,44 +144,25 @@ impl SystemSpec {
         self.classes.iter().map(|c| c.capacity).collect()
     }
 
-    /// The per-stream rate (bytes/second) a fetch from `location` runs
-    /// at — the denominators of the model's three `fetch` cases, in
-    /// one place: `r_j(p_j)/p_j` for the worker's own class `j`,
-    /// `min(b_c, r_j(p_j)/p_j)` for another worker's class `j`, and
-    /// `t(γ)/γ` for the PFS while `gamma` workers (including this one)
-    /// read concurrently (`γ` only matters there). What is in the
-    /// staging buffer is already fetched: infinitely fast.
-    pub fn stream_rate(&self, location: Location, gamma: usize) -> f64 {
-        match location {
-            Location::Staging => f64::INFINITY,
-            Location::Local(j) => self.classes[j as usize].read_per_thread(),
-            Location::Remote(j) => self
-                .interconnect
-                .min(self.classes[j as usize].read_per_thread()),
-            Location::Pfs => {
-                let g = gamma.max(1) as f64;
-                self.pfs_read.at(g) / g
-            }
-        }
-    }
-
     /// Model `fetch` case 3: reading `size` bytes from local class `j`:
     /// `s / (r_j(p_j)/p_j)`.
     pub fn fetch_local(&self, class: u8, size: u64) -> f64 {
-        self.fetch_time(Location::Local(class), size, 1)
+        size as f64 / self.classes[class as usize].read_per_thread()
     }
 
     /// Model `fetch` case 2: reading `size` bytes from a remote worker's
     /// class `j`: `s / min(b_c, r_j(p_j)/p_j)`.
     pub fn fetch_remote(&self, class: u8, size: u64) -> f64 {
-        self.fetch_time(Location::Remote(class), size, 1)
+        let per_thread = self.classes[class as usize].read_per_thread();
+        size as f64 / self.interconnect.min(per_thread)
     }
 
     /// Model `fetch` case 1: reading `size` bytes from the PFS while
     /// `gamma` workers (including this one) read concurrently:
     /// `s / (t(γ)/γ)`.
     pub fn fetch_pfs(&self, size: u64, gamma: usize) -> f64 {
-        self.fetch_time(Location::Pfs, size, gamma)
+        let g = gamma.max(1) as f64;
+        size as f64 / (self.pfs_read.at(g) / g)
     }
 
     /// Model `write_i`: preprocessing and storing `size` bytes into the
@@ -215,10 +196,15 @@ impl SystemSpec {
         (wanted as usize).clamp(1, knee.div_ceil(self.workers))
     }
 
-    /// Fetch time for `size` bytes from `location`: `size` over the
-    /// location's [`Self::stream_rate`]. `Staging` costs zero fetch.
+    /// Fetch time for `size` bytes from `location` (`γ` only matters for
+    /// PFS). `Staging` costs zero fetch.
     pub fn fetch_time(&self, location: Location, size: u64, gamma: usize) -> f64 {
-        size as f64 / self.stream_rate(location, gamma)
+        match location {
+            Location::Staging => 0.0,
+            Location::Local(j) => self.fetch_local(j, size),
+            Location::Remote(j) => self.fetch_remote(j, size),
+            Location::Pfs => self.fetch_pfs(size, gamma),
+        }
     }
 
     /// Model `read_i = fetch_i + write_i` for a sample of `size` bytes
@@ -236,12 +222,12 @@ impl SystemSpec {
         size: u64,
         gamma: usize,
     ) -> Option<Location> {
-        fastest_by_rate(
-            candidates
-                .iter()
-                .map(|&loc| (loc, self.stream_rate(loc, gamma))),
-            size,
-        )
+        candidates
+            .iter()
+            .copied()
+            .map(|loc| (loc, self.fetch_time(loc, size, gamma)))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("fetch times are finite"))
+            .map(|(loc, _)| loc)
     }
 
     /// Convenience: compute throughput expressed in samples/second for a
@@ -249,28 +235,6 @@ impl SystemSpec {
     pub fn compute_samples_per_sec(&self, mean_sample_bytes: f64) -> f64 {
         self.compute / mean_sample_bytes
     }
-}
-
-/// The `argmin fetch` itself: the candidate whose `size ÷ rate` is
-/// smallest, an earlier candidate winning a tie. The candidates come
-/// with their per-stream rates ([`SystemSpec::stream_rate`]), so a
-/// caller deciding for many samples at once can look the rates up
-/// instead of evaluating the curves again — the division, and with it
-/// every pick, is the one [`SystemSpec::fastest_source`] makes.
-pub fn fastest_by_rate(
-    candidates: impl IntoIterator<Item = (Location, f64)>,
-    size: u64,
-) -> Option<Location> {
-    let size = size as f64;
-    let mut fastest: Option<(Location, f64)> = None;
-    for (loc, rate) in candidates {
-        let time = size / rate;
-        debug_assert!(!time.is_nan(), "fetch times are finite");
-        if fastest.is_none_or(|(_, least)| time < least) {
-            fastest = Some((loc, time));
-        }
-    }
-    fastest.map(|(loc, _)| loc)
 }
 
 /// Builder helpers for tests and presets.

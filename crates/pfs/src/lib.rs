@@ -383,36 +383,25 @@ impl Pfs {
         Ok(data)
     }
 
-    /// Vectored read: one result per id, in order, as **one** transfer.
-    /// A real PFS client contributes one stream to `t(γ)` no matter how
-    /// many objects it drains down it, so a batch registers one reader
-    /// — `γ` rises once, not once per object — and is paced as one
-    /// transfer: the regulator is charged the batch's loaded bytes
-    /// once, inside that registration (its pacing is debt-based, so the
-    /// wait equals the per-object charges' sum), and the statistics are
-    /// booked once. Fault checks and results stay per object, exactly
-    /// as [`Self::read`] has them. The regulator serves debts in
-    /// arrival order, so a reader arriving behind a batch waits for the
-    /// whole batch where it used to slip in between two of its objects:
-    /// the aggregate rate is the same, the interleaving coarser.
+    /// Vectored read: one result per id, in order, with **one** reader
+    /// registration for the whole batch. A real PFS client contributes
+    /// one stream to `t(γ)` no matter how many objects it drains down
+    /// it, so a batch raises `γ` once instead of once per object —
+    /// per-object regulator pacing, fault checks, and statistics are
+    /// unchanged from [`Self::read`].
     pub fn read_many(&self, ids: &[ObjectId]) -> Vec<Result<Bytes, PfsError>> {
         let guard = ReaderGuard::enter(&self.inner);
-        let (mut loaded, mut bytes) = (0u64, 0u64);
         let results: Vec<Result<Bytes, PfsError>> = ids
             .iter()
             .map(|&id| {
                 self.check_fault(id)?;
                 let data = self.load(id)?;
-                loaded += 1;
-                bytes += data.len() as u64;
+                self.inner.regulator.acquire(data.len() as u64);
+                self.inner.stats.reads.inc();
+                self.inner.stats.bytes_read.add(data.len() as u64);
                 Ok(data)
             })
             .collect();
-        if loaded > 0 {
-            self.inner.regulator.acquire(bytes);
-            self.inner.stats.reads.add(loaded);
-            self.inner.stats.bytes_read.add(bytes);
-        }
         drop(guard);
         results
     }
@@ -679,21 +668,15 @@ mod tests {
             pfs.put(id, Bytes::from(vec![0u8; 100_000]));
         }
         let p2 = pfs.clone();
-        let h = std::thread::spawn(move || {
-            let t0 = Instant::now();
-            (p2.read_many(&[0, 1, 2, 3]), t0.elapsed().as_secs_f64())
-        });
+        let h = std::thread::spawn(move || p2.read_many(&[0, 1, 2, 3]));
         let mut max_gamma = 0;
         for _ in 0..200 {
             max_gamma = max_gamma.max(pfs.reader_count());
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        let (res, dt) = h.join().unwrap();
+        let res = h.join().unwrap();
         assert!(res.iter().all(|r| r.is_ok()));
         assert_eq!(max_gamma, 1, "batch counted as one reader, saw {max_gamma}");
-        // The batch's one charge paces all of its bytes: 400 KB less
-        // the 20 KB burst at 2 MB/s are 190 ms.
-        assert!(dt > 0.13, "batch unrealistically fast: {dt}s");
     }
 
     #[test]

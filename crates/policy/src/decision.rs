@@ -78,18 +78,8 @@ pub fn select_source_degraded(
     gamma: usize,
     origin_available: bool,
 ) -> Location {
-    let (candidates, n) = degraded_candidates(local, remote, origin_available);
-    select_source_tiered(sys, &candidates[..n], size, gamma)
-}
-
-/// The candidate list of [`select_source_degraded`], fastest first: at
-/// most three, kept on the stack (the runtime decides once per staged
-/// sample).
-fn degraded_candidates(
-    local: Option<u8>,
-    remote: Option<u8>,
-    origin_available: bool,
-) -> ([Location; 3], usize) {
+    // At most three candidates, kept on the stack: the runtime makes
+    // this call once per staged sample.
     let mut candidates = [Location::Pfs; 3];
     let mut n = 0;
     for loc in [local.map(Location::Local), remote.map(Location::Remote)]
@@ -102,66 +92,7 @@ fn degraded_candidates(
     if origin_available || n == 0 {
         n += 1; // the slot already holds `Location::Pfs`
     }
-    (candidates, n)
-}
-
-/// [`select_source_degraded`] for a caller that decides a whole staged
-/// run at once: everything that does not depend on the sample is looked
-/// up here instead of recomputed per sample. The class rates are filled
-/// once ([`Self::new`]); the origin's `t(γ)/γ` and its availability are
-/// sampled once per run ([`Self::refresh`]); [`Self::select`] then runs
-/// the same candidates through the same `argmin fetch`
-/// ([`nopfs_perfmodel::fastest_by_rate`]) — the same divisions in the
-/// same order, so each pick equals `select_source_degraded`'s at the
-/// refreshed `γ` and availability.
-#[derive(Debug, Clone)]
-pub struct RateCard {
-    /// Per class `j`: the `Local(j)` and the `Remote(j)` stream rate.
-    classes: Vec<(f64, f64)>,
-    /// `t(γ)/γ` at the last refresh.
-    pfs: f64,
-    origin_available: bool,
-}
-
-impl RateCard {
-    /// A card for `sys`, its origin priced for a lone reader and
-    /// available until the first [`Self::refresh`].
-    pub fn new(sys: &SystemSpec) -> Self {
-        Self {
-            classes: (0u8..)
-                .zip(&sys.classes)
-                .map(|(j, _)| {
-                    (
-                        sys.stream_rate(Location::Local(j), 1),
-                        sys.stream_rate(Location::Remote(j), 1),
-                    )
-                })
-                .collect(),
-            pfs: sys.stream_rate(Location::Pfs, 1),
-            origin_available: true,
-        }
-    }
-
-    /// Re-prices the origin for `gamma` concurrent readers (including
-    /// this one) and records whether it is available at all.
-    pub fn refresh(&mut self, sys: &SystemSpec, gamma: usize, origin_available: bool) {
-        self.pfs = sys.stream_rate(Location::Pfs, gamma);
-        self.origin_available = origin_available;
-    }
-
-    /// The source for a sample of `size` bytes cached in local class
-    /// `local` and believed held in a peer's class `remote`.
-    pub fn select(&self, local: Option<u8>, remote: Option<u8>, size: u64) -> Location {
-        let (candidates, n) = degraded_candidates(local, remote, self.origin_available);
-        let rate = |loc| match loc {
-            Location::Local(j) => self.classes[usize::from(j)].0,
-            Location::Remote(j) => self.classes[usize::from(j)].1,
-            Location::Pfs => self.pfs,
-            Location::Staging => unreachable!("staging is never a fetch candidate"),
-        };
-        nopfs_perfmodel::fastest_by_rate(candidates[..n].iter().map(|&loc| (loc, rate(loc))), size)
-            .expect("the candidate list is never empty")
-    }
+    select_source_tiered(sys, &candidates[..n], size, gamma)
 }
 
 /// Per-worker PFS share (bytes/s) during bulk staging phases: all `N`

@@ -34,9 +34,7 @@ pub mod fault;
 pub mod id;
 
 pub use crate::core::{build_core, transformed_streams, PolicyCore, Source};
-pub use decision::{
-    select_source, select_source_degraded, select_source_tiered, tier_costs, RateCard,
-};
+pub use decision::{select_source, select_source_degraded, select_source_tiered, tier_costs};
 pub use fault::{
     elastic_epoch_streams, elastic_global_stream, replan_core, Brownout, CloudFaults, FaultEvent,
     FaultPlan, ReadErrors,

@@ -68,24 +68,12 @@ impl MetadataStore {
         self.map.remove(id)
     }
 
-    /// Removes `id` only if it is currently cataloged in `class` and
-    /// `resident()` says that class's store does not hold it — checked
-    /// and removed under the entry's shard lock, for callers repairing
-    /// a stale entry or finishing an eviction. Placements write the
-    /// bytes first and claim the entry second, removals take the bytes
-    /// first and the entry second; a removal that arrives after a
-    /// racing placement has put the sample back into the same class
-    /// therefore finds it resident and leaves the entry, which is that
-    /// placement's now (or about to be), instead of orphaning its
-    /// bytes. Returns whether the entry was removed.
-    pub fn remove_if_gone(&self, id: SampleId, class: u8, resident: impl FnOnce() -> bool) -> bool {
-        let mut shard = self.map.shard(id).write();
-        if shard.get(&id) == Some(&class) && !resident() {
-            shard.remove(&id);
-            true
-        } else {
-            false
-        }
+    /// Removes `id` only if it is currently cataloged in `class`
+    /// (atomic compare-and-remove, for callers repairing a stale entry
+    /// that may have been re-cataloged concurrently). Returns whether
+    /// the entry was removed.
+    pub fn remove_if(&self, id: SampleId, class: u8) -> bool {
+        self.map.remove_if(id, &class)
     }
 
     /// Number of cached samples.
@@ -119,11 +107,10 @@ mod tests {
         assert_eq!(m.remove(1), None);
         assert_eq!(m.cached_count(), 1);
         // Guarded removal only fires on a matching class.
-        assert!(!m.remove_if_gone(2, 0, || false));
+        assert!(!m.remove_if(2, 0));
         assert_eq!(m.lookup(2), Some(1));
-        assert!(!m.remove_if_gone(2, 1, || true));
-        assert!(m.remove_if_gone(2, 1, || false));
-        assert!(!m.remove_if_gone(2, 1, || false));
+        assert!(m.remove_if(2, 1));
+        assert!(!m.remove_if(2, 1));
         assert_eq!(m.cached_count(), 0);
     }
 

@@ -1021,19 +1021,12 @@ impl TierStack {
         }
     }
 
-    /// Removes the catalog entry only if it still points at `tier`
-    /// and the tier does not hold the sample — a concurrent promotion
-    /// may have re-cataloged the sample at a faster tier, or put it
-    /// back into this one after the eviction or stale read that sent
-    /// the caller here, and removing the entry then would orphan that
-    /// resident copy (capacity spent, never served).
+    /// Removes the catalog entry only if it still points at `tier` —
+    /// a concurrent promotion may have re-cataloged the sample at a
+    /// faster tier, and blindly removing would orphan that resident
+    /// copy (capacity spent, never served).
     fn uncatalog_from(&self, id: SampleId, tier: usize) {
-        let source = &self.inner.tiers[tier].source;
-        let gone = self
-            .inner
-            .catalog
-            .remove_if_gone(id, tier as u8, || source.contains(id));
-        if gone {
+        if self.inner.catalog.remove_if(id, tier as u8) {
             self.inner.sizes.remove(id);
         }
     }
@@ -1440,29 +1433,6 @@ mod tests {
         // The burst over, the tier serves the sample again.
         assert_eq!(stack.get_cached(1), Some(Bytes::from(vec![1u8; 10])));
         assert_eq!(stack.stats(0).hits, 1);
-    }
-
-    #[test]
-    fn a_late_uncatalog_spares_a_sample_put_back_into_the_tier() {
-        // An eviction takes the bytes first and the catalog entry
-        // second; in between, a racing read can find the entry stale
-        // and promote the sample back into the same tier. The race,
-        // played in sequence:
-        let stack = TierStack::new(
-            vec![mem("ram", 100), origin_with(4, 10)],
-            PromotePolicy::IfFits,
-        );
-        stack.read(1).unwrap();
-        assert!(stack.source(0).evict(1)); // the eviction's first half
-        stack.read(1).unwrap(); // the racing read: repaired, promoted back
-        assert_eq!(stack.locate(1), Some(0));
-        stack.uncatalog_from(1, 0); // the eviction's second half
-        assert_eq!(stack.locate(1), Some(0), "a resident copy lost its entry");
-        // What is resident is cataloged: evicting by the catalog
-        // drains the tier.
-        assert!(stack.evict(0, 1));
-        assert_eq!(stack.source(0).used(), 0);
-        assert_eq!(stack.locate(1), None);
     }
 
     #[test]

@@ -332,20 +332,21 @@ fn nopfs_source_selection_agrees_when_caches_warm() {
     );
     let sim = nopfs::simulator::run(&scenario, PolicyId::NoPfs).expect("supported");
     // Simulator: cached fetches dominate (fetch_counts = [staging,
-    // local, remote, pfs]).
+    // local, remote, pfs]) — only epoch 0, an eighth of the stream,
+    // can go to the PFS.
     let total: u64 = sim.fetch_counts.iter().sum();
     assert!(sim.fetch_counts[1] + sim.fetch_counts[2] > 0);
-    assert!((sim.fetch_counts[3] as f64) < 0.75 * total as f64);
+    assert!(sim.fetch_counts[3] <= total / 2);
 
     // Runtime: same shape from the same selection rule. "Warm" is
-    // made to hold instead of raced for: each rank is consumed only
-    // once its tiers have counted as many fills as the plan assigns to
-    // it. Until then the staging threads get two runs in flight and a
-    // stage's worth ahead of the consumer, 32 of a rank's 128
-    // positions; each of those may have been filled twice (the staging
-    // thread's self-healing fill and the prefetcher's), leaving as
-    // many samples uncached when the count is reached: half the stream
-    // at the very worst, everything else is read from a cache.
+    // made to hold instead of raced for: a rank is consumed only once
+    // every rank's class prefetchers are through with their fill lists
+    // (each assigned sample filled, by them or by a staging thread's
+    // self-healing fill). Until then the staging threads get a stage's
+    // worth and two runs in flight ahead of the consumer, 32 of a
+    // rank's 128 positions — a quarter of the stream at the very
+    // worst, and the bound leaves as much again, since the stage
+    // admits a run as a whole. Everything else is read from a cache.
     let config = JobConfig::new(SEED, WARM_EPOCHS, BATCH, system(cfg), TimeScale::new(1e-6));
     let sizes = Arc::new(vec![SAMPLE_BYTES; cfg.samples as usize]);
     let job = Job::new(config, sizes);
@@ -362,12 +363,17 @@ fn nopfs_source_selection_agrees_when_caches_warm() {
                     let assigned = (0..cfg.samples)
                         .filter(|&k| assignment.class_of(k).is_some())
                         .count() as u64;
-                    while w.tier_stats().iter().map(|t| t.fills).sum::<u64>() < assigned {
+                    // Ends when a prefetcher dies, too: the count
+                    // below or `shutdown` then fails the test.
+                    while !w.prefetch_done() {
                         std::thread::yield_now();
                     }
+                    let fills: u64 = w.tier_stats().iter().map(|t| t.fills).sum();
+                    w.barrier();
                     while w.next_sample().is_some() {}
                     let stats = w.stats();
                     w.shutdown();
+                    assert!(fills >= assigned, "{fills} fills of {assigned} assigned");
                     stats
                 })
             })
@@ -378,5 +384,5 @@ fn nopfs_source_selection_agrees_when_caches_warm() {
     });
     assert_eq!(merged.total_fetches(), WARM_EPOCHS * cfg.samples);
     assert!(merged.local_fetches + merged.remote_fetches > 0);
-    assert!((merged.pfs_fetches as f64) < 0.75 * merged.total_fetches() as f64);
+    assert!(merged.pfs_fetches <= merged.total_fetches() / 2);
 }
