@@ -14,9 +14,10 @@ use crate::DataLoader;
 use bytes::Bytes;
 use nopfs_clairvoyance::engine::materialize_all_streams;
 use nopfs_core::stats::{StatsCollector, WorkerStats};
+use nopfs_core::tiers::origin_read_retry;
 use nopfs_core::{JobConfig, SampleId};
 use nopfs_pfs::Pfs;
-use nopfs_storage::{ReorderStage, SourceError, TierStack};
+use nopfs_storage::{ReorderStage, TierStack};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -161,15 +162,7 @@ impl DoubleBufferLoader {
                     break;
                 }
                 let k = stream[pos as usize];
-                let data = loop {
-                    match tiers.read(k) {
-                        Ok(d) => break d,
-                        Err(SourceError::NotFound(_)) => {
-                            panic!("sample {k} missing from the PFS")
-                        }
-                        Err(_) => stats.count_pfs_error(),
-                    }
-                };
+                let data = origin_read_retry(&tiers, k, &stats);
                 stats.count_pfs();
                 let wt = config.system.write_time(data.len() as u64) * preprocess_factor;
                 config.scale.wait(wt);

@@ -9,9 +9,10 @@ use crate::DataLoader;
 use bytes::Bytes;
 use nopfs_clairvoyance::engine::materialize_all_streams;
 use nopfs_core::stats::{StatsCollector, WorkerStats};
+use nopfs_core::tiers::origin_read_retry;
 use nopfs_core::{JobConfig, SampleId};
 use nopfs_pfs::Pfs;
-use nopfs_storage::{SourceError, TierStack};
+use nopfs_storage::TierStack;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -107,13 +108,7 @@ impl DataLoader for NaiveLoader {
         }
         let k = self.stream[self.consumed as usize];
         let t0 = Instant::now();
-        let data = loop {
-            match self.tiers.read(k) {
-                Ok(d) => break d,
-                Err(SourceError::NotFound(_)) => panic!("sample {k} missing from the PFS"),
-                Err(_) => self.stats.count_pfs_error(),
-            }
-        };
+        let data = origin_read_retry(&self.tiers, k, &self.stats);
         let wt = self.config.system.write_time(data.len() as u64);
         self.config.scale.wait(wt);
         // The whole read is a stall: nothing overlaps it.

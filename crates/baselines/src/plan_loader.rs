@@ -25,11 +25,12 @@ use bytes::Bytes;
 use nopfs_core::msg::Msg;
 use nopfs_core::peer::{self, PeerClient};
 use nopfs_core::stats::{StatsCollector, WorkerStats};
+use nopfs_core::tiers::{origin_read_many_retry, origin_read_retry};
 use nopfs_core::{JobConfig, SampleId};
 use nopfs_net::{cluster, Endpoint, NetConfig};
 use nopfs_pfs::Pfs;
 use nopfs_policy::{build_core, PolicyCore, PolicyId, Source, Unsupported};
-use nopfs_storage::{ReorderStage, SourceError, TierStack};
+use nopfs_storage::{ReorderStage, TierStack};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -256,36 +257,6 @@ impl PlanCtx {
         }
     }
 
-    fn pfs_read(&self, k: SampleId) -> Bytes {
-        loop {
-            match self.tiers.read_origin(k) {
-                Ok(d) => return d,
-                Err(SourceError::NotFound(_)) => panic!("sample {k} missing from the PFS"),
-                Err(_) => self.stats.count_pfs_error(),
-            }
-        }
-    }
-
-    /// Vectored [`Self::pfs_read`]: the whole group goes down to the
-    /// origin as one batched read (one reader registration, coalesced
-    /// adjacent ranges); transient per-sample failures fall back to the
-    /// patient single-read loop. Bytes come back in input order.
-    fn pfs_read_many(&self, ks: &[SampleId]) -> Vec<Bytes> {
-        self.tiers
-            .read_origin_many(ks)
-            .into_iter()
-            .zip(ks)
-            .map(|(r, &k)| match r {
-                Ok(d) => d,
-                Err(SourceError::NotFound(_)) => panic!("sample {k} missing from the PFS"),
-                Err(_) => {
-                    self.stats.count_pfs_error();
-                    self.pfs_read(k)
-                }
-            })
-            .collect()
-    }
-
     /// Serves one access from the source the core decides, with PFS
     /// fallback when a cache or peer does not actually hold the sample
     /// (store-full inserts, epoch races). A peer is asked through the
@@ -321,7 +292,7 @@ impl PlanCtx {
     }
 
     fn pfs_fallback(&self, k: SampleId, epoch: u64) -> Bytes {
-        let data = self.pfs_read(k);
+        let data = origin_read_retry(&self.tiers, k, &self.stats);
         self.stats.count_pfs();
         // First-touch caching where the core plans it (LBANN dynamic,
         // locality-aware epoch 0). A failed fill (tier full) is
@@ -400,7 +371,9 @@ impl PlanLoader {
                         continue;
                     }
                     let ids: Vec<SampleId> = missing.iter().map(|&(k, _)| k).collect();
-                    let datas = ctx.pfs_read_many(&ids);
+                    // One batched origin read (one reader registration,
+                    // coalesced adjacent ranges).
+                    let datas = origin_read_many_retry(&ctx.tiers, &ids, &ctx.stats);
                     for ((k, c), data) in missing.into_iter().zip(datas) {
                         if ctx.tiers.fill(c as usize, k, data).is_ok() {
                             ctx.stats.count_prestage();

@@ -29,8 +29,10 @@ use std::time::Instant;
 /// namespace: each sample's next `1..=max_burst` reads fail with
 /// probability `rate`. Every loader stack in the workspace retries
 /// transient PFS errors (counting them in `pfs_errors`), so injected
-/// bursts cost time but never change delivered content.
-fn inject_read_errors(pfs: &Pfs, errors: &ReadErrors, num_samples: u64) {
+/// bursts cost time but never change delivered content. Returns the
+/// number of failures injected.
+fn inject_read_errors(pfs: &Pfs, errors: &ReadErrors, num_samples: u64) -> u64 {
+    let mut injected = 0;
     for id in 0..num_samples {
         let h = mix64(errors.seed, id);
         if ((h >> 11) as f64 / (1u64 << 53) as f64) >= errors.rate {
@@ -38,7 +40,9 @@ fn inject_read_errors(pfs: &Pfs, errors: &ReadErrors, num_samples: u64) {
         }
         let burst = 1 + ((h >> 32) as u32) % errors.max_burst.max(1);
         pfs.inject_fault(id, burst);
+        injected += u64::from(burst);
     }
+    injected
 }
 
 /// Runs a crash/churn/cloud tenant through the elastic NoPFS runtime
@@ -297,6 +301,7 @@ pub fn interference_report(spec: &ClusterSpec) -> ClusterReport {
 mod tests {
     use super::*;
     use nopfs_datasets::DatasetProfile;
+    use nopfs_obs::names;
     use nopfs_perfmodel::presets::fig8_small_cluster;
     use nopfs_perfmodel::ThroughputCurve;
     use nopfs_policy::PolicyId;
@@ -477,17 +482,35 @@ mod tests {
     #[test]
     fn read_error_plans_are_retried_through() {
         use nopfs_policy::{FaultPlan, ReadErrors};
-        let spec = fast_spec().tenant(tenant("flaky", PolicyId::Naive, 40, 61).with_fault_plan(
-            FaultPlan::fault_free().with_read_errors(ReadErrors {
-                rate: 0.3,
-                max_burst: 2,
-                seed: 0xBAD,
-            }),
-        ));
-        let report = run_cluster(&spec);
-        let t = &report.tenants[0];
-        assert!(t.stats.pfs_errors > 0, "rate 0.3 over 40 ids must fire");
-        assert_eq!(t.stats.samples_consumed, 80, "retries absorb every burst");
+        let errors = ReadErrors {
+            rate: 0.3,
+            max_burst: 2,
+            seed: 0xBAD,
+        };
+        // Every sample is read from the PFS at least once, so every
+        // injected failure is met — and counted once, by the one
+        // origin retry loop every loader shares. The count is read from
+        // the registry after the run: a NoPFS class prefetcher may
+        // still be reading when its rank's stats are snapshotted.
+        let scratch = Pfs::in_memory(ThroughputCurve::flat(1e12), TimeScale::new(1e-6));
+        let injected = inject_read_errors(&scratch, &errors, 40);
+        assert!(injected > 0, "rate 0.3 over 40 ids must fire");
+        for policy in PolicyId::ALL {
+            if policy == PolicyId::Perfect {
+                continue; // never reads the PFS
+            }
+            let spec = fast_spec().tenant(
+                tenant("flaky", policy, 40, 61)
+                    .with_fault_plan(FaultPlan::fault_free().with_read_errors(errors)),
+            );
+            let report = run_cluster(&spec);
+            let counted = report.snapshot.counter_total(names::WORKER_PFS_ERRORS);
+            assert_eq!(counted, injected, "{policy}");
+            assert_eq!(
+                report.tenants[0].stats.samples_consumed, 80,
+                "{policy}: retries absorb every burst"
+            );
+        }
     }
 
     #[test]

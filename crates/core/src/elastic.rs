@@ -37,7 +37,7 @@
 use crate::config::JobConfig;
 use crate::msg::Msg;
 use crate::stats::{SetupStats, WorkerStats};
-use crate::worker::{Shared, WorkerHandle};
+use crate::worker::{class_index, Shared, WorkerHandle};
 use crate::SampleId;
 use nopfs_clairvoyance::engine::{SetupArtifacts, SetupPass};
 use nopfs_clairvoyance::placement::GlobalPlacement;
@@ -50,7 +50,7 @@ use nopfs_policy::Unsupported;
 use nopfs_storage::{
     BreakerConfig, BrownoutWindow, DataSource, Disturbance, ErrorInjection, FaultySource,
     HedgeConfig, ObjectStoreBackend, ObjectStoreConfig, ResilienceConfig, ResilienceStats,
-    ResilientSource, RetryPolicy, RetryingSource, TierStack, TierStats,
+    ResilientSource, RetryPolicy, TierStack, TierStats,
 };
 use nopfs_util::rng::mix64;
 use std::collections::HashMap;
@@ -119,12 +119,12 @@ pub struct ElasticReport {
     pub recovery_time: Duration,
     /// Transient read errors injected beneath the tier stacks.
     pub injected_read_errors: u64,
-    /// Read retries the backoff layer performed to absorb them.
-    pub read_retries: u64,
     /// Resilience counters merged across every rank's origin chain
-    /// (retries, hedges, breaker transitions); all-zero unless the plan
-    /// has a [`CloudFaults`] clause routing the origin through an
-    /// object store behind a [`ResilientSource`].
+    /// (retries, hedges, breaker transitions) — `retries` counts the
+    /// retries that absorbed the injected read errors. All-zero unless
+    /// the plan injects read errors or has a [`CloudFaults`] clause,
+    /// either of which puts a [`ResilientSource`] beneath the tier
+    /// stacks.
     pub resilience: ResilienceStats,
     /// Per-tier statistics merged across the ranks still alive at run
     /// end (crashed/departed ranks take their caches — and counters —
@@ -250,18 +250,7 @@ impl ElasticJob {
                 .map(|_| self.config.system.class_capacities())
                 .collect();
             let placement = Arc::new(arts.placement(&self.sizes, &capacities));
-            let class_index: Vec<Arc<Vec<u32>>> = (0..n)
-                .map(|w| {
-                    let mut idx = vec![u32::MAX; self.sizes.len()];
-                    let assignment = placement.assignment(w);
-                    for class in 0..assignment.num_classes() {
-                        for (i, &k) in assignment.prefetch_order(class).iter().enumerate() {
-                            idx[k as usize] = i as u32;
-                        }
-                    }
-                    Arc::new(idx)
-                })
-                .collect();
+            let class_index = class_index(&placement, n, self.sizes.len());
             MembershipPlan {
                 sys_workers: n,
                 spec,
@@ -300,7 +289,6 @@ impl ElasticJob {
         // tier stacks (persist across recovery barriers for survivors).
         let max_n = memberships.iter().copied().max().unwrap_or(1);
         let mut faulty: Vec<Option<Arc<FaultySource>>> = vec![None; max_n];
-        let mut retriers: Vec<Option<Arc<RetryingSource>>> = vec![None; max_n];
         let mut resilient: Vec<Option<Arc<ResilientSource>>> = vec![None; max_n];
         let mut warm: HashMap<usize, TierStack> = HashMap::new();
 
@@ -351,7 +339,6 @@ impl ElasticJob {
                         e,
                         slices,
                         &mut faulty,
-                        &mut retriers,
                         &mut resilient,
                         &mut warm,
                         recovering.then_some(t_rec),
@@ -412,7 +399,6 @@ impl ElasticJob {
             recoveries,
             recovery_time,
             injected_read_errors: faulty.iter().flatten().map(|f| f.injected()).sum(),
-            read_retries: retriers.iter().flatten().map(|r| r.retries()).sum(),
             resilience: {
                 let mut acc = ResilienceStats::default();
                 for r in resilient.iter().flatten() {
@@ -443,89 +429,65 @@ impl ElasticJob {
         }
     }
 
-    /// The origin `rank`'s tier stack bottoms out in: the raw PFS, the
-    /// fault-injecting + retrying chain when the plan injects read
-    /// errors, or — when the plan has a [`CloudFaults`] clause — a
-    /// resilient object-store chain
-    /// `ResilientSource(ObjectStoreBackend(injected-or-raw PFS))`.
-    /// Persisted per rank so burst state, breaker state, and statistics
-    /// span segments and recovery barriers.
+    /// The origin `rank`'s tier stack bottoms out in: the bare PFS for a
+    /// plan that disturbs no read, otherwise one chain — the PFS, a
+    /// [`FaultySource`] when the plan injects read errors, an
+    /// [`ObjectStoreBackend`] when it has a [`CloudFaults`] clause, and
+    /// one [`ResilientSource`] on top: the cloud-origin knobs with a
+    /// cloud clause, a plain retry whose budget exceeds the burst bound
+    /// (reads stay transient by construction) without one. Persisted
+    /// per rank so burst state, breaker state, and statistics span
+    /// segments and recovery barriers.
     fn origin_for(
         &self,
         pfs: &Pfs,
         rank: usize,
         faulty: &mut [Option<Arc<FaultySource>>],
-        retriers: &mut [Option<Arc<RetryingSource>>],
         resilient: &mut [Option<Arc<ResilientSource>>],
     ) -> Arc<dyn DataSource> {
-        if let Some(cloud) = &self.plan.cloud {
-            let r = resilient[rank].get_or_insert_with(|| {
-                let inner: Arc<dyn DataSource> = match self.plan.read_errors {
-                    Some(errors) => faulty[rank]
-                        .get_or_insert_with(|| {
-                            Arc::new(FaultySource::new(
-                                Arc::new(pfs.clone()),
-                                ErrorInjection::new(
-                                    errors.rate,
-                                    errors.max_burst,
-                                    mix64(errors.seed, rank as u64),
-                                ),
-                            ))
-                        })
-                        .clone(),
-                    None => Arc::new(pfs.clone()),
-                };
-                let (store, res) = self
-                    .cloud_origin
-                    .clone()
-                    .expect("cloud plan implies cloud_origin");
-                let store = store.with_disturbance(disturbance_for(cloud, rank));
-                let mut res = res;
-                res.retry.seed = mix64(res.retry.seed, rank as u64);
-                let obs = self.config.obs.scoped([("rank", rank.to_string())]);
-                Arc::new(
-                    ResilientSource::new_in_registry(
-                        Arc::new(ObjectStoreBackend::over(inner, store, self.config.scale)),
-                        res,
-                        self.config.scale,
-                        &obs.registry,
-                    )
-                    .with_tracer(obs.tracer),
-                )
-            });
-            return Arc::clone(r) as Arc<dyn DataSource>;
+        if self.plan.cloud.is_none() && self.plan.read_errors.is_none() {
+            return Arc::new(pfs.clone());
         }
-        match self.plan.read_errors {
-            None => Arc::new(pfs.clone()),
-            Some(errors) => {
-                let retry = retriers[rank].get_or_insert_with(|| {
-                    let inject = faulty[rank]
-                        .get_or_insert_with(|| {
-                            Arc::new(FaultySource::new(
-                                Arc::new(pfs.clone()),
-                                ErrorInjection::new(
-                                    errors.rate,
-                                    errors.max_burst,
-                                    mix64(errors.seed, rank as u64),
-                                ),
-                            ))
-                        })
-                        .clone();
-                    // Budget exceeding the burst bound: reads stay
-                    // transient by construction.
-                    Arc::new(RetryingSource::new(
-                        inject,
-                        RetryPolicy::new(
-                            errors.max_burst + 2,
-                            Duration::from_micros(20),
-                            0.3,
-                            mix64(errors.seed ^ 0x5E7B, rank as u64),
-                        ),
-                    ))
-                });
-                Arc::clone(retry) as Arc<dyn DataSource>
+        let r = resilient[rank].get_or_insert_with(|| {
+            let mut origin: Arc<dyn DataSource> = Arc::new(pfs.clone());
+            if let Some(errors) = self.plan.read_errors {
+                let inject = Arc::new(FaultySource::new(
+                    origin,
+                    ErrorInjection::new(
+                        errors.rate,
+                        errors.max_burst,
+                        mix64(errors.seed, rank as u64),
+                    ),
+                ));
+                faulty[rank] = Some(Arc::clone(&inject));
+                origin = inject;
             }
-        }
+            let res = match (&self.plan.cloud, self.plan.read_errors) {
+                (Some(cloud), _) => {
+                    let (store, mut res) = self
+                        .cloud_origin
+                        .clone()
+                        .expect("cloud plan implies cloud_origin");
+                    let store = store.with_disturbance(disturbance_for(cloud, rank));
+                    origin = Arc::new(ObjectStoreBackend::over(origin, store, self.config.scale));
+                    res.retry.seed = mix64(res.retry.seed, rank as u64);
+                    res
+                }
+                (None, Some(errors)) => ResilienceConfig::retry_only(RetryPolicy::new(
+                    errors.max_burst + 2,
+                    Duration::from_micros(20),
+                    0.3,
+                    mix64(errors.seed ^ 0x5E7B, rank as u64),
+                )),
+                (None, None) => unreachable!("an undisturbed plan reads the bare PFS"),
+            };
+            let obs = self.config.obs.scoped([("rank", rank.to_string())]);
+            Arc::new(
+                ResilientSource::new_in_registry(origin, res, self.config.scale, &obs.registry)
+                    .with_tracer(obs.tracer),
+            )
+        });
+        Arc::clone(r) as Arc<dyn DataSource>
     }
 
     /// Launches one bulk-synchronous segment — every rank consumes its
@@ -540,7 +502,6 @@ impl ElasticJob {
         epoch: u64,
         slices: Vec<Vec<SampleId>>,
         faulty: &mut [Option<Arc<FaultySource>>],
-        retriers: &mut [Option<Arc<RetryingSource>>],
         resilient: &mut [Option<Arc<ResilientSource>>],
         warm: &mut HashMap<usize, TierStack>,
         recovery_started: Option<Instant>,
@@ -584,7 +545,7 @@ impl ElasticJob {
             .map(|rank| {
                 warm.entry(rank)
                     .or_insert_with(|| {
-                        let origin = self.origin_for(pfs, rank, faulty, retriers, resilient);
+                        let origin = self.origin_for(pfs, rank, faulty, resilient);
                         let obs = self.config.obs.scoped([("rank", rank.to_string())]);
                         crate::tiers::class_tier_stack_in_registry(
                             &sys,
@@ -679,13 +640,20 @@ mod tests {
         }
     }
 
-    fn elastic_run(plan: FaultPlan) -> ElasticReport {
+    fn elastic_job(plan: FaultPlan) -> ElasticJob {
         let sizes = Arc::new(vec![1_000u64; 80]);
         let config = JobConfig::new(0xEC, 3, 4, small_system(), TimeScale::new(1e-6));
-        let job = ElasticJob::new(config, Arc::clone(&sizes), plan).expect("valid plan");
+        ElasticJob::new(config, sizes, plan).expect("valid plan")
+    }
+
+    fn run(job: &ElasticJob) -> ElasticReport {
         let pfs = job.make_pfs();
-        materialize(&pfs, &sizes);
+        materialize(&pfs, &job.sizes);
         job.run(&pfs)
+    }
+
+    fn elastic_run(plan: FaultPlan) -> ElasticReport {
+        run(&elastic_job(plan))
     }
 
     #[test]
@@ -748,23 +716,36 @@ mod tests {
     #[test]
     fn injected_read_errors_are_absorbed_by_retries() {
         let baseline = elastic_run(FaultPlan::fault_free());
+        let errors = ReadErrors {
+            rate: 0.1,
+            max_burst: 2,
+            seed: 0xD15EA5E,
+        };
         let plan = FaultPlan::fault_free()
             .crash(1, 3, 0)
-            .with_read_errors(ReadErrors {
-                rate: 0.1,
-                max_burst: 2,
-                seed: 0xD15EA5E,
-            });
-        let report = elastic_run(plan);
-        assert!(
-            report.injected_read_errors > 0,
-            "rate 0.1 must inject over hundreds of reads"
-        );
-        assert!(report.read_retries >= report.injected_read_errors);
-        assert_eq!(
-            report.global_stream, baseline.global_stream,
-            "transient read errors changed the global stream"
-        );
+            .with_read_errors(errors);
+        // Beneath a (quiet) cloud origin too. A hedge races a duplicate
+        // read through the injector and may win over an injected failure
+        // without a retry, so the retries bound the injections only
+        // without one: the default cloud knobs minus the hedge.
+        let cloudy = elastic_job(plan.clone().with_cloud(CloudFaults::none(0xC10D)));
+        let (store, mut res) = ElasticJob::default_cloud_origin(&cloudy.config);
+        res.hedge = None;
+        // Either way one resilient source per rank retries every
+        // injected error.
+        for job in [elastic_job(plan), cloudy.with_cloud_origin(store, res)] {
+            let report = run(&job);
+            assert!(
+                report.injected_read_errors > 0,
+                "rate 0.1 must inject over hundreds of reads"
+            );
+            assert!(report.resilience.retries >= report.injected_read_errors);
+            assert_eq!(report.resilience.exhausted, 0);
+            assert_eq!(
+                report.global_stream, baseline.global_stream,
+                "transient read errors changed the global stream"
+            );
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@
 use crate::config::JobConfig;
 use crate::msg::Msg;
 use crate::stats::SetupStats;
-use crate::worker::{Shared, WorkerHandle};
+use crate::worker::{class_index, Shared, WorkerHandle};
 use nopfs_clairvoyance::engine::SetupPass;
 use nopfs_clairvoyance::placement::GlobalPlacement;
 use nopfs_net::{cluster, NetConfig};
@@ -76,18 +76,7 @@ impl Job {
         // identical values.
         let artifacts = SetupPass::new(spec, config.epochs).run();
         let placement = Arc::new(artifacts.placement(&sizes, &capacities));
-        let class_index: Vec<Arc<Vec<u32>>> = (0..config.system.workers)
-            .map(|w| {
-                let mut idx = vec![u32::MAX; sizes.len()];
-                let assignment = placement.assignment(w);
-                for class in 0..assignment.num_classes() {
-                    for (i, &k) in assignment.prefetch_order(class).iter().enumerate() {
-                        idx[k as usize] = i as u32;
-                    }
-                }
-                Arc::new(idx)
-            })
-            .collect();
+        let class_index = class_index(&placement, config.system.workers, sizes.len());
         let streams = artifacts.streams.expect("setup pass materializes streams");
         let setup = SetupStats {
             shuffle_generations: artifacts.shuffles_generated,

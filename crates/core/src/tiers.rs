@@ -12,12 +12,22 @@
 //! every fill itself (frequency-ranked placement, first-touch cores),
 //! so the stack's read-path promotion machinery stays off and fills go
 //! through [`TierStack::fill`] as pinned residents.
+//!
+//! Every loader also reads its origin the same way: through
+//! [`origin_read_retry`] and its vectored twin [`origin_read_many_retry`],
+//! the loader layer's one retry loop.
 
+use crate::stats::StatsCollector;
+use crate::SampleId;
+use bytes::Bytes;
 use nopfs_obs::Registry;
 use nopfs_perfmodel::SystemSpec;
-use nopfs_storage::{build_stack_in_registry, DataSource, PromotePolicy, TierSpec, TierStack};
+use nopfs_storage::{
+    build_stack_in_registry, DataSource, PromotePolicy, SourceError, TierSpec, TierStack,
+};
 use nopfs_util::timing::TimeScale;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Builds the per-worker hierarchy: one throttled tier per storage
 /// class of `sys` (fastest first) over `origin` (the injected PFS).
@@ -55,6 +65,83 @@ pub fn class_tier_stack_in_registry(
         })
         .collect();
     build_stack_in_registry(&specs, scale, origin, PromotePolicy::Never, registry)
+}
+
+/// Reads `id` from the hierarchy's origin with patient, bounded
+/// retries.
+///
+/// The origin may be a resilient cloud chain whose circuit breaker
+/// fails reads fast with [`SourceError::Unavailable`] while a brownout
+/// lasts; those windows *pass*, so this loop waits them out with a
+/// small capped backoff instead of escalating. The wall-clock budget
+/// keeps liveness: a loader that cannot make progress for a minute is
+/// broken, not browned out. Every failed attempt counts one
+/// `pfs_errors` in `stats`.
+///
+/// # Panics
+/// Panics when the object is missing ([`SourceError::NotFound`] — the
+/// dataset itself is broken, which no loader policy can paper over) or
+/// when reads are still failing after the wall-clock budget.
+pub fn origin_read_retry(tiers: &TierStack, id: SampleId, stats: &StatsCollector) -> Bytes {
+    settle(tiers, id, tiers.read_origin(id), stats)
+}
+
+/// Vectored [`origin_read_retry`]: the whole group goes down to the
+/// origin as **one** [`TierStack::read_origin_many`] call (so a
+/// coalescing origin merges adjacent ids into fewer requests and the
+/// PFS counts the batch as one reader stream), then any id that failed
+/// transiently falls back to the patient single-read retry loop.
+/// Returns the bytes in input order.
+///
+/// # Panics
+/// Panics when an object is missing or still failing after the retry
+/// budget, exactly like [`origin_read_retry`].
+pub fn origin_read_many_retry(
+    tiers: &TierStack,
+    ids: &[SampleId],
+    stats: &StatsCollector,
+) -> Vec<Bytes> {
+    tiers
+        .read_origin_many(ids)
+        .into_iter()
+        .zip(ids)
+        .map(|(r, &id)| settle(tiers, id, r, stats))
+        .collect()
+}
+
+/// The retry loop behind both: `first` is the outcome of the attempt
+/// already made.
+fn settle(
+    tiers: &TierStack,
+    id: SampleId,
+    first: Result<Bytes, SourceError>,
+    stats: &StatsCollector,
+) -> Bytes {
+    const BUDGET: Duration = Duration::from_secs(60);
+    let start = Instant::now();
+    let mut attempt = 0u32;
+    let mut result = first;
+    loop {
+        match result {
+            Ok(data) => return data,
+            Err(SourceError::NotFound(_)) => {
+                panic!("sample {id} missing from the PFS: dataset not materialized?")
+            }
+            Err(e) => {
+                stats.count_pfs_error();
+                if start.elapsed() >= BUDGET {
+                    panic!("origin read of sample {id} still failing after {BUDGET:?}: {e}");
+                }
+                attempt += 1;
+                // Escalate 50µs → 2ms, then hold: long enough to drain
+                // transient bursts, short enough that breaker reopening
+                // after a brownout is observed almost immediately.
+                let us = (50u64 << attempt.min(10)).min(2_000);
+                std::thread::sleep(Duration::from_micros(us));
+            }
+        }
+        result = tiers.read_origin(id);
+    }
 }
 
 #[cfg(test)]

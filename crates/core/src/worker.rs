@@ -26,6 +26,7 @@ use crate::config::JobConfig;
 use crate::msg::Msg;
 use crate::peer::PeerClient;
 use crate::stats::{SetupStats, StatsCollector, WorkerStats};
+use crate::tiers::{origin_read_many_retry, origin_read_retry};
 use crate::window::{OriginWindow, Taken};
 use crate::SampleId;
 use bytes::Bytes;
@@ -35,9 +36,7 @@ use nopfs_net::Endpoint;
 use nopfs_obs::{names, Counter, ObsCtx, Registry};
 use nopfs_perfmodel::Location;
 use nopfs_pfs::Pfs;
-use nopfs_storage::{
-    ReorderStage, ResilienceStats, SourceError, SourceHealth, TierStack, TierStats,
-};
+use nopfs_storage::{ReorderStage, ResilienceStats, SourceHealth, TierStack, TierStats};
 use nopfs_util::timing::precise_wait;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -79,74 +78,25 @@ const FILL_BATCH: usize = 16;
 /// own capacity.
 pub(crate) const STAGE_BATCH: u64 = 8;
 
-/// Reads `id` from the hierarchy's origin with patient, bounded
-/// retries.
-///
-/// The origin may now be a resilient cloud chain whose circuit breaker
-/// fails reads fast with [`SourceError::Unavailable`] while a brownout
-/// lasts; those windows *pass*, so this loop waits them out with a
-/// small capped backoff instead of escalating. The wall-clock budget
-/// keeps liveness: a loader that cannot make progress for a minute is
-/// broken, not browned out.
-///
-/// # Panics
-/// Panics when the object is missing ([`SourceError::NotFound`] — the
-/// dataset itself is broken, which no loader policy can paper over) or
-/// when reads are still failing after the wall-clock budget.
-fn origin_read_retry(tiers: &TierStack, id: SampleId, stats: &StatsCollector) -> Bytes {
-    const BUDGET: std::time::Duration = std::time::Duration::from_secs(60);
-    let start = Instant::now();
-    let mut attempt = 0u32;
-    loop {
-        match tiers.read_origin(id) {
-            Ok(data) => return data,
-            Err(SourceError::NotFound(_)) => {
-                panic!("sample {id} missing from the PFS: dataset not materialized?")
-            }
-            Err(e) => {
-                stats.count_pfs_error();
-                if start.elapsed() >= BUDGET {
-                    panic!("origin read of sample {id} still failing after {BUDGET:?}: {e}");
+/// `class_index[w][k]` for every worker `w` of `placement`: the
+/// position of sample `k` in `w`'s class prefetch list, `u32::MAX`
+/// when unassigned. [`Shared::class_index`] for `Job::new` and for each
+/// of the elastic runtime's memberships.
+pub(crate) fn class_index(
+    placement: &GlobalPlacement,
+    workers: usize,
+    samples: usize,
+) -> Vec<Arc<Vec<u32>>> {
+    (0..workers)
+        .map(|w| {
+            let mut idx = vec![u32::MAX; samples];
+            let assignment = placement.assignment(w);
+            for class in 0..assignment.num_classes() {
+                for (i, &k) in assignment.prefetch_order(class).iter().enumerate() {
+                    idx[k as usize] = i as u32;
                 }
-                attempt += 1;
-                // Escalate 50µs → 2ms, then hold: long enough to drain
-                // transient bursts, short enough that breaker reopening
-                // after a brownout is observed almost immediately.
-                let us = (50u64 << attempt.min(10)).min(2_000);
-                std::thread::sleep(std::time::Duration::from_micros(us));
             }
-        }
-    }
-}
-
-/// Vectored [`origin_read_retry`]: the whole group goes down to the
-/// origin as **one** [`TierStack::read_origin_many`] call (so a
-/// coalescing origin merges adjacent ids into fewer requests and the
-/// PFS counts the batch as one reader stream), then any id that failed
-/// transiently falls back to the patient single-read retry loop.
-/// Returns the bytes in input order.
-///
-/// # Panics
-/// Panics when an object is missing or still failing after the retry
-/// budget, exactly like [`origin_read_retry`].
-fn origin_read_many_retry(
-    tiers: &TierStack,
-    ids: &[SampleId],
-    stats: &StatsCollector,
-) -> Vec<Bytes> {
-    tiers
-        .read_origin_many(ids)
-        .into_iter()
-        .zip(ids)
-        .map(|(r, &id)| match r {
-            Ok(data) => data,
-            Err(SourceError::NotFound(_)) => {
-                panic!("sample {id} missing from the PFS: dataset not materialized?")
-            }
-            Err(_) => {
-                stats.count_pfs_error();
-                origin_read_retry(tiers, id, stats)
-            }
+            Arc::new(idx)
         })
         .collect()
 }

@@ -388,22 +388,29 @@ impl Pfs {
     /// one stream to `t(γ)` no matter how many objects it drains down
     /// it, so a batch raises `γ` once instead of once per object —
     /// per-object regulator pacing, fault checks, and statistics are
-    /// unchanged from [`Self::read`].
+    /// unchanged from [`Self::read`]. The collecting form of the loop
+    /// behind the PFS's [`DataSource::read_each`](nopfs_storage::DataSource::read_each).
     pub fn read_many(&self, ids: &[ObjectId]) -> Vec<Result<Bytes, PfsError>> {
-        let guard = ReaderGuard::enter(&self.inner);
-        let results: Vec<Result<Bytes, PfsError>> = ids
-            .iter()
-            .map(|&id| {
-                self.check_fault(id)?;
+        let mut results = Vec::with_capacity(ids.len());
+        self.read_batch(ids, |r| results.push(r));
+        results
+    }
+
+    /// The vectored read behind [`Self::read_many`] and the
+    /// [`DataSource::read_each`](nopfs_storage::DataSource::read_each)
+    /// override: `sink` gets one result per id, in order, while the
+    /// batch's one reader registration is held.
+    fn read_batch(&self, ids: &[ObjectId], mut sink: impl FnMut(Result<Bytes, PfsError>)) {
+        let _guard = ReaderGuard::enter(&self.inner);
+        for &id in ids {
+            sink(self.check_fault(id).and_then(|()| {
                 let data = self.load(id)?;
                 self.inner.regulator.acquire(data.len() as u64);
                 self.inner.stats.reads.inc();
                 self.inner.stats.bytes_read.add(data.len() as u64);
                 Ok(data)
-            })
-            .collect();
-        drop(guard);
-        results
+            }));
+        }
     }
 
     /// Current number of in-flight readers (`γ`).
@@ -456,11 +463,12 @@ impl nopfs_storage::DataSource for Pfs {
         Pfs::read(self, id).map_err(Into::into)
     }
 
-    fn read_many(&self, ids: &[ObjectId]) -> Vec<Result<Bytes, nopfs_storage::SourceError>> {
-        Pfs::read_many(self, ids)
-            .into_iter()
-            .map(|r| r.map_err(Into::into))
-            .collect()
+    fn read_each(
+        &self,
+        ids: &[ObjectId],
+        sink: &mut dyn FnMut(Result<Bytes, nopfs_storage::SourceError>),
+    ) {
+        self.read_batch(ids, |r| sink(r.map_err(Into::into)));
     }
 
     fn write(&self, id: ObjectId, data: Bytes) -> Result<(), nopfs_storage::SourceError> {

@@ -1,23 +1,26 @@
-//! Fault injection and retry for the storage hierarchy.
+//! Fault injection and the retry schedule for the storage hierarchy.
 //!
 //! Production traces of ML storage backends (and the cloud-storage
 //! characterization literature) show transient read errors are the
 //! norm, not the exception: loaders must retry with backoff rather
-//! than crash. This module provides both halves as [`DataSource`]
-//! wrappers, so they slot *beneath* a [`crate::TierStack`] — typically
-//! around the PFS origin — without the fetch paths above knowing:
+//! than crash. This module provides the injecting half as a
+//! [`DataSource`] wrapper, so it slots *beneath* a
+//! [`crate::TierStack`] — typically around the PFS origin — without the
+//! fetch paths above knowing, and the schedule the retrying half runs:
 //!
 //! - [`FaultySource`] deterministically injects transient
 //!   [`SourceError::Io`] failures on reads, in bounded bursts, from a
 //!   seed (the same seed reproduces the same failure pattern);
-//! - [`RetryingSource`] retries retryable failures (per the
-//!   [`crate::ErrorClass`] taxonomy) with seeded, capped, full-jitter
-//!   exponential backoff, and refuses to retry permanent errors
-//!   ([`SourceError::NotFound`] / [`SourceError::Full`] /
-//!   [`SourceError::Unavailable`] — a missing sample does not come
-//!   back, no matter how often one asks).
+//! - [`RetryPolicy`] is a seeded, capped, full-jitter exponential
+//!   backoff. The retry loop that follows it is
+//!   [`crate::ResilientSource`]'s; [`crate::ResilienceConfig::retry_only`]
+//!   is that wrapper with nothing but the loop. It retries retryable
+//!   failures (per the [`crate::ErrorClass`] taxonomy) and refuses to
+//!   retry permanent ones ([`SourceError::NotFound`] /
+//!   [`SourceError::Full`] / [`SourceError::Unavailable`] — a missing
+//!   sample does not come back, no matter how often one asks).
 //!
-//! Stacked as `RetryingSource(FaultySource(origin))` with a retry
+//! Stacked as `ResilientSource(FaultySource(origin))` with a retry
 //! budget exceeding the burst bound, every read eventually succeeds —
 //! the "transient by construction" contract the elastic runtime's
 //! fault plans rely on.
@@ -255,176 +258,12 @@ impl RetryPolicy {
     }
 }
 
-/// A [`DataSource`] wrapper that retries retryable read failures
-/// (per [`SourceError::class`]) under a [`RetryPolicy`], sleeping the
-/// jittered backoff between attempts — or the server-suggested
-/// `retry_after`, whichever is longer, when the error is
-/// [`SourceError::Throttled`]. Permanent errors ([`crate::ErrorClass::Permanent`]:
-/// `NotFound`, `Full`, `Unavailable`) are returned immediately:
-/// retrying them cannot help and only masks a broken dataset or an
-/// open circuit.
-pub struct RetryingSource {
-    inner: Arc<dyn DataSource>,
-    policy: RetryPolicy,
-    draws: AtomicU64,
-    retries: AtomicU64,
-    exhausted: AtomicU64,
-}
-
-impl std::fmt::Debug for RetryingSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RetryingSource")
-            .field("inner", &self.inner.name())
-            .field("policy", &self.policy)
-            .field("retries", &self.retries)
-            .finish()
-    }
-}
-
-impl RetryingSource {
-    /// Wraps `inner` under `policy`.
-    pub fn new(inner: Arc<dyn DataSource>, policy: RetryPolicy) -> Self {
-        Self {
-            inner,
-            policy,
-            draws: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            exhausted: AtomicU64::new(0),
-        }
-    }
-
-    /// Total retries performed so far.
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
-    }
-
-    /// Reads whose whole retry budget was exhausted.
-    pub fn exhausted(&self) -> u64 {
-        self.exhausted.load(Ordering::Relaxed)
-    }
-}
-
-impl DataSource for RetryingSource {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn read(&self, id: SampleId) -> Result<Bytes, SourceError> {
-        let mut last = None;
-        for attempt in 0..self.policy.attempts {
-            match self.inner.read(id) {
-                Ok(data) => return Ok(data),
-                Err(e) if !e.is_retryable() => return Err(e),
-                Err(e) => {
-                    let mut wait = None;
-                    if attempt + 1 < self.policy.attempts {
-                        let draw = self.draws.fetch_add(1, Ordering::Relaxed);
-                        self.retries.fetch_add(1, Ordering::Relaxed);
-                        let backoff = self.policy.backoff(attempt, draw);
-                        // A throttling backend sets the floor; the
-                        // client's jittered backoff only ever adds.
-                        wait = Some(match &e {
-                            SourceError::Throttled { retry_after } => backoff.max(*retry_after),
-                            _ => backoff,
-                        });
-                    }
-                    last = Some(e);
-                    if let Some(wait) = wait {
-                        std::thread::sleep(wait);
-                    }
-                }
-            }
-        }
-        self.exhausted.fetch_add(1, Ordering::Relaxed);
-        Err(last.expect("loop ran at least once"))
-    }
-
-    /// Vectored read: one batched pass through the inner source's
-    /// [`DataSource::read_many`] (so a coalescing origin keeps its
-    /// batching), then each retryable straggler is re-driven through
-    /// the single-read retry path with its full backoff schedule.
-    /// Permanent errors are returned in place, unretried.
-    fn read_many(&self, ids: &[SampleId]) -> Vec<Result<Bytes, SourceError>> {
-        let mut results = self.inner.read_many(ids);
-        for (r, &id) in results.iter_mut().zip(ids) {
-            if matches!(r, Err(e) if e.is_retryable()) {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                *r = self.read(id);
-            }
-        }
-        results
-    }
-
-    fn write(&self, id: SampleId, data: Bytes) -> Result<(), SourceError> {
-        self.inner.write(id, data)
-    }
-
-    fn contains(&self, id: SampleId) -> bool {
-        self.inner.contains(id)
-    }
-
-    fn capacity(&self) -> Option<u64> {
-        self.inner.capacity()
-    }
-
-    fn used(&self) -> u64 {
-        self.inner.used()
-    }
-
-    fn evict(&self, id: SampleId) -> bool {
-        self.inner.evict(id)
-    }
-
-    fn count(&self) -> usize {
-        self.inner.count()
-    }
-
-    fn size_of(&self, id: SampleId) -> Option<u64> {
-        self.inner.size_of(id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::{MemoryBackend, StorageBackend};
-
-    /// A source whose reads always fail transiently, counting attempts.
-    #[derive(Debug)]
-    struct AlwaysIo {
-        attempts: AtomicU64,
-    }
-
-    impl DataSource for AlwaysIo {
-        fn name(&self) -> &str {
-            "always-io"
-        }
-        fn read(&self, _id: SampleId) -> Result<Bytes, SourceError> {
-            self.attempts.fetch_add(1, Ordering::Relaxed);
-            Err(SourceError::Io("down".into()))
-        }
-        fn write(&self, _id: SampleId, _data: Bytes) -> Result<(), SourceError> {
-            Ok(())
-        }
-        fn contains(&self, _id: SampleId) -> bool {
-            false
-        }
-        fn capacity(&self) -> Option<u64> {
-            None
-        }
-        fn used(&self) -> u64 {
-            0
-        }
-        fn evict(&self, _id: SampleId) -> bool {
-            false
-        }
-        fn count(&self) -> usize {
-            0
-        }
-        fn size_of(&self, _id: SampleId) -> Option<u64> {
-            None
-        }
-    }
+    use crate::resilience::{ResilienceConfig, ResilientSource};
+    use nopfs_util::timing::TimeScale;
 
     fn mem_with(ids: &[SampleId]) -> Arc<dyn DataSource> {
         let m = MemoryBackend::new("mem", 1_000_000);
@@ -434,34 +273,23 @@ mod tests {
         Arc::new(m)
     }
 
-    fn fast_policy(attempts: u32) -> RetryPolicy {
-        RetryPolicy::new(attempts, Duration::from_micros(10), 0.5, 7)
-    }
-
-    #[test]
-    fn exhausted_retries_surface_the_last_transient_error() {
-        let counter = Arc::new(AlwaysIo {
-            attempts: AtomicU64::new(0),
-        });
-        let retry = RetryingSource::new(counter.clone() as Arc<dyn DataSource>, fast_policy(4));
-        match retry.read(3) {
-            Err(SourceError::Io(m)) => assert_eq!(m, "down"),
-            other => panic!("expected Io, got {other:?}"),
-        }
-        // Exactly the whole budget was spent: 4 attempts, 3 retries.
-        assert_eq!(counter.attempts.load(Ordering::Relaxed), 4);
-        assert_eq!(retry.retries(), 3);
-        assert_eq!(retry.exhausted(), 1);
+    /// The plain retry: a [`ResilientSource`] with nothing but the loop.
+    fn retrying(inner: Arc<dyn DataSource>, attempts: u32) -> ResilientSource {
+        let policy = RetryPolicy::new(attempts, Duration::from_micros(10), 0.5, 7);
+        ResilientSource::new(
+            inner,
+            ResilienceConfig::retry_only(policy),
+            TimeScale::realtime(),
+        )
     }
 
     #[test]
     fn permanent_errors_are_never_retried() {
         // NotFound: a single attempt, returned verbatim.
-        let empty = mem_with(&[]);
-        let retry = RetryingSource::new(empty, fast_policy(5));
+        let retry = retrying(mem_with(&[]), 5);
         assert_eq!(retry.read(9), Err(SourceError::NotFound(9)));
-        assert_eq!(retry.retries(), 0);
-        assert_eq!(retry.exhausted(), 0);
+        let stats = retry.resilience().unwrap();
+        assert_eq!((stats.reads, stats.retries, stats.exhausted), (1, 0, 0));
     }
 
     #[test]
@@ -551,95 +379,6 @@ mod tests {
         assert!(!SourceError::Unavailable("open".into()).is_retryable());
     }
 
-    /// A source failing with a fixed error a set number of times.
-    #[derive(Debug)]
-    struct FailNTimes {
-        error: SourceError,
-        remaining: AtomicU64,
-        attempts: AtomicU64,
-    }
-
-    impl FailNTimes {
-        fn new(error: SourceError, n: u64) -> Self {
-            Self {
-                error,
-                remaining: AtomicU64::new(n),
-                attempts: AtomicU64::new(0),
-            }
-        }
-    }
-
-    impl DataSource for FailNTimes {
-        fn name(&self) -> &str {
-            "fail-n"
-        }
-        fn read(&self, id: SampleId) -> Result<Bytes, SourceError> {
-            self.attempts.fetch_add(1, Ordering::Relaxed);
-            if self
-                .remaining
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |r| r.checked_sub(1))
-                .is_ok()
-            {
-                Err(self.error.clone())
-            } else {
-                Ok(Bytes::from(vec![id as u8; 4]))
-            }
-        }
-        fn write(&self, _id: SampleId, _data: Bytes) -> Result<(), SourceError> {
-            Ok(())
-        }
-        fn contains(&self, _id: SampleId) -> bool {
-            true
-        }
-        fn capacity(&self) -> Option<u64> {
-            None
-        }
-        fn used(&self) -> u64 {
-            0
-        }
-        fn evict(&self, _id: SampleId) -> bool {
-            false
-        }
-        fn count(&self) -> usize {
-            0
-        }
-        fn size_of(&self, _id: SampleId) -> Option<u64> {
-            None
-        }
-    }
-
-    #[test]
-    fn throttled_and_deadline_errors_are_retried_unavailable_is_not() {
-        // Throttled: retried through, honoring retry_after as a floor.
-        let throttled = Arc::new(FailNTimes::new(
-            SourceError::Throttled {
-                retry_after: Duration::from_micros(50),
-            },
-            2,
-        ));
-        let retry = RetryingSource::new(throttled.clone() as Arc<dyn DataSource>, fast_policy(4));
-        assert_eq!(retry.read(7).unwrap()[0], 7);
-        assert_eq!(retry.retries(), 2);
-        // DeadlineExceeded: also retryable.
-        let deadline = Arc::new(FailNTimes::new(
-            SourceError::DeadlineExceeded {
-                deadline: Duration::from_micros(10),
-            },
-            1,
-        ));
-        let retry = RetryingSource::new(deadline as Arc<dyn DataSource>, fast_policy(4));
-        assert!(retry.read(1).is_ok());
-        // Unavailable (open breaker downstream): fail-fast, one attempt.
-        let open = Arc::new(FailNTimes::new(
-            SourceError::Unavailable("circuit open".into()),
-            10,
-        ));
-        let retry = RetryingSource::new(open.clone() as Arc<dyn DataSource>, fast_policy(5));
-        assert!(matches!(retry.read(1), Err(SourceError::Unavailable(_))));
-        assert_eq!(open.attempts.load(Ordering::Relaxed), 1);
-        assert_eq!(retry.retries(), 0);
-    }
-
     #[test]
     fn injected_bursts_are_bounded_and_deterministic() {
         let spec = ErrorInjection::new(0.3, 3, 0xFA);
@@ -682,7 +421,7 @@ mod tests {
                 mem_with(&[0, 1, 2]),
                 ErrorInjection::new(0.45, 2, seed),
             ));
-            let retry = RetryingSource::new(faulty, fast_policy(4));
+            let retry = retrying(faulty, 4);
             for round in 0..50 {
                 for id in 0..3u64 {
                     let data = retry
@@ -691,35 +430,7 @@ mod tests {
                     assert_eq!(data[0], id as u8);
                 }
             }
-            assert_eq!(retry.exhausted(), 0);
-        }
-    }
-
-    #[test]
-    fn read_many_retries_stragglers_and_keeps_permanent_errors() {
-        // Transient injection below the retry budget: every present id
-        // comes back clean from one vectored call; the absent id stays
-        // NotFound without burning retries.
-        for seed in 0..10u64 {
-            let faulty = Arc::new(FaultySource::new(
-                mem_with(&[0, 1, 2, 3]),
-                ErrorInjection::new(0.45, 2, seed),
-            ));
-            let retry = RetryingSource::new(faulty, fast_policy(4));
-            for round in 0..30 {
-                let res = retry.read_many(&[0, 1, 9, 2, 3]);
-                for (i, &id) in [0u64, 1, 9, 2, 3].iter().enumerate() {
-                    if id == 9 {
-                        assert_eq!(res[i], Err(SourceError::NotFound(9)));
-                    } else {
-                        let data = res[i]
-                            .as_ref()
-                            .unwrap_or_else(|e| panic!("seed {seed} round {round} id {id}: {e}"));
-                        assert_eq!(data[0], id as u8);
-                    }
-                }
-            }
-            assert_eq!(retry.exhausted(), 0);
+            assert_eq!(retry.resilience().unwrap().exhausted, 0);
         }
     }
 
@@ -729,7 +440,7 @@ mod tests {
             mem_with(&[5]),
             ErrorInjection::new(0.0, 1, 0),
         ));
-        let retry = RetryingSource::new(faulty, fast_policy(2));
+        let retry = retrying(faulty, 2);
         assert_eq!(retry.name(), "mem");
         assert!(retry.contains(5));
         assert_eq!(retry.size_of(5), Some(8));

@@ -18,10 +18,11 @@
 //!   trait unifying every storage level (these backends, the synthetic
 //!   PFS, anything colder) and [`tier::TierStack`], the single fetch
 //!   entry point with per-tier statistics and promotion-on-miss.
-//! - [`fault`] — fault injection and retry as [`tier::DataSource`]
-//!   wrappers: [`fault::FaultySource`] injects deterministic bounded
-//!   bursts of transient read errors, [`fault::RetryingSource`] retries
-//!   them with seeded, capped, full-jitter exponential backoff.
+//! - [`fault`] — fault injection and the retry schedule:
+//!   [`fault::FaultySource`] injects deterministic bounded bursts of
+//!   transient read errors as a [`tier::DataSource`] wrapper, and
+//!   [`fault::RetryPolicy`] is the seeded, capped, full-jitter
+//!   exponential backoff the resilience layer retries them with.
 //! - [`objectstore`] — the cloud origin tier:
 //!   [`objectstore::ObjectStoreBackend`] charges S3-like request
 //!   economics (latency floor, parallelism-dependent throughput,
@@ -35,7 +36,8 @@
 //!   [`resilience::ResilientSource`] composes per-read deadlines,
 //!   hedged requests, taxonomy-aware retry, and a circuit breaker,
 //!   surfacing [`resilience::ResilienceStats`] next to the per-tier
-//!   [`tier::TierStats`].
+//!   [`tier::TierStats`]. It is the workspace's one retrying source:
+//!   [`resilience::ResilienceConfig::retry_only`] is the plain retry.
 
 pub mod backend;
 pub mod fault;
@@ -48,7 +50,7 @@ pub mod staging;
 pub mod tier;
 
 pub use backend::{FsBackend, MemoryBackend, StorageBackend, ThrottledBackend};
-pub use fault::{ErrorInjection, FaultySource, RetryPolicy, RetryingSource};
+pub use fault::{ErrorInjection, FaultySource, RetryPolicy};
 pub use metadata::MetadataStore;
 pub use objectstore::{
     BrownoutWindow, Disturbance, ObjectStoreBackend, ObjectStoreConfig, ObjectStoreStats,

@@ -153,7 +153,7 @@ pub struct ObjectStoreConfig {
     /// Aggregate throughput as a function of concurrent requests,
     /// model bytes/s.
     pub curve: ThroughputCurve,
-    /// Longest run of adjacent sample ids [`DataSource::read_many`]
+    /// Longest run of adjacent sample ids [`DataSource::read_each`]
     /// merges into one request (≥ 1; 1 disables coalescing).
     pub max_coalesce: usize,
     /// Disturbances; `None` = ideally behaved store.
@@ -372,7 +372,8 @@ impl ObjectStoreBackend {
 
     /// Performs one request for the adjacent run `ids`: one latency
     /// floor, per-id throttle checks, shared-bandwidth byte costs.
-    fn request(&self, ids: &[SampleId]) -> Vec<Result<Bytes, SourceError>> {
+    /// `sink` gets one result per id, in order.
+    fn request(&self, ids: &[SampleId], sink: &mut dyn FnMut(Result<Bytes, SourceError>)) {
         let now = self.now();
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         self.counters
@@ -394,22 +395,21 @@ impl ObjectStoreBackend {
         if slowdown > 1.0 {
             guard.rerate(slowdown);
         }
-        ids.iter()
-            .map(|&id| {
-                if self.throttled(id, extra_throttle) {
-                    self.counters.throttled.fetch_add(1, Ordering::Relaxed);
-                    let retry_after = self
-                        .cfg
-                        .disturbance
-                        .as_ref()
-                        .map_or(Duration::ZERO, |d| self.scale.to_wall(d.retry_after));
-                    return Err(SourceError::Throttled { retry_after });
-                }
-                let data = self.inner.read(id)?;
+        for &id in ids {
+            if self.throttled(id, extra_throttle) {
+                self.counters.throttled.fetch_add(1, Ordering::Relaxed);
+                let retry_after = self
+                    .cfg
+                    .disturbance
+                    .as_ref()
+                    .map_or(Duration::ZERO, |d| self.scale.to_wall(d.retry_after));
+                sink(Err(SourceError::Throttled { retry_after }));
+                continue;
+            }
+            sink(self.inner.read(id).inspect(|data| {
                 self.regulator.acquire(data.len() as u64);
-                Ok(data)
-            })
-            .collect()
+            }));
+        }
     }
 }
 
@@ -462,23 +462,23 @@ impl DataSource for ObjectStoreBackend {
     }
 
     fn read(&self, id: SampleId) -> Result<Bytes, SourceError> {
-        self.request(&[id]).pop().expect("one id, one result")
+        let mut got = None;
+        self.request(&[id], &mut |r| got = Some(r));
+        got.expect("one id, one result")
     }
 
-    fn read_many(&self, ids: &[SampleId]) -> Vec<Result<Bytes, SourceError>> {
+    fn read_each(&self, ids: &[SampleId], sink: &mut dyn FnMut(Result<Bytes, SourceError>)) {
         // Coalesce runs of adjacent ids into single requests: each run
         // pays one latency floor instead of one per sample.
-        let mut out = Vec::with_capacity(ids.len());
         let mut i = 0;
         while i < ids.len() {
             let mut j = i + 1;
             while j < ids.len() && j - i < self.cfg.max_coalesce && ids[j] == ids[j - 1] + 1 {
                 j += 1;
             }
-            out.extend(self.request(&ids[i..j]));
+            self.request(&ids[i..j], sink);
             i = j;
         }
-        out
     }
 
     fn write(&self, id: SampleId, data: Bytes) -> Result<(), SourceError> {
@@ -563,7 +563,8 @@ mod tests {
         // Two adjacent runs (0..8, 20..24) and one singleton.
         let ids: Vec<u64> = (0..8).chain([15]).chain(20..24).collect();
         let t0 = Instant::now();
-        let results = store.read_many(&ids);
+        let mut results = Vec::new();
+        store.read_each(&ids, &mut |r| results.push(r));
         let elapsed = t0.elapsed();
         assert_eq!(results.len(), ids.len());
         for (r, &id) in results.iter().zip(&ids) {
@@ -584,7 +585,7 @@ mod tests {
         cfg.max_coalesce = 4;
         let store = ObjectStoreBackend::over(objects(16, 8), cfg, TimeScale::realtime());
         let ids: Vec<u64> = (0..10).collect();
-        store.read_many(&ids);
+        store.read_each(&ids, &mut |r| assert!(r.is_ok()));
         assert_eq!(store.stats().requests, 3, "10 adjacent ids in runs of 4");
     }
 

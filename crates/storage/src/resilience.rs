@@ -15,7 +15,10 @@
 //!   latency quantile, a duplicate is fired and the first answer wins
 //!   (hedging changes *when* bytes arrive, never *which* bytes);
 //! - **retry** — retryable failures are re-attempted under the caller's
-//!   [`RetryPolicy`] (capped exponential backoff, full jitter);
+//!   [`RetryPolicy`] (capped exponential backoff, full jitter). This is
+//!   the storage layer's one retry loop:
+//!   [`ResilienceConfig::retry_only`] — no deadline, hedge or breaker —
+//!   is the plain retrying source;
 //! - **circuit breaking** — consecutive failures open a [`CircuitBreaker`];
 //!   while open, reads fail fast with [`SourceError::Unavailable`] so
 //!   the fetch path can degrade gracefully to peers or lower tiers, and
@@ -619,22 +622,27 @@ impl ResilientSource {
         last.unwrap_or(AttemptOutcome::TimedOut)
     }
 
-    /// The breaker → retry → deadline/hedge pipeline behind
-    /// [`DataSource::read`].
-    fn read_impl(&self, id: SampleId) -> Result<Bytes, SourceError> {
-        self.counters.reads.inc();
+    /// One breaker admission: `Err` is the fail-fast answer while the
+    /// breaker is open.
+    fn admit(&self) -> Result<(), SourceError> {
+        match &self.breaker {
+            Some(b) if !b.allow(self.now()) => Err(SourceError::Unavailable(format!(
+                "{}: circuit open",
+                self.inner.name()
+            ))),
+            _ => Ok(()),
+        }
+    }
+
+    /// **The** retry loop behind every read: breaker → retry →
+    /// deadline/hedge. Between attempts it counts a retry and sleeps
+    /// the jittered backoff — or the server-suggested `retry_after`,
+    /// whichever is longer.
+    fn retry(&self, id: SampleId) -> Result<Bytes, SourceError> {
         let mut last = None;
         for attempt in 0..self.cfg.retry.attempts {
-            if let Some(b) = &self.breaker {
-                if !b.allow(self.now()) {
-                    return Err(SourceError::Unavailable(format!(
-                        "{}: circuit open",
-                        self.inner.name()
-                    )));
-                }
-            }
-            let outcome = self.attempt(id);
-            let err = match outcome {
+            self.admit()?;
+            let err = match self.attempt(id) {
                 AttemptOutcome::Done(Ok(data), latency, hedge_won) => {
                     if let Some(b) = &self.breaker {
                         b.on_success(self.now());
@@ -645,12 +653,10 @@ impl ResilientSource {
                     self.tracker.lock().record(latency);
                     return Ok(data);
                 }
+                // NotFound/Full say nothing about backend health: pass
+                // through without tripping.
+                AttemptOutcome::Done(Err(e), ..) if !e.is_retryable() => return Err(e),
                 AttemptOutcome::Done(Err(e), ..) => {
-                    if !e.is_retryable() {
-                        // NotFound/Full say nothing about backend
-                        // health: pass through without tripping.
-                        return Err(e);
-                    }
                     if matches!(e, SourceError::Throttled { .. }) {
                         self.counters.throttled.inc();
                     }
@@ -670,11 +676,10 @@ impl ResilientSource {
                 let draw = self.draws.fetch_add(1, Ordering::Relaxed);
                 self.counters.retries.inc();
                 let backoff = self.cfg.retry.backoff(attempt, draw);
-                let wait = match &err {
+                std::thread::sleep(match &err {
                     SourceError::Throttled { retry_after } => backoff.max(*retry_after),
                     _ => backoff,
-                };
-                std::thread::sleep(wait);
+                });
             }
             last = Some(err);
         }
@@ -687,25 +692,55 @@ impl DataSource for ResilientSource {
     fn read(&self, id: SampleId) -> Result<Bytes, SourceError> {
         // Only pay for the clock when a histogram is listening.
         let t0 = self.counters.read_latency.is_active().then(Instant::now);
-        let result = self.read_impl(id);
+        self.counters.reads.inc();
+        let result = self.retry(id);
         if let Some(t0) = t0 {
             self.counters.read_latency.record_duration(t0.elapsed());
         }
         result
     }
 
-    fn read_many(&self, ids: &[SampleId]) -> Vec<Result<Bytes, SourceError>> {
-        // First pass through the backend's own coalescing; any
-        // retryable stragglers go back through the full read path.
-        self.inner
-            .read_many(ids)
-            .into_iter()
-            .zip(ids)
-            .map(|(r, &id)| match r {
-                Err(e) if e.is_retryable() => self.read(id),
+    /// A length-1 call is [`Self::read`], deadline and hedge included.
+    /// A longer batch is admitted through the breaker **once** (an
+    /// open breaker answers every id `Unavailable` without touching the
+    /// inner source) and goes down as one inner vectored read, so a
+    /// coalescing backend keeps its batching; its outcome is booked
+    /// once. Each retryable straggler then counts a retry and is
+    /// re-driven through the retry loop — after the inner call has
+    /// returned, so no backoff sleeps inside the inner source's reader
+    /// registration. Permanent errors are returned in place.
+    fn read_each(&self, ids: &[SampleId], sink: &mut dyn FnMut(Result<Bytes, SourceError>)) {
+        if let &[id] = ids {
+            return sink(self.read(id));
+        }
+        self.counters.reads.add(ids.len() as u64);
+        if let Err(e) = self.admit() {
+            return ids.iter().for_each(|_| sink(Err(e.clone())));
+        }
+        let mut results = Vec::with_capacity(ids.len());
+        self.inner.read_each(ids, &mut |r| results.push(r));
+        if let Some(b) = &self.breaker {
+            if results
+                .iter()
+                .any(|r| matches!(r, Err(e) if e.is_retryable()))
+            {
+                b.on_failure(self.now());
+            } else {
+                b.on_success(self.now());
+            }
+        }
+        for (r, &id) in results.into_iter().zip(ids) {
+            sink(match r {
+                Err(e) if e.is_retryable() => {
+                    if matches!(e, SourceError::Throttled { .. }) {
+                        self.counters.throttled.inc();
+                    }
+                    self.counters.retries.inc();
+                    self.retry(id)
+                }
                 other => other,
-            })
-            .collect()
+            });
+        }
     }
 
     fn name(&self) -> &str {
@@ -837,6 +872,198 @@ mod tests {
         fn size_of(&self, id: SampleId) -> Option<u64> {
             self.inner.size_of(id)
         }
+    }
+
+    /// A source failing with a fixed error a set number of times, then
+    /// serving, counting every attempt.
+    #[derive(Debug)]
+    struct FailNTimes {
+        error: SourceError,
+        remaining: AtomicU64,
+        attempts: AtomicU64,
+    }
+
+    impl FailNTimes {
+        fn new(error: SourceError, n: u64) -> Self {
+            Self {
+                error,
+                remaining: AtomicU64::new(n),
+                attempts: AtomicU64::new(0),
+            }
+        }
+
+        fn attempts(&self) -> u64 {
+            self.attempts.load(Ordering::Relaxed)
+        }
+    }
+
+    impl DataSource for FailNTimes {
+        fn name(&self) -> &str {
+            "fail-n"
+        }
+        fn read(&self, id: SampleId) -> Result<Bytes, SourceError> {
+            self.attempts.fetch_add(1, Ordering::Relaxed);
+            if self
+                .remaining
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |r| r.checked_sub(1))
+                .is_ok()
+            {
+                Err(self.error.clone())
+            } else {
+                Ok(Bytes::from(vec![id as u8; 4]))
+            }
+        }
+        fn write(&self, _id: SampleId, _data: Bytes) -> Result<(), SourceError> {
+            Ok(())
+        }
+        fn contains(&self, _id: SampleId) -> bool {
+            true
+        }
+        fn capacity(&self) -> Option<u64> {
+            None
+        }
+        fn used(&self) -> u64 {
+            0
+        }
+        fn evict(&self, _id: SampleId) -> bool {
+            false
+        }
+        fn count(&self) -> usize {
+            0
+        }
+        fn size_of(&self, _id: SampleId) -> Option<u64> {
+            None
+        }
+    }
+
+    fn retry_only(inner: Arc<dyn DataSource>, attempts: u32) -> ResilientSource {
+        ResilientSource::new(
+            inner,
+            ResilienceConfig::retry_only(fast_retry(attempts)),
+            TimeScale::realtime(),
+        )
+    }
+
+    fn read_all(src: &dyn DataSource, ids: &[SampleId]) -> Vec<Result<Bytes, SourceError>> {
+        let mut out = Vec::new();
+        src.read_each(ids, &mut |r| out.push(r));
+        out
+    }
+
+    #[test]
+    fn exhausted_retries_surface_the_last_transient_error() {
+        let down = Arc::new(FailNTimes::new(SourceError::Io("down".into()), u64::MAX));
+        let src = retry_only(down.clone(), 4);
+        match src.read(3) {
+            Err(SourceError::Io(m)) => assert_eq!(m, "down"),
+            other => panic!("expected Io, got {other:?}"),
+        }
+        // Exactly the whole budget was spent: 4 attempts, 3 retries.
+        assert_eq!(down.attempts(), 4);
+        let stats = src.resilience().unwrap();
+        assert_eq!((stats.reads, stats.retries, stats.exhausted), (1, 3, 1));
+    }
+
+    #[test]
+    fn throttled_and_deadline_errors_are_retried_unavailable_is_not() {
+        // Throttled: retried through, honoring retry_after as a floor
+        // under a 10 µs client backoff.
+        let throttled = Arc::new(FailNTimes::new(
+            SourceError::Throttled {
+                retry_after: Duration::from_millis(3),
+            },
+            2,
+        ));
+        let src = retry_only(throttled, 4);
+        let t0 = Instant::now();
+        assert_eq!(src.read(7).unwrap()[0], 7);
+        assert!(
+            t0.elapsed() >= Duration::from_millis(6),
+            "retry_after ignored"
+        );
+        let stats = src.resilience().unwrap();
+        assert_eq!((stats.retries, stats.throttled), (2, 2));
+        // DeadlineExceeded: also retryable.
+        let deadline = Arc::new(FailNTimes::new(
+            SourceError::DeadlineExceeded {
+                deadline: Duration::from_micros(10),
+            },
+            1,
+        ));
+        assert!(retry_only(deadline, 4).read(1).is_ok());
+        // Unavailable (open breaker downstream): fail-fast, one attempt.
+        let open = Arc::new(FailNTimes::new(
+            SourceError::Unavailable("circuit open".into()),
+            10,
+        ));
+        let src = retry_only(open.clone(), 5);
+        assert!(matches!(src.read(1), Err(SourceError::Unavailable(_))));
+        assert_eq!(open.attempts(), 1);
+        assert_eq!(src.resilience().unwrap().retries, 0);
+    }
+
+    #[test]
+    fn read_each_retries_stragglers_and_keeps_permanent_errors() {
+        // Transient injection below the retry budget: every present id
+        // comes back clean from one vectored call; the absent id stays
+        // NotFound without burning retries. Every id counts one read,
+        // and every injected failure one retry.
+        for seed in 0..10u64 {
+            let faulty = Arc::new(crate::fault::FaultySource::new(
+                mem_with(&[0, 1, 2, 3]),
+                crate::fault::ErrorInjection::new(0.45, 2, seed),
+            ));
+            let src = retry_only(faulty.clone(), 4);
+            let ids = [0u64, 1, 9, 2, 3];
+            for round in 0..30 {
+                for (r, &id) in read_all(&src, &ids).iter().zip(&ids) {
+                    if id == 9 {
+                        assert_eq!(r, &Err(SourceError::NotFound(9)));
+                    } else {
+                        let data = r
+                            .as_ref()
+                            .unwrap_or_else(|e| panic!("seed {seed} round {round} id {id}: {e}"));
+                        assert_eq!(data[0], id as u8);
+                    }
+                }
+            }
+            let stats = src.resilience().unwrap();
+            assert_eq!(stats.reads, 30 * ids.len() as u64);
+            assert_eq!(stats.retries, faulty.injected());
+            assert_eq!(stats.exhausted, 0);
+        }
+    }
+
+    #[test]
+    fn open_breaker_rejects_a_vectored_batch_without_touching_the_source() {
+        let counting = Arc::new(FailNTimes::new(SourceError::Io("unused".into()), 0));
+        let src = Arc::new(ResilientSource::new(
+            counting.clone(),
+            ResilienceConfig::retry_only(fast_retry(3)).with_breaker(BreakerConfig::new(1, 1e9, 1)),
+            TimeScale::realtime(),
+        ));
+        src.breaker().unwrap().on_failure(0.0);
+        // The batch arrives the way a staged run's origin read does.
+        let stack = crate::TierStack::origin_only(src.clone());
+        let results = stack.read_origin_many(&[0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(results.len(), 8);
+        assert!(results
+            .iter()
+            .all(|r| matches!(r, Err(SourceError::Unavailable(_)))));
+        assert_eq!(
+            counting.attempts(),
+            0,
+            "the open breaker let a batch through"
+        );
+        let stats = src.resilience().unwrap();
+        assert_eq!(stats.breaker_open_rejections, 1, "one admission per batch");
+        assert_eq!(stats.reads, 8);
+        // A length-1 call is a plain read: also rejected, also untouched.
+        assert!(matches!(
+            read_all(src.as_ref(), &[3])[0],
+            Err(SourceError::Unavailable(_))
+        ));
+        assert_eq!(counting.attempts(), 0);
     }
 
     #[test]
@@ -994,7 +1221,14 @@ mod tests {
         assert_eq!(src.health(), SourceHealth::Healthy);
         let stats = src.resilience().unwrap();
         assert_eq!(stats.breaker_to_open, 0);
-        assert_eq!(stats.retries, 0);
+        assert_eq!((stats.retries, stats.exhausted), (0, 0));
+        // Without a breaker too: one attempt, returned verbatim.
+        let missing = Arc::new(FailNTimes::new(SourceError::NotFound(9), u64::MAX));
+        let plain = retry_only(missing.clone(), 5);
+        assert_eq!(plain.read(9), Err(SourceError::NotFound(9)));
+        assert_eq!(missing.attempts(), 1);
+        let stats = plain.resilience().unwrap();
+        assert_eq!((stats.retries, stats.exhausted), (0, 0));
     }
 
     #[test]

@@ -190,27 +190,21 @@ pub trait DataSource: Send + Sync {
     /// Size in bytes of a stored sample (metadata only; free).
     fn size_of(&self, id: SampleId) -> Option<u64>;
 
-    /// Vectored read into the caller's `sink`: one result per id, in
-    /// order, nothing allocated. The default loops over
-    /// [`DataSource::read`]; the backends' blanket impl forwards to
+    /// The one vectored read: one result per id, in order, handed to
+    /// the caller's `sink`, nothing allocated. The default loops over
+    /// [`DataSource::read`]. The overrides batch where batching pays:
+    /// the backends' blanket impl forwards to
     /// [`StorageBackend::get_many`], so a throttled cache tier settles
-    /// its read cost once per sweep. The cache tiers' hit path
-    /// ([`TierStack::read_tier_many`]) reads through this.
+    /// its read cost once per sweep; the PFS registers one reader for
+    /// the batch; object stores *coalesce* adjacent ids into fewer
+    /// requests; the resilience layer admits the batch through its
+    /// breaker once. Every read of a cache tier
+    /// ([`TierStack::read_tier_many`]) and of the origin
+    /// ([`TierStack::read_origin_many`]) goes through this.
     fn read_each(&self, ids: &[SampleId], sink: &mut dyn FnMut(Result<Bytes, SourceError>)) {
         for &id in ids {
             sink(self.read(id));
         }
-    }
-
-    /// Reads a batch of samples, one result per id, in order.
-    ///
-    /// The default collects [`DataSource::read_each`]; sources with
-    /// per-request overhead (object stores) override it to *coalesce*
-    /// adjacent ids into fewer requests.
-    fn read_many(&self, ids: &[SampleId]) -> Vec<Result<Bytes, SourceError>> {
-        let mut out = Vec::with_capacity(ids.len());
-        self.read_each(ids, &mut |r| out.push(r));
-        out
     }
 
     /// Coarse liveness, for callers that want to steer around a
@@ -740,7 +734,7 @@ impl TierStack {
     /// Vectored fetch: serves each id from the fastest tier holding it,
     /// exactly like [`Self::read`], but groups the ids no cache tier
     /// holds into **one** batched origin read. The batch is sorted by
-    /// id before it reaches [`DataSource::read_many`], so origins with
+    /// id before it reaches [`DataSource::read_each`], so origins with
     /// per-request overhead (object stores) coalesce adjacent ranges
     /// into fewer requests; results come back one per input id, in
     /// input order.
@@ -799,8 +793,8 @@ impl TierStack {
     /// Vectored read of `ids` directly from tier `tier` (no promotion,
     /// no fallback): `sink` gets one result per id, in order. **The**
     /// hit path — every cache-tier read of the stack is a call of
-    /// this, [`Self::read_tier`] and [`Self::get_cached_in`] its
-    /// length-1 case.
+    /// this, [`Self::read_tier`] and [`Self::get_cached`] its length-1
+    /// case.
     ///
     /// The call reads the clock once, not once per id: a clock read is
     /// a fence, and between two of them a sample's dependent cache
@@ -871,25 +865,26 @@ impl TierStack {
         self.read_tier(self.origin_index(), id)
     }
 
-    /// Batch-reads `ids` from the origin tier through
-    /// [`DataSource::read_many`], so origins with per-request overhead
-    /// (object stores) can coalesce adjacent ids. Per-id hit/miss/byte
-    /// statistics are recorded as if each sample were read alone.
+    /// Batch-reads `ids` from the origin tier through one
+    /// [`DataSource::read_each`], so origins with per-request overhead
+    /// (object stores) can coalesce adjacent ids, and collects the
+    /// results in input order — where the loaders' batched origin reads
+    /// become a `Vec`. Per-id hit/miss/byte statistics are recorded as
+    /// if each sample were read alone.
     pub fn read_origin_many(&self, ids: &[SampleId]) -> Vec<Result<Bytes, SourceError>> {
         let slot = &self.inner.tiers[self.origin_index()];
-        let results = slot.source.read_many(ids);
-        for r in &results {
-            match r {
+        let mut results = Vec::with_capacity(ids.len());
+        slot.source.read_each(ids, &mut |r| {
+            match &r {
                 Ok(data) => {
                     slot.counters.hits.inc();
                     slot.counters.bytes_read.add(data.len() as u64);
                 }
-                Err(SourceError::NotFound(_)) => {
-                    slot.counters.misses.inc();
-                }
+                Err(SourceError::NotFound(_)) => slot.counters.misses.inc(),
                 Err(_) => {}
             }
-        }
+            results.push(r);
+        });
         results
     }
 
@@ -906,20 +901,12 @@ impl TierStack {
 
     /// Serves `id` from its cache tier if cataloged: the serving-loop
     /// lookup (`None` when uncached — callers do *not* fall through to
-    /// the origin here).
+    /// the origin here). A stale catalog entry is repaired; a tier that
+    /// fails the read for any other reason also yields `None`, but
+    /// keeps its entry: the resident bytes are served again once the
+    /// source recovers.
     pub fn get_cached(&self, id: SampleId) -> Option<Bytes> {
-        self.get_cached_in(self.locate(id)?, id)
-    }
-
-    /// [`Self::get_cached`] for a caller that has already
-    /// [located](Self::locate) `id` in cache tier `tier` (a fetch path
-    /// that picked its source from the catalog entry): serves the
-    /// sample from that tier, repairing the catalog entry when it
-    /// turns out stale. A tier that fails the read for any other
-    /// reason also yields `None`, but keeps its entry: the resident
-    /// bytes are served again once the source recovers.
-    pub fn get_cached_in(&self, tier: usize, id: SampleId) -> Option<Bytes> {
-        self.read_tier(tier, id).ok()
+        self.read_tier(self.locate(id)?, id).ok()
     }
 
     /// A planned (pinned) fill: stores `id` into cache tier `tier` and

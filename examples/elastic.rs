@@ -77,7 +77,7 @@ fn main() {
     );
     println!(
         "read errors injected  : {} (absorbed by {} retries)",
-        report.injected_read_errors, report.read_retries
+        report.injected_read_errors, report.resilience.retries
     );
     println!(
         "samples delivered     : {} ({} staging fetches, {:.2} ms stalled)",
@@ -101,7 +101,7 @@ fn main() {
     assert_eq!(report.replan_shuffle_generations, 0);
     assert_eq!(report.setup.shuffle_generations, 3);
     assert!(report.injected_read_errors > 0);
-    assert!(report.read_retries >= report.injected_read_errors);
+    assert!(report.resilience.retries >= report.injected_read_errors);
     println!();
     println!("OK: the recovered stream is bit-identical to the fault-free");
     println!("run, and every membership change was replanned without");

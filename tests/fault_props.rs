@@ -174,7 +174,7 @@ fn origin_look_ahead_keeps_the_stream_under_a_crash_and_under_read_bursts() {
     let report = elastic_run_on(sys, bursts);
     assert_eq!(report.global_stream, canon);
     assert!(report.injected_read_errors > 0);
-    assert!(report.read_retries >= report.injected_read_errors);
+    assert!(report.resilience.retries >= report.injected_read_errors);
 }
 
 proptest! {
@@ -239,7 +239,7 @@ proptest! {
         prop_assert_eq!(report.replan_shuffle_generations, 0);
         // Transient by construction: the retry budget exceeds the burst
         // bound, so every injected failure is retried through.
-        prop_assert!(report.read_retries >= report.injected_read_errors);
+        prop_assert!(report.resilience.retries >= report.injected_read_errors);
     }
 }
 

@@ -245,7 +245,7 @@ proptest! {
         }
     }
 
-    /// `read_tier_many` is the sequence of `get_cached_in` calls it
+    /// `read_tier_many` is the sequence of single `read_tier` calls it
     /// replaces: on two- and three-tier stacks, over ids cached in the
     /// tier read, cached elsewhere, cached nowhere, repeated within a
     /// call and evicted behind the catalog's back, it returns the same
@@ -286,7 +286,7 @@ proptest! {
             let (seen_single, seen_vectored) =
                 (latency_observations(&single_reg), latency_observations(&vectored_reg));
             let one_by_one: Vec<Option<Bytes>> =
-                ids.iter().map(|&id| single.get_cached_in(tier, id)).collect();
+                ids.iter().map(|&id| single.read_tier(tier, id).ok()).collect();
             let mut swept = Vec::new();
             vectored.read_tier_many(tier, ids, |r| swept.push(r.ok()));
             prop_assert_eq!(&swept, &one_by_one);
