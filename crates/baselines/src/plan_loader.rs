@@ -355,10 +355,10 @@ impl PlanLoader {
         // trains before the cluster's caches are staged (the
         // simulator's non-overlapped prestage phase).
         {
-            const PRESTAGE_BATCH: usize = 16;
+            const PRESTAGE_CHUNK: usize = 16;
             let ctx = Arc::clone(&ctx);
             threads.push(std::thread::spawn(move || {
-                for chunk in ctx.core.prestage_list(ctx.rank).chunks(PRESTAGE_BATCH) {
+                for chunk in ctx.core.prestage_list(ctx.rank).chunks(PRESTAGE_CHUNK) {
                     if ctx.stop.load(Ordering::Relaxed) {
                         break; // peers still get the barrier below
                     }

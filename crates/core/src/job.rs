@@ -235,15 +235,20 @@ mod tests {
         sys
     }
 
+    /// Sample `id`'s content: `size` bytes that encode the id, for
+    /// integrity checking.
+    fn payload(id: u64, size: u64) -> Bytes {
+        let mut v = vec![0u8; size as usize];
+        v[0] = (id % 256) as u8;
+        if size >= 2 {
+            v[1] = ((id / 256) % 256) as u8;
+        }
+        Bytes::from(v)
+    }
+
     fn materialize(pfs: &Pfs, sizes: &[u64]) {
-        for (id, &s) in sizes.iter().enumerate() {
-            // Content encodes the id for integrity checking.
-            let mut v = vec![0u8; s as usize];
-            v[0] = (id % 256) as u8;
-            if s >= 2 {
-                v[1] = ((id / 256) % 256) as u8;
-            }
-            pfs.put(id as u64, Bytes::from(v));
+        for (id, &s) in (0..).zip(sizes) {
+            pfs.put(id, payload(id, s));
         }
     }
 
@@ -451,23 +456,22 @@ mod tests {
     }
 
     /// Consumes `w` to the end, checking every payload, and returns the
-    /// ids delivered — once `w`'s class prefetchers have cached all the
-    /// plan assigns to it: the staging threads, a stage's worth ahead
-    /// of the consumer at most, then ask peers for the rest of the
-    /// stream however the threads were scheduled before.
-    fn drain_checked(w: &mut WorkerHandle, job: &Job, sizes: &[u64]) -> Vec<u64> {
-        let assignment = job.placement().assignment(w.rank());
-        let assigned = (0..sizes.len() as u64)
-            .filter(|&k| assignment.class_of(k).is_some())
-            .count() as u64;
-        while w.tier_stats().iter().map(|t| t.fills).sum::<u64>() < assigned {
+    /// ids delivered — once the class prefetchers of every rank are
+    /// through with their fill lists: each rank waits for its own, then
+    /// for the others at a barrier. The staging threads, a stage's
+    /// worth and a run per thread ahead of the consumer at most, then
+    /// find every peer's share cached for the rest of the stream,
+    /// however the threads were scheduled before.
+    fn drain_checked(w: &mut WorkerHandle, sizes: &[u64]) -> Vec<u64> {
+        // Ends when a prefetcher dies, too: `shutdown` then fails.
+        while !w.prefetch_done() {
             std::thread::yield_now();
         }
+        w.barrier();
         let mut ids = Vec::new();
         while let Some(batch) = w.next_batch() {
             for (id, data) in batch {
-                assert_eq!(data.len() as u64, sizes[id as usize]);
-                assert_eq!(data[0], (id % 256) as u8, "corrupt sample {id}");
+                assert_eq!(data, payload(id, sizes[id as usize]), "corrupt sample {id}");
                 ids.push(id);
             }
         }
@@ -482,29 +486,31 @@ mod tests {
 
     #[test]
     fn peer_fetches_go_out_as_one_frame_per_owner_per_run() {
-        use crate::worker::STAGE_BATCH;
+        use crate::worker::stage_run_len;
         use nopfs_obs::{names, ObsCtx};
         // N = 2: one possible owner, so at most one frame per run; then
         // N = 4 with two staging threads (two reply channels), where a
-        // run asks up to three owners.
+        // run asks up to three owners. A stage of a dataset's worth per
+        // thread: runs of twelve either way.
         for (workers, threads) in [(2, 1), (4, 2)] {
             let sizes = Arc::new(vec![1_000u64; 96]);
             let mut sys = two_halves_system(&sizes);
             sys.workers = workers;
             sys.staging.threads = threads;
+            sys.staging.capacity *= u64::from(threads);
+            let run_len = stage_run_len(&sys, &sizes);
+            assert_eq!(run_len, 12);
             let obs = ObsCtx::new();
-            let config = JobConfig::new(31, 6, 8, sys, TimeScale::new(1e-6)).with_obs(obs.clone());
+            let config = JobConfig::new(31, 12, 8, sys, TimeScale::new(1e-6)).with_obs(obs.clone());
             let job = Job::new(config, Arc::clone(&sizes));
             let pfs = job.make_pfs();
             materialize(&pfs, &sizes);
-            let out = job.run(&pfs, |w| {
-                (w.rank(), drain_checked(w, &job, &sizes), w.stats())
-            });
+            let out = job.run(&pfs, |w| (w.rank(), drain_checked(w, &sizes), w.stats()));
             let mut merged = WorkerStats::default();
             let mut runs = 0;
             for (rank, ids, stats) in &out {
                 assert_eq!(ids, &expected_stream(&job, sizes.len(), *rank));
-                runs += (ids.len() as u64).div_ceil(STAGE_BATCH);
+                runs += (ids.len() as u64).div_ceil(run_len);
                 merged.merge(stats);
             }
             assert_eq!(merged.total_fetches(), merged.samples_consumed);
@@ -512,7 +518,7 @@ mod tests {
             let asked = merged.remote_fetches + merged.false_positives;
             let frames = obs.snapshot().counter_total(names::WORKER_PEER_FRAMES);
             assert!(
-                frames >= asked.div_ceil(STAGE_BATCH) && frames <= asked,
+                frames >= asked.div_ceil(run_len) && frames <= asked,
                 "{frames} frames for {asked} samples"
             );
             assert!(
@@ -524,11 +530,15 @@ mod tests {
 
     #[test]
     fn a_run_that_holds_a_remote_sample_twice_gets_it_twice() {
-        // Epochs of five samples per worker: every run of eight straddles
-        // an epoch boundary, and whatever a worker reads in both epochs
-        // is in the run twice.
+        // Epochs of five samples per worker and a stage of 64 samples:
+        // every run of eight straddles an epoch boundary, and whatever a
+        // worker reads in both epochs is in the run twice.
         let sizes = Arc::new(vec![1_000u64; 10]);
-        let config = JobConfig::new(32, 60, 4, two_halves_system(&sizes), TimeScale::new(1e-6));
+        let mut sys = two_halves_system(&sizes);
+        sys.staging.capacity = 64 * sizes[0];
+        let run_len = crate::worker::stage_run_len(&sys, &sizes);
+        assert_eq!(run_len, 8);
+        let config = JobConfig::new(32, 60, 4, sys, TimeScale::new(1e-6));
         let job = Job::new(config, Arc::clone(&sizes));
         let placement = job.placement();
         let held_by_the_peer_only = |rank: usize, k: u64| {
@@ -536,7 +546,7 @@ mod tests {
             !holders.is_empty() && holders.iter().all(|&(o, _)| o != rank)
         };
         let twice_remote = expected_stream(&job, sizes.len(), 0)
-            .chunks(crate::worker::STAGE_BATCH as usize)
+            .chunks(run_len as usize)
             .filter(|run| {
                 run.iter()
                     .enumerate()
@@ -549,9 +559,7 @@ mod tests {
         );
         let pfs = job.make_pfs();
         materialize(&pfs, &sizes);
-        let out = job.run(&pfs, |w| {
-            (w.rank(), drain_checked(w, &job, &sizes), w.stats())
-        });
+        let out = job.run(&pfs, |w| (w.rank(), drain_checked(w, &sizes), w.stats()));
         for (rank, ids, stats) in out {
             assert_eq!(ids, expected_stream(&job, sizes.len(), rank));
             assert_eq!(stats.total_fetches(), stats.samples_consumed);
@@ -572,11 +580,12 @@ mod tests {
         let ep0 = eps.pop().expect("rank 0");
         let done = AtomicBool::new(false);
         std::thread::scope(|s| {
-            // Rank 1 joins the setup and the shutdown barrier, but is no
-            // worker: every frame that reaches it is dropped unanswered.
+            // Rank 1 joins the setup, drain and shutdown barriers, but is
+            // no worker: every frame that reaches it is dropped unanswered.
             s.spawn(|| {
                 ep1.allgather(Msg::Digest(job.shared.digests[1]))
                     .expect("rank 0 is alive");
+                ep1.barrier();
                 ep1.barrier();
                 while !done.load(Ordering::SeqCst) {
                     drop(ep1.recv_timeout(std::time::Duration::from_millis(1)));
@@ -584,7 +593,7 @@ mod tests {
                 ep1.barrier();
             });
             let mut w = WorkerHandle::launch(0, Arc::clone(&job.shared), pfs.clone(), ep0);
-            let ids = drain_checked(&mut w, &job, &sizes);
+            let ids = drain_checked(&mut w, &sizes);
             done.store(true, Ordering::SeqCst);
             w.shutdown();
             assert_eq!(ids, expected_stream(&job, sizes.len(), 0));
@@ -622,31 +631,72 @@ mod tests {
 
     /// One worker on an unpaced system whose RAM and SSD classes hold
     /// two fifths and three fifths of `sizes`: every sample is cached
-    /// locally, in one tier or the other.
+    /// locally, in one tier or the other. A stage of 128 samples: runs
+    /// of 16.
     fn ram_and_ssd_system(sizes: &[u64]) -> SystemSpec {
         let total: u64 = sizes.iter().sum();
         let mut sys = fig8_small_cluster();
         sys.workers = 1;
         sys.compute = 1e12;
-        sys.staging.capacity = 16 * sizes[0];
+        sys.staging.capacity = 128 * sizes[0];
         sys.staging.threads = 1;
         sys.classes[0].capacity = total * 2 / 5;
         sys.classes[1].capacity = total - total * 2 / 5;
         sys
     }
 
+    /// The lone rank of `job` launched over a hierarchy that starts
+    /// warm — every sample filled into the class the plan assigns it
+    /// to, so the prefetchers have nothing to do — except that the
+    /// `stale` samples have since left their tier without the catalog
+    /// being told: `locate` still names the tier when the staging
+    /// thread picks a source. The tiers count into the job's registry.
+    fn launch_warm(job: &Job, pfs: &Pfs, stale: &[u64]) -> WorkerHandle {
+        let config = job.config();
+        let tiers = crate::class_tier_stack_in_registry(
+            &config.system,
+            config.scale,
+            Arc::new(pfs.clone()),
+            &config.obs.registry,
+        );
+        let assignment = job.placement().assignment(0);
+        for k in 0..job.shared.sizes.len() as u64 {
+            let class = assignment
+                .class_of(k)
+                .expect("the classes hold the dataset");
+            let data = pfs.read(k).expect("materialized");
+            tiers.fill(class as usize, k, data).expect("planned to fit");
+        }
+        for &k in stale {
+            let tier = tiers.locate(k).expect("just filled");
+            assert!(tiers.source(tier).evict(k));
+            assert_eq!(tiers.locate(k), Some(tier));
+        }
+        let endpoint = cluster::<Msg>(1, NetConfig::new(config.system.interconnect, config.scale))
+            .pop()
+            .expect("rank 0");
+        WorkerHandle::launch_with_tiers(
+            0,
+            Arc::clone(&job.shared),
+            pfs.clone(),
+            endpoint,
+            Some(tiers),
+        )
+    }
+
     #[test]
     fn a_run_with_picks_in_two_tiers_is_one_sweep_per_tier() {
-        use crate::worker::STAGE_BATCH;
         use nopfs_obs::{names, ObsCtx};
         let sizes = Arc::new(vec![1_000u64; 80]);
+        let sys = ram_and_ssd_system(&sizes);
+        let run_len = crate::worker::stage_run_len(&sys, &sizes);
+        assert_eq!(run_len, 16);
         let obs = ObsCtx::new();
-        let config = JobConfig::new(41, 6, 8, ram_and_ssd_system(&sizes), TimeScale::new(1e-6))
-            .with_obs(obs.clone());
+        let config = JobConfig::new(41, 6, 8, sys, TimeScale::new(1e-6)).with_obs(obs.clone());
         let job = Job::new(config, Arc::clone(&sizes));
         let assignment = job.placement().assignment(0);
         let stream = expected_stream(&job, sizes.len(), 0);
-        let runs = stream.chunks(STAGE_BATCH as usize);
+        let runs = stream.chunks(run_len as usize);
         let in_both = runs
             .clone()
             .filter(|run| {
@@ -658,23 +708,17 @@ mod tests {
         assert!(in_both > runs.len() / 2, "{in_both} of {} runs", runs.len());
         let pfs = job.make_pfs();
         materialize(&pfs, &sizes);
-        let mut out = job.run(&pfs, |w| {
-            (drain_checked(w, &job, &sizes), w.stats(), w.tier_stats())
-        });
-        let (ids, stats, tiers) = out.pop().expect("one rank");
+        let mut w = launch_warm(&job, &pfs, &[]);
+        let ids = drain_checked(&mut w, &sizes);
+        w.shutdown();
         assert_eq!(ids, stream);
-        assert_eq!(stats.total_fetches(), stats.samples_consumed);
-        assert_eq!(stats.remote_fetches, 0);
-        // Once the prefetchers have filled the tiers, every sample is
-        // served by the tier that holds it.
-        assert!(
-            stats.local_fetches > stats.samples_consumed / 2,
-            "{stats:?}"
-        );
+        let (stats, tiers) = (w.stats(), w.tier_stats());
+        // Every sample is served by the tier that holds it.
+        assert_eq!(stats.local_fetches, stats.samples_consumed, "{stats:?}");
         assert_eq!(stats.local_fetches, tiers[0].hits + tiers[1].hits);
-        assert!(tiers[0].hits > 0 && tiers[1].hits > 0, "{tiers:?}");
-        // One latency observation per sweep that hit: at most one per
-        // tier and run, where a read per sample would leave one per hit.
+        // One latency observation per sweep that hit: exactly one per
+        // tier and run that holds one of the tier's samples, where a
+        // read per sample would leave one per hit.
         let snap = obs.snapshot();
         for (j, tier) in tiers[..2].iter().enumerate() {
             let sweeps: u64 = snap
@@ -684,10 +728,13 @@ mod tests {
                 .filter(|h| h.labels.iter().any(|(k, v)| k == "tier" && *v == tier.name))
                 .map(|h| h.value.count)
                 .sum();
-            assert!(
-                sweeps > 0 && sweeps <= runs.len() as u64 && sweeps < tier.hits,
-                "tier {j}: {sweeps} observations, {} hits, {} runs",
-                tier.hits,
+            let in_tier = |k: &u64| assignment.class_of(*k) == Some(j as u8);
+            let runs_in_tier = runs.clone().filter(|run| run.iter().any(in_tier)).count();
+            let picks = stream.iter().filter(|k| in_tier(k)).count();
+            assert_eq!(
+                (sweeps, tier.hits),
+                (runs_in_tier as u64, picks as u64),
+                "tier {j}: (observations, hits) against (runs, picks) of {} runs",
                 runs.len()
             );
         }
@@ -696,42 +743,12 @@ mod tests {
     #[test]
     fn a_sample_gone_from_its_tier_behind_the_catalog_is_read_from_the_origin() {
         let sizes = Arc::new(vec![1_000u64; 80]);
-        let sys = ram_and_ssd_system(&sizes);
-        let scale = TimeScale::new(1e-6);
-        let config = JobConfig::new(42, 1, 8, sys.clone(), scale);
+        let config = JobConfig::new(42, 1, 8, ram_and_ssd_system(&sizes), TimeScale::new(1e-6));
         let job = Job::new(config, Arc::clone(&sizes));
         let pfs = job.make_pfs();
         materialize(&pfs, &sizes);
-        // The worker gets its hierarchy warm — every sample filled into
-        // the class the plan assigns it to, so the prefetchers have
-        // nothing to do — except that a few samples have since left
-        // their tier without the catalog being told: `locate` still
-        // names the tier when the staging thread picks a source.
-        let tiers = crate::class_tier_stack(&sys, scale, Arc::new(pfs.clone()));
-        let assignment = job.placement().assignment(0);
-        for k in 0..sizes.len() as u64 {
-            let class = assignment
-                .class_of(k)
-                .expect("the classes hold the dataset");
-            let data = pfs.read(k).expect("materialized");
-            tiers.fill(class as usize, k, data).expect("planned to fit");
-        }
         let gone = [3u64, 4, 40, 77];
-        for k in gone {
-            let tier = tiers.locate(k).expect("just filled");
-            assert!(tiers.source(tier).evict(k));
-            assert_eq!(tiers.locate(k), Some(tier));
-        }
-        let endpoint = cluster::<Msg>(1, NetConfig::new(sys.interconnect, scale))
-            .pop()
-            .expect("rank 0");
-        let mut w = WorkerHandle::launch_with_tiers(
-            0,
-            Arc::clone(&job.shared),
-            pfs.clone(),
-            endpoint,
-            Some(tiers),
-        );
+        let mut w = launch_warm(&job, &pfs, &gone);
         let mut ids = Vec::new();
         while let Some(batch) = w.next_batch() {
             for (id, data) in batch {
@@ -886,6 +903,45 @@ mod tests {
             // of lane and staging thread got to the position.
             assert_eq!(pfs.stats().reads, fills + uncached, "staging = {staging}");
             assert!(stats.pfs_fetches >= uncached);
+        }
+    }
+
+    #[test]
+    fn runs_of_one_and_runs_past_an_epoch_stage_the_same_bytes() {
+        use crate::worker::stage_run_len;
+        // Mean 700 B. Two staging threads, lanes and the window live.
+        let sizes: Arc<Vec<u64>> = Arc::new((0..60u64).map(|k| 500 + k % 5 * 100).collect());
+        let f = sizes.len() as u64;
+        // A stage of seven mean samples (runs of one), then one whose
+        // runs are an epoch and a half long.
+        for (staging, run_len) in [(7 * 700, 1), (16 * (f + f / 2) * 700, f + f / 2)] {
+            let sys = half_cached_system(&sizes, staging);
+            assert_eq!(stage_run_len(&sys, &sizes), run_len);
+            let config = JobConfig::new(24, 4, 8, sys.clone(), TimeScale::new(1e-6));
+            let job = Job::new(config, Arc::clone(&sizes));
+            assert!(sys.origin_lanes(job.placement().uncached_share()) > 0);
+            let expect = expected_stream(&job, sizes.len(), 0);
+            let drain = |w: &mut WorkerHandle, upto: usize| {
+                let mut ids = Vec::new();
+                while ids.len() < upto {
+                    let Some(batch) = w.next_batch() else { break };
+                    for (id, data) in batch {
+                        assert_eq!(data, payload(id, sizes[id as usize]), "corrupt sample {id}");
+                        ids.push(id);
+                    }
+                }
+                ids
+            };
+            let pfs = job.make_pfs();
+            materialize(&pfs, &sizes);
+            let ids = job.run(&pfs, |w| drain(w, usize::MAX)).pop();
+            assert_eq!(ids, Some(expect.clone()), "runs of {run_len}");
+            // Stopped after a batch: `run` shuts the worker down with
+            // lanes and staging threads mid-stream, and must return.
+            let pfs = job.make_pfs();
+            materialize(&pfs, &sizes);
+            let got = job.run(&pfs, |w| drain(w, 1)).pop().expect("one rank");
+            assert_eq!(got, expect[..8], "runs of {run_len}");
         }
     }
 

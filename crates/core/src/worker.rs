@@ -34,7 +34,7 @@ use nopfs_clairvoyance::placement::GlobalPlacement;
 use nopfs_clairvoyance::sampler::ShuffleSpec;
 use nopfs_net::Endpoint;
 use nopfs_obs::{names, Counter, ObsCtx, Registry};
-use nopfs_perfmodel::Location;
+use nopfs_perfmodel::{Location, SystemSpec};
 use nopfs_pfs::Pfs;
 use nopfs_storage::{ReorderStage, ResilienceStats, SourceHealth, TierStack, TierStats};
 use nopfs_util::timing::precise_wait;
@@ -72,11 +72,22 @@ pub(crate) struct Shared {
 /// the stop flag) is observed promptly.
 const FILL_BATCH: usize = 16;
 
-/// Stream positions a staging prefetcher claims per round. Each thread
-/// buffers at most this many fetched samples before staging them, so
-/// the claim size also bounds out-of-order memory beyond the stage's
-/// own capacity.
-pub(crate) const STAGE_BATCH: u64 = 8;
+/// Stream positions a staging prefetcher claims per round: as many
+/// mean-sized samples as an eighth of the staging buffer holds, split
+/// between the `p_0` threads, and at least one. Each thread buffers one
+/// run before staging it, so what the threads hold outside the stage is
+/// at most an eighth of it (one sample per thread when the stage is
+/// smaller than eight per thread), while every per-run cost — a frame
+/// per peer, a sweep per tier, an origin batch, a consumer wake-up — is
+/// paid once per run.
+pub(crate) fn stage_run_len(sys: &SystemSpec, sizes: &[u64]) -> u64 {
+    let total: u128 = sizes.iter().map(|&s| u128::from(s)).sum();
+    let mean = total.div_ceil(sizes.len().max(1) as u128).max(1);
+    let per_run = 8 * u128::from(sys.staging.threads.max(1)) * mean;
+    let run = u64::try_from(u128::from(sys.staging.capacity) / per_run)
+        .expect("a run is at most the staging capacity");
+    run.max(1)
+}
 
 /// `class_index[w][k]` for every worker `w` of `placement`: the
 /// position of sample `k` in `w`'s class prefetch list, `u32::MAX`
@@ -120,6 +131,8 @@ struct WorkerCtx {
     /// class is this worker itself; for remote fetches we need the
     /// rank of the fastest holder. Derived from placement on the fly.
     stage: ReorderStage,
+    /// Stream positions per staging claim ([`stage_run_len`]).
+    run_len: u64,
     /// Where the origin lanes park the samples no worker caches; `None`
     /// when the placement covers the whole dataset (no lane runs).
     window: Option<OriginWindow>,
@@ -191,7 +204,8 @@ impl PeerLeg {
 }
 
 /// Buffers a staging prefetcher reuses from claim to claim, so a run
-/// allocates nothing once they have grown to [`STAGE_BATCH`].
+/// allocates nothing once they have grown to the run length
+/// ([`stage_run_len`]).
 #[derive(Default)]
 struct StageScratch {
     probes: Vec<Probe>,
@@ -478,11 +492,11 @@ impl WorkerCtx {
         let config = &self.shared.config;
         let mut scratch = StageScratch::default();
         while !self.stop.load(Ordering::Relaxed) {
-            let base = position.fetch_add(STAGE_BATCH, Ordering::SeqCst);
+            let base = position.fetch_add(self.run_len, Ordering::SeqCst);
             if base >= stream.len() as u64 {
                 break;
             }
-            let end = (base + STAGE_BATCH).min(stream.len() as u64);
+            let end = (base + self.run_len).min(stream.len() as u64);
             if !self.fetch_many_for_staging(
                 base,
                 &stream[base as usize..end as usize],
@@ -627,6 +641,7 @@ impl WorkerHandle {
             stop,
             progress,
             stage,
+            run_len: stage_run_len(sys, &shared.sizes),
             window,
             origin_wait_nanos,
             write_nanos,
@@ -890,5 +905,74 @@ impl Iterator for WorkerHandle {
 
     fn next(&mut self) -> Option<Self::Item> {
         self.next_sample()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nopfs_perfmodel::presets::fig8_small_cluster;
+
+    fn staging(capacity: u64, threads: u32) -> SystemSpec {
+        let mut sys = fig8_small_cluster();
+        sys.staging.capacity = capacity;
+        sys.staging.threads = threads;
+        sys
+    }
+
+    #[test]
+    fn a_run_is_an_eighth_of_the_stage_per_thread() {
+        const MIB: u64 = 1 << 20;
+        // The benchmark's four workloads, one staging thread each.
+        for (capacity, size, run) in [
+            (4 * MIB, 4_096, 128),
+            (16 * MIB, 64 << 10, 32),
+            (8 * MIB, 16 << 10, 64),
+            (1_000_000, 20_000, 6),
+        ] {
+            assert_eq!(stage_run_len(&staging(capacity, 1), &[size; 100]), run);
+        }
+        // The threads share the eighth; the mean is rounded up.
+        assert_eq!(stage_run_len(&staging(64_000, 2), &[1_000; 10]), 4);
+        assert_eq!(stage_run_len(&staging(64_000, 1), &[999, 1_002]), 7);
+    }
+
+    #[test]
+    fn a_run_is_at_least_one_position() {
+        // Empty dataset, zero-byte samples, no threads, no capacity, a
+        // stage below one sample, sizes whose sum overflows a u64.
+        assert_eq!(stage_run_len(&staging(0, 1), &[]), 1);
+        assert_eq!(stage_run_len(&staging(800, 0), &[]), 100);
+        assert_eq!(stage_run_len(&staging(800, 1), &[0; 4]), 100);
+        assert_eq!(stage_run_len(&staging(0, 1), &[0; 4]), 1);
+        assert_eq!(stage_run_len(&staging(999, 1), &[1_000; 4]), 1);
+        assert_eq!(stage_run_len(&staging(7_999, 1), &[1_000; 4]), 1);
+        assert_eq!(
+            stage_run_len(&staging(u64::MAX, u32::MAX), &[u64::MAX; 3]),
+            1
+        );
+        assert_eq!(stage_run_len(&staging(u64::MAX, 1), &[1; 3]), u64::MAX / 8);
+    }
+
+    #[test]
+    fn what_the_threads_hold_outside_the_stage_is_at_most_an_eighth_of_it() {
+        let mut rng = nopfs_util::rng::Xoshiro256pp::seed_from_u64(28);
+        for _ in 0..2_000 {
+            let threads = 1 + (rng.next_u64() % 8) as u32;
+            let capacity = rng.next_u64() % (1 << 24);
+            let n = 1 + rng.next_u64() % 64;
+            let sizes: Vec<u64> = (0..n).map(|_| rng.next_u64() % 70_000).collect();
+            let run = stage_run_len(&staging(capacity, threads), &sizes);
+            assert!(run >= 1);
+            if run > 1 {
+                // threads · run · mean ≤ capacity / 8, without rounding.
+                let total: u128 = sizes.iter().map(|&s| u128::from(s)).sum();
+                let held = 8 * u128::from(threads) * u128::from(run) * total;
+                assert!(
+                    held <= u128::from(capacity) * u128::from(n),
+                    "run {run}, {threads} threads, capacity {capacity}, sizes {sizes:?}"
+                );
+            }
+        }
     }
 }

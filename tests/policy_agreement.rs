@@ -343,10 +343,12 @@ fn nopfs_source_selection_agrees_when_caches_warm() {
     // every rank's class prefetchers are through with their fill lists
     // (each assigned sample filled, by them or by a staging thread's
     // self-healing fill). Until then the staging threads get a stage's
-    // worth and two runs in flight ahead of the consumer, 32 of a
-    // rank's 128 positions — a quarter of the stream at the very
-    // worst, and the bound leaves as much again, since the stage
-    // admits a run as a whole. Everything else is read from a cache.
+    // worth and one run each in flight ahead of the consumer; a 16-
+    // sample stage split between two threads makes runs of one sample
+    // (an eighth of it per thread, rounded down), so that is 18 of a
+    // rank's 128 positions — under a seventh of the stream at the very
+    // worst, and the bound leaves more than three times as much.
+    // Everything else is read from a cache.
     let config = JobConfig::new(SEED, WARM_EPOCHS, BATCH, system(cfg), TimeScale::new(1e-6));
     let sizes = Arc::new(vec![SAMPLE_BYTES; cfg.samples as usize]);
     let job = Job::new(config, sizes);
