@@ -484,9 +484,14 @@ mod tests {
         nopfs_clairvoyance::stream::AccessStream::new(spec, rank, config.epochs).materialize()
     }
 
+    /// The stream positions per staging claim of `job`'s rank `rank`.
+    fn run_len(job: &Job, rank: usize) -> u64 {
+        let epoch_len = job.shared.spec.worker_epoch_len(rank);
+        crate::worker::stage_run_len(&job.config().system, &job.shared.sizes, epoch_len)
+    }
+
     #[test]
     fn peer_fetches_go_out_as_one_frame_per_owner_per_run() {
-        use crate::worker::stage_run_len;
         use nopfs_obs::{names, ObsCtx};
         // N = 2: one possible owner, so at most one frame per run; then
         // N = 4 with two staging threads (two reply channels), where a
@@ -498,11 +503,11 @@ mod tests {
             sys.workers = workers;
             sys.staging.threads = threads;
             sys.staging.capacity *= u64::from(threads);
-            let run_len = stage_run_len(&sys, &sizes);
-            assert_eq!(run_len, 12);
             let obs = ObsCtx::new();
             let config = JobConfig::new(31, 12, 8, sys, TimeScale::new(1e-6)).with_obs(obs.clone());
             let job = Job::new(config, Arc::clone(&sizes));
+            let run_len = run_len(&job, 0);
+            assert_eq!(run_len, 12);
             let pfs = job.make_pfs();
             materialize(&pfs, &sizes);
             let out = job.run(&pfs, |w| (w.rank(), drain_checked(w, &sizes), w.stats()));
@@ -529,17 +534,55 @@ mod tests {
     }
 
     #[test]
-    fn a_run_that_holds_a_remote_sample_twice_gets_it_twice() {
-        // Epochs of five samples per worker and a stage of 64 samples:
-        // every run of eight straddles an epoch boundary, and whatever a
-        // worker reads in both epochs is in the run twice.
-        let sizes = Arc::new(vec![1_000u64; 10]);
-        let mut sys = two_halves_system(&sizes);
-        sys.staging.capacity = 64 * sizes[0];
-        let run_len = crate::worker::stage_run_len(&sys, &sizes);
-        assert_eq!(run_len, 8);
-        let config = JobConfig::new(32, 60, 4, sys, TimeScale::new(1e-6));
+    fn a_preset_stage_over_a_small_dataset_splits_each_epoch_between_the_threads() {
+        use nopfs_obs::{names, ArgValue, ObsCtx};
+        // The preset's own 5 GB stage and eight staging threads, four
+        // ranks, 200 samples of 10 KB: an eighth of the stage per thread
+        // would be runs of 7 812 positions, more than a rank's whole
+        // stream of 150. Runs are an eighth of a 50-sample epoch instead.
+        let sizes = Arc::new(vec![10_000u64; 200]);
+        let obs = ObsCtx::traced();
+        let config = JobConfig::new(51, 3, 8, fig8_small_cluster(), TimeScale::new(1e-6))
+            .with_obs(obs.clone());
         let job = Job::new(config, Arc::clone(&sizes));
+        let pfs = job.make_pfs();
+        materialize(&pfs, &sizes);
+        let out = job.run(&pfs, |w| (w.rank(), drain_checked(w, &sizes)));
+        let mut bases = Vec::new();
+        for (rank, ids) in &out {
+            assert_eq!(ids, &expected_stream(&job, sizes.len(), *rank));
+            let run_len = run_len(&job, *rank);
+            assert_eq!(run_len, 7);
+            bases.extend((0..ids.len() as u64).step_by(run_len as usize));
+        }
+        // One fetch span per run the staging threads claimed.
+        let mut spans: Vec<u64> = obs
+            .tracer
+            .export()
+            .iter()
+            .filter(|e| e.name == names::EV_FETCH)
+            .map(|e| match e.args.iter().find(|(k, _)| *k == "base") {
+                Some((_, ArgValue::Num(base))) => *base as u64,
+                other => panic!("a fetch span without its base: {other:?}"),
+            })
+            .collect();
+        spans.sort_unstable();
+        bases.sort_unstable();
+        assert_eq!(spans, bases);
+    }
+
+    #[test]
+    fn a_run_that_holds_a_remote_sample_twice_gets_it_twice() {
+        // Epochs of six samples per worker and a stage of 40 samples:
+        // most runs of five straddle an epoch boundary, and whatever a
+        // worker reads on both sides of it is in the run twice.
+        let sizes = Arc::new(vec![1_000u64; 12]);
+        let mut sys = two_halves_system(&sizes);
+        sys.staging.capacity = 40 * sizes[0];
+        let config = JobConfig::new(32, 120, 4, sys, TimeScale::new(1e-6));
+        let job = Job::new(config, Arc::clone(&sizes));
+        let run_len = run_len(&job, 0);
+        assert_eq!(run_len, 5);
         let placement = job.placement();
         let held_by_the_peer_only = |rank: usize, k: u64| {
             let holders = placement.holders(k);
@@ -688,55 +731,90 @@ mod tests {
     fn a_run_with_picks_in_two_tiers_is_one_sweep_per_tier() {
         use nopfs_obs::{names, ObsCtx};
         let sizes = Arc::new(vec![1_000u64; 80]);
-        let sys = ram_and_ssd_system(&sizes);
-        let run_len = crate::worker::stage_run_len(&sys, &sizes);
-        assert_eq!(run_len, 16);
-        let obs = ObsCtx::new();
-        let config = JobConfig::new(41, 6, 8, sys, TimeScale::new(1e-6)).with_obs(obs.clone());
-        let job = Job::new(config, Arc::clone(&sizes));
-        let assignment = job.placement().assignment(0);
-        let stream = expected_stream(&job, sizes.len(), 0);
-        let runs = stream.chunks(run_len as usize);
-        let in_both = runs
-            .clone()
-            .filter(|run| {
-                [0, 1]
+        // Cold through `run`, where the class prefetchers fill the tiers
+        // while the staging thread reads them; then over a hierarchy
+        // filled before the launch.
+        for warm in [false, true] {
+            let obs = ObsCtx::new();
+            let config = JobConfig::new(41, 6, 8, ram_and_ssd_system(&sizes), TimeScale::new(1e-6))
+                .with_obs(obs.clone());
+            let job = Job::new(config, Arc::clone(&sizes));
+            let run_len = run_len(&job, 0);
+            assert_eq!(run_len, 16);
+            let assignment = job.placement().assignment(0);
+            let stream = expected_stream(&job, sizes.len(), 0);
+            let runs = stream.chunks(run_len as usize);
+            let in_both = runs
+                .clone()
+                .filter(|run| {
+                    [0, 1]
+                        .iter()
+                        .all(|&c| run.iter().any(|&k| assignment.class_of(k) == Some(c)))
+                })
+                .count();
+            assert!(in_both > runs.len() / 2, "{in_both} of {} runs", runs.len());
+            let pfs = job.make_pfs();
+            materialize(&pfs, &sizes);
+            let (ids, stats, tiers) = if warm {
+                let mut w = launch_warm(&job, &pfs, &[]);
+                let ids = drain_checked(&mut w, &sizes);
+                w.shutdown();
+                (ids, w.stats(), w.tier_stats())
+            } else {
+                let mut out = job.run(&pfs, |w| {
+                    (drain_checked(w, &sizes), w.stats(), w.tier_stats())
+                });
+                out.pop().expect("one rank")
+            };
+            assert_eq!(ids, stream);
+            assert_eq!(stats.total_fetches(), stats.samples_consumed);
+            assert_eq!(stats.remote_fetches, 0);
+            assert_eq!(stats.local_fetches, tiers[0].hits + tiers[1].hits);
+            let snap = obs.snapshot();
+            let fill_waits = snap.counter_total(names::WORKER_STAGING_FILL_WAITS);
+            if warm {
+                // Every sample is served by the tier that holds it.
+                assert_eq!(stats.local_fetches, stats.samples_consumed, "{stats:?}");
+                assert_eq!(fill_waits, 0);
+            } else {
+                // Once the prefetchers have filled the tiers, every
+                // sample is served by the tier that holds it.
+                assert!(
+                    stats.local_fetches > stats.samples_consumed / 2,
+                    "{stats:?}"
+                );
+            }
+            // One latency observation per sweep that hit: warm, exactly
+            // one per tier and run that holds one of the tier's samples,
+            // where a read per sample would leave one per hit. Cold, the
+            // runs before the fills read some samples from the origin,
+            // and a sample whose fill was in flight is read alone once
+            // the fill has landed.
+            for (j, tier) in tiers[..2].iter().enumerate() {
+                let sweeps: u64 = snap
+                    .histograms
                     .iter()
-                    .all(|&c| run.iter().any(|&k| assignment.class_of(k) == Some(c)))
-            })
-            .count();
-        assert!(in_both > runs.len() / 2, "{in_both} of {} runs", runs.len());
-        let pfs = job.make_pfs();
-        materialize(&pfs, &sizes);
-        let mut w = launch_warm(&job, &pfs, &[]);
-        let ids = drain_checked(&mut w, &sizes);
-        w.shutdown();
-        assert_eq!(ids, stream);
-        let (stats, tiers) = (w.stats(), w.tier_stats());
-        // Every sample is served by the tier that holds it.
-        assert_eq!(stats.local_fetches, stats.samples_consumed, "{stats:?}");
-        assert_eq!(stats.local_fetches, tiers[0].hits + tiers[1].hits);
-        // One latency observation per sweep that hit: exactly one per
-        // tier and run that holds one of the tier's samples, where a
-        // read per sample would leave one per hit.
-        let snap = obs.snapshot();
-        for (j, tier) in tiers[..2].iter().enumerate() {
-            let sweeps: u64 = snap
-                .histograms
-                .iter()
-                .filter(|h| h.name == names::TIER_READ_LATENCY)
-                .filter(|h| h.labels.iter().any(|(k, v)| k == "tier" && *v == tier.name))
-                .map(|h| h.value.count)
-                .sum();
-            let in_tier = |k: &u64| assignment.class_of(*k) == Some(j as u8);
-            let runs_in_tier = runs.clone().filter(|run| run.iter().any(in_tier)).count();
-            let picks = stream.iter().filter(|k| in_tier(k)).count();
-            assert_eq!(
-                (sweeps, tier.hits),
-                (runs_in_tier as u64, picks as u64),
-                "tier {j}: (observations, hits) against (runs, picks) of {} runs",
-                runs.len()
-            );
+                    .filter(|h| h.name == names::TIER_READ_LATENCY)
+                    .filter(|h| h.labels.iter().any(|(k, v)| k == "tier" && *v == tier.name))
+                    .map(|h| h.value.count)
+                    .sum();
+                let in_tier = |k: &u64| assignment.class_of(*k) == Some(j as u8);
+                let runs_in_tier =
+                    runs.clone().filter(|run| run.iter().any(in_tier)).count() as u64;
+                let picks = stream.iter().filter(|k| in_tier(k)).count() as u64;
+                let counts = format!(
+                    "tier {j}: {sweeps} observations, {} hits; {runs_in_tier} runs, {picks} picks, \
+                     {fill_waits} fill waits",
+                    tier.hits
+                );
+                if warm {
+                    assert_eq!((sweeps, tier.hits), (runs_in_tier, picks), "{counts}");
+                } else {
+                    assert!(sweeps > 0 && sweeps < tier.hits, "{counts}");
+                    assert!(sweeps <= runs_in_tier + fill_waits, "{counts}");
+                    assert!(tier.hits <= picks, "{counts}");
+                }
+            }
         }
     }
 
@@ -867,58 +945,87 @@ mod tests {
         sys
     }
 
+    /// Checks the origin reads of `job`'s one rank after `run` has
+    /// returned (no prefetcher can still be filling), with `stream` the
+    /// positions it delivered out of `of`: every read is the read
+    /// behind a fill (a prefetcher's, or a staging thread's self-healing
+    /// one) or serves a position nobody caches, and no sample is filled
+    /// twice — whichever of prefetcher and staging threads got to it.
+    /// A drained stream fills every cached sample and reads every
+    /// uncached position once — whichever of lane and staging thread
+    /// got to it.
+    fn assert_one_origin_read_each(
+        job: &Job,
+        pfs: &Pfs,
+        obs: &nopfs_obs::ObsCtx,
+        stream: &[u64],
+        of: usize,
+    ) {
+        let placement = job.placement();
+        let cached = (0..job.shared.sizes.len() as u64)
+            .filter(|&k| !placement.is_uncached(k))
+            .count() as u64;
+        let fills = obs.snapshot().counter_total(nopfs_obs::names::TIER_FILLS);
+        let reads = pfs.stats().reads;
+        assert!(fills <= cached, "{fills} fills of {cached} cached samples");
+        if stream.len() == of {
+            let uncached = stream.iter().filter(|&&k| placement.is_uncached(k)).count() as u64;
+            assert!(uncached > 0 && uncached < of as u64);
+            assert_eq!(
+                reads,
+                fills + uncached,
+                "{fills} fills, {uncached} uncached positions"
+            );
+            assert_eq!(fills, cached, "{reads} reads");
+        }
+    }
+
     #[test]
     fn every_origin_read_is_a_fill_or_an_uncached_position_exactly_once() {
         let sizes: Arc<Vec<u64>> = Arc::new((0..240u64).map(|k| 500 + k % 5 * 100).collect());
-        // A window (and stage) smaller than one sample, then a roomy one.
-        for staging in [1, 8 * 900] {
+        // A window (and stage) smaller than one sample, then a roomy one
+        // whose runs are eight long.
+        for (staging, run_len) in [(1, 1), (2 * 8 * 8 * 700, 8)] {
             let sys = half_cached_system(&sizes, staging);
-            let config = JobConfig::new(21, 3, 8, sys.clone(), TimeScale::new(1e-6));
+            let obs = nopfs_obs::ObsCtx::new();
+            let config =
+                JobConfig::new(21, 3, 8, sys.clone(), TimeScale::new(1e-6)).with_obs(obs.clone());
             let job = Job::new(config, Arc::clone(&sizes));
-            let placement = job.placement();
-            assert_eq!(sys.origin_lanes(placement.uncached_share()), 8);
+            assert_eq!(self::run_len(&job, 0), run_len);
+            assert_eq!(sys.origin_lanes(job.placement().uncached_share()), 8);
             let pfs = job.make_pfs();
             materialize(&pfs, &sizes);
             let mut out = job.run(&pfs, |w| {
                 let mut ids = Vec::new();
                 while let Some(batch) = w.next_batch() {
                     for (id, data) in batch {
-                        assert_eq!(data.len() as u64, sizes[id as usize]);
-                        assert_eq!(data[0], (id % 256) as u8, "corrupt sample {id}");
+                        assert_eq!(data, payload(id, sizes[id as usize]), "corrupt sample {id}");
                         ids.push(id);
                     }
                 }
-                let fills: u64 = w.tier_stats().iter().map(|t| t.fills).sum();
-                (ids, fills, w.stats())
+                ids
             });
-            let (ids, fills, stats) = out.pop().expect("one rank");
-            let spec = job.config().shuffle_spec(sizes.len() as u64);
-            let expect = nopfs_clairvoyance::stream::AccessStream::new(spec, 0, 3).materialize();
+            let ids = out.pop().expect("one rank");
+            let expect = expected_stream(&job, sizes.len(), 0);
             assert_eq!(ids, expect, "staging = {staging}");
-            let uncached = expect.iter().filter(|&&k| placement.is_uncached(k)).count() as u64;
-            assert!(uncached > 0 && uncached < expect.len() as u64);
-            // With one rank every origin read is the read behind a fill
-            // (a prefetcher's, or a staging thread's self-healing one)
-            // or serves a position nobody caches — once each, whichever
-            // of lane and staging thread got to the position.
-            assert_eq!(pfs.stats().reads, fills + uncached, "staging = {staging}");
-            assert!(stats.pfs_fetches >= uncached);
+            assert_one_origin_read_each(&job, &pfs, &obs, &ids, expect.len());
         }
     }
 
     #[test]
-    fn runs_of_one_and_runs_past_an_epoch_stage_the_same_bytes() {
-        use crate::worker::stage_run_len;
-        // Mean 700 B. Two staging threads, lanes and the window live.
-        let sizes: Arc<Vec<u64>> = Arc::new((0..60u64).map(|k| 500 + k % 5 * 100).collect());
-        let f = sizes.len() as u64;
-        // A stage of seven mean samples (runs of one), then one whose
-        // runs are an epoch and a half long.
-        for (staging, run_len) in [(7 * 700, 1), (16 * (f + f / 2) * 700, f + f / 2)] {
+    fn runs_of_one_and_runs_across_epochs_stage_the_same_bytes() {
+        use nopfs_obs::ObsCtx;
+        // 61 samples, mean 697 B: epochs of 61 positions. Two staging
+        // threads, lanes and the window live.
+        let sizes: Arc<Vec<u64>> = Arc::new((0..61u64).map(|k| 500 + k % 5 * 100).collect());
+        // A stage of seven mean samples (runs of one), then one that
+        // would make runs of an epoch and a half: at most half an epoch
+        // per thread, so they start mid-epoch and straddle boundaries.
+        for (staging, run_len) in [(7 * 697, 1), (16 * 90 * 697, 31)] {
             let sys = half_cached_system(&sizes, staging);
-            assert_eq!(stage_run_len(&sys, &sizes), run_len);
             let config = JobConfig::new(24, 4, 8, sys.clone(), TimeScale::new(1e-6));
-            let job = Job::new(config, Arc::clone(&sizes));
+            let job = Job::new(config.clone(), Arc::clone(&sizes));
+            assert_eq!(self::run_len(&job, 0), run_len);
             assert!(sys.origin_lanes(job.placement().uncached_share()) > 0);
             let expect = expected_stream(&job, sizes.len(), 0);
             let drain = |w: &mut WorkerHandle, upto: usize| {
@@ -932,16 +1039,19 @@ mod tests {
                 }
                 ids
             };
-            let pfs = job.make_pfs();
-            materialize(&pfs, &sizes);
-            let ids = job.run(&pfs, |w| drain(w, usize::MAX)).pop();
-            assert_eq!(ids, Some(expect.clone()), "runs of {run_len}");
-            // Stopped after a batch: `run` shuts the worker down with
-            // lanes and staging threads mid-stream, and must return.
-            let pfs = job.make_pfs();
-            materialize(&pfs, &sizes);
-            let got = job.run(&pfs, |w| drain(w, 1)).pop().expect("one rank");
-            assert_eq!(got, expect[..8], "runs of {run_len}");
+            // Drained, then stopped after a batch: `run` shuts the worker
+            // down with lanes and staging threads mid-stream, and must
+            // return.
+            for upto in [usize::MAX, 1] {
+                let obs = ObsCtx::new();
+                let job = Job::new(config.clone().with_obs(obs.clone()), Arc::clone(&sizes));
+                let pfs = job.make_pfs();
+                materialize(&pfs, &sizes);
+                let ids = job.run(&pfs, |w| drain(w, upto)).pop().expect("one rank");
+                let want = if upto == 1 { 8 } else { expect.len() };
+                assert_eq!(ids, expect[..want], "runs of {run_len}");
+                assert_one_origin_read_each(&job, &pfs, &obs, &ids, expect.len());
+            }
         }
     }
 

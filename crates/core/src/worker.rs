@@ -79,14 +79,73 @@ const FILL_BATCH: usize = 16;
 /// at most an eighth of it (one sample per thread when the stage is
 /// smaller than eight per thread), while every per-run cost — a frame
 /// per peer, a sweep per tier, an origin batch, a consumer wake-up — is
-/// paid once per run.
-pub(crate) fn stage_run_len(sys: &SystemSpec, sizes: &[u64]) -> u64 {
+/// paid once per run. A run is also at most an `epoch_len` share per
+/// thread, so every thread has work in every epoch however large the
+/// stage is next to the dataset.
+pub(crate) fn stage_run_len(sys: &SystemSpec, sizes: &[u64], epoch_len: u64) -> u64 {
+    let threads = u64::from(sys.staging.threads.max(1));
     let total: u128 = sizes.iter().map(|&s| u128::from(s)).sum();
     let mean = total.div_ceil(sizes.len().max(1) as u128).max(1);
-    let per_run = 8 * u128::from(sys.staging.threads.max(1)) * mean;
-    let run = u64::try_from(u128::from(sys.staging.capacity) / per_run)
-        .expect("a run is at most the staging capacity");
-    run.max(1)
+    let per_run = 8 * u128::from(threads) * mean;
+    // At most the capacity, so narrowing to u64 keeps every bit.
+    let run = (u128::from(sys.staging.capacity) / per_run) as u64;
+    run.min(epoch_len.div_ceil(threads)).max(1)
+}
+
+/// The samples whose fill is being read from the origin right now, one
+/// bit per sample. The class prefetcher or staging thread that sets a
+/// sample's bit reads the sample and fills it, then clears the bit;
+/// any other thread that wants it for a fill meanwhile waits for the
+/// bit to clear and finds the sample cached. So each sample the plan
+/// assigns a worker is read from the origin once, however its threads
+/// interleave. A thread clears every bit it set before it waits on
+/// another's, so no two threads wait on each other.
+struct FillClaims(Box<[AtomicU64]>);
+
+impl FillClaims {
+    fn new(samples: usize) -> Self {
+        Self(
+            (0..samples.div_ceil(64))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+        )
+    }
+
+    fn bit(&self, k: SampleId) -> (&AtomicU64, u64) {
+        (&self.0[(k / 64) as usize], 1 << (k % 64))
+    }
+
+    /// Sets `k`'s bit; whether it was clear.
+    fn claim(&self, k: SampleId) -> bool {
+        let (word, bit) = self.bit(k);
+        word.fetch_or(bit, Ordering::AcqRel) & bit == 0
+    }
+
+    fn release(&self, k: SampleId) {
+        let (word, bit) = self.bit(k);
+        word.fetch_and(!bit, Ordering::Release);
+    }
+
+    /// Releases the claims on `ids` when dropped.
+    fn held<'a>(&'a self, ids: &'a [SampleId]) -> impl Drop + 'a {
+        struct Held<'a>(&'a FillClaims, &'a [SampleId]);
+        impl Drop for Held<'_> {
+            fn drop(&mut self) {
+                for &k in self.1 {
+                    self.0.release(k);
+                }
+            }
+        }
+        Held(self, ids)
+    }
+
+    /// Returns once `k`'s bit is clear, or `stop` is set.
+    fn wait(&self, k: SampleId, stop: &AtomicBool) {
+        let (word, bit) = self.bit(k);
+        while word.load(Ordering::Acquire) & bit != 0 && !stop.load(Ordering::Relaxed) {
+            std::thread::yield_now();
+        }
+    }
 }
 
 /// `class_index[w][k]` for every worker `w` of `placement`: the
@@ -133,13 +192,18 @@ struct WorkerCtx {
     stage: ReorderStage,
     /// Stream positions per staging claim ([`stage_run_len`]).
     run_len: u64,
+    /// The fills being read from the origin, shared by the class
+    /// prefetchers and the staging threads.
+    filling: FillClaims,
     /// Where the origin lanes park the samples no worker caches; `None`
     /// when the placement covers the whole dataset (no lane runs).
     window: Option<OriginWindow>,
     /// Time the staging threads waited for origin bytes, and spent in
-    /// `write_time` (`worker.staging.*`).
+    /// `write_time`; the samples they waited on another thread's fill
+    /// for (`worker.staging.*`).
     origin_wait_nanos: Counter,
     write_nanos: Counter,
+    fill_waits: Counter,
     /// Rank-scoped observability context: the registry the collector
     /// and tier counters registered into, plus the tracer fetch/stall
     /// spans land in.
@@ -155,9 +219,11 @@ enum Pick {
     Local(usize),
     /// The sample is in the run's frame to this peer.
     Peer(usize),
-    /// The run's origin read supplies the bytes (already counted as a
-    /// PFS fetch).
+    /// The run's origin read supplies the bytes.
     Origin,
+    /// Another thread holds the sample's fill claim ([`FillClaims`]):
+    /// the run reads it from its tier once the fill has landed.
+    Claimed,
 }
 
 /// A [`Pick`], and whether the self-healing fill applies.
@@ -229,10 +295,13 @@ impl WorkerCtx {
     /// from peers go out as **one** frame per owner, and every sample
     /// still without bytes is fetched in **one** batched
     /// [`TierStack::read_origin_many`] round-trip instead of one origin
-    /// read (and one `t(γ)` reader registration) per sample. The bytes
-    /// land in `scratch.run` in input order; self-healing fills are
-    /// per sample, statistics per sweep, the trace span per run.
-    /// Returns `false` when the window was closed under it (shutdown).
+    /// read (and one `t(γ)` reader registration) per sample. A sample
+    /// that the run would read for its self-healing fill while another
+    /// thread holds its fill claim is read from its tier once that
+    /// fill has landed. The bytes land in `scratch.run` in input order;
+    /// self-healing fills are per sample, statistics per sweep, the
+    /// trace span per run. Returns `false` when the window was closed
+    /// under it (shutdown).
     fn fetch_many_for_staging(
         &self,
         base: u64,
@@ -253,17 +322,17 @@ impl WorkerCtx {
         probes.clear();
         for (pos, &k) in (base..).zip(ks) {
             let probe = match &self.window {
-                Some(window) if self.shared.placement.is_uncached(k) => {
-                    // No holder anywhere: the origin is the only source.
-                    self.stats.count_pfs();
-                    sources.pfs += 1;
-                    match window.take(pos) {
-                        Taken::Parked(data) => (Pick::Served(data), false),
-                        Taken::Unclaimed => (Pick::Origin, false),
-                        Taken::Closed => return false,
+                // No holder anywhere: the origin is the only source.
+                Some(window) if self.shared.placement.is_uncached(k) => match window.take(pos) {
+                    Taken::Parked(data) => {
+                        self.stats.count_pfs();
+                        sources.pfs += 1;
+                        (Pick::Served(data), false)
                     }
-                }
-                _ => self.staging_probe(k, &mut sources),
+                    Taken::Unclaimed => (Pick::Origin, false),
+                    Taken::Closed => return false,
+                },
+                _ => self.staging_probe(k),
             };
             if let Pick::Peer(owner) = probe.0 {
                 peer.get_or_insert_with(|| PeerLeg::new(&self.obs.registry))
@@ -301,23 +370,20 @@ impl WorkerCtx {
                     // NoPFS's no-eviction placement, but recoverable):
                     // the sweep repaired the stale entry; the sample
                     // joins the origin's list.
-                    Err(_) => {
-                        self.stats.count_pfs();
-                        sources.pfs += 1;
-                        Pick::Origin
-                    }
+                    Err(_) => Pick::Origin,
                 };
             });
             self.stats.add_local(served);
             sources.local += served;
         }
         // Phase 3: the peers' samples, one frame per owner; what a peer
-        // did not have joins the origin's list.
+        // did not have joins the origin's list, as does every other
+        // origin pick whose fill no other thread has claimed.
         if let Some(peer) = peer {
             peer.exchange(&self.endpoint);
         }
         origin_ids.clear();
-        for (&k, (pick, _)) in ks.iter().zip(probes.iter_mut()) {
+        for (&k, (pick, needs_fill)) in ks.iter().zip(probes.iter_mut()) {
             if let Pick::Peer(owner) = *pick {
                 let peer = peer.as_mut().expect("a peer pick made the client");
                 *pick = match peer.client.take(owner, k) {
@@ -331,14 +397,18 @@ impl WorkerCtx {
                         // prefetched the sample yet (or the frame never
                         // reached it). Not an error.
                         self.stats.count_false_positive();
-                        self.stats.count_pfs();
-                        sources.pfs += 1;
                         Pick::Origin
                     }
                 };
             }
             if matches!(pick, Pick::Origin) {
-                origin_ids.push(k);
+                if *needs_fill && self.fill_class(k).is_some() && !self.claim_fill(k) {
+                    *pick = Pick::Claimed;
+                } else {
+                    self.stats.count_pfs();
+                    sources.pfs += 1;
+                    origin_ids.push(k);
+                }
             }
         }
         // Phase 4: one vectored origin read for everything that needs it.
@@ -352,17 +422,32 @@ impl WorkerCtx {
             datas
         }
         .into_iter();
-        // Phase 5: self-healing fills, in input order.
-        for (&k, (pick, needs_fill)) in ks.iter().zip(probes.drain(..)) {
+        // Phase 5: self-healing fills, in input order, each ending the
+        // fill claim of a sample the run read for it.
+        for (&k, (pick, needs_fill)) in ks.iter().zip(probes.iter_mut()) {
+            let claimed = matches!(pick, Pick::Origin);
+            if claimed {
+                *pick = Pick::Served(from_origin.next().expect("every staged sample is fetched"));
+            }
+            if let (Pick::Served(data), true) = (&*pick, *needs_fill) {
+                if let Some(class) = self.fill_class(k) {
+                    let _ = self.tiers.fill(class, k, data.clone());
+                    if claimed {
+                        self.filling.release(k);
+                    }
+                }
+            }
+        }
+        // Phase 6: the samples other threads were filling, now that
+        // this run's claims are over.
+        for (&k, (pick, _)) in ks.iter().zip(probes.drain(..)) {
             let data = match pick {
                 Pick::Served(data) => data,
-                Pick::Origin => from_origin.next().expect("every staged sample is fetched"),
-                Pick::Local(_) => unreachable!("phase 2 settled every local pick"),
-                Pick::Peer(_) => unreachable!("phase 3 settled every peer pick"),
+                Pick::Claimed => self.read_claimed(k, &mut sources),
+                Pick::Local(_) | Pick::Peer(_) | Pick::Origin => {
+                    unreachable!("phases 2–5 settled every other pick")
+                }
             };
-            if needs_fill {
-                self.self_healing_fill(k, &data);
-            }
             run.push((k, data));
         }
         if let Some(t0) = t0 {
@@ -381,22 +466,55 @@ impl WorkerCtx {
         true
     }
 
-    /// Self-healing fill: if this sample is assigned to one of our
-    /// tiers but the class prefetcher has not cached it yet, the
-    /// staging fetch doubles as the (pinned) fill.
-    fn self_healing_fill(&self, k: SampleId, data: &Bytes) {
-        if let Some(c) = self.shared.placement.assignment(self.rank).class_of(k) {
-            let _ = self.tiers.fill(c as usize, k, data.clone());
+    /// The tier the plan assigns `k` to on this worker, if any: where
+    /// the class prefetcher fills it, and where a staging fetch that
+    /// finds it uncached fills it first (the self-healing fill).
+    fn fill_class(&self, k: SampleId) -> Option<usize> {
+        let class = self.shared.placement.assignment(self.rank).class_of(k)?;
+        Some(usize::from(class))
+    }
+
+    /// Takes `k`'s fill claim ([`FillClaims`]): whether this thread is
+    /// to read `k` from the origin and fill it — no other thread is
+    /// reading it for its fill, and no fill has landed since the
+    /// caller found it uncached.
+    fn claim_fill(&self, k: SampleId) -> bool {
+        if !self.filling.claim(k) {
+            return false;
         }
+        if self.tiers.locate(k).is_some() {
+            self.filling.release(k);
+            return false;
+        }
+        true
+    }
+
+    /// A sample another thread held the fill claim of: from its tier
+    /// once the claim is over — or, when that fill did not land (or
+    /// the worker is stopping), from the origin.
+    fn read_claimed(&self, k: SampleId, sources: &mut RunSources) -> Bytes {
+        self.fill_waits.inc();
+        let waiting = Instant::now();
+        self.filling.wait(k, &self.stop);
+        self.origin_wait_nanos
+            .add(waiting.elapsed().as_nanos() as u64);
+        if let Some(data) = self.tiers.get_cached(k) {
+            self.stats.add_local(1);
+            sources.local += 1;
+            return data;
+        }
+        self.stats.count_pfs();
+        sources.pfs += 1;
+        origin_read_retry(&self.tiers, k, &self.stats)
     }
 
     /// Phase 1 of a staging fetch: the source decision, and nothing
-    /// but the decision. A PFS decision is counted here (in the
-    /// statistics and in `sources`), a local one when its tier's sweep
-    /// is done, a peer one when its frame is back; the `bool` is
-    /// whether the self-healing fill applies (the sample was not
-    /// cataloged locally when the fetch started).
-    fn staging_probe(&self, k: SampleId, sources: &mut RunSources) -> Probe {
+    /// but the decision. Each pick is counted once it is settled: a
+    /// local one when its tier's sweep is done, a peer one when its
+    /// frame is back, an origin one when it joins the run's origin
+    /// read. The `bool` is whether the self-healing fill applies (the
+    /// sample was not cataloged locally when the fetch started).
+    fn staging_probe(&self, k: SampleId) -> Probe {
         let sys = &self.shared.config.system;
         let size = self.shared.sizes[k as usize];
 
@@ -448,11 +566,7 @@ impl WorkerCtx {
                 let (owner, _) = best_remote.expect("remote choice implies a holder");
                 Pick::Peer(owner)
             }
-            Location::Pfs => {
-                self.stats.count_pfs();
-                sources.pfs += 1;
-                Pick::Origin
-            }
+            Location::Pfs => Pick::Origin,
             Location::Staging => unreachable!("staging is never a fetch candidate"),
         };
         (pick, local_tier.is_none())
@@ -628,6 +742,7 @@ impl WorkerHandle {
             )
         });
         let write_nanos = obs.registry.counter(names::WORKER_STAGING_WRITE_NANOS);
+        let fill_waits = obs.registry.counter(names::WORKER_STAGING_FILL_WAITS);
         let stream = Arc::clone(&shared.streams[rank]);
         let epoch_len = shared.spec.worker_epoch_len(rank);
 
@@ -641,10 +756,12 @@ impl WorkerHandle {
             stop,
             progress,
             stage,
-            run_len: stage_run_len(sys, &shared.sizes),
+            run_len: stage_run_len(sys, &shared.sizes, epoch_len),
+            filling: FillClaims::new(shared.sizes.len()),
             window,
             origin_wait_nanos,
             write_nanos,
+            fill_waits,
             obs,
         });
 
@@ -654,9 +771,11 @@ impl WorkerHandle {
         // assignment in first-access order. Fills go down to the origin
         // in vectored chunks so a coalescing PFS merges adjacent ids
         // into fewer requests; progress advances per completed chunk
-        // (conservative: the remote heuristic only sees finished work).
-        // Its list drained, a prefetcher thread turns into an origin
-        // lane instead of exiting: the lanes cost the launch no spawn.
+        // (conservative: the remote heuristic only sees finished work —
+        // a sample whose fill a staging thread has claimed counts once
+        // that fill is over). Its list drained, a prefetcher thread
+        // turns into an origin lane instead of exiting: the lanes cost
+        // the launch no spawn.
         let cache_tiers = ctx.tiers.cache_tiers();
         for class in 0..cache_tiers {
             let ctx = Arc::clone(&ctx);
@@ -672,13 +791,19 @@ impl WorkerHandle {
                     let missing: Vec<SampleId> = chunk
                         .iter()
                         .copied()
-                        .filter(|&k| ctx.tiers.locate(k).is_none())
+                        .filter(|&k| ctx.tiers.locate(k).is_none() && ctx.claim_fill(k))
                         .collect();
                     if !missing.is_empty() {
+                        // Released on unwind too: a staging thread
+                        // waiting on them then reads them itself.
+                        let _held = ctx.filling.held(&missing);
                         let datas = origin_read_many_retry(&ctx.tiers, &missing, &ctx.stats);
-                        for (k, data) in missing.into_iter().zip(datas) {
+                        for (&k, data) in missing.iter().zip(datas) {
                             let _ = ctx.tiers.fill(class, k, data);
                         }
+                    }
+                    for &k in chunk {
+                        ctx.filling.wait(k, &ctx.stop);
                     }
                     done += chunk.len() as u64;
                     ctx.progress[class].store(done, Ordering::Release);
@@ -923,35 +1048,59 @@ mod tests {
     #[test]
     fn a_run_is_an_eighth_of_the_stage_per_thread() {
         const MIB: u64 = 1 << 20;
-        // The benchmark's four workloads, one staging thread each.
-        for (capacity, size, run) in [
-            (4 * MIB, 4_096, 128),
-            (16 * MIB, 64 << 10, 32),
-            (8 * MIB, 16 << 10, 64),
-            (1_000_000, 20_000, 6),
+        // The benchmark's four workloads, one staging thread each, with
+        // their per-rank epochs.
+        for (capacity, size, epoch, run) in [
+            (4 * MIB, 4_096, 131_072, 128),
+            (16 * MIB, 64 << 10, 4_096, 32),
+            (8 * MIB, 16 << 10, 32_768, 64),
+            (1_000_000, 20_000, 2_000, 6),
         ] {
-            assert_eq!(stage_run_len(&staging(capacity, 1), &[size; 100]), run);
+            assert_eq!(
+                stage_run_len(&staging(capacity, 1), &[size; 100], epoch),
+                run
+            );
         }
         // The threads share the eighth; the mean is rounded up.
-        assert_eq!(stage_run_len(&staging(64_000, 2), &[1_000; 10]), 4);
-        assert_eq!(stage_run_len(&staging(64_000, 1), &[999, 1_002]), 7);
+        assert_eq!(stage_run_len(&staging(64_000, 2), &[1_000; 10], 100), 4);
+        assert_eq!(stage_run_len(&staging(64_000, 1), &[999, 1_002], 100), 7);
+    }
+
+    #[test]
+    fn every_staging_thread_has_work_in_every_epoch() {
+        // The preset's own stage (5 GB, eight threads) would make runs
+        // of 781 samples of 100 KB: more than a 1 000-sample epoch
+        // holds for all eight threads, so it is split between them.
+        let sys = fig8_small_cluster();
+        assert_eq!(stage_run_len(&sys, &[100_000; 1_000], u64::MAX), 781);
+        assert_eq!(stage_run_len(&sys, &[100_000; 1_000], 1_000), 125);
+        // Four ranks: an epoch of 250 samples each.
+        assert_eq!(stage_run_len(&sys, &[100_000; 1_000], 250), 32);
+        // Fewer positions in an epoch than threads: runs of one.
+        assert_eq!(stage_run_len(&sys, &[100_000; 1_000], 5), 1);
     }
 
     #[test]
     fn a_run_is_at_least_one_position() {
-        // Empty dataset, zero-byte samples, no threads, no capacity, a
-        // stage below one sample, sizes whose sum overflows a u64.
-        assert_eq!(stage_run_len(&staging(0, 1), &[]), 1);
-        assert_eq!(stage_run_len(&staging(800, 0), &[]), 100);
-        assert_eq!(stage_run_len(&staging(800, 1), &[0; 4]), 100);
-        assert_eq!(stage_run_len(&staging(0, 1), &[0; 4]), 1);
-        assert_eq!(stage_run_len(&staging(999, 1), &[1_000; 4]), 1);
-        assert_eq!(stage_run_len(&staging(7_999, 1), &[1_000; 4]), 1);
+        // Empty dataset, zero-byte samples, no threads, no capacity, an
+        // empty epoch, a stage below one sample, sizes whose sum
+        // overflows a u64.
+        let all = u64::MAX;
+        assert_eq!(stage_run_len(&staging(0, 1), &[], all), 1);
+        assert_eq!(stage_run_len(&staging(800, 0), &[], all), 100);
+        assert_eq!(stage_run_len(&staging(800, 1), &[0; 4], all), 100);
+        assert_eq!(stage_run_len(&staging(800, 1), &[0; 4], 0), 1);
+        assert_eq!(stage_run_len(&staging(0, 1), &[0; 4], all), 1);
+        assert_eq!(stage_run_len(&staging(999, 1), &[1_000; 4], all), 1);
+        assert_eq!(stage_run_len(&staging(7_999, 1), &[1_000; 4], all), 1);
         assert_eq!(
-            stage_run_len(&staging(u64::MAX, u32::MAX), &[u64::MAX; 3]),
+            stage_run_len(&staging(u64::MAX, u32::MAX), &[u64::MAX; 3], all),
             1
         );
-        assert_eq!(stage_run_len(&staging(u64::MAX, 1), &[1; 3]), u64::MAX / 8);
+        assert_eq!(
+            stage_run_len(&staging(u64::MAX, 1), &[1; 3], all),
+            u64::MAX / 8
+        );
     }
 
     #[test]
@@ -961,8 +1110,9 @@ mod tests {
             let threads = 1 + (rng.next_u64() % 8) as u32;
             let capacity = rng.next_u64() % (1 << 24);
             let n = 1 + rng.next_u64() % 64;
+            let epoch = rng.next_u64() % 512;
             let sizes: Vec<u64> = (0..n).map(|_| rng.next_u64() % 70_000).collect();
-            let run = stage_run_len(&staging(capacity, threads), &sizes);
+            let run = stage_run_len(&staging(capacity, threads), &sizes, epoch);
             assert!(run >= 1);
             if run > 1 {
                 // threads · run · mean ≤ capacity / 8, without rounding.
@@ -971,6 +1121,11 @@ mod tests {
                 assert!(
                     held <= u128::from(capacity) * u128::from(n),
                     "run {run}, {threads} threads, capacity {capacity}, sizes {sizes:?}"
+                );
+                // An epoch has room for a run per thread.
+                assert!(
+                    u64::from(threads) * (run - 1) < epoch,
+                    "run {run}, {threads} threads, epoch {epoch}"
                 );
             }
         }

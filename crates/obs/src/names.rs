@@ -34,9 +34,13 @@ pub const WORKER_STALL_LATENCY: &str = "worker.stall_latency_ns";
 // from local tiers (and the CPU work per sample).
 
 /// Nanoseconds staging threads waited for origin bytes: blocked on the
-/// look-ahead window for a lane's read, or reading the origin
-/// themselves.
+/// look-ahead window for a lane's read, reading the origin themselves,
+/// or waiting for another thread's origin read to land in its fill.
 pub const WORKER_STAGING_ORIGIN_WAIT_NANOS: &str = "worker.staging.origin_wait_nanos";
+/// Samples a staging thread wanted while another thread was reading
+/// them from the origin for their fill: each is read from its tier once
+/// that fill has landed, not from the origin a second time.
+pub const WORKER_STAGING_FILL_WAITS: &str = "worker.staging.fill_waits";
 /// Nanoseconds staging threads spent in the modelled `write_time`.
 pub const WORKER_STAGING_WRITE_NANOS: &str = "worker.staging.write_nanos";
 /// Nanoseconds staging threads waited for peers to answer their fetch
