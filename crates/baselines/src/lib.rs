@@ -10,26 +10,28 @@
 //! storage backends — so that runtime comparisons isolate the policy,
 //! exactly as the paper's head-to-head experiments do.
 //!
+//! Every overlapped baseline — PyTorch's double buffering
+//! (`PolicyId::StagingBuffer`), the LBANN store, DeepIO, parallel
+//! staging, locality-aware loading — runs on one loader that executes
+//! the policy's shared decision core, the object the simulator prices.
+//! DALI is PyTorch's loader on a system with faster preprocessing.
+//! The synchronous naive loader and the no-I/O bound are the two
+//! others. [`registry`] builds any of them, and NoPFS's workers, from a
+//! `PolicyId`.
+//!
 //! All loaders implement [`DataLoader`], and so does
 //! `nopfs_core::WorkerHandle`, so training loops and benches are
 //! generic over the policy.
 
-pub mod double_buffer;
-pub mod lbann;
-pub mod naive;
-pub mod noio;
-pub mod plan_loader;
+mod naive;
+mod noio;
+mod plan_loader;
 pub mod registry;
 
 use bytes::Bytes;
 use nopfs_core::stats::WorkerStats;
 use nopfs_core::SampleId;
 
-pub use double_buffer::DoubleBufferRunner;
-pub use lbann::LbannRunner;
-pub use naive::NaiveRunner;
-pub use noio::NoIoRunner;
-pub use plan_loader::PlanRunner;
 pub use registry::{build_loader, build_loaders, run_policy, LoaderSet, PolicyOutcome};
 
 /// The common loader interface: iterator-style access to `(id, bytes)`
@@ -89,7 +91,7 @@ pub trait DataLoader: Send {
     /// Loaders of a peer-coupled policy (NoPFS, LBANN, DeepIO, …)
     /// barrier with their siblings here, so a multi-worker set must be
     /// shut down **concurrently** — one thread per loader, as
-    /// [`registry::LoaderSet`] does on drop.
+    /// [`LoaderSet::drive`] and [`LoaderSet`]'s drop do.
     fn shutdown(&mut self) {}
 }
 
@@ -177,5 +179,105 @@ mod tests {
         let sizes: Vec<usize> = std::iter::from_fn(|| f.next_batch().map(|b| b.len())).collect();
         // Epoch of 5 with batch 3: 3+2, twice.
         assert_eq!(sizes, vec![3, 2, 3, 2]);
+    }
+}
+
+/// PyTorch's double buffering (`PolicyId::StagingBuffer`) end to end
+/// through the registry: every fetch goes to the PFS, in stream order.
+#[cfg(test)]
+mod double_buffer {
+    mod tests {
+        use crate::run_policy;
+        use bytes::Bytes;
+        use nopfs_clairvoyance::stream::AccessStream;
+        use nopfs_core::JobConfig;
+        use nopfs_perfmodel::presets::fig8_small_cluster;
+        use nopfs_perfmodel::ThroughputCurve;
+        use nopfs_pfs::Pfs;
+        use nopfs_policy::PolicyId;
+        use nopfs_util::timing::TimeScale;
+        use std::sync::Arc;
+
+        fn setup(n_samples: u64) -> (JobConfig, Arc<Vec<u64>>, Pfs) {
+            let mut sys = fig8_small_cluster();
+            sys.staging.capacity = 8_192;
+            let config = JobConfig::new(21, 2, 4, sys, TimeScale::new(1e-6));
+            let sizes = Arc::new(vec![512u64; n_samples as usize]);
+            let pfs = Pfs::in_memory(ThroughputCurve::flat(1e12), TimeScale::new(1e-6));
+            for id in 0..n_samples {
+                pfs.put(id, Bytes::from(vec![(id % 256) as u8; 512]));
+            }
+            (config, sizes, pfs)
+        }
+
+        #[test]
+        fn delivers_stream_in_order_all_from_pfs() {
+            let (config, sizes, pfs) = setup(48);
+            let spec = config.shuffle_spec(48);
+            let streams = run_policy(PolicyId::StagingBuffer, config, sizes, &pfs, |l| {
+                let mut got = vec![];
+                while let Some((id, data)) = l.next_sample() {
+                    assert_eq!(data[0], (id % 256) as u8);
+                    got.push(id);
+                }
+                (l.rank(), got, l.stats())
+            })
+            .expect("double buffering runs any configuration")
+            .per_worker;
+            for (rank, got, stats) in streams {
+                let expect = AccessStream::new(spec, rank, 2).materialize();
+                assert_eq!(got, expect, "worker {rank} order");
+                assert_eq!(stats.pfs_fetches, expect.len() as u64);
+                assert_eq!(stats.local_fetches + stats.remote_fetches, 0);
+            }
+        }
+
+        #[test]
+        fn early_stop_is_clean() {
+            let (config, sizes, pfs) = setup(400);
+            let counts = run_policy(PolicyId::StagingBuffer, config, sizes, &pfs, |l| {
+                let mut n = 0;
+                for _ in 0..5 {
+                    if l.next_sample().is_none() {
+                        break;
+                    }
+                    n += 1;
+                }
+                n
+            })
+            .expect("double buffering runs any configuration")
+            .per_worker;
+            assert!(counts.iter().all(|&c| c == 5));
+        }
+    }
+}
+
+/// The LBANN data store's feasibility rule as a caller that needs the
+/// loaders sees it.
+#[cfg(test)]
+mod lbann {
+    mod tests {
+        use crate::build_loaders;
+        use nopfs_core::JobConfig;
+        use nopfs_perfmodel::presets::fig8_small_cluster;
+        use nopfs_perfmodel::ThroughputCurve;
+        use nopfs_pfs::Pfs;
+        use nopfs_policy::PolicyId;
+        use nopfs_util::timing::TimeScale;
+        use std::sync::Arc;
+
+        #[test]
+        #[should_panic(expected = "aggregate worker memory")]
+        fn oversized_dataset_rejected() {
+            // 64 x 512 B = 32 KB > 4 x 4 KB.
+            let mut sys = fig8_small_cluster();
+            sys.staging.capacity = 8_192;
+            sys.classes[0].capacity = 4_000;
+            let config = JobConfig::new(13, 3, 4, sys, TimeScale::new(1e-6));
+            let sizes = Arc::new(vec![512u64; 64]);
+            let pfs = Pfs::in_memory(ThroughputCurve::flat(1e12), TimeScale::new(1e-6));
+            let _ = build_loaders(PolicyId::LbannDynamic, config, sizes, &pfs)
+                .expect("an infeasible store is refused");
+        }
     }
 }

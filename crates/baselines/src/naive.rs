@@ -17,14 +17,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Launches naive loaders, one per worker thread.
-pub struct NaiveRunner {
+pub(crate) struct NaiveRunner {
     config: JobConfig,
     sizes: Arc<Vec<u64>>,
 }
 
 impl NaiveRunner {
     /// Creates the runner.
-    pub fn new(config: JobConfig, sizes: Arc<Vec<u64>>) -> Self {
+    pub(crate) fn new(config: JobConfig, sizes: Arc<Vec<u64>>) -> Self {
         assert!(!sizes.is_empty(), "dataset must contain samples");
         Self { config, sizes }
     }
@@ -52,26 +52,6 @@ impl NaiveRunner {
                 }
             })
             .collect()
-    }
-
-    /// Runs `f` once per worker.
-    pub fn run<R, F>(&self, pfs: &Pfs, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&mut dyn DataLoader) -> R + Sync,
-    {
-        let f = &f;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .launch_all(pfs)
-                .into_iter()
-                .map(|mut loader| s.spawn(move || f(&mut loader)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        })
     }
 }
 
@@ -127,14 +107,15 @@ impl DataLoader for NaiveLoader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_policy;
     use nopfs_perfmodel::presets::fig8_small_cluster;
+    use nopfs_policy::PolicyId;
     use nopfs_util::timing::TimeScale;
 
     #[test]
     fn reads_everything_from_the_pfs() {
         let config = JobConfig::new(5, 2, 4, fig8_small_cluster(), TimeScale::new(1e-6));
         let sizes = Arc::new(vec![256u64; 32]);
-        let runner = NaiveRunner::new(config, Arc::clone(&sizes));
         let pfs = Pfs::in_memory(
             nopfs_perfmodel::ThroughputCurve::flat(1e12),
             TimeScale::new(1e-6),
@@ -142,12 +123,14 @@ mod tests {
         for id in 0..32u64 {
             pfs.put(id, Bytes::from(vec![id as u8; 256]));
         }
-        let stats = runner.run(&pfs, |loader| {
+        let stats = run_policy(PolicyId::Naive, config, sizes, &pfs, |loader| {
             while let Some((id, data)) = loader.next_sample() {
                 assert_eq!(data[0], id as u8);
             }
             loader.stats()
-        });
+        })
+        .expect("supported")
+        .per_worker;
         let total_pfs: u64 = stats.iter().map(|s| s.pfs_fetches).sum();
         assert_eq!(total_pfs, 64, "every access is a PFS read");
         assert!(stats.iter().all(|s| s.local_fetches == 0));
@@ -160,7 +143,6 @@ mod tests {
         let mut cfg = config;
         cfg.system.workers = 2;
         let sizes = Arc::new(vec![64u64; 8]);
-        let runner = NaiveRunner::new(cfg, Arc::clone(&sizes));
         let pfs = Pfs::in_memory(
             nopfs_perfmodel::ThroughputCurve::flat(1e12),
             TimeScale::new(1e-6),
@@ -169,7 +151,11 @@ mod tests {
             pfs.put(id, Bytes::from(vec![0u8; 64]));
         }
         pfs.inject_fault(3, 2);
-        let counts = runner.run(&pfs, |l| std::iter::from_fn(|| l.next_sample()).count());
+        let counts = run_policy(PolicyId::Naive, cfg, sizes, &pfs, |l| {
+            std::iter::from_fn(|| l.next_sample()).count()
+        })
+        .expect("supported")
+        .per_worker;
         assert_eq!(counts.iter().sum::<usize>(), 8);
     }
 }

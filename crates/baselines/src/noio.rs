@@ -13,14 +13,14 @@ use nopfs_util::rng::Xoshiro256pp;
 use std::sync::Arc;
 
 /// Launches no-I/O loaders, one per worker thread.
-pub struct NoIoRunner {
+pub(crate) struct NoIoRunner {
     config: JobConfig,
     sizes: Arc<Vec<u64>>,
 }
 
 impl NoIoRunner {
     /// Creates the runner for a dataset described by `sizes`.
-    pub fn new(config: JobConfig, sizes: Arc<Vec<u64>>) -> Self {
+    pub(crate) fn new(config: JobConfig, sizes: Arc<Vec<u64>>) -> Self {
         assert!(!sizes.is_empty(), "dataset must contain samples");
         Self { config, sizes }
     }
@@ -58,26 +58,6 @@ impl NoIoRunner {
                 }
             })
             .collect()
-    }
-
-    /// Runs `f` once per worker with that worker's loader.
-    pub fn run<R, F>(&self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&mut dyn DataLoader) -> R + Sync,
-    {
-        let f = &f;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .launch_all()
-                .into_iter()
-                .map(|mut loader| s.spawn(move || f(&mut loader)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        })
     }
 }
 
@@ -133,15 +113,18 @@ impl DataLoader for NoIoLoader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_policy;
     use nopfs_perfmodel::presets::fig8_small_cluster;
+    use nopfs_pfs::Pfs;
+    use nopfs_policy::PolicyId;
     use nopfs_util::timing::TimeScale;
 
     #[test]
     fn yields_full_stream_without_io() {
         let config = JobConfig::new(3, 2, 4, fig8_small_cluster(), TimeScale::new(1e-6));
         let sizes = Arc::new(vec![512u64; 40]);
-        let runner = NoIoRunner::new(config, sizes);
-        let counts = runner.run(|loader| {
+        let pfs = Pfs::in_memory(config.system.pfs_read.clone(), config.scale);
+        let counts = run_policy(PolicyId::Perfect, config, sizes, &pfs, |loader| {
             let mut n = 0u64;
             while let Some((id, data)) = loader.next_sample() {
                 assert!(id < 40);
@@ -151,7 +134,9 @@ mod tests {
             let s = loader.stats();
             assert_eq!(s.total_fetches(), 0, "no-I/O must not fetch");
             n
-        });
+        })
+        .expect("supported")
+        .per_worker;
         // 40 samples x 2 epochs across 4 workers.
         assert_eq!(counts.iter().sum::<u64>(), 80);
     }
@@ -160,14 +145,16 @@ mod tests {
     fn batches_work_through_the_trait() {
         let config = JobConfig::new(3, 1, 4, fig8_small_cluster(), TimeScale::new(1e-6));
         let sizes = Arc::new(vec![100u64; 16]);
-        let runner = NoIoRunner::new(config, sizes);
-        let shapes = runner.run(|loader| {
+        let pfs = Pfs::in_memory(config.system.pfs_read.clone(), config.scale);
+        let shapes = run_policy(PolicyId::Perfect, config, sizes, &pfs, |loader| {
             let mut shapes = vec![];
             while let Some(b) = loader.next_batch() {
                 shapes.push(b.len());
             }
             shapes
-        });
+        })
+        .expect("supported")
+        .per_worker;
         for s in shapes {
             assert_eq!(s, vec![4]); // 4 samples per worker, one batch
         }

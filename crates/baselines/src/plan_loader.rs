@@ -17,8 +17,10 @@
 //!   workers run) answers peers' fetch frames from the local backends,
 //!   paying the modelled wire cost.
 //!
-//! One implementation therefore covers every core-backed policy; the
-//! policies differ only in the decisions their cores return.
+//! One implementation therefore covers every overlapped core-backed
+//! policy — down to `StagingBuffer`, whose core sends every access to
+//! the PFS and prestages nothing, which is PyTorch's double buffering;
+//! the policies differ only in the decisions their cores return.
 
 use crate::DataLoader;
 use bytes::Bytes;
@@ -36,9 +38,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Launches core-driven loaders, one per worker thread, for any policy
-/// with a shared decision core.
-pub struct PlanRunner {
+/// Launches core-driven loaders, one per worker thread, for any
+/// overlapped policy with a shared decision core.
+pub(crate) struct PlanRunner {
     config: JobConfig,
     sizes: Arc<Vec<u64>>,
     core: Arc<dyn PolicyCore>,
@@ -50,9 +52,10 @@ impl PlanRunner {
     ///
     /// # Errors
     /// [`Unsupported`] when the policy cannot run the configuration
-    /// (e.g. the LBANN data store with an over-sized dataset) or has no
-    /// shared core (`NoPfs`, `Perfect` — use `Job` / `NoIoRunner`).
-    pub fn new(
+    /// (e.g. the LBANN data store with an over-sized dataset), has no
+    /// shared core (`NoPfs`, `Perfect`) or is synchronous (`Naive`);
+    /// the registry builds those three loaders itself.
+    pub(crate) fn new(
         policy: PolicyId,
         config: JobConfig,
         sizes: Arc<Vec<u64>>,
@@ -61,45 +64,19 @@ impl PlanRunner {
         let spec = config.shuffle_spec(sizes.len() as u64);
         let core = build_core(policy, &config.system, &sizes, &spec)?.ok_or_else(|| {
             Unsupported(format!(
-                "{policy} has no shared decision core; use its dedicated runner"
+                "{policy} has no shared decision core to run prefetch threads over"
             ))
         })?;
         let core: Arc<dyn PolicyCore> = Arc::from(core);
         if !core.overlapped() {
             return Err(Unsupported(format!(
-                "{policy} is synchronous; PlanRunner drives prefetch threads — use NaiveRunner"
+                "{policy} is synchronous; the plan loader overlaps reads with prefetch threads"
             )));
         }
         Ok(Self {
             config,
             sizes,
             core,
-        })
-    }
-
-    /// Runs `f` once per worker.
-    pub fn run<R, F>(&self, pfs: &Pfs, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&mut dyn DataLoader) -> R + Sync,
-    {
-        let loaders = self.launch_all(pfs);
-        let f = &f;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = loaders
-                .into_iter()
-                .map(|mut loader| {
-                    s.spawn(move || {
-                        let result = f(&mut loader);
-                        loader.shutdown();
-                        result
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
         })
     }
 
@@ -309,7 +286,7 @@ impl PlanCtx {
 }
 
 /// One worker's core-driven loader (created by [`PlanRunner`]).
-pub struct PlanLoader {
+pub(crate) struct PlanLoader {
     ctx: Arc<PlanCtx>,
     threads: Vec<JoinHandle<()>>,
     server: Option<JoinHandle<()>>,
@@ -530,21 +507,40 @@ mod tests {
         (config, sizes, pfs)
     }
 
+    /// Drives `policy` through the registry, whose catch-all arm is
+    /// this loader, and returns each rank's result of `f`.
+    fn run<R: Send>(
+        policy: PolicyId,
+        (config, sizes, pfs): (JobConfig, Arc<Vec<u64>>, Pfs),
+        f: impl Fn(&mut dyn DataLoader) -> R + Sync,
+    ) -> Vec<R> {
+        crate::run_policy(policy, config, sizes, &pfs, f)
+            .unwrap_or_else(|e| panic!("{policy}: {e}"))
+            .per_worker
+    }
+
+    /// Consumes the whole stream, checking each payload, and returns
+    /// the loader's statistics.
+    fn drain(l: &mut dyn DataLoader) -> WorkerStats {
+        while let Some((id, data)) = l.next_sample() {
+            assert_eq!(data[0], (id % 256) as u8);
+        }
+        l.stats()
+    }
+
+    fn merged(stats: &[WorkerStats]) -> WorkerStats {
+        let mut merged = WorkerStats::default();
+        for s in stats {
+            merged.merge(s);
+        }
+        merged
+    }
+
     #[test]
     fn deep_io_ordered_serves_shards_and_pfs() {
         // RAM holds 8 samples per worker => 32 of 64 cached.
-        let (config, sizes, pfs) = setup(64, 1_000, system(8, 0, 1_000), 2);
-        let runner = PlanRunner::new(PolicyId::DeepIoOrdered, config, sizes).unwrap();
-        let stats = runner.run(&pfs, |l| {
-            while let Some((id, data)) = l.next_sample() {
-                assert_eq!(data[0], (id % 256) as u8);
-            }
-            l.stats()
-        });
-        let mut merged = stats[0].clone();
-        for s in &stats[1..] {
-            merged.merge(s);
-        }
+        let setup = setup(64, 1_000, system(8, 0, 1_000), 2);
+        let merged = merged(&run(PolicyId::DeepIoOrdered, setup, drain));
         assert_eq!(merged.samples_consumed, 128);
         assert_eq!(merged.prestage_fetches, 32, "shards prestaged once");
         // Cached halves come from caches, uncached from the PFS.
@@ -554,26 +550,21 @@ mod tests {
 
     #[test]
     fn deep_io_opportunistic_never_reads_pfs_after_prestage() {
-        let (config, sizes, pfs) = setup(64, 1_000, system(8, 0, 1_000), 2);
-        let runner = PlanRunner::new(PolicyId::DeepIoOpportunistic, config, sizes).unwrap();
-        let ids = runner.run(&pfs, |l| {
+        let setup = setup(64, 1_000, system(8, 0, 1_000), 2);
+        let ids = run(PolicyId::DeepIoOpportunistic, setup, |l| {
             let mut got = vec![];
             while let Some((id, _)) = l.next_sample() {
                 got.push(id);
             }
             (got, l.stats())
         });
-        let mut seen = std::collections::HashSet::new();
-        let mut merged: Option<WorkerStats> = None;
-        for (got, stats) in ids {
-            seen.extend(got);
-            match &mut merged {
-                Some(m) => m.merge(&stats),
-                None => merged = Some(stats),
-            }
-        }
-        let merged = merged.unwrap();
-        assert_eq!(merged.pfs_fetches, 0, "opportunistic mode avoids the PFS");
+        let (ids, stats): (Vec<_>, Vec<_>) = ids.into_iter().unzip();
+        let seen: std::collections::HashSet<SampleId> = ids.into_iter().flatten().collect();
+        assert_eq!(
+            merged(&stats).pfs_fetches,
+            0,
+            "opportunistic mode avoids the PFS"
+        );
         assert!(
             (seen.len() as u64) < 64,
             "substitution shrinks coverage: {} of 64",
@@ -583,13 +574,8 @@ mod tests {
 
     #[test]
     fn parallel_staging_full_copy_is_all_local() {
-        let (config, sizes, pfs) = setup(40, 1_000, system(25, 25, 1_000), 2);
-        let runner = PlanRunner::new(PolicyId::ParallelStaging, config, sizes).unwrap();
-        let stats = runner.run(&pfs, |l| {
-            while l.next_sample().is_some() {}
-            l.stats()
-        });
-        for s in &stats {
+        let setup = setup(40, 1_000, system(25, 25, 1_000), 2);
+        for s in run(PolicyId::ParallelStaging, setup, drain) {
             assert_eq!(s.pfs_fetches, 0);
             assert_eq!(s.remote_fetches, 0);
             assert_eq!(s.prestage_fetches, 40, "full dataset staged per worker");
@@ -598,33 +584,42 @@ mod tests {
 
     #[test]
     fn lbann_preloading_is_owner_served_from_epoch_zero() {
-        let (config, sizes, pfs) = setup(64, 1_000, system(40, 0, 1_000), 2);
-        let runner = PlanRunner::new(PolicyId::LbannPreloading, config, sizes).unwrap();
-        let stats = runner.run(&pfs, |l| {
-            while l.next_sample().is_some() {}
-            l.stats()
-        });
-        let mut merged = stats[0].clone();
-        for s in &stats[1..] {
-            merged.merge(s);
-        }
+        let setup = setup(64, 1_000, system(40, 0, 1_000), 2);
+        let merged = merged(&run(PolicyId::LbannPreloading, setup, drain));
         assert_eq!(merged.prestage_fetches, 64, "store preloaded");
         assert_eq!(merged.pfs_fetches, 0, "epoch 0 already owner-served");
         assert_eq!(merged.local_fetches + merged.remote_fetches, 128);
     }
 
     #[test]
-    fn locality_aware_caches_first_touch_then_goes_local() {
-        let (config, sizes, pfs) = setup(64, 1_000, system(40, 40, 1_000), 3);
-        let runner = PlanRunner::new(PolicyId::LocalityAware, config, sizes).unwrap();
-        let stats = runner.run(&pfs, |l| {
-            while l.next_sample().is_some() {}
-            l.stats()
+    fn lbann_dynamic_epoch0_pfs_then_owner_served() {
+        // Each worker's RAM holds 78 samples: the store never fills.
+        let setup = setup(64, 512, system(78, 0, 512), 3);
+        let merged = merged(&run(PolicyId::LbannDynamic, setup, drain));
+        // Epoch 0: all 64 from the PFS. Epochs 1-2: 128 owner-served.
+        assert_eq!(merged.pfs_fetches, 64);
+        assert_eq!(merged.local_fetches + merged.remote_fetches, 128);
+        // First-touch means ~1/N local: remote must dominate at N=4.
+        assert!(merged.remote_fetches > merged.local_fetches);
+    }
+
+    #[test]
+    fn lbann_dynamic_store_full_falls_back_to_pfs() {
+        // Aggregate memory fits exactly, but worker shares are uneven
+        // enough that some inserts fail: the loader must still deliver
+        // everything via the PFS fallback.
+        let mut sys = system(0, 0, 512);
+        sys.classes[0].capacity = 8_320; // 16.25 samples per worker
+        let counts = run(PolicyId::LbannDynamic, setup(64, 512, sys, 2), |l| {
+            std::iter::from_fn(|| l.next_sample()).count()
         });
-        let mut merged = stats[0].clone();
-        for s in &stats[1..] {
-            merged.merge(s);
-        }
+        assert_eq!(counts.iter().sum::<usize>(), 128);
+    }
+
+    #[test]
+    fn locality_aware_caches_first_touch_then_goes_local() {
+        let setup = setup(64, 1_000, system(40, 40, 1_000), 3);
+        let merged = merged(&run(PolicyId::LocalityAware, setup, drain));
         assert_eq!(merged.samples_consumed, 192);
         // Epoch 0 is all-PFS; afterwards the reassigned batches are
         // dominated by local hits.
@@ -637,19 +632,14 @@ mod tests {
 
     #[test]
     fn early_stop_shuts_down_cleanly() {
-        let (config, sizes, pfs) = setup(400, 1_000, system(50, 50, 1_000), 3);
-        let runner = PlanRunner::new(PolicyId::DeepIoOrdered, config, sizes).unwrap();
-        let counts = runner.run(&pfs, |l| {
-            let mut n = 0;
-            for _ in 0..5 {
-                if l.next_sample().is_none() {
-                    break;
-                }
-                n += 1;
-            }
-            n
-        });
-        assert!(counts.iter().all(|&c| c == 5));
+        // A prestaging policy and one that starts reading at once.
+        for policy in [PolicyId::DeepIoOrdered, PolicyId::StagingBuffer] {
+            let setup = setup(400, 1_000, system(50, 50, 1_000), 3);
+            let counts = run(policy, setup, |l| {
+                (0..5).take_while(|_| l.next_sample().is_some()).count()
+            });
+            assert!(counts.iter().all(|&c| c == 5), "{policy}: {counts:?}");
+        }
     }
 
     #[test]

@@ -1,24 +1,28 @@
 //! The runtime loader factory: one dispatch point from [`PolicyId`] to
-//! a working loader stack, used by the solo runtime, the benches, and
+//! a working loader set, used by the solo runtime, the benches, and
 //! the multi-tenant cluster.
 //!
 //! Every entry of `PolicyId::ALL` constructs here:
 //!
-//! | policy                  | runtime implementation                    |
-//! |-------------------------|-------------------------------------------|
-//! | `Perfect`               | [`NoIoRunner`] (pregenerated RAM data)    |
-//! | `Naive`                 | [`NaiveRunner`] (synchronous PFS reads)   |
-//! | `StagingBuffer`         | [`DoubleBufferRunner`] (PyTorch-like)     |
-//! | `NoPfs`                 | `nopfs_core::Job`                         |
-//! | every other baseline    | [`PlanRunner`] over its shared core       |
+//! | policy                  | runtime implementation                        |
+//! |-------------------------|-----------------------------------------------|
+//! | `Perfect`               | the no-I/O loader (pregenerated RAM data)     |
+//! | `Naive`                 | the naive loader (synchronous PFS reads)      |
+//! | `NoPfs`                 | `nopfs_core::Job`'s workers                   |
+//! | every other baseline    | the plan loader over the policy's shared core |
 //!
-//! [`run_policy`] is the closure-style harness entry point;
-//! [`build_loaders`] / [`build_loader`] are the object-safe factory
-//! returning `Box<dyn DataLoader>` values for callers that want to own
-//! the iteration themselves.
+//! The plan loader's staging threads walk the core-transformed stream
+//! and fetch from the source the core decides, so `StagingBuffer`
+//! (PyTorch's double buffering, whose core reads every sample from the
+//! PFS) runs on the same loader as the LBANN store and DeepIO.
+//!
+//! [`build_loaders`] is the one dispatch; [`LoaderSet::drive`] runs a
+//! closure on every rank; [`run_policy`] is the two together.
 
+use crate::naive::NaiveRunner;
+use crate::noio::NoIoRunner;
 use crate::plan_loader::PlanRunner;
-use crate::{DataLoader, DoubleBufferRunner, NaiveRunner, NoIoRunner};
+use crate::DataLoader;
 use nopfs_core::stats::SetupStats;
 use nopfs_core::{Job, JobConfig};
 use nopfs_pfs::Pfs;
@@ -33,12 +37,12 @@ pub struct PolicyOutcome<R> {
     pub setup: Option<SetupStats>,
 }
 
-/// Runs `policy` on the given configuration: launches the full worker
-/// set, calls `f` once per rank with that rank's loader, and returns
-/// the per-rank results.
+/// Runs `policy` on the given configuration: [`build_loaders`], then
+/// [`LoaderSet::drive`] — `f` once per rank with that rank's loader —
+/// and returns the per-rank results.
 ///
-/// This is the single dispatch point all harnesses share — the solo
-/// runtime benches, the multi-tenant cluster, and the examples.
+/// This is the closure-style entry point all harnesses share — the
+/// solo runtime benches, the multi-tenant cluster, and the examples.
 ///
 /// # Errors
 /// [`Unsupported`] when the policy cannot run the configuration (the
@@ -54,31 +58,11 @@ where
     R: Send,
     F: Fn(&mut dyn DataLoader) -> R + Sync,
 {
-    Ok(match policy {
-        PolicyId::Perfect => PolicyOutcome {
-            per_worker: NoIoRunner::new(config, sizes).run(f),
-            setup: None,
-        },
-        PolicyId::Naive => PolicyOutcome {
-            per_worker: NaiveRunner::new(config, sizes).run(pfs, f),
-            setup: None,
-        },
-        PolicyId::StagingBuffer => PolicyOutcome {
-            per_worker: DoubleBufferRunner::pytorch_like(config, sizes).run(pfs, f),
-            setup: None,
-        },
-        PolicyId::NoPfs => {
-            let job = Job::new(config, sizes);
-            let setup = Some(job.setup_stats().clone());
-            PolicyOutcome {
-                per_worker: job.run(pfs, |w| f(w)),
-                setup,
-            }
-        }
-        _ => PolicyOutcome {
-            per_worker: PlanRunner::new(policy, config, sizes)?.run(pfs, f),
-            setup: None,
-        },
+    let set = build_loaders(policy, config, sizes, pfs)?;
+    let setup = set.setup().cloned();
+    Ok(PolicyOutcome {
+        per_worker: set.drive(f),
+        setup,
     })
 }
 
@@ -88,59 +72,85 @@ where
 /// thread per loader) — required because peer-coupled loaders barrier
 /// with their siblings during shutdown.
 pub struct LoaderSet {
-    loaders: Vec<Option<Box<dyn DataLoader>>>,
+    loaders: Vec<Box<dyn DataLoader>>,
+    setup: Option<SetupStats>,
 }
 
 impl LoaderSet {
-    fn new(loaders: Vec<Box<dyn DataLoader>>) -> Self {
-        Self {
-            loaders: loaders.into_iter().map(Some).collect(),
-        }
-    }
-
     /// Number of ranks.
     pub fn len(&self) -> usize {
         self.loaders.len()
     }
 
-    /// Whether the set is empty (only after `take`-ing every loader).
+    /// Whether the set holds no loader.
     pub fn is_empty(&self) -> bool {
-        self.loaders.iter().all(Option::is_none)
+        self.loaders.is_empty()
     }
 
-    /// Mutable access to rank `rank`'s loader.
-    ///
-    /// # Panics
-    /// Panics when the rank is out of range or already taken.
-    pub fn get_mut(&mut self, rank: usize) -> &mut dyn DataLoader {
-        self.loaders[rank]
-            .as_deref_mut()
-            .expect("loader already taken")
-    }
-
-    /// Iterates over the remaining loaders in rank order.
+    /// Iterates over the loaders in rank order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut dyn DataLoader> {
         self.loaders
             .iter_mut()
-            .filter_map(|l| l.as_deref_mut().map(|l| l as &mut dyn DataLoader))
+            .map(|l| l.as_mut() as &mut dyn DataLoader)
+    }
+
+    /// Clairvoyant setup statistics of the job behind the set (NoPFS
+    /// only).
+    pub fn setup(&self) -> Option<&SetupStats> {
+        self.setup.as_ref()
+    }
+
+    /// Runs `f` once per rank, each on a thread of its own, and shuts
+    /// that rank's loader down on the same thread when `f` returns — so
+    /// the shutdowns run concurrently, as peer-coupled loaders require.
+    /// Returns the results in rank order.
+    ///
+    /// # Panics
+    /// Panics when `f` panics on any rank.
+    pub fn drive<R, F>(mut self, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(&mut dyn DataLoader) -> R + Sync,
+    {
+        let loaders = std::mem::take(&mut self.loaders);
+        let f = &f;
+        std::thread::scope(|s| {
+            let ranks: Vec<_> = loaders
+                .into_iter()
+                .map(|mut loader| {
+                    s.spawn(move || {
+                        let result = f(loader.as_mut());
+                        loader.shutdown();
+                        result
+                    })
+                })
+                .collect();
+            ranks
+                .into_iter()
+                .map(|h| h.join().expect("rank panicked"))
+                .collect()
+        })
     }
 }
 
 impl Drop for LoaderSet {
     fn drop(&mut self) {
-        let loaders: Vec<Box<dyn DataLoader>> =
-            self.loaders.iter_mut().filter_map(Option::take).collect();
-        std::thread::scope(|s| {
-            for mut loader in loaders {
-                s.spawn(move || loader.shutdown());
-            }
-        });
+        // The loaders not handed to `drive` are shut down by it, with
+        // nothing to run first; the set it consumes is then empty.
+        if !self.loaders.is_empty() {
+            let rest = LoaderSet {
+                loaders: std::mem::take(&mut self.loaders),
+                setup: None,
+            };
+            rest.drive(|_| ());
+        }
     }
 }
 
-/// The object-safe loader factory: builds the complete worker set for
-/// `policy` as boxed [`DataLoader`]s — one per rank of
-/// `config.system.workers` — ready to be driven from any threads.
+/// The object-safe loader factory and the workspace's one `PolicyId`
+/// dispatch: builds the complete worker set for `policy` as boxed
+/// [`DataLoader`]s — one per rank of `config.system.workers` — ready
+/// to be driven from any threads.
 ///
 /// The dataset described by `sizes` must already be materialized in
 /// `pfs` (except for `Perfect`, which synthesizes its data).
@@ -153,34 +163,24 @@ pub fn build_loaders(
     sizes: Arc<Vec<u64>>,
     pfs: &Pfs,
 ) -> Result<LoaderSet, Unsupported> {
-    let loaders: Vec<Box<dyn DataLoader>> = match policy {
-        PolicyId::Perfect => NoIoRunner::new(config, sizes)
-            .launch_all()
+    fn boxed<L: DataLoader + 'static>(loaders: Vec<L>) -> Vec<Box<dyn DataLoader>> {
+        loaders
             .into_iter()
             .map(|l| Box::new(l) as Box<dyn DataLoader>)
-            .collect(),
-        PolicyId::Naive => NaiveRunner::new(config, sizes)
-            .launch_all(pfs)
-            .into_iter()
-            .map(|l| Box::new(l) as Box<dyn DataLoader>)
-            .collect(),
-        PolicyId::StagingBuffer => DoubleBufferRunner::pytorch_like(config, sizes)
-            .launch_all(pfs)
-            .into_iter()
-            .map(|l| Box::new(l) as Box<dyn DataLoader>)
-            .collect(),
-        PolicyId::NoPfs => Job::new(config, sizes)
-            .launch_workers(pfs)
-            .into_iter()
-            .map(|l| Box::new(l) as Box<dyn DataLoader>)
-            .collect(),
-        _ => PlanRunner::new(policy, config, sizes)?
-            .launch_all(pfs)
-            .into_iter()
-            .map(|l| Box::new(l) as Box<dyn DataLoader>)
-            .collect(),
+            .collect()
+    }
+    let mut setup = None;
+    let loaders = match policy {
+        PolicyId::Perfect => boxed(NoIoRunner::new(config, sizes).launch_all()),
+        PolicyId::Naive => boxed(NaiveRunner::new(config, sizes).launch_all(pfs)),
+        PolicyId::NoPfs => {
+            let job = Job::new(config, sizes);
+            setup = Some(job.setup_stats().clone());
+            boxed(job.launch_workers(pfs))
+        }
+        _ => boxed(PlanRunner::new(policy, config, sizes)?.launch_all(pfs)),
     };
-    Ok(LoaderSet::new(loaders))
+    Ok(LoaderSet { loaders, setup })
 }
 
 /// The single-worker convenience of [`build_loaders`]: one policy, one
@@ -204,7 +204,7 @@ pub fn build_loader(
         "build_loader is the single-worker factory; use build_loaders for clusters"
     );
     let mut set = build_loaders(policy, config, sizes, pfs)?;
-    let inner = set.loaders[0].take().expect("factory built one loader");
+    let inner = set.loaders.pop().expect("factory built one loader");
     Ok(Box::new(SoloLoader { inner: Some(inner) }))
 }
 

@@ -8,13 +8,14 @@
 //! gradients genuinely flow through the modelled interconnect, and the
 //! wall-clock difference comes from the loaders alone.
 
-use nopfs_baselines::{DataLoader, DoubleBufferRunner, NoIoRunner};
+use nopfs_baselines::{run_policy, DataLoader};
 use nopfs_bench::report;
 use nopfs_bench::scenarios::{runtime_system, SystemKind};
-use nopfs_core::{Job, JobConfig};
+use nopfs_core::JobConfig;
 use nopfs_datasets::DatasetProfile;
 use nopfs_net::{cluster, Endpoint, NetConfig};
 use nopfs_pfs::Pfs;
+use nopfs_policy::PolicyId;
 use nopfs_train::{LogisticModel, SyntheticTask};
 use nopfs_util::timing::TimeScale;
 use parking_lot::Mutex;
@@ -75,7 +76,7 @@ fn train_worker(
     curve
 }
 
-fn run(policy: &str, profile: &DatasetProfile, sizes: Arc<Vec<u64>>) -> Vec<EpochPoint> {
+fn run(policy: PolicyId, profile: &DatasetProfile, sizes: Arc<Vec<u64>>) -> Vec<EpochPoint> {
     let mut system = runtime_system(SystemKind::Lassen, WORKERS, 1.0 / 2_000.0, 48.0);
     system.compute = COMPUTE;
     let scale = TimeScale::new(0.5);
@@ -99,14 +100,9 @@ fn run(policy: &str, profile: &DatasetProfile, sizes: Arc<Vec<u64>>) -> Vec<Epoc
     };
     let pfs = Pfs::in_memory(system.pfs_read.clone(), scale);
     profile.materialize(&pfs);
-    let mut curves = match policy {
-        "pytorch" => DoubleBufferRunner::pytorch_like(config, sizes).run(&pfs, body),
-        "nopfs" => {
-            let job = Job::new(config, sizes);
-            job.run(&pfs, |w| body(w))
-        }
-        _ => NoIoRunner::new(config, sizes).run(body),
-    };
+    let mut curves = run_policy(policy, config, sizes, &pfs, body)
+        .expect("every compared loader runs this configuration")
+        .per_worker;
     // All workers hold identical models (synchronous SGD); report the
     // slowest worker's clock, the bulk-synchronous convention.
     let mut out = curves.pop().expect("at least one worker");
@@ -131,8 +127,12 @@ fn main() {
     ));
 
     let mut finals = Vec::new();
-    for policy in ["pytorch", "nopfs", "noio"] {
-        let curve = run(policy, &profile, Arc::clone(&sizes));
+    for (policy, id) in [
+        ("pytorch", PolicyId::StagingBuffer),
+        ("nopfs", PolicyId::NoPfs),
+        ("noio", PolicyId::Perfect),
+    ] {
+        let curve = run(id, &profile, Arc::clone(&sizes));
         report::section(&format!("{policy} — accuracy per epoch"));
         for (e, p) in curve.iter().enumerate() {
             println!(

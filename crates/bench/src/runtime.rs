@@ -2,11 +2,9 @@
 //! baselines) through the timed training loop on the synthetic
 //! substrates, and aggregates the numbers the Sec. 7 figures report.
 
-use nopfs_baselines::{
-    registry, DataLoader, DoubleBufferRunner, LbannRunner, NaiveRunner, NoIoRunner,
-};
+use nopfs_baselines::{registry, DataLoader};
 use nopfs_core::stats::{SetupStats, WorkerStats};
-use nopfs_core::{Job, JobConfig};
+use nopfs_core::JobConfig;
 use nopfs_datasets::DatasetProfile;
 use nopfs_net::{cluster, Endpoint, NetConfig};
 use nopfs_perfmodel::SystemSpec;
@@ -19,7 +17,8 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// The loader policies the runtime experiments compare (the paper's
-/// Sec. 7 frameworks).
+/// Sec. 7 frameworks), by figure label. Each runs as a registry
+/// [`PolicyId`] ([`run_policy`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuntimePolicy {
     /// Synthetic in-RAM data: the "No I/O" lower bound.
@@ -49,6 +48,32 @@ impl RuntimePolicy {
             RuntimePolicy::Naive => "Naive",
         }
     }
+
+    /// The registry policy behind the label. PyTorch's double buffering
+    /// and DALI are both `StagingBuffer`; DALI runs it on a system with
+    /// faster preprocessing.
+    fn policy_id(&self) -> PolicyId {
+        match self {
+            RuntimePolicy::NoIo => PolicyId::Perfect,
+            RuntimePolicy::PyTorch | RuntimePolicy::Dali => PolicyId::StagingBuffer,
+            RuntimePolicy::Lbann => PolicyId::LbannDynamic,
+            RuntimePolicy::NoPfs => PolicyId::NoPfs,
+            RuntimePolicy::Naive => PolicyId::Naive,
+        }
+    }
+}
+
+/// DALI's GPU-offloaded preprocessing: `sys` with the preprocessing
+/// rate `β` and the staging write curve `w₀` both 2.5× faster, so
+/// `write_time(s) = max(s/β, s/(w₀(p₀)/p₀))` is 0.4× on either branch
+/// of its `max` (the paper found DALI "a relatively small performance
+/// improvement over the default PyTorch DataLoader").
+fn dali(sys: &SystemSpec) -> SystemSpec {
+    const SPEEDUP: f64 = 2.5;
+    let mut sys = sys.clone();
+    sys.preprocess *= SPEEDUP;
+    sys.staging.write = sys.staging.write.scaled(SPEEDUP);
+    sys
 }
 
 /// One runtime experiment configuration.
@@ -74,8 +99,6 @@ pub struct Experiment {
 
 /// Aggregated outcome of one `(policy, experiment)` run.
 pub struct PolicyRun {
-    /// Which policy ran.
-    pub policy: RuntimePolicy,
     /// Per-worker metrics.
     pub per_worker: Vec<RunMetrics>,
     /// Per-epoch times: max across workers (the bulk-synchronous epoch
@@ -89,7 +112,11 @@ pub struct PolicyRun {
 impl PolicyRun {
     /// Median epoch time excluding epoch 0 (the figures' convention).
     pub fn median_epoch_time(&self) -> f64 {
-        median_excluding_warmup(&self.epoch_times)
+        let tail: Vec<f64> = self.epoch_times.iter().copied().skip(1).collect();
+        if tail.is_empty() {
+            return self.epoch_times.first().copied().unwrap_or(0.0);
+        }
+        Summary::new(&tail).median()
     }
 
     /// Pooled batch times across workers, optionally excluding epoch 0.
@@ -220,91 +247,13 @@ impl Experiment {
     }
 }
 
-/// Aggregated outcome of one registry-dispatched `(PolicyId,
-/// experiment)` run — the ten-policy counterpart of [`PolicyRun`].
-pub struct RegistryRun {
-    /// Which policy ran.
-    pub policy: PolicyId,
-    /// Per-worker metrics.
-    pub per_worker: Vec<RunMetrics>,
-    /// Per-epoch times: max across workers, model seconds.
-    pub epoch_times: Vec<f64>,
-    /// Clairvoyant setup statistics (NoPFS only).
-    pub setup: Option<SetupStats>,
-}
-
-impl RegistryRun {
-    /// Median epoch time excluding epoch 0 (the figures' convention).
-    pub fn median_epoch_time(&self) -> f64 {
-        median_excluding_warmup(&self.epoch_times)
-    }
-
-    /// Cluster-merged loader statistics.
-    pub fn merged_stats(&self) -> WorkerStats {
-        RunMetrics::merged_stats(&self.per_worker)
-    }
-}
-
-fn median_excluding_warmup(epoch_times: &[f64]) -> f64 {
-    let tail: Vec<f64> = epoch_times.iter().copied().skip(1).collect();
-    if tail.is_empty() {
-        return epoch_times.first().copied().unwrap_or(0.0);
-    }
-    Summary::new(&tail).median()
-}
-
 /// Runs any of the ten registry policies on one experiment through the
 /// workspace loader factory (`nopfs_baselines::registry`) — the entry
-/// point of the `fig8_runtime` sweep.
+/// point of the `fig8_runtime` sweep, and the body of [`run_policy`].
 ///
 /// # Errors
 /// [`Unsupported`] when the policy cannot run the configuration.
-pub fn run_policy_id(exp: &Experiment, policy: PolicyId) -> Result<RegistryRun, Unsupported> {
-    let n = exp.system.workers;
-    let sizes = Arc::new(exp.profile.sizes());
-    let config = JobConfig::new(
-        exp.seed,
-        exp.epochs,
-        exp.batch,
-        exp.system.clone(),
-        exp.scale,
-    )
-    .drop_last(true);
-    let loop_cfg = TrainLoopConfig {
-        compute_rate: exp.compute,
-        scale: exp.scale,
-        grad_elems: exp.grad_elems,
-    };
-    let grad_endpoints: Mutex<Vec<Option<Endpoint<Vec<f32>>>>> = Mutex::new(
-        cluster::<Vec<f32>>(n, NetConfig::new(exp.system.interconnect, exp.scale))
-            .into_iter()
-            .map(Some)
-            .collect(),
-    );
-    let body = |loader: &mut dyn DataLoader| {
-        let ep = grad_endpoints.lock()[loader.rank()]
-            .take()
-            .expect("each rank takes its endpoint once");
-        run_training_loop(loader, &loop_cfg, Some(&ep))
-    };
-
-    let pfs = Pfs::in_memory(exp.system.pfs_read.clone(), exp.scale);
-    if policy != PolicyId::Perfect {
-        exp.profile.materialize(&pfs);
-    }
-    let outcome = registry::run_policy(policy, config, sizes, &pfs, body)?;
-    let epoch_times = RunMetrics::bulk_epoch_times(&outcome.per_worker);
-    Ok(RegistryRun {
-        policy,
-        per_worker: outcome.per_worker,
-        epoch_times,
-        setup: outcome.setup,
-    })
-}
-
-/// Runs one policy on one experiment. Returns `None` when the policy
-/// cannot support the configuration (LBANN with an over-sized dataset).
-pub fn run_policy(exp: &Experiment, policy: RuntimePolicy) -> Option<PolicyRun> {
+pub fn run_policy_id(exp: &Experiment, policy: PolicyId) -> Result<PolicyRun, Unsupported> {
     let n = exp.system.workers;
     let sizes = Arc::new(exp.profile.sizes());
     // drop_last keeps every worker's batch count identical, which the
@@ -338,40 +287,66 @@ pub fn run_policy(exp: &Experiment, policy: RuntimePolicy) -> Option<PolicyRun> 
         run_training_loop(loader, &loop_cfg, Some(&ep))
     };
 
-    let needs_pfs = !matches!(policy, RuntimePolicy::NoIo);
     let pfs = Pfs::in_memory(exp.system.pfs_read.clone(), exp.scale);
-    if needs_pfs {
+    if policy != PolicyId::Perfect {
         exp.profile.materialize(&pfs);
     }
-
-    let mut setup = None;
-    let per_worker: Vec<RunMetrics> = match policy {
-        RuntimePolicy::NoIo => NoIoRunner::new(config, sizes).run(body),
-        RuntimePolicy::PyTorch => DoubleBufferRunner::pytorch_like(config, sizes).run(&pfs, body),
-        RuntimePolicy::Dali => DoubleBufferRunner::dali_like(config, sizes).run(&pfs, body),
-        RuntimePolicy::Naive => NaiveRunner::new(config, sizes).run(&pfs, body),
-        RuntimePolicy::Lbann => {
-            let ram = exp.system.classes.first().map_or(0, |c| c.capacity);
-            let total: u64 = sizes.iter().sum();
-            if total > ram.saturating_mul(n as u64) {
-                return None; // the store's documented limitation
-            }
-            LbannRunner::new(config, sizes).run(&pfs, body)
-        }
-        RuntimePolicy::NoPfs => {
-            let job = Job::new(config, sizes);
-            setup = Some(job.setup_stats().clone());
-            job.run(&pfs, |w| body(w))
-        }
-    };
-
+    let outcome = registry::run_policy(policy, config, sizes, &pfs, body)?;
     // Bulk-synchronous epoch time: the slowest worker defines it.
-    let epoch_times = RunMetrics::bulk_epoch_times(&per_worker);
-
-    Some(PolicyRun {
-        policy,
-        per_worker,
+    let epoch_times = RunMetrics::bulk_epoch_times(&outcome.per_worker);
+    Ok(PolicyRun {
+        per_worker: outcome.per_worker,
         epoch_times,
-        setup,
+        setup: outcome.setup,
     })
+}
+
+/// Runs one figure-labelled policy on one experiment: its registry
+/// policy through [`run_policy_id`] — `Perfect` for No I/O,
+/// `StagingBuffer` for PyTorch and DALI, `LbannDynamic` for LBANN —
+/// on DALI's faster-preprocessing system for [`RuntimePolicy::Dali`].
+/// Returns `None` when the registry refuses the configuration (LBANN
+/// with an over-sized dataset).
+pub fn run_policy(exp: &Experiment, policy: RuntimePolicy) -> Option<PolicyRun> {
+    let system = match policy {
+        RuntimePolicy::Dali => dali(&exp.system),
+        _ => exp.system.clone(),
+    };
+    let exp = Experiment {
+        system,
+        ..exp.clone()
+    };
+    run_policy_id(&exp, policy.policy_id()).ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nopfs_perfmodel::presets::fig8_small_cluster;
+
+    /// DALI's transform makes `write_time` exactly 0.4× on both
+    /// branches of its `max`, and touches nothing else.
+    #[test]
+    fn dali_write_time_is_four_tenths_on_either_branch() {
+        let preprocess_bound = fig8_small_cluster();
+        let mut staging_bound = fig8_small_cluster();
+        staging_bound.preprocess = staging_bound.staging.write_per_thread() * 10.0;
+        for (sys, preprocess_wins) in [(preprocess_bound, true), (staging_bound, false)] {
+            let size = 123_457;
+            let s = size as f64;
+            assert_eq!(
+                s / sys.preprocess > s / sys.staging.write_per_thread(),
+                preprocess_wins,
+                "the case is on the branch it names"
+            );
+            let fast = dali(&sys);
+            let want = 0.4 * sys.write_time(size);
+            let rel = (fast.write_time(size) - want).abs() / want;
+            assert!(rel < 1e-12, "relative error {rel}");
+            let mut back = fast.clone();
+            back.preprocess = sys.preprocess;
+            back.staging.write = sys.staging.write.clone();
+            assert_eq!(back, sys, "only β and w₀ change");
+        }
+    }
 }

@@ -127,13 +127,10 @@ impl Job {
         )
     }
 
-    /// Launches one worker thread per rank, hands each a
-    /// [`WorkerHandle`], and returns the per-rank results of `f`.
-    ///
-    /// `f` runs on the worker's thread (the training loop). When it
-    /// returns, the worker is shut down cleanly: prefetchers stop, the
-    /// cluster synchronizes, serving loops exit. If a worker panics the
-    /// whole `run` panics.
+    /// Launches one worker per rank and returns the handles themselves
+    /// instead of scoping a closure over them — the entry point the
+    /// workspace loader factory (`nopfs_baselines::registry`) uses to
+    /// hand NoPFS out as `Box<dyn DataLoader>` objects.
     ///
     /// The injected `pfs` is the job's *resource boundary*: workers
     /// build everything else (caches, staging buffers, the in-process
@@ -143,17 +140,13 @@ impl Job {
     /// I/O contention with no other coupling — and the workers' live
     /// source selection (which prices PFS fetches at the *observed*
     /// reader count) automatically accounts for other tenants' traffic.
-    /// Launches one worker per rank and returns the handles themselves
-    /// instead of scoping a closure over them — the entry point the
-    /// workspace loader factory (`nopfs_baselines::registry`) uses to
-    /// hand NoPFS out as `Box<dyn DataLoader>` objects.
     ///
     /// Launching blocks until every rank has passed the setup
     /// allgather, so the returned handles are immediately consumable
     /// from any threads (or sequentially). Shut them down concurrently
     /// — one thread per handle, as [`WorkerHandle::shutdown`] documents
-    /// — or hand them to a harness that does (the registry's
-    /// `LoaderSet` drop does exactly this).
+    /// — or hand them to a harness that does ([`Job::run`], or the
+    /// registry's `LoaderSet`).
     pub fn launch_workers(&self, pfs: &Pfs) -> Vec<WorkerHandle> {
         let endpoints = cluster::<Msg>(
             self.shared.config.system.workers,
@@ -179,36 +172,30 @@ impl Job {
             .collect()
     }
 
+    /// [`Job::launch_workers`], then one thread per rank that calls `f`
+    /// with the rank's [`WorkerHandle`] (the training loop) and shuts
+    /// the worker down when `f` returns: prefetchers stop, the cluster
+    /// synchronizes, serving loops exit. Returns the per-rank results
+    /// of `f`; if a worker panics the whole `run` panics.
     pub fn run<R, F>(&self, pfs: &Pfs, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&mut WorkerHandle) -> R + Sync,
     {
-        let n = self.shared.config.system.workers;
-        let endpoints = cluster::<Msg>(
-            n,
-            NetConfig::new(
-                self.shared.config.system.interconnect,
-                self.shared.config.scale,
-            ),
-        );
         let f = &f;
         std::thread::scope(|s| {
-            let handles: Vec<_> = endpoints
+            let ranks: Vec<_> = self
+                .launch_workers(pfs)
                 .into_iter()
-                .enumerate()
-                .map(|(rank, endpoint)| {
-                    let shared = Arc::clone(&self.shared);
-                    let pfs = pfs.clone();
+                .map(|mut handle| {
                     s.spawn(move || {
-                        let mut handle = WorkerHandle::launch(rank, shared, pfs, endpoint);
                         let result = f(&mut handle);
                         handle.shutdown();
                         result
                     })
                 })
                 .collect();
-            handles
+            ranks
                 .into_iter()
                 .map(|h| h.join().expect("worker thread panicked"))
                 .collect()

@@ -161,9 +161,11 @@ pub fn run_training_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nopfs_baselines::NoIoRunner;
+    use nopfs_baselines::run_policy;
     use nopfs_core::JobConfig;
     use nopfs_perfmodel::presets::fig8_small_cluster;
+    use nopfs_pfs::Pfs;
+    use nopfs_policy::PolicyId;
     use std::sync::Arc;
 
     fn config(workers: usize, epochs: u64) -> JobConfig {
@@ -172,17 +174,30 @@ mod tests {
         JobConfig::new(3, epochs, 4, sys, TimeScale::new(1e-6))
     }
 
+    /// Runs `f` on every rank of the no-I/O lower bound's loader set.
+    fn run_noio<R: Send>(
+        cfg: &JobConfig,
+        sizes: Arc<Vec<u64>>,
+        f: impl Fn(&mut dyn DataLoader) -> R + Sync,
+    ) -> Vec<R> {
+        let pfs = Pfs::in_memory(cfg.system.pfs_read.clone(), cfg.scale);
+        run_policy(PolicyId::Perfect, cfg.clone(), sizes, &pfs, f)
+            .expect("the lower bound runs any configuration")
+            .per_worker
+    }
+
     #[test]
     fn counts_epochs_and_batches() {
         let cfg = config(2, 3);
         let sizes = Arc::new(vec![1_000u64; 40]); // 20/worker/epoch
-        let runner = NoIoRunner::new(cfg.clone(), sizes);
         let loop_cfg = TrainLoopConfig {
             compute_rate: 1e9,
             scale: cfg.scale,
             grad_elems: 0,
         };
-        let metrics = runner.run(|loader| run_training_loop(loader, &loop_cfg, None));
+        let metrics = run_noio(&cfg, sizes, |loader| {
+            run_training_loop(loader, &loop_cfg, None)
+        });
         for m in metrics {
             assert_eq!(m.epoch_times.len(), 3);
             // 20 samples / batch 4 = 5 batches per epoch.
@@ -203,13 +218,12 @@ mod tests {
         let mut cfg = config(1, 1);
         cfg.scale = TimeScale::new(1e-2);
         let sizes = Arc::new(vec![10_000u64; 16]);
-        let runner = NoIoRunner::new(cfg.clone(), sizes);
         let loop_cfg = TrainLoopConfig {
             compute_rate: 1e6, // 160 KB at 1 MB/s = 0.16 model seconds
             scale: cfg.scale,
             grad_elems: 0,
         };
-        let metrics = runner.run(|l| run_training_loop(l, &loop_cfg, None));
+        let metrics = run_noio(&cfg, sizes, |l| run_training_loop(l, &loop_cfg, None));
         let t = metrics[0].epoch_times[0];
         assert!(t >= 0.16 - 1e-6, "epoch time {t} beats the model");
         assert_eq!(metrics[0].batch_times.len(), 4);
@@ -231,8 +245,7 @@ mod tests {
                 .map(Some)
                 .collect::<Vec<_>>(),
         );
-        let runner = NoIoRunner::new(cfg.clone(), sizes);
-        let metrics = runner.run(|loader| {
+        let metrics = run_noio(&cfg, sizes, |loader| {
             let rank = loader.rank();
             let ep = endpoints.lock()[rank].take().expect("one take per rank");
             let loop_cfg = TrainLoopConfig {

@@ -10,11 +10,12 @@
 //!
 //! Run with: `cargo run --release --example imagenet_epoch`
 
-use nopfs::baselines::DoubleBufferRunner;
+use nopfs::baselines::run_policy;
 use nopfs::core::{Job, JobConfig};
 use nopfs::datasets::DatasetProfile;
 use nopfs::perfmodel::presets::{lassen_like, thrashing_pfs_curve};
 use nopfs::pfs::Pfs;
+use nopfs::policy::PolicyId;
 use nopfs::train::{run_training_loop, TrainLoopConfig};
 use nopfs::util::timing::TimeScale;
 use nopfs::util::units::MB;
@@ -61,8 +62,15 @@ fn main() {
     // PyTorch-like double buffering.
     let pfs = Pfs::in_memory(system.pfs_read.clone(), scale);
     profile.materialize(&pfs);
-    let pt = DoubleBufferRunner::pytorch_like(config.clone(), Arc::clone(&sizes))
-        .run(&pfs, |l| run_training_loop(l, &loop_cfg, None).epoch_times);
+    let pt = run_policy(
+        PolicyId::StagingBuffer,
+        config.clone(),
+        Arc::clone(&sizes),
+        &pfs,
+        |l| run_training_loop(l, &loop_cfg, None).epoch_times,
+    )
+    .expect("double buffering runs any configuration")
+    .per_worker;
     run("PyTorch-like", pt);
 
     // NoPFS on identical substrates.

@@ -17,13 +17,14 @@
 //! Run with: `cargo run --release --example tiers`
 
 use bytes::Bytes;
-use nopfs_baselines::NaiveRunner;
+use nopfs_baselines::run_policy;
 use nopfs_bench::report;
 use nopfs_clairvoyance::stream::AccessStream;
 use nopfs_core::{Job, JobConfig};
 use nopfs_perfmodel::presets::{fig8_small_cluster, saturating_pfs_curve};
 use nopfs_perfmodel::{SystemSpec, ThroughputCurve};
 use nopfs_pfs::Pfs;
+use nopfs_policy::PolicyId;
 use nopfs_storage::{MemoryBackend, PromotePolicy, TierStack};
 use nopfs_util::timing::TimeScale;
 use nopfs_util::units::MB;
@@ -192,15 +193,22 @@ fn runtime_leg() {
     // The naive loader on an identical, private filesystem.
     let naive_pfs = Pfs::in_memory(sys.pfs_read.clone(), scale);
     materialize(&naive_pfs);
-    let runner = NaiveRunner::new(config, Arc::clone(&sizes));
     let t0 = Instant::now();
-    let counts = runner.run(&naive_pfs, |l| {
-        let mut n = 0u64;
-        while l.next_sample().is_some() {
-            n += 1;
-        }
-        n
-    });
+    let counts = run_policy(
+        PolicyId::Naive,
+        config,
+        Arc::clone(&sizes),
+        &naive_pfs,
+        |l| {
+            let mut n = 0u64;
+            while l.next_sample().is_some() {
+                n += 1;
+            }
+            n
+        },
+    )
+    .expect("naive runs")
+    .per_worker;
     let naive_wall = t0.elapsed().as_secs_f64();
     assert_eq!(counts.iter().sum::<u64>(), SAMPLES * EPOCHS);
 

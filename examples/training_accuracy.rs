@@ -8,12 +8,13 @@
 //!
 //! Run with: `cargo run --release --example training_accuracy`
 
-use nopfs::baselines::{DataLoader, DoubleBufferRunner};
-use nopfs::core::{Job, JobConfig};
+use nopfs::baselines::{run_policy, DataLoader};
+use nopfs::core::JobConfig;
 use nopfs::datasets::DatasetProfile;
 use nopfs::net::{cluster, Endpoint, NetConfig};
 use nopfs::perfmodel::presets::{lassen_like, saturating_pfs_curve};
 use nopfs::pfs::Pfs;
+use nopfs::policy::PolicyId;
 use nopfs::train::{LogisticModel, SyntheticTask};
 use nopfs::util::timing::TimeScale;
 use nopfs::util::units::MB;
@@ -28,7 +29,7 @@ fn train(
     name: &str,
     profile: &DatasetProfile,
     sizes: Arc<Vec<u64>>,
-    use_nopfs: bool,
+    policy: PolicyId,
 ) -> (f64, f64) {
     let scale = TimeScale::new(0.5);
     let mut system = lassen_like();
@@ -81,12 +82,9 @@ fn train(
 
     let pfs = Pfs::in_memory(system.pfs_read.clone(), scale);
     profile.materialize(&pfs);
-    let results = if use_nopfs {
-        let job = Job::new(config, sizes);
-        job.run(&pfs, |w| body(w))
-    } else {
-        DoubleBufferRunner::pytorch_like(config, sizes).run(&pfs, body)
-    };
+    let results = run_policy(policy, config, sizes, &pfs, body)
+        .expect("both loaders run any configuration")
+        .per_worker;
     let time = results.iter().map(|r| r.0).fold(0.0, f64::max);
     let acc = results[0].1;
     println!(
@@ -105,8 +103,13 @@ fn main() {
         profile.num_samples
     );
     println!();
-    let (pt_time, pt_acc) = train("PyTorch-like", &profile, Arc::clone(&sizes), false);
-    let (np_time, np_acc) = train("NoPFS", &profile, Arc::clone(&sizes), true);
+    let (pt_time, pt_acc) = train(
+        "PyTorch-like",
+        &profile,
+        Arc::clone(&sizes),
+        PolicyId::StagingBuffer,
+    );
+    let (np_time, np_acc) = train("NoPFS", &profile, Arc::clone(&sizes), PolicyId::NoPfs);
     println!();
     println!(
         "same accuracy ({:.1}% vs {:.1}% — same randomization), {:.2}x \

@@ -13,8 +13,10 @@
 //!   placement (Secs. 2–3).
 //! - [`perfmodel`] — the storage-hierarchy performance model (Sec. 4).
 //! - [`simulator`] — the I/O policy simulator (Sec. 6).
-//! - [`baselines`] — PyTorch-like, DALI-like, LBANN-like, naive, and
-//!   no-I/O runtime loaders (Sec. 7's comparison points).
+//! - [`baselines`] — the runtime loaders of Sec. 7's comparison points
+//!   (PyTorch-like double buffering, DALI, the LBANN store, DeepIO, …)
+//!   on one core-driven loader, plus the naive and no-I/O loaders,
+//!   all built from a `PolicyId` by [`baselines::registry`].
 //! - [`pfs`], [`net`], [`storage`] — the synthetic substrates standing
 //!   in for GPFS/Lustre, MPI, and tiered node-local storage; the
 //!   [`storage::DataSource`] trait and [`storage::TierStack`] compose

@@ -2,13 +2,14 @@
 //! baselines on identical substrates, clairvoyance invariants end to
 //! end, and failure injection.
 
-use nopfs::baselines::{DataLoader, DoubleBufferRunner, LbannRunner, NoIoRunner};
+use nopfs::baselines::run_policy;
 use nopfs::clairvoyance::stream::AccessStream;
 use nopfs::core::{Job, JobConfig};
 use nopfs::datasets::DatasetProfile;
 use nopfs::perfmodel::presets::fig8_small_cluster;
 use nopfs::perfmodel::SystemSpec;
 use nopfs::pfs::Pfs;
+use nopfs::policy::PolicyId;
 use nopfs::util::timing::TimeScale;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -90,38 +91,28 @@ fn all_loaders_deliver_equivalent_data() {
     // Plenty of RAM so the LBANN store is supported.
     sys.classes[0].capacity = 200_000;
     let config = JobConfig::new(0xE2F, epochs, 4, sys, TimeScale::new(1e-5));
-    let collect = |ids: Vec<Vec<u64>>| {
+    let pfs = Pfs::in_memory(config.system.pfs_read.clone(), config.scale);
+    p.materialize(&pfs);
+    // Every id each policy delivered, over all ranks, sorted.
+    let delivered = |policy: PolicyId| {
+        let ids = run_policy(policy, config.clone(), Arc::clone(&sizes), &pfs, |l| {
+            std::iter::from_fn(|| l.next_sample().map(|(id, _)| id)).collect::<Vec<u64>>()
+        })
+        .unwrap_or_else(|e| panic!("{policy}: {e}"))
+        .per_worker;
         let mut all: Vec<u64> = ids.into_iter().flatten().collect();
         all.sort_unstable();
         all
     };
-    let drain = |l: &mut dyn DataLoader| {
-        let mut ids = Vec::new();
-        while let Some((id, _)) = l.next_sample() {
-            ids.push(id);
-        }
-        ids
-    };
 
-    let pfs = Pfs::in_memory(config.system.pfs_read.clone(), config.scale);
-    p.materialize(&pfs);
-
-    let nopfs = collect(Job::new(config.clone(), Arc::clone(&sizes)).run(&pfs, |w| {
-        let mut ids = Vec::new();
-        while let Some((id, _)) = w.next_sample() {
-            ids.push(id);
-        }
-        ids
-    }));
-    let pytorch = collect(
-        DoubleBufferRunner::pytorch_like(config.clone(), Arc::clone(&sizes)).run(&pfs, drain),
-    );
-    let lbann = collect(LbannRunner::new(config.clone(), Arc::clone(&sizes)).run(&pfs, drain));
-    let noio = collect(NoIoRunner::new(config, Arc::clone(&sizes)).run(drain));
-
-    assert_eq!(nopfs, pytorch);
-    assert_eq!(nopfs, lbann);
-    assert_eq!(nopfs, noio);
+    let nopfs = delivered(PolicyId::NoPfs);
+    for policy in [
+        PolicyId::StagingBuffer,
+        PolicyId::LbannDynamic,
+        PolicyId::Perfect,
+    ] {
+        assert_eq!(nopfs, delivered(policy), "{policy}");
+    }
 }
 
 /// Transient PFS faults during a full job are retried transparently
@@ -176,25 +167,14 @@ fn batch_shapes_are_stable_across_policies() {
     p.materialize(&pfs);
     // 24 samples per worker per epoch with batch 5: 5,5,5,5,4.
     let expect = vec![5usize, 5, 5, 5, 4, 5, 5, 5, 5, 4];
-    let shapes =
-        DoubleBufferRunner::pytorch_like(config.clone(), Arc::clone(&sizes)).run(&pfs, |l| {
-            let mut shapes = Vec::new();
-            while let Some(b) = l.next_batch() {
-                shapes.push(b.len());
-            }
-            shapes
-        });
-    for s in shapes {
-        assert_eq!(s, expect);
-    }
-    let shapes = Job::new(config, Arc::clone(&sizes)).run(&pfs, |w| {
-        let mut shapes = Vec::new();
-        while let Some(b) = w.next_batch() {
-            shapes.push(b.len());
+    for policy in [PolicyId::StagingBuffer, PolicyId::NoPfs] {
+        let shapes = run_policy(policy, config.clone(), Arc::clone(&sizes), &pfs, |l| {
+            std::iter::from_fn(|| l.next_batch().map(|b| b.len())).collect::<Vec<_>>()
+        })
+        .expect("supported")
+        .per_worker;
+        for s in shapes {
+            assert_eq!(s, expect, "{policy}");
         }
-        shapes
-    });
-    for s in shapes {
-        assert_eq!(s, expect);
     }
 }

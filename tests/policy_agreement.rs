@@ -205,6 +205,26 @@ fn every_policy_agrees_across_harnesses() {
                 sim.prestage_time
             );
 
+            // Fetch-source parity for the PFS-only cores: every sample a
+            // rank delivered was read from the PFS, none from a cache, a
+            // peer or a prestage.
+            if matches!(policy, PolicyId::Naive | PolicyId::StagingBuffer) {
+                for (w, (got, s)) in runtime.iter().enumerate() {
+                    assert_eq!(
+                        s.pfs_fetches,
+                        got.len() as u64,
+                        "{policy}/{}: worker {w} delivered a sample not read from the PFS",
+                        cfg.name
+                    );
+                    assert_eq!(
+                        s.local_fetches + s.remote_fetches + s.prestage_fetches,
+                        0,
+                        "{policy}/{}: worker {w} fetched from a cache",
+                        cfg.name
+                    );
+                }
+            }
+
             // Table 1, full randomization: every sample exactly once per
             // epoch, in both harnesses' shared streams.
             if policy.capabilities().full_randomization {

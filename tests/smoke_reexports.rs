@@ -79,7 +79,8 @@ fn every_umbrella_reexport_resolves() {
     let consumed = job.run(&pfs, |w| w.by_ref().count());
     assert_eq!(consumed.iter().sum::<usize>(), 8);
 
-    // baselines — the no-I/O loader on the same job shape.
+    // baselines — the no-I/O loader on the same job shape, through the
+    // registry.
     let config = nopfs::core::JobConfig::new(
         2,
         1,
@@ -91,15 +92,21 @@ fn every_umbrella_reexport_resolves() {
         },
         scale,
     );
-    let noio = nopfs::baselines::NoIoRunner::new(config, Arc::clone(&sizes));
-    let counts = noio.run(|l| {
-        let mut n = 0;
-        while l.next_sample().is_some() {
-            n += 1;
-        }
-        n
-    });
-    assert_eq!(counts.iter().sum::<i32>(), 8);
+    let noio = nopfs::baselines::run_policy(
+        nopfs::policy::PolicyId::Perfect,
+        config,
+        Arc::clone(&sizes),
+        &pfs,
+        |l| {
+            let mut n = 0;
+            while l.next_sample().is_some() {
+                n += 1;
+            }
+            n
+        },
+    )
+    .expect("the lower bound runs anything");
+    assert_eq!(noio.per_worker.iter().sum::<i32>(), 8);
 
     // train — the tiny real model exists and initializes.
     let task = nopfs::train::model::SyntheticTask::new(4, 0.5, 0.0, 5);
