@@ -349,14 +349,26 @@ impl PlanLoader {
                     }
                     let ids: Vec<SampleId> = missing.iter().map(|&(k, _)| k).collect();
                     // One batched origin read (one reader registration,
-                    // coalesced adjacent ranges).
+                    // one `t(γ)` charge, coalesced adjacent ranges)...
                     let datas = origin_read_many_retry(&ctx.tiers, &ids, &ctx.stats);
-                    for ((k, c), data) in missing.into_iter().zip(datas) {
-                        if ctx.tiers.fill(c as usize, k, data).is_ok() {
-                            ctx.stats.count_prestage();
-                        } else {
-                            ctx.boards[ctx.rank].mark_failed(k);
-                        }
+                    let mut fills: Vec<_> = missing
+                        .into_iter()
+                        .zip(datas)
+                        .map(|((k, c), data)| (c, (k, data)))
+                        .collect();
+                    // ...and one vectored fill per class, each in the
+                    // list's order.
+                    fills.sort_by_key(|&(c, _)| c);
+                    while let Some(&(class, _)) = fills.first() {
+                        let n = fills.iter().take_while(|&&(c, _)| c == class).count();
+                        let mut items: Vec<_> = fills.drain(..n).map(|(_, item)| item).collect();
+                        ctx.tiers.fill_many(usize::from(class), &mut items, |k, r| {
+                            if r.is_ok() {
+                                ctx.stats.count_prestage();
+                            } else {
+                                ctx.boards[ctx.rank].mark_failed(k);
+                            }
+                        });
                     }
                 }
                 ctx.endpoint.barrier();

@@ -11,11 +11,14 @@
 //! Promotion is [`PromotePolicy::Never`]: the clairvoyant runtime plans
 //! every fill itself (frequency-ranked placement, first-touch cores),
 //! so the stack's read-path promotion machinery stays off and fills go
-//! through [`TierStack::fill`] as pinned residents.
+//! through [`TierStack::fill_many`] as pinned residents: a loader fills
+//! a chunk of samples with one call per class, which charges the
+//! class's write bucket once for the chunk.
 //!
 //! Every loader also reads its origin the same way: through
 //! [`origin_read_retry`] and its vectored twin [`origin_read_many_retry`],
-//! the loader layer's one retry loop.
+//! the loader layer's one retry loop. A vectored origin read is one
+//! batch at the PFS: one reader registration and one `t(γ)` charge.
 
 use crate::stats::StatsCollector;
 use crate::SampleId;

@@ -226,8 +226,9 @@ enum Pick {
     Claimed,
 }
 
-/// A [`Pick`], and whether the self-healing fill applies.
-type Probe = (Pick, bool);
+/// A [`Pick`], and the class the self-healing fill stores the sample
+/// in, when one applies.
+type Probe = (Pick, Option<usize>);
 
 /// How many samples of one staged run each source served.
 #[derive(Default)]
@@ -280,6 +281,11 @@ struct StageScratch {
     peer: Option<PeerLeg>,
     /// The claimed samples the origin must supply, in claim order.
     origin_ids: Vec<SampleId>,
+    /// The samples whose fill claim ([`FillClaims`]) the run holds.
+    claimed: Vec<SampleId>,
+    /// One class's self-healing fills, as `TierStack::fill_many` takes
+    /// (and empties) them.
+    fills: Vec<(SampleId, Bytes)>,
     /// The fetched run in stream order, as `ReorderStage::push_run`
     /// takes (and empties) it.
     run: Vec<(SampleId, Bytes)>,
@@ -299,9 +305,9 @@ impl WorkerCtx {
     /// that the run would read for its self-healing fill while another
     /// thread holds its fill claim is read from its tier once that
     /// fill has landed. The bytes land in `scratch.run` in input order;
-    /// self-healing fills are per sample, statistics per sweep, the
-    /// trace span per run. Returns `false` when the window was closed
-    /// under it (shutdown).
+    /// self-healing fills are one [`TierStack::fill_many`] per class,
+    /// statistics per sweep, the trace span per run. Returns `false`
+    /// when the window was closed under it (shutdown).
     fn fetch_many_for_staging(
         &self,
         base: u64,
@@ -313,6 +319,8 @@ impl WorkerCtx {
             local_ids,
             peer,
             origin_ids,
+            claimed,
+            fills,
             run,
         } = scratch;
         let t0 = self.obs.tracer.is_active().then(Instant::now);
@@ -327,9 +335,9 @@ impl WorkerCtx {
                     Taken::Parked(data) => {
                         self.stats.count_pfs();
                         sources.pfs += 1;
-                        (Pick::Served(data), false)
+                        (Pick::Served(data), None)
                     }
-                    Taken::Unclaimed => (Pick::Origin, false),
+                    Taken::Unclaimed => (Pick::Origin, None),
                     Taken::Closed => return false,
                 },
                 _ => self.staging_probe(k),
@@ -383,7 +391,8 @@ impl WorkerCtx {
             peer.exchange(&self.endpoint);
         }
         origin_ids.clear();
-        for (&k, (pick, needs_fill)) in ks.iter().zip(probes.iter_mut()) {
+        claimed.clear();
+        for (&k, (pick, fill)) in ks.iter().zip(probes.iter_mut()) {
             if let Pick::Peer(owner) = *pick {
                 let peer = peer.as_mut().expect("a peer pick made the client");
                 *pick = match peer.client.take(owner, k) {
@@ -402,15 +411,21 @@ impl WorkerCtx {
                 };
             }
             if matches!(pick, Pick::Origin) {
-                if *needs_fill && self.fill_class(k).is_some() && !self.claim_fill(k) {
+                if fill.is_some() && !self.claim_fill(k) {
                     *pick = Pick::Claimed;
                 } else {
+                    if fill.is_some() {
+                        claimed.push(k);
+                    }
                     self.stats.count_pfs();
                     sources.pfs += 1;
                     origin_ids.push(k);
                 }
             }
         }
+        // Released on unwind too: a thread waiting on them then reads
+        // them itself.
+        let held = self.filling.held(claimed);
         // Phase 4: one vectored origin read for everything that needs it.
         let mut from_origin = if origin_ids.is_empty() {
             Vec::new()
@@ -422,22 +437,26 @@ impl WorkerCtx {
             datas
         }
         .into_iter();
-        // Phase 5: self-healing fills, in input order, each ending the
-        // fill claim of a sample the run read for it.
-        for (&k, (pick, needs_fill)) in ks.iter().zip(probes.iter_mut()) {
-            let claimed = matches!(pick, Pick::Origin);
-            if claimed {
+        // Phase 5: the origin's bytes join the run, then the
+        // self-healing fills go out as one vectored fill per class. The
+        // run's fill claims end once its fills have landed.
+        for (pick, _) in probes.iter_mut() {
+            if matches!(pick, Pick::Origin) {
                 *pick = Pick::Served(from_origin.next().expect("every staged sample is fetched"));
             }
-            if let (Pick::Served(data), true) = (&*pick, *needs_fill) {
-                if let Some(class) = self.fill_class(k) {
-                    let _ = self.tiers.fill(class, k, data.clone());
-                    if claimed {
-                        self.filling.release(k);
-                    }
-                }
+        }
+        for class in 0..self.tiers.cache_tiers() {
+            fills.extend(ks.iter().zip(probes.iter()).filter_map(
+                |(&k, (pick, fill))| match pick {
+                    Pick::Served(data) if *fill == Some(class) => Some((k, data.clone())),
+                    _ => None,
+                },
+            ));
+            if !fills.is_empty() {
+                self.tiers.fill_many(class, fills, |_, _| {});
             }
         }
+        drop(held);
         // Phase 6: the samples other threads were filling, now that
         // this run's claims are over.
         for (&k, (pick, _)) in ks.iter().zip(probes.drain(..)) {
@@ -512,8 +531,9 @@ impl WorkerCtx {
     /// but the decision. Each pick is counted once it is settled: a
     /// local one when its tier's sweep is done, a peer one when its
     /// frame is back, an origin one when it joins the run's origin
-    /// read. The `bool` is whether the self-healing fill applies (the
-    /// sample was not cataloged locally when the fetch started).
+    /// read. The class is where the self-healing fill stores the
+    /// sample: the one the plan assigns it to, when it was not
+    /// cataloged locally as the fetch started.
     fn staging_probe(&self, k: SampleId) -> Probe {
         let sys = &self.shared.config.system;
         let size = self.shared.sizes[k as usize];
@@ -569,7 +589,11 @@ impl WorkerCtx {
             Location::Pfs => Pick::Origin,
             Location::Staging => unreachable!("staging is never a fetch candidate"),
         };
-        (pick, local_tier.is_none())
+        let fill = match local_tier {
+            None => self.fill_class(k),
+            Some(_) => None,
+        };
+        (pick, fill)
     }
 
     /// One origin lane: claims the stream positions whose sample no
@@ -769,8 +793,10 @@ impl WorkerHandle {
 
         // Class prefetchers: one thread per cache tier, draining the
         // assignment in first-access order. Fills go down to the origin
-        // in vectored chunks so a coalescing PFS merges adjacent ids
-        // into fewer requests; progress advances per completed chunk
+        // in vectored chunks, each one origin read (one reader and one
+        // `t(γ)` charge, adjacent ids coalesced) and one fill (one
+        // write charge), with buffers kept from chunk to chunk;
+        // progress advances per completed chunk
         // (conservative: the remote heuristic only sees finished work —
         // a sample whose fill a staging thread has claimed counts once
         // that fill is over). Its list drained, a prefetcher thread
@@ -784,23 +810,26 @@ impl WorkerHandle {
                 let assignment = ctx.shared.placement.assignment(ctx.rank);
                 let order = assignment.prefetch_order(class);
                 let mut done = 0u64;
+                let mut missing = Vec::with_capacity(FILL_BATCH);
+                let mut items = Vec::with_capacity(FILL_BATCH);
                 for chunk in order.chunks(FILL_BATCH) {
                     if ctx.stop.load(Ordering::Relaxed) {
                         break;
                     }
-                    let missing: Vec<SampleId> = chunk
-                        .iter()
-                        .copied()
-                        .filter(|&k| ctx.tiers.locate(k).is_none() && ctx.claim_fill(k))
-                        .collect();
+                    missing.clear();
+                    missing.extend(
+                        chunk
+                            .iter()
+                            .copied()
+                            .filter(|&k| ctx.tiers.locate(k).is_none() && ctx.claim_fill(k)),
+                    );
                     if !missing.is_empty() {
                         // Released on unwind too: a staging thread
                         // waiting on them then reads them itself.
                         let _held = ctx.filling.held(&missing);
                         let datas = origin_read_many_retry(&ctx.tiers, &missing, &ctx.stats);
-                        for (&k, data) in missing.iter().zip(datas) {
-                            let _ = ctx.tiers.fill(class, k, data);
-                        }
+                        items.extend(missing.iter().copied().zip(datas));
+                        ctx.tiers.fill_many(class, &mut items, |_, _| {});
                     }
                     for &k in chunk {
                         ctx.filling.wait(k, &ctx.stop);

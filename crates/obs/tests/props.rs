@@ -160,18 +160,23 @@ fn concurrent_writers_sum_observed_equals_sum_recorded() {
 
     // A reader snapshots continuously while the writers run; counters
     // must be monotone and internally consistent at every observation.
+    // It snapshots before it checks `stop`, so it observes at least
+    // once even when the writers are done before it is first scheduled.
     let reader = {
         let r = r.clone();
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let mut last = 0u64;
             let mut observations = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 let snap = r.snapshot();
                 let n = snap.counter_total("obs.test.count");
                 assert!(n >= last, "counter went backwards under writers");
                 last = n;
                 observations += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             observations
         })

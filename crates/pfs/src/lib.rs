@@ -370,47 +370,60 @@ impl Pfs {
     /// Reads an object, paying the contention-modelled cost: the caller
     /// joins the reader set, the shared regulator's aggregate rate is
     /// set to `t(γ)` for the live reader count `γ`, and the read is
-    /// paced through it.
+    /// paced through it. The length-1 case of [`Self::read_many`]'s
+    /// batch, which is the PFS's one read path.
     pub fn read(&self, id: ObjectId) -> Result<Bytes, PfsError> {
-        self.check_fault(id)?;
-        let guard = ReaderGuard::enter(&self.inner);
-        let data = self.load(id)?;
-        // Pace the transfer at the current per-reader share.
-        self.inner.regulator.acquire(data.len() as u64);
-        drop(guard);
-        self.inner.stats.reads.inc();
-        self.inner.stats.bytes_read.add(data.len() as u64);
-        Ok(data)
+        let mut got = None;
+        self.read_batch(&[id], |r| got = Some(r));
+        got.expect("one result per id")
     }
 
     /// Vectored read: one result per id, in order, with **one** reader
-    /// registration for the whole batch. A real PFS client contributes
-    /// one stream to `t(γ)` no matter how many objects it drains down
-    /// it, so a batch raises `γ` once instead of once per object —
-    /// per-object regulator pacing, fault checks, and statistics are
-    /// unchanged from [`Self::read`]. The collecting form of the loop
-    /// behind the PFS's [`DataSource::read_each`](nopfs_storage::DataSource::read_each).
+    /// registration and **one** regulator charge for the whole batch.
+    /// The collecting form of the loop behind [`Self::read`] and the
+    /// PFS's [`DataSource::read_each`](nopfs_storage::DataSource::read_each).
+    ///
+    /// A real PFS client contributes one stream to `t(γ)` no matter how
+    /// many objects it drains down it, so the batch registers one
+    /// reader. It is also paced as one transfer: once every id is
+    /// loaded, the regulator is charged the bytes found in one
+    /// `acquire` while the registration is still held, and the traffic
+    /// counters are booked once. The regulator is debt-based, so one
+    /// caller's `acquire(a); acquire(b)` waits as long as
+    /// `acquire(a + b)` — the batch takes the time its objects would
+    /// take one by one, and pays the regulator's lock and clock once
+    /// instead of once per object. Fault checks stay per object; an id
+    /// that is missing or faulted charges nothing.
     pub fn read_many(&self, ids: &[ObjectId]) -> Vec<Result<Bytes, PfsError>> {
         let mut results = Vec::with_capacity(ids.len());
         self.read_batch(ids, |r| results.push(r));
         results
     }
 
-    /// The vectored read behind [`Self::read_many`] and the
+    /// The PFS's one read path, behind [`Self::read`],
+    /// [`Self::read_many`] and the
     /// [`DataSource::read_each`](nopfs_storage::DataSource::read_each)
-    /// override: `sink` gets one result per id, in order, while the
-    /// batch's one reader registration is held.
+    /// override, batched as [`Self::read_many`] says: `sink` gets one
+    /// result per id, in order, as it is loaded; the call returns once
+    /// the batch is paid for.
     fn read_batch(&self, ids: &[ObjectId], mut sink: impl FnMut(Result<Bytes, PfsError>)) {
-        let _guard = ReaderGuard::enter(&self.inner);
+        let guard = ReaderGuard::enter(&self.inner);
+        let (mut reads, mut bytes) = (0u64, 0u64);
         for &id in ids {
-            sink(self.check_fault(id).and_then(|()| {
-                let data = self.load(id)?;
-                self.inner.regulator.acquire(data.len() as u64);
-                self.inner.stats.reads.inc();
-                self.inner.stats.bytes_read.add(data.len() as u64);
-                Ok(data)
-            }));
+            let r = self.check_fault(id).and_then(|()| self.load(id));
+            if let Ok(data) = &r {
+                reads += 1;
+                bytes += data.len() as u64;
+            }
+            sink(r);
         }
+        if reads == 0 {
+            return;
+        }
+        self.inner.regulator.acquire(bytes);
+        drop(guard);
+        self.inner.stats.reads.add(reads);
+        self.inner.stats.bytes_read.add(bytes);
     }
 
     /// Current number of in-flight readers (`γ`).
@@ -665,6 +678,43 @@ mod tests {
         // The injected fault was consumed by the batch.
         assert!(pfs.read(4).is_ok());
         assert_eq!(pfs.reader_count(), 0, "batch guard released");
+    }
+
+    #[test]
+    fn a_batch_charges_the_regulator_its_found_bytes_once() {
+        // A regulator that refills at 1 byte/s (the floor `t(γ)` is
+        // clamped to): what is left of its 1 MB burst says what has
+        // been charged, give or take the bytes a slow host refills —
+        // far fewer than the 10 000 of the smallest object.
+        const BURST: u64 = 1_000_000;
+        let mut pfs = Pfs::in_memory(ThroughputCurve::flat(1e-6), TimeScale::realtime());
+        Arc::get_mut(&mut pfs.inner).expect("sole handle").regulator =
+            TokenBucket::new(1.0, BURST as f64);
+        for id in 0..4u64 {
+            pfs.put(
+                id,
+                Bytes::from(vec![id as u8; 10_000 + 1_000 * id as usize]),
+            );
+        }
+        pfs.inject_fault(2, 1);
+        // Found, missing, faulted and repeated ids: only the found ones
+        // charge, 10 000 + 11 000 + 13 000 + 10 000 bytes.
+        let res = pfs.read_many(&[0, 1, 9, 2, 3, 0]);
+        let lens: Vec<_> = res.iter().map(|r| r.clone().map(|d| d.len())).collect();
+        assert_eq!(
+            lens[..3],
+            [Ok(10_000), Ok(11_000), Err(PfsError::NotFound(9))]
+        );
+        assert!(matches!(lens[3], Err(PfsError::Io(_))), "fault honored");
+        assert_eq!(lens[4..], [Ok(13_000), Ok(10_000)]);
+        assert_eq!(pfs.reader_count(), 0, "batch guard released");
+        // A batch that finds nothing charges nothing.
+        assert!(pfs.read_many(&[7, 8]).iter().all(Result::is_err));
+        let charged = 44_000;
+        assert!(!pfs.inner.regulator.try_acquire(BURST - charged + 1_000));
+        assert!(pfs.inner.regulator.try_acquire(BURST - charged));
+        assert_eq!(pfs.stats().reads, 4);
+        assert_eq!(pfs.stats().bytes_read, charged);
     }
 
     #[test]

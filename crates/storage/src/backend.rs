@@ -76,6 +76,22 @@ pub trait StorageBackend: Send + Sync {
     /// policy bug or a raced insert).
     fn insert(&self, id: SampleId, data: Bytes) -> Result<(), BackendError>;
 
+    /// Vectored [`Self::insert`]: moves every item out of `items` (which
+    /// is left empty, its allocation kept for reuse) and hands `sink`
+    /// each id with what `insert` made of it — the bytes stored, or the
+    /// error — in order. A backend whose write cost is settled per call
+    /// overrides it to settle once for the whole batch.
+    fn insert_many(
+        &self,
+        items: &mut Vec<(SampleId, Bytes)>,
+        sink: &mut dyn FnMut(SampleId, Result<u64, BackendError>),
+    ) {
+        for (id, data) in items.drain(..) {
+            let size = data.len() as u64;
+            sink(id, self.insert(id, data).map(|()| size));
+        }
+    }
+
     /// Retrieves a sample, paying the backend's read cost.
     fn get(&self, id: SampleId) -> Option<Bytes>;
 
@@ -334,6 +350,22 @@ impl<B: StorageBackend> StorageBackend for ThrottledBackend<B> {
         self.inner.insert(id, data)
     }
 
+    /// **One** charge for the whole batch, up front as in
+    /// [`Self::insert`] (an item that will not fit is charged too), then
+    /// the inner batch: the same debt-based argument as
+    /// [`Self::get_many`].
+    fn insert_many(
+        &self,
+        items: &mut Vec<(SampleId, Bytes)>,
+        sink: &mut dyn FnMut(SampleId, Result<u64, BackendError>),
+    ) {
+        let bytes: u64 = items.iter().map(|(_, d)| d.len() as u64).sum();
+        if bytes > 0 {
+            self.write_bucket.acquire(bytes);
+        }
+        self.inner.insert_many(items, sink);
+    }
+
     fn get(&self, id: SampleId) -> Option<Bytes> {
         let data = self.inner.get(id)?;
         self.read_bucket.acquire(data.len() as u64);
@@ -502,6 +534,49 @@ mod tests {
         // A sweep that finds nothing charges nothing.
         assert_eq!(sweep(&b, &[7, 8]), [(7, None), (8, None)]);
         assert!(b.read_bucket.try_acquire(750));
+    }
+
+    #[test]
+    fn throttled_insert_batch_is_charged_once() {
+        // A write bucket that all but never refills: what is left of its
+        // 1000-byte burst says what has been charged.
+        let b = ThrottledBackend {
+            inner: MemoryBackend::new("ssd", 200),
+            read_bucket: Arc::new(TokenBucket::new(1e9, 1e9)),
+            write_bucket: Arc::new(TokenBucket::new(1e-6, 1_000.0)),
+        };
+        // Three that fit, one that does not (150 + 100 > 200): every
+        // item gets its outcome in order, and all 300 bytes are charged
+        // up front, as single inserts would be.
+        let mut items = vec![
+            (1, Bytes::from(vec![1u8; 100])),
+            (2, Bytes::from(vec![2u8; 50])),
+            (3, Bytes::from(vec![3u8; 100])),
+            (4, Bytes::from(vec![4u8; 50])),
+        ];
+        let mut got = Vec::new();
+        b.insert_many(&mut items, &mut |id, r| got.push((id, r)));
+        assert!(items.is_empty(), "the batch is moved out");
+        assert_eq!(
+            got,
+            [
+                (1, Ok(100)),
+                (2, Ok(50)),
+                (
+                    3,
+                    Err(BackendError::Full {
+                        needed: 100,
+                        available: 50
+                    })
+                ),
+                (4, Ok(50)),
+            ]
+        );
+        assert_eq!(b.used(), 200);
+        assert!(!b.write_bucket.try_acquire(701));
+        // An empty batch charges nothing.
+        b.insert_many(&mut items, &mut |_, _| panic!("no items"));
+        assert!(b.write_bucket.try_acquire(700));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! Every read records per-tier hit/miss/byte statistics
 //! ([`TierStats`]); on a miss in the upper tiers the stack *promotes*
 //! the sample upward according to its [`PromotePolicy`]. Placement-
-//! driven fills ([`TierStack::fill`], NoPFS's clairvoyant assignments)
+//! driven fills ([`TierStack::fill_many`], NoPFS's clairvoyant assignments)
 //! are pinned; only read-path promotions are eligible for read-path
 //! eviction, so a generic caching stack and the clairvoyant runtime
 //! coexist on one type.
@@ -196,7 +196,7 @@ pub trait DataSource: Send + Sync {
     /// the backends' blanket impl forwards to
     /// [`StorageBackend::get_many`], so a throttled cache tier settles
     /// its read cost once per sweep; the PFS registers one reader for
-    /// the batch; object stores *coalesce* adjacent ids into fewer
+    /// the batch and charges its `t(γ)` regulator once; object stores *coalesce* adjacent ids into fewer
     /// requests; the resilience layer admits the batch through its
     /// breaker once. Every read of a cache tier
     /// ([`TierStack::read_tier_many`]) and of the origin
@@ -204,6 +204,25 @@ pub trait DataSource: Send + Sync {
     fn read_each(&self, ids: &[SampleId], sink: &mut dyn FnMut(Result<Bytes, SourceError>)) {
         for &id in ids {
             sink(self.read(id));
+        }
+    }
+
+    /// The one vectored write: moves every item out of `items` (left
+    /// empty, its allocation kept for the caller's next batch) and
+    /// hands `sink` each id with its outcome — the bytes stored, or
+    /// the error — in order. The default loops over
+    /// [`DataSource::write`]; the backends' blanket impl forwards to
+    /// [`StorageBackend::insert_many`], so a throttled cache tier
+    /// settles its write cost once per batch. Every fill of a cache
+    /// tier ([`TierStack::fill_many`]) goes through this.
+    fn write_each(
+        &self,
+        items: &mut Vec<(SampleId, Bytes)>,
+        sink: &mut dyn FnMut(SampleId, Result<u64, SourceError>),
+    ) {
+        for (id, data) in items.drain(..) {
+            let size = data.len() as u64;
+            sink(id, self.write(id, data).map(|()| size));
         }
     }
 
@@ -242,6 +261,16 @@ impl<B: StorageBackend> DataSource for B {
 
     fn write(&self, id: SampleId, data: Bytes) -> Result<(), SourceError> {
         StorageBackend::insert(self, id, data).map_err(SourceError::from)
+    }
+
+    fn write_each(
+        &self,
+        items: &mut Vec<(SampleId, Bytes)>,
+        sink: &mut dyn FnMut(SampleId, Result<u64, SourceError>),
+    ) {
+        StorageBackend::insert_many(self, items, &mut |id, r| {
+            sink(id, r.map_err(SourceError::from))
+        });
     }
 
     fn contains(&self, id: SampleId) -> bool {
@@ -869,22 +898,31 @@ impl TierStack {
     /// [`DataSource::read_each`], so origins with per-request overhead
     /// (object stores) can coalesce adjacent ids, and collects the
     /// results in input order — where the loaders' batched origin reads
-    /// become a `Vec`. Per-id hit/miss/byte statistics are recorded as
-    /// if each sample were read alone.
+    /// become a `Vec`. The hit/miss/byte statistics count each id, as
+    /// if it were read alone, and are booked once per call, as
+    /// [`Self::read_tier_many`] books them.
     pub fn read_origin_many(&self, ids: &[SampleId]) -> Vec<Result<Bytes, SourceError>> {
         let slot = &self.inner.tiers[self.origin_index()];
+        let (mut hits, mut bytes, mut misses) = (0u64, 0u64, 0u64);
         let mut results = Vec::with_capacity(ids.len());
         slot.source.read_each(ids, &mut |r| {
             match &r {
                 Ok(data) => {
-                    slot.counters.hits.inc();
-                    slot.counters.bytes_read.add(data.len() as u64);
+                    hits += 1;
+                    bytes += data.len() as u64;
                 }
-                Err(SourceError::NotFound(_)) => slot.counters.misses.inc(),
+                Err(SourceError::NotFound(_)) => misses += 1,
                 Err(_) => {}
             }
             results.push(r);
         });
+        if hits > 0 {
+            slot.counters.hits.add(hits);
+            slot.counters.bytes_read.add(bytes);
+        }
+        if misses > 0 {
+            slot.counters.misses.add(misses);
+        }
         results
     }
 
@@ -910,29 +948,61 @@ impl TierStack {
     }
 
     /// A planned (pinned) fill: stores `id` into cache tier `tier` and
-    /// catalogs it. Pinned fills are never displaced by read-path
-    /// eviction — this is how clairvoyant placement claims capacity.
+    /// catalogs it. The length-1 [`Self::fill_many`].
     ///
     /// # Errors
     /// [`SourceError::Full`] when the tier cannot take the sample.
     pub fn fill(&self, tier: usize, id: SampleId, data: Bytes) -> Result<(), SourceError> {
+        let mut got = None;
+        self.fill_many(tier, &mut vec![(id, data)], |_, r| got = Some(r));
+        got.expect("one result per item")
+    }
+
+    /// **The** fill path: stores every item of `items` into cache tier
+    /// `tier` through one [`DataSource::write_each`] — so a throttled
+    /// tier is charged once for the batch — and catalogs each one that
+    /// landed. `items` is moved out (left empty, its allocation kept
+    /// for the caller's next batch); `sink` gets one result per item,
+    /// in order, once that item is cataloged. Pinned fills are never
+    /// displaced by read-path eviction — this is how clairvoyant
+    /// placement claims capacity.
+    ///
+    /// Catalog marks, sizes and the retirement of a superseded copy are
+    /// per item; `fills` and `bytes_filled` are booked once per call.
+    /// An item the tier cannot take gets its error
+    /// ([`SourceError::Full`] when it does not fit) and is not
+    /// cataloged.
+    pub fn fill_many(
+        &self,
+        tier: usize,
+        items: &mut Vec<(SampleId, Bytes)>,
+        mut sink: impl FnMut(SampleId, Result<(), SourceError>),
+    ) {
         debug_assert!(tier < self.origin_index(), "fills target cache tiers");
-        let size = data.len() as u64;
         let slot = &self.inner.tiers[tier];
-        slot.source.write(id, data)?;
-        slot.counters.fills.inc();
-        slot.counters.bytes_filled.add(size);
-        // A pinned fill always wins the catalog (the clairvoyant plan
-        // overrides read-path placement); retire any copy a racing
-        // promotion had cataloged elsewhere instead of orphaning it.
-        let prev = self.inner.catalog.mark_cached(id, tier as u8);
-        self.inner.sizes.insert(id, size);
-        if let Some(p) = prev {
-            if usize::from(p) != tier {
-                self.drop_copy(usize::from(p), id);
-            }
+        let (mut fills, mut bytes) = (0u64, 0u64);
+        slot.source.write_each(items, &mut |id, r| {
+            let r = r.map(|size| {
+                fills += 1;
+                bytes += size;
+                // A pinned fill always wins the catalog (the clairvoyant
+                // plan overrides read-path placement); retire any copy a
+                // racing promotion had cataloged elsewhere instead of
+                // orphaning it.
+                let prev = self.inner.catalog.mark_cached(id, tier as u8);
+                self.inner.sizes.insert(id, size);
+                if let Some(p) = prev {
+                    if usize::from(p) != tier {
+                        self.drop_copy(usize::from(p), id);
+                    }
+                }
+            });
+            sink(id, r);
+        });
+        if fills > 0 {
+            slot.counters.fills.add(fills);
+            slot.counters.bytes_filled.add(bytes);
         }
-        Ok(())
     }
 
     /// Evicts `id` from cache tier `tier`, updating catalog and

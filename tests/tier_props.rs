@@ -8,7 +8,10 @@
 use bytes::Bytes;
 use nopfs::obs::{names, Registry, Snapshot};
 use nopfs::pfs::Pfs;
-use nopfs::storage::{DataSource, MemoryBackend, PromotePolicy, TierStack};
+use nopfs::storage::backend::BackendError;
+use nopfs::storage::{
+    DataSource, MemoryBackend, PromotePolicy, StorageBackend, ThrottledBackend, TierStack,
+};
 use nopfs::util::rng::Xoshiro256pp;
 use nopfs::util::timing::TimeScale;
 use proptest::prelude::*;
@@ -52,6 +55,67 @@ fn stack_in_registry(
         .collect();
     sources.push(Arc::new(pfs.clone()));
     TierStack::new_in_registry(sources, promote, registry)
+}
+
+/// A memory store that reports no sample sizes, so that an eviction
+/// through the stack books the bytes of the stack's own size table.
+struct SizeBlind(MemoryBackend);
+
+impl StorageBackend for SizeBlind {
+    fn name(&self) -> &str {
+        StorageBackend::name(&self.0)
+    }
+
+    fn capacity(&self) -> u64 {
+        StorageBackend::capacity(&self.0)
+    }
+
+    fn used(&self) -> u64 {
+        StorageBackend::used(&self.0)
+    }
+
+    fn insert(&self, id: u64, data: Bytes) -> Result<(), BackendError> {
+        self.0.insert(id, data)
+    }
+
+    fn get(&self, id: u64) -> Option<Bytes> {
+        self.0.get(id)
+    }
+
+    fn contains(&self, id: u64) -> bool {
+        StorageBackend::contains(&self.0, id)
+    }
+
+    fn evict(&self, id: u64) -> bool {
+        StorageBackend::evict(&self.0, id)
+    }
+
+    fn count(&self) -> usize {
+        StorageBackend::count(&self.0)
+    }
+
+    fn size_of(&self, _: u64) -> Option<u64> {
+        None
+    }
+}
+
+/// A stack of throttled [`SizeBlind`] cache tiers — the class tiers'
+/// write path, with rates that never make anyone wait — over `pfs`.
+fn size_blind_stack(pfs: &Pfs, caps: &[u64]) -> TierStack {
+    let mut sources: Vec<Arc<dyn DataSource>> = caps
+        .iter()
+        .enumerate()
+        .map(|(j, &cap)| {
+            Arc::new(ThrottledBackend::new(
+                SizeBlind(MemoryBackend::new(format!("tier{j}"), cap)),
+                1e15,
+                1e15,
+                TimeScale::realtime(),
+            )) as Arc<dyn DataSource>
+        })
+        .collect();
+    sources.push(Arc::new(pfs.clone()));
+    TierStack::new(sources, PromotePolicy::Never)
 }
 
 /// Observations in `registry`'s `tier.read_latency_ns` histograms.
@@ -312,6 +376,55 @@ proptest! {
                 latency_observations(&vectored_reg) - seen_vectored,
                 u64::from(hits > 0)
             );
+        }
+    }
+
+    /// `fill_many` is the loop of single `fill` calls it replaces: over
+    /// batches with repeated ids, ids already cataloged in the other
+    /// tier (whose copy is retired) and items that do not fit, it gives
+    /// the same result per item, in order, and leaves the same catalog,
+    /// the same residency and every `TierStats` counter the same after
+    /// each batch. Draining both stacks at the end books the same
+    /// evicted bytes, which the size-blind tiers take from the stack's
+    /// own size table.
+    #[test]
+    fn vectored_fills_equal_the_single_fills_they_replace(
+        seed in any::<u64>(),
+        caps in prop::collection::vec(0u64..600, 2..3),
+        calls in prop::collection::vec(
+            (0usize..2, prop::collection::vec(0u64..32, 0..12)),
+            1..12,
+        ),
+    ) {
+        let (pfs, payloads) = materialized_pfs(seed, 32);
+        let single = size_blind_stack(&pfs, &caps);
+        let vectored = size_blind_stack(&pfs, &caps);
+        let mut items = Vec::new();
+        for (tier, ids) in &calls {
+            let one_by_one: Vec<_> = ids
+                .iter()
+                .map(|&id| (id, single.fill(*tier, id, payloads[id as usize].clone())))
+                .collect();
+            items.extend(ids.iter().map(|&id| (id, payloads[id as usize].clone())));
+            let mut batched = Vec::new();
+            vectored.fill_many(*tier, &mut items, |id, r| batched.push((id, r)));
+            prop_assert!(items.is_empty(), "the batch is moved out");
+            prop_assert_eq!(&batched, &one_by_one);
+            prop_assert_eq!(single.all_stats(), vectored.all_stats());
+            for id in 0..32 {
+                prop_assert_eq!(single.locate(id), vectored.locate(id), "catalog entry of {}", id);
+            }
+        }
+        for stack in [&single, &vectored] {
+            for id in 0..32 {
+                if let Some(tier) = stack.locate(id) {
+                    prop_assert!(stack.evict(tier, id));
+                }
+            }
+        }
+        prop_assert_eq!(single.all_stats(), vectored.all_stats());
+        for j in 0..caps.len() {
+            prop_assert_eq!(vectored.stats(j).used, 0, "tier {} drained", j);
         }
     }
 
