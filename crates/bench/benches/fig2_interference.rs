@@ -14,7 +14,7 @@
 //!    threads allow.
 //!
 //! Also emits `BENCH_fig2_interference.json` (the perf-trajectory
-//! artifact; `examples/interference.rs` writes the identical schema).
+//! artifact; this bench is its one writer).
 //! Scale everything with `NOPFS_BENCH_SCALE`.
 
 use nopfs_bench::report;
@@ -87,13 +87,7 @@ fn main() {
         println!("{row}");
     }
 
-    let doc = fig2::json_doc(
-        "benches/fig2_interference.rs",
-        extra,
-        &cluster,
-        &sim_slowdowns,
-        &sweeps,
-    );
+    let doc = fig2::json_doc(extra, &cluster, &sim_slowdowns, &sweeps);
     report::write_json("BENCH_fig2_interference.json", &doc).expect("write JSON report");
 
     println!();

@@ -463,12 +463,9 @@ pub mod fig2 {
             .collect()
     }
 
-    /// The canonical `BENCH_fig2_interference.json` document. Both the
-    /// `fig2_interference` bench and `examples/interference.rs` build
-    /// it through this one function, so the artifact's schema never
-    /// depends on which producer ran last.
+    /// The `BENCH_fig2_interference.json` document the
+    /// `fig2_interference` bench writes.
     pub fn json_doc(
-        source: &str,
         extra_scale: f64,
         cluster: &nopfs_cluster::ClusterReport,
         sim_slowdowns: &[f64],
@@ -518,7 +515,7 @@ pub mod fig2 {
             .collect();
         Json::obj([
             ("figure", Json::from("fig2_interference")),
-            ("source", Json::from(source)),
+            ("source", Json::from("benches/fig2_interference.rs")),
             ("bench_scale", Json::Num(extra_scale)),
             ("samples_per_tenant", Json::from(samples(extra_scale))),
             ("runtime_tenants", Json::Arr(tenant_rows)),

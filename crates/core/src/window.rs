@@ -16,6 +16,16 @@
 //! Nothing is read twice, and a staging thread never waits for a read
 //! nobody has started.
 //!
+//! The window keeps this position-keyed claim of its own beside the
+//! worker's per-sample fill claims (`worker::FillClaims`), for three
+//! reasons:
+//! - a plan-uncached sample is never filled into any tier, so there is
+//!   no fill to claim;
+//! - the same sample comes back at later stream positions, and each
+//!   position is read once, which a per-sample claim cannot express;
+//! - the window also holds the byte budget and the parked bytes, which
+//!   a claim alone does not.
+//!
 //! Deadlock-freedom at any budget: a lane waits for budget only
 //! *before* it claims, so every claimed position is being read or
 //! already parked; staging threads visit every position, so every

@@ -120,6 +120,19 @@ impl ConsumeAccumulator {
         }
     }
 
+    /// Sets the compute throughput (bytes/s) the trainer runs at from
+    /// the next access on — a straggler's rate changing mid-stream.
+    ///
+    /// # Panics
+    /// Panics if `compute` is not positive.
+    pub fn set_compute(&mut self, compute: f64) {
+        assert!(
+            compute.is_finite() && compute > 0.0,
+            "compute rate must be positive"
+        );
+        self.compute = compute;
+    }
+
     /// Number of accesses recorded.
     pub fn count(&self) -> u64 {
         self.count

@@ -12,15 +12,16 @@
 //! runtime's `ElasticJob` (the cross-harness agreement tests do both).
 //!
 //! Timing under churn is modelled in the simulator's usual spirit —
-//! relative, not absolute: each epoch runs the lockstep loop at its
-//! membership, stragglers divide a rank's compute throughput, and each
-//! crash charges a recovery penalty (an uncontended PFS re-read of the
-//! restarted rank's in-flight batch — the staged-but-unconsumed samples
-//! the runtime throws away and replays).
+//! relative, not absolute: each membership keeps one engine job state
+//! ([`crate::engine`]), whose clocks run on across the epochs it runs,
+//! so a fault-free plan is exactly the steady-state run. Stragglers
+//! divide their rank's compute throughput from the epoch they start
+//! in, and each crash charges a recovery penalty (an uncontended PFS
+//! re-read of the restarted rank's in-flight batch — the
+//! staged-but-unconsumed samples the runtime throws away and replays).
 
-use crate::engine::{push_access, Acc, PfsClients};
-use crate::policies::{self, PolicyImpl};
-use crate::result::{SimError, SimResult};
+use crate::engine::{lockstep, JobState};
+use crate::result::SimError;
 use crate::scenario::Scenario;
 use nopfs_clairvoyance::SampleId;
 use nopfs_perfmodel::Location;
@@ -35,7 +36,8 @@ pub struct ElasticSimResult {
     /// Modelled end-to-end time: per-epoch wall times plus prestaging
     /// (charged once per policy build) plus recovery penalties.
     pub execution_time: f64,
-    /// Modelled wall time of each epoch (slowest participating rank).
+    /// Modelled wall time of each epoch: how far it moved its
+    /// membership's slowest rank.
     pub per_epoch_time: Vec<f64>,
     /// Worker count of each epoch.
     pub memberships: Vec<usize>,
@@ -68,15 +70,6 @@ impl ElasticSimResult {
     }
 }
 
-/// A policy instance pinned to one membership, plus how many epoch
-/// transforms it has been fed (so re-entering a membership replays the
-/// skipped epochs' transforms and stateful cores stay in sync with a
-/// fresh-from-epoch-0 rebuild).
-struct MemberState {
-    policy: Box<dyn PolicyImpl>,
-    next_epoch: u64,
-}
-
 /// Simulates `policy` on `scenario` under `plan`.
 ///
 /// # Errors
@@ -103,12 +96,19 @@ pub fn run_elastic_with_obs(
     obs: &nopfs_obs::ObsCtx,
 ) -> Result<ElasticSimResult, SimError> {
     use nopfs_obs::names;
-    let spec = scenario.shuffle_spec();
-    plan.validate(&spec, scenario.epochs)
+    plan.validate(&scenario.shuffle_spec(), scenario.epochs)
         .map_err(|u| SimError::Unsupported(u.0))?;
     let memberships = plan.memberships(scenario.system.workers, scenario.epochs);
+    let scenarios: BTreeMap<usize, Scenario> = memberships
+        .iter()
+        .map(|&n| {
+            let mut s = scenario.clone();
+            s.system.workers = n;
+            (n, s)
+        })
+        .collect();
 
-    let mut states: BTreeMap<usize, MemberState> = BTreeMap::new();
+    let mut jobs: BTreeMap<usize, JobState> = BTreeMap::new();
     let mut replans = 0usize;
     let mut recoveries = 0usize;
     let mut recovery_time = 0.0f64;
@@ -118,10 +118,8 @@ pub fn run_elastic_with_obs(
 
     for (e, &n) in memberships.iter().enumerate() {
         let e = e as u64;
-        let scenario_n = at_membership(scenario, n);
-        let spec_n = scenario_n.shuffle_spec();
-        if !states.contains_key(&n) {
-            if !states.is_empty() {
+        if !jobs.contains_key(&n) {
+            if !jobs.is_empty() {
                 replans += 1;
                 obs.tracer.instant_at(
                     names::EV_REPLAN,
@@ -130,50 +128,25 @@ pub fn run_elastic_with_obs(
                     vec![("workers", (n as u64).into())],
                 );
             }
-            let p = policies::build(policy, &scenario_n)?;
+            let job = JobState::new(&scenarios[&n], policy, obs)?;
             // Resharding pays its (possibly empty) prestage phase anew:
             // the newcomer-inclusive shard map has to be filled.
-            execution_time += p.prestage_seconds();
-            states.insert(
-                n,
-                MemberState {
-                    policy: p,
-                    next_epoch: 0,
-                },
-            );
+            execution_time += job.prestage_seconds();
+            jobs.insert(n, job);
         }
-        let state = states.get_mut(&n).expect("inserted above");
+        let job = jobs.get_mut(&n).expect("inserted above");
 
-        // Replay the transforms of epochs this instance skipped while
-        // another membership was active, so its call sequence matches a
-        // fresh core replayed from epoch 0 (global epoch numbers keep
-        // the permutations right).
-        while state.next_epoch < e {
-            let k = state.next_epoch;
-            let shuffle = spec_n.epoch_shuffle(k);
-            let seqs: Vec<Vec<u64>> = (0..n).map(|w| shuffle.worker_sequence(w)).collect();
-            state.policy.on_epoch_start(k);
-            let _ = state.policy.transform_epoch(k, seqs, &shuffle);
-            state.next_epoch = k + 1;
-        }
-
-        // This epoch's delivered sequences, through the same transform
-        // path the steady-state engine uses.
-        let shuffle = spec_n.epoch_shuffle(e);
-        let seqs: Vec<Vec<u64>> = (0..n).map(|w| shuffle.worker_sequence(w)).collect();
-        state.policy.on_epoch_start(e);
-        let seqs = state.policy.transform_epoch(e, seqs, &shuffle);
-        state.next_epoch = e + 1;
-
-        // Lockstep timing of the epoch at this membership; stragglers
-        // divide their rank's compute throughput.
-        obs.tracer.instant_at(
-            names::EV_EPOCH,
-            "sim",
-            execution_time,
-            vec![("epoch", e.into())],
-        );
-        let epoch_time = simulate_epoch(&scenario_n, state.policy.as_mut(), plan, e, &seqs);
+        // One epoch of the lockstep loop at this membership, on clocks
+        // that run on from the epochs it ran before; stragglers divide
+        // their rank's compute throughput.
+        let compute = scenario.system.compute;
+        job.set_compute(|w| compute / plan.straggle_factor(e, w));
+        let before = job.wall();
+        // The job's epoch instant lands on this run's clock.
+        job.start = execution_time - before;
+        job.schedule(e..e + 1);
+        lockstep(std::slice::from_mut(job));
+        let epoch_time = job.wall() - before;
         per_epoch_time.push(epoch_time);
         execution_time += epoch_time;
 
@@ -201,7 +174,7 @@ pub fn run_elastic_with_obs(
             recovery_time += penalty * crashes.len() as f64;
         }
 
-        epoch_streams.push((n, seqs));
+        epoch_streams.push((n, job.take_seqs()));
     }
 
     execution_time += recovery_time;
@@ -215,63 +188,6 @@ pub fn run_elastic_with_obs(
         recovery_time,
         epoch_streams,
     })
-}
-
-/// One epoch of the engine's lockstep loop at a fixed membership.
-/// Returns the epoch's wall time (slowest rank).
-fn simulate_epoch(
-    scenario: &Scenario,
-    p: &mut dyn PolicyImpl,
-    plan: &FaultPlan,
-    epoch: u64,
-    seqs: &[Vec<SampleId>],
-) -> f64 {
-    let sys = &scenario.system;
-    let n = sys.workers;
-    let b = scenario.batch_size;
-    let threads_per_worker = if p.overlapped() {
-        sys.staging.threads as usize
-    } else {
-        1
-    };
-    let mut accs: Vec<Acc> = (0..n)
-        .map(|w| {
-            let compute = sys.compute / plan.straggle_factor(epoch, w);
-            Acc::new(compute, sys.staging.threads, p.overlapped())
-        })
-        .collect();
-    let mut gamma = (n * threads_per_worker).max(1);
-    let iterations = seqs.iter().map(|s| s.len().div_ceil(b)).max().unwrap_or(0);
-    for h in 0..iterations {
-        let mut pfs_clients = 0usize;
-        for (w, seq) in seqs.iter().enumerate() {
-            let lo = h * b;
-            if lo >= seq.len() {
-                continue;
-            }
-            let hi = ((h + 1) * b).min(seq.len());
-            let mut clients = PfsClients::default();
-            for &k in &seq[lo..hi] {
-                let now = accs[w].last();
-                let size = scenario.sizes[k as usize];
-                let loc = p.source(w, k, size, now, gamma);
-                let lanes = p.origin_lanes(k);
-                push_access(&mut accs[w], sys, None, loc, size, gamma, lanes);
-                clients.note(loc, lanes);
-                p.on_consumed(w, k, now);
-            }
-            pfs_clients += clients.count(threads_per_worker);
-        }
-        gamma = pfs_clients.max(1);
-    }
-    accs.iter().map(Acc::finish).fold(0.0, f64::max)
-}
-
-/// The same scenario with the worker count replaced.
-fn at_membership(scenario: &Scenario, n: usize) -> Scenario {
-    let mut s = scenario.clone();
-    s.system.workers = n;
-    s
 }
 
 /// One row of a churn sweep: a `(plan, policy)` pair's overhead over
@@ -328,14 +244,6 @@ pub fn churn_sweep(
     rows
 }
 
-/// Sanity bridge: a fault-free elastic run must agree with the
-/// steady-state engine on delivered streams (it *is* the same loop,
-/// minus the cross-epoch pipeline carry-over the elastic path resets at
-/// every epoch boundary). Exposed for tests and benches.
-pub fn fault_free_reference(scenario: &Scenario, policy: PolicyId) -> Result<SimResult, SimError> {
-    crate::engine::run(scenario, policy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,6 +272,25 @@ mod tests {
                 assert_eq!(total as u64, spe, "{policy}");
             }
         }
+    }
+
+    #[test]
+    fn a_fault_free_plan_is_the_solo_engine() {
+        let s = scenario();
+        let mut ran = 0;
+        for policy in PolicyId::ALL {
+            let Ok(solo) = crate::engine::run(&s, policy) else {
+                continue;
+            };
+            let elastic = run_elastic(&s, policy, &FaultPlan::fault_free()).unwrap();
+            let (a, b) = (solo.execution_time, elastic.execution_time);
+            assert!(
+                (a - b).abs() <= 1e-9 * a,
+                "{policy}: solo {a} vs fault-free elastic {b}"
+            );
+            ran += 1;
+        }
+        assert!(ran > PolicyId::ALL.len() / 2, "only {ran} policies ran");
     }
 
     #[test]

@@ -149,13 +149,14 @@ pub(crate) struct CloudModel {
 }
 
 impl CloudModel {
+    #[cfg(test)]
     pub(crate) fn new(spec: CloudSpec) -> Self {
         Self::with_obs(spec, &ObsCtx::new())
     }
 
-    /// Like [`Self::new`], but the breaker registers its transition
-    /// counters in `obs` and both the breaker and the hedge logic emit
-    /// model-clock trace events through its tracer.
+    /// The model of `spec`'s origin. The breaker registers its
+    /// transition counters in `obs`, and both the breaker and the hedge
+    /// logic emit model-clock trace events through its tracer.
     pub(crate) fn with_obs(spec: CloudSpec, obs: &ObsCtx) -> Self {
         let breaker = spec.resilience.breaker.map(|cfg| {
             CircuitBreaker::new_in_registry(cfg, &obs.registry).with_tracer(obs.tracer.clone())

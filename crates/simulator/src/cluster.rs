@@ -1,31 +1,30 @@
 //! Multi-job simulation: K co-scheduled training jobs contending on one
 //! shared PFS.
 //!
-//! The single-job engine ([`crate::engine::run`]) tracks the PFS client
-//! count `γ` only within one job; here several jobs — each with its own
-//! scenario, policy, and staggered start time — advance through a
-//! shared model clock, and every job's reads are priced at `t(γ)` for
-//! the **combined** client count across all concurrently active jobs.
-//! This is the paper's opening scenario (Sec. 1–2, Fig. 2): aggregate
-//! PFS throughput saturates, so co-located jobs interfere — unless a
-//! policy stops hitting the PFS once its caches warm up.
+//! Several jobs — each with its own scenario, policy, and staggered
+//! start time — advance through a shared model clock, and every job's
+//! reads are priced at `t(γ)` for the **combined** client count across
+//! all concurrently active jobs. This is the paper's opening scenario
+//! (Sec. 1–2, Fig. 2): aggregate PFS throughput saturates, so
+//! co-located jobs interfere — unless a policy stops hitting the PFS
+//! once its caches warm up.
 //!
-//! Scheduling is discrete and approximate in the same spirit as the
-//! single-job engine: the job whose time front (its slowest worker's
-//! consumption clock plus its start offset) is earliest advances by one
-//! iteration, with `γ` summed over the jobs that have started and not
-//! yet finished. Because jobs are simulated rather than threaded, K can
-//! sweep far past what the in-process thread runtime allows.
+//! The scheduler is the single-job engine's own ([`crate::engine`]; a
+//! solo [`crate::engine::run`] is a cluster of one): the job whose time
+//! front (its slowest worker's consumption clock plus its start offset)
+//! is earliest advances by one iteration, with `γ` summed over the jobs
+//! that have started and not yet finished. Because jobs are simulated
+//! rather than threaded, K can sweep far past what the in-process
+//! thread runtime allows.
 //!
 //! Interconnects are *partitioned*: each job keeps its own modelled
 //! cluster network (co-scheduled HPC jobs run on disjoint node sets but
 //! share the filesystem), so only the PFS couples tenants.
 
-use crate::cloud::CloudModel;
-use crate::engine::{loc_index, push_access, Acc, PfsClients, Priced};
-use crate::policies;
-use crate::result::{Breakdown, SimError, SimResult};
+use crate::engine::run_jobs;
+use crate::result::{SimError, SimResult};
 use crate::scenario::Scenario;
+use nopfs_obs::ObsCtx;
 use nopfs_policy::PolicyId;
 
 /// One co-scheduled job: a scenario, its loader policy, and when it
@@ -61,183 +60,6 @@ impl SimTenant {
     }
 }
 
-/// Per-job simulation state between iterations.
-struct JobState<'a> {
-    tenant: &'a SimTenant,
-    policy: Box<dyn policies::PolicyImpl>,
-    accs: Vec<Acc>,
-    prev_consumed: Vec<f64>,
-    breakdown: Breakdown,
-    fetch_counts: [u64; 4],
-    /// Current epoch's per-worker sequences.
-    seqs: Vec<Vec<u64>>,
-    /// Iterations in the current epoch and the next one to run.
-    iterations: usize,
-    iter: usize,
-    epoch: u64,
-    /// This job's PFS clients observed in its previous iteration.
-    gamma_self: usize,
-    threads_per_worker: usize,
-    started: bool,
-    finished: bool,
-    /// Per-tenant cloud origin model, when the scenario routes the
-    /// origin through an object store.
-    cloud: Option<CloudModel>,
-}
-
-impl<'a> JobState<'a> {
-    fn new(tenant: &'a SimTenant) -> Result<Self, SimError> {
-        let policy = policies::build(tenant.policy, &tenant.scenario)?;
-        let sys = &tenant.scenario.system;
-        let n = sys.workers;
-        let threads_per_worker = if policy.overlapped() {
-            sys.staging.threads as usize
-        } else {
-            1
-        };
-        let accs = (0..n)
-            .map(|_| Acc::new(sys.compute, sys.staging.threads, policy.overlapped()))
-            .collect();
-        let mut state = Self {
-            tenant,
-            policy,
-            accs,
-            prev_consumed: vec![0.0; n],
-            breakdown: Breakdown::default(),
-            fetch_counts: [0; 4],
-            seqs: Vec::new(),
-            iterations: 0,
-            iter: 0,
-            epoch: 0,
-            // Pessimistic before the first iteration, like the
-            // single-job engine.
-            gamma_self: (n * threads_per_worker).max(1),
-            threads_per_worker,
-            started: false,
-            finished: false,
-            cloud: tenant.scenario.cloud.clone().map(CloudModel::new),
-        };
-        state.load_epoch(0);
-        Ok(state)
-    }
-
-    /// Loads epoch `e`'s sequences, or marks the job finished.
-    fn load_epoch(&mut self, e: u64) {
-        if e >= self.tenant.scenario.epochs {
-            self.finished = true;
-            self.gamma_self = 0;
-            return;
-        }
-        let spec = self.tenant.scenario.shuffle_spec();
-        let shuffle = spec.epoch_shuffle(e);
-        self.policy.on_epoch_start(e);
-        let n = self.tenant.scenario.system.workers;
-        let seqs: Vec<Vec<u64>> = (0..n).map(|w| shuffle.worker_sequence(w)).collect();
-        self.seqs = self.policy.transform_epoch(e, seqs, &shuffle);
-        let b = self.tenant.scenario.batch_size;
-        self.iterations = self
-            .seqs
-            .iter()
-            .map(|s| s.len().div_ceil(b))
-            .max()
-            .unwrap_or(0);
-        self.iter = 0;
-        self.epoch = e;
-        if self.iterations == 0 {
-            self.load_epoch(e + 1);
-        }
-    }
-
-    /// The job's time front on the cluster clock: start offset plus the
-    /// slowest worker's consumption clock.
-    fn front(&self) -> f64 {
-        self.tenant.start + self.accs.iter().map(Acc::last).fold(0.0, f64::max)
-    }
-
-    /// Advances one iteration, pricing PFS reads at the cluster-wide
-    /// `gamma`. Returns this job's new own-client count.
-    fn advance(&mut self, gamma: usize) -> usize {
-        self.started = true;
-        let scenario = &self.tenant.scenario;
-        let sys = &scenario.system;
-        let n = sys.workers;
-        let b = scenario.batch_size;
-        let h = self.iter;
-        let mut pfs_clients = 0usize;
-        for w in 0..n {
-            let seq = &self.seqs[w];
-            let lo = h * b;
-            if lo >= seq.len() {
-                continue;
-            }
-            let hi = ((h + 1) * b).min(seq.len());
-            let mut clients = PfsClients::default();
-            for &k in &seq[lo..hi] {
-                let now = self.accs[w].last();
-                let size = scenario.sizes[k as usize];
-                let origin_ok = self.cloud.as_ref().is_none_or(|c| c.available(now));
-                let loc = self
-                    .policy
-                    .source_degraded(w, k, size, now, gamma, origin_ok);
-                let lanes = self.policy.origin_lanes(k);
-                let Priced {
-                    read,
-                    consumed,
-                    stall,
-                } = push_access(
-                    &mut self.accs[w],
-                    sys,
-                    self.cloud.as_mut(),
-                    loc,
-                    size,
-                    gamma,
-                    lanes,
-                );
-                let interval = consumed - self.prev_consumed[w];
-                let busy = (interval - stall).max(0.0);
-                let overlapped_fetch = read.min(busy);
-                self.breakdown
-                    .attribute(loc, stall + overlapped_fetch, busy - overlapped_fetch);
-                self.prev_consumed[w] = consumed;
-                self.fetch_counts[loc_index(loc)] += 1;
-                clients.note(loc, lanes);
-                self.policy.on_consumed(w, k, consumed);
-            }
-            pfs_clients += clients.count(self.threads_per_worker);
-        }
-        self.gamma_self = pfs_clients;
-        self.iter += 1;
-        if self.iter >= self.iterations {
-            self.load_epoch(self.epoch + 1);
-        }
-        self.gamma_self
-    }
-
-    fn into_result(self) -> SimResult {
-        let prestage = self.policy.prestage_seconds();
-        let n = self.tenant.scenario.system.workers;
-        let mut breakdown = self.breakdown;
-        if prestage > 0.0 {
-            breakdown.pfs += prestage * n as f64;
-        }
-        let per_worker_time: Vec<f64> = self.accs.iter().map(|a| a.finish() + prestage).collect();
-        let per_worker_stall: Vec<f64> = self.accs.iter().map(Acc::total_stall).collect();
-        let execution_time = per_worker_time.iter().copied().fold(0.0, f64::max);
-        SimResult {
-            policy: self.tenant.policy,
-            execution_time,
-            per_worker_time,
-            prestage_time: prestage,
-            per_worker_stall,
-            breakdown,
-            fetch_counts: self.fetch_counts,
-            coverage: self.policy.coverage(),
-            note: self.policy.note(),
-            resilience: self.cloud.as_ref().map(CloudModel::stats),
-        }
-    }
-}
-
 /// Simulates `tenants` co-scheduled on one shared PFS.
 ///
 /// Returns one [`SimResult`] per tenant, in input order; each result's
@@ -251,43 +73,14 @@ impl<'a> JobState<'a> {
 /// cannot run its scenario.
 pub fn run_cluster(tenants: &[SimTenant]) -> Result<Vec<SimResult>, SimError> {
     assert!(!tenants.is_empty(), "a cluster needs at least one tenant");
-    let mut jobs: Vec<JobState> = tenants
-        .iter()
-        .map(JobState::new)
-        .collect::<Result<_, _>>()?;
-
-    loop {
-        // Pick the unfinished job with the earliest time front.
-        let next = jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| !j.finished)
-            .min_by(|(_, a), (_, b)| {
-                a.front()
-                    .partial_cmp(&b.front())
-                    .expect("time fronts are finite")
-            })
-            .map(|(i, _)| i);
-        let Some(i) = next else { break };
-        // γ: this job's previous-iteration clients plus every other
-        // started-and-unfinished job's.
-        let gamma = jobs
-            .iter()
-            .enumerate()
-            .map(|(j, job)| {
-                if j == i || (job.started && !job.finished) {
-                    job.gamma_self
-                } else {
-                    0
-                }
-            })
-            .sum::<usize>()
-            .max(1);
-        jobs[i].advance(gamma);
-    }
-
-    Ok(jobs.into_iter().map(JobState::into_result).collect())
+    run_jobs(
+        tenants.iter().map(|t| (&t.scenario, t.policy, t.start)),
+        &ObsCtx::new(),
+    )
 }
+
+#[cfg(test)]
+use crate::policies;
 
 #[cfg(test)]
 mod tests {

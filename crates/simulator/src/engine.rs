@@ -14,20 +14,28 @@
 //! the per-client share `t(γ)/γ` improve as the run progresses, while
 //! policies that hammer the PFS see it collapse as workers are added.
 //! This is the feedback loop behind the paper's scaling results.
+//!
+//! One per-job state (`JobState`) and one scheduler (`lockstep`)
+//! serve every entry point: [`run`] is a cluster of one job,
+//! [`crate::cluster::run_cluster`] the same scheduler over many, and
+//! [`crate::churn::run_elastic`] one job state per membership, each
+//! run an epoch at a time.
 
 use crate::cloud::CloudModel;
-use crate::policies;
+use crate::policies::{self, PolicyImpl};
 use crate::result::{Breakdown, SimError, SimResult};
 use crate::scenario::Scenario;
-use nopfs_obs::{names, ObsCtx};
+use nopfs_clairvoyance::SampleId;
+use nopfs_obs::{names, Counter, ObsCtx, Tracer};
 use nopfs_perfmodel::equations::ConsumeAccumulator;
 use nopfs_perfmodel::{Location, SystemSpec};
 use nopfs_policy::PolicyId;
+use std::ops::Range;
 
 /// Per-worker consumption state: either the pipelined `t_{i,f}`
 /// recurrence (policies with prefetch threads) or fully serialized
 /// consumption (the Naive policy, which reads synchronously).
-pub(crate) enum Acc {
+enum Acc {
     Overlapped(ConsumeAccumulator),
     Serial {
         compute: f64,
@@ -38,7 +46,7 @@ pub(crate) enum Acc {
 }
 
 impl Acc {
-    pub(crate) fn new(compute: f64, p0: u32, overlapped: bool) -> Self {
+    fn new(compute: f64, p0: u32, overlapped: bool) -> Self {
         if overlapped {
             Acc::Overlapped(ConsumeAccumulator::new(compute, p0))
         } else {
@@ -52,7 +60,7 @@ impl Acc {
     }
 
     /// Records an access; returns `(consumed_at, stall)`.
-    pub(crate) fn push(&mut self, read: f64, size: u64) -> (f64, f64) {
+    fn push(&mut self, read: f64, size: u64) -> (f64, f64) {
         match self {
             Acc::Overlapped(a) => {
                 let timing = a.push(read, size);
@@ -80,13 +88,7 @@ impl Acc {
     /// [`ConsumeAccumulator::push_ahead`]); returns
     /// `(consumed_at, stall)`. A synchronous reader has no lanes and
     /// pays both parts in series.
-    pub(crate) fn push_ahead(
-        &mut self,
-        fetch: f64,
-        lanes: usize,
-        write: f64,
-        size: u64,
-    ) -> (f64, f64) {
+    fn push_ahead(&mut self, fetch: f64, lanes: usize, write: f64, size: u64) -> (f64, f64) {
         match self {
             Acc::Overlapped(a) => {
                 let timing = a.push_ahead(fetch, lanes, write, size);
@@ -96,21 +98,29 @@ impl Acc {
         }
     }
 
-    pub(crate) fn last(&self) -> f64 {
+    /// Sets the trainer's compute throughput from the next sample on.
+    fn set_compute(&mut self, rate: f64) {
+        match self {
+            Acc::Overlapped(a) => a.set_compute(rate),
+            Acc::Serial { compute, .. } => *compute = rate,
+        }
+    }
+
+    fn last(&self) -> f64 {
         match self {
             Acc::Overlapped(a) => a.last_consumed(),
             Acc::Serial { t, .. } => *t,
         }
     }
 
-    pub(crate) fn total_stall(&self) -> f64 {
+    fn total_stall(&self) -> f64 {
         match self {
             Acc::Overlapped(a) => a.total_stall(),
             Acc::Serial { stall, .. } => *stall,
         }
     }
 
-    pub(crate) fn finish(&self) -> f64 {
+    fn finish(&self) -> f64 {
         match self {
             Acc::Overlapped(a) => a.finish(),
             Acc::Serial {
@@ -123,16 +133,6 @@ impl Acc {
     }
 }
 
-/// One access as [`push_access`] priced it and the worker's recurrence
-/// consumed it.
-pub(crate) struct Priced {
-    /// The access's share of prefetch-pipeline time: `read_i`, or for
-    /// a sample read ahead its per-lane fetch plus its write.
-    pub read: f64,
-    pub consumed: f64,
-    pub stall: f64,
-}
-
 /// Prices one access of `size` bytes from `loc` by the performance
 /// model (the cloud model for origin reads, when the scenario has one)
 /// at `gamma` PFS clients — the staging readers and origin lanes of
@@ -140,7 +140,11 @@ pub(crate) struct Priced {
 /// recurrence. `lanes > 0`: the policy reads this sample ahead with
 /// that many origin lanes per worker, so its fetch is charged to the
 /// lanes and its `write_time` to the `p_0` pipeline.
-pub(crate) fn push_access(
+///
+/// Returns `(read, consumed_at, stall)`, where `read` is the access's
+/// share of prefetch-pipeline time: `read_i`, or for a sample read
+/// ahead its per-lane fetch plus its write.
+fn push_access(
     acc: &mut Acc,
     sys: &SystemSpec,
     cloud: Option<&mut CloudModel>,
@@ -148,7 +152,7 @@ pub(crate) fn push_access(
     size: u64,
     gamma: usize,
     lanes: usize,
-) -> Priced {
+) -> (f64, f64, f64) {
     let now = acc.last();
     if lanes > 0 && matches!(loc, Location::Pfs) {
         let fetch = match cloud {
@@ -157,52 +161,328 @@ pub(crate) fn push_access(
         };
         let write = sys.write_time(size);
         let (consumed, stall) = acc.push_ahead(fetch, lanes, write, size);
-        return Priced {
-            read: fetch / lanes as f64 + write,
-            consumed,
-            stall,
-        };
+        return (fetch / lanes as f64 + write, consumed, stall);
     }
     let read = match (cloud, loc) {
         (Some(c), Location::Pfs) => c.read_cost(now, size, gamma),
         _ => sys.read_time(loc, size, gamma),
     };
     let (consumed, stall) = acc.push(read, size);
-    Priced {
-        read,
-        consumed,
-        stall,
-    }
+    (read, consumed, stall)
 }
 
 /// A worker's PFS clients over one iteration: its `p_0` staging
 /// threads if any of them read the PFS, plus the origin lanes that
 /// read ahead for it.
 #[derive(Default)]
-pub(crate) struct PfsClients {
+struct PfsClients {
     staged: bool,
     lanes: usize,
 }
 
 impl PfsClients {
-    pub(crate) fn note(&mut self, loc: Location, lanes: usize) {
+    fn note(&mut self, loc: Location, lanes: usize) {
         if matches!(loc, Location::Pfs) {
             self.staged |= lanes == 0;
             self.lanes = self.lanes.max(lanes);
         }
     }
 
-    pub(crate) fn count(&self, threads_per_worker: usize) -> usize {
+    fn count(&self, threads_per_worker: usize) -> usize {
         usize::from(self.staged) * threads_per_worker + self.lanes
     }
 }
 
-pub(crate) fn loc_index(loc: Location) -> usize {
+fn loc_index(loc: Location) -> usize {
     match loc {
         Location::Staging => 0,
         Location::Local(_) => 1,
         Location::Remote(_) => 2,
         Location::Pfs => 3,
+    }
+}
+
+/// One job's lockstep state: its policy, per-worker recurrences,
+/// breakdown, fetch counts and cloud origin, carried across epochs and
+/// across the scheduler's turns.
+pub(crate) struct JobState<'a> {
+    scenario: &'a Scenario,
+    policy_id: PolicyId,
+    policy: Box<dyn PolicyImpl>,
+    accs: Vec<Acc>,
+    prev_consumed: Vec<f64>,
+    breakdown: Breakdown,
+    fetch_counts: [u64; 4],
+    /// `sim.fetch{loc=…}`, indexed like `fetch_counts`.
+    fetch_counters: [Counter; 4],
+    tracer: Tracer,
+    /// The scenario's cloud origin model, when it routes the origin
+    /// through an object store.
+    cloud: Option<CloudModel>,
+    /// Where the job's clock zero sits on the run's shared clock.
+    pub(crate) start: f64,
+    /// The loaded epoch's per-worker sequences.
+    seqs: Vec<Vec<SampleId>>,
+    /// Iterations in the loaded epoch and the next one to run.
+    iterations: usize,
+    iter: usize,
+    /// The loaded epoch; the job is finished once it reaches `end`.
+    epoch: u64,
+    end: u64,
+    /// The first epoch whose transform the policy has not been fed.
+    next_epoch: u64,
+    /// This job's PFS clients observed in its previous iteration.
+    gamma_self: usize,
+    threads_per_worker: usize,
+    started: bool,
+}
+
+impl<'a> JobState<'a> {
+    /// A job of `policy_id` on `scenario` with no epoch scheduled yet.
+    pub(crate) fn new(
+        scenario: &'a Scenario,
+        policy_id: PolicyId,
+        obs: &ObsCtx,
+    ) -> Result<Self, SimError> {
+        let policy = policies::build(policy_id, scenario)?;
+        let sys = &scenario.system;
+        let n = sys.workers;
+        let threads_per_worker = if policy.overlapped() {
+            sys.staging.threads as usize
+        } else {
+            1
+        };
+        let accs = (0..n)
+            .map(|_| Acc::new(sys.compute, sys.staging.threads, policy.overlapped()))
+            .collect();
+        let counter = |loc| obs.registry.counter_with(names::SIM_FETCH, &[("loc", loc)]);
+        Ok(Self {
+            scenario,
+            policy_id,
+            policy,
+            accs,
+            prev_consumed: vec![0.0; n],
+            breakdown: Breakdown::default(),
+            fetch_counts: [0; 4],
+            fetch_counters: ["staging", "local", "remote", "pfs"].map(counter),
+            tracer: obs.tracer.clone(),
+            cloud: scenario
+                .cloud
+                .clone()
+                .map(|spec| CloudModel::with_obs(spec, obs)),
+            start: 0.0,
+            seqs: Vec::new(),
+            iterations: 0,
+            iter: 0,
+            epoch: 0,
+            end: 0,
+            next_epoch: 0,
+            // γ starts pessimistic (every worker's readers on the PFS),
+            // which the first epoch will realize anyway.
+            gamma_self: (n * threads_per_worker).max(1),
+            threads_per_worker,
+            started: false,
+        })
+    }
+
+    /// The policy prestage phase's length, seconds.
+    pub(crate) fn prestage_seconds(&self) -> f64 {
+        self.policy.prestage_seconds()
+    }
+
+    /// Schedules the global epochs `epochs` to run next.
+    pub(crate) fn schedule(&mut self, epochs: Range<u64>) {
+        self.end = epochs.end;
+        self.load_epoch(epochs.start);
+    }
+
+    /// Loads the first non-empty epoch from `e` on, or marks the job
+    /// finished. The policy first replays the transforms of the epochs
+    /// it has not seen (a membership an elastic run comes back to), so
+    /// its call sequence matches a fresh core run from epoch 0.
+    fn load_epoch(&mut self, mut e: u64) {
+        while e < self.end {
+            while self.next_epoch < e {
+                self.epoch_seqs(self.next_epoch);
+            }
+            // The epoch boundary on the model clock: the time front of
+            // the slowest worker when the epoch opens.
+            self.tracer.instant_at(
+                names::EV_EPOCH,
+                "sim",
+                self.front(),
+                vec![("epoch", e.into())],
+            );
+            self.seqs = self.epoch_seqs(e);
+            let b = self.scenario.batch_size;
+            self.iterations = self
+                .seqs
+                .iter()
+                .map(|s| s.len().div_ceil(b))
+                .max()
+                .unwrap_or(0);
+            self.iter = 0;
+            if self.iterations > 0 {
+                break;
+            }
+            e += 1;
+        }
+        self.epoch = e;
+    }
+
+    /// Epoch `e`'s per-worker sequences, through the policy's epoch
+    /// hooks.
+    fn epoch_seqs(&mut self, e: u64) -> Vec<Vec<SampleId>> {
+        let shuffle = self.scenario.shuffle_spec().epoch_shuffle(e);
+        self.policy.on_epoch_start(e);
+        let seqs = (0..self.accs.len())
+            .map(|w| shuffle.worker_sequence(w))
+            .collect();
+        self.next_epoch = e + 1;
+        self.policy.transform_epoch(e, seqs, &shuffle)
+    }
+
+    fn finished(&self) -> bool {
+        self.epoch >= self.end
+    }
+
+    /// The job's time front on the run's shared clock: its start plus the
+    /// slowest worker's consumption clock.
+    fn front(&self) -> f64 {
+        self.start + self.accs.iter().map(Acc::last).fold(0.0, f64::max)
+    }
+
+    /// When the slowest worker is done computing, on the job's clock.
+    pub(crate) fn wall(&self) -> f64 {
+        self.accs.iter().map(Acc::finish).fold(0.0, f64::max)
+    }
+
+    /// Sets each worker's compute throughput, `rate(worker)`, from the
+    /// next sample on.
+    pub(crate) fn set_compute(&mut self, rate: impl Fn(usize) -> f64) {
+        for (w, acc) in self.accs.iter_mut().enumerate() {
+            acc.set_compute(rate(w));
+        }
+    }
+
+    /// The last epoch's per-worker sequences, taken out of the job.
+    pub(crate) fn take_seqs(&mut self) -> Vec<Vec<SampleId>> {
+        std::mem::take(&mut self.seqs)
+    }
+
+    /// Advances one iteration, pricing PFS reads at `gamma` clients.
+    fn advance(&mut self, gamma: usize) {
+        self.started = true;
+        let sys = &self.scenario.system;
+        let b = self.scenario.batch_size;
+        let h = self.iter;
+        let mut pfs_clients = 0usize;
+        for (w, seq) in self.seqs.iter().enumerate() {
+            let lo = h * b;
+            if lo >= seq.len() {
+                continue;
+            }
+            let hi = ((h + 1) * b).min(seq.len());
+            let mut clients = PfsClients::default();
+            for &k in &seq[lo..hi] {
+                let now = self.accs[w].last();
+                let size = self.scenario.sizes[k as usize];
+                // An origin whose breaker is open and cooling fails
+                // reads fast: the degraded selection steers eligible
+                // fetches to peers/local tiers (graceful degradation);
+                // only fetches with no alternative still reach the
+                // origin and wait out the breaker.
+                let origin_ok = self.cloud.as_ref().is_none_or(|c| c.available(now));
+                let loc = self
+                    .policy
+                    .source_degraded(w, k, size, now, gamma, origin_ok);
+                let lanes = self.policy.origin_lanes(k);
+                let (read, consumed, stall) = push_access(
+                    &mut self.accs[w],
+                    sys,
+                    self.cloud.as_mut(),
+                    loc,
+                    size,
+                    gamma,
+                    lanes,
+                );
+                // Attribute to the fetch source both the stall and the
+                // overlapped fetch activity within the interval (Fig.
+                // 8's bars show where fetch time was spent, not only
+                // where the trainer blocked).
+                let interval = consumed - self.prev_consumed[w];
+                let busy = (interval - stall).max(0.0);
+                let overlapped_fetch = read.min(busy);
+                self.breakdown
+                    .attribute(loc, stall + overlapped_fetch, busy - overlapped_fetch);
+                self.prev_consumed[w] = consumed;
+                self.fetch_counts[loc_index(loc)] += 1;
+                self.fetch_counters[loc_index(loc)].inc();
+                clients.note(loc, lanes);
+                self.policy.on_consumed(w, k, consumed);
+            }
+            pfs_clients += clients.count(self.threads_per_worker);
+        }
+        self.gamma_self = pfs_clients;
+        self.iter += 1;
+        if self.iter >= self.iterations {
+            self.load_epoch(self.epoch + 1);
+        }
+    }
+
+    fn into_result(self) -> SimResult {
+        let prestage = self.policy.prestage_seconds();
+        let mut breakdown = self.breakdown;
+        if prestage > 0.0 {
+            // The prestaging phase reads from the PFS on every worker
+            // simultaneously and nothing overlaps it.
+            breakdown.pfs += prestage * self.accs.len() as f64;
+        }
+        let per_worker_time: Vec<f64> = self.accs.iter().map(|a| a.finish() + prestage).collect();
+        let per_worker_stall: Vec<f64> = self.accs.iter().map(Acc::total_stall).collect();
+        let execution_time = per_worker_time.iter().copied().fold(0.0, f64::max);
+        SimResult {
+            policy: self.policy_id,
+            execution_time,
+            per_worker_time,
+            prestage_time: prestage,
+            per_worker_stall,
+            breakdown,
+            fetch_counts: self.fetch_counts,
+            coverage: self.policy.coverage(),
+            note: self.policy.note(),
+            resilience: self.cloud.as_ref().map(CloudModel::stats),
+        }
+    }
+}
+
+/// Runs `jobs` to the end of their scheduled epochs on one shared PFS.
+///
+/// The unfinished job whose time front is earliest advances one
+/// iteration, its reads priced at `γ` = its own PFS clients in its
+/// previous iteration plus those of every other job that has started
+/// and not yet finished.
+pub(crate) fn lockstep(jobs: &mut [JobState]) {
+    loop {
+        let next = jobs
+            .iter()
+            .enumerate()
+            .filter(|(_, j)| !j.finished())
+            .min_by(|(_, a), (_, b)| {
+                a.front()
+                    .partial_cmp(&b.front())
+                    .expect("time fronts are finite")
+            })
+            .map(|(i, _)| i);
+        let Some(i) = next else { break };
+        let gamma = jobs
+            .iter()
+            .enumerate()
+            .filter(|&(j, job)| j == i || (job.started && !job.finished()))
+            .map(|(_, job)| job.gamma_self)
+            .sum::<usize>()
+            .max(1);
+        jobs[i].advance(gamma);
     }
 }
 
@@ -228,129 +508,27 @@ pub fn run_with_obs(
     policy: PolicyId,
     obs: &ObsCtx,
 ) -> Result<SimResult, SimError> {
-    let mut p = policies::build(policy, scenario)?;
-    let sys = &scenario.system;
-    let n = sys.workers;
-    let b = scenario.batch_size;
-    let spec = scenario.shuffle_spec();
+    let mut results = run_jobs([(scenario, policy, 0.0)], obs)?;
+    Ok(results.pop().expect("one job, one result"))
+}
 
-    let mut cloud = scenario
-        .cloud
-        .clone()
-        .map(|spec| CloudModel::with_obs(spec, obs));
-    let fetch_counters = [
-        obs.registry
-            .counter_with(names::SIM_FETCH, &[("loc", "staging")]),
-        obs.registry
-            .counter_with(names::SIM_FETCH, &[("loc", "local")]),
-        obs.registry
-            .counter_with(names::SIM_FETCH, &[("loc", "remote")]),
-        obs.registry
-            .counter_with(names::SIM_FETCH, &[("loc", "pfs")]),
-    ];
-    let mut accs: Vec<Acc> = (0..n)
-        .map(|_| Acc::new(sys.compute, sys.staging.threads, p.overlapped()))
-        .collect();
-    let mut prev_consumed = vec![0.0f64; n];
-    let mut breakdown = Breakdown::default();
-    let mut fetch_counts = [0u64; 4];
-
-    // γ: PFS clients observed last iteration. Starts pessimistic (every
-    // worker's readers on the PFS), which epoch 0 will realize anyway.
-    let threads_per_worker = if p.overlapped() {
-        sys.staging.threads as usize
-    } else {
-        1
-    };
-    let mut gamma = (n * threads_per_worker).max(1);
-
-    for epoch in 0..scenario.epochs {
-        // The epoch boundary on the model clock: the time front of the
-        // slowest worker when the epoch opens.
-        let front = accs.iter().map(Acc::last).fold(0.0, f64::max);
-        obs.tracer
-            .instant_at(names::EV_EPOCH, "sim", front, vec![("epoch", epoch.into())]);
-        let shuffle = spec.epoch_shuffle(epoch);
-        p.on_epoch_start(epoch);
-        let seqs: Vec<Vec<u64>> = (0..n).map(|w| shuffle.worker_sequence(w)).collect();
-        let seqs = p.transform_epoch(epoch, seqs, &shuffle);
-        let iterations = seqs.iter().map(|s| s.len().div_ceil(b)).max().unwrap_or(0);
-        for h in 0..iterations {
-            let mut pfs_clients = 0usize;
-            for w in 0..n {
-                let seq = &seqs[w];
-                let lo = h * b;
-                if lo >= seq.len() {
-                    continue;
-                }
-                let hi = ((h + 1) * b).min(seq.len());
-                let mut clients = PfsClients::default();
-                for &k in &seq[lo..hi] {
-                    let now = accs[w].last();
-                    let size = scenario.sizes[k as usize];
-                    // An origin whose breaker is open and cooling fails
-                    // reads fast: the degraded selection steers eligible
-                    // fetches to peers/local tiers (graceful
-                    // degradation); only fetches with no alternative
-                    // still reach the origin and wait out the breaker.
-                    let origin_ok = cloud.as_ref().is_none_or(|c| c.available(now));
-                    let loc = p.source_degraded(w, k, size, now, gamma, origin_ok);
-                    let lanes = p.origin_lanes(k);
-                    let Priced {
-                        read,
-                        consumed,
-                        stall,
-                    } = push_access(&mut accs[w], sys, cloud.as_mut(), loc, size, gamma, lanes);
-                    let interval = consumed - prev_consumed[w];
-                    // Attribute to the fetch source both the stall and
-                    // the overlapped fetch activity within the interval
-                    // (Fig. 8's bars show where fetch time was spent,
-                    // not only where the trainer blocked).
-                    let busy = (interval - stall).max(0.0);
-                    let overlapped_fetch = read.min(busy);
-                    breakdown.attribute(loc, stall + overlapped_fetch, busy - overlapped_fetch);
-                    prev_consumed[w] = consumed;
-                    fetch_counts[loc_index(loc)] += 1;
-                    fetch_counters[loc_index(loc)].inc();
-                    clients.note(loc, lanes);
-                    p.on_consumed(w, k, consumed);
-                }
-                pfs_clients += clients.count(threads_per_worker);
-            }
-            gamma = pfs_clients.max(1);
-        }
-        if std::env::var_os("NOPFS_SIM_DEBUG").is_some() {
-            eprintln!(
-                "epoch {epoch}: w0 consumed={:.3} stall={:.3} pfs_total={} gamma={gamma}",
-                accs[0].last(),
-                accs[0].total_stall(),
-                fetch_counts[3],
-            );
-        }
-    }
-
-    let prestage = p.prestage_seconds();
-    if prestage > 0.0 {
-        // The prestaging phase reads from the PFS on every worker
-        // simultaneously and nothing overlaps it.
-        breakdown.pfs += prestage * n as f64;
-    }
-    let per_worker_time: Vec<f64> = accs.iter().map(|a| a.finish() + prestage).collect();
-    let per_worker_stall: Vec<f64> = accs.iter().map(Acc::total_stall).collect();
-    let execution_time = per_worker_time.iter().copied().fold(0.0, f64::max);
-
-    Ok(SimResult {
-        policy,
-        execution_time,
-        per_worker_time,
-        prestage_time: prestage,
-        per_worker_stall,
-        breakdown,
-        fetch_counts,
-        coverage: p.coverage(),
-        note: p.note(),
-        resilience: cloud.as_ref().map(CloudModel::stats),
-    })
+/// Runs jobs of `(scenario, policy, start offset)` through all their
+/// epochs on one shared PFS; one result per job, in order.
+pub(crate) fn run_jobs<'a>(
+    jobs: impl IntoIterator<Item = (&'a Scenario, PolicyId, f64)>,
+    obs: &ObsCtx,
+) -> Result<Vec<SimResult>, SimError> {
+    let mut jobs = jobs
+        .into_iter()
+        .map(|(scenario, policy, start)| {
+            let mut job = JobState::new(scenario, policy, obs)?;
+            job.start = start;
+            job.schedule(0..scenario.epochs);
+            Ok(job)
+        })
+        .collect::<Result<Vec<_>, SimError>>()?;
+    lockstep(&mut jobs);
+    Ok(jobs.into_iter().map(JobState::into_result).collect())
 }
 
 #[cfg(test)]

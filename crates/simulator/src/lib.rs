@@ -24,6 +24,13 @@
 //! contention across co-scheduled jobs) via [`cluster`]. Scenarios can
 //! route the origin through an analytic object-store model with seeded
 //! disturbances and a full client resilience stack via [`cloud`].
+//!
+//! Every entry point runs the same lockstep loop, the one job state of
+//! [`engine`]: a solo [`run`] is a cluster of one job, [`run_cluster`]
+//! schedules many jobs on one shared PFS, and [`run_elastic`] runs one
+//! job state per membership under a [`nopfs_policy::FaultPlan`], an
+//! epoch at a time, with clocks that run on across epochs — so a
+//! fault-free elastic run is the solo run.
 
 pub mod churn;
 pub mod cloud;

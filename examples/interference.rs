@@ -16,7 +16,6 @@
 //!
 //! Run with: `cargo run --release --example interference`
 
-use nopfs_bench::report;
 use nopfs_bench::scenarios::fig2;
 use nopfs_cluster::interference_report;
 
@@ -55,18 +54,6 @@ fn main() {
             t.cache_fraction() * 100.0,
         );
     }
-
-    // The K-sweep is pure simulation, so the smoke run affords the same
-    // document the bench writes (one schema, whichever producer ran).
-    let sweeps = fig2::sim_sweep(1.0, &[2, 4, 8, 16]);
-    let doc = fig2::json_doc(
-        "examples/interference.rs",
-        1.0,
-        &cluster,
-        &sim_slowdowns,
-        &sweeps,
-    );
-    report::write_json("BENCH_fig2_interference.json", &doc).expect("write JSON report");
 
     // The headline claim, checked so CI smoke runs catch regressions.
     let nopfs = cluster
