@@ -23,26 +23,27 @@
 //!    `replan_shuffle_generations` stays 0) instead of re-running the
 //!    O(E·F) [`SetupPass`].
 //!
-//! Execution is bulk-synchronous, split into *segments*: an epoch runs
-//! whole unless a crash is scheduled, in which case all ranks stop at
-//! the crash step (the recovery barrier — with a per-step allreduce no
-//! rank can proceed past a dead peer anyway), the worker set is torn
-//! down, and the remainder of the epoch relaunches. Samples that were
-//! staged but not yet consumed at the barrier are lost with their
-//! worker's threads and *replayed*: the next segment's streams begin
-//! exactly at the global step boundary. Survivors keep their warm
-//! [`TierStack`]s across the barrier (the stacks are shared handles);
-//! the crashed rank restarts with a cold, freshly built stack.
+//! Execution is split into *segments*: the longest stretches of
+//! (epoch, step) with one membership and no crash inside them. Each
+//! segment is one launch of the `Job` runtime over every rank's slice
+//! of its membership's streams, so a fault-free plan is a single launch
+//! whose prefetchers run ahead across every epoch boundary. Workers are
+//! torn down only where a segment ends: at a membership change, or at a
+//! crash step, where all ranks stop (the recovery barrier — with a
+//! per-step allreduce no rank can proceed past a dead peer anyway).
+//! Samples that were staged but not yet consumed at the barrier are
+//! lost with their worker's threads and *replayed*: the next segment's
+//! streams begin exactly at the global step boundary. Survivors keep
+//! their warm [`TierStack`]s across the barrier (the stacks are shared
+//! handles); the crashed rank restarts with a cold, freshly built
+//! stack.
 
 use crate::config::JobConfig;
-use crate::msg::Msg;
+use crate::job;
 use crate::stats::{SetupStats, WorkerStats};
-use crate::worker::{class_index, Shared, WorkerHandle};
+use crate::worker::{Shared, WorkerHandle};
 use crate::SampleId;
 use nopfs_clairvoyance::engine::{SetupArtifacts, SetupPass};
-use nopfs_clairvoyance::placement::GlobalPlacement;
-use nopfs_clairvoyance::sampler::ShuffleSpec;
-use nopfs_net::{cluster, NetConfig};
 use nopfs_obs::names;
 use nopfs_pfs::Pfs;
 use nopfs_policy::fault::{CloudFaults, FaultPlan};
@@ -54,7 +55,7 @@ use nopfs_storage::{
 };
 use nopfs_util::rng::mix64;
 use std::collections::HashMap;
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Initial accumulator of a segment-slice digest (the elastic analogue
@@ -85,16 +86,6 @@ fn disturbance_for(cloud: &CloudFaults, rank: usize) -> Disturbance {
     }
 }
 
-/// Everything one membership needs to run: replanned artifacts plus the
-/// placement state `Job::new` would have computed for that worker count.
-struct MembershipPlan {
-    sys_workers: usize,
-    spec: ShuffleSpec,
-    arts: SetupArtifacts,
-    placement: Arc<GlobalPlacement>,
-    class_index: Vec<Arc<Vec<u32>>>,
-}
-
 /// What an elastic run observed and delivered.
 #[derive(Debug, Clone)]
 pub struct ElasticReport {
@@ -114,8 +105,9 @@ pub struct ElasticReport {
     pub replan_shuffle_generations: u64,
     /// Crash-and-restart recoveries performed.
     pub recoveries: u64,
-    /// Wall time spent in recovery barriers (teardown through
-    /// relaunch), the recovery overhead an undisturbed run never pays.
+    /// Wall time spent in recovery barriers, from the crashed segment's
+    /// teardown until every rank of the next one has passed its setup
+    /// allgather: the recovery overhead an undisturbed run never pays.
     pub recovery_time: Duration,
     /// Transient read errors injected beneath the tier stacks.
     pub injected_read_errors: u64,
@@ -130,8 +122,10 @@ pub struct ElasticReport {
     /// end (crashed/departed ranks take their caches — and counters —
     /// with them, as on a real machine).
     pub tier_stats: Vec<TierStats>,
-    /// Wall time of each epoch (every segment plus its recovery
-    /// barriers).
+    /// Wall time of each epoch: from the moment the last rank finished
+    /// the epoch before (for epoch 0, the end of the setup pass) to the
+    /// moment the last rank consumed its final sample of this one —
+    /// recovery barriers and relaunches inside the epoch included.
     pub epoch_times: Vec<Duration>,
     /// Worker I/O statistics merged across every rank and segment.
     pub stats: WorkerStats,
@@ -218,47 +212,40 @@ impl ElasticJob {
         Pfs::in_memory(self.config.system.pfs_read.clone(), self.config.scale)
     }
 
-    /// The plan state for membership `n`: the base artifacts for the
-    /// initial worker count, an incremental replan otherwise.
-    fn plan_for<'a>(
+    /// The planned job state for membership `n`: the base artifacts for
+    /// the initial worker count, an incremental replan otherwise.
+    fn plan_for(
         &self,
-        cache: &'a mut HashMap<usize, MembershipPlan>,
+        cache: &mut HashMap<usize, Arc<Shared>>,
         base: &SetupArtifacts,
         n: usize,
         replans: &mut u64,
         replan_shuffles: &mut u64,
-    ) -> &'a MembershipPlan {
-        let initial = self.config.system.workers;
-        cache.entry(n).or_insert_with(|| {
-            let arts = if n == initial {
-                base.clone()
-            } else {
-                // The incremental path: re-split cached streams, zero
-                // shuffle generations.
-                let replanned = base.replan(n);
-                *replans += 1;
-                *replan_shuffles += replanned.shuffles_generated;
-                self.config.obs.tracer.instant(
-                    names::EV_REPLAN,
-                    "elastic",
-                    vec![("workers", n.into())],
-                );
-                replanned
-            };
-            let spec = *arts.spec();
-            let capacities: Vec<Vec<u64>> = (0..n)
-                .map(|_| self.config.system.class_capacities())
-                .collect();
-            let placement = Arc::new(arts.placement(&self.sizes, &capacities));
-            let class_index = class_index(&placement, n, self.sizes.len());
-            MembershipPlan {
-                sys_workers: n,
-                spec,
+    ) -> Arc<Shared> {
+        let plan = |arts: &SetupArtifacts| {
+            Arc::new(Shared::plan(
+                self.config.clone(),
+                Arc::clone(&self.sizes),
                 arts,
-                placement,
-                class_index,
+            ))
+        };
+        let shared = cache.entry(n).or_insert_with(|| {
+            if n == base.num_workers() {
+                return plan(base);
             }
-        })
+            // The incremental path: re-split cached streams, zero
+            // shuffle generations.
+            let replanned = base.replan(n);
+            *replans += 1;
+            *replan_shuffles += replanned.shuffles_generated;
+            self.config.obs.tracer.instant(
+                names::EV_REPLAN,
+                "elastic",
+                vec![("workers", n.into())],
+            );
+            plan(&replanned)
+        });
+        Arc::clone(shared)
     }
 
     /// Runs the job under its fault plan against `pfs` and returns the
@@ -277,12 +264,14 @@ impl ElasticJob {
             shuffle_generations: base.shuffles_generated,
             setup_time: t_setup.elapsed(),
         };
+        let setup_done = Instant::now();
 
-        let mut cache: HashMap<usize, MembershipPlan> = HashMap::new();
+        let mut cache: HashMap<usize, Arc<Shared>> = HashMap::new();
         let mut replans = 0u64;
         let mut replan_shuffles = 0u64;
         let mut recoveries = 0u64;
         let mut recovery_time = Duration::ZERO;
+        let mut recovering: Option<Instant> = None;
 
         // Per-rank fault-wrapped origins (persist across segments so
         // injection state and retry statistics accumulate) and warm
@@ -292,94 +281,112 @@ impl ElasticJob {
         let mut resilient: Vec<Option<Arc<ResilientSource>>> = vec![None; max_n];
         let mut warm: HashMap<usize, TierStack> = HashMap::new();
 
-        let mut per_epoch: Vec<(usize, Vec<Vec<SampleId>>)> = Vec::with_capacity(epochs as usize);
-        let mut epoch_times = Vec::with_capacity(epochs as usize);
+        let mut per_epoch: Vec<(usize, Vec<Vec<SampleId>>)> = memberships
+            .iter()
+            .map(|&n| (n, vec![Vec::new(); n]))
+            .collect();
+        let mut epoch_ends: Vec<Option<Instant>> = vec![None; epochs as usize];
         let mut stats = WorkerStats::default();
 
-        for (e, &n) in memberships.iter().enumerate() {
-            let e = e as u64;
-            let t_epoch = Instant::now();
-            let mp = self.plan_for(&mut cache, &base, n, &mut replans, &mut replan_shuffles);
-            let spec_n = mp.spec;
-            let spe = spec_n.samples_per_epoch();
-            let global_batch = (n * self.config.batch_size) as u64;
-            let steps = spe.div_ceil(global_batch);
+        // Segment ends, as (epoch, step): every membership change, every
+        // crash step, and the end of the run.
+        let mut cuts: Vec<(u64, u64)> = (1..epochs)
+            .filter(|&e| memberships[e as usize] != memberships[e as usize - 1])
+            .map(|e| (e, 0))
+            .chain((0..epochs).flat_map(|e| {
+                self.plan
+                    .crashes_in(e)
+                    .into_iter()
+                    .map(move |(s, _)| (e, s))
+            }))
+            .collect();
+        cuts.push((epochs, 0));
+        cuts.sort_unstable();
+        cuts.dedup();
 
-            // Epoch-e sequence of each rank under this membership.
-            let epoch_seqs: Vec<&[SampleId]> = (0..n)
-                .map(|w| {
-                    let len = spec_n.worker_epoch_len(w) as usize;
-                    &mp.arts.stream(w)[e as usize * len..(e as usize + 1) * len]
-                })
-                .collect();
-
-            // Segment boundaries: every scheduled crash step.
-            let crashes = self.plan.crashes_in(e);
-            let mut boundaries: Vec<u64> = crashes.iter().map(|&(s, _)| s).collect();
-            boundaries.dedup();
-            boundaries.push(steps);
-
-            let mut delivered: Vec<Vec<SampleId>> = vec![Vec::new(); n];
-            let mut s0 = 0u64;
-            let mut recovering = false;
-            for &s1 in &boundaries {
-                if s1 > s0 {
-                    let t_rec = Instant::now();
-                    let slices: Vec<Vec<SampleId>> = (0..n)
-                        .map(|w| {
-                            let len = epoch_seqs[w].len() as u64;
-                            let j0 = (s0 * self.config.batch_size as u64).min(len) as usize;
-                            let j1 = (s1 * self.config.batch_size as u64).min(len) as usize;
-                            epoch_seqs[w][j0..j1].to_vec()
-                        })
-                        .collect();
-                    let (got, seg_stats) = self.run_segment(
-                        pfs,
-                        mp,
-                        e,
-                        slices,
-                        &mut faulty,
-                        &mut resilient,
-                        &mut warm,
-                        recovering.then_some(t_rec),
-                        &mut recovery_time,
+        let mut from = (0u64, 0u64);
+        for to in cuts {
+            if to > from {
+                let n = memberships[from.0 as usize];
+                let plan = self.plan_for(&mut cache, &base, n, &mut replans, &mut replan_shuffles);
+                // Tier stacks: warm handoff where one survives, cold otherwise.
+                let tiers = (0..n)
+                    .map(|rank| {
+                        let stack = warm.entry(rank).or_insert_with(|| {
+                            let origin = self.origin_for(pfs, rank, &mut faulty, &mut resilient);
+                            let obs = self.config.obs.scoped([("rank", rank.to_string())]);
+                            crate::tiers::class_tier_stack_in_registry(
+                                &self.config.system,
+                                self.config.scale,
+                                origin,
+                                &obs.registry,
+                            )
+                        });
+                        Some(stack.clone())
+                    })
+                    .collect();
+                let (starts, handles) = self.launch_segment(pfs, &plan, (from, to), tiers);
+                // Recovery ends when every rank is launched and consuming.
+                if let Some(t0) = recovering.take() {
+                    recovery_time += t0.elapsed();
+                    self.config.obs.tracer.complete(
+                        names::EV_RECOVERY_BARRIER,
+                        "elastic",
+                        t0,
+                        vec![("workers", n.into())],
                     );
-                    for (w, ids) in got.into_iter().enumerate() {
-                        delivered[w].extend(ids);
+                }
+                let out = job::run_ranks(handles, |handle| {
+                    let rank = handle.rank();
+                    self.consume(handle, starts[rank], plan.spec.worker_epoch_len(rank))
+                });
+                for (w, (ids, ends, seg_stats)) in out.into_iter().enumerate() {
+                    let len = plan.spec.worker_epoch_len(w);
+                    for (pos, id) in (starts[w]..).zip(ids) {
+                        per_epoch[(pos / len) as usize].1[w].push(id);
+                    }
+                    for (e, t) in ends {
+                        epoch_ends[e as usize] = epoch_ends[e as usize].max(Some(t));
                     }
                     stats.merge(&seg_stats);
-                    recovering = false;
-                }
-                // Ranks crashing at this boundary lose their caches:
-                // the next segment rebuilds them cold.
-                for &(step, rank) in crashes.iter().filter(|&&(s, _)| s == s1) {
-                    debug_assert_eq!(step, s1);
-                    self.config.obs.tracer.instant(
-                        names::EV_CRASH,
-                        "elastic",
-                        vec![
-                            ("epoch", e.into()),
-                            ("step", step.into()),
-                            ("rank", rank.into()),
-                        ],
-                    );
-                    warm.remove(&rank);
-                    recoveries += 1;
-                    recovering = true;
-                }
-                s0 = s1;
-            }
-            epoch_times.push(t_epoch.elapsed());
-            per_epoch.push((n, delivered));
-
-            // Membership shrinks next epoch: departed ranks' caches go
-            // with them.
-            if let Some(&n_next) = memberships.get(e as usize + 1) {
-                for rank in n_next..n {
-                    warm.remove(&rank);
                 }
             }
+            // Ranks crashing at this boundary lose their caches: the
+            // next segment rebuilds them cold.
+            for (step, rank) in self.plan.crashes_in(to.0) {
+                if step != to.1 {
+                    continue;
+                }
+                self.config.obs.tracer.instant(
+                    names::EV_CRASH,
+                    "elastic",
+                    vec![
+                        ("epoch", to.0.into()),
+                        ("step", step.into()),
+                        ("rank", rank.into()),
+                    ],
+                );
+                warm.remove(&rank);
+                recoveries += 1;
+                recovering.get_or_insert_with(Instant::now);
+            }
+            // Departed ranks' caches go with them.
+            if let Some(&n) = memberships.get(to.0 as usize) {
+                warm.retain(|&rank, _| rank < n);
+            }
+            from = to;
         }
+
+        let mut epoch_start = setup_done;
+        let epoch_times = epoch_ends
+            .into_iter()
+            .map(|end| {
+                let end = end.unwrap_or(epoch_start).max(epoch_start);
+                let took = end - epoch_start;
+                epoch_start = end;
+                took
+            })
+            .collect();
 
         // The global stream: round-robin re-interleave of each epoch.
         let spe = spec0.samples_per_epoch() as usize;
@@ -427,6 +434,77 @@ impl ElasticJob {
             setup,
             elapsed: t_run.elapsed(),
         }
+    }
+
+    /// Launches every rank of `plan` over `tiers` on its slice of the
+    /// plan's streams from `from` to `to` (both (epoch, step) points),
+    /// and returns each rank's first position in its stream with the
+    /// handles, once every rank has passed the setup allgather.
+    fn launch_segment(
+        &self,
+        pfs: &Pfs,
+        plan: &Shared,
+        (from, to): ((u64, u64), (u64, u64)),
+        tiers: Vec<Option<TierStack>>,
+    ) -> (Vec<u64>, Vec<WorkerHandle>) {
+        let b = self.config.batch_size as u64;
+        let at = |w: usize, (e, s): (u64, u64)| {
+            let len = plan.spec.worker_epoch_len(w);
+            e * len + (s * b).min(len)
+        };
+        let n = plan.streams.len();
+        let starts: Vec<u64> = (0..n).map(|w| at(w, from)).collect();
+        let streams: Vec<Arc<Vec<SampleId>>> = (0..n)
+            .map(|w| Arc::new(plan.streams[w][starts[w] as usize..at(w, to) as usize].to_vec()))
+            .collect();
+        // Slice digests: the recovery allgather check, folded over
+        // exactly the samples this segment will deliver.
+        let digests = streams
+            .iter()
+            .enumerate()
+            .map(|(w, s)| {
+                s.iter()
+                    .fold(SLICE_DIGEST_SEED ^ w as u64, |acc, &id| mix64(acc, id))
+            })
+            .collect();
+        let segment = Arc::new(Shared {
+            digests,
+            streams,
+            ..plan.clone()
+        });
+        (starts, job::launch(&segment, pfs, tiers))
+    }
+
+    /// Consumes `handle` to the end of its segment, whose first sample
+    /// sits at position `pos` of the rank's stream (epochs of `len`),
+    /// paying the plan's straggle factor per sample. Returns the ids,
+    /// the instant the rank finished each epoch it finished here, and
+    /// its stats.
+    fn consume(
+        &self,
+        handle: &mut WorkerHandle,
+        mut pos: u64,
+        len: u64,
+    ) -> (Vec<SampleId>, Vec<(u64, Instant)>, WorkerStats) {
+        let mut ids = Vec::with_capacity(handle.len() as usize);
+        let mut ends = Vec::new();
+        while let Some((id, data)) = handle.next_sample() {
+            debug_assert_eq!(data.len() as u64, self.sizes[id as usize]);
+            let epoch = pos / len;
+            let straggle = self.plan.straggle_factor(epoch, handle.rank());
+            if straggle > 1.0 {
+                // The straggler pays extra compute time per sample;
+                // content is untouched.
+                let extra = self.config.system.write_time(data.len() as u64);
+                self.config.scale.wait((straggle - 1.0) * extra);
+            }
+            ids.push(id);
+            pos += 1;
+            if pos.is_multiple_of(len) {
+                ends.push((epoch, Instant::now()));
+            }
+        }
+        (ids, ends, handle.stats())
     }
 
     /// The origin `rank`'s tier stack bottoms out in: the bare PFS for a
@@ -489,134 +567,12 @@ impl ElasticJob {
         });
         Arc::clone(r) as Arc<dyn DataSource>
     }
-
-    /// Launches one bulk-synchronous segment — every rank consumes its
-    /// slice to the end — and returns the delivered ids per rank.
-    /// Survivors receive their warm tier stacks; ranks without one
-    /// (cold restarts, joiners, epoch 0) build fresh stacks.
-    #[allow(clippy::too_many_arguments)]
-    fn run_segment(
-        &self,
-        pfs: &Pfs,
-        mp: &MembershipPlan,
-        epoch: u64,
-        slices: Vec<Vec<SampleId>>,
-        faulty: &mut [Option<Arc<FaultySource>>],
-        resilient: &mut [Option<Arc<ResilientSource>>],
-        warm: &mut HashMap<usize, TierStack>,
-        recovery_started: Option<Instant>,
-        recovery_time: &mut Duration,
-    ) -> (Vec<Vec<SampleId>>, WorkerStats) {
-        let n = mp.sys_workers;
-        let mut config = self.config.clone();
-        config.system.workers = n;
-        let scale = config.scale;
-        let sys = config.system.clone();
-
-        // Slice digests: the recovery allgather check, folded over
-        // exactly the samples this segment will deliver.
-        let digests: Vec<u64> = slices
-            .iter()
-            .enumerate()
-            .map(|(w, s)| {
-                let mut acc = SLICE_DIGEST_SEED ^ w as u64;
-                for &id in s {
-                    acc = mix64(acc, id);
-                }
-                acc
-            })
-            .collect();
-        let shared = Arc::new(Shared {
-            config,
-            sizes: Arc::clone(&self.sizes),
-            placement: Arc::clone(&mp.placement),
-            spec: mp.spec,
-            class_index: mp.class_index.clone(),
-            digests,
-            streams: slices.into_iter().map(Arc::new).collect(),
-            setup: SetupStats {
-                shuffle_generations: mp.arts.shuffles_generated,
-                setup_time: Duration::ZERO,
-            },
-        });
-
-        // Tier stacks: warm handoff where one survives, cold otherwise.
-        let tiers: Vec<TierStack> = (0..n)
-            .map(|rank| {
-                warm.entry(rank)
-                    .or_insert_with(|| {
-                        let origin = self.origin_for(pfs, rank, faulty, resilient);
-                        let obs = self.config.obs.scoped([("rank", rank.to_string())]);
-                        crate::tiers::class_tier_stack_in_registry(
-                            &sys,
-                            scale,
-                            origin,
-                            &obs.registry,
-                        )
-                    })
-                    .clone()
-            })
-            .collect();
-
-        let endpoints = cluster::<Msg>(n, NetConfig::new(sys.interconnect, scale));
-        let sys = &sys;
-        let launched = Arc::new(Barrier::new(n + 1));
-        let delivered: Vec<Mutex<Vec<SampleId>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
-        let seg_stats = Mutex::new(WorkerStats::default());
-        std::thread::scope(|s| {
-            for (rank, endpoint) in endpoints.into_iter().enumerate() {
-                let shared = Arc::clone(&shared);
-                let pfs = pfs.clone();
-                let tiers = tiers[rank].clone();
-                let launched = Arc::clone(&launched);
-                let out = &delivered[rank];
-                let straggle = self.plan.straggle_factor(epoch, rank);
-                let sizes = &self.sizes;
-                let seg_stats = &seg_stats;
-                s.spawn(move || {
-                    let mut handle =
-                        WorkerHandle::launch_with_tiers(rank, shared, pfs, endpoint, Some(tiers));
-                    launched.wait();
-                    let mut ids = Vec::with_capacity(handle.len() as usize);
-                    while let Some((id, data)) = handle.next_sample() {
-                        debug_assert_eq!(data.len() as u64, sizes[id as usize]);
-                        if straggle > 1.0 {
-                            // The straggler pays extra compute time per
-                            // sample; content is untouched.
-                            scale.wait((straggle - 1.0) * sys.write_time(data.len() as u64));
-                        }
-                        ids.push(id);
-                    }
-                    *out.lock().expect("delivered lock") = ids;
-                    seg_stats.lock().expect("stats lock").merge(&handle.stats());
-                    handle.shutdown();
-                });
-            }
-            // Recovery ends when every rank is launched and consuming.
-            launched.wait();
-            if let Some(t0) = recovery_started {
-                *recovery_time += t0.elapsed();
-                self.config.obs.tracer.complete(
-                    names::EV_RECOVERY_BARRIER,
-                    "elastic",
-                    t0,
-                    vec![("workers", n.into())],
-                );
-            }
-        });
-        (
-            delivered
-                .into_iter()
-                .map(|m| m.into_inner().expect("delivered lock"))
-                .collect(),
-            seg_stats.into_inner().expect("stats lock"),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Job;
     use bytes::Bytes;
     use nopfs_perfmodel::presets::fig8_small_cluster;
     use nopfs_perfmodel::SystemSpec;
@@ -658,12 +614,22 @@ mod tests {
 
     #[test]
     fn undisturbed_elastic_run_matches_plain_job() {
-        let report = elastic_run(FaultPlan::fault_free());
+        let job = elastic_job(FaultPlan::fault_free());
+        let report = run(&job);
         assert_eq!(report.recoveries, 0);
         assert_eq!(report.replans, 0);
         assert_eq!(report.stats.samples_consumed, 80 * 3);
         assert_eq!(report.epoch_times.len(), 3);
+        assert!(report.epoch_times.iter().sum::<Duration>() <= report.elapsed);
         assert_eq!(report.setup.shuffle_generations, 3);
+        // One segment: each of the four ranks is launched once for all
+        // three epochs, as a `Job` launches them.
+        let launches = job
+            .config
+            .obs
+            .snapshot()
+            .counter_total(names::WORKER_LAUNCHES);
+        assert_eq!(launches, 4);
         // Content check: per-epoch delivery is exactly-once.
         assert_eq!(report.global_stream.len(), 80 * 3);
         for (e, (_, streams)) in report.per_epoch.iter().enumerate() {
@@ -672,6 +638,41 @@ mod tests {
             let all: Vec<u64> = (0..80).collect();
             assert_eq!(epoch, all, "epoch {e} not exactly-once");
         }
+
+        // Each rank's stream is the plain job's, and on one rank whose
+        // RAM holds part of the dataset (and nothing else caches) so are
+        // the origin reads: one per cached sample, one per uncached
+        // position, however the threads interleave.
+        let [plain, elastic] = plain_and_elastic(small_system());
+        assert_eq!(elastic.0, plain.0);
+        let mut one_rank = small_system();
+        one_rank.workers = 1;
+        one_rank.classes[1].capacity = 0;
+        let [plain, elastic] = plain_and_elastic(one_rank);
+        assert_eq!(elastic, plain);
+    }
+
+    /// Per-rank streams and origin reads of `Job::run` and of a
+    /// fault-free `ElasticJob::run` on `sys`, each over its own PFS.
+    fn plain_and_elastic(sys: SystemSpec) -> [(Vec<Vec<u64>>, u64); 2] {
+        let sizes = Arc::new(vec![1_000u64; 80]);
+        let config = JobConfig::new(0xEC, 3, 4, sys, TimeScale::new(1e-6));
+        let plain = Job::new(config.clone(), Arc::clone(&sizes));
+        let pfs = plain.make_pfs();
+        materialize(&pfs, &sizes);
+        let streams = plain.run(&pfs, |w| w.by_ref().map(|(id, _)| id).collect());
+        let job = ElasticJob::new(config, sizes, FaultPlan::fault_free()).expect("valid plan");
+        let elastic_pfs = job.make_pfs();
+        materialize(&elastic_pfs, &job.sizes);
+        let report = job.run(&elastic_pfs);
+        let ranks = (0..report.memberships[0]).map(|w| {
+            let epochs = report.per_epoch.iter();
+            epochs.flat_map(|(_, s)| s[w].iter().copied()).collect()
+        });
+        [
+            (streams, pfs.stats().reads),
+            (ranks.collect(), elastic_pfs.stats().reads),
+        ]
     }
 
     #[test]
@@ -711,6 +712,22 @@ mod tests {
         // The re-split epochs really ran at their memberships.
         assert_eq!(report.per_epoch[1].1.len(), 3);
         assert_eq!(report.per_epoch[2].1.len(), 5);
+
+        // A crash at step 0 of the epoch a membership change starts:
+        // one boundary, one recovery, and the three survivors run the
+        // last two epochs as one segment (4 + 3 launches).
+        let job = elastic_job(FaultPlan::fault_free().leave(1).crash(1, 0, 0));
+        let report = run(&job);
+        assert_eq!(report.memberships, vec![4, 3, 3]);
+        assert_eq!(report.recoveries, 1);
+        assert_eq!(report.replans, 1);
+        assert_eq!(report.global_stream, baseline.global_stream);
+        let launches = job
+            .config
+            .obs
+            .snapshot()
+            .counter_total(names::WORKER_LAUNCHES);
+        assert_eq!(launches, 7);
     }
 
     #[test]

@@ -36,11 +36,12 @@
 use crate::config::JobConfig;
 use crate::msg::Msg;
 use crate::stats::SetupStats;
-use crate::worker::{class_index, Shared, WorkerHandle};
+use crate::worker::{Shared, WorkerHandle};
 use nopfs_clairvoyance::engine::SetupPass;
 use nopfs_clairvoyance::placement::GlobalPlacement;
 use nopfs_net::{cluster, NetConfig};
 use nopfs_pfs::Pfs;
+use nopfs_storage::TierStack;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -67,32 +68,15 @@ impl Job {
     pub fn new(config: JobConfig, sizes: Arc<Vec<u64>>) -> Self {
         assert!(!sizes.is_empty(), "dataset must contain samples");
         let setup_start = Instant::now();
-        let spec = config.shuffle_spec(sizes.len() as u64);
-        let capacities: Vec<Vec<u64>> = (0..config.system.workers)
-            .map(|_| config.system.class_capacities())
-            .collect();
         // All setup artifacts are pure functions of the seed; computed
         // once here and shared — every worker would derive the
         // identical values.
-        let artifacts = SetupPass::new(spec, config.epochs).run();
-        let placement = Arc::new(artifacts.placement(&sizes, &capacities));
-        let class_index = class_index(&placement, config.system.workers, sizes.len());
-        let streams = artifacts.streams.expect("setup pass materializes streams");
-        let setup = SetupStats {
-            shuffle_generations: artifacts.shuffles_generated,
-            setup_time: setup_start.elapsed(),
-        };
+        let artifacts =
+            SetupPass::new(config.shuffle_spec(sizes.len() as u64), config.epochs).run();
+        let mut shared = Shared::plan(config, sizes, &artifacts);
+        shared.setup.setup_time = setup_start.elapsed();
         Self {
-            shared: Arc::new(Shared {
-                config,
-                sizes,
-                placement,
-                spec,
-                class_index,
-                digests: artifacts.digests,
-                streams,
-                setup,
-            }),
+            shared: Arc::new(shared),
         }
     }
 
@@ -148,28 +132,11 @@ impl Job {
     /// — or hand them to a harness that does ([`Job::run`], or the
     /// registry's `LoaderSet`).
     pub fn launch_workers(&self, pfs: &Pfs) -> Vec<WorkerHandle> {
-        let endpoints = cluster::<Msg>(
-            self.shared.config.system.workers,
-            NetConfig::new(
-                self.shared.config.system.interconnect,
-                self.shared.config.scale,
-            ),
-        );
-        // The launches must overlap: each blocks in the setup allgather
-        // until all ranks have joined it.
-        let threads: Vec<_> = endpoints
-            .into_iter()
-            .enumerate()
-            .map(|(rank, endpoint)| {
-                let shared = Arc::clone(&self.shared);
-                let pfs = pfs.clone();
-                std::thread::spawn(move || WorkerHandle::launch(rank, shared, pfs, endpoint))
-            })
-            .collect();
-        threads
-            .into_iter()
-            .map(|t| t.join().expect("worker launch panicked"))
-            .collect()
+        launch(
+            &self.shared,
+            pfs,
+            vec![None; self.shared.config.system.workers],
+        )
     }
 
     /// [`Job::launch_workers`], then one thread per rank that calls `f`
@@ -182,25 +149,64 @@ impl Job {
         R: Send,
         F: Fn(&mut WorkerHandle) -> R + Sync,
     {
-        let f = &f;
-        std::thread::scope(|s| {
-            let ranks: Vec<_> = self
-                .launch_workers(pfs)
-                .into_iter()
-                .map(|mut handle| {
-                    s.spawn(move || {
-                        let result = f(&mut handle);
-                        handle.shutdown();
-                        result
-                    })
-                })
-                .collect();
-            ranks
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        })
+        run_ranks(self.launch_workers(pfs), f)
     }
+}
+
+/// Launches one worker per rank of `shared` over `tiers[rank]` (see
+/// [`WorkerHandle::launch`]) on a fresh in-process interconnect, and
+/// returns once every rank has passed the setup allgather.
+pub(crate) fn launch(
+    shared: &Arc<Shared>,
+    pfs: &Pfs,
+    tiers: Vec<Option<TierStack>>,
+) -> Vec<WorkerHandle> {
+    let endpoints = cluster::<Msg>(
+        shared.config.system.workers,
+        NetConfig::new(shared.config.system.interconnect, shared.config.scale),
+    );
+    // The launches must overlap: each blocks in the setup allgather
+    // until all ranks have joined it.
+    let threads: Vec<_> = endpoints
+        .into_iter()
+        .zip(tiers)
+        .enumerate()
+        .map(|(rank, (endpoint, tiers))| {
+            let shared = Arc::clone(shared);
+            let pfs = pfs.clone();
+            std::thread::spawn(move || WorkerHandle::launch(rank, shared, pfs, endpoint, tiers))
+        })
+        .collect();
+    threads
+        .into_iter()
+        .map(|t| t.join().expect("worker launch panicked"))
+        .collect()
+}
+
+/// One thread per handle that calls `f` with it and shuts the worker
+/// down when `f` returns; the per-rank results of `f`, in rank order.
+pub(crate) fn run_ranks<R, F>(handles: Vec<WorkerHandle>, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(&mut WorkerHandle) -> R + Sync,
+{
+    let f = &f;
+    std::thread::scope(|s| {
+        let ranks: Vec<_> = handles
+            .into_iter()
+            .map(|mut handle| {
+                s.spawn(move || {
+                    let result = f(&mut handle);
+                    handle.shutdown();
+                    result
+                })
+            })
+            .collect();
+        ranks
+            .into_iter()
+            .map(|h| h.join().expect("worker thread panicked"))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -622,7 +628,7 @@ mod tests {
                 }
                 ep1.barrier();
             });
-            let mut w = WorkerHandle::launch(0, Arc::clone(&job.shared), pfs.clone(), ep0);
+            let mut w = WorkerHandle::launch(0, Arc::clone(&job.shared), pfs.clone(), ep0, None);
             let ids = drain_checked(&mut w, &sizes);
             done.store(true, Ordering::SeqCst);
             w.shutdown();
@@ -705,7 +711,7 @@ mod tests {
         let endpoint = cluster::<Msg>(1, NetConfig::new(config.system.interconnect, config.scale))
             .pop()
             .expect("rank 0");
-        WorkerHandle::launch_with_tiers(
+        WorkerHandle::launch(
             0,
             Arc::clone(&job.shared),
             pfs.clone(),

@@ -30,6 +30,7 @@ use crate::tiers::{origin_read_many_retry, origin_read_retry};
 use crate::window::{OriginWindow, Taken};
 use crate::SampleId;
 use bytes::Bytes;
+use nopfs_clairvoyance::engine::SetupArtifacts;
 use nopfs_clairvoyance::placement::GlobalPlacement;
 use nopfs_clairvoyance::sampler::ShuffleSpec;
 use nopfs_net::Endpoint;
@@ -41,13 +42,14 @@ use nopfs_util::timing::precise_wait;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Job-wide immutable state shared by all of a worker's threads.
 ///
 /// The digests, streams, and placement are the single-pass engine's
-/// artifacts, computed once in `Job::new`; launching a worker reads
-/// them instead of regenerating any shuffle.
+/// artifacts, planned once per membership by [`Shared::plan`];
+/// launching a worker reads them instead of regenerating any shuffle.
+#[derive(Clone)]
 pub(crate) struct Shared {
     pub config: JobConfig,
     pub sizes: Arc<Vec<u64>>,
@@ -148,27 +150,45 @@ impl FillClaims {
     }
 }
 
-/// `class_index[w][k]` for every worker `w` of `placement`: the
-/// position of sample `k` in `w`'s class prefetch list, `u32::MAX`
-/// when unassigned. [`Shared::class_index`] for `Job::new` and for each
-/// of the elastic runtime's memberships.
-pub(crate) fn class_index(
-    placement: &GlobalPlacement,
-    workers: usize,
-    samples: usize,
-) -> Vec<Arc<Vec<u32>>> {
-    (0..workers)
-        .map(|w| {
-            let mut idx = vec![u32::MAX; samples];
-            let assignment = placement.assignment(w);
-            for class in 0..assignment.num_classes() {
-                for (i, &k) in assignment.prefetch_order(class).iter().enumerate() {
-                    idx[k as usize] = i as u32;
+impl Shared {
+    /// Plans a job for the worker count of `arts`: the placement over
+    /// `sizes`, each worker's class index, and the artifacts' streams
+    /// and digests. `Job::new` plans once; `ElasticJob` once per
+    /// membership. The setup time is left for the caller to stamp.
+    pub(crate) fn plan(mut config: JobConfig, sizes: Arc<Vec<u64>>, arts: &SetupArtifacts) -> Self {
+        let workers = arts.num_workers();
+        config.system.workers = workers;
+        let capacities = vec![config.system.class_capacities(); workers];
+        let placement = Arc::new(arts.placement(&sizes, &capacities));
+        let class_index = (0..workers)
+            .map(|w| {
+                let mut idx = vec![u32::MAX; sizes.len()];
+                let assignment = placement.assignment(w);
+                for class in 0..assignment.num_classes() {
+                    for (i, &k) in assignment.prefetch_order(class).iter().enumerate() {
+                        idx[k as usize] = i as u32;
+                    }
                 }
-            }
-            Arc::new(idx)
-        })
-        .collect()
+                Arc::new(idx)
+            })
+            .collect();
+        Self {
+            config,
+            sizes,
+            placement,
+            spec: *arts.spec(),
+            class_index,
+            digests: arts.digests.clone(),
+            streams: arts
+                .streams
+                .clone()
+                .expect("setup pass materializes streams"),
+            setup: SetupStats {
+                shuffle_generations: arts.shuffles_generated,
+                setup_time: Duration::ZERO,
+            },
+        }
+    }
 }
 
 struct WorkerCtx {
@@ -665,7 +685,9 @@ impl WorkerCtx {
 /// The per-worker loader handle: the paper's `get`/iterator interface.
 ///
 /// Yields `(sample id, bytes)` in exactly the clairvoyant access-stream
-/// order. Created by [`crate::job::Job::run`].
+/// order. Created by [`crate::job::Job::launch_workers`] (and so by
+/// [`crate::job::Job::run`]), and by [`crate::elastic::ElasticJob::run`]
+/// once per segment of its fault plan.
 pub struct WorkerHandle {
     ctx: Arc<WorkerCtx>,
     stream: Arc<Vec<SampleId>>,
@@ -678,21 +700,11 @@ pub struct WorkerHandle {
 }
 
 impl WorkerHandle {
+    /// Launches rank `rank`'s threads over `tiers` — a survivor's
+    /// still-warm stack, or the elastic runtime's stack over a wrapped
+    /// origin — or, given none, a fresh class stack over `pfs`. Returns
+    /// once the setup allgather has passed on every rank.
     pub(crate) fn launch(
-        rank: usize,
-        shared: Arc<Shared>,
-        pfs: Pfs,
-        endpoint: Endpoint<Msg>,
-    ) -> Self {
-        Self::launch_with_tiers(rank, shared, pfs, endpoint, None)
-    }
-
-    /// Like [`Self::launch`], but with an optional pre-built hierarchy:
-    /// the elastic runtime hands surviving workers their still-warm
-    /// [`TierStack`] across a recovery barrier (crashed ranks restart
-    /// cold with a fresh stack), and wraps the origin in fault-injecting
-    /// or retrying sources the worker need not know about.
-    pub(crate) fn launch_with_tiers(
         rank: usize,
         shared: Arc<Shared>,
         pfs: Pfs,
@@ -729,6 +741,7 @@ impl WorkerHandle {
         // (collector, tier counters) carries a `rank=<r>` label; trace
         // spans share the job-wide tracer.
         let obs = shared.config.obs.scoped([("rank", rank.to_string())]);
+        obs.registry.counter(names::WORKER_LAUNCHES).inc();
 
         // The worker's storage hierarchy: class tiers over the injected
         // PFS origin, behind the one tiered fetch API — or the handed-

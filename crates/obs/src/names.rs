@@ -49,6 +49,9 @@ pub const WORKER_STAGING_PEER_WAIT_NANOS: &str = "worker.staging.peer_wait_nanos
 /// Fetch frames sent to peers: one per owner per staged run that takes
 /// samples from that owner.
 pub const WORKER_PEER_FRAMES: &str = "worker.peer.frames";
+/// Worker launches: one per rank each time its threads are started
+/// (a `Job` launches each rank once; an `ElasticJob` once per segment).
+pub const WORKER_LAUNCHES: &str = "worker.launches";
 /// Bytes parked in (or being read into) the origin look-ahead window
 /// (gauge).
 pub const WORKER_WINDOW_BYTES: &str = "worker.window.bytes";

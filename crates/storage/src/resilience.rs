@@ -827,10 +827,12 @@ mod tests {
     }
 
     /// A source that sleeps a scheduled duration per read, in call
-    /// order, then serves from memory.
+    /// order, then serves from memory — or, made by [`Self::gated`],
+    /// whose first read waits until the test opens its gate.
     struct SlowSource {
         inner: Arc<dyn DataSource>,
         delays: Mutex<std::collections::VecDeque<Duration>>,
+        gate: Mutex<Option<Arc<std::sync::atomic::AtomicBool>>>,
     }
 
     impl SlowSource {
@@ -838,6 +840,14 @@ mod tests {
             Self {
                 inner,
                 delays: Mutex::new(delays.iter().copied().collect()),
+                gate: Mutex::new(None),
+            }
+        }
+
+        fn gated(inner: Arc<dyn DataSource>, open: &Arc<std::sync::atomic::AtomicBool>) -> Self {
+            Self {
+                gate: Mutex::new(Some(Arc::clone(open))),
+                ..Self::new(inner, &[])
             }
         }
     }
@@ -847,6 +857,13 @@ mod tests {
             "slow"
         }
         fn read(&self, id: SampleId) -> Result<Bytes, SourceError> {
+            let gate = self.gate.lock().take();
+            while gate
+                .as_ref()
+                .is_some_and(|open| !open.load(Ordering::SeqCst))
+            {
+                std::thread::sleep(Duration::from_micros(100));
+            }
             let d = self.delays.lock().pop_front().unwrap_or(Duration::ZERO);
             std::thread::sleep(d);
             self.inner.read(id)
@@ -1143,23 +1160,24 @@ mod tests {
 
     #[test]
     fn hedged_reads_return_identical_bytes_and_win_when_primary_stalls() {
-        // First read of each sample stalls 50 ms; the hedge (delay
-        // floor 1 ms) answers immediately from memory.
-        let slow = Arc::new(SlowSource::new(
-            mem_with(&[0, 1, 2]),
-            &[Duration::from_millis(50), Duration::ZERO],
-        ));
+        // The first read — the primary's: the hedge starts 100 ms
+        // later — stalls until the hedged read has returned; the hedge
+        // answers from memory. 100 ms is also the hedge delay of the
+        // fast read below, thousands of times what it takes.
+        let open = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let slow = Arc::new(SlowSource::gated(mem_with(&[0, 1, 2]), &open));
         let direct = mem_with(&[0, 1, 2]);
         let src = ResilientSource::new(
             slow,
             ResilienceConfig::retry_only(fast_retry(2)).with_hedge(HedgeConfig::new(
                 0.5,
-                Duration::from_millis(1),
+                Duration::from_millis(100),
                 4,
             )),
             TimeScale::realtime(),
         );
         let hedged = src.read(1).unwrap();
+        open.store(true, Ordering::SeqCst);
         assert_eq!(hedged, direct.read(1).unwrap(), "hedge changed bytes");
         let stats = src.resilience().unwrap();
         assert_eq!(stats.hedges_fired, 1);
