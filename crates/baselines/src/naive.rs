@@ -44,7 +44,7 @@ impl NaiveRunner {
                     config: self.config.clone(),
                     // The flat loader is a degenerate hierarchy: no cache
                     // tiers, every read straight from the PFS origin.
-                    tiers: TierStack::origin_only_in_registry(Arc::new(pfs.clone()), &obs.registry),
+                    tiers: TierStack::origin_only(Arc::new(pfs.clone()), &obs.registry),
                     stream: Arc::clone(&streams[rank]),
                     stats: Arc::new(StatsCollector::in_registry(&obs.registry)),
                     consumed: 0,

@@ -17,17 +17,17 @@
 //!
 //! Every loader also reads its origin the same way: through
 //! [`origin_read_retry`] and its vectored twin [`origin_read_many_retry`],
-//! the loader layer's one retry loop. A vectored origin read is one
-//! batch at the PFS: one reader registration and one `t(γ)` charge.
+//! the loader layer's one retry loop, over the stack's one tier sweep
+//! ([`TierStack::read_tier_many`] at [`TierStack::origin_index`]). A
+//! vectored origin read is one batch at the PFS: one reader
+//! registration and one `t(γ)` charge.
 
 use crate::stats::StatsCollector;
 use crate::SampleId;
 use bytes::Bytes;
 use nopfs_obs::Registry;
 use nopfs_perfmodel::SystemSpec;
-use nopfs_storage::{
-    build_stack_in_registry, DataSource, PromotePolicy, SourceError, TierSpec, TierStack,
-};
+use nopfs_storage::{DataSource, PromotePolicy, SourceError, TierSpec, TierStack};
 use nopfs_util::timing::TimeScale;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -54,7 +54,7 @@ pub fn class_tier_stack_in_registry(
     origin: Arc<dyn DataSource>,
     registry: &Registry,
 ) -> TierStack {
-    let specs: Vec<TierSpec> = sys
+    let mut sources: Vec<Arc<dyn DataSource>> = sys
         .classes
         .iter()
         .map(|class| {
@@ -65,13 +65,16 @@ pub fn class_tier_stack_in_registry(
                 class.read.at(p),
                 class.write.at(p),
             )
+            .build(scale)
         })
         .collect();
-    build_stack_in_registry(&specs, scale, origin, PromotePolicy::Never, registry)
+    sources.push(origin);
+    TierStack::new(sources, PromotePolicy::Never, registry)
 }
 
-/// Reads `id` from the hierarchy's origin with patient, bounded
-/// retries.
+/// Reads `id` from the hierarchy's origin (a length-1 sweep of
+/// [`TierStack::read_tier_many`] at [`TierStack::origin_index`]) with
+/// patient, bounded retries.
 ///
 /// The origin may be a resilient cloud chain whose circuit breaker
 /// fails reads fast with [`SourceError::Unavailable`] while a brownout
@@ -86,15 +89,15 @@ pub fn class_tier_stack_in_registry(
 /// dataset itself is broken, which no loader policy can paper over) or
 /// when reads are still failing after the wall-clock budget.
 pub fn origin_read_retry(tiers: &TierStack, id: SampleId, stats: &StatsCollector) -> Bytes {
-    settle(tiers, id, tiers.read_origin(id), stats)
+    settle(tiers, id, tiers.read_tier(tiers.origin_index(), id), stats)
 }
 
 /// Vectored [`origin_read_retry`]: the whole group goes down to the
-/// origin as **one** [`TierStack::read_origin_many`] call (so a
+/// origin as **one** [`TierStack::read_tier_many`] sweep (so a
 /// coalescing origin merges adjacent ids into fewer requests and the
-/// PFS counts the batch as one reader stream), then any id that failed
-/// transiently falls back to the patient single-read retry loop.
-/// Returns the bytes in input order.
+/// PFS counts the batch as one reader stream), then, once the sweep has
+/// returned, any id that failed transiently falls back to the patient
+/// single-read retry loop. Returns the bytes in input order.
 ///
 /// # Panics
 /// Panics when an object is missing or still failing after the retry
@@ -104,8 +107,9 @@ pub fn origin_read_many_retry(
     ids: &[SampleId],
     stats: &StatsCollector,
 ) -> Vec<Bytes> {
-    tiers
-        .read_origin_many(ids)
+    let mut first = Vec::with_capacity(ids.len());
+    tiers.read_tier_many(tiers.origin_index(), ids, |r| first.push(r));
+    first
         .into_iter()
         .zip(ids)
         .map(|(r, &id)| settle(tiers, id, r, stats))
@@ -143,7 +147,7 @@ fn settle(
                 std::thread::sleep(Duration::from_micros(us));
             }
         }
-        result = tiers.read_origin(id);
+        result = tiers.read_tier(tiers.origin_index(), id);
     }
 }
 

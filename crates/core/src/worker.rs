@@ -320,7 +320,7 @@ impl WorkerCtx {
     /// [`TierStack::read_tier_many`] sweep per tier, the samples picked
     /// from peers go out as **one** frame per owner, and every sample
     /// still without bytes is fetched in **one** batched
-    /// [`TierStack::read_origin_many`] round-trip instead of one origin
+    /// [`origin_read_many_retry`] round-trip instead of one origin
     /// read (and one `t(γ)` reader registration) per sample. A sample
     /// that the run would read for its self-healing fill while another
     /// thread holds its fill claim is read from its tier once that

@@ -807,6 +807,7 @@ mod tests {
                 Arc::new(pfs.clone()),
             ],
             PromotePolicy::IfFits,
+            &Registry::new(),
         );
         for id in 0..8u64 {
             // Byte-identical to a direct PFS read.

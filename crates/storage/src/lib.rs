@@ -63,8 +63,8 @@ pub use resilience::{
 pub use shard::{ShardedMap, SHARDS};
 pub use staging::{ProducerGuard, ProducerLost, StagingBuffer, StagingStats};
 pub use tier::{
-    build_stack, build_stack_in_registry, DataSource, ErrorClass, PromotePolicy, SourceError,
-    SourceHealth, TierSpec, TierStack, TierStats,
+    build_stack, DataSource, ErrorClass, PromotePolicy, SourceError, SourceHealth, TierSpec,
+    TierStack, TierStats,
 };
 
 /// Sample identifier (dense index into the dataset).

@@ -58,16 +58,6 @@ impl MetadataStore {
         self.map.get(id)
     }
 
-    /// Whether `id` is cached locally.
-    pub fn is_cached(&self, id: SampleId) -> bool {
-        self.map.contains(id)
-    }
-
-    /// Removes `id` from the catalog (eviction), returning its class.
-    pub fn remove(&self, id: SampleId) -> Option<u8> {
-        self.map.remove(id)
-    }
-
     /// Removes `id` only if it is currently cataloged in `class`
     /// (atomic compare-and-remove, for callers repairing a stale entry
     /// that may have been re-cataloged concurrently). Returns whether
@@ -80,12 +70,6 @@ impl MetadataStore {
     pub fn cached_count(&self) -> usize {
         self.map.len()
     }
-
-    /// Number cached in a specific class.
-    pub fn cached_in_class(&self, class: u8) -> usize {
-        self.map
-            .fold(0, |acc, _, &c| if c == class { acc + 1 } else { acc })
-    }
 }
 
 #[cfg(test)]
@@ -96,15 +80,15 @@ mod tests {
     #[test]
     fn mark_lookup_remove() {
         let m = MetadataStore::new();
-        assert!(!m.is_cached(1));
+        assert_eq!(m.lookup(1), None);
         m.mark_cached(1, 0);
         m.mark_cached(2, 1);
         assert_eq!(m.lookup(1), Some(0));
         assert_eq!(m.lookup(2), Some(1));
         assert_eq!(m.cached_count(), 2);
-        assert_eq!(m.cached_in_class(0), 1);
-        assert_eq!(m.remove(1), Some(0));
-        assert_eq!(m.remove(1), None);
+        assert!(m.remove_if(1, 0));
+        assert!(!m.remove_if(1, 0));
+        assert_eq!(m.lookup(1), None);
         assert_eq!(m.cached_count(), 1);
         // Guarded removal only fires on a matching class.
         assert!(!m.remove_if(2, 0));
@@ -140,6 +124,8 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(m.cached_count(), 1_000);
-        assert_eq!(m.cached_in_class(0) + m.cached_in_class(1), 1_000);
+        for id in 0..1_000u64 {
+            assert_eq!(m.lookup(id), Some((id / 250 % 2) as u8));
+        }
     }
 }

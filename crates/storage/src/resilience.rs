@@ -1061,8 +1061,9 @@ mod tests {
         ));
         src.breaker().unwrap().on_failure(0.0);
         // The batch arrives the way a staged run's origin read does.
-        let stack = crate::TierStack::origin_only(src.clone());
-        let results = stack.read_origin_many(&[0, 1, 2, 3, 4, 5, 6, 7]);
+        let stack = crate::TierStack::origin_only(src.clone(), &Registry::new());
+        let mut results = Vec::new();
+        stack.read_tier_many(0, &[0, 1, 2, 3, 4, 5, 6, 7], |r| results.push(r));
         assert_eq!(results.len(), 8);
         assert!(results
             .iter()

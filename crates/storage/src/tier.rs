@@ -30,6 +30,7 @@ use nopfs_util::timing::TimeScale;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::num::NonZeroU64;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -198,9 +199,8 @@ pub trait DataSource: Send + Sync {
     /// its read cost once per sweep; the PFS registers one reader for
     /// the batch and charges its `t(γ)` regulator once; object stores *coalesce* adjacent ids into fewer
     /// requests; the resilience layer admits the batch through its
-    /// breaker once. Every read of a cache tier
-    /// ([`TierStack::read_tier_many`]) and of the origin
-    /// ([`TierStack::read_origin_many`]) goes through this.
+    /// breaker once. Every tier read of a [`TierStack`], the origin's
+    /// included, goes through this, in [`TierStack::read_tier_many`].
     fn read_each(&self, ids: &[SampleId], sink: &mut dyn FnMut(Result<Bytes, SourceError>)) {
         for &id in ids {
             sink(self.read(id));
@@ -384,8 +384,9 @@ struct Counters {
     demotions: Counter,
     evictions: Counter,
     bytes_evicted: Counter,
-    /// Service latency (ns): one observation per vectored read that
-    /// hit, the mean per hit.
+    /// Service latency (ns): one observation per
+    /// [`TierStack::read_tier_many`] sweep that hit, the mean per hit —
+    /// on the origin as on every cache tier.
     read_latency: Histogram,
     /// Registry values at construction, subtracted from stats views.
     base: [u64; 9],
@@ -616,6 +617,12 @@ struct StackInner {
 /// authoritative store (typically the PFS) expected to hold every
 /// sample. Clone to share between threads; all clones see one set of
 /// tiers, one catalog, and one statistics block.
+///
+/// Each operation has one body: [`Self::read`] and [`Self::read_many`]
+/// share one fetch, every tier read (the origin's included) is a
+/// [`Self::read_tier_many`] sweep, read-path promotion and spill
+/// demotion share one placement, and explicit eviction, read-path
+/// eviction and the retirement of a displaced copy share one removal.
 #[derive(Clone)]
 pub struct TierStack {
     inner: Arc<StackInner>,
@@ -623,24 +630,15 @@ pub struct TierStack {
 
 impl TierStack {
     /// Builds a stack from `sources` (fastest first, origin last) with
-    /// the given promotion policy.
+    /// the given promotion policy. The per-tier counters are registered
+    /// in `registry`, with whatever scope labels it carries: the path by
+    /// which a tenant's tier statistics surface in the cluster's live
+    /// telemetry (`&Registry::new()` keeps them private).
     ///
     /// # Panics
     /// Panics on an empty source list or more than 254 cache tiers
     /// (the catalog stores tier indices as `u8`).
-    pub fn new(sources: Vec<Arc<dyn DataSource>>, promote: PromotePolicy) -> Self {
-        Self::new_in_registry(sources, promote, &Registry::new())
-    }
-
-    /// Like [`Self::new`], but the per-tier counters are registered in
-    /// `registry` (with whatever scope labels it carries) instead of a
-    /// fresh private one — the path by which a tenant's tier statistics
-    /// surface in the cluster's live telemetry.
-    ///
-    /// # Panics
-    /// Panics on an empty source list or more than 254 cache tiers
-    /// (the catalog stores tier indices as `u8`).
-    pub fn new_in_registry(
+    pub fn new(
         sources: Vec<Arc<dyn DataSource>>,
         promote: PromotePolicy,
         registry: &Registry,
@@ -672,13 +670,8 @@ impl TierStack {
 
     /// A degenerate stack with no cache tiers: every read goes straight
     /// to the origin (how flat, PFS-only loaders join the tiered API).
-    pub fn origin_only(origin: Arc<dyn DataSource>) -> Self {
-        Self::new(vec![origin], PromotePolicy::Never)
-    }
-
-    /// [`Self::origin_only`] with counters registered in `registry`.
-    pub fn origin_only_in_registry(origin: Arc<dyn DataSource>, registry: &Registry) -> Self {
-        Self::new_in_registry(vec![origin], PromotePolicy::Never, registry)
+    pub fn origin_only(origin: Arc<dyn DataSource>, registry: &Registry) -> Self {
+        Self::new(vec![origin], PromotePolicy::Never, registry)
     }
 
     /// Number of tiers including the origin.
@@ -723,107 +716,89 @@ impl TierStack {
 
     /// **The** fetch entry point: serves `id` from the fastest tier
     /// holding it, records per-tier hits/misses/bytes, and promotes on
-    /// miss per the stack's [`PromotePolicy`].
+    /// miss per the stack's [`PromotePolicy`]. The length-1
+    /// [`Self::read_many`]; a cache hit allocates nothing.
     ///
     /// # Errors
     /// Whatever the origin read produced when no tier holds the sample
     /// ([`SourceError::NotFound`] for a missing object, `Io` for an
     /// injected or real fault).
     pub fn read(&self, id: SampleId) -> Result<Bytes, SourceError> {
-        // A stale catalog hit already counted its own miss in
-        // `read_tier`; remember it so the origin path does not count
-        // that tier twice.
-        let mut stale: Option<usize> = None;
-        if let Some(hit_tier) = self.locate(id) {
-            match self.read_tier(hit_tier, id) {
-                Ok(data) => {
-                    self.count_misses_above(hit_tier);
-                    if hit_tier > 0 {
-                        self.promote(hit_tier, id, &data);
-                    }
-                    return Ok(data);
-                }
-                // Stale catalog entry (raced eviction), repaired by the
-                // tier read: fall through to the origin.
-                Err(SourceError::NotFound(_)) => stale = Some(hit_tier),
-                Err(e) => return Err(e),
-            }
-        }
-        let origin = self.origin_index();
-        let data = self.read_tier(origin, id)?;
-        for (j, slot) in self.inner.tiers[..origin].iter().enumerate() {
-            if stale != Some(j) {
-                slot.counters.misses.inc();
-            }
-        }
-        self.promote(origin, id, &data);
-        Ok(data)
+        let mut got = None;
+        self.fetch_each(&[id], |_, r| got = Some(r));
+        got.expect("one result per id")
     }
 
     /// Vectored fetch: serves each id from the fastest tier holding it,
-    /// exactly like [`Self::read`], but groups the ids no cache tier
-    /// holds into **one** batched origin read. The batch is sorted by
-    /// id before it reaches [`DataSource::read_each`], so origins with
-    /// per-request overhead (object stores) coalesce adjacent ranges
-    /// into fewer requests; results come back one per input id, in
-    /// input order.
+    /// each cache hit read alone, and reads the ids no cache tier holds
+    /// from the origin in **one** sweep, sorted by id so that origins
+    /// with per-request overhead (object stores) coalesce adjacent
+    /// ranges into fewer requests. Results come back one per input id,
+    /// in input order.
     ///
     /// Statistics, promotion, and stale-catalog repair are per id,
     /// identical to `ids.iter().map(|&id| self.read(id))` — only the
     /// origin round-trips differ.
     pub fn read_many(&self, ids: &[SampleId]) -> Vec<Result<Bytes, SourceError>> {
-        let origin = self.origin_index();
-        let mut out: Vec<Option<Result<Bytes, SourceError>>> = ids.iter().map(|_| None).collect();
-        // Ids the cache tiers could not serve: (input position, id, the
-        // tier whose stale catalog hit already counted its own miss).
-        let mut to_origin: Vec<(usize, SampleId, Option<usize>)> = Vec::new();
-        for (pos, &id) in ids.iter().enumerate() {
-            let mut stale: Option<usize> = None;
-            if let Some(hit_tier) = self.locate(id) {
-                match self.read_tier(hit_tier, id) {
-                    Ok(data) => {
-                        self.count_misses_above(hit_tier);
-                        if hit_tier > 0 {
-                            self.promote(hit_tier, id, &data);
-                        }
-                        out[pos] = Some(Ok(data));
-                        continue;
-                    }
-                    Err(SourceError::NotFound(_)) => stale = Some(hit_tier),
-                    Err(e) => {
-                        out[pos] = Some(Err(e));
-                        continue;
-                    }
-                }
-            }
-            to_origin.push((pos, id, stale));
-        }
-        if !to_origin.is_empty() {
-            to_origin.sort_by_key(|&(_, id, _)| id);
-            let batch: Vec<SampleId> = to_origin.iter().map(|&(_, id, _)| id).collect();
-            let results = self.read_origin_many(&batch);
-            for ((pos, id, stale), r) in to_origin.into_iter().zip(results) {
-                if let Ok(data) = &r {
-                    for (j, slot) in self.inner.tiers[..origin].iter().enumerate() {
-                        if stale != Some(j) {
-                            slot.counters.misses.inc();
-                        }
-                    }
-                    self.promote(origin, id, data);
-                }
-                out[pos] = Some(r);
-            }
-        }
+        let mut out = vec![None; ids.len()];
+        self.fetch_each(ids, |pos, r| out[pos] = Some(r));
         out.into_iter()
             .map(|r| r.expect("every id resolved"))
             .collect()
     }
 
+    /// The one fetch body: hands `sink` each id's result with its input
+    /// position. A cataloged id is read from its tier, counts a miss in
+    /// every faster tier and moves up per the policy. The ids no cache
+    /// tier served (uncataloged, or a stale entry, which its tier read
+    /// repaired and counted as that tier's miss) go to the origin as
+    /// one sweep sorted by id. Their promotions wait until that sweep
+    /// has returned, so no tier write runs inside the origin's read
+    /// (the PFS holds its reader registration for the whole batch).
+    fn fetch_each(
+        &self,
+        ids: &[SampleId],
+        mut sink: impl FnMut(usize, Result<Bytes, SourceError>),
+    ) {
+        // (id, input position, the tier whose stale entry counted its miss)
+        let mut misses: Vec<(SampleId, usize, Option<usize>)> = Vec::new();
+        for (pos, &id) in ids.iter().enumerate() {
+            let Some(tier) = self.locate(id) else {
+                misses.push((id, pos, None));
+                continue;
+            };
+            match self.read_tier(tier, id) {
+                Ok(data) => {
+                    self.count_misses_above(tier, None);
+                    self.promote(tier, id, &data);
+                    sink(pos, Ok(data));
+                }
+                Err(SourceError::NotFound(_)) => misses.push((id, pos, Some(tier))),
+                Err(e) => sink(pos, Err(e)),
+            }
+        }
+        if misses.is_empty() {
+            return;
+        }
+        misses.sort_by_key(|&(id, ..)| id);
+        let batch: Vec<SampleId> = misses.iter().map(|&(id, ..)| id).collect();
+        let origin = self.origin_index();
+        let mut results = Vec::with_capacity(batch.len());
+        self.read_tier_many(origin, &batch, |r| results.push(r));
+        for ((id, pos, stale), r) in misses.into_iter().zip(results) {
+            if let Ok(data) = &r {
+                self.count_misses_above(origin, stale);
+                self.promote(origin, id, data);
+            }
+            sink(pos, r);
+        }
+    }
+
     /// Vectored read of `ids` directly from tier `tier` (no promotion,
     /// no fallback): `sink` gets one result per id, in order. **The**
-    /// hit path — every cache-tier read of the stack is a call of
-    /// this, [`Self::read_tier`] and [`Self::get_cached`] its length-1
-    /// case.
+    /// tier sweep — every tier read of the stack, the origin's
+    /// included, is a call of this, [`Self::read_tier`] and
+    /// [`Self::get_cached`] its length-1 case.
     ///
     /// The call reads the clock once, not once per id: a clock read is
     /// a fence, and between two of them a sample's dependent cache
@@ -832,9 +807,10 @@ impl TierStack {
     /// `misses` once, and — when anything hit — **one** observation of
     /// `tier.read_latency_ns`: the mean per hit. An id the tier turns
     /// out not to hold ([`SourceError::NotFound`]: a stale catalog
-    /// entry, a raced eviction) counts a miss and is uncataloged; any
-    /// other error is that source's transient trouble, reads as a
-    /// failed fetch and leaves the entry — the bytes are still there.
+    /// entry, a raced eviction) counts a miss, and its entry is
+    /// repaired once the sweep has returned; any other error is that
+    /// source's transient trouble, reads as a failed fetch and leaves
+    /// the entry — the bytes are still there.
     pub fn read_tier_many(
         &self,
         tier: usize,
@@ -842,7 +818,10 @@ impl TierStack {
         mut sink: impl FnMut(Result<Bytes, SourceError>),
     ) {
         let slot = &self.inner.tiers[tier];
-        let (mut hits, mut bytes, mut misses) = (0u64, 0u64, 0u64);
+        let (mut hits, mut bytes) = (0u64, 0u64);
+        // Repaired once `read_each` has returned: no catalog or tier
+        // call runs inside a source's read.
+        let mut stale: Vec<SampleId> = Vec::new();
         let mut at = ids.iter();
         // Only pay for the clock when a histogram is listening.
         let t0 = slot.counters.read_latency.is_active().then(Instant::now);
@@ -853,22 +832,23 @@ impl TierStack {
                     hits += 1;
                     bytes += data.len() as u64;
                 }
-                Err(SourceError::NotFound(_)) => {
-                    misses += 1;
-                    self.uncatalog_from(id, tier);
-                }
+                Err(SourceError::NotFound(_)) => stale.push(id),
                 Err(_) => {}
             }
             sink(r);
         });
-        if misses > 0 {
-            slot.counters.misses.add(misses);
+        let elapsed = t0.map(|t0| t0.elapsed());
+        if !stale.is_empty() {
+            slot.counters.misses.add(stale.len() as u64);
+            for id in stale {
+                self.repair(tier, id);
+            }
         }
         let Some(hits) = NonZeroU64::new(hits) else {
             return;
         };
-        if let Some(t0) = t0 {
-            let nanos = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        if let Some(elapsed) = elapsed {
+            let nanos = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
             slot.counters.read_latency.record(nanos / hits);
         }
         slot.counters.hits.add(hits.get());
@@ -884,46 +864,6 @@ impl TierStack {
         let mut got = None;
         self.read_tier_many(tier, &[id], |r| got = Some(r));
         got.expect("one result per id")
-    }
-
-    /// Reads `id` from the origin tier (no cache probe, no promotion).
-    ///
-    /// # Errors
-    /// Whatever the origin produced.
-    pub fn read_origin(&self, id: SampleId) -> Result<Bytes, SourceError> {
-        self.read_tier(self.origin_index(), id)
-    }
-
-    /// Batch-reads `ids` from the origin tier through one
-    /// [`DataSource::read_each`], so origins with per-request overhead
-    /// (object stores) can coalesce adjacent ids, and collects the
-    /// results in input order — where the loaders' batched origin reads
-    /// become a `Vec`. The hit/miss/byte statistics count each id, as
-    /// if it were read alone, and are booked once per call, as
-    /// [`Self::read_tier_many`] books them.
-    pub fn read_origin_many(&self, ids: &[SampleId]) -> Vec<Result<Bytes, SourceError>> {
-        let slot = &self.inner.tiers[self.origin_index()];
-        let (mut hits, mut bytes, mut misses) = (0u64, 0u64, 0u64);
-        let mut results = Vec::with_capacity(ids.len());
-        slot.source.read_each(ids, &mut |r| {
-            match &r {
-                Ok(data) => {
-                    hits += 1;
-                    bytes += data.len() as u64;
-                }
-                Err(SourceError::NotFound(_)) => misses += 1,
-                Err(_) => {}
-            }
-            results.push(r);
-        });
-        if hits > 0 {
-            slot.counters.hits.add(hits);
-            slot.counters.bytes_read.add(bytes);
-        }
-        if misses > 0 {
-            slot.counters.misses.add(misses);
-        }
-        results
     }
 
     /// Liveness of the origin source, as reported by its resilience
@@ -986,16 +926,9 @@ impl TierStack {
                 fills += 1;
                 bytes += size;
                 // A pinned fill always wins the catalog (the clairvoyant
-                // plan overrides read-path placement); retire any copy a
-                // racing promotion had cataloged elsewhere instead of
-                // orphaning it.
+                // plan overrides read-path placement).
                 let prev = self.inner.catalog.mark_cached(id, tier as u8);
-                self.inner.sizes.insert(id, size);
-                if let Some(p) = prev {
-                    if usize::from(p) != tier {
-                        self.drop_copy(usize::from(p), id);
-                    }
-                }
+                self.record_claim(tier, id, size, prev);
             });
             sink(id, r);
         });
@@ -1008,21 +941,9 @@ impl TierStack {
     /// Evicts `id` from cache tier `tier`, updating catalog and
     /// statistics. Returns whether the sample was present.
     pub fn evict(&self, tier: usize, id: SampleId) -> bool {
-        let slot = &self.inner.tiers[tier];
-        let size = slot
-            .source
-            .size_of(id)
-            .or_else(|| self.inner.sizes.get(id))
-            .unwrap_or(0);
-        if slot.source.evict(id) {
-            slot.counters.evictions.inc();
-            slot.counters.bytes_evicted.add(size);
-            slot.promoted.remove(id);
-            self.uncatalog_from(id, tier);
-            true
-        } else {
-            false
-        }
+        let size = self.size_in(tier, id);
+        self.uncatalog_from(id, tier);
+        self.remove(tier, id, size)
     }
 
     /// Statistics snapshot for tier `tier`.
@@ -1051,40 +972,84 @@ impl TierStack {
         (0..self.num_tiers()).map(|j| self.stats(j)).collect()
     }
 
-    /// Total capacity of the cache tiers (unbounded tiers excluded).
-    pub fn total_cache_capacity(&self) -> u64 {
-        self.inner.tiers[..self.origin_index()]
-            .iter()
-            .filter_map(|t| t.source.capacity())
-            .sum()
-    }
-
-    fn count_misses_above(&self, tier: usize) {
-        for slot in &self.inner.tiers[..tier] {
-            slot.counters.misses.inc();
+    /// Counts a miss in every tier faster than `tier` but `skip`, whose
+    /// stale entry already counted its own.
+    fn count_misses_above(&self, tier: usize, skip: Option<usize>) {
+        for (j, slot) in self.inner.tiers[..tier].iter().enumerate() {
+            if skip != Some(j) {
+                slot.counters.misses.inc();
+            }
         }
     }
 
-    /// Retires a superseded resident copy from a cache tier's backend,
-    /// promoted set, and eviction counters — *not* the catalog, which
-    /// already points at the surviving copy.
-    fn drop_copy(&self, tier: usize, id: SampleId) {
+    /// Bytes of `id`: the tier's own record, else the stack's size
+    /// table (for sources that keep none).
+    fn size_in(&self, tier: usize, id: SampleId) -> u64 {
+        self.inner.tiers[tier]
+            .source
+            .size_of(id)
+            .or_else(|| self.inner.sizes.get(id))
+            .unwrap_or(0)
+    }
+
+    /// The one removal body: takes `id` out of `tier`'s promoted set
+    /// and its bytes out of the source, counting an eviction of `size`
+    /// bytes when they were there. Returns whether they were. The
+    /// catalog is the caller's: an eviction uncatalogs *before* it
+    /// calls this, so a read racing it finds no entry and claims one
+    /// for the copy it places (the other order lets the late uncatalog
+    /// strand that copy), and a displaced copy's entry already names
+    /// the copy that displaced it.
+    fn remove(&self, tier: usize, id: SampleId, size: u64) -> bool {
         let slot = &self.inner.tiers[tier];
-        let size = slot.source.size_of(id).unwrap_or(0);
-        if slot.source.evict(id) {
+        slot.promoted.remove(id);
+        let removed = slot.source.evict(id);
+        if removed {
             slot.counters.evictions.inc();
             slot.counters.bytes_evicted.add(size);
-            slot.promoted.remove(id);
         }
+        removed
     }
 
     /// Removes the catalog entry only if it still points at `tier` —
-    /// a concurrent promotion may have re-cataloged the sample at a
-    /// faster tier, and blindly removing would orphan that resident
-    /// copy (capacity spent, never served).
-    fn uncatalog_from(&self, id: SampleId, tier: usize) {
-        if self.inner.catalog.remove_if(id, tier as u8) {
+    /// a concurrent placement may have re-cataloged the sample at
+    /// another tier, and blindly removing would orphan that resident
+    /// copy (capacity spent, never served). Returns whether it did.
+    fn uncatalog_from(&self, id: SampleId, tier: usize) -> bool {
+        let removed = self.inner.catalog.remove_if(id, tier as u8);
+        if removed {
             self.inner.sizes.remove(id);
+        }
+        removed
+    }
+
+    /// Repairs the entry that sent a read to `tier` for a sample the
+    /// tier did not hold. The entry goes if it still names `tier`. If
+    /// the tier holds the sample again by then, a placement raced the
+    /// failed read and the entry just removed was that copy's: the copy
+    /// claims it back, exactly as its placement did. No source call
+    /// runs under a catalog lock.
+    fn repair(&self, tier: usize, id: SampleId) {
+        let size = self.size_in(tier, id);
+        if !self.uncatalog_from(id, tier) || !self.inner.tiers[tier].source.contains(id) {
+            return;
+        }
+        match self.inner.catalog.claim_fastest(id, tier as u8) {
+            Ok(prev) => self.record_claim(tier, id, size, prev),
+            // A faster copy was claimed in between; this one goes.
+            Err(_) => {
+                self.remove(tier, id, size);
+            }
+        }
+    }
+
+    /// Books an entry just won at `tier` over `prev`: the sample's
+    /// size, and the displaced copy removed, so that capacity is not
+    /// spent twice.
+    fn record_claim(&self, tier: usize, id: SampleId, size: u64, prev: Option<u8>) {
+        self.inner.sizes.insert(id, size);
+        if let Some(p) = prev.map(usize::from).filter(|&p| p != tier) {
+            self.remove(p, id, size);
         }
     }
 
@@ -1095,54 +1060,66 @@ impl TierStack {
     /// keeps its status: a pinned fill stays pinned in its new tier, a
     /// read-path resident stays evictable.
     fn promote(&self, from: usize, id: SampleId, data: &Bytes) {
-        if matches!(self.inner.promote, PromotePolicy::Never) {
+        if from == 0 || self.inner.promote == PromotePolicy::Never {
             return;
         }
         // Pinned fills never sit in a promoted queue; anything arriving
         // from the origin is by definition a read-path resident.
         let evictable = from == self.origin_index() || self.inner.tiers[from].promoted.contains(id);
+        self.place(0..from, id, data, evictable, true);
+    }
+
+    /// The one placement body, for read-path promotion and for the
+    /// demotion of an eviction victim: writes `data` into the first
+    /// tier of `tiers` it fits in (a promotion under
+    /// [`PromotePolicy::Evicting`] makes room first; a demotion does
+    /// not cascade, and a full lower hierarchy drops the victim, which
+    /// the origin still holds) and claims the catalog entry there.
+    ///
+    /// The catalog is the placement arbiter: racing placements of one
+    /// sample may land copies in different tiers, and only the claim
+    /// winner keeps its copy — it books the fill and removes the
+    /// displaced slower copy; the loser withdraws its write — so no
+    /// resident bytes outlive their catalog entry. An `evictable` copy
+    /// joins the tier's promoted set.
+    fn place(
+        &self,
+        tiers: Range<usize>,
+        id: SampleId,
+        data: &Bytes,
+        evictable: bool,
+        promoting: bool,
+    ) {
         let size = data.len() as u64;
-        for tier in 0..from.min(self.origin_index()) {
+        for tier in tiers {
             let slot = &self.inner.tiers[tier];
-            if matches!(self.inner.promote, PromotePolicy::Evicting) {
+            if promoting && self.inner.promote == PromotePolicy::Evicting {
                 self.make_room(tier, size);
             }
-            if !fits(slot.source.as_ref(), size) {
+            if !fits(slot.source.as_ref(), size) || slot.source.write(id, data.clone()).is_err() {
                 continue;
             }
-            if slot.source.write(id, data.clone()).is_ok() {
-                // The catalog is the placement arbiter: racing
-                // promotions of the same sample may land copies in
-                // different tiers, and only the claim winner keeps
-                // its copy — the loser withdraws, so no resident
-                // bytes ever outlive their catalog entry.
-                match self.inner.catalog.claim_fastest(id, tier as u8) {
-                    Ok(prev) => {
-                        slot.counters.fills.inc();
-                        slot.counters.bytes_filled.add(size);
+            match self.inner.catalog.claim_fastest(id, tier as u8) {
+                Ok(prev) => {
+                    slot.counters.fills.inc();
+                    slot.counters.bytes_filled.add(size);
+                    if promoting {
                         slot.counters.promotions.inc();
-                        if evictable {
-                            slot.promoted.push(id, size);
-                        }
-                        self.inner.sizes.insert(id, size);
-                        // Move semantics: drop the slower copy (the
-                        // serving tier, or wherever a racing placement
-                        // had cataloged it) so capacity is not spent
-                        // twice.
-                        if let Some(p) = prev {
-                            if usize::from(p) != tier {
-                                self.drop_copy(usize::from(p), id);
-                            }
-                        }
+                    } else {
+                        slot.counters.demotions.inc();
                     }
-                    Err(_) => {
-                        // A strictly faster copy won the race; our
-                        // write never becomes visible — take it back.
-                        slot.source.evict(id);
+                    if evictable {
+                        slot.promoted.push(id, size);
                     }
+                    self.record_claim(tier, id, size, prev);
                 }
-                return;
+                // A strictly faster copy won the race; this write never
+                // becomes visible — take it back.
+                Err(_) => {
+                    slot.source.evict(id);
+                }
             }
+            return;
         }
     }
 
@@ -1173,55 +1150,16 @@ impl TierStack {
             let Some(victim) = slot.promoted.pop_oldest() else {
                 return;
             };
-            let vsize = slot.source.size_of(victim).unwrap_or(0);
+            let vsize = self.size_in(tier, victim);
             // Spill absorption: keep the victim's bytes for demotion
             // (the read pays the tier's modelled read rate, as a real
             // tier-manager's demotion traffic would).
             let vdata = slot.source.read(victim).ok();
-            if slot.source.evict(victim) {
-                slot.counters.evictions.inc();
-                slot.counters.bytes_evicted.add(vsize);
-                self.uncatalog_from(victim, tier);
+            self.uncatalog_from(victim, tier);
+            if self.remove(tier, victim, vsize) {
                 if let Some(data) = vdata {
-                    self.demote(tier + 1, victim, data);
+                    self.place(tier + 1..self.origin_index(), victim, &data, true, false);
                 }
-            }
-        }
-    }
-
-    /// Demotes an eviction victim into the first cache tier at or below
-    /// `start` with free space (no cascading eviction — a full lower
-    /// hierarchy drops the victim; the origin still holds it).
-    fn demote(&self, start: usize, id: SampleId, data: Bytes) {
-        let size = data.len() as u64;
-        for tier in start..self.origin_index() {
-            let slot = &self.inner.tiers[tier];
-            if !fits(slot.source.as_ref(), size) {
-                continue;
-            }
-            if slot.source.write(id, data.clone()).is_ok() {
-                match self.inner.catalog.claim_fastest(id, tier as u8) {
-                    Ok(prev) => {
-                        slot.counters.fills.inc();
-                        slot.counters.bytes_filled.add(size);
-                        slot.counters.demotions.inc();
-                        // Demoted entries stay evictable read-path
-                        // residents.
-                        slot.promoted.push(id, size);
-                        self.inner.sizes.insert(id, size);
-                        if let Some(p) = prev {
-                            if usize::from(p) != tier {
-                                self.drop_copy(usize::from(p), id);
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        // A racing read already re-promoted the victim
-                        // somewhere faster; withdraw the demoted copy.
-                        slot.source.evict(id);
-                    }
-                }
-                return;
             }
         }
     }
@@ -1273,32 +1211,22 @@ impl TierSpec {
 }
 
 /// Builds a [`TierStack`] from cache-tier specs (fastest first) over an
-/// `origin` source.
+/// `origin` source, its counters in a private registry.
 pub fn build_stack(
     specs: &[TierSpec],
     scale: TimeScale,
     origin: Arc<dyn DataSource>,
     promote: PromotePolicy,
 ) -> TierStack {
-    build_stack_in_registry(specs, scale, origin, promote, &Registry::new())
-}
-
-/// [`build_stack`] with the per-tier counters registered in `registry`.
-pub fn build_stack_in_registry(
-    specs: &[TierSpec],
-    scale: TimeScale,
-    origin: Arc<dyn DataSource>,
-    promote: PromotePolicy,
-    registry: &Registry,
-) -> TierStack {
     let mut sources: Vec<Arc<dyn DataSource>> = specs.iter().map(|s| s.build(scale)).collect();
     sources.push(origin);
-    TierStack::new_in_registry(sources, promote, registry)
+    TierStack::new(sources, promote, &Registry::new())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     fn mem(name: &str, cap: u64) -> Arc<dyn DataSource> {
         Arc::new(MemoryBackend::new(name, cap))
@@ -1318,6 +1246,7 @@ mod tests {
         let stack = TierStack::new(
             vec![mem("ram", 100), origin_with(4, 10)],
             PromotePolicy::IfFits,
+            &Registry::new(),
         );
         let data = stack.read(2).unwrap();
         assert_eq!(data, Bytes::from(vec![2u8; 10]));
@@ -1339,6 +1268,7 @@ mod tests {
         let stack = TierStack::new(
             vec![mem("ram", 100), mem("ssd", 100), origin_with(4, 10)],
             PromotePolicy::IfFits,
+            &Registry::new(),
         );
         stack.fill(1, 3, Bytes::from(vec![3u8; 10])).unwrap();
         assert_eq!(stack.locate(3), Some(1));
@@ -1358,6 +1288,7 @@ mod tests {
         let stack = TierStack::new(
             vec![mem("ram", 15), mem("ssd", 100), origin_with(4, 10)],
             PromotePolicy::IfFits,
+            &Registry::new(),
         );
         stack.read(0).unwrap(); // promoted into ram (10 of 15 used)
         stack.read(1).unwrap(); // ram full -> promoted into ssd
@@ -1372,6 +1303,7 @@ mod tests {
         let stack = TierStack::new(
             vec![mem("ram", 25), origin_with(6, 10)],
             PromotePolicy::Evicting,
+            &Registry::new(),
         );
         // A pinned fill takes 10 of the 25 bytes.
         stack.fill(0, 5, Bytes::from(vec![5u8; 10])).unwrap();
@@ -1393,6 +1325,7 @@ mod tests {
         let stack = TierStack::new(
             vec![mem("ram", 20), mem("ssd", 40), origin_with(6, 10)],
             PromotePolicy::Evicting,
+            &Registry::new(),
         );
         for id in 0..6 {
             stack.read(id).unwrap();
@@ -1423,6 +1356,7 @@ mod tests {
         let stack = TierStack::new(
             vec![mem("ram", 100), origin_with(4, 10)],
             PromotePolicy::Never,
+            &Registry::new(),
         );
         stack.read(1).unwrap();
         stack.read(1).unwrap();
@@ -1433,7 +1367,7 @@ mod tests {
 
     #[test]
     fn origin_only_stack_serves_everything_from_origin() {
-        let stack = TierStack::origin_only(origin_with(3, 8));
+        let stack = TierStack::origin_only(origin_with(3, 8), &Registry::new());
         assert_eq!(stack.num_tiers(), 1);
         assert_eq!(stack.cache_tiers(), 0);
         for id in 0..3 {
@@ -1447,6 +1381,7 @@ mod tests {
         let stack = TierStack::new(
             vec![mem("ram", 100), origin_with(2, 4)],
             PromotePolicy::IfFits,
+            &Registry::new(),
         );
         assert_eq!(stack.read(99), Err(SourceError::NotFound(99)));
         assert!(!stack.contains(99));
@@ -1458,6 +1393,7 @@ mod tests {
         let stack = TierStack::new(
             vec![mem("ram", 100), origin_with(4, 10)],
             PromotePolicy::Never,
+            &Registry::new(),
         );
         assert!(stack.get_cached(1).is_none());
         stack.fill(0, 1, Bytes::from(vec![1u8; 10])).unwrap();
@@ -1477,7 +1413,11 @@ mod tests {
             mem("ram", 100),
             ErrorInjection::new(0.999, 1, 7),
         ));
-        let stack = TierStack::new(vec![ram.clone(), origin_with(4, 10)], PromotePolicy::Never);
+        let stack = TierStack::new(
+            vec![ram.clone(), origin_with(4, 10)],
+            PromotePolicy::Never,
+            &Registry::new(),
+        );
         stack.fill(0, 1, Bytes::from(vec![1u8; 10])).unwrap();
         assert!(stack.get_cached(1).is_none());
         assert_eq!(ram.injected(), 1, "the read failed in the tier");
@@ -1497,6 +1437,7 @@ mod tests {
         let stack = TierStack::new(
             vec![mem("ram", 100), origin_with(4, 10)],
             PromotePolicy::IfFits,
+            &Registry::new(),
         );
         stack.read(2).unwrap();
         assert!(stack.evict(0, 2));
@@ -1517,6 +1458,7 @@ mod tests {
         let stack = TierStack::new(
             vec![mem("ram", 20), mem("ssd", 100), origin_with(6, 10)],
             PromotePolicy::Evicting,
+            &Registry::new(),
         );
         stack.fill(1, 5, Bytes::from(vec![5u8; 10])).unwrap();
         stack.read(5).unwrap(); // moved ssd -> ram, still pinned
@@ -1540,6 +1482,7 @@ mod tests {
         let stack = TierStack::new(
             vec![mem("ram", 100), origin_with(4, 10)],
             PromotePolicy::Never,
+            &Registry::new(),
         );
         stack.fill(0, 1, Bytes::from(vec![1u8; 10])).unwrap();
         // Evict behind the stack's back: the next read finds a stale
@@ -1560,7 +1503,11 @@ mod tests {
         let o = MemoryBackend::new("origin", u64::MAX);
         StorageBackend::insert(&o, 0, Bytes::from(vec![0u8; 5])).unwrap();
         StorageBackend::insert(&o, 1, Bytes::from(vec![1u8; 8])).unwrap();
-        let stack = TierStack::new(vec![mem("ram", 25), Arc::new(o)], PromotePolicy::Evicting);
+        let stack = TierStack::new(
+            vec![mem("ram", 25), Arc::new(o)],
+            PromotePolicy::Evicting,
+            &Registry::new(),
+        );
         stack.fill(0, 9, Bytes::from(vec![9u8; 20])).unwrap();
         stack.read(0).unwrap(); // 5-byte promotion fits (25/25 used)
         assert_eq!(stack.locate(0), Some(0));
@@ -1578,6 +1525,7 @@ mod tests {
         let stack = TierStack::new(
             vec![mem("ram", 0), origin_with(4, 10)],
             PromotePolicy::Evicting,
+            &Registry::new(),
         );
         for id in 0..4 {
             assert_eq!(stack.read(id).unwrap().len(), 10);
@@ -1610,6 +1558,7 @@ mod tests {
         let stack = TierStack::new(
             vec![mem("ram", 100), origin_with(2, 10)],
             PromotePolicy::IfFits,
+            &Registry::new(),
         );
         stack.read(0).unwrap(); // miss
         stack.read(0).unwrap(); // hit
@@ -1653,6 +1602,7 @@ mod tests {
             let stack = TierStack::new(
                 vec![mem("ram", 40), origin_with(8, 10)],
                 PromotePolicy::Evicting,
+                &Registry::new(),
             );
             stack.fill(0, 7, Bytes::from(vec![7u8; 10])).unwrap();
             stack
@@ -1674,6 +1624,7 @@ mod tests {
         let stack = TierStack::new(
             vec![mem("ram", 100), origin_with(4, 10)],
             PromotePolicy::IfFits,
+            &Registry::new(),
         );
         let res = stack.read_many(&[2, 99, 0]);
         assert_eq!(res[0].as_ref().unwrap()[0], 2);
@@ -1689,6 +1640,7 @@ mod tests {
         let stack = TierStack::new(
             vec![mem("ram", 100), origin_with(4, 10)],
             PromotePolicy::Never,
+            &Registry::new(),
         );
         stack.fill(0, 1, Bytes::from(vec![1u8; 10])).unwrap();
         assert!(stack.source(0).evict(1));
@@ -1706,6 +1658,7 @@ mod tests {
         let stack = TierStack::new(
             vec![mem("ram", 55), origin_with(64, 10)],
             PromotePolicy::Evicting,
+            &Registry::new(),
         );
         std::thread::scope(|s| {
             for t in 0..4 {
@@ -1720,5 +1673,152 @@ mod tests {
         let ram = stack.stats(0);
         assert!(ram.used <= 55, "capacity exceeded: {}", ram.used);
         assert_eq!(ram.used, stack.source(0).used());
+    }
+
+    /// Which call of a [`Gated`] source parks.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Park {
+        Read,
+        Evict,
+    }
+
+    /// A memory tier whose first `park` call after [`Gated::arm`] does
+    /// its work, reports that it has, and then waits for the test to
+    /// let it return: a deterministic schedule for a race.
+    struct Gated {
+        inner: MemoryBackend,
+        park: Park,
+        gate: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+    }
+
+    impl Gated {
+        fn new(inner: MemoryBackend, park: Park) -> Self {
+            Self {
+                inner,
+                park,
+                gate: Mutex::new(None),
+            }
+        }
+
+        /// Arms the gate: returns the receiver that hears the parked
+        /// call and the sender that lets it return.
+        fn arm(&self) -> (mpsc::Receiver<()>, mpsc::Sender<()>) {
+            let (parked, on_park) = mpsc::channel();
+            let (resume, on_resume) = mpsc::channel();
+            *self.gate.lock() = Some((parked, on_resume));
+            (on_park, resume)
+        }
+
+        fn pass(&self, call: Park) {
+            if call != self.park {
+                return;
+            }
+            let gate = self.gate.lock().take();
+            if let Some((parked, resume)) = gate {
+                parked.send(()).expect("the test awaits the parked call");
+                resume.recv().expect("the test resumes the parked call");
+            }
+        }
+    }
+
+    impl DataSource for Gated {
+        fn name(&self) -> &str {
+            StorageBackend::name(&self.inner)
+        }
+        fn read(&self, id: SampleId) -> Result<Bytes, SourceError> {
+            let r = DataSource::read(&self.inner, id);
+            self.pass(Park::Read);
+            r
+        }
+        fn write(&self, id: SampleId, data: Bytes) -> Result<(), SourceError> {
+            DataSource::write(&self.inner, id, data)
+        }
+        fn contains(&self, id: SampleId) -> bool {
+            StorageBackend::contains(&self.inner, id)
+        }
+        fn capacity(&self) -> Option<u64> {
+            Some(StorageBackend::capacity(&self.inner))
+        }
+        fn used(&self) -> u64 {
+            StorageBackend::used(&self.inner)
+        }
+        fn evict(&self, id: SampleId) -> bool {
+            let removed = StorageBackend::evict(&self.inner, id);
+            self.pass(Park::Evict);
+            removed
+        }
+        fn count(&self) -> usize {
+            StorageBackend::count(&self.inner)
+        }
+        fn size_of(&self, id: SampleId) -> Option<u64> {
+            StorageBackend::size_of(&self.inner, id)
+        }
+    }
+
+    /// A stack over a gated RAM tier and an origin of four 7-byte
+    /// samples, with sample 1 promoted into RAM.
+    fn gated_stack(park: Park) -> (TierStack, Arc<Gated>) {
+        let ram = Arc::new(Gated::new(MemoryBackend::new("ram", 100), park));
+        let stack = TierStack::new(
+            vec![ram.clone(), origin_with(4, 7)],
+            PromotePolicy::IfFits,
+            &Registry::new(),
+        );
+        stack.read(1).unwrap();
+        assert_eq!(stack.locate(1), Some(0));
+        (stack, ram)
+    }
+
+    /// No resident bytes outlive their catalog entry.
+    fn assert_cataloged(stack: &TierStack, ids: std::ops::Range<SampleId>) {
+        for tier in 0..stack.cache_tiers() {
+            let source = stack.source(tier);
+            for id in ids.clone() {
+                if let Some(size) = source.size_of(id) {
+                    assert_eq!(
+                        stack.locate(id),
+                        Some(tier),
+                        "{} holds {size} B but the catalog says {:?}",
+                        source.name(),
+                        stack.locate(id)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_read_racing_an_eviction_keeps_its_copy_cataloged() {
+        let (stack, ram) = gated_stack(Park::Evict);
+        let (parked, resume) = ram.arm();
+        std::thread::scope(|s| {
+            let evicting = s.spawn(|| stack.evict(0, 1));
+            // The eviction has taken the bytes and not yet returned.
+            parked.recv().unwrap();
+            assert_eq!(stack.read(1).unwrap(), Bytes::from(vec![1u8; 7]));
+            resume.send(()).unwrap();
+            assert!(evicting.join().unwrap());
+        });
+        assert_cataloged(&stack, 0..4);
+        assert_eq!(stack.get_cached(1), Some(Bytes::from(vec![1u8; 7])));
+    }
+
+    #[test]
+    fn a_read_racing_a_stale_repair_keeps_its_copy_cataloged() {
+        let (stack, ram) = gated_stack(Park::Read);
+        // Behind the stack's back: the entry goes stale.
+        assert!(stack.source(0).evict(1));
+        let (parked, resume) = ram.arm();
+        std::thread::scope(|s| {
+            let serving = s.spawn(|| stack.get_cached(1));
+            // The serving read has seen `NotFound`, not yet repaired.
+            parked.recv().unwrap();
+            // Repairs the entry, reads the origin and promotes again.
+            assert_eq!(stack.read(1).unwrap(), Bytes::from(vec![1u8; 7]));
+            resume.send(()).unwrap();
+            assert_eq!(serving.join().unwrap(), None);
+        });
+        assert_cataloged(&stack, 0..4);
+        assert_eq!(stack.get_cached(1), Some(Bytes::from(vec![1u8; 7])));
     }
 }

@@ -21,6 +21,7 @@ use nopfs_baselines::run_policy;
 use nopfs_bench::report;
 use nopfs_clairvoyance::stream::AccessStream;
 use nopfs_core::{Job, JobConfig};
+use nopfs_obs::Registry;
 use nopfs_perfmodel::presets::{fig8_small_cluster, saturating_pfs_curve};
 use nopfs_perfmodel::{SystemSpec, ThroughputCurve};
 use nopfs_pfs::Pfs;
@@ -58,6 +59,7 @@ fn stack_leg() {
             Arc::new(pfs.clone()),
         ],
         PromotePolicy::Evicting,
+        &Registry::new(),
     );
     // A cold full scan fills the tiers (RAM spill demotes into the
     // SSD), then a working set that fits RAM+SSD is re-read twice —

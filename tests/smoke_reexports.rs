@@ -53,6 +53,7 @@ fn every_umbrella_reexport_resolves() {
             Arc::new(pfs.clone()),
         ],
         nopfs::storage::PromotePolicy::IfFits,
+        &nopfs::obs::Registry::new(),
     );
     assert!(stack.read(0).is_ok());
     assert_eq!(stack.stats(0).promotions, 1);

@@ -54,7 +54,7 @@ fn stack_in_registry(
         })
         .collect();
     sources.push(Arc::new(pfs.clone()));
-    TierStack::new_in_registry(sources, promote, registry)
+    TierStack::new(sources, promote, registry)
 }
 
 /// A memory store that reports no sample sizes, so that an eviction
@@ -115,7 +115,18 @@ fn size_blind_stack(pfs: &Pfs, caps: &[u64]) -> TierStack {
         })
         .collect();
     sources.push(Arc::new(pfs.clone()));
-    TierStack::new(sources, PromotePolicy::Never)
+    TierStack::new(sources, PromotePolicy::Never, &Registry::new())
+}
+
+/// The ids in `0..n` a cache tier's source holds but the catalog does
+/// not place at that tier, as (tier, id, catalog entry): empty when no
+/// resident bytes outlive their catalog entry.
+fn uncataloged_residents(stack: &TierStack, n: u64) -> Vec<(usize, u64, Option<usize>)> {
+    (0..stack.cache_tiers())
+        .flat_map(|tier| (0..n).map(move |id| (tier, id)))
+        .filter(|&(tier, id)| stack.source(tier).contains(id) && stack.locate(id) != Some(tier))
+        .map(|(tier, id)| (tier, id, stack.locate(id)))
+        .collect()
 }
 
 /// Observations in `registry`'s `tier.read_latency_ns` histograms.
@@ -247,6 +258,8 @@ proptest! {
             }
         });
         // Quiesced: the catalog and the backing sources agree exactly.
+        let stranded = uncataloged_residents(stack, 32);
+        prop_assert!(stranded.is_empty(), "(tier, id, catalog entry): {:?}", stranded);
         for (j, &cap) in caps.iter().enumerate() {
             let s = stack.stats(j);
             prop_assert!(s.used <= cap, "tier {} used {} > cap {}", j, s.used, cap);
@@ -296,6 +309,8 @@ proptest! {
                 }
             });
         });
+        let stranded = uncataloged_residents(stack, 24);
+        prop_assert!(stranded.is_empty(), "(tier, id, catalog entry): {:?}", stranded);
         // Drain everything; exact zero proves no byte was leaked by a
         // racing reservation or double-freed by a racing eviction.
         for id in 0..24 {
