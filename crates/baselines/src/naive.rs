@@ -93,7 +93,7 @@ impl DataLoader for NaiveLoader {
         self.config.scale.wait(wt);
         // The whole read is a stall: nothing overlaps it.
         self.stats.add_stall(t0.elapsed());
-        self.stats.count_pfs();
+        self.stats.add_pfs(1);
         self.stats.count_consumed();
         self.consumed += 1;
         Some((k, data))

@@ -258,7 +258,7 @@ impl PlanCtx {
                     peers.post(&self.endpoint);
                     peers.collect();
                     if let Some(data) = peers.take(owner, k) {
-                        self.stats.count_remote();
+                        self.stats.add_remote(1);
                         return data;
                     }
                 }
@@ -270,7 +270,7 @@ impl PlanCtx {
 
     fn pfs_fallback(&self, k: SampleId, epoch: u64) -> Bytes {
         let data = origin_read_retry(&self.tiers, k, &self.stats);
-        self.stats.count_pfs();
+        self.stats.add_pfs(1);
         // First-touch caching where the core plans it (LBANN dynamic,
         // locality-aware epoch 0). A failed fill (tier full) is
         // published so peers stop waiting for it.

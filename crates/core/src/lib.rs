@@ -29,6 +29,7 @@
 //! through [`WorkerHandle`] — a drop-in replacement for a framework
 //! data loader.
 
+mod card;
 pub mod config;
 pub mod elastic;
 pub mod job;

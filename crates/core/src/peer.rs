@@ -12,7 +12,8 @@
 //! run that holds the same id twice gets two slots and two payloads.
 //!
 //! The serving half is [`serve`], every loader's serving loop: per
-//! frame one [`TierStack::read_tier_many`] sweep per tier that holds
+//! frame one [`TierStack::locate_each`] pass over the catalog, then one
+//! [`TierStack::read_tier_many`] sweep per tier that holds
 //! any of its slots — the requester's local leg, run on the owner's
 //! side — and **one** `Endpoint::pace` for the bytes found: the same
 //! bandwidth term as a reply per sample, the latency once per message
@@ -133,14 +134,16 @@ impl PeerClient {
 /// is gone.
 pub fn serve(endpoint: &Endpoint<Msg>, tiers: &TierStack) {
     // Reused from frame to frame: the tier that holds each slot's
-    // sample, and the ids of one tier's sweep.
+    // sample, and the ids of the frame's catalog pass or of one sweep.
     let mut located: Vec<Option<usize>> = Vec::new();
     let mut ids: Vec<SampleId> = Vec::new();
     while let Ok(env) = endpoint.recv() {
         match env.msg {
             Msg::Fetch(mut frame) => {
+                ids.clear();
+                ids.extend(frame.slots.iter().map(|&(id, _)| id));
                 located.clear();
-                located.extend(frame.slots.iter().map(|&(id, _)| tiers.locate(id)));
+                tiers.locate_each(&ids, |tier| located.push(tier));
                 let mut found = 0u64;
                 for tier in 0..tiers.cache_tiers() {
                     ids.clear();

@@ -88,12 +88,14 @@ impl StatsCollector {
         self.local.add(n);
     }
 
-    pub fn count_remote(&self) {
-        self.remote.inc();
+    /// Counts `n` fetches served by peers (a staged run's) at once.
+    pub fn add_remote(&self, n: u64) {
+        self.remote.add(n);
     }
 
-    pub fn count_pfs(&self) {
-        self.pfs.inc();
+    /// Counts `n` fetches served by the origin (a staged run's) at once.
+    pub fn add_pfs(&self, n: u64) {
+        self.pfs.add(n);
     }
 
     pub fn count_prestage(&self) {
@@ -104,8 +106,9 @@ impl StatsCollector {
         self.false_positives.inc();
     }
 
-    pub fn count_heuristic_skip(&self) {
-        self.heuristic_skips.inc();
+    /// Counts `n` remote holders the progress heuristic passed over.
+    pub fn add_heuristic_skips(&self, n: u64) {
+        self.heuristic_skips.add(n);
     }
 
     pub fn count_pfs_error(&self) {
@@ -248,10 +251,10 @@ mod tests {
         let c = StatsCollector::new();
         c.count_local();
         c.count_local();
-        c.count_remote();
-        c.count_pfs();
+        c.add_remote(1);
+        c.add_pfs(1);
         c.count_false_positive();
-        c.count_heuristic_skip();
+        c.add_heuristic_skips(1);
         c.count_pfs_error();
         c.add_stall(Duration::from_millis(5));
         c.count_consumed();
@@ -271,7 +274,7 @@ mod tests {
     fn fractions_sum_to_one_when_nonempty() {
         let c = StatsCollector::new();
         c.count_local();
-        c.count_pfs();
+        c.add_pfs(1);
         let (l, r, p) = c.snapshot().fractions();
         assert!((l + r + p - 1.0).abs() < 1e-12);
         assert_eq!(r, 0.0);
@@ -290,7 +293,7 @@ mod tests {
         let a = StatsCollector::new();
         a.count_local();
         let b = StatsCollector::new();
-        b.count_pfs();
+        b.add_pfs(1);
         b.add_stall(Duration::from_millis(2));
         let mut total = a.snapshot();
         total.merge(&b.snapshot());
@@ -354,7 +357,7 @@ mod tests {
                 let c = Arc::clone(&c);
                 std::thread::spawn(move || {
                     for _ in 0..10_000 {
-                        c.count_pfs();
+                        c.add_pfs(1);
                     }
                 })
             })

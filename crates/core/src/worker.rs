@@ -22,6 +22,7 @@
 //! - **the consumer** — [`WorkerHandle`], the training loop's
 //!   iterator over `(sample id, bytes)` in exact `R` order.
 
+use crate::card::{Card, Cards, Holder};
 use crate::config::JobConfig;
 use crate::msg::Msg;
 use crate::peer::PeerClient;
@@ -55,10 +56,9 @@ pub(crate) struct Shared {
     pub sizes: Arc<Vec<u64>>,
     pub placement: Arc<GlobalPlacement>,
     pub spec: ShuffleSpec,
-    /// `class_index[w][k]` = position of sample `k` in worker `w`'s
-    /// class prefetch list (`u32::MAX` when unassigned) — the input to
-    /// the remote-progress heuristic.
-    pub class_index: Vec<Arc<Vec<u32>>>,
+    /// `cards[w]`: worker `w`'s card per sample — what its staging
+    /// path reads about the sample, in one place.
+    pub cards: Vec<Arc<Cards>>,
     /// Per-worker access-stream digests from the setup pass; the setup
     /// allgather verifies every rank's claimed digest against these
     /// cached values (the runtime's clairvoyance check).
@@ -152,32 +152,24 @@ impl FillClaims {
 
 impl Shared {
     /// Plans a job for the worker count of `arts`: the placement over
-    /// `sizes`, each worker's class index, and the artifacts' streams
-    /// and digests. `Job::new` plans once; `ElasticJob` once per
+    /// `sizes`, each worker's cards, and the artifacts' streams and
+    /// digests. `Job::new` plans once; `ElasticJob` once per
     /// membership. The setup time is left for the caller to stamp.
     pub(crate) fn plan(mut config: JobConfig, sizes: Arc<Vec<u64>>, arts: &SetupArtifacts) -> Self {
         let workers = arts.num_workers();
         config.system.workers = workers;
         let capacities = vec![config.system.class_capacities(); workers];
         let placement = Arc::new(arts.placement(&sizes, &capacities));
-        let class_index = (0..workers)
-            .map(|w| {
-                let mut idx = vec![u32::MAX; sizes.len()];
-                let assignment = placement.assignment(w);
-                for class in 0..assignment.num_classes() {
-                    for (i, &k) in assignment.prefetch_order(class).iter().enumerate() {
-                        idx[k as usize] = i as u32;
-                    }
-                }
-                Arc::new(idx)
-            })
+        let cards = Cards::plan(&placement, &sizes)
+            .into_iter()
+            .map(Arc::new)
             .collect();
         Self {
             config,
             sizes,
             placement,
             spec: *arts.spec(),
-            class_index,
+            cards,
             digests: arts.digests.clone(),
             streams: arts
                 .streams
@@ -206,9 +198,8 @@ struct WorkerCtx {
     stop: Arc<AtomicBool>,
     /// Per-class prefetch progress (index into the class list).
     progress: Arc<Vec<AtomicU64>>,
-    /// For each sample this worker holds, the holder rank to ask per
-    /// class is this worker itself; for remote fetches we need the
-    /// rank of the fastest holder. Derived from placement on the fly.
+    /// The reorder stage: the staging threads push runs in, the
+    /// consumer pops samples out in stream order.
     stage: ReorderStage,
     /// Stream positions per staging claim ([`stage_run_len`]).
     run_len: u64,
@@ -250,12 +241,23 @@ enum Pick {
 /// in, when one applies.
 type Probe = (Pick, Option<usize>);
 
-/// How many samples of one staged run each source served.
+/// How many samples of one staged run each source served, and how many
+/// remote holders the progress heuristic passed over: booked per run.
 #[derive(Default)]
 struct RunSources {
     local: u64,
     remote: u64,
     pfs: u64,
+    skips: u64,
+}
+
+impl RunSources {
+    fn book(&self, stats: &StatsCollector) {
+        stats.add_local(self.local);
+        stats.add_remote(self.remote);
+        stats.add_pfs(self.pfs);
+        stats.add_heuristic_skips(self.skips);
+    }
 }
 
 /// A staging thread's requester half of the peer protocol and the
@@ -295,6 +297,9 @@ impl PeerLeg {
 /// ([`stage_run_len`]).
 #[derive(Default)]
 struct StageScratch {
+    /// Each claimed sample's card, and the local tier holding it as
+    /// the run starts.
+    looked_up: Vec<(Card, Option<usize>)>,
     probes: Vec<Probe>,
     /// The claimed samples one local tier serves, in claim order.
     local_ids: Vec<SampleId>,
@@ -314,7 +319,8 @@ struct StageScratch {
 impl WorkerCtx {
     /// Vectored staging fetch of the run of stream positions starting
     /// at `base`, every leg of it run-granular: per-sample source
-    /// selection via [`Self::staging_probe`] — or, for a sample no
+    /// selection via [`Self::staging_probe`] from the samples' cards
+    /// and **one** catalog pass ([`TierStack::locate_each`]) — or, for a sample no
     /// worker caches, a take from the origin look-ahead window —, then
     /// the samples picked from a local tier are read in **one**
     /// [`TierStack::read_tier_many`] sweep per tier, the samples picked
@@ -326,7 +332,7 @@ impl WorkerCtx {
     /// thread holds its fill claim is read from its tier once that
     /// fill has landed. The bytes land in `scratch.run` in input order;
     /// self-healing fills are one [`TierStack::fill_many`] per class,
-    /// statistics per sweep, the trace span per run. Returns `false`
+    /// statistics and the trace span per run. Returns `false`
     /// when the window was closed under it (shutdown).
     fn fetch_many_for_staging(
         &self,
@@ -335,6 +341,7 @@ impl WorkerCtx {
         scratch: &mut StageScratch,
     ) -> bool {
         let StageScratch {
+            looked_up,
             probes,
             local_ids,
             peer,
@@ -345,22 +352,34 @@ impl WorkerCtx {
         } = scratch;
         let t0 = self.obs.tracer.is_active().then(Instant::now);
         let mut sources = RunSources::default();
-        // Phase 1: pick a source per sample; read-ahead samples are
+        // Phase 1: one tight pass looks every sample up (its card, and
+        // its local tier in one catalog pass), so that their cache
+        // misses overlap where the decision loop would take them one
+        // at a time. Then a source per sample: read-ahead samples are
         // served immediately, the rest queued by source.
+        let cards = &self.shared.cards[self.rank];
+        looked_up.clear();
+        let mut at = ks.iter();
+        self.tiers.locate_each(ks, |tier| {
+            let &k = at.next().expect("one tier per id");
+            looked_up.push((*cards.card(k), tier));
+        });
         probes.clear();
-        for (pos, &k) in (base..).zip(ks) {
+        for ((pos, &k), (card, local_tier)) in (base..).zip(ks).zip(looked_up.iter()) {
             let probe = match &self.window {
                 // No holder anywhere: the origin is the only source.
-                Some(window) if self.shared.placement.is_uncached(k) => match window.take(pos) {
+                Some(window) if card.is_uncached() => match window.take(pos) {
                     Taken::Parked(data) => {
-                        self.stats.count_pfs();
                         sources.pfs += 1;
                         (Pick::Served(data), None)
                     }
                     Taken::Unclaimed => (Pick::Origin, None),
-                    Taken::Closed => return false,
+                    Taken::Closed => {
+                        sources.book(&self.stats);
+                        return false;
+                    }
                 },
-                _ => self.staging_probe(k),
+                _ => self.staging_probe(card, *local_tier, &mut sources.skips),
             };
             if let Pick::Peer(owner) = probe.0 {
                 peer.get_or_insert_with(|| PeerLeg::new(&self.obs.registry))
@@ -401,7 +420,6 @@ impl WorkerCtx {
                     Err(_) => Pick::Origin,
                 };
             });
-            self.stats.add_local(served);
             sources.local += served;
         }
         // Phase 3: the peers' samples, one frame per owner; what a peer
@@ -417,7 +435,6 @@ impl WorkerCtx {
                 let peer = peer.as_mut().expect("a peer pick made the client");
                 *pick = match peer.client.take(owner, k) {
                     Some(data) => {
-                        self.stats.count_remote();
                         sources.remote += 1;
                         Pick::Served(data)
                     }
@@ -437,7 +454,6 @@ impl WorkerCtx {
                     if fill.is_some() {
                         claimed.push(k);
                     }
-                    self.stats.count_pfs();
                     sources.pfs += 1;
                     origin_ids.push(k);
                 }
@@ -489,6 +505,7 @@ impl WorkerCtx {
             };
             run.push((k, data));
         }
+        sources.book(&self.stats);
         if let Some(t0) = t0 {
             self.obs.tracer.complete(
                 names::EV_FETCH,
@@ -503,14 +520,6 @@ impl WorkerCtx {
             );
         }
         true
-    }
-
-    /// The tier the plan assigns `k` to on this worker, if any: where
-    /// the class prefetcher fills it, and where a staging fetch that
-    /// finds it uncached fills it first (the self-healing fill).
-    fn fill_class(&self, k: SampleId) -> Option<usize> {
-        let class = self.shared.placement.assignment(self.rank).class_of(k)?;
-        Some(usize::from(class))
     }
 
     /// Takes `k`'s fill claim ([`FillClaims`]): whether this thread is
@@ -538,46 +547,39 @@ impl WorkerCtx {
         self.origin_wait_nanos
             .add(waiting.elapsed().as_nanos() as u64);
         if let Some(data) = self.tiers.get_cached(k) {
-            self.stats.add_local(1);
             sources.local += 1;
             return data;
         }
-        self.stats.count_pfs();
         sources.pfs += 1;
         origin_read_retry(&self.tiers, k, &self.stats)
     }
 
-    /// Phase 1 of a staging fetch: the source decision, and nothing
+    /// Phase 1 of a staging fetch: the source decision for the sample
+    /// of `card`, found in `local_tier` as the run started, and nothing
     /// but the decision. Each pick is counted once it is settled: a
     /// local one when its tier's sweep is done, a peer one when its
     /// frame is back, an origin one when it joins the run's origin
-    /// read. The class is where the self-healing fill stores the
-    /// sample: the one the plan assigns it to, when it was not
-    /// cataloged locally as the fetch started.
-    fn staging_probe(&self, k: SampleId) -> Probe {
+    /// read; the run books the counts, and the holders the heuristic
+    /// passed over (`skips`), once. The class is where the
+    /// self-healing fill stores the sample: the one the plan assigns
+    /// it to, when it was not cataloged locally as the fetch started.
+    fn staging_probe(&self, card: &Card, local_tier: Option<usize>, skips: &mut u64) -> Probe {
         let sys = &self.shared.config.system;
-        let size = self.shared.sizes[k as usize];
-
-        let local_tier = self.tiers.locate(k);
         // Remote candidates pass the progress heuristic: our own class-c
         // prefetcher's position is the proxy for the holder's (paper
         // Sec. 5.2.2 — load-balanced prefetching advances in lockstep).
-        let mut best_remote: Option<(usize, u8)> = None;
-        for &(o, c) in self.shared.placement.holders(k) {
-            if o == self.rank {
-                continue;
-            }
-            let idx = self.shared.class_index[o][k as usize];
+        // The card lists the holders fastest class first, so the first
+        // one to pass is the pick.
+        let mut best_remote: Option<&Holder> = None;
+        for holder in self.shared.cards[self.rank].holders(card) {
             let my_progress = self
                 .progress
-                .get(c as usize)
+                .get(usize::from(holder.class))
                 .map_or(0, |p| p.load(Ordering::Relaxed));
-            if u64::from(idx) < my_progress {
-                if best_remote.is_none_or(|(_, bc)| c < bc) {
-                    best_remote = Some((o, c));
-                }
+            if u64::from(holder.index) < my_progress {
+                best_remote = best_remote.or(Some(holder));
             } else {
-                self.stats.count_heuristic_skip();
+                *skips += 1;
             }
         }
 
@@ -594,8 +596,8 @@ impl WorkerCtx {
         let choice = nopfs_policy::decision::select_source_degraded(
             sys,
             local_tier.map(|t| t as u8),
-            best_remote.map(|(_, c)| c),
-            size,
+            best_remote.map(|h| h.class),
+            card.size,
             gamma,
             origin_ok,
         );
@@ -603,14 +605,14 @@ impl WorkerCtx {
         let pick = match choice {
             Location::Local(c) => Pick::Local(usize::from(c)),
             Location::Remote(_) => {
-                let (owner, _) = best_remote.expect("remote choice implies a holder");
-                Pick::Peer(owner)
+                let holder = best_remote.expect("remote choice implies a holder");
+                Pick::Peer(usize::from(holder.owner))
             }
             Location::Pfs => Pick::Origin,
             Location::Staging => unreachable!("staging is never a fetch candidate"),
         };
         let fill = match local_tier {
-            None => self.fill_class(k),
+            None => card.fill_class(),
             Some(_) => None,
         };
         (pick, fill)
@@ -625,13 +627,12 @@ impl WorkerCtx {
         let Some(window) = &self.window else {
             return;
         };
+        let cards = &self.shared.cards[self.rank];
         let next_uncached = |from: u64| {
             let from = usize::try_from(from).ok()?;
             let ahead = stream.get(from..)?;
-            let i = ahead
-                .iter()
-                .position(|&k| self.shared.placement.is_uncached(k))?;
-            Some(((from + i) as u64, self.shared.sizes[ahead[i] as usize]))
+            let i = ahead.iter().position(|&k| cards.card(k).is_uncached())?;
+            Some(((from + i) as u64, cards.card(ahead[i]).size))
         };
         while let Some(pos) = window.claim(next_uncached) {
             let data = origin_read_retry(&self.tiers, stream[pos as usize], &self.stats);
@@ -1143,6 +1144,68 @@ mod tests {
             stage_run_len(&staging(u64::MAX, 1), &[1; 3], all),
             u64::MAX / 8
         );
+    }
+
+    /// Every rank's card for every sample agrees with the tables it is
+    /// laid out from: the size, the rank's class, whether any rank
+    /// caches the sample, and each other holder with its class and the
+    /// sample's position in that holder's prefetch list, fastest class
+    /// first. On the preset's own capacities every rank of four holds
+    /// every sample, three remote holders each: past the inline slots.
+    #[test]
+    fn plan_cards_agree_with_the_placement() {
+        use crate::card::INLINE;
+        use nopfs_clairvoyance::engine::SetupPass;
+        use nopfs_util::timing::TimeScale;
+
+        assert_eq!(std::mem::size_of::<Card>(), 24);
+        let sizes: Arc<Vec<u64>> = Arc::new((0..600u64).map(|k| 500 + k * 37 % 1_000).collect());
+        let total: u64 = sizes.iter().sum();
+        for (workers, tight) in [(1, true), (2, true), (4, true), (4, false)] {
+            let mut sys = fig8_small_cluster();
+            sys.workers = workers;
+            if tight {
+                sys.classes[0].capacity = total / 4;
+                sys.classes[1].capacity = total / 5;
+            }
+            let config = JobConfig::new(11, 3, 4, sys, TimeScale::new(1e-6));
+            let arts = SetupPass::new(config.shuffle_spec(sizes.len() as u64), 3).run();
+            let shared = Shared::plan(config, Arc::clone(&sizes), &arts);
+            let placement = &shared.placement;
+            let mut spilled = 0;
+            for w in 0..workers {
+                let cards = &shared.cards[w];
+                for k in 0..sizes.len() as u64 {
+                    let card = cards.card(k);
+                    let at = format!("{workers} ranks, rank {w}, sample {k}");
+                    assert_eq!(card.size, sizes[k as usize], "{at}");
+                    let class = placement.assignment(w).class_of(k);
+                    assert_eq!(card.fill_class(), class.map(usize::from), "{at}");
+                    assert_eq!(card.is_uncached(), placement.is_uncached(k), "{at}");
+                    let mut expected: Vec<Holder> = placement
+                        .holders(k)
+                        .iter()
+                        .filter(|&&(o, _)| o != w)
+                        .map(|&(o, class)| {
+                            let list = placement.assignment(o).prefetch_order(usize::from(class));
+                            let index = list.iter().position(|&x| x == k).expect("listed");
+                            Holder {
+                                index: index as u32,
+                                owner: o as u16,
+                                class,
+                            }
+                        })
+                        .collect();
+                    expected.sort_by_key(|h| (h.class, h.owner));
+                    let got: Vec<Holder> = cards.holders(card).copied().collect();
+                    assert_eq!(got, expected, "{at}");
+                    spilled += usize::from(got.len() > INLINE);
+                }
+            }
+            if !tight {
+                assert_eq!(spilled, 4 * sizes.len(), "every card spills");
+            }
+        }
     }
 
     #[test]

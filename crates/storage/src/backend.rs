@@ -97,7 +97,8 @@ pub trait StorageBackend: Send + Sync {
 
     /// Vectored [`Self::get`]: hands `sink` each id with what `get`
     /// finds for it, in order. A backend whose read cost is settled
-    /// per call overrides it to settle once for the whole sweep.
+    /// per call overrides it to settle once for the whole sweep. `sink`
+    /// may run under the backend's locks: it must take none of its own.
     fn get_many(&self, ids: &[SampleId], sink: &mut dyn FnMut(SampleId, Option<Bytes>)) {
         for &id in ids {
             sink(id, self.get(id));
@@ -171,6 +172,10 @@ impl StorageBackend for MemoryBackend {
 
     fn get(&self, id: SampleId) -> Option<Bytes> {
         self.map.get(id)
+    }
+
+    fn get_many(&self, ids: &[SampleId], sink: &mut dyn FnMut(SampleId, Option<Bytes>)) {
+        self.map.get_each(ids, |id, data| sink(id, data.cloned()));
     }
 
     fn contains(&self, id: SampleId) -> bool {

@@ -58,6 +58,12 @@ impl MetadataStore {
         self.map.get(id)
     }
 
+    /// [`Self::lookup`] of each id, in order, through one
+    /// [`ShardedMap::get_each`] (whose lock rules `sink` keeps).
+    pub fn lookup_each(&self, ids: &[SampleId], mut sink: impl FnMut(Option<u8>)) {
+        self.map.get_each(ids, |_, class| sink(class.copied()));
+    }
+
     /// Removes `id` only if it is currently cataloged in `class`
     /// (atomic compare-and-remove, for callers repairing a stale entry
     /// that may have been re-cataloged concurrently). Returns whether
@@ -86,6 +92,9 @@ mod tests {
         assert_eq!(m.lookup(1), Some(0));
         assert_eq!(m.lookup(2), Some(1));
         assert_eq!(m.cached_count(), 2);
+        let mut each = Vec::new();
+        m.lookup_each(&[2, 3, 1, 2], |c| each.push(c));
+        assert_eq!(each, [Some(1), None, Some(0), Some(1)]);
         assert!(m.remove_if(1, 0));
         assert!(!m.remove_if(1, 0));
         assert_eq!(m.lookup(1), None);

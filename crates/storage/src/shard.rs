@@ -27,6 +27,13 @@
 //! sixteen different shards, strided ids are spread by the mix, and
 //! `(shard, local)` still names the id uniquely, so each shard indexes
 //! its pages by `local` and stays dense.
+//!
+//! A sweep ([`ShardedMap::get_each`]) holds several read guards at
+//! once, and a reader queues behind a waiting writer. Two rules keep
+//! that deadlock-free: a sweep locks its shards in ascending order and
+//! its `sink` takes no shard lock (of any map); no code holds a write
+//! guard while it takes another shard's lock. A writer then waits only
+//! on sweeps, and a sweep only on higher shards of its own map.
 
 use parking_lot::RwLock;
 
@@ -244,6 +251,30 @@ impl<V> ShardedMap<V> {
         self.shards[shard].read().get_local(local).map(f)
     }
 
+    /// Hands `sink` each id with its value, in input order, with each
+    /// shard read-locked once per call: the shards the ids touch are
+    /// locked up front, in ascending order, until the last id is served.
+    /// `sink` runs under those guards, so it must take no shard lock
+    /// (see the module's lock rules). Nothing is allocated.
+    pub fn get_each(&self, ids: &[u64], mut sink: impl FnMut(u64, Option<&V>)) {
+        if let &[id] = ids {
+            let (shard, local) = split(id);
+            return sink(id, self.shards[shard].read().get_local(local));
+        }
+        let mut touched = [false; SHARDS];
+        for &id in ids {
+            touched[split(id).0] = true;
+        }
+        // `from_fn` walks forward: ascending shard order.
+        let guards: [_; SHARDS] =
+            std::array::from_fn(|i| touched[i].then(|| self.shards[i].read()));
+        for &id in ids {
+            let (shard, local) = split(id);
+            let guard = guards[shard].as_ref().expect("every touched shard is held");
+            sink(id, guard.get_local(local));
+        }
+    }
+
     /// Folds `f` over every entry, shard by shard (each shard's read
     /// lock is held only for its own pass).
     pub fn fold<A>(&self, init: A, mut f: impl FnMut(A, u64, &V) -> A) -> A {
@@ -291,7 +322,9 @@ mod tests {
     use super::*;
     use nopfs_util::rng::Xoshiro256pp;
     use std::collections::HashMap;
+    use std::sync::mpsc::{self, RecvTimeoutError};
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn pages<V>(m: &ShardedMap<V>) -> usize {
         m.shards.iter().map(|s| s.read().dir.len()).sum()
@@ -441,6 +474,95 @@ mod tests {
             let mut expected: Vec<(u64, u64)> = model.into_iter().collect();
             expected.sort_unstable();
             assert_eq!(entries, expected, "seed {seed}");
+        }
+    }
+
+    /// `get_each` equals per-id `get`, in input order, over ids that
+    /// mix present, missing, repeated and far (`u64::MAX`-adjacent) ids,
+    /// of every length from empty to several per shard.
+    #[test]
+    fn get_each_equals_per_id_get() {
+        for seed in 0..16u64 {
+            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            let pick = |rng: &mut Xoshiro256pp| {
+                let k = rng.next_u64() % 300;
+                match rng.next_u64() % 4 {
+                    0 | 1 => k,
+                    2 => (1 << 40) + k,
+                    _ => u64::MAX - k % 8,
+                }
+            };
+            let m = ShardedMap::new();
+            for _ in 0..400 {
+                let id = pick(&mut rng);
+                m.insert(id, id.wrapping_mul(3));
+            }
+            for len in 0..80 {
+                let mut ids: Vec<u64> = (0..len).map(|_| pick(&mut rng)).collect();
+                if len > 1 {
+                    // At least one duplicate.
+                    ids[len - 1] = ids[rng.next_u64() as usize % (len - 1)];
+                }
+                let mut got = Vec::new();
+                m.get_each(&ids, |id, v| got.push((id, v.copied())));
+                let expected: Vec<_> = ids.iter().map(|&id| (id, m.get(id))).collect();
+                assert_eq!(got, expected, "seed {seed}, len {len}");
+            }
+        }
+    }
+
+    /// Sweeps in opposite shard orders race writers that insert into the
+    /// shards they hold: every sweep ends (a watchdog fails the test
+    /// instead of hanging it), and every value a sweep reads is whole
+    /// and the same for each repeat of an id within one sweep.
+    #[test]
+    fn get_each_racing_writers_neither_deadlocks_nor_tears() {
+        const IDS: u64 = 4 * SHARDS as u64;
+        let m = Arc::new(ShardedMap::new());
+        for id in 0..IDS {
+            m.insert(id, [id; 4]);
+        }
+        let (done, finished) = mpsc::channel();
+        let workers: Vec<_> = (0..4u64)
+            .map(|t| {
+                let (m, done) = (Arc::clone(&m), done.clone());
+                std::thread::spawn(move || {
+                    let mut ids: Vec<u64> = (0..IDS).chain(0..IDS).collect();
+                    if t % 2 == 1 {
+                        ids.reverse();
+                    }
+                    for round in 1..=2_000u64 {
+                        if t >= 2 {
+                            // A writer: every id, each value one word
+                            // repeated.
+                            for id in 0..IDS {
+                                m.insert(id, [id + round * IDS; 4]);
+                            }
+                            continue;
+                        }
+                        let mut seen = [None; IDS as usize];
+                        m.get_each(&ids, |id, v| {
+                            let v = *v.expect("no id is ever removed");
+                            assert!(v.iter().all(|&w| w == v[0]), "torn value {v:?}");
+                            assert_eq!(v[0] % IDS, id);
+                            let first = *seen[id as usize].get_or_insert(v);
+                            assert_eq!(first, v, "one sweep saw two values of {id}");
+                        });
+                    }
+                    done.send(()).expect("the test awaits every thread");
+                })
+            })
+            .collect();
+        // A panicked thread drops its sender; the join below reports it.
+        drop(done);
+        for _ in &workers {
+            if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(120))
+            {
+                panic!("a sweep or a writer deadlocked");
+            }
+        }
+        for w in workers {
+            w.join().expect("no thread panicked");
         }
     }
 

@@ -196,11 +196,13 @@ pub trait DataSource: Send + Sync {
     /// [`DataSource::read`]. The overrides batch where batching pays:
     /// the backends' blanket impl forwards to
     /// [`StorageBackend::get_many`], so a throttled cache tier settles
-    /// its read cost once per sweep; the PFS registers one reader for
-    /// the batch and charges its `t(γ)` regulator once; object stores *coalesce* adjacent ids into fewer
-    /// requests; the resilience layer admits the batch through its
-    /// breaker once. Every tier read of a [`TierStack`], the origin's
-    /// included, goes through this, in [`TierStack::read_tier_many`].
+    /// its read cost once per sweep and a memory tier takes each shard
+    /// lock once (so `sink` must not call into it); the PFS registers
+    /// one reader for the batch and charges its `t(γ)` regulator once;
+    /// object stores *coalesce* adjacent ids into fewer requests; the
+    /// resilience layer admits the batch through its breaker once.
+    /// Every tier read of a [`TierStack`], the origin's included, goes
+    /// through this, in [`TierStack::read_tier_many`].
     fn read_each(&self, ids: &[SampleId], sink: &mut dyn FnMut(Result<Bytes, SourceError>)) {
         for &id in ids {
             sink(self.read(id));
@@ -704,6 +706,14 @@ impl TierStack {
         self.inner.catalog.lookup(id).map(usize::from)
     }
 
+    /// [`Self::locate`] of each id, in order, with each catalog shard
+    /// locked once for the call: `sink` must not call into the stack.
+    pub fn locate_each(&self, ids: &[SampleId], mut sink: impl FnMut(Option<usize>)) {
+        self.inner
+            .catalog
+            .lookup_each(ids, |class| sink(class.map(usize::from)));
+    }
+
     /// Whether any tier (cache or origin) holds `id`.
     pub fn contains(&self, id: SampleId) -> bool {
         self.locate(id).is_some() || self.inner.tiers[self.origin_index()].source.contains(id)
@@ -810,7 +820,8 @@ impl TierStack {
     /// entry, a raced eviction) counts a miss, and its entry is
     /// repaired once the sweep has returned; any other error is that
     /// source's transient trouble, reads as a failed fetch and leaves
-    /// the entry — the bytes are still there.
+    /// the entry — the bytes are still there. `sink` must not call into
+    /// the stack: it may run under the source's locks.
     pub fn read_tier_many(
         &self,
         tier: usize,
@@ -1402,6 +1413,27 @@ mod tests {
         assert!(stack.source(0).evict(1));
         assert!(stack.get_cached(1).is_none());
         assert_eq!(stack.locate(1), None);
+    }
+
+    #[test]
+    fn locate_each_matches_locate() {
+        let stack = TierStack::new(
+            vec![mem("ram", 100), mem("ssd", 100), origin_with(40, 1)],
+            PromotePolicy::Never,
+            &Registry::new(),
+        );
+        for id in 0..40 {
+            if id % 3 != 2 {
+                stack
+                    .fill((id % 3) as usize, id, Bytes::from(vec![1u8]))
+                    .unwrap();
+            }
+        }
+        let ids: Vec<SampleId> = (0..40).rev().chain([7, 7, 1 << 40]).collect();
+        let mut each = Vec::new();
+        stack.locate_each(&ids, |t| each.push(t));
+        let one_by_one: Vec<_> = ids.iter().map(|&id| stack.locate(id)).collect();
+        assert_eq!(each, one_by_one);
     }
 
     #[test]
