@@ -17,39 +17,17 @@ use nopfs_net::{cluster, Endpoint, NetConfig};
 use nopfs_obs::{JsonlEmitter, ObsCtx, Sampler};
 use nopfs_perfmodel::SystemSpec;
 use nopfs_pfs::Pfs;
-use nopfs_policy::ReadErrors;
 use nopfs_train::{run_training_loop, RunMetrics, TrainLoopConfig};
-use nopfs_util::rng::mix64;
 use nopfs_util::timing::TimeScale;
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Deterministically seeds transient read failures into the tenant's
-/// namespace: each sample's next `1..=max_burst` reads fail with
-/// probability `rate`. Every loader stack in the workspace retries
-/// transient PFS errors (counting them in `pfs_errors`), so injected
-/// bursts cost time but never change delivered content. Returns the
-/// number of failures injected.
-fn inject_read_errors(pfs: &Pfs, errors: &ReadErrors, num_samples: u64) -> u64 {
-    let mut injected = 0;
-    for id in 0..num_samples {
-        let h = mix64(errors.seed, id);
-        if ((h >> 11) as f64 / (1u64 << 53) as f64) >= errors.rate {
-            continue;
-        }
-        let burst = 1 + ((h >> 32) as u32) % errors.max_burst.max(1);
-        pfs.inject_fault(id, burst);
-        injected += u64::from(burst);
-    }
-    injected
-}
-
 /// Runs a crash/churn/cloud tenant through the elastic NoPFS runtime
-/// ([`ElasticJob`] realizes every event of the plan, including its own
-/// read-error layer beneath the tier stacks and the object-store origin
-/// with its resilience stack) and reshapes the elastic report into the
-/// tenant vocabulary.
+/// ([`ElasticJob`] realizes every event of the plan: it plants the read
+/// errors in `pfs` as the steady path does, and builds the object-store
+/// origin with its resilience stack) and reshapes the elastic report
+/// into the tenant vocabulary.
 fn run_tenant_elastic(
     tenant: &TenantSpec,
     system: SystemSpec,
@@ -105,13 +83,18 @@ fn run_tenant(
     obs: ObsCtx,
 ) -> TenantReport {
     // Crash, churn, and cloud plans run in the elastic runtime, which
-    // realizes every event of the plan itself (including read errors,
-    // injected beneath its tier stacks rather than into the PFS).
+    // realizes every event of the plan itself, read errors included.
     if tenant.needs_elastic() {
         return run_tenant_elastic(tenant, system, scale, pfs, obs);
     }
+    // Read errors live in the tenant's namespace of the PFS: each
+    // sample's next `1..=max_burst` reads fail, and every loader's
+    // origin retry loop absorbs them (counting each in `pfs_errors`),
+    // so they cost time but never change delivered content.
     if let Some(errors) = &tenant.fault_plan.read_errors {
-        inject_read_errors(pfs, errors, tenant.profile.num_samples);
+        for (id, failures) in errors.bursts(tenant.profile.num_samples) {
+            pfs.inject_fault(id, failures);
+        }
     }
     let n = system.workers;
     let sizes = Arc::new(tenant.profile.sizes());
@@ -488,29 +471,37 @@ mod tests {
             seed: 0xBAD,
         };
         // Every sample is read from the PFS at least once, so every
-        // injected failure is met — and counted once, by the one
+        // planted failure is met — and counted once, by the one
         // origin retry loop every loader shares. The count is read from
         // the registry after the run: a NoPFS class prefetcher may
         // still be reading when its rank's stats are snapshotted.
-        let scratch = Pfs::in_memory(ThroughputCurve::flat(1e12), TimeScale::new(1e-6));
-        let injected = inject_read_errors(&scratch, &errors, 40);
-        assert!(injected > 0, "rate 0.3 over 40 ids must fire");
+        let planted: u64 = errors.bursts(40).map(|(_, b)| u64::from(b)).sum();
+        assert!(planted > 0, "rate 0.3 over 40 ids must fire");
+        let flaky = FaultPlan::fault_free().with_read_errors(errors);
         for policy in PolicyId::ALL {
             if policy == PolicyId::Perfect {
                 continue; // never reads the PFS
             }
-            let spec = fast_spec().tenant(
-                tenant("flaky", policy, 40, 61)
-                    .with_fault_plan(FaultPlan::fault_free().with_read_errors(errors)),
-            );
+            let spec =
+                fast_spec().tenant(tenant("flaky", policy, 40, 61).with_fault_plan(flaky.clone()));
             let report = run_cluster(&spec);
             let counted = report.snapshot.counter_total(names::WORKER_PFS_ERRORS);
-            assert_eq!(counted, injected, "{policy}");
+            assert_eq!(counted, planted, "{policy}");
             assert_eq!(
                 report.tenants[0].stats.samples_consumed, 80,
                 "{policy}: retries absorb every burst"
             );
         }
+        // A NoPFS tenant whose plan also crashes runs elastically, and
+        // meets the same planted faults in the same retry loop.
+        let crashing = flaky.crash(0, 2, 1);
+        let spec =
+            fast_spec().tenant(tenant("flaky", PolicyId::NoPfs, 40, 61).with_fault_plan(crashing));
+        assert!(spec.tenants[0].needs_elastic());
+        let report = run_cluster(&spec);
+        let counted = report.snapshot.counter_total(names::WORKER_PFS_ERRORS);
+        assert_eq!(counted, planted, "elastic tenant");
+        assert_eq!(report.tenants[0].stats.samples_consumed, 80);
     }
 
     #[test]

@@ -10,8 +10,8 @@ use nopfs_util::timing::TimeScale;
 ///
 /// The paper's Python `Job` takes the dataset, batch size, epoch count,
 /// and optionally the seed; the system description comes from the
-/// "system-wide configuration file" (here a [`SystemSpec`], parse one
-/// with `nopfs_perfmodel::config` if desired). [`TimeScale`] maps model
+/// "system-wide configuration file" (here a [`SystemSpec`], e.g. one of
+/// the `nopfs_perfmodel::presets`). [`TimeScale`] maps model
 /// time to wall time for scaled-down experiments; use
 /// [`TimeScale::realtime`] to run the hierarchy at face value.
 #[derive(Debug, Clone)]

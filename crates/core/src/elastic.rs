@@ -3,8 +3,9 @@
 //!
 //! [`ElasticJob`] runs a job under a declarative [`FaultPlan`]: workers crash at step
 //! boundaries and restart with cold caches, workers join or leave
-//! between epochs, stragglers slow down, and transient PFS read errors
-//! appear beneath the tier stacks. The headline guarantee — proven by
+//! between epochs, stragglers slow down, and transient read errors are
+//! planted in the PFS, beneath every rank's origin retry loop. The
+//! headline guarantee — proven by
 //! the determinism test suite — is that none of it changes delivered
 //! *content*: the global sample stream is bit-for-bit the stream of the
 //! undisturbed run.
@@ -49,9 +50,9 @@ use nopfs_pfs::Pfs;
 use nopfs_policy::fault::{CloudFaults, FaultPlan};
 use nopfs_policy::Unsupported;
 use nopfs_storage::{
-    BreakerConfig, BrownoutWindow, DataSource, Disturbance, ErrorInjection, FaultySource,
-    HedgeConfig, ObjectStoreBackend, ObjectStoreConfig, ResilienceConfig, ResilienceStats,
-    ResilientSource, RetryPolicy, TierStack, TierStats,
+    BreakerConfig, BrownoutWindow, DataSource, Disturbance, HedgeConfig, ObjectStoreBackend,
+    ObjectStoreConfig, ResilienceConfig, ResilienceStats, ResilientSource, RetryPolicy, TierStack,
+    TierStats,
 };
 use nopfs_util::rng::mix64;
 use std::collections::HashMap;
@@ -64,7 +65,7 @@ const SLICE_DIGEST_SEED: u64 = 0xE1A5_71C0;
 
 /// Translates the plan's declarative [`CloudFaults`] clause into the
 /// storage layer's [`Disturbance`], seeded per rank (the policy ↔
-/// storage mirror, as with `ReadErrors` ↔ `ErrorInjection`).
+/// storage mirror).
 fn disturbance_for(cloud: &CloudFaults, rank: usize) -> Disturbance {
     Disturbance {
         spike_rate: cloud.spike_rate,
@@ -109,14 +110,16 @@ pub struct ElasticReport {
     /// teardown until every rank of the next one has passed its setup
     /// allgather: the recovery overhead an undisturbed run never pays.
     pub recovery_time: Duration,
-    /// Transient read errors injected beneath the tier stacks.
+    /// Transient read errors the plan's `ReadErrors` clause planted in
+    /// the PFS: the sum of its bursts, the same on every run. Without a
+    /// cloud clause each is one failed origin read that the loaders'
+    /// retry loop absorbs and counts in `worker.pfs_errors`.
     pub injected_read_errors: u64,
-    /// Resilience counters merged across every rank's origin chain
-    /// (retries, hedges, breaker transitions) — `retries` counts the
-    /// retries that absorbed the injected read errors. All-zero unless
-    /// the plan injects read errors or has a [`CloudFaults`] clause,
-    /// either of which puts a [`ResilientSource`] beneath the tier
-    /// stacks.
+    /// Resilience counters merged across every rank's cloud origin
+    /// chain (retries, hedges, breaker transitions). All-zero unless the
+    /// plan has a [`CloudFaults`] clause, the only one that puts a
+    /// [`ResilientSource`] beneath the tier stacks; then `retries`
+    /// includes the retries that absorbed the planted read errors.
     pub resilience: ResilienceStats,
     /// Per-tier statistics merged across the ranks still alive at run
     /// end (crashed/departed ranks take their caches — and counters —
@@ -249,12 +252,21 @@ impl ElasticJob {
     }
 
     /// Runs the job under its fault plan against `pfs` and returns the
-    /// delivered streams plus recovery accounting.
+    /// delivered streams plus recovery accounting. The plan's read
+    /// errors are planted in `pfs` first.
     ///
     /// # Panics
     /// Panics if a worker thread panics (as `Job::run` does).
     pub fn run(&self, pfs: &Pfs) -> ElasticReport {
         let t_run = Instant::now();
+        let clause = self.plan.read_errors.iter();
+        let bursts = clause.flat_map(|errors| errors.bursts(self.sizes.len() as u64));
+        let injected_read_errors = bursts
+            .map(|(id, failures)| {
+                pfs.inject_fault(id, failures);
+                u64::from(failures)
+            })
+            .sum();
         let epochs = self.config.epochs;
         let spec0 = self.config.shuffle_spec(self.sizes.len() as u64);
         let memberships = self.plan.memberships(spec0.num_workers, epochs);
@@ -273,11 +285,10 @@ impl ElasticJob {
         let mut recovery_time = Duration::ZERO;
         let mut recovering: Option<Instant> = None;
 
-        // Per-rank fault-wrapped origins (persist across segments so
-        // injection state and retry statistics accumulate) and warm
-        // tier stacks (persist across recovery barriers for survivors).
+        // Per-rank cloud origin chains (persist across segments so
+        // breaker state and retry statistics accumulate) and warm tier
+        // stacks (persist across recovery barriers for survivors).
         let max_n = memberships.iter().copied().max().unwrap_or(1);
-        let mut faulty: Vec<Option<Arc<FaultySource>>> = vec![None; max_n];
         let mut resilient: Vec<Option<Arc<ResilientSource>>> = vec![None; max_n];
         let mut warm: HashMap<usize, TierStack> = HashMap::new();
 
@@ -313,7 +324,7 @@ impl ElasticJob {
                 let tiers = (0..n)
                     .map(|rank| {
                         let stack = warm.entry(rank).or_insert_with(|| {
-                            let origin = self.origin_for(pfs, rank, &mut faulty, &mut resilient);
+                            let origin = self.origin_for(pfs, rank, &mut resilient);
                             let obs = self.config.obs.scoped([("rank", rank.to_string())]);
                             crate::tiers::class_tier_stack_in_registry(
                                 &self.config.system,
@@ -405,7 +416,7 @@ impl ElasticJob {
             replan_shuffle_generations: replan_shuffles,
             recoveries,
             recovery_time,
-            injected_read_errors: faulty.iter().flatten().map(|f| f.injected()).sum(),
+            injected_read_errors,
             resilience: {
                 let mut acc = ResilienceStats::default();
                 for r in resilient.iter().flatten() {
@@ -507,62 +518,38 @@ impl ElasticJob {
         (ids, ends, handle.stats())
     }
 
-    /// The origin `rank`'s tier stack bottoms out in: the bare PFS for a
-    /// plan that disturbs no read, otherwise one chain — the PFS, a
-    /// [`FaultySource`] when the plan injects read errors, an
-    /// [`ObjectStoreBackend`] when it has a [`CloudFaults`] clause, and
-    /// one [`ResilientSource`] on top: the cloud-origin knobs with a
-    /// cloud clause, a plain retry whose budget exceeds the burst bound
-    /// (reads stay transient by construction) without one. Persisted
-    /// per rank so burst state, breaker state, and statistics span
-    /// segments and recovery barriers.
+    /// The origin `rank`'s tier stack bottoms out in: the bare PFS, or
+    /// for a plan with a [`CloudFaults`] clause the cloud chain — an
+    /// [`ObjectStoreBackend`] over the PFS under one [`ResilientSource`]
+    /// with the cloud-origin knobs. A chain persists per rank, so its
+    /// breaker state and statistics span segments and recovery
+    /// barriers.
     fn origin_for(
         &self,
         pfs: &Pfs,
         rank: usize,
-        faulty: &mut [Option<Arc<FaultySource>>],
         resilient: &mut [Option<Arc<ResilientSource>>],
     ) -> Arc<dyn DataSource> {
-        if self.plan.cloud.is_none() && self.plan.read_errors.is_none() {
+        let Some(cloud) = &self.plan.cloud else {
             return Arc::new(pfs.clone());
-        }
+        };
         let r = resilient[rank].get_or_insert_with(|| {
-            let mut origin: Arc<dyn DataSource> = Arc::new(pfs.clone());
-            if let Some(errors) = self.plan.read_errors {
-                let inject = Arc::new(FaultySource::new(
-                    origin,
-                    ErrorInjection::new(
-                        errors.rate,
-                        errors.max_burst,
-                        mix64(errors.seed, rank as u64),
-                    ),
-                ));
-                faulty[rank] = Some(Arc::clone(&inject));
-                origin = inject;
-            }
-            let res = match (&self.plan.cloud, self.plan.read_errors) {
-                (Some(cloud), _) => {
-                    let (store, mut res) = self
-                        .cloud_origin
-                        .clone()
-                        .expect("cloud plan implies cloud_origin");
-                    let store = store.with_disturbance(disturbance_for(cloud, rank));
-                    origin = Arc::new(ObjectStoreBackend::over(origin, store, self.config.scale));
-                    res.retry.seed = mix64(res.retry.seed, rank as u64);
-                    res
-                }
-                (None, Some(errors)) => ResilienceConfig::retry_only(RetryPolicy::new(
-                    errors.max_burst + 2,
-                    Duration::from_micros(20),
-                    0.3,
-                    mix64(errors.seed ^ 0x5E7B, rank as u64),
-                )),
-                (None, None) => unreachable!("an undisturbed plan reads the bare PFS"),
-            };
+            let (store, mut res) = self
+                .cloud_origin
+                .clone()
+                .expect("cloud plan implies cloud_origin");
+            let store = store.with_disturbance(disturbance_for(cloud, rank));
+            let origin = ObjectStoreBackend::over(Arc::new(pfs.clone()), store, self.config.scale);
+            res.retry.seed = mix64(res.retry.seed, rank as u64);
             let obs = self.config.obs.scoped([("rank", rank.to_string())]);
             Arc::new(
-                ResilientSource::new_in_registry(origin, res, self.config.scale, &obs.registry)
-                    .with_tracer(obs.tracer),
+                ResilientSource::new_in_registry(
+                    Arc::new(origin),
+                    res,
+                    self.config.scale,
+                    &obs.registry,
+                )
+                .with_tracer(obs.tracer),
             )
         });
         Arc::clone(r) as Arc<dyn DataSource>
@@ -730,38 +717,71 @@ mod tests {
         assert_eq!(launches, 7);
     }
 
-    #[test]
-    fn injected_read_errors_are_absorbed_by_retries() {
-        let baseline = elastic_run(FaultPlan::fault_free());
-        let errors = ReadErrors {
+    /// The loaders' `worker.pfs_errors` across every rank and segment
+    /// of `job`'s runs, read after teardown.
+    fn pfs_errors(job: &ElasticJob) -> u64 {
+        let snapshot = job.config.obs.snapshot();
+        snapshot.counter_total(names::WORKER_PFS_ERRORS)
+    }
+
+    fn read_errors() -> ReadErrors {
+        ReadErrors {
             rate: 0.1,
             max_burst: 2,
             seed: 0xD15EA5E,
-        };
+        }
+    }
+
+    #[test]
+    fn injected_read_errors_are_absorbed_by_retries() {
+        let baseline = elastic_run(FaultPlan::fault_free());
         let plan = FaultPlan::fault_free()
             .crash(1, 3, 0)
-            .with_read_errors(errors);
-        // Beneath a (quiet) cloud origin too. A hedge races a duplicate
-        // read through the injector and may win over an injected failure
-        // without a retry, so the retries bound the injections only
-        // without one: the default cloud knobs minus the hedge.
-        let cloudy = elastic_job(plan.clone().with_cloud(CloudFaults::none(0xC10D)));
+            .with_read_errors(read_errors());
+        // Without a cloud clause the planted failures meet the loaders'
+        // origin retry loop, which counts each one, and no resilient
+        // source is built.
+        let job = elastic_job(plan.clone());
+        let report = run(&job);
+        assert!(
+            report.injected_read_errors > 0,
+            "rate 0.1 must plant over 80 samples"
+        );
+        assert_eq!(pfs_errors(&job), report.injected_read_errors);
+        assert_eq!(report.resilience, ResilienceStats::default());
+        assert_eq!(
+            report.global_stream, baseline.global_stream,
+            "transient read errors changed the global stream"
+        );
+        // Beneath a (quiet) cloud origin the chain's resilient source
+        // retries them instead. A hedge races a duplicate read to the
+        // PFS and may win over a planted failure without a retry, so
+        // the retries bound the plants only without one: the default
+        // cloud knobs minus the hedge.
+        let cloudy = elastic_job(plan.with_cloud(CloudFaults::none(0xC10D)));
         let (store, mut res) = ElasticJob::default_cloud_origin(&cloudy.config);
         res.hedge = None;
-        // Either way one resilient source per rank retries every
-        // injected error.
-        for job in [elastic_job(plan), cloudy.with_cloud_origin(store, res)] {
+        let report = run(&cloudy.with_cloud_origin(store, res));
+        assert!(report.injected_read_errors > 0);
+        assert!(report.resilience.retries >= report.injected_read_errors);
+        assert_eq!(report.resilience.exhausted, 0);
+        assert_eq!(
+            report.global_stream, baseline.global_stream,
+            "transient read errors changed the global stream"
+        );
+    }
+
+    #[test]
+    fn read_errors_plant_the_same_faults_on_every_run() {
+        // The faults are drawn per sample from the clause, not per read,
+        // so thread interleaving cannot change how many there are.
+        let plan = FaultPlan::fault_free().with_read_errors(read_errors());
+        let planted: u64 = read_errors().bursts(80).map(|(_, b)| u64::from(b)).sum();
+        for _ in 0..2 {
+            let job = elastic_job(plan.clone());
             let report = run(&job);
-            assert!(
-                report.injected_read_errors > 0,
-                "rate 0.1 must inject over hundreds of reads"
-            );
-            assert!(report.resilience.retries >= report.injected_read_errors);
-            assert_eq!(report.resilience.exhausted, 0);
-            assert_eq!(
-                report.global_stream, baseline.global_stream,
-                "transient read errors changed the global stream"
-            );
+            assert_eq!(report.injected_read_errors, planted);
+            assert_eq!(pfs_errors(&job), planted);
         }
     }
 
@@ -805,12 +825,25 @@ mod tests {
         let config = JobConfig::new(0xEC, 2, 4, small_system(), TimeScale::new(1e-6));
         // Crash rank 7 in a 4-worker job.
         let err = ElasticJob::new(
-            config,
+            config.clone(),
             Arc::clone(&sizes),
             FaultPlan::fault_free().crash(0, 0, 7),
         )
         .map(|_| ())
         .expect_err("rank 7 does not exist");
         assert!(err.0.contains("outside membership"), "{err}");
+        // A malformed read-error clause is refused up front too.
+        let burstless = ReadErrors {
+            max_burst: 0,
+            ..read_errors()
+        };
+        let err = ElasticJob::new(
+            config,
+            sizes,
+            FaultPlan::fault_free().with_read_errors(burstless),
+        )
+        .map(|_| ())
+        .expect_err("bursts hold at least one failure");
+        assert!(err.0.contains("max_burst"), "{err}");
     }
 }

@@ -38,7 +38,7 @@ use nopfs_net::Endpoint;
 use nopfs_obs::{names, Counter, ObsCtx, Registry};
 use nopfs_perfmodel::{Location, SystemSpec};
 use nopfs_pfs::Pfs;
-use nopfs_storage::{ReorderStage, ResilienceStats, SourceHealth, TierStack, TierStats};
+use nopfs_storage::{ReorderStage, SourceHealth, TierStack, TierStats};
 use nopfs_util::timing::precise_wait;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -1023,13 +1023,6 @@ impl WorkerHandle {
             let walked = self.ctx.progress[class].load(Ordering::Acquire);
             thread.is_finished() || walked >= assignment.prefetch_order(class).len() as u64
         })
-    }
-
-    /// Resilience counters from the hierarchy's origin chain (retries,
-    /// hedges, breaker transitions), when the origin is wrapped in a
-    /// [`nopfs_storage::ResilientSource`]; `None` for a plain origin.
-    pub fn resilience_stats(&self) -> Option<ResilienceStats> {
-        self.ctx.tiers.origin_resilience()
     }
 
     /// Synchronizes all workers (bulk-synchronous step boundary).

@@ -23,10 +23,7 @@
 //! - [`presets`] — system configurations used in the paper: the Fig. 8
 //!   small-cluster simulation setup (Lassen-derived benchmarks), and
 //!   Piz-Daint- and Lassen-like hierarchies from Fig. 1.
-//! - [`config`] — the "system-wide configuration file" of Sec. 5.2.2: a
-//!   small INI-style format describing a [`system::SystemSpec`].
 
-pub mod config;
 pub mod curve;
 pub mod equations;
 pub mod presets;

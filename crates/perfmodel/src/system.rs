@@ -111,8 +111,7 @@ pub struct SystemSpec {
 }
 
 impl SystemSpec {
-    /// Validates internal consistency; called by the presets and the
-    /// config parser.
+    /// Validates internal consistency; called by the presets.
     ///
     /// # Panics
     /// Panics on zero workers, non-positive rates, or `p_0 = 0`

@@ -13,7 +13,9 @@
 //! contention behaviour — the thing the paper's results hinge on — is
 //! reproduced faithfully.
 //!
-//! Reads optionally inject faults for failure-path testing.
+//! A fault table makes chosen reads fail transiently: a fault plan's
+//! read errors are planted there (`nopfs_policy::ReadErrors`), and
+//! failure-path tests plant their own.
 
 use bytes::Bytes;
 use nopfs_obs::{names, Counter, Registry};
@@ -64,8 +66,8 @@ enum Store {
     },
 }
 
-/// Cumulative traffic counters, registered as `pfs.*` metrics;
-/// [`PfsStats`] is the typed view over them.
+/// Cumulative traffic counters, `pfs.*` metrics in the PFS's own
+/// registry; [`PfsStats`] is the typed view over them.
 #[derive(Debug)]
 struct Stats {
     reads: Counter,
@@ -75,7 +77,8 @@ struct Stats {
 }
 
 impl Stats {
-    fn new(registry: &Registry) -> Self {
+    fn new() -> Self {
+        let registry = Registry::new();
         Self {
             reads: registry.counter(names::PFS_READS),
             bytes_read: registry.counter(names::PFS_BYTES_READ),
@@ -157,16 +160,6 @@ impl Pfs {
         Self::build(Store::Memory(ShardedMap::new()), curve, scale)
     }
 
-    /// Like [`Self::in_memory`], but the `pfs.*` traffic counters are
-    /// registered in `registry` (with its scope labels).
-    pub fn in_memory_in_registry(
-        curve: ThroughputCurve,
-        scale: TimeScale,
-        registry: &Registry,
-    ) -> Self {
-        Self::build_in_registry(Store::Memory(ShardedMap::new()), curve, scale, registry)
-    }
-
     /// A disk-backed PFS storing objects as files under `dir`
     /// (created if missing).
     ///
@@ -186,15 +179,6 @@ impl Pfs {
     }
 
     fn build(store: Store, curve: ThroughputCurve, scale: TimeScale) -> Self {
-        Self::build_in_registry(store, curve, scale, &Registry::new())
-    }
-
-    fn build_in_registry(
-        store: Store,
-        curve: ThroughputCurve,
-        scale: TimeScale,
-        registry: &Registry,
-    ) -> Self {
         let initial = scale.rate_to_wall(curve.at(1.0));
         Self {
             inner: Arc::new(PfsInner {
@@ -203,7 +187,7 @@ impl Pfs {
                 scale,
                 regulator: TokenBucket::with_burst_window(initial, 0.01),
                 readers: AtomicUsize::new(0),
-                stats: Stats::new(registry),
+                stats: Stats::new(),
                 stored_bytes: AtomicU64::new(0),
                 faults: Mutex::new(HashMap::new()),
                 has_faults: AtomicBool::new(false),
@@ -436,8 +420,10 @@ impl Pfs {
         self.inner.curve.at(gamma.max(1) as f64)
     }
 
-    /// Makes the next `times` reads of `id` fail with an I/O error
-    /// (failure-injection hook for tests).
+    /// Makes the next `times` reads of `id` fail with an I/O error,
+    /// replacing any faults of `id` still pending. Every harness plants
+    /// a fault plan's `ReadErrors` bursts here, beneath the loaders'
+    /// origin retry loop; failure-path tests call it directly.
     pub fn inject_fault(&self, id: ObjectId, times: u32) {
         self.inner.faults.lock().insert(self.global_id(id), times);
         self.inner.has_faults.store(true, Ordering::Relaxed);

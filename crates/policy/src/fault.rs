@@ -7,8 +7,9 @@
 //! executions to *the same* disturbance and compare streams. The plan
 //! is purely declarative — each harness realizes the events with its
 //! own mechanisms (real thread teardown and warm-cache handoff in the
-//! runtime, modelled recovery penalties in the simulator, per-tenant
-//! PFS fault injection in the cluster).
+//! runtime, modelled recovery penalties in the simulator), except read
+//! errors: the runtime and the cluster both plant
+//! [`ReadErrors::bursts`] in the PFS they read.
 //!
 //! The replay-exactness this module's consumers prove rests on one
 //! property of the sampler: the epoch seed mixes only `(seed, epoch)` —
@@ -30,18 +31,57 @@ use crate::Unsupported;
 pub use nopfs_clairvoyance::sampler::ShuffleSpec;
 use nopfs_clairvoyance::SampleId;
 use nopfs_perfmodel::SystemSpec;
+use nopfs_util::rng::mix64;
 
-/// Transient read-error injection beneath the tier stack: parameters
-/// for a `nopfs_storage::FaultySource` wrapped around the PFS origin.
+/// Transient PFS read errors: one burst of failures per unlucky
+/// sample, planted in the PFS's fault table before the run
+/// (`nopfs_pfs::Pfs::inject_fault`), where every loader's origin retry
+/// loop meets and absorbs them. Each harness plants [`Self::bursts`],
+/// so a plan fails the same reads whichever harness runs it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReadErrors {
-    /// Probability a fresh read starts a failure burst.
+    /// Probability that a sample gets a failure burst, in `[0, 1)`.
     pub rate: f64,
-    /// Maximum consecutive failures per burst; keep below the retry
-    /// budget so reads remain transient by construction.
+    /// Maximum consecutive failures per burst (≥ 1).
     pub max_burst: u32,
     /// Seed of the failure pattern.
     pub seed: u64,
+}
+
+impl ReadErrors {
+    /// The bursts this clause plants in a dataset of `num_samples`
+    /// samples, as `(id, failures)`: sample `id` gets one if the draw
+    /// `mix64(seed, id)` falls below `rate`, of `1..=max_burst`
+    /// failures from the same draw. The one place the fault pattern is
+    /// drawn; a pure function of the clause, so every run of a plan
+    /// plants the same faults.
+    pub fn bursts(&self, num_samples: u64) -> impl Iterator<Item = (SampleId, u32)> {
+        let errors = *self;
+        (0..num_samples).filter_map(move |id| {
+            let h = mix64(errors.seed, id);
+            if ((h >> 11) as f64 / (1u64 << 53) as f64) >= errors.rate {
+                return None;
+            }
+            Some((id, 1 + ((h >> 32) as u32) % errors.max_burst))
+        })
+    }
+
+    /// Checks the rate and the burst bound.
+    ///
+    /// # Errors
+    /// [`Unsupported`] naming the invalid field.
+    pub fn validate(&self) -> Result<(), Unsupported> {
+        if !(0.0..1.0).contains(&self.rate) {
+            return Err(Unsupported(format!(
+                "read_errors rate {} outside [0, 1)",
+                self.rate
+            )));
+        }
+        if self.max_burst == 0 {
+            return Err(Unsupported("read_errors max_burst must be ≥ 1".into()));
+        }
+        Ok(())
+    }
 }
 
 /// One scheduled brownout of the cloud origin: a window of degraded
@@ -225,8 +265,8 @@ pub enum FaultEvent {
 pub struct FaultPlan {
     /// Scheduled events, in no particular order.
     pub events: Vec<FaultEvent>,
-    /// Transient read errors injected beneath the tier stack for the
-    /// whole run, if any.
+    /// Transient read errors planted in the PFS for the whole run, if
+    /// any.
     pub read_errors: Option<ReadErrors>,
     /// Cloud-origin disturbances (spikes, throttles, brownouts), if the
     /// run's origin is an object store.
@@ -350,11 +390,15 @@ impl FaultPlan {
     /// produces must keep the epoch length unchanged (the replay-exact
     /// precondition — with `drop_last` the truncation depends on the
     /// global batch `N·b`), crash ranks must exist in their epoch's
-    /// membership, and crash steps must fall inside the epoch.
+    /// membership, and crash steps must fall inside the epoch. The
+    /// read-error and cloud clauses must be well formed.
     ///
     /// # Errors
     /// [`Unsupported`] with the violated condition.
     pub fn validate(&self, spec: &ShuffleSpec, epochs: u64) -> Result<(), Unsupported> {
+        if let Some(errors) = &self.read_errors {
+            errors.validate()?;
+        }
         if let Some(cloud) = &self.cloud {
             cloud.validate()?;
         }
@@ -562,6 +606,61 @@ mod tests {
             .validate(&dl, 2)
             .unwrap_err();
         assert!(err.0.contains("epoch length"), "{err}");
+    }
+
+    #[test]
+    fn read_errors_validate_rate_and_burst_bound() {
+        let sp = spec(4);
+        let errors = |rate, max_burst| {
+            FaultPlan::fault_free().with_read_errors(ReadErrors {
+                rate,
+                max_burst,
+                seed: 1,
+            })
+        };
+        errors(0.0, 1).validate(&sp, 1).unwrap();
+        errors(0.3, 2).validate(&sp, 1).unwrap();
+        for rate in [1.0, -0.1, f64::NAN] {
+            let err = errors(rate, 2).validate(&sp, 1).unwrap_err();
+            assert!(err.0.contains("rate"), "{err}");
+        }
+        let err = errors(0.3, 0).validate(&sp, 1).unwrap_err();
+        assert!(err.0.contains("max_burst"), "{err}");
+    }
+
+    #[test]
+    fn injected_bursts_are_bounded_and_deterministic() {
+        let errors = ReadErrors {
+            rate: 0.3,
+            max_burst: 3,
+            seed: 0xFA,
+        };
+        let bursts: Vec<(SampleId, u32)> = errors.bursts(400).collect();
+        assert_eq!(bursts, errors.bursts(400).collect::<Vec<_>>());
+        // About a third of the samples, each once, ascending, each
+        // burst within its bound, every length drawn.
+        assert!((90..150).contains(&bursts.len()), "{}", bursts.len());
+        assert!(bursts.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(bursts
+            .iter()
+            .all(|&(id, b)| id < 400 && (1..=3).contains(&b)));
+        for len in 1..=3 {
+            assert!(bursts.iter().any(|&(_, b)| b == len), "no burst of {len}");
+        }
+        // A prefix of the dataset gets the same bursts; another seed
+        // other ones; rate 0 none.
+        let head: Vec<_> = errors.bursts(100).collect();
+        assert_eq!(head, bursts[..head.len()]);
+        let reseeded = ReadErrors {
+            seed: 0xFB,
+            ..errors
+        };
+        assert_ne!(reseeded.bursts(400).collect::<Vec<_>>(), bursts);
+        let quiet = ReadErrors {
+            rate: 0.0,
+            ..errors
+        };
+        assert_eq!(quiet.bursts(400).count(), 0);
     }
 
     #[test]

@@ -1,191 +1,29 @@
-//! Fault injection and the retry schedule for the storage hierarchy.
+//! The retry schedule for the storage hierarchy.
 //!
 //! Production traces of ML storage backends (and the cloud-storage
 //! characterization literature) show transient read errors are the
 //! norm, not the exception: loaders must retry with backoff rather
-//! than crash. This module provides the injecting half as a
-//! [`DataSource`] wrapper, so it slots *beneath* a
-//! [`crate::TierStack`] — typically around the PFS origin — without the
-//! fetch paths above knowing, and the schedule the retrying half runs:
+//! than crash. [`RetryPolicy`] is a seeded, capped, full-jitter
+//! exponential backoff. The retry loop that follows it is
+//! [`crate::ResilientSource`]'s; [`crate::ResilienceConfig::retry_only`]
+//! is that wrapper with nothing but the loop. It retries retryable
+//! failures (per the [`crate::ErrorClass`] taxonomy) and refuses to
+//! retry permanent ones ([`crate::SourceError::NotFound`] /
+//! [`crate::SourceError::Full`] / [`crate::SourceError::Unavailable`]
+//! — a missing sample does not come back, no matter how often one
+//! asks).
 //!
-//! - [`FaultySource`] deterministically injects transient
-//!   [`SourceError::Io`] failures on reads, in bounded bursts, from a
-//!   seed (the same seed reproduces the same failure pattern);
-//! - [`RetryPolicy`] is a seeded, capped, full-jitter exponential
-//!   backoff. The retry loop that follows it is
-//!   [`crate::ResilientSource`]'s; [`crate::ResilienceConfig::retry_only`]
-//!   is that wrapper with nothing but the loop. It retries retryable
-//!   failures (per the [`crate::ErrorClass`] taxonomy) and refuses to
-//!   retry permanent ones ([`SourceError::NotFound`] /
-//!   [`SourceError::Full`] / [`SourceError::Unavailable`] — a missing
-//!   sample does not come back, no matter how often one asks).
-//!
-//! Stacked as `ResilientSource(FaultySource(origin))` with a retry
-//! budget exceeding the burst bound, every read eventually succeeds —
-//! the "transient by construction" contract the elastic runtime's
-//! fault plans rely on.
+//! The runtime's transient read errors are planted in the PFS itself
+//! (`nopfs_policy::ReadErrors`), beneath every loader's origin retry
+//! loop; a retry budget above their burst bound makes every read
+//! eventually succeed.
 
-use crate::tier::{DataSource, SourceError};
-use crate::SampleId;
-use bytes::Bytes;
 use nopfs_util::rng::mix64;
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Converts a hash to a uniform draw in `[0, 1)`.
 pub(crate) fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Configuration of deterministic transient-error injection.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ErrorInjection {
-    /// Probability that a fresh read starts a failure burst.
-    pub rate: f64,
-    /// Maximum consecutive failures per burst (≥ 1). A retry budget
-    /// larger than this bound is guaranteed to succeed eventually.
-    pub max_burst: u32,
-    /// Seed of the failure pattern.
-    pub seed: u64,
-}
-
-impl ErrorInjection {
-    /// A new injection spec.
-    ///
-    /// # Panics
-    /// Panics on a rate outside `[0, 1)` or a zero burst bound.
-    pub fn new(rate: f64, max_burst: u32, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&rate), "rate must be in [0, 1)");
-        assert!(max_burst >= 1, "bursts contain at least one failure");
-        Self {
-            rate,
-            max_burst,
-            seed,
-        }
-    }
-}
-
-/// Per-sample burst state of a [`FaultySource`].
-#[derive(Debug, Clone, Copy, Default)]
-struct BurstState {
-    /// Failures still owed in the current burst.
-    pending: u32,
-    /// Bursts started so far (the per-id draw counter).
-    bursts: u64,
-    /// The read right after a burst is guaranteed to succeed, bounding
-    /// consecutive failures at `max_burst` regardless of draws.
-    cooldown: bool,
-}
-
-/// A [`DataSource`] wrapper injecting transient read errors in bounded
-/// bursts: when a read of sample `k` draws a failure (probability
-/// `rate`, deterministic in the seed and the per-sample draw count),
-/// the next `1..=max_burst` reads of `k` fail with
-/// [`SourceError::Io`], after which one read is guaranteed clean.
-/// Writes and metadata are untouched.
-pub struct FaultySource {
-    inner: Arc<dyn DataSource>,
-    spec: ErrorInjection,
-    state: Mutex<HashMap<SampleId, BurstState>>,
-    injected: AtomicU64,
-}
-
-impl std::fmt::Debug for FaultySource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultySource")
-            .field("inner", &self.inner.name())
-            .field("spec", &self.spec)
-            .field("injected", &self.injected)
-            .finish()
-    }
-}
-
-impl FaultySource {
-    /// Wraps `inner` with the given injection spec.
-    pub fn new(inner: Arc<dyn DataSource>, spec: ErrorInjection) -> Self {
-        Self {
-            inner,
-            spec,
-            state: Mutex::new(HashMap::new()),
-            injected: AtomicU64::new(0),
-        }
-    }
-
-    /// Total injected failures so far.
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
-    }
-
-    /// Whether this read should fail (and bookkeeping for the burst).
-    fn should_fail(&self, id: SampleId) -> bool {
-        let mut st = self.state.lock();
-        let s = st.entry(id).or_default();
-        if s.pending > 0 {
-            s.pending -= 1;
-            s.cooldown = s.pending == 0;
-            return true;
-        }
-        if s.cooldown {
-            s.cooldown = false;
-            return false;
-        }
-        let h = mix64(self.spec.seed, mix64(id, s.bursts));
-        s.bursts += 1;
-        if unit(h) < self.spec.rate {
-            // Burst length 1..=max_burst; this read is the first failure.
-            s.pending = (h >> 32) as u32 % self.spec.max_burst;
-            s.cooldown = s.pending == 0;
-            return true;
-        }
-        false
-    }
-}
-
-impl DataSource for FaultySource {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn read(&self, id: SampleId) -> Result<Bytes, SourceError> {
-        if self.should_fail(id) {
-            self.injected.fetch_add(1, Ordering::Relaxed);
-            return Err(SourceError::Io(format!(
-                "injected transient fault on sample {id}"
-            )));
-        }
-        self.inner.read(id)
-    }
-
-    fn write(&self, id: SampleId, data: Bytes) -> Result<(), SourceError> {
-        self.inner.write(id, data)
-    }
-
-    fn contains(&self, id: SampleId) -> bool {
-        self.inner.contains(id)
-    }
-
-    fn capacity(&self) -> Option<u64> {
-        self.inner.capacity()
-    }
-
-    fn used(&self) -> u64 {
-        self.inner.used()
-    }
-
-    fn evict(&self, id: SampleId) -> bool {
-        self.inner.evict(id)
-    }
-
-    fn count(&self) -> usize {
-        self.inner.count()
-    }
-
-    fn size_of(&self, id: SampleId) -> Option<u64> {
-        self.inner.size_of(id)
-    }
 }
 
 /// Retry schedule: bounded attempts with capped exponential backoff and
@@ -261,32 +99,15 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{MemoryBackend, StorageBackend};
-    use crate::resilience::{ResilienceConfig, ResilientSource};
-    use nopfs_util::timing::TimeScale;
-
-    fn mem_with(ids: &[SampleId]) -> Arc<dyn DataSource> {
-        let m = MemoryBackend::new("mem", 1_000_000);
-        for &id in ids {
-            m.insert(id, Bytes::from(vec![id as u8; 8])).unwrap();
-        }
-        Arc::new(m)
-    }
-
-    /// The plain retry: a [`ResilientSource`] with nothing but the loop.
-    fn retrying(inner: Arc<dyn DataSource>, attempts: u32) -> ResilientSource {
-        let policy = RetryPolicy::new(attempts, Duration::from_micros(10), 0.5, 7);
-        ResilientSource::new(
-            inner,
-            ResilienceConfig::retry_only(policy),
-            TimeScale::realtime(),
-        )
-    }
+    use crate::resilience::tests::{mem_with, retry_only, FailNTimes};
+    use crate::tier::{DataSource, SourceError};
+    use bytes::Bytes;
+    use std::sync::Arc;
 
     #[test]
     fn permanent_errors_are_never_retried() {
         // NotFound: a single attempt, returned verbatim.
-        let retry = retrying(mem_with(&[]), 5);
+        let retry = retry_only(mem_with(&[]), 5);
         assert_eq!(retry.read(9), Err(SourceError::NotFound(9)));
         let stats = retry.resilience().unwrap();
         assert_eq!((stats.reads, stats.retries, stats.exhausted), (1, 0, 0));
@@ -380,67 +201,39 @@ mod tests {
     }
 
     #[test]
-    fn injected_bursts_are_bounded_and_deterministic() {
-        let spec = ErrorInjection::new(0.3, 3, 0xFA);
-        let run = || {
-            let f = FaultySource::new(mem_with(&[0, 1, 2, 3]), spec);
-            let mut outcomes = Vec::new();
-            for _ in 0..200 {
-                for id in 0..4u64 {
-                    outcomes.push(f.read(id).is_ok());
-                }
-            }
-            (outcomes, f.injected())
-        };
-        let (a, injected) = run();
-        let (b, _) = run();
-        assert_eq!(a, b, "same seed, same failure pattern");
-        assert!(injected > 0, "rate 0.3 over 800 reads must inject");
-        // Burst bound: per id, never more than max_burst consecutive
-        // failures (a success always follows within 3).
-        for id in 0..4usize {
-            let per_id: Vec<bool> = a.iter().skip(id).step_by(4).copied().collect();
-            let mut consecutive = 0u32;
-            for ok in per_id {
-                if ok {
-                    consecutive = 0;
-                } else {
-                    consecutive += 1;
-                    assert!(consecutive <= 3, "burst exceeded bound on sample {id}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn retry_over_injection_always_succeeds() {
-        // attempts > max_burst: the cooldown guarantee makes every read
-        // eventually succeed, whatever the seed.
-        for seed in 0..20u64 {
-            let faulty = Arc::new(FaultySource::new(
+        // attempts > burst: every read eventually succeeds, each failed
+        // attempt costing exactly one retry.
+        for burst in 0..4u64 {
+            let faulty = Arc::new(FailNTimes::new(
                 mem_with(&[0, 1, 2]),
-                ErrorInjection::new(0.45, 2, seed),
+                SourceError::Io("burst".into()),
+                burst,
             ));
-            let retry = retrying(faulty, 4);
+            let retry = retry_only(faulty.clone(), burst as u32 + 1);
             for round in 0..50 {
                 for id in 0..3u64 {
                     let data = retry
                         .read(id)
-                        .unwrap_or_else(|e| panic!("seed {seed} round {round}: {e}"));
+                        .unwrap_or_else(|e| panic!("burst {burst} round {round}: {e}"));
                     assert_eq!(data[0], id as u8);
                 }
             }
-            assert_eq!(retry.resilience().unwrap().exhausted, 0);
+            let stats = retry.resilience().unwrap();
+            assert_eq!(stats.exhausted, 0);
+            assert_eq!(stats.retries, faulty.failures());
+            assert_eq!(stats.retries, 150 * burst);
         }
     }
 
     #[test]
     fn metadata_and_writes_pass_through_both_wrappers() {
-        let faulty = Arc::new(FaultySource::new(
+        let faulty = Arc::new(FailNTimes::new(
             mem_with(&[5]),
-            ErrorInjection::new(0.0, 1, 0),
+            SourceError::Io("unused".into()),
+            0,
         ));
-        let retry = retrying(faulty, 2);
+        let retry = retry_only(faulty, 2);
         assert_eq!(retry.name(), "mem");
         assert!(retry.contains(5));
         assert_eq!(retry.size_of(5), Some(8));

@@ -18,11 +18,10 @@
 //!   trait unifying every storage level (these backends, the synthetic
 //!   PFS, anything colder) and [`tier::TierStack`], the single fetch
 //!   entry point with per-tier statistics and promotion-on-miss.
-//! - [`fault`] — fault injection and the retry schedule:
-//!   [`fault::FaultySource`] injects deterministic bounded bursts of
-//!   transient read errors as a [`tier::DataSource`] wrapper, and
-//!   [`fault::RetryPolicy`] is the seeded, capped, full-jitter
-//!   exponential backoff the resilience layer retries them with.
+//! - [`fault`] — the retry schedule: [`fault::RetryPolicy`] is the
+//!   seeded, capped, full-jitter exponential backoff the resilience
+//!   layer retries transient errors with. The runtime's injected read
+//!   errors live in the PFS, not here (`nopfs_policy::ReadErrors`).
 //! - [`objectstore`] — the cloud origin tier:
 //!   [`objectstore::ObjectStoreBackend`] charges S3-like request
 //!   economics (latency floor, parallelism-dependent throughput,
@@ -50,7 +49,7 @@ pub mod staging;
 pub mod tier;
 
 pub use backend::{FsBackend, MemoryBackend, StorageBackend, ThrottledBackend};
-pub use fault::{ErrorInjection, FaultySource, RetryPolicy};
+pub use fault::RetryPolicy;
 pub use metadata::MetadataStore;
 pub use objectstore::{
     BrownoutWindow, Disturbance, ObjectStoreBackend, ObjectStoreConfig, ObjectStoreStats,

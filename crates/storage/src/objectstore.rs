@@ -13,12 +13,12 @@
 //! [`ObjectStoreBackend`] models all of that over any inner
 //! [`DataSource`] (an in-memory object map, or the synthetic PFS when
 //! the runtime treats the cloud store as the true origin). The
-//! disturbance model is fully seeded and *bounded*: throttle bursts use
-//! the same bounded-burst-plus-cooldown scheme as
-//! [`crate::FaultySource`], so a retry budget above the burst bound is
-//! guaranteed to succeed — disturbances change *when* bytes arrive,
-//! never *which* bytes, which is what keeps disturbed global sample
-//! streams bit-identical to fault-free runs.
+//! disturbance model is fully seeded and *bounded*: a throttle burst
+//! is at most `throttle_burst` consecutive responses per sample,
+//! followed by one guaranteed clean read, so a retry budget above the
+//! burst bound is guaranteed to succeed — disturbances change *when*
+//! bytes arrive, never *which* bytes, which is what keeps disturbed
+//! global sample streams bit-identical to fault-free runs.
 
 use crate::fault::unit;
 use crate::tier::{DataSource, SourceError};

@@ -810,11 +810,13 @@ impl DataSource for ResilientSource {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::backend::{MemoryBackend, StorageBackend};
+    use std::collections::HashMap;
 
-    fn mem_with(ids: &[SampleId]) -> Arc<dyn DataSource> {
+    /// A memory source holding `ids`, each as 8 bytes of `id as u8`.
+    pub(crate) fn mem_with(ids: &[SampleId]) -> Arc<dyn DataSource> {
         let m = MemoryBackend::new("mem", 1_000_000);
         for &id in ids {
             m.insert(id, Bytes::from(vec![id as u8; 8])).unwrap();
@@ -891,69 +893,82 @@ mod tests {
         }
     }
 
-    /// A source failing with a fixed error a set number of times, then
-    /// serving, counting every attempt.
-    #[derive(Debug)]
-    struct FailNTimes {
+    /// A source over `inner` whose reads of each sample fail in bursts:
+    /// `n` reads fail with `error`, the next is served by `inner`, and
+    /// so on (`u64::MAX` fails every read). It counts every attempt and
+    /// every failure; everything but `read` passes through.
+    pub(crate) struct FailNTimes {
+        inner: Arc<dyn DataSource>,
         error: SourceError,
-        remaining: AtomicU64,
+        n: u64,
+        reads: Mutex<HashMap<SampleId, u64>>,
         attempts: AtomicU64,
+        failures: AtomicU64,
     }
 
     impl FailNTimes {
-        fn new(error: SourceError, n: u64) -> Self {
+        pub(crate) fn new(inner: Arc<dyn DataSource>, error: SourceError, n: u64) -> Self {
             Self {
+                inner,
                 error,
-                remaining: AtomicU64::new(n),
+                n,
+                reads: Mutex::new(HashMap::new()),
                 attempts: AtomicU64::new(0),
+                failures: AtomicU64::new(0),
             }
         }
 
-        fn attempts(&self) -> u64 {
+        pub(crate) fn attempts(&self) -> u64 {
             self.attempts.load(Ordering::Relaxed)
+        }
+
+        pub(crate) fn failures(&self) -> u64 {
+            self.failures.load(Ordering::Relaxed)
         }
     }
 
     impl DataSource for FailNTimes {
         fn name(&self) -> &str {
-            "fail-n"
+            self.inner.name()
         }
         fn read(&self, id: SampleId) -> Result<Bytes, SourceError> {
             self.attempts.fetch_add(1, Ordering::Relaxed);
-            if self
-                .remaining
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |r| r.checked_sub(1))
-                .is_ok()
-            {
-                Err(self.error.clone())
-            } else {
-                Ok(Bytes::from(vec![id as u8; 4]))
+            let nth = {
+                let mut reads = self.reads.lock();
+                let count = reads.entry(id).or_default();
+                *count += 1;
+                *count - 1
+            };
+            if nth % self.n.saturating_add(1) < self.n {
+                self.failures.fetch_add(1, Ordering::Relaxed);
+                return Err(self.error.clone());
             }
+            self.inner.read(id)
         }
-        fn write(&self, _id: SampleId, _data: Bytes) -> Result<(), SourceError> {
-            Ok(())
+        fn write(&self, id: SampleId, data: Bytes) -> Result<(), SourceError> {
+            self.inner.write(id, data)
         }
-        fn contains(&self, _id: SampleId) -> bool {
-            true
+        fn contains(&self, id: SampleId) -> bool {
+            self.inner.contains(id)
         }
         fn capacity(&self) -> Option<u64> {
-            None
+            self.inner.capacity()
         }
         fn used(&self) -> u64 {
-            0
+            self.inner.used()
         }
-        fn evict(&self, _id: SampleId) -> bool {
-            false
+        fn evict(&self, id: SampleId) -> bool {
+            self.inner.evict(id)
         }
         fn count(&self) -> usize {
-            0
+            self.inner.count()
         }
-        fn size_of(&self, _id: SampleId) -> Option<u64> {
-            None
+        fn size_of(&self, id: SampleId) -> Option<u64> {
+            self.inner.size_of(id)
         }
     }
 
-    fn retry_only(inner: Arc<dyn DataSource>, attempts: u32) -> ResilientSource {
+    pub(crate) fn retry_only(inner: Arc<dyn DataSource>, attempts: u32) -> ResilientSource {
         ResilientSource::new(
             inner,
             ResilienceConfig::retry_only(fast_retry(attempts)),
@@ -969,7 +984,11 @@ mod tests {
 
     #[test]
     fn exhausted_retries_surface_the_last_transient_error() {
-        let down = Arc::new(FailNTimes::new(SourceError::Io("down".into()), u64::MAX));
+        let down = Arc::new(FailNTimes::new(
+            mem_with(&[3]),
+            SourceError::Io("down".into()),
+            u64::MAX,
+        ));
         let src = retry_only(down.clone(), 4);
         match src.read(3) {
             Err(SourceError::Io(m)) => assert_eq!(m, "down"),
@@ -986,6 +1005,7 @@ mod tests {
         // Throttled: retried through, honoring retry_after as a floor
         // under a 10 µs client backoff.
         let throttled = Arc::new(FailNTimes::new(
+            mem_with(&[7]),
             SourceError::Throttled {
                 retry_after: Duration::from_millis(3),
             },
@@ -1002,6 +1022,7 @@ mod tests {
         assert_eq!((stats.retries, stats.throttled), (2, 2));
         // DeadlineExceeded: also retryable.
         let deadline = Arc::new(FailNTimes::new(
+            mem_with(&[1]),
             SourceError::DeadlineExceeded {
                 deadline: Duration::from_micros(10),
             },
@@ -1010,6 +1031,7 @@ mod tests {
         assert!(retry_only(deadline, 4).read(1).is_ok());
         // Unavailable (open breaker downstream): fail-fast, one attempt.
         let open = Arc::new(FailNTimes::new(
+            mem_with(&[1]),
             SourceError::Unavailable("circuit open".into()),
             10,
         ));
@@ -1021,14 +1043,15 @@ mod tests {
 
     #[test]
     fn read_each_retries_stragglers_and_keeps_permanent_errors() {
-        // Transient injection below the retry budget: every present id
-        // comes back clean from one vectored call; the absent id stays
-        // NotFound without burning retries. Every id counts one read,
-        // and every injected failure one retry.
-        for seed in 0..10u64 {
-            let faulty = Arc::new(crate::fault::FaultySource::new(
+        // Transient bursts below the retry budget: every present id
+        // comes back clean from one vectored call; the absent id ends
+        // NotFound, which is returned, not retried. Every id counts one
+        // read, and every failed attempt one retry.
+        for burst in 0..4u64 {
+            let faulty = Arc::new(FailNTimes::new(
                 mem_with(&[0, 1, 2, 3]),
-                crate::fault::ErrorInjection::new(0.45, 2, seed),
+                SourceError::Io("burst".into()),
+                burst,
             ));
             let src = retry_only(faulty.clone(), 4);
             let ids = [0u64, 1, 9, 2, 3];
@@ -1039,21 +1062,26 @@ mod tests {
                     } else {
                         let data = r
                             .as_ref()
-                            .unwrap_or_else(|e| panic!("seed {seed} round {round} id {id}: {e}"));
+                            .unwrap_or_else(|e| panic!("burst {burst} round {round} id {id}: {e}"));
                         assert_eq!(data[0], id as u8);
                     }
                 }
             }
             let stats = src.resilience().unwrap();
             assert_eq!(stats.reads, 30 * ids.len() as u64);
-            assert_eq!(stats.retries, faulty.injected());
+            assert_eq!(stats.retries, faulty.failures());
+            assert_eq!(stats.retries, 30 * ids.len() as u64 * burst);
             assert_eq!(stats.exhausted, 0);
         }
     }
 
     #[test]
     fn open_breaker_rejects_a_vectored_batch_without_touching_the_source() {
-        let counting = Arc::new(FailNTimes::new(SourceError::Io("unused".into()), 0));
+        let counting = Arc::new(FailNTimes::new(
+            mem_with(&[]),
+            SourceError::Io("unused".into()),
+            0,
+        ));
         let src = Arc::new(ResilientSource::new(
             counting.clone(),
             ResilienceConfig::retry_only(fast_retry(3)).with_breaker(BreakerConfig::new(1, 1e9, 1)),
@@ -1138,13 +1166,14 @@ mod tests {
 
     #[test]
     fn open_breaker_fails_fast_with_unavailable() {
-        let always_down = Arc::new(crate::fault::FaultySource::new(
-            mem_with(&[]),
-            crate::fault::ErrorInjection::new(0.0, 1, 0),
+        let always_down = Arc::new(FailNTimes::new(
+            mem_with(&[5]),
+            SourceError::Io("down".into()),
+            u64::MAX,
         ));
         // Synthetic: trip the breaker directly, then read.
         let src = ResilientSource::new(
-            always_down,
+            always_down.clone(),
             ResilienceConfig::retry_only(fast_retry(2)).with_breaker(BreakerConfig::new(1, 1e9, 1)),
             TimeScale::realtime(),
         );
@@ -1154,6 +1183,11 @@ mod tests {
             Err(SourceError::Unavailable(msg)) => assert!(msg.contains("circuit open")),
             other => panic!("expected Unavailable, got {other:?}"),
         }
+        assert_eq!(
+            always_down.attempts(),
+            0,
+            "the open breaker let a read through"
+        );
         let stats = src.resilience().unwrap();
         assert_eq!(stats.breaker_to_open, 1);
         assert!(stats.breaker_open_rejections >= 1);
@@ -1242,7 +1276,11 @@ mod tests {
         assert_eq!(stats.breaker_to_open, 0);
         assert_eq!((stats.retries, stats.exhausted), (0, 0));
         // Without a breaker too: one attempt, returned verbatim.
-        let missing = Arc::new(FailNTimes::new(SourceError::NotFound(9), u64::MAX));
+        let missing = Arc::new(FailNTimes::new(
+            mem_with(&[]),
+            SourceError::NotFound(9),
+            u64::MAX,
+        ));
         let plain = retry_only(missing.clone(), 5);
         assert_eq!(plain.read(9), Err(SourceError::NotFound(9)));
         assert_eq!(missing.attempts(), 1);
@@ -1252,15 +1290,16 @@ mod tests {
 
     #[test]
     fn transient_bursts_recover_through_retry_and_breaker_stays_closed() {
-        // Bounded bursts (max 2) under a 4-attempt budget with a
-        // breaker threshold above the burst bound: every read succeeds
-        // and the breaker never opens.
-        let faulty = Arc::new(crate::fault::FaultySource::new(
+        // Bursts of 2 under a 4-attempt budget with a breaker
+        // threshold above the burst bound: every read succeeds and the
+        // breaker never opens.
+        let faulty = Arc::new(FailNTimes::new(
             mem_with(&[0, 1, 2, 3]),
-            crate::fault::ErrorInjection::new(0.4, 2, 0xC10D),
+            SourceError::Io("burst".into()),
+            2,
         ));
         let src = ResilientSource::new(
-            faulty,
+            faulty.clone(),
             ResilienceConfig::retry_only(fast_retry(4))
                 .with_breaker(BreakerConfig::new(8, 0.001, 1)),
             TimeScale::realtime(),
@@ -1275,7 +1314,8 @@ mod tests {
         }
         let stats = src.resilience().unwrap();
         assert_eq!(stats.exhausted, 0);
-        assert!(stats.retries > 0, "injection never fired");
+        assert_eq!(stats.retries, faulty.failures());
+        assert_eq!(stats.retries, 50 * 4 * 2, "every read met its burst");
         assert_eq!(stats.breaker_to_open, 0, "threshold 8 > burst bound 2");
     }
 

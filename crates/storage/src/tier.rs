@@ -883,11 +883,6 @@ impl TierStack {
         self.inner.tiers[self.origin_index()].source.health()
     }
 
-    /// Resilience counters of the origin source, when wrapped.
-    pub fn origin_resilience(&self) -> Option<crate::resilience::ResilienceStats> {
-        self.inner.tiers[self.origin_index()].source.resilience()
-    }
-
     /// Serves `id` from its cache tier if cataloged: the serving-loop
     /// lookup (`None` when uncached — callers do *not* fall through to
     /// the origin here). A stale catalog entry is repaired; a tier that
@@ -1438,12 +1433,13 @@ mod tests {
 
     #[test]
     fn a_tiers_transient_error_fails_the_fetch_and_keeps_the_entry() {
-        use crate::fault::{ErrorInjection, FaultySource};
+        use crate::resilience::tests::FailNTimes;
         // A cache tier that fails every other read of a sample: one
         // injected failure, then one clean read.
-        let ram = Arc::new(FaultySource::new(
+        let ram = Arc::new(FailNTimes::new(
             mem("ram", 100),
-            ErrorInjection::new(0.999, 1, 7),
+            SourceError::Io("injected".into()),
+            1,
         ));
         let stack = TierStack::new(
             vec![ram.clone(), origin_with(4, 10)],
@@ -1452,7 +1448,7 @@ mod tests {
         );
         stack.fill(0, 1, Bytes::from(vec![1u8; 10])).unwrap();
         assert!(stack.get_cached(1).is_none());
-        assert_eq!(ram.injected(), 1, "the read failed in the tier");
+        assert_eq!(ram.failures(), 1, "the read failed in the tier");
         // The bytes are still resident, so the entry must be too:
         // dropping it would orphan them (capacity spent, never served).
         assert_eq!(stack.locate(1), Some(0));

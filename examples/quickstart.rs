@@ -17,8 +17,7 @@ use std::sync::Arc;
 fn main() {
     // 1. Describe the system: workers, staging buffer, storage classes,
     //    interconnect, and the PFS's t(γ) curve. Presets mirror the
-    //    paper's clusters; `perfmodel::config` parses the same thing
-    //    from an INI file.
+    //    paper's clusters.
     let mut system = fig8_small_cluster();
     system.workers = 4;
     // Scale capacities to this toy dataset (a few MB instead of TB).
