@@ -93,7 +93,7 @@ fn main() {
     for n in [2usize, 4] {
         let exp = Experiment::imagenet(SystemKind::Lassen, n);
         let run = run_policy(&exp, RuntimePolicy::NoPfs).expect("runs");
-        let stats = run.merged_stats();
+        let stats = &run.stats;
         let attempts = stats.remote_fetches + stats.false_positives;
         let rate = if attempts > 0 {
             stats.false_positives as f64 / attempts as f64 * 100.0

@@ -28,7 +28,7 @@ fn main() {
         }
         let exp = Experiment::imagenet(SystemKind::PizDaint, n);
         let run = run_policy(&exp, RuntimePolicy::NoPfs).expect("NoPFS always runs");
-        let stats = run.merged_stats();
+        let stats = &run.stats;
         let (local, remote, pfs) = stats.fractions();
         let stall_model: f64 = run
             .per_worker

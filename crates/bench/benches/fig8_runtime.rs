@@ -37,7 +37,7 @@ fn main() {
     for policy in PolicyId::ALL {
         match run_policy_id(&exp, policy) {
             Ok(run) => {
-                let stats = run.merged_stats();
+                let stats = &run.stats;
                 let (loc, rem, pfs) = stats.fractions();
                 let stall = exp.scale.to_model(stats.stall_time);
                 let median = run.median_epoch_time();

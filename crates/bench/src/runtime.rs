@@ -2,18 +2,13 @@
 //! baselines) through the timed training loop on the synthetic
 //! substrates, and aggregates the numbers the Sec. 7 figures report.
 
-use nopfs_baselines::{registry, DataLoader};
-use nopfs_core::stats::{SetupStats, WorkerStats};
 use nopfs_core::JobConfig;
 use nopfs_datasets::DatasetProfile;
-use nopfs_net::{cluster, Endpoint, NetConfig};
 use nopfs_perfmodel::SystemSpec;
 use nopfs_pfs::Pfs;
-use nopfs_policy::{PolicyId, Unsupported};
-use nopfs_train::{run_training_loop, RunMetrics, TrainLoopConfig};
-use nopfs_util::stats::Summary;
+use nopfs_policy::{FaultPlan, PolicyId, Unsupported};
+use nopfs_train::{run_job, JobRun, TrainLoopConfig};
 use nopfs_util::timing::TimeScale;
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// The loader policies the runtime experiments compare (the paper's
@@ -95,64 +90,6 @@ pub struct Experiment {
     pub compute: f64,
     /// Emulated gradient elements per allreduce.
     pub grad_elems: usize,
-}
-
-/// Aggregated outcome of one `(policy, experiment)` run.
-pub struct PolicyRun {
-    /// Per-worker metrics.
-    pub per_worker: Vec<RunMetrics>,
-    /// Per-epoch times: max across workers (the bulk-synchronous epoch
-    /// time), model seconds.
-    pub epoch_times: Vec<f64>,
-    /// Clairvoyant setup statistics (populated for NoPFS, whose `Job`
-    /// tracks its single-pass precomputation; `None` for baselines).
-    pub setup: Option<SetupStats>,
-}
-
-impl PolicyRun {
-    /// Median epoch time excluding epoch 0 (the figures' convention).
-    pub fn median_epoch_time(&self) -> f64 {
-        let tail: Vec<f64> = self.epoch_times.iter().copied().skip(1).collect();
-        if tail.is_empty() {
-            return self.epoch_times.first().copied().unwrap_or(0.0);
-        }
-        Summary::new(&tail).median()
-    }
-
-    /// Pooled batch times across workers, optionally excluding epoch 0.
-    pub fn batch_summary(&self, skip_first_epoch: bool) -> Summary {
-        let mut all = Vec::new();
-        for m in &self.per_worker {
-            if skip_first_epoch {
-                all.extend_from_slice(m.batches_after_warmup());
-            } else {
-                all.extend_from_slice(&m.batch_times);
-            }
-        }
-        if all.is_empty() {
-            all.push(0.0);
-        }
-        Summary::new(&all)
-    }
-
-    /// Batch times of epoch 0 only (Fig. 11).
-    pub fn first_epoch_batches(&self) -> Summary {
-        let mut all = Vec::new();
-        for m in &self.per_worker {
-            if !m.batches_per_epoch.is_empty() {
-                all.extend_from_slice(m.epoch_batches(0));
-            }
-        }
-        if all.is_empty() {
-            all.push(0.0);
-        }
-        Summary::new(&all)
-    }
-
-    /// Cluster-merged loader statistics.
-    pub fn merged_stats(&self) -> WorkerStats {
-        RunMetrics::merged_stats(&self.per_worker)
-    }
 }
 
 impl Experiment {
@@ -248,57 +185,37 @@ impl Experiment {
 }
 
 /// Runs any of the ten registry policies on one experiment through the
-/// workspace loader factory (`nopfs_baselines::registry`) — the entry
-/// point of the `fig8_runtime` sweep, and the body of [`run_policy`].
+/// workspace's one job function ([`run_job`]) — the entry point of the
+/// `fig8_runtime` sweep, and the body of [`run_policy`].
 ///
 /// # Errors
 /// [`Unsupported`] when the policy cannot run the configuration.
-pub fn run_policy_id(exp: &Experiment, policy: PolicyId) -> Result<PolicyRun, Unsupported> {
-    let n = exp.system.workers;
-    let sizes = Arc::new(exp.profile.sizes());
-    // drop_last keeps every worker's batch count identical, which the
-    // per-step allreduce requires (ragged counts would deadlock the
-    // collective — the same reason frameworks drop the last partial
-    // global batch in distributed training).
+pub fn run_policy_id(exp: &Experiment, policy: PolicyId) -> Result<JobRun, Unsupported> {
     let config = JobConfig::new(
         exp.seed,
         exp.epochs,
         exp.batch,
         exp.system.clone(),
         exp.scale,
-    )
-    .drop_last(true);
+    );
     let loop_cfg = TrainLoopConfig {
         compute_rate: exp.compute,
         scale: exp.scale,
         grad_elems: exp.grad_elems,
     };
-    // A dedicated gradient-allreduce cluster, one endpoint per rank.
-    let grad_endpoints: Mutex<Vec<Option<Endpoint<Vec<f32>>>>> = Mutex::new(
-        cluster::<Vec<f32>>(n, NetConfig::new(exp.system.interconnect, exp.scale))
-            .into_iter()
-            .map(Some)
-            .collect(),
-    );
-    let body = |loader: &mut dyn DataLoader| {
-        let ep = grad_endpoints.lock()[loader.rank()]
-            .take()
-            .expect("each rank takes its endpoint once");
-        run_training_loop(loader, &loop_cfg, Some(&ep))
-    };
-
     let pfs = Pfs::in_memory(exp.system.pfs_read.clone(), exp.scale);
     if policy != PolicyId::Perfect {
         exp.profile.materialize(&pfs);
     }
-    let outcome = registry::run_policy(policy, config, sizes, &pfs, body)?;
-    // Bulk-synchronous epoch time: the slowest worker defines it.
-    let epoch_times = RunMetrics::bulk_epoch_times(&outcome.per_worker);
-    Ok(PolicyRun {
-        per_worker: outcome.per_worker,
-        epoch_times,
-        setup: outcome.setup,
-    })
+    let sizes = Arc::new(exp.profile.sizes());
+    run_job(
+        policy,
+        config,
+        sizes,
+        &pfs,
+        &FaultPlan::fault_free(),
+        &loop_cfg,
+    )
 }
 
 /// Runs one figure-labelled policy on one experiment: its registry
@@ -307,7 +224,7 @@ pub fn run_policy_id(exp: &Experiment, policy: PolicyId) -> Result<PolicyRun, Un
 /// on DALI's faster-preprocessing system for [`RuntimePolicy::Dali`].
 /// Returns `None` when the registry refuses the configuration (LBANN
 /// with an over-sized dataset).
-pub fn run_policy(exp: &Experiment, policy: RuntimePolicy) -> Option<PolicyRun> {
+pub fn run_policy(exp: &Experiment, policy: RuntimePolicy) -> Option<JobRun> {
     let system = match policy {
         RuntimePolicy::Dali => dali(&exp.system),
         _ => exp.system.clone(),

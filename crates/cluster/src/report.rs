@@ -5,7 +5,7 @@ use nopfs_obs::Snapshot;
 use nopfs_pfs::PfsStats;
 use nopfs_policy::PolicyId;
 use nopfs_storage::{ResilienceStats, TierStats};
-use nopfs_util::stats::Summary;
+use nopfs_util::stats::steady_epoch_time;
 
 /// What one tenant measured over its run.
 #[derive(Debug, Clone)]
@@ -23,6 +23,9 @@ pub struct TenantReport {
     pub total_time: f64,
     /// Consumer stall summed across workers, model seconds.
     pub stall_time: f64,
+    /// Per rank, the modelled compute its training loop charged in
+    /// each epoch, model seconds (a straggler's epochs charge more).
+    pub compute_times: Vec<Vec<f64>>,
     /// Cluster-merged loader statistics.
     pub stats: WorkerStats,
     /// Clairvoyant setup statistics (NoPFS tenants only).
@@ -32,8 +35,8 @@ pub struct TenantReport {
     /// tenant's fault plan carried a cloud clause.
     pub resilience: Option<ResilienceStats>,
     /// Per-tier cache statistics merged across the tenant's surviving
-    /// ranks (elastic NoPFS tenants only; baseline loaders manage their
-    /// caches internally and leave this empty).
+    /// ranks (NoPFS tenants only; baseline loaders manage their caches
+    /// internally and leave this empty).
     pub tier_stats: Vec<TierStats>,
     /// Live telemetry: the tenant's JSONL snapshot lines (one per
     /// sampling tick plus a final one), empty unless the spec set
@@ -50,11 +53,7 @@ impl TenantReport {
     /// Steady-state epoch time: the median excluding epoch 0 (warmup),
     /// falling back to epoch 0 for single-epoch runs. Model seconds.
     pub fn steady_epoch_time(&self) -> f64 {
-        let tail: Vec<f64> = self.epoch_times.iter().copied().skip(1).collect();
-        if tail.is_empty() {
-            return self.epoch_times.first().copied().unwrap_or(0.0);
-        }
-        Summary::new(&tail).median()
+        steady_epoch_time(&self.epoch_times)
     }
 
     /// PFS reads this tenant issued.
@@ -146,6 +145,7 @@ mod tests {
             total_time: epochs.iter().sum(),
             epoch_times: epochs,
             stall_time: 0.0,
+            compute_times: Vec::new(),
             stats: stats(10, 5),
             setup: None,
             resilience: None,

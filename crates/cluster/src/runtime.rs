@@ -2,75 +2,29 @@
 //! threads against one shared, namespaced [`Pfs`].
 //!
 //! Ownership/injection contract: the cluster owns the one shared `Pfs`
-//! and hands each tenant a namespaced handle; each tenant's runner
-//! (`Job` or a baseline) *accepts* that handle instead of constructing
-//! its own, and builds everything else — caches, staging buffers, its
-//! partitioned interconnect, the gradient-allreduce network — privately.
-//! Only the PFS regulator couples tenants, exactly as on a real machine
-//! where co-scheduled jobs share the filesystem and nothing else.
+//! and hands each tenant a namespaced handle; each tenant trains
+//! through the workspace's one job function ([`nopfs_train::run_job`]), which
+//! *accepts* that handle instead of constructing its own and builds
+//! everything else — caches, staging buffers, its partitioned
+//! interconnect, the gradient-allreduce network — privately. Only the
+//! PFS regulator couples tenants, exactly as on a real machine where
+//! co-scheduled jobs share the filesystem and nothing else.
 
 use crate::report::{ClusterReport, TenantReport};
 use crate::spec::{ClusterSpec, TenantSpec};
-use nopfs_baselines::{registry, DataLoader};
-use nopfs_core::{ElasticJob, JobConfig};
-use nopfs_net::{cluster, Endpoint, NetConfig};
+use nopfs_core::JobConfig;
 use nopfs_obs::{JsonlEmitter, ObsCtx, Sampler};
 use nopfs_perfmodel::SystemSpec;
 use nopfs_pfs::Pfs;
-use nopfs_train::{run_training_loop, RunMetrics, TrainLoopConfig};
+use nopfs_train::{run_job, TrainLoopConfig};
 use nopfs_util::timing::TimeScale;
-use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Runs a crash/churn/cloud tenant through the elastic NoPFS runtime
-/// ([`ElasticJob`] realizes every event of the plan: it plants the read
-/// errors in `pfs` as the steady path does, and builds the object-store
-/// origin with its resilience stack) and reshapes the elastic report
-/// into the tenant vocabulary.
-fn run_tenant_elastic(
-    tenant: &TenantSpec,
-    system: SystemSpec,
-    scale: TimeScale,
-    pfs: &Pfs,
-    obs: ObsCtx,
-) -> TenantReport {
-    let sizes = Arc::new(tenant.profile.sizes());
-    // No drop_last: churn must keep the epoch length
-    // membership-invariant, and this path has no per-step allreduce
-    // that ragged batch counts could deadlock.
-    let config =
-        JobConfig::new(tenant.seed, tenant.epochs, tenant.batch, system, scale).with_obs(obs);
-    let job = ElasticJob::new(config, sizes, tenant.fault_plan.clone())
-        .unwrap_or_else(|e| panic!("tenant '{}': {}", tenant.name, e.0));
-    let report = job.run(pfs);
-    let epoch_times: Vec<f64> = report
-        .epoch_times
-        .iter()
-        .map(|&d| scale.to_model(d))
-        .collect();
-    TenantReport {
-        name: tenant.name.clone(),
-        policy: tenant.policy,
-        start_delay: tenant.start_delay,
-        total_time: epoch_times.iter().sum(),
-        epoch_times,
-        stall_time: scale.to_model(report.stats.stall_time),
-        stats: report.stats,
-        setup: Some(report.setup),
-        resilience: tenant
-            .fault_plan
-            .cloud
-            .is_some()
-            .then_some(report.resilience),
-        tier_stats: report.tier_stats,
-        telemetry: Vec::new(),
-        solo_epoch_time: None,
-        slowdown: None,
-    }
-}
-
-/// Runs one tenant to completion on an injected PFS handle.
+/// Runs one tenant to completion on an injected PFS handle, through
+/// the workspace's one job function ([`run_job`]): every rank trains in
+/// the timed loop, compute and allreduce included, whatever the
+/// tenant's policy and fault plan.
 ///
 /// `system` is the tenant's effective system (interconnect partition
 /// applied); the PFS curve it carries is only used for source-selection
@@ -82,24 +36,7 @@ fn run_tenant(
     pfs: &Pfs,
     obs: ObsCtx,
 ) -> TenantReport {
-    // Crash, churn, and cloud plans run in the elastic runtime, which
-    // realizes every event of the plan itself, read errors included.
-    if tenant.needs_elastic() {
-        return run_tenant_elastic(tenant, system, scale, pfs, obs);
-    }
-    // Read errors live in the tenant's namespace of the PFS: each
-    // sample's next `1..=max_burst` reads fail, and every loader's
-    // origin retry loop absorbs them (counting each in `pfs_errors`),
-    // so they cost time but never change delivered content.
-    if let Some(errors) = &tenant.fault_plan.read_errors {
-        for (id, failures) in errors.bursts(tenant.profile.num_samples) {
-            pfs.inject_fault(id, failures);
-        }
-    }
-    let n = system.workers;
     let sizes = Arc::new(tenant.profile.sizes());
-    // drop_last keeps every worker's batch count identical, which the
-    // per-step allreduce requires (ragged counts would deadlock it).
     let config = JobConfig::new(
         tenant.seed,
         tenant.epochs,
@@ -107,58 +44,40 @@ fn run_tenant(
         system.clone(),
         scale,
     )
-    .drop_last(true)
     .with_obs(obs);
-    // The tenant's private gradient-allreduce network (its partition of
-    // the interconnect), one endpoint per rank.
-    let grad_endpoints: Mutex<Vec<Option<Endpoint<Vec<f32>>>>> = Mutex::new(
-        cluster::<Vec<f32>>(n, NetConfig::new(system.interconnect, scale))
-            .into_iter()
-            .map(Some)
-            .collect(),
-    );
-    let last_epoch = tenant.epochs - 1;
-    let body = |loader: &mut dyn DataLoader| {
-        let ep = grad_endpoints.lock()[loader.rank()]
-            .take()
-            .expect("each rank takes its endpoint once");
-        // Stragglers: a slowed rank's compute throughput drops by its
-        // plan factor. The training loop has no epoch hook, so the
-        // cumulative (final-epoch) factor applies run-wide.
-        let loop_cfg = TrainLoopConfig {
-            compute_rate: tenant.compute
-                / tenant.fault_plan.straggle_factor(last_epoch, loader.rank()),
-            scale,
-            grad_elems: tenant.grad_elems,
-        };
-        run_training_loop(loader, &loop_cfg, Some(&ep))
+    let loop_cfg = TrainLoopConfig {
+        compute_rate: tenant.compute,
+        scale,
+        grad_elems: tenant.grad_elems,
     };
-
-    // The workspace policy registry is the single dispatch point: any
-    // of the ten `PolicyId`s runs here (an infeasible configuration —
-    // validated earlier by `ClusterSpec::validate` — is a panic).
-    let outcome = registry::run_policy(tenant.policy, config, sizes, pfs, body)
-        .unwrap_or_else(|e| panic!("tenant '{}': {}", tenant.name, e.0));
-    let per_worker: Vec<RunMetrics> = outcome.per_worker;
-    let setup = outcome.setup;
-
-    // Bulk-synchronous epoch time (slowest worker per epoch) and the
-    // merged statistics come from the workspace-shared aggregations.
-    let epoch_times = RunMetrics::bulk_epoch_times(&per_worker);
-    let stats = RunMetrics::merged_stats(&per_worker);
-    let stall_time = scale.to_model(stats.stall_time);
-
+    // An infeasible configuration — validated earlier by
+    // `ClusterSpec::validate` — is a panic.
+    let run = run_job(
+        tenant.policy,
+        config,
+        sizes,
+        pfs,
+        &tenant.fault_plan,
+        &loop_cfg,
+    )
+    .unwrap_or_else(|e| panic!("tenant '{}': {}", tenant.name, e.0));
+    let cloud = tenant.fault_plan.cloud.is_some();
     TenantReport {
         name: tenant.name.clone(),
         policy: tenant.policy,
         start_delay: tenant.start_delay,
-        total_time: epoch_times.iter().sum(),
-        epoch_times,
-        stall_time,
-        stats,
-        setup,
-        resilience: None,
-        tier_stats: Vec::new(),
+        total_time: run.epoch_times.iter().sum(),
+        stall_time: scale.to_model(run.stats.stall_time),
+        compute_times: run
+            .per_worker
+            .iter()
+            .map(|m| m.compute_times.clone())
+            .collect(),
+        epoch_times: run.epoch_times,
+        stats: run.stats,
+        setup: run.setup,
+        resilience: run.elastic.as_ref().map(|r| r.resilience).filter(|_| cloud),
+        tier_stats: run.elastic.map(|r| r.tier_stats).unwrap_or_default(),
         telemetry: Vec::new(),
         solo_epoch_time: None,
         slowdown: None,
@@ -460,6 +379,48 @@ mod tests {
             slow.total_time,
             steady.total_time
         );
+    }
+
+    #[test]
+    fn a_straggler_slows_its_rank_from_its_own_epoch_on() {
+        use nopfs_policy::FaultPlan;
+        use nopfs_simulator::{run_elastic, Scenario};
+        // Rank 1 computes 4x slower from epoch 1 on. The compute each
+        // loop charged is modelled, not measured, so it compares
+        // exactly, whatever the wall clock does.
+        let straggle = FaultPlan::fault_free().straggle(1, 1, 4.0);
+        let charged = |policy, plan: FaultPlan| {
+            let spec = fast_spec().tenant(tenant("t", policy, 64, 9).with_fault_plan(plan));
+            run_cluster(&spec).tenants.remove(0).compute_times
+        };
+        let runs = [
+            (PolicyId::Naive, straggle.clone()),
+            (PolicyId::NoPfs, straggle.clone()),
+            // The same plan plus a crash cutting epoch 0: the elastic
+            // path, on two launches.
+            (PolicyId::NoPfs, straggle.clone().crash(0, 2, 0)),
+        ];
+        for (policy, plan) in runs {
+            let free = charged(policy, FaultPlan::fault_free());
+            let got = charged(policy, plan.clone());
+            assert_eq!(got.len(), 2, "{policy} {plan:?}");
+            for rank in 0..2 {
+                assert!(free[rank][0] > 0.0);
+                assert_eq!(got[rank][0], free[rank][0], "epoch 0 untouched");
+            }
+            assert_eq!(got[0][1], free[0][1], "rank 0 never straggles");
+            assert_eq!(got[1][1], 4.0 * free[1][1], "{policy} {plan:?}");
+        }
+        // The simulator divides the same rank's compute rate from the
+        // same epoch on.
+        let t = tenant("t", PolicyId::NoPfs, 64, 9);
+        let mut system = t.system.clone();
+        system.compute = t.compute;
+        let scenario = Scenario::new("t", system, t.profile.sizes(), t.epochs, t.batch, t.seed);
+        let sim = |plan| run_elastic(&scenario, PolicyId::NoPfs, plan).expect("valid plan");
+        let (free, slow) = (sim(&FaultPlan::fault_free()), sim(&straggle));
+        assert_eq!(slow.per_epoch_time[0], free.per_epoch_time[0]);
+        assert!(slow.per_epoch_time[1] > free.per_epoch_time[1]);
     }
 
     #[test]

@@ -36,8 +36,8 @@ pub struct TenantSpec {
     pub grad_elems: usize,
     /// This tenant's fault schedule (default: fault-free). Transient
     /// read errors and stragglers are realized for every policy;
-    /// crashes and membership churn route the tenant through the
-    /// elastic runtime and therefore require [`PolicyId::NoPfs`].
+    /// crashes, membership churn and cloud clauses only by the NoPFS
+    /// runtime, and therefore require [`PolicyId::NoPfs`].
     pub fault_plan: FaultPlan,
 }
 
@@ -100,19 +100,11 @@ impl TenantSpec {
         self
     }
 
-    /// Whether the plan needs the elastic runtime: crashes tear worker
-    /// sets down mid-epoch, churn changes the membership, and cloud
-    /// clauses re-route the origin through the object-store backend and
-    /// its resilience stack — all beyond what a steady-state loader
-    /// stack can absorb in place.
+    /// Whether the plan has events only the elastic NoPFS runtime
+    /// realizes ([`FaultPlan::needs_elastic`]).
     pub fn needs_elastic(&self) -> bool {
-        self.fault_plan.has_crash()
-            || self.fault_plan.cloud.is_some()
-            || self
-                .fault_plan
-                .memberships(self.system.workers, self.epochs)
-                .iter()
-                .any(|&m| m != self.system.workers)
+        self.fault_plan
+            .needs_elastic(self.system.workers, self.epochs)
     }
 }
 
@@ -201,9 +193,11 @@ impl ClusterSpec {
     /// Panics on an empty cluster or an infeasible tenant: an LBANN
     /// tenant whose dataset exceeds its aggregate worker memory (the
     /// data store's documented requirement, checked by the shared
-    /// policy layer), a fault plan its run shape cannot satisfy, or a
+    /// policy layer), a fault plan its run shape cannot satisfy, a
     /// crash/churn plan on a baseline tenant (only the elastic NoPFS
-    /// runtime re-splits memberships and replays crashes).
+    /// runtime re-splits memberships and replays crashes), or a plan
+    /// that would give a synchronized tenant's ranks ragged step counts
+    /// (its per-step allreduce would deadlock).
     pub fn validate(&self) {
         assert!(!self.tenants.is_empty(), "a cluster needs tenants");
         for t in &self.tenants {
@@ -224,8 +218,7 @@ impl ClusterSpec {
                 t.name,
                 t.policy
             );
-            // The elastic path runs without drop_last (churn must keep
-            // the epoch length); the steady path trims for allreduce.
+            // `nopfs_train::run_job`'s drop_last rule.
             let spec = ShuffleSpec::new(
                 t.seed,
                 t.profile.num_samples,
@@ -233,7 +226,12 @@ impl ClusterSpec {
                 t.batch,
                 !elastic,
             );
-            if let Err(e) = t.fault_plan.validate(&spec, t.epochs) {
+            let plan = &t.fault_plan;
+            let steps = || match t.grad_elems {
+                0 => Ok(()),
+                _ => plan.equal_steps(&spec, t.epochs),
+            };
+            if let Err(e) = plan.validate(&spec, t.epochs).and_then(|()| steps()) {
                 panic!("tenant '{}': {}", t.name, e.0);
             }
         }
@@ -325,6 +323,20 @@ mod tests {
     #[should_panic(expected = "needs tenants")]
     fn empty_cluster_rejected() {
         spec().validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "needs equal steps")]
+    fn synchronized_tenants_refuse_ragged_steps() {
+        use nopfs_policy::FaultPlan;
+        // 37 samples: two ranks hold 19 and 18 of an epoch, five
+        // batches of 4 each; after the join three hold 13, 12 and 12,
+        // four batches or three. The per-step allreduce would deadlock.
+        let mut t = tenant("ragged", 2, 37).with_fault_plan(FaultPlan::fault_free().join(1));
+        t.policy = PolicyId::NoPfs;
+        // Unsynchronized, the plan runs.
+        spec().tenant(t.clone().with_grad_elems(0)).validate();
+        spec().tenant(t).validate();
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Elastic execution: membership churn, crash recovery, and fault
 //! injection for the threaded NoPFS runtime.
 //!
-//! [`ElasticJob`] runs a job under a declarative [`FaultPlan`]: workers crash at step
-//! boundaries and restart with cold caches, workers join or leave
-//! between epochs, stragglers slow down, and transient read errors are
-//! planted in the PFS, beneath every rank's origin retry loop. The
-//! headline guarantee — proven by
-//! the determinism test suite — is that none of it changes delivered
-//! *content*: the global sample stream is bit-for-bit the stream of the
-//! undisturbed run.
+//! [`ElasticJob`] runs a job under a declarative [`FaultPlan`]: workers
+//! crash at step boundaries and restart with cold caches, workers join
+//! or leave between epochs, and transient read errors are planted in
+//! the PFS, beneath every rank's origin retry loop. A straggler is slow
+//! compute, not slow I/O, so the consumer charges it: the training loop
+//! (`nopfs_train`) that [`ElasticJob::run_with`] drives divides its
+//! rank's compute rate from the straggler's epoch on. The headline
+//! guarantee — proven by the determinism test suite — is that none of
+//! it changes delivered *content*: the global sample stream is
+//! bit-for-bit the stream of the undisturbed run.
 //!
 //! Two properties make that possible:
 //!
@@ -55,6 +57,7 @@ use nopfs_storage::{
     TierStats,
 };
 use nopfs_util::rng::mix64;
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -86,6 +89,10 @@ fn disturbance_for(cloud: &CloudFaults, rank: usize) -> Disturbance {
         seed: mix64(cloud.seed, rank as u64),
     }
 }
+
+/// One rank's drained epochs: the ids it delivered in each, and when it
+/// finished it.
+type Drained = Vec<(Vec<SampleId>, Option<Instant>)>;
 
 /// What an elastic run observed and delivered.
 #[derive(Debug, Clone)]
@@ -125,10 +132,13 @@ pub struct ElasticReport {
     /// end (crashed/departed ranks take their caches — and counters —
     /// with them, as on a real machine).
     pub tier_stats: Vec<TierStats>,
-    /// Wall time of each epoch: from the moment the last rank finished
-    /// the epoch before (for epoch 0, the end of the setup pass) to the
-    /// moment the last rank consumed its final sample of this one —
-    /// recovery barriers and relaunches inside the epoch included.
+    /// Wall time of each epoch as [`ElasticJob::run`]'s drain sees it:
+    /// from the moment the last rank finished the epoch before (for
+    /// epoch 0, the end of setup) to the moment the last rank
+    /// consumed its final sample of this one — recovery barriers and
+    /// relaunches inside the epoch included. The drain charges no
+    /// compute, so a straggler does not show here; the training loop's
+    /// epoch times, which charge it, are `nopfs_train`'s.
     pub epoch_times: Vec<Duration>,
     /// Worker I/O statistics merged across every rank and segment.
     pub stats: WorkerStats,
@@ -251,13 +261,95 @@ impl ElasticJob {
         Arc::clone(shared)
     }
 
-    /// Runs the job under its fault plan against `pfs` and returns the
-    /// delivered streams plus recovery accounting. The plan's read
-    /// errors are planted in `pfs` first.
+    /// Runs the job under its fault plan against `pfs`, draining every
+    /// rank's stream, and returns the delivered streams plus recovery
+    /// accounting: [`Self::run_with`] with a drain as the consumer,
+    /// which files each id under its epoch and stamps the moment the
+    /// rank finishes each epoch.
     ///
     /// # Panics
     /// Panics if a worker thread panics (as `Job::run` does).
     pub fn run(&self, pfs: &Pfs) -> ElasticReport {
+        let epochs = self.config.epochs as usize;
+        let memberships = self
+            .plan
+            .memberships(self.config.system.workers, epochs as u64);
+        let ranks = memberships.iter().copied().max().unwrap_or(1);
+        let drained: Vec<Mutex<Drained>> = (0..ranks)
+            .map(|_| Mutex::new(vec![(Vec::new(), None); epochs]))
+            .collect();
+        let drained_ref = &drained;
+        let mut setup_done = None;
+        let mut report = self.run_with(pfs, |_| {
+            setup_done.get_or_insert_with(Instant::now);
+            move |handle: &mut WorkerHandle| {
+                let mut mine = drained_ref[handle.rank()].lock();
+                loop {
+                    let epoch = handle.current_epoch() as usize;
+                    let Some((id, data)) = handle.next_sample() else {
+                        break;
+                    };
+                    debug_assert_eq!(data.len() as u64, self.sizes[id as usize]);
+                    mine[epoch].0.push(id);
+                    if handle.current_epoch() as usize > epoch {
+                        mine[epoch].1 = Some(Instant::now());
+                    }
+                }
+            }
+        });
+
+        let mut drained: Vec<_> = drained.into_iter().map(Mutex::into_inner).collect();
+        let mut epoch_start = setup_done.expect("every run has a segment");
+        report.epoch_times = (0..epochs)
+            .map(|e| {
+                let ends = drained.iter().filter_map(|d| d[e].1);
+                let end = ends.max().unwrap_or(epoch_start).max(epoch_start);
+                let took = end - epoch_start;
+                epoch_start = end;
+                took
+            })
+            .collect();
+        report.per_epoch = memberships
+            .iter()
+            .enumerate()
+            .map(|(e, &n)| {
+                (
+                    n,
+                    drained[..n]
+                        .iter_mut()
+                        .map(|d| std::mem::take(&mut d[e].0))
+                        .collect(),
+                )
+            })
+            .collect();
+        // The global stream: round-robin re-interleave of each epoch.
+        report.global_stream = report
+            .per_epoch
+            .iter()
+            .flat_map(|(n, streams)| {
+                let total = streams.iter().map(Vec::len).sum();
+                (0..total).map(move |pos| streams[pos % n][pos / n])
+            })
+            .collect();
+        report
+    }
+
+    /// Runs the job under its fault plan against `pfs`: plants the
+    /// plan's read errors in `pfs`, then launches the plan's segments
+    /// one after another. Before each launch it calls `segment` with
+    /// the segment's membership for the consumer every rank of the
+    /// segment then runs, on a thread of its own, with its
+    /// [`WorkerHandle`]; the handle's epochs count over the whole run.
+    /// The report leaves what only a consumer sees to its caller:
+    /// `global_stream`, `per_epoch` and `epoch_times` are empty.
+    ///
+    /// # Panics
+    /// Panics if a worker thread or a consumer panics.
+    pub fn run_with<F, C>(&self, pfs: &Pfs, mut segment: F) -> ElasticReport
+    where
+        F: FnMut(usize) -> C,
+        C: Fn(&mut WorkerHandle) + Sync,
+    {
         let t_run = Instant::now();
         let clause = self.plan.read_errors.iter();
         let bursts = clause.flat_map(|errors| errors.bursts(self.sizes.len() as u64));
@@ -270,17 +362,24 @@ impl ElasticJob {
         let epochs = self.config.epochs;
         let spec0 = self.config.shuffle_spec(self.sizes.len() as u64);
         let memberships = self.plan.memberships(spec0.num_workers, epochs);
+        let mut cache: HashMap<usize, Arc<Shared>> = HashMap::new();
+        let mut replans = 0u64;
+        let mut replan_shuffles = 0u64;
+        // Setup is the pass and the initial membership's plan, as
+        // `Job::new` times it.
         let t_setup = Instant::now();
         let base = SetupPass::new(spec0, epochs).run();
+        self.plan_for(
+            &mut cache,
+            &base,
+            memberships[0],
+            &mut replans,
+            &mut replan_shuffles,
+        );
         let setup = SetupStats {
             shuffle_generations: base.shuffles_generated,
             setup_time: t_setup.elapsed(),
         };
-        let setup_done = Instant::now();
-
-        let mut cache: HashMap<usize, Arc<Shared>> = HashMap::new();
-        let mut replans = 0u64;
-        let mut replan_shuffles = 0u64;
         let mut recoveries = 0u64;
         let mut recovery_time = Duration::ZERO;
         let mut recovering: Option<Instant> = None;
@@ -291,12 +390,6 @@ impl ElasticJob {
         let max_n = memberships.iter().copied().max().unwrap_or(1);
         let mut resilient: Vec<Option<Arc<ResilientSource>>> = vec![None; max_n];
         let mut warm: HashMap<usize, TierStack> = HashMap::new();
-
-        let mut per_epoch: Vec<(usize, Vec<Vec<SampleId>>)> = memberships
-            .iter()
-            .map(|&n| (n, vec![Vec::new(); n]))
-            .collect();
-        let mut epoch_ends: Vec<Option<Instant>> = vec![None; epochs as usize];
         let mut stats = WorkerStats::default();
 
         // Segment ends, as (epoch, step): every membership change, every
@@ -319,6 +412,7 @@ impl ElasticJob {
         for to in cuts {
             if to > from {
                 let n = memberships[from.0 as usize];
+                let consume = segment(n);
                 let plan = self.plan_for(&mut cache, &base, n, &mut replans, &mut replan_shuffles);
                 // Tier stacks: warm handoff where one survives, cold otherwise.
                 let tiers = (0..n)
@@ -336,7 +430,7 @@ impl ElasticJob {
                         Some(stack.clone())
                     })
                     .collect();
-                let (starts, handles) = self.launch_segment(pfs, &plan, (from, to), tiers);
+                let handles = self.launch_segment(pfs, &plan, (from, to), tiers);
                 // Recovery ends when every rank is launched and consuming.
                 if let Some(t0) = recovering.take() {
                     recovery_time += t0.elapsed();
@@ -348,18 +442,11 @@ impl ElasticJob {
                     );
                 }
                 let out = job::run_ranks(handles, |handle| {
-                    let rank = handle.rank();
-                    self.consume(handle, starts[rank], plan.spec.worker_epoch_len(rank))
+                    consume(handle);
+                    handle.stats()
                 });
-                for (w, (ids, ends, seg_stats)) in out.into_iter().enumerate() {
-                    let len = plan.spec.worker_epoch_len(w);
-                    for (pos, id) in (starts[w]..).zip(ids) {
-                        per_epoch[(pos / len) as usize].1[w].push(id);
-                    }
-                    for (e, t) in ends {
-                        epoch_ends[e as usize] = epoch_ends[e as usize].max(Some(t));
-                    }
-                    stats.merge(&seg_stats);
+                for seg_stats in &out {
+                    stats.merge(seg_stats);
                 }
             }
             // Ranks crashing at this boundary lose their caches: the
@@ -388,29 +475,9 @@ impl ElasticJob {
             from = to;
         }
 
-        let mut epoch_start = setup_done;
-        let epoch_times = epoch_ends
-            .into_iter()
-            .map(|end| {
-                let end = end.unwrap_or(epoch_start).max(epoch_start);
-                let took = end - epoch_start;
-                epoch_start = end;
-                took
-            })
-            .collect();
-
-        // The global stream: round-robin re-interleave of each epoch.
-        let spe = spec0.samples_per_epoch() as usize;
-        let mut global_stream = Vec::with_capacity(spe * epochs as usize);
-        for (n, streams) in &per_epoch {
-            for pos in 0..spe {
-                global_stream.push(streams[pos % n][pos / n]);
-            }
-        }
-
         ElasticReport {
-            global_stream,
-            per_epoch,
+            global_stream: Vec::new(),
+            per_epoch: Vec::new(),
             memberships,
             replans,
             replan_shuffle_generations: replan_shuffles,
@@ -440,7 +507,7 @@ impl ElasticJob {
                 }
                 acc
             },
-            epoch_times,
+            epoch_times: Vec::new(),
             stats,
             setup,
             elapsed: t_run.elapsed(),
@@ -449,15 +516,16 @@ impl ElasticJob {
 
     /// Launches every rank of `plan` over `tiers` on its slice of the
     /// plan's streams from `from` to `to` (both (epoch, step) points),
-    /// and returns each rank's first position in its stream with the
-    /// handles, once every rank has passed the setup allgather.
+    /// starting each handle's epoch count at its slice's first
+    /// position, and returns the handles once every rank has passed the
+    /// setup allgather.
     fn launch_segment(
         &self,
         pfs: &Pfs,
         plan: &Shared,
         (from, to): ((u64, u64), (u64, u64)),
         tiers: Vec<Option<TierStack>>,
-    ) -> (Vec<u64>, Vec<WorkerHandle>) {
+    ) -> Vec<WorkerHandle> {
         let b = self.config.batch_size as u64;
         let at = |w: usize, (e, s): (u64, u64)| {
             let len = plan.spec.worker_epoch_len(w);
@@ -481,41 +549,10 @@ impl ElasticJob {
         let segment = Arc::new(Shared {
             digests,
             streams,
+            starts,
             ..plan.clone()
         });
-        (starts, job::launch(&segment, pfs, tiers))
-    }
-
-    /// Consumes `handle` to the end of its segment, whose first sample
-    /// sits at position `pos` of the rank's stream (epochs of `len`),
-    /// paying the plan's straggle factor per sample. Returns the ids,
-    /// the instant the rank finished each epoch it finished here, and
-    /// its stats.
-    fn consume(
-        &self,
-        handle: &mut WorkerHandle,
-        mut pos: u64,
-        len: u64,
-    ) -> (Vec<SampleId>, Vec<(u64, Instant)>, WorkerStats) {
-        let mut ids = Vec::with_capacity(handle.len() as usize);
-        let mut ends = Vec::new();
-        while let Some((id, data)) = handle.next_sample() {
-            debug_assert_eq!(data.len() as u64, self.sizes[id as usize]);
-            let epoch = pos / len;
-            let straggle = self.plan.straggle_factor(epoch, handle.rank());
-            if straggle > 1.0 {
-                // The straggler pays extra compute time per sample;
-                // content is untouched.
-                let extra = self.config.system.write_time(data.len() as u64);
-                self.config.scale.wait((straggle - 1.0) * extra);
-            }
-            ids.push(id);
-            pos += 1;
-            if pos.is_multiple_of(len) {
-                ends.push((epoch, Instant::now()));
-            }
-        }
-        (ids, ends, handle.stats())
+        job::launch(&segment, pfs, tiers)
     }
 
     /// The origin `rank`'s tier stack bottoms out in: the bare PFS, or
@@ -715,6 +752,84 @@ mod tests {
             .snapshot()
             .counter_total(names::WORKER_LAUNCHES);
         assert_eq!(launches, 7);
+    }
+
+    #[test]
+    fn segments_count_real_epochs_after_a_leave_and_a_mid_epoch_crash() {
+        // 80 samples over four epochs: four ranks of 20 in epoch 0, then
+        // three of 27, 27 and 26, none of them a multiple of the batch
+        // of 4. The crash cuts epoch 2 at step 3, so the last segment
+        // starts mid-epoch and runs on into epoch 3.
+        let sizes = Arc::new(vec![1_000u64; 80]);
+        let obs = nopfs_obs::ObsCtx::traced();
+        let config =
+            JobConfig::new(0xEC, 4, 4, small_system(), TimeScale::new(1e-6)).with_obs(obs.clone());
+        let plan = FaultPlan::fault_free().leave(1).crash(2, 3, 1);
+        let spec = config.shuffle_spec(80);
+        let canon = nopfs_policy::fault::elastic_epoch_streams(
+            nopfs_policy::PolicyId::NoPfs,
+            &config.system,
+            &sizes,
+            &spec,
+            4,
+            &plan,
+        )
+        .expect("valid plan");
+        let job = ElasticJob::new(config, Arc::clone(&sizes), plan).expect("valid plan");
+        let pfs = job.make_pfs();
+        materialize(&pfs, &sizes);
+
+        // Each batch is filed under the epoch the handle reports before
+        // it: a batch that crossed an epoch boundary would carry the
+        // next epoch's first ids into this one.
+        let got: Vec<Mutex<Vec<Vec<SampleId>>>> =
+            (0..4).map(|_| Mutex::new(vec![Vec::new(); 4])).collect();
+        let got_ref = &got;
+        let report = job.run_with(&pfs, |_| {
+            move |handle: &mut WorkerHandle| {
+                let mut mine = got_ref[handle.rank()].lock();
+                loop {
+                    let epoch = handle.current_epoch() as usize;
+                    let Some(batch) = handle.next_batch() else {
+                        break;
+                    };
+                    assert!(batch.len() <= 4);
+                    mine[epoch].extend(batch.iter().map(|(id, _)| *id));
+                }
+            }
+        });
+        assert_eq!(report.memberships, vec![4, 3, 3, 3]);
+        assert_eq!(report.recoveries, 1);
+        let got: Vec<_> = got.into_iter().map(Mutex::into_inner).collect();
+        for (e, (n, streams)) in canon.iter().enumerate() {
+            for (w, rank) in got.iter().enumerate() {
+                let want = streams.get(w).map_or(&[][..], Vec::as_slice);
+                assert_eq!(rank[e], want, "rank {w}, epoch {e} (membership {n})");
+            }
+        }
+
+        // One epoch instant per rank and epoch it is a member of.
+        let mut labels: Vec<(f64, f64)> = obs
+            .tracer
+            .export()
+            .iter()
+            .filter(|ev| ev.name == names::EV_EPOCH)
+            .map(|ev| {
+                let arg = |key| match ev.args.iter().find(|(k, _)| *k == key) {
+                    Some((_, nopfs_obs::ArgValue::Num(v))) => *v,
+                    other => panic!("{key}: {other:?}"),
+                };
+                (arg("rank"), arg("epoch"))
+            })
+            .collect();
+        labels.sort_by(|a, b| a.partial_cmp(b).expect("finite labels"));
+        let members = (0..4).flat_map(|w| {
+            (0..4)
+                .filter(move |&e| w < 3 || e == 0)
+                .map(move |e| (w, e))
+        });
+        let members: Vec<(f64, f64)> = members.map(|(w, e)| (f64::from(w), f64::from(e))).collect();
+        assert_eq!(labels, members);
     }
 
     /// The loaders' `worker.pfs_errors` across every rank and segment

@@ -65,6 +65,9 @@ pub(crate) struct Shared {
     pub digests: Vec<u64>,
     /// Per-worker materialized access streams from the setup pass.
     pub streams: Vec<Arc<Vec<SampleId>>>,
+    /// Where each worker's `streams` entry starts in its whole-run
+    /// stream: an `ElasticJob` segment's first position, 0 for a `Job`.
+    pub starts: Vec<u64>,
     /// Setup-phase statistics (shuffle generations, wall time).
     pub setup: SetupStats,
 }
@@ -175,6 +178,7 @@ impl Shared {
                 .streams
                 .clone()
                 .expect("setup pass materializes streams"),
+            starts: vec![0; workers],
             setup: SetupStats {
                 shuffle_generations: arts.shuffles_generated,
                 setup_time: Duration::ZERO,
@@ -694,7 +698,10 @@ pub struct WorkerHandle {
     stream: Arc<Vec<SampleId>>,
     threads: Vec<JoinHandle<()>>,
     server: Option<JoinHandle<()>>,
-    consumed: u64,
+    /// Position of the next sample in the rank's whole-run stream, and
+    /// the position this handle's slice of it ends at.
+    pos: u64,
+    end: u64,
     epoch_len: u64,
     batch_size: usize,
     finished: bool,
@@ -885,11 +892,12 @@ impl WorkerHandle {
         };
 
         Self {
+            pos: shared.starts[rank],
+            end: shared.starts[rank] + stream.len() as u64,
             ctx,
             stream,
             threads,
             server: Some(server),
-            consumed: 0,
             epoch_len,
             batch_size: shared.config.batch_size,
             finished: false,
@@ -901,7 +909,8 @@ impl WorkerHandle {
         self.ctx.rank
     }
 
-    /// Total samples this handle will yield over the whole run.
+    /// Total samples this handle will yield: the whole run for a `Job`,
+    /// its segment's slice for an `ElasticJob`.
     pub fn len(&self) -> u64 {
         self.stream.len() as u64
     }
@@ -916,19 +925,23 @@ impl WorkerHandle {
         self.epoch_len
     }
 
-    /// The epoch of the *next* sample to be yielded.
+    /// The epoch of the *next* sample to be yielded, counted over the
+    /// whole run (an elastic segment that starts mid-epoch included).
     pub fn current_epoch(&self) -> u64 {
-        self.consumed.checked_div(self.epoch_len).unwrap_or(0)
+        self.pos.checked_div(self.epoch_len).unwrap_or(0)
     }
 
     /// Opens one consumer wait on the staging buffer: marks an epoch
     /// start in the trace and starts the stall clock.
     fn begin_pop(&self) -> Instant {
-        if self.epoch_len > 0 && self.consumed.is_multiple_of(self.epoch_len) {
+        if self.epoch_len > 0 && self.pos.is_multiple_of(self.epoch_len) {
             self.ctx.obs.tracer.instant(
                 names::EV_EPOCH,
                 "worker",
-                vec![("epoch", self.current_epoch().into())],
+                vec![
+                    ("epoch", self.current_epoch().into()),
+                    ("rank", self.ctx.rank.into()),
+                ],
             );
         }
         Instant::now()
@@ -953,14 +966,14 @@ impl WorkerHandle {
         }
         self.ctx.stats.add_stall(stalled);
         self.ctx.stats.add_consumed(got as u64);
-        self.consumed += got as u64;
+        self.pos += got as u64;
     }
 
     /// Next sample in access-stream order, blocking on the staging
     /// buffer; `None` once the run is exhausted. Blocked time is
     /// recorded as consumer stall.
     pub fn next_sample(&mut self) -> Option<(SampleId, Bytes)> {
-        if self.consumed >= self.stream.len() as u64 {
+        if self.pos >= self.end {
             return None;
         }
         let t0 = self.begin_pop();
@@ -980,12 +993,7 @@ impl WorkerHandle {
     /// [`crate::next_batch_len`]. The batch is one wait on the staging
     /// buffer: its blocked time is one consumer stall.
     pub fn next_batch(&mut self) -> Option<Vec<(SampleId, Bytes)>> {
-        let want = crate::next_batch_len(
-            self.consumed,
-            self.stream.len() as u64,
-            self.epoch_len,
-            self.batch_size,
-        );
+        let want = crate::next_batch_len(self.pos, self.end, self.epoch_len, self.batch_size);
         if want == 0 {
             return None;
         }

@@ -333,6 +333,20 @@ impl FaultPlan {
             .any(|e| matches!(e, FaultEvent::Crash { .. }))
     }
 
+    /// Whether the plan has events only an elastic runtime realizes on
+    /// a run of `workers` ranks and `epochs` epochs: a crash tears the
+    /// worker set down mid-epoch, churn changes the membership, and a
+    /// cloud clause re-routes the origin through the object-store
+    /// backend and its resilience stack.
+    pub fn needs_elastic(&self, workers: usize, epochs: u64) -> bool {
+        self.has_crash()
+            || self.cloud.is_some()
+            || self
+                .memberships(workers, epochs)
+                .iter()
+                .any(|&m| m != workers)
+    }
+
     /// Per-epoch worker counts for a run of `epochs` epochs starting at
     /// `initial` workers: joins and leaves apply before their epoch and
     /// persist. Membership never drops below one.
@@ -432,6 +446,36 @@ impl FaultPlan {
                         "crash step {step} beyond the {steps} steps of epoch {e}"
                     )));
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks that every membership the plan produces deals each epoch
+    /// to its ranks in the same number of mini-batches: a job that
+    /// allreduces every step needs it, or the collective deadlocks.
+    /// Ranks hold `⌊F/n⌋` or `⌈F/n⌉` samples of an epoch, so the step
+    /// counts differ exactly when the two round up to different batch
+    /// counts (`drop_last` never lets them).
+    ///
+    /// # Errors
+    /// [`Unsupported`] naming the first membership with ragged steps.
+    pub fn equal_steps(&self, spec: &ShuffleSpec, epochs: u64) -> Result<(), Unsupported> {
+        let b = spec.batch_size as u64;
+        for (e, n) in self
+            .memberships(spec.num_workers, epochs)
+            .into_iter()
+            .enumerate()
+        {
+            let spec_e = respec(spec, n);
+            let (most, least) = (spec_e.worker_epoch_len(0), spec_e.worker_epoch_len(n - 1));
+            if most.div_ceil(b) != least.div_ceil(b) {
+                return Err(Unsupported(format!(
+                    "membership {n} at epoch {e} gives its ranks {} or {} steps; \
+                     a per-step allreduce needs equal steps",
+                    least.div_ceil(b),
+                    most.div_ceil(b)
+                )));
             }
         }
         Ok(())

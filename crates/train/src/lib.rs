@@ -11,14 +11,20 @@
 //!   training loop's *timing structure* — bulk-synchronous steps that
 //!   stall on the slowest worker — is real, while the arithmetic inside
 //!   the "GPU" is replaced by its duration.
+//! - [`job`] — one function per job, [`run_job`]: every rank of any of
+//!   the ten policies runs the timed loop under any fault plan (NoPFS
+//!   through `ElasticJob`, its loop state kept across launches). The
+//!   cluster's tenants and the runtime benches call it.
 //! - [`model`] — a real (tiny) logistic-regression model trained with
 //!   data-parallel SGD on a synthetic separable task whose features
 //!   derive deterministically from sample labels. Accuracy genuinely
 //!   improves over epochs, giving Fig. 16 its accuracy-vs-time curves
 //!   without a GPU.
 
+pub mod job;
 pub mod loop_runner;
 pub mod model;
 
+pub use job::{run_job, JobRun};
 pub use loop_runner::{run_training_loop, RunMetrics, TrainLoopConfig};
 pub use model::{LogisticModel, SyntheticTask};

@@ -11,7 +11,9 @@
 use nopfs_baselines::DataLoader;
 use nopfs_core::stats::WorkerStats;
 use nopfs_net::Endpoint;
+use nopfs_policy::FaultPlan;
 use nopfs_util::timing::TimeScale;
+use std::time::Instant;
 
 /// Parameters of the timed loop.
 #[derive(Debug, Clone, Copy)]
@@ -25,21 +27,8 @@ pub struct TrainLoopConfig {
     pub grad_elems: usize,
 }
 
-impl TrainLoopConfig {
-    /// A config with the given compute rate and scale and a small
-    /// default gradient.
-    pub fn new(compute_rate: f64, scale: TimeScale) -> Self {
-        assert!(compute_rate > 0.0 && compute_rate.is_finite());
-        Self {
-            compute_rate,
-            scale,
-            grad_elems: 256,
-        }
-    }
-}
-
 /// What one worker measured over a run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
     /// Per-epoch times, model seconds.
     pub epoch_times: Vec<f64>,
@@ -47,43 +36,14 @@ pub struct RunMetrics {
     pub batch_times: Vec<f64>,
     /// Batch count per epoch (to slice `batch_times` by epoch).
     pub batches_per_epoch: Vec<usize>,
-    /// The loader's final I/O statistics.
+    /// Per epoch, the modelled compute the loop charged (each batch's
+    /// bytes over the epoch's compute rate), model seconds.
+    pub compute_times: Vec<f64>,
+    /// The I/O statistics of every loader the rank trained on, merged.
     pub stats: WorkerStats,
 }
 
 impl RunMetrics {
-    /// Per-epoch bulk-synchronous times across a worker set: the
-    /// slowest worker defines each epoch (truncated to the epochs every
-    /// worker completed). The one aggregation both the solo benches and
-    /// the multi-tenant cluster report from.
-    pub fn bulk_epoch_times(per_worker: &[RunMetrics]) -> Vec<f64> {
-        let epochs = per_worker
-            .iter()
-            .map(|m| m.epoch_times.len())
-            .min()
-            .unwrap_or(0);
-        (0..epochs)
-            .map(|e| {
-                per_worker
-                    .iter()
-                    .map(|m| m.epoch_times[e])
-                    .fold(0.0, f64::max)
-            })
-            .collect()
-    }
-
-    /// Loader statistics merged across a worker set.
-    ///
-    /// # Panics
-    /// Panics on an empty worker set.
-    pub fn merged_stats(per_worker: &[RunMetrics]) -> WorkerStats {
-        let mut merged = per_worker[0].stats.clone();
-        for m in &per_worker[1..] {
-            merged.merge(&m.stats);
-        }
-        merged
-    }
-
     /// Batch times of epoch `e`.
     pub fn epoch_batches(&self, e: usize) -> &[f64] {
         let start: usize = self.batches_per_epoch[..e].iter().sum();
@@ -99,6 +59,113 @@ impl RunMetrics {
     }
 }
 
+/// One rank's training loop. It can be resumed: an elastic job runs it
+/// over each segment's loader in turn, so an epoch a crash cuts stays
+/// one epoch, on one clock, with one gradient buffer.
+pub(crate) struct RankLoop {
+    cfg: TrainLoopConfig,
+    metrics: RunMetrics,
+    /// The epoch in progress: its number, its samples, batches and
+    /// charged compute so far, and its start (`None` until a loader
+    /// runs in it).
+    epoch: u64,
+    in_epoch: u64,
+    batches: usize,
+    compute: f64,
+    start: Option<Instant>,
+    grad: Vec<f32>,
+}
+
+impl RankLoop {
+    pub(crate) fn new(cfg: TrainLoopConfig) -> Self {
+        Self {
+            cfg,
+            metrics: RunMetrics::default(),
+            epoch: 0,
+            in_epoch: 0,
+            batches: 0,
+            compute: 0.0,
+            start: None,
+            grad: vec![0.0; cfg.grad_elems],
+        }
+    }
+
+    /// Trains on `loader` until it is exhausted. Its first sample
+    /// belongs to `epoch`; the epochs before it that this rank skipped
+    /// (outside an elastic job's membership) took it no time. The
+    /// compute rate in epoch `e` is `compute_rate /
+    /// plan.straggle_factor(e, rank)`.
+    pub(crate) fn run(
+        &mut self,
+        loader: &mut dyn DataLoader,
+        epoch: u64,
+        plan: &FaultPlan,
+        sync: Option<&Endpoint<Vec<f32>>>,
+    ) {
+        if self.epoch < epoch {
+            self.skip_to(epoch);
+            self.start = None;
+        }
+        let (rank, scale) = (loader.rank(), self.cfg.scale);
+        let epoch_len = loader.epoch_len().max(1);
+        let mut start = *self.start.get_or_insert_with(Instant::now);
+        loop {
+            let t0 = Instant::now();
+            let Some(batch) = loader.next_batch() else {
+                break;
+            };
+            let bytes: u64 = batch.iter().map(|(_, d)| d.len() as u64).sum();
+            // The modelled forward/backward pass.
+            let rate = self.cfg.compute_rate / plan.straggle_factor(self.epoch, rank);
+            let compute = bytes as f64 / rate;
+            scale.wait(compute);
+            self.compute += compute;
+            // The gradient allreduce: the bulk-synchronous barrier.
+            if let Some(ep) = sync {
+                if self.cfg.grad_elems > 0 {
+                    ep.allreduce_sum(&mut self.grad).expect("allreduce failed");
+                }
+            }
+            self.metrics.batch_times.push(scale.to_model(t0.elapsed()));
+            self.batches += 1;
+            self.in_epoch += batch.len() as u64;
+            if self.in_epoch >= epoch_len {
+                self.end_epoch(scale.to_model(start.elapsed()));
+                start = *self.start.insert(Instant::now());
+            }
+        }
+        self.metrics.stats.merge(&loader.stats());
+    }
+
+    /// Records the epoch in progress as taking `time` and opens the next.
+    fn end_epoch(&mut self, time: f64) {
+        let m = &mut self.metrics;
+        m.epoch_times.push(time);
+        m.batches_per_epoch.push(std::mem::take(&mut self.batches));
+        m.compute_times.push(std::mem::take(&mut self.compute));
+        self.in_epoch = 0;
+        self.epoch += 1;
+    }
+
+    /// Records empty epochs up to `epoch`.
+    fn skip_to(&mut self, epoch: u64) {
+        while self.epoch < epoch {
+            self.end_epoch(0.0);
+        }
+    }
+
+    /// The metrics of the whole run: a partial last epoch counts as an
+    /// epoch, and the epochs after this rank's last (an elastic job's
+    /// departed rank) up to `epochs` are empty.
+    pub(crate) fn finish(mut self, epochs: u64) -> RunMetrics {
+        if let Some(start) = self.start.filter(|_| self.batches > 0) {
+            self.end_epoch(self.cfg.scale.to_model(start.elapsed()));
+        }
+        self.skip_to(epochs);
+        self.metrics
+    }
+}
+
 /// Runs the timed loop to exhaustion of the loader.
 ///
 /// `sync`: the per-step gradient allreduce endpoint (pass `None` for
@@ -111,51 +178,9 @@ pub fn run_training_loop(
     cfg: &TrainLoopConfig,
     sync: Option<&Endpoint<Vec<f32>>>,
 ) -> RunMetrics {
-    let mut epoch_times = Vec::new();
-    let mut batch_times = Vec::new();
-    let mut batches_per_epoch = Vec::new();
-    let epoch_len = loader.epoch_len().max(1);
-    let mut consumed_in_epoch = 0u64;
-    let mut epoch_start = std::time::Instant::now();
-    let mut batches_this_epoch = 0usize;
-    let mut grad = vec![0.0f32; cfg.grad_elems];
-
-    loop {
-        let t0 = std::time::Instant::now();
-        let Some(batch) = loader.next_batch() else {
-            break;
-        };
-        let bytes: u64 = batch.iter().map(|(_, d)| d.len() as u64).sum();
-        // The modelled forward/backward pass.
-        cfg.scale.wait(bytes as f64 / cfg.compute_rate);
-        // The gradient allreduce: the bulk-synchronous barrier.
-        if let Some(ep) = sync {
-            if cfg.grad_elems > 0 {
-                ep.allreduce_sum(&mut grad).expect("allreduce failed");
-            }
-        }
-        batch_times.push(cfg.scale.to_model(t0.elapsed()));
-        batches_this_epoch += 1;
-        consumed_in_epoch += batch.len() as u64;
-        if consumed_in_epoch >= epoch_len {
-            epoch_times.push(cfg.scale.to_model(epoch_start.elapsed()));
-            batches_per_epoch.push(batches_this_epoch);
-            consumed_in_epoch = 0;
-            batches_this_epoch = 0;
-            epoch_start = std::time::Instant::now();
-        }
-    }
-    if batches_this_epoch > 0 {
-        epoch_times.push(cfg.scale.to_model(epoch_start.elapsed()));
-        batches_per_epoch.push(batches_this_epoch);
-    }
-
-    RunMetrics {
-        epoch_times,
-        batch_times,
-        batches_per_epoch,
-        stats: loader.stats(),
-    }
+    let mut rank = RankLoop::new(*cfg);
+    rank.run(loader, 0, &FaultPlan::fault_free(), sync);
+    rank.finish(0)
 }
 
 #[cfg(test)]

@@ -171,6 +171,17 @@ impl Histogram {
     }
 }
 
+/// The steady-state epoch time: the median of the epochs after the
+/// first (the warm-up), or the first epoch's time for a one-epoch run;
+/// 0 for none. The runtime figures' and the cluster's convention.
+pub fn steady_epoch_time(epoch_times: &[f64]) -> f64 {
+    match epoch_times {
+        [] => 0.0,
+        [only] => *only,
+        [_, tail @ ..] => Summary::new(tail).median(),
+    }
+}
+
 /// Ordinary least-squares fit `y ≈ a + b·x`.
 ///
 /// The paper infers unmeasured performance-model parameters (e.g. PFS
