@@ -10,7 +10,7 @@
 //! emitter, and the Chrome trace exporter.
 
 use nopfs_core::stats::SetupStats;
-use nopfs_storage::{ResilienceStats, TierStats};
+use nopfs_storage::ResilienceStats;
 use nopfs_util::stats::Summary;
 
 pub use nopfs_obs::Json;
@@ -86,27 +86,6 @@ pub fn resilience_json(stats: &ResilienceStats) -> Json {
     ])
 }
 
-/// Serializes one tier's counters from a [`TierStack`] snapshot.
-///
-/// [`TierStack`]: nopfs_storage::TierStack
-pub fn tier_stats_json(tier: &TierStats) -> Json {
-    Json::obj([
-        ("name", Json::from(tier.name.clone())),
-        ("hits", Json::from(tier.hits)),
-        ("misses", Json::from(tier.misses)),
-        ("hit_rate", Json::Num(tier.hit_rate())),
-        ("bytes_read", Json::from(tier.bytes_read)),
-        ("fills", Json::from(tier.fills)),
-        ("bytes_filled", Json::from(tier.bytes_filled)),
-        ("promotions", Json::from(tier.promotions)),
-        ("demotions", Json::from(tier.demotions)),
-        ("evictions", Json::from(tier.evictions)),
-        ("bytes_evicted", Json::from(tier.bytes_evicted)),
-        ("capacity", tier.capacity.map_or(Json::Null, Json::from)),
-        ("used", Json::from(tier.used)),
-    ])
-}
-
 /// Where artifact `name` belongs: the workspace root, found by walking
 /// up from the current directory to the `Cargo.lock` (benches run with
 /// their package directory as CWD, examples with the workspace root —
@@ -140,7 +119,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn resilience_and_tier_stats_serialize_every_counter() {
+    fn resilience_stats_serialize_every_counter() {
         let res = ResilienceStats {
             reads: 10,
             retries: 3,
@@ -155,25 +134,6 @@ mod tests {
         assert!(s.contains("\"hedges_won\": 1"));
         assert!(s.contains("\"breaker_to_open\": 1"));
         assert!(s.contains("\"exhausted\": 0"));
-
-        let tier = TierStats {
-            name: "ram".into(),
-            hits: 3,
-            misses: 1,
-            bytes_read: 300,
-            fills: 4,
-            bytes_filled: 400,
-            promotions: 2,
-            demotions: 0,
-            evictions: 1,
-            bytes_evicted: 100,
-            capacity: None,
-            used: 300,
-        };
-        let t = tier_stats_json(&tier).render();
-        assert!(t.contains("\"name\": \"ram\""));
-        assert!(t.contains("\"hit_rate\": 0.75"));
-        assert!(t.contains("\"capacity\": null"));
     }
 
     #[test]
