@@ -52,9 +52,8 @@ use nopfs_pfs::Pfs;
 use nopfs_policy::fault::{CloudFaults, FaultPlan};
 use nopfs_policy::Unsupported;
 use nopfs_storage::{
-    BreakerConfig, BrownoutWindow, DataSource, Disturbance, HedgeConfig, ObjectStoreBackend,
-    ObjectStoreConfig, ResilienceConfig, ResilienceStats, ResilientSource, RetryPolicy, TierStack,
-    TierStats,
+    BreakerConfig, DataSource, HedgeConfig, ObjectStoreBackend, ObjectStoreConfig,
+    ResilienceConfig, ResilienceStats, ResilientSource, RetryPolicy, TierStack, TierStats,
 };
 use nopfs_util::rng::mix64;
 use parking_lot::Mutex;
@@ -65,30 +64,6 @@ use std::time::{Duration, Instant};
 /// Initial accumulator of a segment-slice digest (the elastic analogue
 /// of the engine's stream digests, folded over the slice only).
 const SLICE_DIGEST_SEED: u64 = 0xE1A5_71C0;
-
-/// Translates the plan's declarative [`CloudFaults`] clause into the
-/// storage layer's [`Disturbance`], seeded per rank (the policy ↔
-/// storage mirror).
-fn disturbance_for(cloud: &CloudFaults, rank: usize) -> Disturbance {
-    Disturbance {
-        spike_rate: cloud.spike_rate,
-        spike_factor: cloud.spike_factor,
-        throttle_rate: cloud.throttle_rate,
-        throttle_burst: cloud.throttle_burst,
-        retry_after: cloud.retry_after,
-        brownouts: cloud
-            .brownouts
-            .iter()
-            .map(|b| BrownoutWindow {
-                start: b.start,
-                duration: b.duration,
-                latency_factor: b.latency_factor,
-                throttle_rate: b.throttle_rate,
-            })
-            .collect(),
-        seed: mix64(cloud.seed, rank as u64),
-    }
-}
 
 /// One rank's drained epochs: the ids it delivered in each, and when it
 /// finished it.
@@ -487,9 +462,7 @@ impl ElasticJob {
             resilience: {
                 let mut acc = ResilienceStats::default();
                 for r in resilient.iter().flatten() {
-                    if let Some(s) = DataSource::resilience(r.as_ref()) {
-                        acc.merge(&s);
-                    }
+                    acc.merge(&r.stats());
                 }
                 acc
             },
@@ -575,7 +548,10 @@ impl ElasticJob {
                 .cloud_origin
                 .clone()
                 .expect("cloud plan implies cloud_origin");
-            let store = store.with_disturbance(disturbance_for(cloud, rank));
+            let store = store.with_disturbance(CloudFaults {
+                seed: mix64(cloud.seed, rank as u64),
+                ..cloud.clone()
+            });
             let origin = ObjectStoreBackend::over(Arc::new(pfs.clone()), store, self.config.scale);
             res.retry.seed = mix64(res.retry.seed, rank as u64);
             let obs = self.config.obs.scoped([("rank", rank.to_string())]);

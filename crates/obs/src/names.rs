@@ -93,8 +93,6 @@ pub const RES_EXHAUSTED: &str = "resilience.exhausted";
 pub const RES_HEDGES_FIRED: &str = "resilience.hedges_fired";
 /// Hedged requests that won the race.
 pub const RES_HEDGES_WON: &str = "resilience.hedges_won";
-/// Attempts that missed their deadline.
-pub const RES_DEADLINE_MISSES: &str = "resilience.deadline_misses";
 /// Attempts rejected by origin throttling.
 pub const RES_THROTTLED: &str = "resilience.throttled";
 /// Reads rejected while the breaker was open.

@@ -11,6 +11,9 @@
 //! end-to-end behaviour of whole I/O policies.
 //!
 //! Modules:
+//! - [`cloud`] — the cloud origin's failure vocabulary
+//!   ([`CloudFaults`], [`Brownout`]), declared once for the fault plan,
+//!   the object store and the simulator.
 //! - [`curve`] — throughput as a function of thread/client count, with
 //!   linear interpolation between measured points and least-squares
 //!   extrapolation beyond them (the paper's "inferred using linear
@@ -24,11 +27,13 @@
 //!   small-cluster simulation setup (Lassen-derived benchmarks), and
 //!   Piz-Daint- and Lassen-like hierarchies from Fig. 1.
 
+pub mod cloud;
 pub mod curve;
 pub mod equations;
 pub mod presets;
 pub mod system;
 
+pub use cloud::{Brownout, CloudFaults};
 pub use curve::ThroughputCurve;
 pub use equations::{consume_timeline, ConsumeTimeline};
 pub use system::{Location, StagingSpec, StorageClass, SystemSpec};

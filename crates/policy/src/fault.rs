@@ -1,5 +1,6 @@
 //! Fault plans: declarative schedules of crashes, membership churn,
-//! stragglers, and transient read errors, shared by every harness.
+//! stragglers, transient read errors and cloud-origin disturbances,
+//! shared by every harness.
 //!
 //! A [`FaultPlan`] is the single vocabulary the threaded runtime, the
 //! discrete-event simulator, and the multi-tenant cluster all inject
@@ -9,7 +10,10 @@
 //! own mechanisms (real thread teardown and warm-cache handoff in the
 //! runtime, modelled recovery penalties in the simulator), except read
 //! errors: the runtime and the cluster both plant
-//! [`ReadErrors::bursts`] in the PFS they read.
+//! [`ReadErrors::bursts`] in the PFS they read. The cloud clause's
+//! type, [`CloudFaults`], is declared in `nopfs_perfmodel::cloud` and
+//! re-exported here: the object store and the simulator take the same
+//! type, so no harness translates it.
 //!
 //! The replay-exactness this module's consumers prove rests on one
 //! property of the sampler: the epoch seed mixes only `(seed, epoch)` —
@@ -30,6 +34,9 @@ use crate::Unsupported;
 // `FaultPlan::validate` wants without a clairvoyance dependency.
 pub use nopfs_clairvoyance::sampler::ShuffleSpec;
 use nopfs_clairvoyance::SampleId;
+// The cloud failure vocabulary is declared once, beside the model that
+// prices it; re-exported so a fault plan's users name it from here.
+pub use nopfs_perfmodel::cloud::{Brownout, CloudFaults};
 use nopfs_perfmodel::SystemSpec;
 use nopfs_util::rng::mix64;
 
@@ -79,143 +86,6 @@ impl ReadErrors {
         }
         if self.max_burst == 0 {
             return Err(Unsupported("read_errors max_burst must be ≥ 1".into()));
-        }
-        Ok(())
-    }
-}
-
-/// One scheduled brownout of the cloud origin: a window of degraded
-/// service, in model-seconds from the start of the run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Brownout {
-    /// Window start, model seconds.
-    pub start: f64,
-    /// Window length, model seconds.
-    pub duration: f64,
-    /// Latency multiplier (and throughput divisor) inside the window
-    /// (≥ 1).
-    pub latency_factor: f64,
-    /// Additional probability that a request inside the window is
-    /// throttled.
-    pub throttle_rate: f64,
-}
-
-/// Cloud-origin disturbances: the object-store failure vocabulary
-/// (tail-latency spikes, throttling, brownout windows), declared once
-/// and realized by each harness — the threaded runtime builds a
-/// disturbed `nopfs_storage::ObjectStoreBackend` beneath a resilient
-/// origin chain, the simulator prices the same windows analytically.
-///
-/// Like [`ReadErrors`], the disturbances are *bounded by construction*:
-/// throttle bursts never exceed `throttle_burst` consecutive failures
-/// per sample, so a retry budget above the bound (plus breaker settings
-/// that out-wait the longest brownout) keeps every read eventually
-/// successful and the global sample stream bit-identical to the
-/// fault-free run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CloudFaults {
-    /// Probability a request draws a tail-latency spike.
-    pub spike_rate: f64,
-    /// Latency multiplier of a spiked request (≥ 1).
-    pub spike_factor: f64,
-    /// Baseline probability a fresh request opens a throttle burst.
-    pub throttle_rate: f64,
-    /// Maximum consecutive throttle responses per sample (≥ 1); keep
-    /// below the retry budget.
-    pub throttle_burst: u32,
-    /// Server `retry_after` hint on throttles, model seconds.
-    pub retry_after: f64,
-    /// Scheduled brownout windows.
-    pub brownouts: Vec<Brownout>,
-    /// Seed of the spike/throttle pattern.
-    pub seed: u64,
-}
-
-impl CloudFaults {
-    /// A quiet cloud origin: no spikes, throttles, or brownouts.
-    pub fn none(seed: u64) -> Self {
-        Self {
-            spike_rate: 0.0,
-            spike_factor: 1.0,
-            throttle_rate: 0.0,
-            throttle_burst: 1,
-            retry_after: 0.0,
-            brownouts: Vec::new(),
-            seed,
-        }
-    }
-
-    /// Adds a brownout window (builder style).
-    #[must_use]
-    pub fn brownout(
-        mut self,
-        start: f64,
-        duration: f64,
-        latency_factor: f64,
-        throttle_rate: f64,
-    ) -> Self {
-        self.brownouts.push(Brownout {
-            start,
-            duration,
-            latency_factor,
-            throttle_rate,
-        });
-        self
-    }
-
-    /// Latency factor and extra throttle probability at model time
-    /// `now` (the strongest active brownout wins).
-    pub fn brownout_at(&self, now: f64) -> (f64, f64) {
-        let mut factor = 1.0f64;
-        let mut throttle = 0.0f64;
-        for w in &self.brownouts {
-            if now >= w.start && now < w.start + w.duration {
-                factor = factor.max(w.latency_factor);
-                throttle = throttle.max(w.throttle_rate);
-            }
-        }
-        (factor, throttle)
-    }
-
-    /// Checks rates, factors, and windows.
-    ///
-    /// # Errors
-    /// [`Unsupported`] naming the first invalid field.
-    pub fn validate(&self) -> Result<(), Unsupported> {
-        let rate = |name: &str, r: f64| {
-            if (0.0..1.0).contains(&r) {
-                Ok(())
-            } else {
-                Err(Unsupported(format!("cloud {name} {r} outside [0, 1)")))
-            }
-        };
-        rate("spike_rate", self.spike_rate)?;
-        rate("throttle_rate", self.throttle_rate)?;
-        if self.spike_factor < 1.0 {
-            return Err(Unsupported(format!(
-                "cloud spike_factor {} below 1",
-                self.spike_factor
-            )));
-        }
-        if self.throttle_burst < 1 {
-            return Err(Unsupported("cloud throttle_burst must be ≥ 1".into()));
-        }
-        if self.retry_after < 0.0 {
-            return Err(Unsupported(format!(
-                "cloud retry_after {} negative",
-                self.retry_after
-            )));
-        }
-        for (i, w) in self.brownouts.iter().enumerate() {
-            if w.start < 0.0 || w.duration < 0.0 {
-                return Err(Unsupported(format!(
-                    "brownout {i} has a negative start or duration"
-                )));
-            }
-            if w.latency_factor < 1.0 {
-                return Err(Unsupported(format!("brownout {i} latency_factor below 1")));
-            }
-            rate(&format!("brownout {i} throttle_rate"), w.throttle_rate)?;
         }
         Ok(())
     }
@@ -414,7 +284,7 @@ impl FaultPlan {
             errors.validate()?;
         }
         if let Some(cloud) = &self.cloud {
-            cloud.validate()?;
+            cloud.validate().map_err(Unsupported)?;
         }
         let memberships = self.memberships(spec.num_workers, epochs);
         let spe = spec.samples_per_epoch();

@@ -109,7 +109,7 @@ mod tests {
         // NotFound: a single attempt, returned verbatim.
         let retry = retry_only(mem_with(&[]), 5);
         assert_eq!(retry.read(9), Err(SourceError::NotFound(9)));
-        let stats = retry.resilience().unwrap();
+        let stats = retry.stats();
         assert_eq!((stats.reads, stats.retries, stats.exhausted), (1, 0, 0));
     }
 
@@ -177,12 +177,8 @@ mod tests {
         let throttled = SourceError::Throttled {
             retry_after: Duration::from_millis(1),
         };
-        let deadline = SourceError::DeadlineExceeded {
-            deadline: Duration::from_millis(5),
-        };
         assert_eq!(SourceError::Io("x".into()).class(), ErrorClass::Transient);
         assert_eq!(throttled.class(), ErrorClass::Throttled);
-        assert_eq!(deadline.class(), ErrorClass::DeadlineExceeded);
         assert_eq!(SourceError::NotFound(1).class(), ErrorClass::Permanent);
         assert_eq!(
             SourceError::Full {
@@ -196,7 +192,7 @@ mod tests {
             SourceError::Unavailable("open".into()).class(),
             ErrorClass::Permanent
         );
-        assert!(throttled.is_retryable() && deadline.is_retryable());
+        assert!(throttled.is_retryable());
         assert!(!SourceError::Unavailable("open".into()).is_retryable());
     }
 
@@ -219,7 +215,7 @@ mod tests {
                     assert_eq!(data[0], id as u8);
                 }
             }
-            let stats = retry.resilience().unwrap();
+            let stats = retry.stats();
             assert_eq!(stats.exhausted, 0);
             assert_eq!(stats.retries, faulty.failures());
             assert_eq!(stats.retries, 150 * burst);

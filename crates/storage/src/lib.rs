@@ -25,7 +25,8 @@
 //! - [`objectstore`] — the cloud origin tier:
 //!   [`objectstore::ObjectStoreBackend`] charges S3-like request
 //!   economics (latency floor, parallelism-dependent throughput,
-//!   coalescing) with seeded disturbances (spikes, throttles,
+//!   coalescing) under the workspace's one cloud failure vocabulary,
+//!   `nopfs_perfmodel::CloudFaults` (seeded spikes, throttles,
 //!   brownouts).
 //! - [`shard`] — [`shard::ShardedMap`], the sharded dense slot table
 //!   behind every structure the fetch hot path touches: readers of
@@ -51,9 +52,7 @@ pub mod tier;
 pub use backend::{FsBackend, MemoryBackend, StorageBackend, ThrottledBackend};
 pub use fault::RetryPolicy;
 pub use metadata::MetadataStore;
-pub use objectstore::{
-    BrownoutWindow, Disturbance, ObjectStoreBackend, ObjectStoreConfig, ObjectStoreStats,
-};
+pub use objectstore::{ObjectStoreBackend, ObjectStoreConfig, ObjectStoreStats};
 pub use reorder::ReorderStage;
 pub use resilience::{
     BreakerConfig, BreakerState, CircuitBreaker, HedgeConfig, ResilienceConfig, ResilienceStats,

@@ -12,19 +12,22 @@
 //!
 //! [`ObjectStoreBackend`] models all of that over any inner
 //! [`DataSource`] (an in-memory object map, or the synthetic PFS when
-//! the runtime treats the cloud store as the true origin). The
-//! disturbance model is fully seeded and *bounded*: a throttle burst
-//! is at most `throttle_burst` consecutive responses per sample,
-//! followed by one guaranteed clean read, so a retry budget above the
-//! burst bound is guaranteed to succeed — disturbances change *when*
-//! bytes arrive, never *which* bytes, which is what keeps disturbed
-//! global sample streams bit-identical to fault-free runs.
+//! the runtime treats the cloud store as the true origin). Its
+//! disturbances are the workspace's one cloud failure vocabulary,
+//! [`CloudFaults`] (declared in `nopfs_perfmodel::cloud`, carried by a
+//! fault plan, priced by the simulator), realized here on the wall
+//! clock. They are fully seeded and *bounded*: a throttle burst is at
+//! most `throttle_burst` consecutive responses per sample, followed by
+//! one guaranteed clean read, so a retry budget above the burst bound
+//! is guaranteed to succeed — disturbances change *when* bytes arrive,
+//! never *which* bytes, which is what keeps disturbed global sample
+//! streams bit-identical to fault-free runs.
 
 use crate::fault::unit;
 use crate::tier::{DataSource, SourceError};
 use crate::SampleId;
 use bytes::Bytes;
-use nopfs_perfmodel::ThroughputCurve;
+use nopfs_perfmodel::{CloudFaults, ThroughputCurve};
 use nopfs_util::rate::TokenBucket;
 use nopfs_util::rng::mix64;
 use nopfs_util::timing::TimeScale;
@@ -33,117 +36,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// One window of degraded service, in model-seconds since the store
-/// was built.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BrownoutWindow {
-    /// Window start, model seconds.
-    pub start: f64,
-    /// Window length, model seconds.
-    pub duration: f64,
-    /// Latency multiplier (and throughput divisor) inside the window
-    /// (≥ 1).
-    pub latency_factor: f64,
-    /// Additional probability that a request inside the window opens a
-    /// throttle burst.
-    pub throttle_rate: f64,
-}
-
-impl BrownoutWindow {
-    /// Whether `now` falls inside the window.
-    pub fn contains(&self, now: f64) -> bool {
-        now >= self.start && now < self.start + self.duration
-    }
-}
-
-/// Seeded disturbance model: spikes, throttles, brownouts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Disturbance {
-    /// Probability that a request draws a tail-latency spike.
-    pub spike_rate: f64,
-    /// Latency multiplier of a spiked request (≥ 1).
-    pub spike_factor: f64,
-    /// Baseline probability that a fresh request opens a throttle
-    /// burst.
-    pub throttle_rate: f64,
-    /// Maximum consecutive [`SourceError::Throttled`] responses per
-    /// sample (≥ 1); one clean read is guaranteed after each burst.
-    pub throttle_burst: u32,
-    /// `retry_after` hint attached to throttle responses, model
-    /// seconds.
-    pub retry_after: f64,
-    /// Scheduled brownout windows.
-    pub brownouts: Vec<BrownoutWindow>,
-    /// Seed of the spike/throttle pattern.
-    pub seed: u64,
-}
-
-impl Disturbance {
-    /// A quiet model: no spikes, no throttles, no brownouts.
-    pub fn none(seed: u64) -> Self {
-        Self {
-            spike_rate: 0.0,
-            spike_factor: 1.0,
-            throttle_rate: 0.0,
-            throttle_burst: 1,
-            retry_after: 0.0,
-            brownouts: Vec::new(),
-            seed,
-        }
-    }
-
-    /// Latency factor and extra throttle probability at model time
-    /// `now` (the strongest active brownout wins).
-    pub fn brownout_at(&self, now: f64) -> (f64, f64) {
-        let mut factor = 1.0f64;
-        let mut throttle = 0.0f64;
-        for w in &self.brownouts {
-            if w.contains(now) {
-                factor = factor.max(w.latency_factor);
-                throttle = throttle.max(w.throttle_rate);
-            }
-        }
-        (factor, throttle)
-    }
-
-    /// Validates rates and factors.
-    ///
-    /// # Errors
-    /// A description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(0.0..1.0).contains(&self.spike_rate) {
-            return Err(format!("spike_rate {} outside [0, 1)", self.spike_rate));
-        }
-        if self.spike_factor < 1.0 {
-            return Err(format!("spike_factor {} below 1", self.spike_factor));
-        }
-        if !(0.0..1.0).contains(&self.throttle_rate) {
-            return Err(format!(
-                "throttle_rate {} outside [0, 1)",
-                self.throttle_rate
-            ));
-        }
-        if self.throttle_burst < 1 {
-            return Err("throttle_burst must be at least 1".into());
-        }
-        if self.retry_after < 0.0 {
-            return Err(format!("retry_after {} negative", self.retry_after));
-        }
-        for (i, w) in self.brownouts.iter().enumerate() {
-            if w.start < 0.0 || w.duration < 0.0 {
-                return Err(format!("brownout {i} has a negative start or duration"));
-            }
-            if w.latency_factor < 1.0 {
-                return Err(format!("brownout {i} latency_factor below 1"));
-            }
-            if !(0.0..1.0).contains(&w.throttle_rate) {
-                return Err(format!("brownout {i} throttle_rate outside [0, 1)"));
-            }
-        }
-        Ok(())
-    }
-}
 
 /// Object-store performance parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,8 +48,9 @@ pub struct ObjectStoreConfig {
     /// Longest run of adjacent sample ids [`DataSource::read_each`]
     /// merges into one request (≥ 1; 1 disables coalescing).
     pub max_coalesce: usize,
-    /// Disturbances; `None` = ideally behaved store.
-    pub disturbance: Option<Disturbance>,
+    /// Disturbances, positioned in model time since the store was
+    /// built; `None` = ideally behaved store.
+    pub disturbance: Option<CloudFaults>,
 }
 
 impl ObjectStoreConfig {
@@ -184,7 +77,7 @@ impl ObjectStoreConfig {
     /// # Panics
     /// Panics when the disturbance fails validation.
     #[must_use]
-    pub fn with_disturbance(mut self, disturbance: Disturbance) -> Self {
+    pub fn with_disturbance(mut self, disturbance: CloudFaults) -> Self {
         disturbance.validate().expect("valid disturbance");
         self.disturbance = Some(disturbance);
         self
@@ -517,6 +410,7 @@ impl DataSource for ObjectStoreBackend {
 mod tests {
     use super::*;
     use crate::backend::{MemoryBackend, StorageBackend};
+    use nopfs_perfmodel::Brownout;
 
     fn objects(n: u64, size: usize) -> Arc<dyn DataSource> {
         let m = MemoryBackend::new("objects", u64::MAX);
@@ -591,11 +485,11 @@ mod tests {
 
     #[test]
     fn throttle_bursts_are_bounded_deterministic_and_carry_retry_after() {
-        let disturbance = Disturbance {
+        let disturbance = CloudFaults {
             throttle_rate: 0.3,
             throttle_burst: 2,
             retry_after: 1e-6,
-            ..Disturbance::none(0xCAFE)
+            ..CloudFaults::none(0xCAFE)
         };
         let run = || {
             let store = ObjectStoreBackend::over(
@@ -631,7 +525,7 @@ mod tests {
         // The error carries the server's retry_after hint.
         let store = ObjectStoreBackend::over(
             objects(1, 8),
-            quick_cfg(0.0).with_disturbance(Disturbance {
+            quick_cfg(0.0).with_disturbance(CloudFaults {
                 throttle_rate: 0.999,
                 ..disturbance
             }),
@@ -653,14 +547,14 @@ mod tests {
         // on a 2 ms floor: early reads pay ≥ 20 ms, late reads 2 ms.
         let store = ObjectStoreBackend::over(
             objects(4, 8),
-            quick_cfg(0.002).with_disturbance(Disturbance {
-                brownouts: vec![BrownoutWindow {
+            quick_cfg(0.002).with_disturbance(CloudFaults {
+                brownouts: vec![Brownout {
                     start: 0.0,
                     duration: 0.05,
                     latency_factor: 10.0,
                     throttle_rate: 0.0,
                 }],
-                ..Disturbance::none(1)
+                ..CloudFaults::none(1)
             }),
             TimeScale::realtime(),
         );
@@ -706,10 +600,10 @@ mod tests {
     fn spikes_are_seeded_and_only_stretch_latency() {
         let store = ObjectStoreBackend::over(
             objects(4, 8),
-            quick_cfg(1e-6).with_disturbance(Disturbance {
+            quick_cfg(1e-6).with_disturbance(CloudFaults {
                 spike_rate: 0.5,
                 spike_factor: 3.0,
-                ..Disturbance::none(9)
+                ..CloudFaults::none(9)
             }),
             TimeScale::realtime(),
         );
@@ -723,29 +617,29 @@ mod tests {
 
     #[test]
     fn disturbance_validation_rejects_nonsense() {
-        assert!(Disturbance {
+        assert!(CloudFaults {
             spike_rate: 1.5,
-            ..Disturbance::none(0)
+            ..CloudFaults::none(0)
         }
         .validate()
         .is_err());
-        assert!(Disturbance {
+        assert!(CloudFaults {
             spike_factor: 0.5,
-            ..Disturbance::none(0)
+            ..CloudFaults::none(0)
         }
         .validate()
         .is_err());
-        assert!(Disturbance {
-            brownouts: vec![BrownoutWindow {
+        assert!(CloudFaults {
+            brownouts: vec![Brownout {
                 start: -1.0,
                 duration: 1.0,
                 latency_factor: 2.0,
                 throttle_rate: 0.0,
             }],
-            ..Disturbance::none(0)
+            ..CloudFaults::none(0)
         }
         .validate()
         .is_err());
-        assert!(Disturbance::none(0).validate().is_ok());
+        assert!(CloudFaults::none(0).validate().is_ok());
     }
 }

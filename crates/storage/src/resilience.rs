@@ -1,5 +1,5 @@
-//! The resilience layer: deadlines, hedged requests, and a circuit
-//! breaker over any [`DataSource`].
+//! The resilience layer: retry, hedged requests, and a circuit breaker
+//! over any [`DataSource`].
 //!
 //! Object-store origins fail differently from a PFS: tail latency,
 //! throttling, and brownouts dominate, and the cloud-storage
@@ -8,24 +8,24 @@
 //! standard defenses into one wrapper that slots beneath a
 //! [`crate::TierStack`] like every other [`DataSource`]:
 //!
-//! - **per-read deadlines** — an attempt that outlives its budget
-//!   surfaces [`SourceError::DeadlineExceeded`] instead of stalling the
-//!   step loop;
 //! - **hedged requests** — when the primary read outlives a measured
 //!   latency quantile, a duplicate is fired and the first answer wins
 //!   (hedging changes *when* bytes arrive, never *which* bytes);
 //! - **retry** — retryable failures are re-attempted under the caller's
 //!   [`RetryPolicy`] (capped exponential backoff, full jitter). This is
 //!   the storage layer's one retry loop:
-//!   [`ResilienceConfig::retry_only`] — no deadline, hedge or breaker —
-//!   is the plain retrying source;
+//!   [`ResilienceConfig::retry_only`] — no hedge or breaker — is the
+//!   plain retrying source;
 //! - **circuit breaking** — consecutive failures open a [`CircuitBreaker`];
 //!   while open, reads fail fast with [`SourceError::Unavailable`] so
 //!   the fetch path can degrade gracefully to peers or lower tiers, and
 //!   half-open probes re-close the breaker once the backend recovers.
 //!
-//! Everything observable is counted in [`ResilienceStats`], surfaced
-//! through [`DataSource::resilience`] next to the per-tier
+//! Layering, outermost first: breaker → retry → hedge. The runtime sets
+//! no per-attempt deadline; the simulator's closed-form client
+//! (`nopfs_simulator::CloudResilience`) models one. Everything
+//! observable is counted in [`ResilienceStats`], read through
+//! [`ResilientSource::stats`] next to the per-tier
 //! [`crate::TierStats`].
 
 use crate::fault::RetryPolicy;
@@ -345,8 +345,6 @@ impl LatencyTracker {
 pub struct ResilienceConfig {
     /// Retry schedule for retryable failures.
     pub retry: RetryPolicy,
-    /// Wall-clock budget per attempt; `None` = wait forever.
-    pub deadline: Option<Duration>,
     /// Hedged-request tuning; `None` disables hedging.
     pub hedge: Option<HedgeConfig>,
     /// Circuit-breaker tuning; `None` disables breaking.
@@ -354,21 +352,13 @@ pub struct ResilienceConfig {
 }
 
 impl ResilienceConfig {
-    /// Retry-only resilience (no deadline, hedge, or breaker).
+    /// Retry-only resilience (no hedge or breaker).
     pub fn retry_only(retry: RetryPolicy) -> Self {
         Self {
             retry,
-            deadline: None,
             hedge: None,
             breaker: None,
         }
-    }
-
-    /// Adds a per-attempt deadline.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
     }
 
     /// Adds hedged requests.
@@ -400,7 +390,8 @@ pub struct ResilienceStats {
     pub hedges_fired: u64,
     /// Hedged reads where the hedge answered first.
     pub hedges_won: u64,
-    /// Attempts that missed their deadline.
+    /// Attempts that missed their deadline: filled by the simulator's
+    /// deadlined client only, since a [`ResilientSource`] sets none.
     pub deadline_misses: u64,
     /// Attempts rejected by backend throttling.
     pub throttled: u64,
@@ -440,7 +431,6 @@ struct Counters {
     exhausted: Counter,
     hedges_fired: Counter,
     hedges_won: Counter,
-    deadline_misses: Counter,
     throttled: Counter,
     /// End-to-end read latency (ns), breaker rejections included.
     read_latency: Histogram,
@@ -454,23 +444,19 @@ impl Counters {
             exhausted: registry.counter(names::RES_EXHAUSTED),
             hedges_fired: registry.counter(names::RES_HEDGES_FIRED),
             hedges_won: registry.counter(names::RES_HEDGES_WON),
-            deadline_misses: registry.counter(names::RES_DEADLINE_MISSES),
             throttled: registry.counter(names::RES_THROTTLED),
             read_latency: registry.histogram(names::RES_READ_LATENCY),
         }
     }
 }
 
-/// The outcome of one attempt: who answered, with what, after how long.
-enum AttemptOutcome {
-    Done(Result<Bytes, SourceError>, Duration, bool),
-    TimedOut,
-}
+/// One attempt's answer, how long it took, and whether the hedge gave it.
+type Attempt = (Result<Bytes, SourceError>, Duration, bool);
 
-/// A [`DataSource`] wrapper combining deadlines, hedging, retry, and
-/// circuit breaking — the full failure domain for an object-store (or
-/// any flaky) origin. Layering, outermost first: breaker (fail fast
-/// while open) → retry loop → per-attempt deadline + hedge.
+/// A [`DataSource`] wrapper combining hedging, retry, and circuit
+/// breaking — the full failure domain for an object-store (or any
+/// flaky) origin. Layering, outermost first: breaker (fail fast while
+/// open) → retry loop → hedge.
 pub struct ResilientSource {
     inner: Arc<dyn DataSource>,
     cfg: ResilienceConfig,
@@ -547,17 +533,40 @@ impl ResilientSource {
         self.breaker.as_ref()
     }
 
-    /// One attempt: primary read, hedge after the quantile delay, both
-    /// racing the per-attempt deadline. Returns the first completion.
-    fn attempt(&self, id: SampleId) -> AttemptOutcome {
+    /// The layer's counters so far (retries, hedges, breaker
+    /// transitions).
+    pub fn stats(&self) -> ResilienceStats {
+        let (to_open, to_half_open, to_closed, rejections) = self
+            .breaker
+            .as_ref()
+            .map_or((0, 0, 0, 0), |b| b.transitions());
+        let c = &self.counters;
+        ResilienceStats {
+            reads: c.reads.get(),
+            retries: c.retries.get(),
+            exhausted: c.exhausted.get(),
+            hedges_fired: c.hedges_fired.get(),
+            hedges_won: c.hedges_won.get(),
+            throttled: c.throttled.get(),
+            breaker_open_rejections: rejections,
+            breaker_to_open: to_open,
+            breaker_to_half_open: to_half_open,
+            breaker_to_closed: to_closed,
+            ..ResilienceStats::default()
+        }
+    }
+
+    /// One attempt: the primary read and, once it has outlived the
+    /// hedge delay, a duplicate. The first success wins; when both
+    /// fail, the later failure is the answer.
+    fn attempt(&self, id: SampleId) -> Attempt {
         // Fast path: nothing to race, read inline (no thread spawn).
-        if self.cfg.deadline.is_none() && self.cfg.hedge.is_none() {
+        let Some(h) = &self.cfg.hedge else {
             let t0 = Instant::now();
             let r = self.inner.read(id);
-            return AttemptOutcome::Done(r, t0.elapsed(), false);
-        }
-
-        let (tx, rx) = mpsc::channel::<(bool, Result<Bytes, SourceError>, Duration)>();
+            return (r, t0.elapsed(), false);
+        };
+        let (tx, rx) = mpsc::channel::<Attempt>();
         let spawn = |hedge: bool| {
             let inner = Arc::clone(&self.inner);
             let tx = tx.clone();
@@ -565,61 +574,30 @@ impl ResilientSource {
                 let t0 = Instant::now();
                 let r = inner.read(id);
                 // The loser's result is dropped with the receiver.
-                let _ = tx.send((hedge, r, t0.elapsed()));
+                let _ = tx.send((r, t0.elapsed(), hedge));
             });
         };
-        let started = Instant::now();
-        let deadline = self.cfg.deadline;
-        let remaining = |started: Instant| deadline.map(|d| d.saturating_sub(started.elapsed()));
         spawn(false);
-        let mut outstanding = 1u32;
-
-        // Phase 1: wait up to the hedge delay (clipped by the deadline).
-        if let Some(h) = &self.cfg.hedge {
-            let hedge_delay = self.tracker.lock().delay(h);
-            let wait = remaining(started).map_or(hedge_delay, |r| hedge_delay.min(r));
-            match rx.recv_timeout(wait) {
-                Ok((hedge, r, lat)) => return AttemptOutcome::Done(r, lat, hedge),
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if remaining(started).is_none_or(|r| r > Duration::ZERO) {
-                        self.counters.hedges_fired.inc();
-                        self.tracer.instant_at(
-                            names::EV_HEDGE_FIRED,
-                            "resilience",
-                            self.now(),
-                            vec![("sample", id.into())],
-                        );
-                        spawn(true);
-                        outstanding += 1;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => unreachable!("senders outlive us"),
+        let hedge_delay = self.tracker.lock().delay(h);
+        match rx.recv_timeout(hedge_delay) {
+            Ok(done) => return done,
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                self.counters.hedges_fired.inc();
+                self.tracer.instant_at(
+                    names::EV_HEDGE_FIRED,
+                    "resilience",
+                    self.now(),
+                    vec![("sample", id.into())],
+                );
+                spawn(true);
             }
+            Err(mpsc::RecvTimeoutError::Disconnected) => unreachable!("senders outlive us"),
         }
-
-        // Phase 2: first success (or last failure) wins, racing the
-        // remaining deadline.
-        let mut last: Option<AttemptOutcome> = None;
-        while outstanding > 0 {
-            let got = match remaining(started) {
-                None => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
-                Some(r) if r > Duration::ZERO => rx.recv_timeout(r),
-                Some(_) => return AttemptOutcome::TimedOut,
-            };
-            match got {
-                Ok((hedge, r, lat)) => {
-                    outstanding -= 1;
-                    let done = AttemptOutcome::Done(r, lat, hedge);
-                    if matches!(done, AttemptOutcome::Done(Ok(_), ..)) || outstanding == 0 {
-                        return done;
-                    }
-                    last = Some(done);
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => return AttemptOutcome::TimedOut,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
+        let first = rx.recv().expect("senders outlive us");
+        if first.0.is_ok() {
+            return first;
         }
-        last.unwrap_or(AttemptOutcome::TimedOut)
+        rx.recv().expect("senders outlive us")
     }
 
     /// One breaker admission: `Err` is the fail-fast answer while the
@@ -634,8 +612,8 @@ impl ResilientSource {
         }
     }
 
-    /// **The** retry loop behind every read: breaker → retry →
-    /// deadline/hedge. Between attempts it counts a retry and sleeps
+    /// **The** retry loop behind every read: breaker → retry → hedge.
+    /// Between attempts it counts a retry and sleeps
     /// the jittered backoff — or the server-suggested `retry_after`,
     /// whichever is longer.
     fn retry(&self, id: SampleId) -> Result<Bytes, SourceError> {
@@ -643,7 +621,7 @@ impl ResilientSource {
         for attempt in 0..self.cfg.retry.attempts {
             self.admit()?;
             let err = match self.attempt(id) {
-                AttemptOutcome::Done(Ok(data), latency, hedge_won) => {
+                (Ok(data), latency, hedge_won) => {
                     if let Some(b) = &self.breaker {
                         b.on_success(self.now());
                     }
@@ -655,18 +633,12 @@ impl ResilientSource {
                 }
                 // NotFound/Full say nothing about backend health: pass
                 // through without tripping.
-                AttemptOutcome::Done(Err(e), ..) if !e.is_retryable() => return Err(e),
-                AttemptOutcome::Done(Err(e), ..) => {
+                (Err(e), ..) if !e.is_retryable() => return Err(e),
+                (Err(e), ..) => {
                     if matches!(e, SourceError::Throttled { .. }) {
                         self.counters.throttled.inc();
                     }
                     e
-                }
-                AttemptOutcome::TimedOut => {
-                    self.counters.deadline_misses.inc();
-                    SourceError::DeadlineExceeded {
-                        deadline: self.cfg.deadline.unwrap_or_default(),
-                    }
                 }
             };
             if let Some(b) = &self.breaker {
@@ -700,7 +672,7 @@ impl DataSource for ResilientSource {
         result
     }
 
-    /// A length-1 call is [`Self::read`], deadline and hedge included.
+    /// A length-1 call is [`Self::read`], hedge included.
     /// A longer batch is admitted through the breaker **once** (an
     /// open breaker answers every id `Unavailable` without touching the
     /// inner source) and goes down as one inner vectored read, so a
@@ -781,32 +753,6 @@ impl DataSource for ResilientSource {
             None => self.inner.health(),
         }
     }
-
-    fn resilience(&self) -> Option<ResilienceStats> {
-        let (to_open, to_half_open, to_closed, rejections) = self
-            .breaker
-            .as_ref()
-            .map_or((0, 0, 0, 0), |b| b.transitions());
-        let c = &self.counters;
-        let mut stats = ResilienceStats {
-            reads: c.reads.get(),
-            retries: c.retries.get(),
-            exhausted: c.exhausted.get(),
-            hedges_fired: c.hedges_fired.get(),
-            hedges_won: c.hedges_won.get(),
-            deadline_misses: c.deadline_misses.get(),
-            throttled: c.throttled.get(),
-            breaker_open_rejections: rejections,
-            breaker_to_open: to_open,
-            breaker_to_half_open: to_half_open,
-            breaker_to_closed: to_closed,
-        };
-        // Nested resilience layers (rare, but legal) aggregate.
-        if let Some(inner) = self.inner.resilience() {
-            stats.merge(&inner);
-        }
-        Some(stats)
-    }
 }
 
 #[cfg(test)]
@@ -828,28 +774,18 @@ pub(crate) mod tests {
         RetryPolicy::new(attempts, Duration::from_micros(10), 0.5, 7)
     }
 
-    /// A source that sleeps a scheduled duration per read, in call
-    /// order, then serves from memory — or, made by [`Self::gated`],
-    /// whose first read waits until the test opens its gate.
+    /// A memory source whose first read waits until the test opens
+    /// its gate.
     struct SlowSource {
         inner: Arc<dyn DataSource>,
-        delays: Mutex<std::collections::VecDeque<Duration>>,
         gate: Mutex<Option<Arc<std::sync::atomic::AtomicBool>>>,
     }
 
     impl SlowSource {
-        fn new(inner: Arc<dyn DataSource>, delays: &[Duration]) -> Self {
-            Self {
-                inner,
-                delays: Mutex::new(delays.iter().copied().collect()),
-                gate: Mutex::new(None),
-            }
-        }
-
         fn gated(inner: Arc<dyn DataSource>, open: &Arc<std::sync::atomic::AtomicBool>) -> Self {
             Self {
+                inner,
                 gate: Mutex::new(Some(Arc::clone(open))),
-                ..Self::new(inner, &[])
             }
         }
     }
@@ -866,8 +802,6 @@ pub(crate) mod tests {
             {
                 std::thread::sleep(Duration::from_micros(100));
             }
-            let d = self.delays.lock().pop_front().unwrap_or(Duration::ZERO);
-            std::thread::sleep(d);
             self.inner.read(id)
         }
         fn write(&self, id: SampleId, data: Bytes) -> Result<(), SourceError> {
@@ -996,12 +930,12 @@ pub(crate) mod tests {
         }
         // Exactly the whole budget was spent: 4 attempts, 3 retries.
         assert_eq!(down.attempts(), 4);
-        let stats = src.resilience().unwrap();
+        let stats = src.stats();
         assert_eq!((stats.reads, stats.retries, stats.exhausted), (1, 3, 1));
     }
 
     #[test]
-    fn throttled_and_deadline_errors_are_retried_unavailable_is_not() {
+    fn throttled_errors_are_retried_unavailable_is_not() {
         // Throttled: retried through, honoring retry_after as a floor
         // under a 10 µs client backoff.
         let throttled = Arc::new(FailNTimes::new(
@@ -1018,17 +952,8 @@ pub(crate) mod tests {
             t0.elapsed() >= Duration::from_millis(6),
             "retry_after ignored"
         );
-        let stats = src.resilience().unwrap();
+        let stats = src.stats();
         assert_eq!((stats.retries, stats.throttled), (2, 2));
-        // DeadlineExceeded: also retryable.
-        let deadline = Arc::new(FailNTimes::new(
-            mem_with(&[1]),
-            SourceError::DeadlineExceeded {
-                deadline: Duration::from_micros(10),
-            },
-            1,
-        ));
-        assert!(retry_only(deadline, 4).read(1).is_ok());
         // Unavailable (open breaker downstream): fail-fast, one attempt.
         let open = Arc::new(FailNTimes::new(
             mem_with(&[1]),
@@ -1038,7 +963,7 @@ pub(crate) mod tests {
         let src = retry_only(open.clone(), 5);
         assert!(matches!(src.read(1), Err(SourceError::Unavailable(_))));
         assert_eq!(open.attempts(), 1);
-        assert_eq!(src.resilience().unwrap().retries, 0);
+        assert_eq!(src.stats().retries, 0);
     }
 
     #[test]
@@ -1067,7 +992,7 @@ pub(crate) mod tests {
                     }
                 }
             }
-            let stats = src.resilience().unwrap();
+            let stats = src.stats();
             assert_eq!(stats.reads, 30 * ids.len() as u64);
             assert_eq!(stats.retries, faulty.failures());
             assert_eq!(stats.retries, 30 * ids.len() as u64 * burst);
@@ -1101,7 +1026,7 @@ pub(crate) mod tests {
             0,
             "the open breaker let a batch through"
         );
-        let stats = src.resilience().unwrap();
+        let stats = src.stats();
         assert_eq!(stats.breaker_open_rejections, 1, "one admission per batch");
         assert_eq!(stats.reads, 8);
         // A length-1 call is a plain read: also rejected, also untouched.
@@ -1188,7 +1113,7 @@ pub(crate) mod tests {
             0,
             "the open breaker let a read through"
         );
-        let stats = src.resilience().unwrap();
+        let stats = src.stats();
         assert_eq!(stats.breaker_to_open, 1);
         assert!(stats.breaker_open_rejections >= 1);
     }
@@ -1214,53 +1139,12 @@ pub(crate) mod tests {
         let hedged = src.read(1).unwrap();
         open.store(true, Ordering::SeqCst);
         assert_eq!(hedged, direct.read(1).unwrap(), "hedge changed bytes");
-        let stats = src.resilience().unwrap();
+        let stats = src.stats();
         assert_eq!(stats.hedges_fired, 1);
         assert_eq!(stats.hedges_won, 1);
         // Fast reads do not hedge.
         assert_eq!(src.read(2).unwrap(), direct.read(2).unwrap());
-        assert_eq!(src.resilience().unwrap().hedges_fired, 1);
-    }
-
-    #[test]
-    fn deadline_expiry_surfaces_and_is_retried_to_success() {
-        // Attempt 1 outlives the 5 ms deadline; attempt 2 is instant.
-        let slow = Arc::new(SlowSource::new(
-            mem_with(&[3]),
-            &[Duration::from_millis(80), Duration::ZERO],
-        ));
-        let src = ResilientSource::new(
-            slow,
-            ResilienceConfig::retry_only(fast_retry(3)).with_deadline(Duration::from_millis(5)),
-            TimeScale::realtime(),
-        );
-        assert_eq!(src.read(3).unwrap()[0], 3);
-        let stats = src.resilience().unwrap();
-        assert_eq!(stats.deadline_misses, 1);
-        assert_eq!(stats.retries, 1);
-        assert_eq!(stats.exhausted, 0);
-    }
-
-    #[test]
-    fn deadline_exhaustion_reports_deadline_exceeded() {
-        let slow = Arc::new(SlowSource::new(
-            mem_with(&[0]),
-            &[Duration::from_millis(80); 8],
-        ));
-        let src = ResilientSource::new(
-            slow,
-            ResilienceConfig::retry_only(fast_retry(2)).with_deadline(Duration::from_millis(2)),
-            TimeScale::realtime(),
-        );
-        match src.read(0) {
-            Err(SourceError::DeadlineExceeded { deadline }) => {
-                assert_eq!(deadline, Duration::from_millis(2));
-            }
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
-        let stats = src.resilience().unwrap();
-        assert_eq!(stats.deadline_misses, 2);
-        assert_eq!(stats.exhausted, 1);
+        assert_eq!(src.stats().hedges_fired, 1);
     }
 
     #[test]
@@ -1272,7 +1156,7 @@ pub(crate) mod tests {
         );
         assert_eq!(src.read(9), Err(SourceError::NotFound(9)));
         assert_eq!(src.health(), SourceHealth::Healthy);
-        let stats = src.resilience().unwrap();
+        let stats = src.stats();
         assert_eq!(stats.breaker_to_open, 0);
         assert_eq!((stats.retries, stats.exhausted), (0, 0));
         // Without a breaker too: one attempt, returned verbatim.
@@ -1284,7 +1168,7 @@ pub(crate) mod tests {
         let plain = retry_only(missing.clone(), 5);
         assert_eq!(plain.read(9), Err(SourceError::NotFound(9)));
         assert_eq!(missing.attempts(), 1);
-        let stats = plain.resilience().unwrap();
+        let stats = plain.stats();
         assert_eq!((stats.retries, stats.exhausted), (0, 0));
     }
 
@@ -1312,7 +1196,7 @@ pub(crate) mod tests {
                 assert_eq!(data[0], id as u8);
             }
         }
-        let stats = src.resilience().unwrap();
+        let stats = src.stats();
         assert_eq!(stats.exhausted, 0);
         assert_eq!(stats.retries, faulty.failures());
         assert_eq!(stats.retries, 50 * 4 * 2, "every read met its burst");

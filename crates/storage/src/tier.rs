@@ -60,12 +60,6 @@ pub enum SourceError {
         /// Server-suggested minimum wait before the next attempt.
         retry_after: std::time::Duration,
     },
-    /// The read did not complete within the caller's deadline
-    /// (retryable: the next attempt races a fresh deadline).
-    DeadlineExceeded {
-        /// The deadline that expired.
-        deadline: std::time::Duration,
-    },
     /// The backend is out of service — a circuit breaker is open or the
     /// source is administratively down. Fail-fast: callers should
     /// degrade to another source rather than retry in place.
@@ -81,9 +75,6 @@ pub enum ErrorClass {
     /// Worth retrying after the server-suggested wait
     /// ([`SourceError::Throttled`]).
     Throttled,
-    /// Worth retrying against a fresh deadline
-    /// ([`SourceError::DeadlineExceeded`]).
-    DeadlineExceeded,
     /// Never worth retrying in place ([`SourceError::NotFound`],
     /// [`SourceError::Full`], [`SourceError::Unavailable`]).
     Permanent,
@@ -95,7 +86,6 @@ impl SourceError {
         match self {
             SourceError::Io(_) => ErrorClass::Transient,
             SourceError::Throttled { .. } => ErrorClass::Throttled,
-            SourceError::DeadlineExceeded { .. } => ErrorClass::DeadlineExceeded,
             SourceError::NotFound(_) | SourceError::Full { .. } | SourceError::Unavailable(_) => {
                 ErrorClass::Permanent
             }
@@ -118,9 +108,6 @@ impl std::fmt::Display for SourceError {
             SourceError::Io(msg) => write!(f, "I/O error: {msg}"),
             SourceError::Throttled { retry_after } => {
                 write!(f, "throttled: retry after {retry_after:?}")
-            }
-            SourceError::DeadlineExceeded { deadline } => {
-                write!(f, "deadline of {deadline:?} exceeded")
             }
             SourceError::Unavailable(msg) => write!(f, "source unavailable: {msg}"),
         }
@@ -233,12 +220,6 @@ pub trait DataSource: Send + Sync {
     /// resilience wrappers report their circuit-breaker state.
     fn health(&self) -> SourceHealth {
         SourceHealth::Healthy
-    }
-
-    /// Resilience counters (retries, hedges, breaker transitions), when
-    /// a resilience layer wraps this source; `None` for plain stores.
-    fn resilience(&self) -> Option<crate::resilience::ResilienceStats> {
-        None
     }
 }
 

@@ -30,9 +30,8 @@ use nopfs::policy::fault::{respec, ShuffleSpec};
 use nopfs::policy::{elastic_global_stream, CloudFaults, FaultPlan, PolicyId, ReadErrors};
 use nopfs::simulator::{run, run_elastic, CloudResilience, CloudSpec, Scenario};
 use nopfs::storage::{
-    BreakerConfig, BreakerState, CircuitBreaker, DataSource, Disturbance, HedgeConfig,
-    ObjectStoreBackend, ObjectStoreConfig, ResilienceConfig, ResilientSource, RetryPolicy,
-    SourceHealth,
+    BreakerConfig, BreakerState, CircuitBreaker, DataSource, HedgeConfig, ObjectStoreBackend,
+    ObjectStoreConfig, ResilienceConfig, ResilientSource, RetryPolicy, SourceHealth,
 };
 use nopfs::util::timing::TimeScale;
 use proptest::prelude::*;
@@ -437,10 +436,10 @@ proptest! {
         let payload = |id: u64| bytes::Bytes::from(vec![(id % 251) as u8 + 1; 64]);
         // Wall-clock model (floor 100 us) so hedges genuinely race.
         let cfg = ObjectStoreConfig::new(1e-4, ThroughputCurve::flat(1e12), 4)
-            .with_disturbance(Disturbance {
+            .with_disturbance(CloudFaults {
                 spike_rate: spike.0,
                 spike_factor: spike.1,
-                ..Disturbance::none(seed)
+                ..CloudFaults::none(seed)
             });
         let store = ObjectStoreBackend::in_memory(cfg, TimeScale::realtime());
         for id in 0..24u64 {
@@ -472,7 +471,7 @@ proptest! {
                 );
             }
         }
-        prop_assert_eq!(src.resilience().expect("wrapper counts").reads, 48);
+        prop_assert_eq!(src.stats().reads, 48);
     }
 }
 
