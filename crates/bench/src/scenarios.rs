@@ -258,12 +258,6 @@ pub fn runtime_system(
     system
 }
 
-/// A deliberately fast PFS curve for experiments that should not be
-/// PFS-bound (unit-style benches).
-pub fn uncontended_pfs() -> ThroughputCurve {
-    ThroughputCurve::flat(1e12)
-}
-
 /// The Fig. 2 interference experiment: co-scheduled tenants sharing one
 /// PFS whose `t(γ)` saturates around two clients, so any second job's
 /// readers push every job past the knee. One definition feeds both the

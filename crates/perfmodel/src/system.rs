@@ -228,12 +228,6 @@ impl SystemSpec {
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("fetch times are finite"))
             .map(|(loc, _)| loc)
     }
-
-    /// Convenience: compute throughput expressed in samples/second for a
-    /// given mean sample size.
-    pub fn compute_samples_per_sec(&self, mean_sample_bytes: f64) -> f64 {
-        self.compute / mean_sample_bytes
-    }
 }
 
 /// Builder helpers for tests and presets.

@@ -101,14 +101,6 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    /// Mean per-worker stall time.
-    pub fn mean_stall(&self) -> f64 {
-        if self.per_worker_stall.is_empty() {
-            return 0.0;
-        }
-        self.per_worker_stall.iter().sum::<f64>() / self.per_worker_stall.len() as f64
-    }
-
     /// Total stall across workers.
     pub fn total_stall(&self) -> f64 {
         self.per_worker_stall.iter().sum()

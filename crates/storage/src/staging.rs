@@ -259,11 +259,6 @@ impl StagingBuffer {
         self.inner.data.notify_all();
     }
 
-    /// Whether [`Self::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.state.lock().closed
-    }
-
     /// Cumulative producer/consumer statistics.
     pub fn stats(&self) -> StagingStats {
         let st = self.inner.state.lock();

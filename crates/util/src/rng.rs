@@ -114,12 +114,6 @@ impl Xoshiro256pp {
         result
     }
 
-    /// Next 32 uniformly distributed bits (upper half of a 64-bit draw).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform integer in `[0, bound)` without modulo bias, via Lemire's
     /// multiply-shift method with rejection.
     ///

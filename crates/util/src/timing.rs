@@ -119,11 +119,6 @@ impl Stopwatch {
         self.start.elapsed()
     }
 
-    /// Elapsed time in model seconds under `scale`.
-    pub fn elapsed_model(&self, scale: TimeScale) -> f64 {
-        scale.to_model(self.elapsed())
-    }
-
     /// Restarts the stopwatch, returning the elapsed wall time up to now.
     pub fn lap(&mut self) -> Duration {
         let e = self.start.elapsed();
