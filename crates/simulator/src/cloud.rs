@@ -3,12 +3,14 @@
 //! When a [`crate::scenario::Scenario`] carries a [`CloudSpec`], the
 //! engine replaces every PFS read cost with `CloudModel::read_cost`:
 //! an object-store request priced by a per-request latency floor, a
-//! parallelism-dependent throughput curve, and the same seeded
-//! disturbance clauses ([`nopfs_policy::CloudFaults`]) the threaded
-//! runtime injects via `nopfs_storage::objectstore` — spikes,
-//! bounded throttle bursts, brownout windows. On the client side the
-//! model replays the resilience stack in closed form, entirely in model
-//! time: capped full-jitter retry backoff, per-attempt deadlines, a
+//! parallelism-dependent throughput curve, and the workspace's one
+//! cloud failure vocabulary ([`nopfs_policy::CloudFaults`], declared
+//! in `nopfs_perfmodel::cloud`), the same type the threaded runtime's
+//! `nopfs_storage::ObjectStoreBackend` takes — spikes, bounded
+//! throttle bursts, brownout windows. On the client side the model
+//! replays a resilience stack in closed form, entirely in model time:
+//! capped full-jitter retry backoff, per-attempt deadlines (which only
+//! this client has; the runtime's `ResilientSource` sets none), a
 //! hedged second request after a fixed delay, and the *same*
 //! [`CircuitBreaker`] state machine the runtime uses (it is clocked by
 //! an explicit `now`, so the discrete-event loop drives it directly).
@@ -78,12 +80,20 @@ impl CloudResilience {
         }
     }
 
-    /// The hardened client, scaled off the store's latency floor
-    /// (mirroring the runtime's `default_cloud_origin` knobs):
+    /// The hardened client, scaled off the store's latency floor: 12
+    /// attempts with backoff from a quarter floor up to 64 floors, a
     /// deadline at 16 floors (comfortably above the worst recoverable
     /// hedged read under a moderate brownout, so only genuine tail
-    /// events trip it), hedge after 3, breaker opening after 4
-    /// consecutive failures with an 8-floor cooldown.
+    /// events trip it) with at most 2 deadline-capped retries per
+    /// read, a hedge after a fixed 3 floors, and a breaker opening
+    /// after 4 consecutive failures with a 4-floor cooldown and 2
+    /// probes.
+    ///
+    /// It is the simulator's own client, not a copy of the runtime's
+    /// chain: `ElasticJob`'s default cloud origin shares the breaker
+    /// settings and full jitter, but takes 8 attempts on a 100 µs
+    /// wall-clock backoff, hedges after the measured p95 latency (a
+    /// 200 µs floor), and sets no deadline.
     pub fn hardened(latency_floor: f64) -> Self {
         Self {
             attempts: 12,

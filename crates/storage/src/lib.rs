@@ -33,9 +33,9 @@
 //!   different samples never contend on one lock word, and a hit is a
 //!   page-directory probe plus one slot load.
 //! - [`resilience`] — the full failure domain over any source:
-//!   [`resilience::ResilientSource`] composes per-read deadlines,
-//!   hedged requests, taxonomy-aware retry, and a circuit breaker,
-//!   surfacing [`resilience::ResilienceStats`] next to the per-tier
+//!   [`resilience::ResilientSource`] composes a circuit breaker,
+//!   taxonomy-aware retry and hedged requests, counting
+//!   [`resilience::ResilienceStats`] next to the per-tier
 //!   [`tier::TierStats`]. It is the workspace's one retrying source:
 //!   [`resilience::ResilienceConfig::retry_only`] is the plain retry.
 
