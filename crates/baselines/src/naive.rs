@@ -94,7 +94,7 @@ impl DataLoader for NaiveLoader {
         // The whole read is a stall: nothing overlaps it.
         self.stats.add_stall(t0.elapsed());
         self.stats.add_pfs(1);
-        self.stats.count_consumed();
+        self.stats.add_consumed(1);
         self.consumed += 1;
         Some((k, data))
     }

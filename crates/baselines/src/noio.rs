@@ -100,7 +100,7 @@ impl DataLoader for NoIoLoader {
         // overlapped with compute, exactly as in the prefetching
         // loaders; with data already in RAM it never becomes the
         // bottleneck, so the bound reflects pure consumption.
-        self.stats.count_consumed();
+        self.stats.add_consumed(1);
         self.consumed += 1;
         Some((k, data))
     }

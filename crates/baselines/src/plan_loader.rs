@@ -243,7 +243,7 @@ impl PlanCtx {
             Source::Local(_) => {
                 if self.wait_for_fill(self.rank, k) {
                     if let Some(data) = self.tiers.get_cached(k) {
-                        self.stats.count_local();
+                        self.stats.add_local(1);
                         return data;
                     }
                 }
@@ -471,7 +471,7 @@ impl DataLoader for PlanLoader {
         let t0 = Instant::now();
         let item = self.ctx.stage.pop()?;
         self.ctx.stats.add_stall(t0.elapsed());
-        self.ctx.stats.count_consumed();
+        self.ctx.stats.add_consumed(1);
         self.consumed += 1;
         Some(item)
     }

@@ -30,7 +30,7 @@ use nopfs_bench::bench_scale;
 use nopfs_bench::report::{self, resilience_json, Json};
 use nopfs_bench::scenarios::fig_cloud;
 use nopfs_cluster::run_cluster;
-use nopfs_core::{ElasticJob, JobConfig};
+use nopfs_core::{Job, JobConfig};
 use nopfs_datasets::DatasetProfile;
 use nopfs_policy::{FaultPlan, PolicyId};
 use nopfs_simulator::run;
@@ -178,7 +178,7 @@ fn main() {
     let sizes = Arc::new(profile.sizes());
     let config = JobConfig::new(0xC10D, 3, 8, system, TimeScale::new(1e-3));
     let run_rt = |plan: FaultPlan| {
-        let job = ElasticJob::new(config.clone(), Arc::clone(&sizes), plan).expect("valid plan");
+        let job = Job::with_plan(config.clone(), Arc::clone(&sizes), plan).expect("valid plan");
         let pfs = job.make_pfs();
         profile.materialize(&pfs);
         job.run(&pfs)

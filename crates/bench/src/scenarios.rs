@@ -526,7 +526,7 @@ pub mod fig2 {
 /// 1. **Simulator sweep** — request parallelism × brownout severity,
 ///    hardened (deadline + hedge + breaker) vs unbounded naive origin
 ///    clients on identical disturbance seeds.
-/// 2. **Thread runtime** — an [`nopfs_core::ElasticJob`] with a
+/// 2. **Thread runtime** — a [`nopfs_core::Job`] with a
 ///    [`nopfs_policy::CloudFaults`] clause, proving the disturbed global stream is
 ///    bit-identical to the fault-free run.
 /// 3. **Cluster** — a cloud tenant co-scheduled with a steady one,

@@ -45,12 +45,14 @@ const DIGEST_SEED: u64 = 0xC1A1_5C0D;
 /// [`SetupArtifacts::digests`] instead of calling this per rank —
 /// that is exactly the O(N²·E·F) path the engine exists to kill.
 pub fn stream_digest(spec: &ShuffleSpec, worker: WorkerId, epochs: u64) -> u64 {
-    let stream = AccessStream::new(*spec, worker, epochs);
-    let mut acc = DIGEST_SEED ^ worker as u64;
-    for id in stream.iter() {
-        acc = mix64(acc, id);
-    }
-    acc
+    fold_digest(worker, AccessStream::new(*spec, worker, epochs).iter())
+}
+
+/// The digest fold of [`stream_digest`] and the setup pass over any
+/// run of `worker`'s ids: over its whole stream it is the worker's
+/// stream digest, over a window of it the digest of that window.
+pub fn fold_digest(worker: WorkerId, ids: impl IntoIterator<Item = SampleId>) -> u64 {
+    ids.into_iter().fold(DIGEST_SEED ^ worker as u64, mix64)
 }
 
 /// The one epoch loop every engine entry point shares: generates each

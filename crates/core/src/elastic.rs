@@ -1,16 +1,17 @@
 //! Elastic execution: membership churn, crash recovery, and fault
 //! injection for the threaded NoPFS runtime.
 //!
-//! [`ElasticJob`] runs a job under a declarative [`FaultPlan`]: workers
-//! crash at step boundaries and restart with cold caches, workers join
-//! or leave between epochs, and transient read errors are planted in
-//! the PFS, beneath every rank's origin retry loop. A straggler is slow
-//! compute, not slow I/O, so the consumer charges it: the training loop
-//! (`nopfs_train`) that [`ElasticJob::run_with`] drives divides its
-//! rank's compute rate from the straggler's epoch on. The headline
-//! guarantee — proven by the determinism test suite — is that none of
-//! it changes delivered *content*: the global sample stream is
-//! bit-for-bit the stream of the undisturbed run.
+//! A [`Job`] built with [`Job::with_plan`] runs under a declarative
+//! [`FaultPlan`]: workers crash at step boundaries and restart with
+//! cold caches, workers join or leave between epochs, and transient
+//! read errors are planted in the PFS, beneath every rank's origin
+//! retry loop. A straggler is slow compute, not slow I/O, so the
+//! consumer charges it: the training loop (`nopfs_train`) that
+//! [`Job::run_with`] drives divides its rank's compute rate from the
+//! straggler's epoch on. The headline guarantee — proven by the
+//! determinism test suite — is that none of it changes delivered
+//! *content*: the global sample stream is bit-for-bit the stream of the
+//! undisturbed run.
 //!
 //! Two properties make that possible:
 //!
@@ -21,36 +22,35 @@
 //!    number of ranks.
 //! 2. **Incremental replanning.** On every membership change the
 //!    clairvoyant artifacts for the survivors come from
-//!    [`SetupArtifacts::replan`] — a re-split of the cached setup
-//!    streams that regenerates **zero** epoch shuffles (the report's
-//!    `replan_shuffle_generations` stays 0) instead of re-running the
-//!    O(E·F) [`SetupPass`].
+//!    [`SetupArtifacts::replan`](nopfs_clairvoyance::engine::SetupArtifacts::replan)
+//!    — a re-split of the cached setup streams that regenerates
+//!    **zero** epoch shuffles (the report's `replan_shuffle_generations`
+//!    stays 0) instead of re-running the O(E·F) setup pass.
 //!
 //! Execution is split into *segments*: the longest stretches of
 //! (epoch, step) with one membership and no crash inside them. Each
-//! segment is one launch of the `Job` runtime over every rank's slice
-//! of its membership's streams, so a fault-free plan is a single launch
-//! whose prefetchers run ahead across every epoch boundary. Workers are
-//! torn down only where a segment ends: at a membership change, or at a
-//! crash step, where all ranks stop (the recovery barrier — with a
-//! per-step allreduce no rank can proceed past a dead peer anyway).
-//! Samples that were staged but not yet consumed at the barrier are
-//! lost with their worker's threads and *replayed*: the next segment's
-//! streams begin exactly at the global step boundary. Survivors keep
-//! their warm [`TierStack`]s across the barrier (the stacks are shared
-//! handles); the crashed rank restarts with a cold, freshly built
-//! stack.
+//! segment is one `job::launch` of every rank on its window of its
+//! membership's planned streams — the streams themselves, shared, not
+//! copies — so a fault-free plan is a single launch of whole-stream
+//! windows, the launch [`Job::launch_workers`] makes, whose prefetchers
+//! run ahead across every epoch boundary. Workers are torn down only
+//! where a segment ends: at a membership change, or at a crash step,
+//! where all ranks stop (the recovery barrier — with a per-step
+//! allreduce no rank can proceed past a dead peer anyway). Samples that
+//! were staged but not yet consumed at the barrier are lost with their
+//! worker's threads and *replayed*: the next segment's windows begin
+//! exactly at the global step boundary. Survivors keep their warm
+//! [`TierStack`]s across the barrier (the stacks are shared handles);
+//! the crashed rank restarts with a cold, freshly built stack.
 
 use crate::config::JobConfig;
-use crate::job;
+use crate::job::{self, Job};
 use crate::stats::{SetupStats, WorkerStats};
 use crate::worker::{Shared, WorkerHandle};
 use crate::SampleId;
-use nopfs_clairvoyance::engine::{SetupArtifacts, SetupPass};
 use nopfs_obs::names;
 use nopfs_pfs::Pfs;
 use nopfs_policy::fault::{CloudFaults, FaultPlan};
-use nopfs_policy::Unsupported;
 use nopfs_storage::{
     BreakerConfig, DataSource, HedgeConfig, ObjectStoreBackend, ObjectStoreConfig,
     ResilienceConfig, ResilienceStats, ResilientSource, RetryPolicy, TierStack, TierStats,
@@ -60,10 +60,6 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Initial accumulator of a segment-slice digest (the elastic analogue
-/// of the engine's stream digests, folded over the slice only).
-const SLICE_DIGEST_SEED: u64 = 0xE1A5_71C0;
 
 /// One rank's drained epochs: the ids it delivered in each, and when it
 /// finished it.
@@ -93,9 +89,10 @@ pub struct ElasticReport {
     /// allgather: the recovery overhead an undisturbed run never pays.
     pub recovery_time: Duration,
     /// Transient read errors the plan's `ReadErrors` clause planted in
-    /// the PFS: the sum of its bursts, the same on every run. Without a
-    /// cloud clause each is one failed origin read that the loaders'
-    /// retry loop absorbs and counts in `worker.pfs_errors`.
+    /// the PFS ([`plant_read_errors`]): the sum of its bursts, the same
+    /// on every run. Without a cloud clause each is one failed origin
+    /// read that the loaders' retry loop absorbs and counts in
+    /// `worker.pfs_errors`.
     pub injected_read_errors: u64,
     /// Resilience counters merged across every rank's cloud origin
     /// chain (retries, hedges, breaker transitions). All-zero unless the
@@ -107,9 +104,9 @@ pub struct ElasticReport {
     /// end (crashed/departed ranks take their caches — and counters —
     /// with them, as on a real machine).
     pub tier_stats: Vec<TierStats>,
-    /// Wall time of each epoch as [`ElasticJob::run`]'s drain sees it:
-    /// from the moment the last rank finished the epoch before (for
-    /// epoch 0, the end of setup) to the moment the last rank
+    /// Wall time of each epoch as [`Job::run`]'s drain sees it: from
+    /// the moment the last rank finished the epoch before (for epoch 0,
+    /// the start of the first segment) to the moment the last rank
     /// consumed its final sample of this one — recovery barriers and
     /// relaunches inside the epoch included. The drain charges no
     /// compute, so a straggler does not show here; the training loop's
@@ -117,125 +114,49 @@ pub struct ElasticReport {
     pub epoch_times: Vec<Duration>,
     /// Worker I/O statistics merged across every rank and segment.
     pub stats: WorkerStats,
-    /// Clairvoyant setup statistics of the initial [`SetupPass`] (the
+    /// Clairvoyant setup statistics of the job's setup pass (the
     /// replans add zero shuffle generations on top).
     pub setup: SetupStats,
     /// Wall time of the whole run.
     pub elapsed: Duration,
 }
 
-/// A NoPFS job that survives churn: [`crate::job::Job`]'s elastic
-/// sibling, driven by a [`FaultPlan`].
-pub struct ElasticJob {
-    config: JobConfig,
-    sizes: Arc<Vec<u64>>,
-    plan: FaultPlan,
-    /// Object-store economics and resilience knobs used for the origin
-    /// chain when the plan carries a [`CloudFaults`] clause. Populated
-    /// with defaults by [`Self::new`]; override via
-    /// [`Self::with_cloud_origin`]. The per-rank disturbance seeds come
-    /// from the plan, not from here.
-    cloud_origin: Option<(ObjectStoreConfig, ResilienceConfig)>,
+/// Plants `plan`'s read errors in `pfs`, over a dataset of `samples`
+/// samples: each burst of `ReadErrors::bursts` fails that many of the
+/// sample's next reads, where every loader's origin retry loop absorbs
+/// them (counting each in `worker.pfs_errors`), so they cost time but
+/// never change content. Returns the failures planted.
+pub fn plant_read_errors(plan: &FaultPlan, pfs: &Pfs, samples: u64) -> u64 {
+    let bursts = plan.read_errors.iter().flat_map(|e| e.bursts(samples));
+    bursts
+        .map(|(id, failures)| {
+            pfs.inject_fault(id, failures);
+            u64::from(failures)
+        })
+        .sum()
 }
 
-impl ElasticJob {
-    /// Builds the elastic job, validating the plan against the run
-    /// shape (see `FaultPlan::validate`).
-    ///
-    /// # Errors
-    /// [`Unsupported`] when the plan's churn would change the epoch
-    /// length (`drop_last` truncation) or schedules impossible crashes.
-    pub fn new(
-        config: JobConfig,
-        sizes: Arc<Vec<u64>>,
-        plan: FaultPlan,
-    ) -> Result<Self, Unsupported> {
-        assert!(!sizes.is_empty(), "dataset must contain samples");
-        let spec = config.shuffle_spec(sizes.len() as u64);
-        plan.validate(&spec, config.epochs)?;
-        let cloud_origin = plan
-            .cloud
-            .as_ref()
-            .map(|_| Self::default_cloud_origin(&config));
-        Ok(Self {
-            config,
-            sizes,
-            plan,
-            cloud_origin,
-        })
-    }
+/// Default object-store economics and resilience for a cloud-origin
+/// run: an S3-like 2 ms request floor over the system's PFS throughput
+/// curve, coalescing up to 8 adjacent samples, and a full failure
+/// domain — capped full-jitter retry, p95 hedging, and a breaker that
+/// opens after 4 consecutive failures and probes again after four
+/// latency floors of cooldown.
+fn default_cloud_origin(config: &JobConfig) -> (ObjectStoreConfig, ResilienceConfig) {
+    let latency_floor = 2e-3;
+    let store = ObjectStoreConfig::new(latency_floor, config.system.pfs_read.clone(), 8);
+    let res = ResilienceConfig::retry_only(RetryPolicy::new(
+        8,
+        Duration::from_micros(100),
+        1.0,
+        0xC10D_0A11,
+    ))
+    .with_hedge(HedgeConfig::new(0.95, Duration::from_micros(200), 64))
+    .with_breaker(BreakerConfig::new(4, 4.0 * latency_floor, 2));
+    (store, res)
+}
 
-    /// Default object-store economics and resilience for a cloud-origin
-    /// run: an S3-like 2 ms request floor over the system's PFS
-    /// throughput curve, coalescing up to 8 adjacent samples, and a
-    /// full failure domain — capped full-jitter retry, p95 hedging,
-    /// and a breaker that opens after 4 consecutive failures and probes
-    /// again after four latency floors of cooldown.
-    fn default_cloud_origin(config: &JobConfig) -> (ObjectStoreConfig, ResilienceConfig) {
-        let latency_floor = 2e-3;
-        let store = ObjectStoreConfig::new(latency_floor, config.system.pfs_read.clone(), 8);
-        let res = ResilienceConfig::retry_only(RetryPolicy::new(
-            8,
-            Duration::from_micros(100),
-            1.0,
-            0xC10D_0A11,
-        ))
-        .with_hedge(HedgeConfig::new(0.95, Duration::from_micros(200), 64))
-        .with_breaker(BreakerConfig::new(4, 4.0 * latency_floor, 2));
-        (store, res)
-    }
-
-    /// Overrides the cloud-origin economics and resilience knobs (only
-    /// meaningful when the plan has a [`CloudFaults`] clause; the
-    /// clause's disturbances are layered onto `store` per rank).
-    #[must_use]
-    pub fn with_cloud_origin(mut self, store: ObjectStoreConfig, res: ResilienceConfig) -> Self {
-        self.cloud_origin = Some((store, res));
-        self
-    }
-
-    /// Convenience: an in-memory synthetic PFS matching the job's
-    /// system curve and time scale.
-    pub fn make_pfs(&self) -> Pfs {
-        Pfs::in_memory(self.config.system.pfs_read.clone(), self.config.scale)
-    }
-
-    /// The planned job state for membership `n`: the base artifacts for
-    /// the initial worker count, an incremental replan otherwise.
-    fn plan_for(
-        &self,
-        cache: &mut HashMap<usize, Arc<Shared>>,
-        base: &SetupArtifacts,
-        n: usize,
-        replans: &mut u64,
-        replan_shuffles: &mut u64,
-    ) -> Arc<Shared> {
-        let plan = |arts: &SetupArtifacts| {
-            Arc::new(Shared::plan(
-                self.config.clone(),
-                Arc::clone(&self.sizes),
-                arts,
-            ))
-        };
-        let shared = cache.entry(n).or_insert_with(|| {
-            if n == base.num_workers() {
-                return plan(base);
-            }
-            // The incremental path: re-split cached streams, zero
-            // shuffle generations.
-            let replanned = base.replan(n);
-            *replans += 1;
-            *replan_shuffles += replanned.shuffles_generated;
-            self.config.obs.tracer.instant(
-                names::EV_REPLAN,
-                "elastic",
-                vec![("workers", n.into())],
-            );
-            plan(&replanned)
-        });
-        Arc::clone(shared)
-    }
-
+impl Job {
     /// Runs the job under its fault plan against `pfs`, draining every
     /// rank's stream, and returns the delivered streams plus recovery
     /// accounting: [`Self::run_with`] with a drain as the consumer,
@@ -243,20 +164,20 @@ impl ElasticJob {
     /// rank finishes each epoch.
     ///
     /// # Panics
-    /// Panics if a worker thread panics (as `Job::run` does).
+    /// Panics if a worker thread panics.
     pub fn run(&self, pfs: &Pfs) -> ElasticReport {
-        let epochs = self.config.epochs as usize;
-        let memberships = self
-            .plan
-            .memberships(self.config.system.workers, epochs as u64);
+        let config = self.config();
+        let epochs = config.epochs as usize;
+        let memberships = self.plan.memberships(config.system.workers, epochs as u64);
         let ranks = memberships.iter().copied().max().unwrap_or(1);
         let drained: Vec<Mutex<Drained>> = (0..ranks)
             .map(|_| Mutex::new(vec![(Vec::new(), None); epochs]))
             .collect();
         let drained_ref = &drained;
-        let mut setup_done = None;
+        let sizes = &self.shared.sizes;
+        let mut started = None;
         let mut report = self.run_with(pfs, |_| {
-            setup_done.get_or_insert_with(Instant::now);
+            started.get_or_insert_with(Instant::now);
             move |handle: &mut WorkerHandle| {
                 let mut mine = drained_ref[handle.rank()].lock();
                 loop {
@@ -264,7 +185,7 @@ impl ElasticJob {
                     let Some((id, data)) = handle.next_sample() else {
                         break;
                     };
-                    debug_assert_eq!(data.len() as u64, self.sizes[id as usize]);
+                    debug_assert_eq!(data.len() as u64, sizes[id as usize]);
                     mine[epoch].0.push(id);
                     if handle.current_epoch() as usize > epoch {
                         mine[epoch].1 = Some(Instant::now());
@@ -274,7 +195,7 @@ impl ElasticJob {
         });
 
         let mut drained: Vec<_> = drained.into_iter().map(Mutex::into_inner).collect();
-        let mut epoch_start = setup_done.expect("every run has a segment");
+        let mut epoch_start = started.expect("every run has a segment");
         report.epoch_times = (0..epochs)
             .map(|e| {
                 let ends = drained.iter().filter_map(|d| d[e].1);
@@ -326,34 +247,27 @@ impl ElasticJob {
         C: Fn(&mut WorkerHandle) + Sync,
     {
         let t_run = Instant::now();
-        let clause = self.plan.read_errors.iter();
-        let bursts = clause.flat_map(|errors| errors.bursts(self.sizes.len() as u64));
-        let injected_read_errors = bursts
-            .map(|(id, failures)| {
-                pfs.inject_fault(id, failures);
-                u64::from(failures)
-            })
-            .sum();
-        let epochs = self.config.epochs;
-        let spec0 = self.config.shuffle_spec(self.sizes.len() as u64);
-        let memberships = self.plan.memberships(spec0.num_workers, epochs);
-        let mut cache: HashMap<usize, Arc<Shared>> = HashMap::new();
-        let mut replans = 0u64;
-        let mut replan_shuffles = 0u64;
-        // Setup is the pass and the initial membership's plan, as
-        // `Job::new` times it.
-        let t_setup = Instant::now();
-        let base = SetupPass::new(spec0, epochs).run();
-        self.plan_for(
-            &mut cache,
-            &base,
-            memberships[0],
-            &mut replans,
-            &mut replan_shuffles,
-        );
-        let setup = SetupStats {
-            shuffle_generations: base.shuffles_generated,
-            setup_time: t_setup.elapsed(),
+        let config = self.config();
+        let injected_read_errors =
+            plant_read_errors(&self.plan, pfs, self.shared.sizes.len() as u64);
+        let epochs = config.epochs;
+        let memberships = self.plan.memberships(config.system.workers, epochs);
+        // The planned job state per membership: the job's own for its
+        // initial worker count, an incremental replan — a re-split of
+        // the cached streams, zero shuffle generations — for any other.
+        let (mut replans, mut replan_shuffles) = (0u64, 0u64);
+        let mut plans = HashMap::from([(self.shared.streams.len(), Arc::clone(&self.shared))]);
+        let mut plan_for = |n: usize| {
+            Arc::clone(plans.entry(n).or_insert_with(|| {
+                let base = self.artifacts.as_ref();
+                let replanned = base.expect("a churning plan keeps its artifacts").replan(n);
+                replans += 1;
+                replan_shuffles += replanned.shuffles_generated;
+                let tracer = &config.obs.tracer;
+                tracer.instant(names::EV_REPLAN, "elastic", vec![("workers", n.into())]);
+                let sizes = Arc::clone(&self.shared.sizes);
+                Arc::new(Shared::plan(config.clone(), sizes, &replanned))
+            }))
         };
         let mut recoveries = 0u64;
         let mut recovery_time = Duration::ZERO;
@@ -383,33 +297,35 @@ impl ElasticJob {
         cuts.sort_unstable();
         cuts.dedup();
 
+        let b = config.batch_size as u64;
         let mut from = (0u64, 0u64);
         for to in cuts {
             if to > from {
                 let n = memberships[from.0 as usize];
                 let consume = segment(n);
-                let plan = self.plan_for(&mut cache, &base, n, &mut replans, &mut replan_shuffles);
+                let plan = plan_for(n);
                 // Tier stacks: warm handoff where one survives, cold otherwise.
-                let tiers = (0..n)
+                let stacks: Vec<TierStack> = (0..n)
                     .map(|rank| {
                         let stack = warm.entry(rank).or_insert_with(|| {
                             let origin = self.origin_for(pfs, rank, &mut resilient);
-                            let obs = self.config.obs.scoped([("rank", rank.to_string())]);
-                            crate::tiers::class_tier_stack_in_registry(
-                                &self.config.system,
-                                self.config.scale,
-                                origin,
-                                &obs.registry,
-                            )
+                            job::rank_stack(config, origin, rank)
                         });
-                        Some(stack.clone())
+                        stack.clone()
                     })
                     .collect();
-                let handles = self.launch_segment(pfs, &plan, (from, to), tiers);
+                // Each rank's window on its planned stream: from the
+                // segment's first (epoch, step) to its end.
+                let at = |w: usize, (e, s): (u64, u64)| {
+                    let len = plan.spec.worker_epoch_len(w);
+                    e * len + (s * b).min(len)
+                };
+                let windows = (0..n).map(|w| at(w, from)..at(w, to)).collect();
+                let handles = job::launch(&plan, pfs, windows, |rank| stacks[rank].clone());
                 // Recovery ends when every rank is launched and consuming.
                 if let Some(t0) = recovering.take() {
                     recovery_time += t0.elapsed();
-                    self.config.obs.tracer.complete(
+                    config.obs.tracer.complete(
                         names::EV_RECOVERY_BARRIER,
                         "elastic",
                         t0,
@@ -430,7 +346,7 @@ impl ElasticJob {
                 if step != to.1 {
                     continue;
                 }
-                self.config.obs.tracer.instant(
+                config.obs.tracer.instant(
                     names::EV_CRASH,
                     "elastic",
                     vec![
@@ -482,50 +398,9 @@ impl ElasticJob {
             },
             epoch_times: Vec::new(),
             stats,
-            setup,
+            setup: self.shared.setup.clone(),
             elapsed: t_run.elapsed(),
         }
-    }
-
-    /// Launches every rank of `plan` over `tiers` on its slice of the
-    /// plan's streams from `from` to `to` (both (epoch, step) points),
-    /// starting each handle's epoch count at its slice's first
-    /// position, and returns the handles once every rank has passed the
-    /// setup allgather.
-    fn launch_segment(
-        &self,
-        pfs: &Pfs,
-        plan: &Shared,
-        (from, to): ((u64, u64), (u64, u64)),
-        tiers: Vec<Option<TierStack>>,
-    ) -> Vec<WorkerHandle> {
-        let b = self.config.batch_size as u64;
-        let at = |w: usize, (e, s): (u64, u64)| {
-            let len = plan.spec.worker_epoch_len(w);
-            e * len + (s * b).min(len)
-        };
-        let n = plan.streams.len();
-        let starts: Vec<u64> = (0..n).map(|w| at(w, from)).collect();
-        let streams: Vec<Arc<Vec<SampleId>>> = (0..n)
-            .map(|w| Arc::new(plan.streams[w][starts[w] as usize..at(w, to) as usize].to_vec()))
-            .collect();
-        // Slice digests: the recovery allgather check, folded over
-        // exactly the samples this segment will deliver.
-        let digests = streams
-            .iter()
-            .enumerate()
-            .map(|(w, s)| {
-                s.iter()
-                    .fold(SLICE_DIGEST_SEED ^ w as u64, |acc, &id| mix64(acc, id))
-            })
-            .collect();
-        let segment = Arc::new(Shared {
-            digests,
-            streams,
-            starts,
-            ..plan.clone()
-        });
-        job::launch(&segment, pfs, tiers)
     }
 
     /// The origin `rank`'s tier stack bottoms out in: the bare PFS, or
@@ -543,23 +418,22 @@ impl ElasticJob {
         let Some(cloud) = &self.plan.cloud else {
             return Arc::new(pfs.clone());
         };
+        let config = self.config();
         let r = resilient[rank].get_or_insert_with(|| {
-            let (store, mut res) = self
-                .cloud_origin
-                .clone()
-                .expect("cloud plan implies cloud_origin");
+            let knobs = self.cloud_origin.clone();
+            let (store, mut res) = knobs.unwrap_or_else(|| default_cloud_origin(config));
             let store = store.with_disturbance(CloudFaults {
                 seed: mix64(cloud.seed, rank as u64),
                 ..cloud.clone()
             });
-            let origin = ObjectStoreBackend::over(Arc::new(pfs.clone()), store, self.config.scale);
+            let origin = ObjectStoreBackend::over(Arc::new(pfs.clone()), store, config.scale);
             res.retry.seed = mix64(res.retry.seed, rank as u64);
-            let obs = self.config.obs.scoped([("rank", rank.to_string())]);
+            let obs = config.obs.scoped([("rank", rank.to_string())]);
             Arc::new(
                 ResilientSource::new_in_registry(
                     Arc::new(origin),
                     res,
-                    self.config.scale,
+                    config.scale,
                     &obs.registry,
                 )
                 .with_tracer(obs.tracer),
@@ -572,7 +446,6 @@ impl ElasticJob {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Job;
     use bytes::Bytes;
     use nopfs_perfmodel::presets::fig8_small_cluster;
     use nopfs_perfmodel::SystemSpec;
@@ -596,15 +469,15 @@ mod tests {
         }
     }
 
-    fn elastic_job(plan: FaultPlan) -> ElasticJob {
+    fn elastic_job(plan: FaultPlan) -> Job {
         let sizes = Arc::new(vec![1_000u64; 80]);
         let config = JobConfig::new(0xEC, 3, 4, small_system(), TimeScale::new(1e-6));
-        ElasticJob::new(config, sizes, plan).expect("valid plan")
+        Job::with_plan(config, sizes, plan).expect("valid plan")
     }
 
-    fn run(job: &ElasticJob) -> ElasticReport {
+    fn run(job: &Job) -> ElasticReport {
         let pfs = job.make_pfs();
-        materialize(&pfs, &job.sizes);
+        materialize(&pfs, &job.shared.sizes);
         job.run(&pfs)
     }
 
@@ -625,7 +498,7 @@ mod tests {
         // One segment: each of the four ranks is launched once for all
         // three epochs, as a `Job` launches them.
         let launches = job
-            .config
+            .config()
             .obs
             .snapshot()
             .counter_total(names::WORKER_LAUNCHES);
@@ -639,10 +512,10 @@ mod tests {
             assert_eq!(epoch, all, "epoch {e} not exactly-once");
         }
 
-        // Each rank's stream is the plain job's, and on one rank whose
-        // RAM holds part of the dataset (and nothing else caches) so are
-        // the origin reads: one per cached sample, one per uncached
-        // position, however the threads interleave.
+        // Each rank's stream is the one `launch_workers` delivers, and
+        // on one rank whose RAM holds part of the dataset (and nothing
+        // else caches) so are the origin reads: one per cached sample,
+        // one per uncached position, however the threads interleave.
         let [plain, elastic] = plain_and_elastic(small_system());
         assert_eq!(elastic.0, plain.0);
         let mut one_rank = small_system();
@@ -652,26 +525,31 @@ mod tests {
         assert_eq!(elastic, plain);
     }
 
-    /// Per-rank streams and origin reads of `Job::run` and of a
-    /// fault-free `ElasticJob::run` on `sys`, each over its own PFS.
+    /// Per-rank streams and origin reads of `Job::launch_workers` and of
+    /// a fault-free `Job::run_with` on `sys`, each over its own PFS.
     fn plain_and_elastic(sys: SystemSpec) -> [(Vec<Vec<u64>>, u64); 2] {
         let sizes = Arc::new(vec![1_000u64; 80]);
         let config = JobConfig::new(0xEC, 3, 4, sys, TimeScale::new(1e-6));
         let plain = Job::new(config.clone(), Arc::clone(&sizes));
         let pfs = plain.make_pfs();
         materialize(&pfs, &sizes);
-        let streams = plain.run(&pfs, |w| w.by_ref().map(|(id, _)| id).collect());
-        let job = ElasticJob::new(config, sizes, FaultPlan::fault_free()).expect("valid plan");
-        let elastic_pfs = job.make_pfs();
-        materialize(&elastic_pfs, &job.sizes);
-        let report = job.run(&elastic_pfs);
-        let ranks = (0..report.memberships[0]).map(|w| {
-            let epochs = report.per_epoch.iter();
-            epochs.flat_map(|(_, s)| s[w].iter().copied()).collect()
+        let streams = job::run_ranks(plain.launch_workers(&pfs), |w| {
+            w.by_ref().map(|(id, _)| id).collect()
         });
+        let job = Job::with_plan(config, sizes, FaultPlan::fault_free()).expect("valid plan");
+        let elastic_pfs = job.make_pfs();
+        materialize(&elastic_pfs, &job.shared.sizes);
+        let ranks: Vec<Mutex<Vec<u64>>> = streams.iter().map(|_| Mutex::default()).collect();
+        job.run_with(&elastic_pfs, |_| {
+            |w: &mut WorkerHandle| {
+                let ids = w.by_ref().map(|(id, _)| id).collect();
+                *ranks[w.rank()].lock() = ids;
+            }
+        });
+        let ranks = ranks.into_iter().map(Mutex::into_inner).collect();
         [
             (streams, pfs.stats().reads),
-            (ranks.collect(), elastic_pfs.stats().reads),
+            (ranks, elastic_pfs.stats().reads),
         ]
     }
 
@@ -723,7 +601,7 @@ mod tests {
         assert_eq!(report.replans, 1);
         assert_eq!(report.global_stream, baseline.global_stream);
         let launches = job
-            .config
+            .config()
             .obs
             .snapshot()
             .counter_total(names::WORKER_LAUNCHES);
@@ -751,7 +629,7 @@ mod tests {
             &plan,
         )
         .expect("valid plan");
-        let job = ElasticJob::new(config, Arc::clone(&sizes), plan).expect("valid plan");
+        let job = Job::with_plan(config, Arc::clone(&sizes), plan).expect("valid plan");
         let pfs = job.make_pfs();
         materialize(&pfs, &sizes);
 
@@ -810,8 +688,8 @@ mod tests {
 
     /// The loaders' `worker.pfs_errors` across every rank and segment
     /// of `job`'s runs, read after teardown.
-    fn pfs_errors(job: &ElasticJob) -> u64 {
-        let snapshot = job.config.obs.snapshot();
+    fn pfs_errors(job: &Job) -> u64 {
+        let snapshot = job.config().obs.snapshot();
         snapshot.counter_total(names::WORKER_PFS_ERRORS)
     }
 
@@ -850,7 +728,7 @@ mod tests {
         // the retries bound the plants only without one: the default
         // cloud knobs minus the hedge.
         let cloudy = elastic_job(plan.with_cloud(CloudFaults::none(0xC10D)));
-        let (store, mut res) = ElasticJob::default_cloud_origin(&cloudy.config);
+        let (store, mut res) = default_cloud_origin(cloudy.config());
         res.hedge = None;
         let report = run(&cloudy.with_cloud_origin(store, res));
         assert!(report.injected_read_errors > 0);
@@ -915,7 +793,7 @@ mod tests {
         let sizes = Arc::new(vec![1_000u64; 80]);
         let config = JobConfig::new(0xEC, 2, 4, small_system(), TimeScale::new(1e-6));
         // Crash rank 7 in a 4-worker job.
-        let err = ElasticJob::new(
+        let err = Job::with_plan(
             config.clone(),
             Arc::clone(&sizes),
             FaultPlan::fault_free().crash(0, 0, 7),
@@ -928,7 +806,7 @@ mod tests {
             max_burst: 0,
             ..read_errors()
         };
-        let err = ElasticJob::new(
+        let err = Job::with_plan(
             config,
             sizes,
             FaultPlan::fault_free().with_read_errors(burstless),

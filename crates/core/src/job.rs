@@ -7,7 +7,7 @@
 //! change to a PyTorch script:
 //!
 //! ```
-//! use nopfs_core::{Job, JobConfig};
+//! use nopfs_core::{Job, JobConfig, WorkerHandle};
 //! use nopfs_perfmodel::presets::fig8_small_cluster;
 //! use nopfs_util::timing::TimeScale;
 //! use std::sync::Arc;
@@ -18,66 +18,119 @@
 //! let sizes = Arc::new(vec![1_000u64; 64]);
 //! let job = Job::new(config, sizes.clone());
 //!
-//! // Materialize a dataset and train.
+//! // Materialize a dataset and train: every rank runs the loop on a
+//! // thread of its own.
 //! let pfs = job.make_pfs();
 //! for id in 0..64u64 {
 //!     pfs.put(id, bytes::Bytes::from(vec![id as u8; 1_000]));
 //! }
-//! let consumed = job.run(&pfs, |worker| {
-//!     let mut n = 0;
-//!     while let Some((_id, _data)) = worker.next_sample() {
-//!         n += 1;
+//! let report = job.run_with(&pfs, |_workers| {
+//!     |worker: &mut WorkerHandle| {
+//!         while let Some((_id, _data)) = worker.next_sample() {
+//!             // forward and backward pass
+//!         }
 //!     }
-//!     n
 //! });
-//! assert_eq!(consumed.iter().sum::<u64>(), 64);
+//! assert_eq!(report.stats.samples_consumed, 64);
 //! ```
+//!
+//! [`Job::with_plan`] builds the same job under a [`FaultPlan`]:
+//! crashes, churn and planted faults (see [`crate::elastic`]), each
+//! stretch of the run launched as windows on the planned streams.
 
 use crate::config::JobConfig;
 use crate::msg::Msg;
 use crate::stats::SetupStats;
 use crate::worker::{Shared, WorkerHandle};
-use nopfs_clairvoyance::engine::SetupPass;
+use nopfs_clairvoyance::engine::{fold_digest, SetupArtifacts, SetupPass};
 use nopfs_clairvoyance::placement::GlobalPlacement;
 use nopfs_net::{cluster, NetConfig};
 use nopfs_pfs::Pfs;
-use nopfs_storage::TierStack;
+use nopfs_policy::{FaultPlan, Unsupported};
+use nopfs_storage::{DataSource, ObjectStoreConfig, ResilienceConfig, TierStack};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A NoPFS job: clairvoyant precomputation plus the worker launcher.
+/// A NoPFS job: clairvoyant precomputation, the fault plan it runs
+/// under, and the worker launcher.
 pub struct Job {
-    shared: Arc<Shared>,
+    /// The plan of the initial membership.
+    pub(crate) shared: Arc<Shared>,
+    pub(crate) plan: FaultPlan,
+    /// The setup pass's artifacts, kept only when the plan changes the
+    /// membership: a replan re-splits their streams.
+    pub(crate) artifacts: Option<SetupArtifacts>,
+    /// Object-store economics and resilience knobs of the origin chain
+    /// when the plan carries a cloud clause, if not the defaults (see
+    /// [`Job::with_cloud_origin`]).
+    pub(crate) cloud_origin: Option<(ObjectStoreConfig, ResilienceConfig)>,
 }
 
 impl Job {
-    /// Builds the job: one single-pass [`SetupPass`] over the epoch
-    /// shuffles derives every worker's access stream, stream digest,
-    /// access frequencies, and storage-class assignment from the seed —
-    /// the paper's "a few passes over the shuffles" made literal. Each
-    /// epoch's shuffle is generated exactly once for the whole job
-    /// (O(E·F) setup regardless of worker count); workers later verify
-    /// the allgathered digests against these cached values instead of
-    /// re-deriving any stream.
-    ///
-    /// `sizes[k]` is the size in bytes of sample `k`; the dataset later
-    /// materialized in the PFS must match.
+    /// Builds the fault-free job: [`Job::with_plan`] under
+    /// [`FaultPlan::fault_free`].
     ///
     /// # Panics
     /// Panics on an empty dataset or inconsistent configuration.
     pub fn new(config: JobConfig, sizes: Arc<Vec<u64>>) -> Self {
+        Self::with_plan(config, sizes, FaultPlan::fault_free())
+            .expect("a fault-free plan fits every job")
+    }
+
+    /// Builds the job under `plan`: one single-pass [`SetupPass`] over
+    /// the epoch shuffles derives every worker's access stream, stream
+    /// digest, access frequencies, and storage-class assignment from the
+    /// seed — the paper's "a few passes over the shuffles" made literal.
+    /// Each epoch's shuffle is generated exactly once for the whole job
+    /// (O(E·F) setup regardless of worker count); workers later verify
+    /// the allgathered digests against these cached values instead of
+    /// re-deriving any stream, and a membership change re-splits them
+    /// without a second pass.
+    ///
+    /// `sizes[k]` is the size in bytes of sample `k`; the dataset later
+    /// materialized in the PFS must match.
+    ///
+    /// # Errors
+    /// [`Unsupported`] when the plan's churn would change the epoch
+    /// length (`drop_last` truncation), schedules impossible crashes,
+    /// or carries a malformed clause (see `FaultPlan::validate`).
+    ///
+    /// # Panics
+    /// Panics on an empty dataset or inconsistent configuration.
+    pub fn with_plan(
+        config: JobConfig,
+        sizes: Arc<Vec<u64>>,
+        plan: FaultPlan,
+    ) -> Result<Self, Unsupported> {
         assert!(!sizes.is_empty(), "dataset must contain samples");
+        let spec = config.shuffle_spec(sizes.len() as u64);
+        plan.validate(&spec, config.epochs)?;
+        let workers = config.system.workers;
+        let memberships = plan.memberships(workers, config.epochs);
+        let churns = memberships.iter().any(|&n| n != workers);
         let setup_start = Instant::now();
         // All setup artifacts are pure functions of the seed; computed
         // once here and shared — every worker would derive the
         // identical values.
-        let artifacts =
-            SetupPass::new(config.shuffle_spec(sizes.len() as u64), config.epochs).run();
+        let artifacts = SetupPass::new(spec, config.epochs).run();
         let mut shared = Shared::plan(config, sizes, &artifacts);
         shared.setup.setup_time = setup_start.elapsed();
-        Self {
+        Ok(Self {
             shared: Arc::new(shared),
-        }
+            plan,
+            artifacts: churns.then_some(artifacts),
+            cloud_origin: None,
+        })
+    }
+
+    /// Overrides the cloud-origin economics and resilience knobs (only
+    /// meaningful when the plan has a cloud clause; the clause's
+    /// disturbances are layered onto `store` per rank).
+    #[must_use]
+    pub fn with_cloud_origin(mut self, store: ObjectStoreConfig, res: ResilienceConfig) -> Self {
+        self.cloud_origin = Some((store, res));
+        self
     }
 
     /// The job's configuration.
@@ -100,8 +153,8 @@ impl Job {
     /// Convenience: an in-memory synthetic PFS matching the job's
     /// system curve and time scale.
     ///
-    /// This is the single-tenant convenience only — [`Job::run`]
-    /// accepts **any** injected [`Pfs`] handle, which is how
+    /// This is the single-tenant convenience only — the launchers
+    /// accept **any** injected [`Pfs`] handle, which is how
     /// `nopfs_cluster` co-schedules several jobs on one shared
     /// filesystem (each receiving a [`Pfs::namespaced`] view of it).
     pub fn make_pfs(&self) -> Pfs {
@@ -111,10 +164,11 @@ impl Job {
         )
     }
 
-    /// Launches one worker per rank and returns the handles themselves
-    /// instead of scoping a closure over them — the entry point the
-    /// workspace loader factory (`nopfs_baselines::registry`) uses to
-    /// hand NoPFS out as `Box<dyn DataLoader>` objects.
+    /// Launches one worker per rank of the initial membership, each on
+    /// its whole planned stream, and returns the handles — the entry
+    /// point the workspace loader factory (`nopfs_baselines::registry`)
+    /// uses to hand NoPFS out as `Box<dyn DataLoader>` objects. The
+    /// fault plan is [`Job::run_with`]'s; this launch ignores it.
     ///
     /// The injected `pfs` is the job's *resource boundary*: workers
     /// build everything else (caches, staging buffers, the in-process
@@ -129,58 +183,78 @@ impl Job {
     /// allgather, so the returned handles are immediately consumable
     /// from any threads (or sequentially). Shut them down concurrently
     /// — one thread per handle, as [`WorkerHandle::shutdown`] documents
-    /// — or hand them to a harness that does ([`Job::run`], or the
-    /// registry's `LoaderSet`).
+    /// — or hand them to a harness that does (the registry's
+    /// `LoaderSet`).
     pub fn launch_workers(&self, pfs: &Pfs) -> Vec<WorkerHandle> {
-        launch(
-            &self.shared,
-            pfs,
-            vec![None; self.shared.config.system.workers],
-        )
-    }
-
-    /// [`Job::launch_workers`], then one thread per rank that calls `f`
-    /// with the rank's [`WorkerHandle`] (the training loop) and shuts
-    /// the worker down when `f` returns: prefetchers stop, the cluster
-    /// synchronizes, serving loops exit. Returns the per-rank results
-    /// of `f`; if a worker panics the whole `run` panics.
-    pub fn run<R, F>(&self, pfs: &Pfs, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&mut WorkerHandle) -> R + Sync,
-    {
-        run_ranks(self.launch_workers(pfs), f)
+        let whole = self.shared.streams.iter().map(|s| 0..s.len() as u64);
+        launch(&self.shared, pfs, whole.collect(), |rank| {
+            rank_stack(self.config(), Arc::new(pfs.clone()), rank)
+        })
     }
 }
 
-/// Launches one worker per rank of `shared` over `tiers[rank]` (see
-/// [`WorkerHandle::launch`]) on a fresh in-process interconnect, and
-/// returns once every rank has passed the setup allgather.
+/// Rank `rank`'s storage hierarchy over `origin`: the class tiers of
+/// `config`'s system, counting into the rank-scoped registry.
+pub(crate) fn rank_stack(
+    config: &JobConfig,
+    origin: Arc<dyn DataSource>,
+    rank: usize,
+) -> TierStack {
+    let obs = config.obs.scoped([("rank", rank.to_string())]);
+    crate::tiers::class_tier_stack_in_registry(&config.system, config.scale, origin, &obs.registry)
+}
+
+/// Launches one worker per rank of `shared` on its window
+/// `windows[rank]` of the planned stream (see [`WorkerHandle::launch`])
+/// over the stack `stack(rank)` builds on the rank's launch thread, on a
+/// fresh in-process interconnect, and returns once every rank has
+/// passed the setup allgather. A window's digest is the setup pass's
+/// when it is the whole stream, the engine's fold over its ids
+/// otherwise.
 pub(crate) fn launch(
     shared: &Arc<Shared>,
     pfs: &Pfs,
-    tiers: Vec<Option<TierStack>>,
+    windows: Vec<Range<u64>>,
+    stack: impl Fn(usize) -> TierStack + Sync,
 ) -> Vec<WorkerHandle> {
+    let digests: Vec<u64> = windows
+        .iter()
+        .enumerate()
+        .map(|(w, window)| {
+            let stream = &shared.streams[w];
+            if *window == (0..stream.len() as u64) {
+                return shared.digests[w];
+            }
+            let ids = &stream[window.start as usize..window.end as usize];
+            fold_digest(w, ids.iter().copied())
+        })
+        .collect();
     let endpoints = cluster::<Msg>(
         shared.config.system.workers,
         NetConfig::new(shared.config.system.interconnect, shared.config.scale),
     );
+    let (digests, stack) = (&digests, &stack);
     // The launches must overlap: each blocks in the setup allgather
     // until all ranks have joined it.
-    let threads: Vec<_> = endpoints
-        .into_iter()
-        .zip(tiers)
-        .enumerate()
-        .map(|(rank, (endpoint, tiers))| {
-            let shared = Arc::clone(shared);
-            let pfs = pfs.clone();
-            std::thread::spawn(move || WorkerHandle::launch(rank, shared, pfs, endpoint, tiers))
-        })
-        .collect();
-    threads
-        .into_iter()
-        .map(|t| t.join().expect("worker launch panicked"))
-        .collect()
+    std::thread::scope(|s| {
+        let threads: Vec<_> = endpoints
+            .into_iter()
+            .zip(windows)
+            .enumerate()
+            .map(|(rank, (endpoint, window))| {
+                let shared = Arc::clone(shared);
+                let pfs = pfs.clone();
+                s.spawn(move || {
+                    let tiers = stack(rank);
+                    WorkerHandle::launch(rank, shared, window, digests, pfs, endpoint, tiers)
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("worker launch panicked"))
+            .collect()
+    })
 }
 
 /// One thread per handle that calls `f` with it and shuts the worker
@@ -251,7 +325,7 @@ mod tests {
         let job = Job::new(config, Arc::clone(&sizes));
         let pfs = job.make_pfs();
         materialize(&pfs, &sizes);
-        let out = job.run(&pfs, |w| {
+        let out = run_ranks(job.launch_workers(&pfs), |w| {
             let mut ids = Vec::new();
             while let Some((id, data)) = w.next_sample() {
                 assert_eq!(data[0], (id % 256) as u8, "corrupt sample {id}");
@@ -315,7 +389,7 @@ mod tests {
         let job = Job::new(config, Arc::clone(&sizes));
         let pfs = job.make_pfs();
         materialize(&pfs, &sizes);
-        let batch_shapes = job.run(&pfs, |w| {
+        let batch_shapes = run_ranks(job.launch_workers(&pfs), |w| {
             let mut shapes = Vec::new();
             while let Some(batch) = w.next_batch() {
                 shapes.push(batch.len());
@@ -347,7 +421,7 @@ mod tests {
         let job = Job::new(config, Arc::clone(&sizes));
         let pfs = job.make_pfs();
         materialize(&pfs, &sizes);
-        let per_rank = job.run(&pfs, |w| {
+        let per_rank = run_ranks(job.launch_workers(&pfs), |w| {
             let mut batches = 0usize;
             while w.next_batch().is_some() {
                 batches += 1;
@@ -389,7 +463,7 @@ mod tests {
         for id in [3u64, 17, 29] {
             pfs.inject_fault(id, 2);
         }
-        let counts = job.run(&pfs, |w| w.by_ref().count());
+        let counts = run_ranks(job.launch_workers(&pfs), |w| w.by_ref().count());
         assert_eq!(counts.iter().sum::<usize>(), 40);
     }
 
@@ -401,7 +475,7 @@ mod tests {
         let pfs = job.make_pfs();
         materialize(&pfs, &sizes);
         // Every worker stops after 10 samples; shutdown must not hang.
-        let got = job.run(&pfs, |w| {
+        let got = run_ranks(job.launch_workers(&pfs), |w| {
             let mut n = 0;
             for _ in 0..10 {
                 if w.next_sample().is_none() {
@@ -503,7 +577,9 @@ mod tests {
             assert_eq!(run_len, 12);
             let pfs = job.make_pfs();
             materialize(&pfs, &sizes);
-            let out = job.run(&pfs, |w| (w.rank(), drain_checked(w, &sizes), w.stats()));
+            let out = run_ranks(job.launch_workers(&pfs), |w| {
+                (w.rank(), drain_checked(w, &sizes), w.stats())
+            });
             let mut merged = WorkerStats::default();
             let mut runs = 0;
             for (rank, ids, stats) in &out {
@@ -540,7 +616,9 @@ mod tests {
         let job = Job::new(config, Arc::clone(&sizes));
         let pfs = job.make_pfs();
         materialize(&pfs, &sizes);
-        let out = job.run(&pfs, |w| (w.rank(), drain_checked(w, &sizes)));
+        let out = run_ranks(job.launch_workers(&pfs), |w| {
+            (w.rank(), drain_checked(w, &sizes))
+        });
         let mut bases = Vec::new();
         for (rank, ids) in &out {
             assert_eq!(ids, &expected_stream(&job, sizes.len(), *rank));
@@ -595,7 +673,9 @@ mod tests {
         );
         let pfs = job.make_pfs();
         materialize(&pfs, &sizes);
-        let out = job.run(&pfs, |w| (w.rank(), drain_checked(w, &sizes), w.stats()));
+        let out = run_ranks(job.launch_workers(&pfs), |w| {
+            (w.rank(), drain_checked(w, &sizes), w.stats())
+        });
         for (rank, ids, stats) in out {
             assert_eq!(ids, expected_stream(&job, sizes.len(), rank));
             assert_eq!(stats.total_fetches(), stats.samples_consumed);
@@ -628,7 +708,11 @@ mod tests {
                 }
                 ep1.barrier();
             });
-            let mut w = WorkerHandle::launch(0, Arc::clone(&job.shared), pfs.clone(), ep0, None);
+            let whole = 0..job.shared.streams[0].len() as u64;
+            let tiers = rank_stack(job.config(), Arc::new(pfs.clone()), 0);
+            let digests = &job.shared.digests;
+            let shared = Arc::clone(&job.shared);
+            let mut w = WorkerHandle::launch(0, shared, whole, digests, pfs.clone(), ep0, tiers);
             let ids = drain_checked(&mut w, &sizes);
             done.store(true, Ordering::SeqCst);
             w.shutdown();
@@ -656,8 +740,8 @@ mod tests {
         let job = Job::new(config, Arc::clone(&sizes));
         let pfs = job.make_pfs();
         materialize(&pfs, &sizes);
-        job.run(&pfs, |w| {
-            // `run` shuts the worker down as soon as a frame has gone out.
+        run_ranks(job.launch_workers(&pfs), |w| {
+            // `run_ranks` shuts the worker down as soon as a frame has gone out.
             while obs.snapshot().counter_total(names::WORKER_PEER_FRAMES) == 0 {
                 w.next_batch()
                     .expect("a frame goes out before the stream ends");
@@ -711,12 +795,16 @@ mod tests {
         let endpoint = cluster::<Msg>(1, NetConfig::new(config.system.interconnect, config.scale))
             .pop()
             .expect("rank 0");
+        let whole = 0..job.shared.streams[0].len() as u64;
+        let shared = Arc::clone(&job.shared);
         WorkerHandle::launch(
             0,
-            Arc::clone(&job.shared),
+            shared,
+            whole,
+            &job.shared.digests,
             pfs.clone(),
             endpoint,
-            Some(tiers),
+            tiers,
         )
     }
 
@@ -724,7 +812,7 @@ mod tests {
     fn a_run_with_picks_in_two_tiers_is_one_sweep_per_tier() {
         use nopfs_obs::{names, ObsCtx};
         let sizes = Arc::new(vec![1_000u64; 80]);
-        // Cold through `run`, where the class prefetchers fill the tiers
+        // Cold through `run_ranks`, where the class prefetchers fill the tiers
         // while the staging thread reads them; then over a hierarchy
         // filled before the launch.
         for warm in [false, true] {
@@ -754,7 +842,7 @@ mod tests {
                 w.shutdown();
                 (ids, w.stats(), w.tier_stats())
             } else {
-                let mut out = job.run(&pfs, |w| {
+                let mut out = run_ranks(job.launch_workers(&pfs), |w| {
                     (drain_checked(w, &sizes), w.stats(), w.tier_stats())
                 });
                 out.pop().expect("one rank")
@@ -849,7 +937,7 @@ mod tests {
         let job = Job::new(config, Arc::clone(&sizes));
         let pfs = job.make_pfs();
         materialize(&pfs, &sizes);
-        let counts = job.run(&pfs, |w| w.by_ref().count());
+        let counts = run_ranks(job.launch_workers(&pfs), |w| w.by_ref().count());
         assert_eq!(counts, vec![60]);
     }
 
@@ -873,7 +961,7 @@ mod tests {
             let a = s.spawn(|| {
                 let config = JobConfig::new(1, 2, 8, small_system(), TimeScale::new(1e-6));
                 let job = Job::new(config, Arc::clone(&sizes_a));
-                job.run(&pfs_a, |w| {
+                run_ranks(job.launch_workers(&pfs_a), |w| {
                     let mut n = 0u64;
                     while let Some((id, data)) = w.next_sample() {
                         assert!(id < 48, "tenant A got foreign sample {id}");
@@ -888,7 +976,7 @@ mod tests {
             let b = s.spawn(|| {
                 let config = JobConfig::new(2, 2, 8, small_system(), TimeScale::new(1e-6));
                 let job = Job::new(config, Arc::clone(&sizes_b));
-                job.run(&pfs_b, |w| {
+                run_ranks(job.launch_workers(&pfs_b), |w| {
                     let mut n = 0u64;
                     while let Some((id, data)) = w.next_sample() {
                         assert!(id < 32, "tenant B got foreign sample {id}");
@@ -938,7 +1026,7 @@ mod tests {
         sys
     }
 
-    /// Checks the origin reads of `job`'s one rank after `run` has
+    /// Checks the origin reads of `job`'s one rank after `run_ranks` has
     /// returned (no prefetcher can still be filling), with `stream` the
     /// positions it delivered out of `of`: every read is the read
     /// behind a fill (a prefetcher's, or a staging thread's self-healing
@@ -988,7 +1076,7 @@ mod tests {
             assert_eq!(sys.origin_lanes(job.placement().uncached_share()), 8);
             let pfs = job.make_pfs();
             materialize(&pfs, &sizes);
-            let mut out = job.run(&pfs, |w| {
+            let mut out = run_ranks(job.launch_workers(&pfs), |w| {
                 let mut ids = Vec::new();
                 while let Some(batch) = w.next_batch() {
                     for (id, data) in batch {
@@ -1032,7 +1120,7 @@ mod tests {
                 }
                 ids
             };
-            // Drained, then stopped after a batch: `run` shuts the worker
+            // Drained, then stopped after a batch: `run_ranks` shuts the worker
             // down with lanes and staging threads mid-stream, and must
             // return.
             for upto in [usize::MAX, 1] {
@@ -1040,7 +1128,9 @@ mod tests {
                 let job = Job::new(config.clone().with_obs(obs.clone()), Arc::clone(&sizes));
                 let pfs = job.make_pfs();
                 materialize(&pfs, &sizes);
-                let ids = job.run(&pfs, |w| drain(w, upto)).pop().expect("one rank");
+                let ids = run_ranks(job.launch_workers(&pfs), |w| drain(w, upto))
+                    .pop()
+                    .expect("one rank");
                 let want = if upto == 1 { 8 } else { expect.len() };
                 assert_eq!(ids, expect[..want], "runs of {run_len}");
                 assert_one_origin_read_each(&job, &pfs, &obs, &ids, expect.len());
@@ -1060,9 +1150,9 @@ mod tests {
         let job = Job::new(config, Arc::clone(&sizes));
         let pfs = job.make_pfs();
         materialize(&pfs, &sizes);
-        let got = job.run(&pfs, |w| {
+        let got = run_ranks(job.launch_workers(&pfs), |w| {
             let first = w.next_batch().map_or(0, |b| b.len());
-            // `run` shuts the worker down when this returns: it must.
+            // `run_ranks` shuts the worker down when this returns: it must.
             first
         });
         assert_eq!(got, vec![4]);

@@ -27,7 +27,10 @@
 //! The user-facing API mirrors the paper's Fig. 7: build a [`Job`] from
 //! a [`JobConfig`] and a dataset, then iterate samples per worker
 //! through [`WorkerHandle`] — a drop-in replacement for a framework
-//! data loader.
+//! data loader. One job type covers the fault-free run ([`Job::new`])
+//! and a run under a fault plan ([`Job::with_plan`]: crashes, churn,
+//! planted read errors, a cloud origin); every launch, of either, runs
+//! each rank on a window of its planned stream.
 
 mod card;
 pub mod config;
@@ -41,7 +44,7 @@ mod window;
 pub mod worker;
 
 pub use config::JobConfig;
-pub use elastic::{ElasticJob, ElasticReport};
+pub use elastic::{plant_read_errors, ElasticReport};
 pub use job::Job;
 pub use stats::WorkerStats;
 pub use tiers::{class_tier_stack, class_tier_stack_in_registry};

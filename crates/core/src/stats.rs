@@ -78,10 +78,6 @@ impl StatsCollector {
         c
     }
 
-    pub fn count_local(&self) {
-        self.add_local(1);
-    }
-
     /// Counts `n` fetches served by a local tier (one sweep's worth)
     /// at once.
     pub fn add_local(&self, n: u64) {
@@ -119,10 +115,6 @@ impl StatsCollector {
         let nanos = d.as_nanos().min(u128::from(u64::MAX)) as u64;
         self.stall_nanos.add(nanos);
         self.stall_latency.record(nanos);
-    }
-
-    pub fn count_consumed(&self) {
-        self.add_consumed(1);
     }
 
     /// Counts `n` delivered samples (a whole batch) at once.
@@ -249,15 +241,15 @@ mod tests {
     #[test]
     fn counters_accumulate_and_snapshot() {
         let c = StatsCollector::new();
-        c.count_local();
-        c.count_local();
+        c.add_local(1);
+        c.add_local(1);
         c.add_remote(1);
         c.add_pfs(1);
         c.count_false_positive();
         c.add_heuristic_skips(1);
         c.count_pfs_error();
         c.add_stall(Duration::from_millis(5));
-        c.count_consumed();
+        c.add_consumed(1);
         let s = c.snapshot();
         assert_eq!(s.local_fetches, 2);
         assert_eq!(s.remote_fetches, 1);
@@ -273,7 +265,7 @@ mod tests {
     #[test]
     fn fractions_sum_to_one_when_nonempty() {
         let c = StatsCollector::new();
-        c.count_local();
+        c.add_local(1);
         c.add_pfs(1);
         let (l, r, p) = c.snapshot().fractions();
         assert!((l + r + p - 1.0).abs() < 1e-12);
@@ -291,7 +283,7 @@ mod tests {
     #[test]
     fn merge_totals() {
         let a = StatsCollector::new();
-        a.count_local();
+        a.add_local(1);
         let b = StatsCollector::new();
         b.add_pfs(1);
         b.add_stall(Duration::from_millis(2));
@@ -306,8 +298,8 @@ mod tests {
     fn collector_is_a_registry_view() {
         let registry = Registry::new().scoped([("rank", "3".to_string())]);
         let c = StatsCollector::in_registry(&registry);
-        c.count_local();
-        c.count_local();
+        c.add_local(1);
+        c.add_local(1);
         c.add_stall(Duration::from_micros(10));
         // The same numbers surface through the registry snapshot…
         let snap = registry.snapshot();
@@ -339,10 +331,10 @@ mod tests {
         // registry keeps the cumulative total.
         let registry = Registry::new();
         let first = StatsCollector::in_registry(&registry);
-        first.count_local();
-        first.count_local();
+        first.add_local(1);
+        first.add_local(1);
         let second = StatsCollector::in_registry(&registry);
-        second.count_local();
+        second.add_local(1);
         assert_eq!(first.snapshot().local_fetches, 3, "shared counter");
         assert_eq!(second.snapshot().local_fetches, 1, "delta view");
         let snap = registry.snapshot();

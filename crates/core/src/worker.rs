@@ -40,6 +40,7 @@ use nopfs_perfmodel::{Location, SystemSpec};
 use nopfs_pfs::Pfs;
 use nopfs_storage::{ReorderStage, SourceHealth, TierStack, TierStats};
 use nopfs_util::timing::precise_wait;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -49,8 +50,8 @@ use std::time::{Duration, Instant};
 ///
 /// The digests, streams, and placement are the single-pass engine's
 /// artifacts, planned once per membership by [`Shared::plan`];
-/// launching a worker reads them instead of regenerating any shuffle.
-#[derive(Clone)]
+/// launching a worker reads them instead of regenerating any shuffle,
+/// and runs it on a window of its planned stream.
 pub(crate) struct Shared {
     pub config: JobConfig,
     pub sizes: Arc<Vec<u64>>,
@@ -63,11 +64,9 @@ pub(crate) struct Shared {
     /// allgather verifies every rank's claimed digest against these
     /// cached values (the runtime's clairvoyance check).
     pub digests: Vec<u64>,
-    /// Per-worker materialized access streams from the setup pass.
+    /// Per-worker materialized access streams from the setup pass:
+    /// every launch of the membership runs on windows of these.
     pub streams: Vec<Arc<Vec<SampleId>>>,
-    /// Where each worker's `streams` entry starts in its whole-run
-    /// stream: an `ElasticJob` segment's first position, 0 for a `Job`.
-    pub starts: Vec<u64>,
     /// Setup-phase statistics (shuffle generations, wall time).
     pub setup: SetupStats,
 }
@@ -156,8 +155,9 @@ impl FillClaims {
 impl Shared {
     /// Plans a job for the worker count of `arts`: the placement over
     /// `sizes`, each worker's cards, and the artifacts' streams and
-    /// digests. `Job::new` plans once; `ElasticJob` once per
-    /// membership. The setup time is left for the caller to stamp.
+    /// digests. `Job::with_plan` plans the initial membership, and
+    /// `Job::run_with` each other one it meets. The setup time is left
+    /// for the caller to stamp.
     pub(crate) fn plan(mut config: JobConfig, sizes: Arc<Vec<u64>>, arts: &SetupArtifacts) -> Self {
         let workers = arts.num_workers();
         config.system.workers = workers;
@@ -178,7 +178,6 @@ impl Shared {
                 .streams
                 .clone()
                 .expect("setup pass materializes streams"),
-            starts: vec![0; workers],
             setup: SetupStats {
                 shuffle_generations: arts.shuffles_generated,
                 setup_time: Duration::ZERO,
@@ -690,53 +689,56 @@ impl WorkerCtx {
 /// The per-worker loader handle: the paper's `get`/iterator interface.
 ///
 /// Yields `(sample id, bytes)` in exactly the clairvoyant access-stream
-/// order. Created by [`crate::job::Job::launch_workers`] (and so by
-/// [`crate::job::Job::run`]), and by [`crate::elastic::ElasticJob::run`]
-/// once per segment of its fault plan.
+/// order. Created by [`crate::job::Job::launch_workers`], and by
+/// [`crate::job::Job::run_with`] once per segment of its fault plan.
 pub struct WorkerHandle {
     ctx: Arc<WorkerCtx>,
-    stream: Arc<Vec<SampleId>>,
     threads: Vec<JoinHandle<()>>,
     server: Option<JoinHandle<()>>,
-    /// Position of the next sample in the rank's whole-run stream, and
-    /// the position this handle's slice of it ends at.
+    /// The window of the rank's planned stream this handle yields, and
+    /// the position of its next sample.
+    window: Range<u64>,
     pos: u64,
-    end: u64,
+    /// The digest this rank claimed in the setup allgather: its
+    /// window's.
+    digest: u64,
     epoch_len: u64,
     batch_size: usize,
     finished: bool,
 }
 
 impl WorkerHandle {
-    /// Launches rank `rank`'s threads over `tiers` — a survivor's
-    /// still-warm stack, or the elastic runtime's stack over a wrapped
-    /// origin — or, given none, a fresh class stack over `pfs`. Returns
-    /// once the setup allgather has passed on every rank.
+    /// Launches rank `rank`'s threads on `window`, a range of positions
+    /// of its planned stream `shared.streams[rank]`, over `tiers` — a
+    /// fresh stack, or a survivor's still-warm one. `digests[w]` is the
+    /// digest of rank `w`'s window. Returns once the setup allgather
+    /// has passed on every rank.
     pub(crate) fn launch(
         rank: usize,
         shared: Arc<Shared>,
+        window: Range<u64>,
+        digests: &[u64],
         pfs: Pfs,
         endpoint: Endpoint<Msg>,
-        tiers: Option<TierStack>,
+        tiers: TierStack,
     ) -> Self {
         let endpoint = Arc::new(endpoint);
         let sys = &shared.config.system;
-        let scale = shared.config.scale;
 
-        // Setup allgather: exchange access-stream digests and verify
-        // every rank's claim against the engine's cached digests — no
-        // stream is re-derived here (the old per-rank recomputation
-        // made setup O(N²·E·F) across the cluster).
-        let my_digest = shared.digests[rank];
-        let digests = endpoint
-            .allgather(Msg::Digest(my_digest))
+        // Setup allgather: exchange window digests and verify every
+        // rank's claim against the planned ones — no stream is
+        // re-derived here (the old per-rank recomputation made setup
+        // O(N²·E·F) across the cluster).
+        let digest = digests[rank];
+        let claims = endpoint
+            .allgather(Msg::Digest(digest))
             .expect("setup allgather failed");
-        for (o, msg) in digests.iter().enumerate() {
+        for (o, msg) in claims.iter().enumerate() {
             let Msg::Digest(d) = msg else {
                 panic!("unexpected setup message from rank {o}");
             };
             assert_eq!(
-                *d, shared.digests[o],
+                *d, digests[o],
                 "worker {o}'s access stream diverged from the seed — clairvoyance broken"
             );
         }
@@ -751,17 +753,6 @@ impl WorkerHandle {
         let obs = shared.config.obs.scoped([("rank", rank.to_string())]);
         obs.registry.counter(names::WORKER_LAUNCHES).inc();
 
-        // The worker's storage hierarchy: class tiers over the injected
-        // PFS origin, behind the one tiered fetch API — or the handed-
-        // over (still warm) stack of a surviving elastic worker.
-        let tiers = tiers.unwrap_or_else(|| {
-            crate::tiers::class_tier_stack_in_registry(
-                sys,
-                scale,
-                Arc::new(pfs.clone()),
-                &obs.registry,
-            )
-        });
         let stats = Arc::new(StatsCollector::in_registry(&obs.registry));
         let stop = Arc::new(AtomicBool::new(false));
         let progress = Arc::new(
@@ -779,7 +770,7 @@ impl WorkerHandle {
         let origin_wait_nanos = obs
             .registry
             .counter(names::WORKER_STAGING_ORIGIN_WAIT_NANOS);
-        let window = (lanes > 0).then(|| {
+        let origin_window = (lanes > 0).then(|| {
             OriginWindow::new(
                 sys.staging.capacity,
                 &obs.registry,
@@ -789,6 +780,7 @@ impl WorkerHandle {
         let write_nanos = obs.registry.counter(names::WORKER_STAGING_WRITE_NANOS);
         let fill_waits = obs.registry.counter(names::WORKER_STAGING_FILL_WAITS);
         let stream = Arc::clone(&shared.streams[rank]);
+        let (start, end) = (window.start as usize, window.end as usize);
         let epoch_len = shared.spec.worker_epoch_len(rank);
 
         let ctx = Arc::new(WorkerCtx {
@@ -803,7 +795,7 @@ impl WorkerHandle {
             stage,
             run_len: stage_run_len(sys, &shared.sizes, epoch_len),
             filling: FillClaims::new(shared.sizes.len()),
-            window,
+            window: origin_window,
             origin_wait_nanos,
             write_nanos,
             fill_waits,
@@ -859,7 +851,7 @@ impl WorkerHandle {
                     ctx.progress[class].store(done, Ordering::Release);
                 }
                 if class < lanes {
-                    ctx.run_lane(&stream);
+                    ctx.run_lane(&stream[start..end]);
                 }
             }));
         }
@@ -878,9 +870,9 @@ impl WorkerHandle {
             threads.push(std::thread::spawn(move || {
                 std::thread::scope(|s| {
                     for _ in 0..spawn_lanes {
-                        s.spawn(|| ctx.run_lane(&stream));
+                        s.spawn(|| ctx.run_lane(&stream[start..end]));
                     }
-                    ctx.run_staging(&stream, &position);
+                    ctx.run_staging(&stream[start..end], &position);
                 });
             }));
         }
@@ -892,10 +884,10 @@ impl WorkerHandle {
         };
 
         Self {
-            pos: shared.starts[rank],
-            end: shared.starts[rank] + stream.len() as u64,
+            pos: window.start,
+            window,
+            digest,
             ctx,
-            stream,
             threads,
             server: Some(server),
             epoch_len,
@@ -909,15 +901,23 @@ impl WorkerHandle {
         self.ctx.rank
     }
 
-    /// Total samples this handle will yield: the whole run for a `Job`,
-    /// its segment's slice for an `ElasticJob`.
+    /// Total samples this handle will yield: its window's length — the
+    /// whole run for a fault-free launch, a segment's for one of a
+    /// fault plan's.
     pub fn len(&self) -> u64 {
-        self.stream.len() as u64
+        self.window.end - self.window.start
     }
 
     /// Whether the run yields no samples (degenerate configurations).
     pub fn is_empty(&self) -> bool {
-        self.stream.is_empty()
+        self.window.is_empty()
+    }
+
+    /// The digest of this handle's window, as the rank claimed it in
+    /// the setup allgather: over a whole stream, the setup pass's
+    /// [`stream_digest`](nopfs_clairvoyance::engine::stream_digest).
+    pub fn digest(&self) -> u64 {
+        self.digest
     }
 
     /// Samples this worker consumes per epoch.
@@ -973,7 +973,7 @@ impl WorkerHandle {
     /// buffer; `None` once the run is exhausted. Blocked time is
     /// recorded as consumer stall.
     pub fn next_sample(&mut self) -> Option<(SampleId, Bytes)> {
-        if self.pos >= self.end {
+        if self.pos >= self.window.end {
             return None;
         }
         let t0 = self.begin_pop();
@@ -993,7 +993,8 @@ impl WorkerHandle {
     /// [`crate::next_batch_len`]. The batch is one wait on the staging
     /// buffer: its blocked time is one consumer stall.
     pub fn next_batch(&mut self) -> Option<Vec<(SampleId, Bytes)>> {
-        let want = crate::next_batch_len(self.pos, self.end, self.epoch_len, self.batch_size);
+        let want =
+            crate::next_batch_len(self.pos, self.window.end, self.epoch_len, self.batch_size);
         if want == 0 {
             return None;
         }
@@ -1041,7 +1042,7 @@ impl WorkerHandle {
     /// Stops prefetchers, waits for the whole cluster to finish, and
     /// shuts down the serving loop. Idempotent.
     ///
-    /// Called automatically by [`crate::job::Job::run`]. Handles
+    /// Called automatically by [`crate::job::Job::run_with`]. Handles
     /// obtained via [`crate::job::Job::launch_workers`] must be shut
     /// down **concurrently** (one thread per handle): the internal
     /// cluster barrier means a sequential shutdown of multiple ranks
@@ -1207,6 +1208,51 @@ mod tests {
                 assert_eq!(spilled, 4 * sizes.len(), "every card spills");
             }
         }
+    }
+
+    /// A fault-free launch, through `launch_workers` and through
+    /// `run_with`'s one segment, runs every rank on the plan's own
+    /// stream allocation — its whole length, not a copy — and claims
+    /// the setup pass's digest for it in the allgather.
+    #[test]
+    fn a_fault_free_launch_runs_on_the_planned_streams_themselves() {
+        use crate::job::{run_ranks, Job};
+        use nopfs_clairvoyance::engine::stream_digest;
+        use nopfs_policy::FaultPlan;
+        use nopfs_util::timing::TimeScale;
+
+        let mut sys = fig8_small_cluster();
+        sys.staging.capacity = 64 * 1_000;
+        sys.staging.threads = 2;
+        let sizes = Arc::new(vec![1_000u64; 80]);
+        let config = JobConfig::new(0xEC, 3, 4, sys, TimeScale::new(1e-6));
+        let spec = config.shuffle_spec(80);
+        let job = Job::with_plan(config, sizes, FaultPlan::fault_free()).expect("valid plan");
+        let pfs = job.make_pfs();
+        for id in 0..80u64 {
+            pfs.put(id, Bytes::from(vec![id as u8; 1_000]));
+        }
+        let planned = &job.shared;
+        let check = |h: &mut WorkerHandle| {
+            let rank = h.rank();
+            let stream = &h.ctx.shared.streams[rank];
+            assert!(
+                Arc::ptr_eq(stream, &planned.streams[rank]),
+                "rank {rank} runs on a copy of its stream"
+            );
+            assert_eq!(h.len(), stream.len() as u64);
+            assert_eq!(h.digest(), planned.digests[rank], "rank {rank}");
+            assert_eq!(h.digest(), stream_digest(&spec, rank, 3), "rank {rank}");
+            h.by_ref().count() as u64
+        };
+        let consumed: u64 = run_ranks(job.launch_workers(&pfs), check).iter().sum();
+        assert_eq!(consumed, 3 * 80);
+        let report = job.run_with(&pfs, |_| {
+            |h: &mut WorkerHandle| {
+                check(h);
+            }
+        });
+        assert_eq!(report.stats.samples_consumed, 3 * 80);
     }
 
     #[test]

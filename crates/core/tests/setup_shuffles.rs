@@ -45,8 +45,8 @@ fn job_setup_and_run_generate_each_epoch_shuffle_exactly_once() {
         for (id, &s) in sizes.iter().enumerate() {
             pfs.put(id as u64, Bytes::from(vec![id as u8; s as usize]));
         }
-        let consumed = job.run(&pfs, |w| w.by_ref().count() as u64);
-        assert_eq!(consumed.iter().sum::<u64>(), 64 * epochs);
+        let consumed = job.run(&pfs).global_stream.len() as u64;
+        assert_eq!(consumed, 64 * epochs);
         assert_eq!(
             epoch_shuffles_generated(),
             after_setup,

@@ -50,7 +50,8 @@ pub const WORKER_STAGING_PEER_WAIT_NANOS: &str = "worker.staging.peer_wait_nanos
 /// samples from that owner.
 pub const WORKER_PEER_FRAMES: &str = "worker.peer.frames";
 /// Worker launches: one per rank each time its threads are started
-/// (a `Job` launches each rank once; an `ElasticJob` once per segment).
+/// (a fault-free `Job` launches each rank once; one under a fault plan
+/// once per segment).
 pub const WORKER_LAUNCHES: &str = "worker.launches";
 /// Bytes parked in (or being read into) the origin look-ahead window
 /// (gauge).

@@ -9,7 +9,7 @@
 //! undisturbed run, merely dealt round-robin to however many ranks
 //! exist. That makes [`run_elastic`]'s `global_stream` directly
 //! comparable to both the fault-free simulation and the threaded
-//! runtime's `ElasticJob` (the cross-harness agreement tests do both).
+//! runtime's `Job::run` (the cross-harness agreement tests do both).
 //!
 //! Timing under churn is modelled in the simulator's usual spirit —
 //! relative, not absolute: each membership keeps one engine job state

@@ -90,7 +90,7 @@ impl CloudResilience {
     /// probes.
     ///
     /// It is the simulator's own client, not a copy of the runtime's
-    /// chain: `ElasticJob`'s default cloud origin shares the breaker
+    /// chain: a `Job`'s default cloud origin shares the breaker
     /// settings and full jitter, but takes 8 attempts on a 100 µs
     /// wall-clock backoff, hedges after the measured p95 latency (a
     /// 200 µs floor), and sets no deadline.

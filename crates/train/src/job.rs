@@ -5,7 +5,7 @@
 use crate::loop_runner::{RankLoop, RunMetrics, TrainLoopConfig};
 use nopfs_baselines::{registry, DataLoader};
 use nopfs_core::stats::{SetupStats, WorkerStats};
-use nopfs_core::{ElasticJob, ElasticReport, JobConfig, WorkerHandle};
+use nopfs_core::{plant_read_errors, ElasticReport, Job, JobConfig, WorkerHandle};
 use nopfs_net::{cluster, Endpoint, NetConfig};
 use nopfs_pfs::Pfs;
 use nopfs_policy::{FaultPlan, PolicyId, Unsupported};
@@ -70,9 +70,10 @@ impl JobRun {
 /// each step computing and then allreducing `loop_cfg.grad_elems`
 /// gradient elements with the other ranks of its launch.
 ///
-/// A NoPFS job runs through [`ElasticJob`], which realizes every event
-/// of the plan; the baselines run through [`registry::run_policy`] and
-/// realize its stragglers and read errors only.
+/// A NoPFS job runs through [`Job::run_with`], which realizes every
+/// event of the plan; the baselines run through
+/// [`registry::run_policy`] and realize its stragglers and read errors
+/// only.
 ///
 /// `run_job` sets the config's `drop_last`: on, so that every rank
 /// takes the same steps (the frameworks' reason for dropping the last
@@ -122,7 +123,7 @@ pub fn run_job(
     let train = &train;
 
     let (setup, elastic) = if policy == PolicyId::NoPfs {
-        let job = ElasticJob::new(config, sizes, plan.clone())?;
+        let job = Job::with_plan(config, sizes, plan.clone())?;
         let report = job.run_with(pfs, |n| {
             let eps = endpoints(n);
             move |handle: &mut WorkerHandle| {
@@ -132,14 +133,8 @@ pub fn run_job(
         });
         (Some(report.setup.clone()), Some(report))
     } else {
-        // Read errors live in the job's namespace of the PFS: each
-        // sample's next `1..=max_burst` reads fail, and every loader's
-        // origin retry loop absorbs them (counting each in
-        // `pfs_errors`), so they cost time but never change content.
-        let errors = plan.read_errors.iter();
-        for (id, failures) in errors.flat_map(|e| e.bursts(sizes.len() as u64)) {
-            pfs.inject_fault(id, failures);
-        }
+        // Read errors live in the job's namespace of the PFS.
+        plant_read_errors(plan, pfs, sizes.len() as u64);
         let eps = endpoints(workers);
         let outcome =
             registry::run_policy(policy, config, sizes, pfs, |loader| train(loader, 0, &eps))?;

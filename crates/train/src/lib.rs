@@ -13,8 +13,9 @@
 //!   the "GPU" is replaced by its duration.
 //! - [`job`] — one function per job, [`run_job`]: every rank of any of
 //!   the ten policies runs the timed loop under any fault plan (NoPFS
-//!   through `ElasticJob`, its loop state kept across launches). The
-//!   cluster's tenants and the runtime benches call it.
+//!   through `Job::run_with`, one launch per segment, its loop state
+//!   kept across launches). The cluster's tenants and the runtime
+//!   benches call it.
 //! - [`model`] — a real (tiny) logistic-regression model trained with
 //!   data-parallel SGD on a synthetic separable task whose features
 //!   derive deterministically from sample labels. Accuracy genuinely

@@ -15,7 +15,7 @@
 //!
 //! Run with: `cargo run --release --example cloud`
 
-use nopfs::core::{ElasticJob, JobConfig};
+use nopfs::core::{Job, JobConfig};
 use nopfs::datasets::DatasetProfile;
 use nopfs::policy::{FaultPlan, PolicyId};
 use nopfs::simulator::run;
@@ -85,7 +85,7 @@ fn main() {
     let sizes = Arc::new(profile.sizes());
     let config = JobConfig::new(0xC10D, 3, 8, system, TimeScale::new(1e-3));
     let run_rt = |plan: FaultPlan| {
-        let job = ElasticJob::new(config.clone(), Arc::clone(&sizes), plan).expect("valid plan");
+        let job = Job::with_plan(config.clone(), Arc::clone(&sizes), plan).expect("valid plan");
         let pfs = job.make_pfs();
         profile.materialize(&pfs);
         job.run(&pfs)

@@ -11,10 +11,12 @@
 //!
 //! Run with: `cargo run --release --example cosmoflow_pipeline`
 
-use nopfs::core::{Job, JobConfig};
+use nopfs::baselines::run_policy;
+use nopfs::core::JobConfig;
 use nopfs::datasets::DatasetProfile;
 use nopfs::perfmodel::presets::{lassen_like, thrashing_pfs_curve};
 use nopfs::pfs::Pfs;
+use nopfs::policy::PolicyId;
 use nopfs::train::{run_training_loop, TrainLoopConfig};
 use nopfs::util::stats::Summary;
 use nopfs::util::timing::TimeScale;
@@ -55,16 +57,18 @@ fn main() {
     );
 
     let config = JobConfig::new(3, 3, 4, system, scale);
-    let job = Job::new(config, std::sync::Arc::clone(&sizes));
     let loop_cfg = TrainLoopConfig {
         compute_rate: 64.0 * MB,
         scale,
         grad_elems: 0,
     };
-    let results = job.run(&pfs, |w| {
-        let m = run_training_loop(w, &loop_cfg, None);
-        (m, w.stats())
-    });
+    let sizes = std::sync::Arc::clone(&sizes);
+    let results = run_policy(PolicyId::NoPfs, config, sizes, &pfs, |l| {
+        let m = run_training_loop(l, &loop_cfg, None);
+        (m, l.stats())
+    })
+    .expect("NoPFS runs any configuration")
+    .per_worker;
 
     println!();
     for (rank, (m, stats)) in results.iter().enumerate() {

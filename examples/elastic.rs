@@ -15,7 +15,7 @@
 //!
 //! Run with: `cargo run --release --example elastic`
 
-use nopfs::core::{ElasticJob, JobConfig};
+use nopfs::core::{Job, JobConfig};
 use nopfs::datasets::DatasetProfile;
 use nopfs::obs::{names, ObsCtx};
 use nopfs::perfmodel::presets::fig8_small_cluster;
@@ -58,7 +58,7 @@ fn main() {
     let run = |plan: FaultPlan| {
         let config = config.clone().with_obs(ObsCtx::new());
         let obs = config.obs.clone();
-        let job = ElasticJob::new(config, Arc::clone(&sizes), plan).expect("valid plan");
+        let job = Job::with_plan(config, Arc::clone(&sizes), plan).expect("valid plan");
         let pfs = job.make_pfs();
         profile.materialize(&pfs);
         let report = job.run(&pfs);

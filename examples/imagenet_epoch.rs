@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example imagenet_epoch`
 
 use nopfs::baselines::run_policy;
-use nopfs::core::{Job, JobConfig};
+use nopfs::core::JobConfig;
 use nopfs::datasets::DatasetProfile;
 use nopfs::perfmodel::presets::{lassen_like, thrashing_pfs_curve};
 use nopfs::pfs::Pfs;
@@ -76,11 +76,12 @@ fn main() {
     // NoPFS on identical substrates.
     let pfs = Pfs::in_memory(system.pfs_read.clone(), scale);
     profile.materialize(&pfs);
-    let job = Job::new(config, Arc::clone(&sizes));
-    let np = job.run(&pfs, |w| {
-        let metrics = run_training_loop(w, &loop_cfg, None);
-        (metrics.epoch_times, w.stats())
-    });
+    let np = run_policy(PolicyId::NoPfs, config, Arc::clone(&sizes), &pfs, |l| {
+        let metrics = run_training_loop(l, &loop_cfg, None);
+        (metrics.epoch_times, l.stats())
+    })
+    .expect("NoPFS runs any configuration")
+    .per_worker;
     let (times, stats): (Vec<_>, Vec<_>) = np.into_iter().unzip();
     run("NoPFS", times);
 

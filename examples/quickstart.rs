@@ -8,11 +8,11 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use nopfs::core::{Job, JobConfig};
+use nopfs::core::{Job, JobConfig, WorkerHandle};
 use nopfs::datasets::DatasetProfile;
 use nopfs::perfmodel::presets::fig8_small_cluster;
 use nopfs::util::timing::TimeScale;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn main() {
     // 1. Describe the system: workers, staging buffer, storage classes,
@@ -49,22 +49,29 @@ fn main() {
         profile.total_bytes()
     );
 
-    // Iterate batches exactly like a framework data loader.
-    let stats = job.run(&pfs, |worker| {
-        let mut batches = 0u64;
-        let mut bytes = 0u64;
-        while let Some(batch) = worker.next_batch() {
-            batches += 1;
-            for (id, data) in &batch {
-                bytes += data.len() as u64;
-                // Payloads are verifiable end to end.
-                profile.decode(data).unwrap_or_else(|e| {
-                    panic!("corrupt sample {id}: {e}");
-                });
+    // Iterate batches exactly like a framework data loader: every rank
+    // runs this loop on a thread of its own.
+    let per_rank = Mutex::new(Vec::new());
+    job.run_with(&pfs, |_workers| {
+        |worker: &mut WorkerHandle| {
+            let mut batches = 0u64;
+            let mut bytes = 0u64;
+            while let Some(batch) = worker.next_batch() {
+                batches += 1;
+                for (id, data) in &batch {
+                    bytes += data.len() as u64;
+                    // Payloads are verifiable end to end.
+                    profile.decode(data).unwrap_or_else(|e| {
+                        panic!("corrupt sample {id}: {e}");
+                    });
+                }
             }
+            let row = (worker.rank(), batches, bytes, worker.stats());
+            per_rank.lock().expect("no rank panicked").push(row);
         }
-        (worker.rank(), batches, bytes, worker.stats())
     });
+    let mut stats = per_rank.into_inner().expect("no rank panicked");
+    stats.sort_by_key(|row| row.0);
 
     println!();
     println!(

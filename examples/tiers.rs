@@ -20,7 +20,7 @@ use bytes::Bytes;
 use nopfs_baselines::run_policy;
 use nopfs_bench::report;
 use nopfs_clairvoyance::stream::AccessStream;
-use nopfs_core::{Job, JobConfig};
+use nopfs_core::{Job, JobConfig, WorkerHandle};
 use nopfs_obs::Registry;
 use nopfs_perfmodel::presets::{fig8_small_cluster, saturating_pfs_curve};
 use nopfs_perfmodel::{SystemSpec, ThroughputCurve};
@@ -29,7 +29,7 @@ use nopfs_policy::PolicyId;
 use nopfs_storage::{MemoryBackend, PromotePolicy, TierStack};
 use nopfs_util::timing::TimeScale;
 use nopfs_util::units::MB;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 const SAMPLES: u64 = 296;
@@ -171,15 +171,21 @@ fn runtime_leg() {
     let pfs = Pfs::in_memory(sys.pfs_read.clone(), scale);
     materialize(&pfs);
     let t0 = Instant::now();
-    let streams = job.run(&pfs, |w| {
-        let mut got = Vec::new();
-        while let Some((id, data)) = w.next_sample() {
-            assert_eq!(data.len() as u64, SAMPLE_BYTES);
-            got.push(id);
+    let streams = Mutex::new(Vec::new());
+    job.run_with(&pfs, |_| {
+        |w: &mut WorkerHandle| {
+            let mut got = Vec::new();
+            while let Some((id, data)) = w.next_sample() {
+                assert_eq!(data.len() as u64, SAMPLE_BYTES);
+                got.push(id);
+            }
+            let row = (w.rank(), got, w.tier_stats());
+            streams.lock().expect("no rank panicked").push(row);
         }
-        (w.rank(), got, w.tier_stats())
     });
     let nopfs_wall = t0.elapsed().as_secs_f64();
+    let mut streams = streams.into_inner().expect("no rank panicked");
+    streams.sort_by_key(|(rank, _, _)| *rank);
 
     // Stream equality: the tiered run delivered exactly the clairvoyant
     // access streams — the flat-PFS baseline's untransformed order.

@@ -4,7 +4,7 @@
 
 use nopfs::baselines::run_policy;
 use nopfs::clairvoyance::stream::AccessStream;
-use nopfs::core::{Job, JobConfig};
+use nopfs::core::{Job, JobConfig, WorkerHandle};
 use nopfs::datasets::DatasetProfile;
 use nopfs::perfmodel::presets::fig8_small_cluster;
 use nopfs::perfmodel::SystemSpec;
@@ -12,7 +12,7 @@ use nopfs::pfs::Pfs;
 use nopfs::policy::PolicyId;
 use nopfs::util::timing::TimeScale;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn small_system(workers: usize) -> SystemSpec {
     let mut sys = fig8_small_cluster();
@@ -51,23 +51,25 @@ fn nopfs_job_on_disk_pfs_delivers_exact_streams() {
     let pfs = Pfs::on_disk(&dir, config.system.pfs_read.clone(), config.scale);
     p.materialize(&pfs);
 
-    let delivered = job.run(&pfs, |w| {
-        let rank = w.rank();
-        let mut ids = Vec::new();
-        while let Some((id, data)) = w.next_sample() {
-            let (decoded, _) = p
-                .decode(&data)
-                .expect("payload integrity after caching hops");
-            assert_eq!(decoded, id);
-            ids.push(id);
+    let delivered: Vec<Mutex<Vec<u64>>> = (0..workers).map(|_| Mutex::default()).collect();
+    job.run_with(&pfs, |_| {
+        |w: &mut WorkerHandle| {
+            let mut ids = delivered[w.rank()].lock().expect("one consumer per rank");
+            while let Some((id, data)) = w.next_sample() {
+                let (decoded, _) = p
+                    .decode(&data)
+                    .expect("payload integrity after caching hops");
+                assert_eq!(decoded, id);
+                ids.push(id);
+            }
         }
-        (rank, ids)
     });
     std::fs::remove_dir_all(&dir).ok();
 
     let spec = config.shuffle_spec(sizes.len() as u64);
     let mut counts: HashMap<u64, u32> = HashMap::new();
-    for (rank, ids) in delivered {
+    for (rank, ids) in delivered.into_iter().enumerate() {
+        let ids = ids.into_inner().expect("one consumer per rank");
         let expect = AccessStream::new(spec, rank, epochs).materialize();
         assert_eq!(ids, expect, "worker {rank} deviated from clairvoyant order");
         for id in ids {
@@ -128,7 +130,7 @@ fn faults_during_full_job_are_survived() {
     for id in (0..80).step_by(7) {
         pfs.inject_fault(id, 2);
     }
-    let consumed: usize = job.run(&pfs, |w| w.by_ref().count()).iter().sum();
+    let consumed = job.run(&pfs).global_stream.len();
     assert_eq!(consumed, 160);
 }
 

@@ -7,7 +7,7 @@
 //! regenerations) instead of re-running the O(E·F) setup pass.
 //!
 //! Three random-plan properties cover the threaded runtime
-//! ([`ElasticJob`]) and the discrete-event simulator
+//! ([`Job::run`]) and the discrete-event simulator
 //! ([`nopfs::simulator::run_elastic`]) across NoPFS and the identity
 //! baselines; a deterministic test pins the incremental-replan
 //! cheapness claim at the artifact level.
@@ -21,7 +21,7 @@
 
 use bytes::Bytes;
 use nopfs::clairvoyance::SetupPass;
-use nopfs::core::{ElasticJob, ElasticReport, JobConfig};
+use nopfs::core::{ElasticReport, Job, JobConfig};
 use nopfs::obs::names;
 use nopfs::perfmodel::presets::fig8_small_cluster;
 use nopfs::perfmodel::SystemSpec;
@@ -101,7 +101,7 @@ fn elastic_run_on(sys: SystemSpec, plan: FaultPlan) -> (ElasticReport, u64) {
     let sizes = Arc::new(vec![SAMPLE_BYTES; SAMPLES as usize]);
     let config = JobConfig::new(SEED, EPOCHS, BATCH, sys, TimeScale::new(1e-6));
     let obs = config.obs.clone();
-    let job = ElasticJob::new(config, Arc::clone(&sizes), plan).expect("clamped plan is valid");
+    let job = Job::with_plan(config, Arc::clone(&sizes), plan).expect("clamped plan is valid");
     let pfs = job.make_pfs();
     for (id, &s) in sizes.iter().enumerate() {
         let mut v = vec![0u8; s as usize];

@@ -20,7 +20,7 @@
 
 use bytes::Bytes;
 use nopfs::baselines::run_policy;
-use nopfs::core::{ElasticJob, Job, JobConfig, WorkerStats};
+use nopfs::core::{Job, JobConfig, WorkerStats};
 use nopfs::perfmodel::presets::fig8_small_cluster;
 use nopfs::perfmodel::{SystemSpec, ThroughputCurve};
 use nopfs::pfs::Pfs;
@@ -267,7 +267,7 @@ fn every_policy_agrees_across_harnesses() {
 
 /// Elastic agreement: under the SAME fault plan — a mid-epoch crash,
 /// a leave, a straggler, and transient read errors — the threaded
-/// runtime's recovery streams ([`ElasticJob`]) and the simulator's
+/// runtime's recovery streams ([`Job::run`]) and the simulator's
 /// modelled ones ([`run_elastic`]) are identical per epoch and per
 /// rank, and both equal the policy layer's canonical expected streams.
 #[test]
@@ -286,7 +286,7 @@ fn runtime_and_simulator_recover_identical_streams_under_one_fault_plan() {
     // Runtime leg: real threads, warm-cache handoff, actual retries.
     let config = JobConfig::new(SEED, EPOCHS, BATCH, system(cfg), TimeScale::new(1e-6));
     let sizes = Arc::new(vec![SAMPLE_BYTES; cfg.samples as usize]);
-    let job = ElasticJob::new(config, Arc::clone(&sizes), plan.clone()).expect("valid plan");
+    let job = Job::with_plan(config, Arc::clone(&sizes), plan.clone()).expect("valid plan");
     let pfs = job.make_pfs();
     for id in 0..cfg.samples {
         pfs.put(

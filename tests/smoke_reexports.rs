@@ -77,8 +77,8 @@ fn every_umbrella_reexport_resolves() {
         scale,
     );
     let job = nopfs::core::Job::new(config, Arc::clone(&sizes));
-    let consumed = job.run(&pfs, |w| w.by_ref().count());
-    assert_eq!(consumed.iter().sum::<usize>(), 8);
+    let consumed = job.run(&pfs).global_stream.len();
+    assert_eq!(consumed, 8);
 
     // baselines — the no-I/O loader on the same job shape, through the
     // registry.
