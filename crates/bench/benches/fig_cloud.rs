@@ -6,10 +6,13 @@
 //! disturbance model (tail-latency spikes, throttle bursts, brownout
 //! windows), then compares two clients on identical disturbance seeds:
 //!
-//! * **hardened** — per-attempt deadlines, capped full-jitter retries,
-//!   hedged second requests, and a circuit breaker that steers the
+//! * **hardened** — capped full-jitter retries, hedged second requests
+//!   after the median latency, and a circuit breaker that steers the
 //!   loader to peers and local tiers while the origin is sick;
 //! * **naive** — unbounded retries on a bare backoff, nothing else.
+//!
+//! Both are `ResilienceConfig`s, and the simulator runs them through
+//! the same `ResilienceCore` as the runtime's `ResilientSource`.
 //!
 //! Headline (asserted): across a request-parallelism × brownout-severity
 //! sweep, the hardened client holds within 1.5x of its own fault-free
@@ -54,7 +57,7 @@ fn main() {
     let extra = bench_scale();
     report::banner(
         "fig_cloud",
-        "object-store origin: deadlines, hedging, circuit breaking, graceful degradation",
+        "object-store origin: retries, hedging, circuit breaking, graceful degradation",
     );
     let ambient = fig_cloud::ambient();
     report::config_line(&format!(
@@ -265,7 +268,7 @@ fn main() {
     report::write_json("BENCH_fig_cloud.json", &doc).expect("write JSON report");
 
     println!();
-    println!("reading: the hardened client hedges tail spikes, trips its breaker on");
-    println!("throttle storms (steering fetches to peers and local tiers), and caps");
-    println!("deadline thrash — bounded degradation with a bit-identical stream.");
+    println!("reading: the hardened client hedges tail spikes and trips its breaker on");
+    println!("throttle storms (steering fetches to peers and local tiers) — bounded");
+    println!("degradation with a bit-identical stream.");
 }

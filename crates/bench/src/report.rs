@@ -71,7 +71,6 @@ pub fn resilience_json(stats: &ResilienceStats) -> Json {
         ("exhausted", Json::from(stats.exhausted)),
         ("hedges_fired", Json::from(stats.hedges_fired)),
         ("hedges_won", Json::from(stats.hedges_won)),
-        ("deadline_misses", Json::from(stats.deadline_misses)),
         ("throttled", Json::from(stats.throttled)),
         (
             "breaker_open_rejections",

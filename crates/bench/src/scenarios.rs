@@ -524,7 +524,7 @@ pub mod fig2 {
 ///
 /// Three reproductions of the same claim:
 /// 1. **Simulator sweep** — request parallelism × brownout severity,
-///    hardened (deadline + hedge + breaker) vs unbounded naive origin
+///    hardened (retry + hedge + breaker) vs unbounded naive origin
 ///    clients on identical disturbance seeds.
 /// 2. **Thread runtime** — a [`nopfs_core::Job`] with a
 ///    [`nopfs_policy::CloudFaults`] clause, proving the disturbed global stream is
@@ -535,7 +535,8 @@ pub mod fig_cloud {
     use super::*;
     use nopfs_cluster::{ClusterSpec, TenantSpec};
     use nopfs_policy::{CloudFaults, FaultPlan, PolicyId};
-    use nopfs_simulator::{CloudResilience, CloudSpec, Scenario};
+    use nopfs_simulator::{hardened_client, naive_client, CloudSpec, Scenario};
+    use nopfs_storage::ResilienceConfig;
     use nopfs_util::timing::TimeScale;
 
     /// Object-store per-request latency floor, model seconds.
@@ -620,7 +621,7 @@ pub mod fig_cloud {
 
     /// Routes `scenario`'s origin through the analytic object store
     /// with the given faults and client resilience.
-    pub fn with_cloud(scenario: &Scenario, faults: CloudFaults, res: CloudResilience) -> Scenario {
+    pub fn with_cloud(scenario: &Scenario, faults: CloudFaults, res: ResilienceConfig) -> Scenario {
         let curve = scenario.system.pfs_read.clone();
         scenario
             .clone()
@@ -628,14 +629,14 @@ pub mod fig_cloud {
     }
 
     /// The hardened client under test.
-    pub fn hardened() -> CloudResilience {
-        CloudResilience::hardened(FLOOR)
+    pub fn hardened() -> ResilienceConfig {
+        hardened_client(FLOOR)
     }
 
     /// The unbounded naive client: retries forever on a bare backoff,
-    /// no deadline, no hedge, no breaker.
-    pub fn naive() -> CloudResilience {
-        CloudResilience::naive(FLOOR / 4.0)
+    /// no hedge, no breaker.
+    pub fn naive() -> ResilienceConfig {
+        naive_client(FLOOR / 4.0)
     }
 
     /// The runtime fault plan for the elastic stream-identity proof:

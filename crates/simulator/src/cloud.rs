@@ -7,110 +7,59 @@
 //! cloud failure vocabulary ([`nopfs_policy::CloudFaults`], declared
 //! in `nopfs_perfmodel::cloud`), the same type the threaded runtime's
 //! `nopfs_storage::ObjectStoreBackend` takes — spikes, bounded
-//! throttle bursts, brownout windows. On the client side the model
-//! replays a resilience stack in closed form, entirely in model time:
-//! capped full-jitter retry backoff, per-attempt deadlines (which only
-//! this client has; the runtime's `ResilientSource` sets none), a
-//! hedged second request after a fixed delay, and the *same*
-//! [`CircuitBreaker`] state machine the runtime uses (it is clocked by
-//! an explicit `now`, so the discrete-event loop drives it directly).
+//! throttle bursts, brownout windows. The client is the runtime's own:
+//! a [`ResilienceConfig`] run by the storage crate's
+//! [`ResilienceCore`], which takes every admit, retry, backoff and
+//! hedge decision and books every counter, here on the model clock
+//! (its `Duration`s read as model seconds). The model adds only what a
+//! model must: it draws each attempt's outcome from the faults, waits
+//! out an open breaker, and prices a hedge as a second draw.
 //!
 //! Disturbances change *when* a read completes, never *which* bytes the
 //! policy consumes — the simulator's access streams are untouched, the
 //! analogue of the runtime's bit-identical global stream guarantee.
 
-use nopfs_obs::{names, ObsCtx, Tracer};
+use nopfs_obs::ObsCtx;
 use nopfs_perfmodel::ThroughputCurve;
 use nopfs_policy::CloudFaults;
-use nopfs_storage::{BreakerConfig, CircuitBreaker, ResilienceStats, SourceHealth};
+use nopfs_storage::{
+    BreakerConfig, CircuitBreaker, HedgeConfig, ResilienceConfig, ResilienceCore, ResilienceStats,
+    RetryPolicy, SourceError, SourceHealth,
+};
 use nopfs_util::rng::mix64;
+use std::time::Duration;
 
 /// Maps a hash to a uniform draw in `[0, 1)`.
 fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Client-side resilience knobs of the simulated origin, all in model
-/// seconds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CloudResilience {
-    /// Attempts per read (≥ 1) before the model gives up capping and
-    /// pays one full un-deadlined read.
-    pub attempts: u32,
-    /// First retry backoff ceiling.
-    pub base_backoff: f64,
-    /// Backoff ceiling cap.
-    pub max_backoff: f64,
-    /// Full-jitter fraction in `[0, 1]` (1 = canonical full jitter).
-    pub jitter: f64,
-    /// Per-attempt deadline; an attempt exceeding it is abandoned at
-    /// the deadline and retried.
-    pub deadline: Option<f64>,
-    /// Consecutive deadline-capped retries per read before the client
-    /// degrades to one patient, un-deadlined attempt. Bounds the waste
-    /// under a sustained brownout where *no* attempt can meet the
-    /// deadline (retrying forever would only delay the inevitable
-    /// slow read).
-    pub deadline_retries: u32,
-    /// Hedging delay: when an attempt would outlive it, a second
-    /// request fires and the attempt completes at the earlier of the
-    /// two.
-    pub hedge_delay: Option<f64>,
-    /// Circuit breaker over consecutive failures.
-    pub breaker: Option<BreakerConfig>,
-    /// Seed of the backoff jitter.
-    pub seed: u64,
+/// The jitter seed of both preset clients.
+const CLIENT_SEED: u64 = 0x0AF5_0A11;
+
+/// The unbounded naive client: 64 attempts on a full-jitter backoff
+/// from `base_backoff` model seconds (capped at 1024×), no hedge, no
+/// breaker — every disturbed request is waited out in full.
+pub fn naive_client(base_backoff: f64) -> ResilienceConfig {
+    let base = Duration::from_secs_f64(base_backoff);
+    ResilienceConfig::retry_only(RetryPolicy::new(64, base, 1.0, CLIENT_SEED))
 }
 
-impl CloudResilience {
-    /// The unbounded naive client: retries forever-ish with backoff,
-    /// no deadline, no hedge, no breaker — every disturbed request is
-    /// waited out in full.
-    pub fn naive(base_backoff: f64) -> Self {
-        Self {
-            attempts: 64,
-            base_backoff,
-            max_backoff: base_backoff * 1024.0,
-            jitter: 1.0,
-            deadline: None,
-            deadline_retries: 0,
-            hedge_delay: None,
-            breaker: None,
-            seed: 0x0AF5_0A11,
-        }
-    }
-
-    /// The hardened client, scaled off the store's latency floor: 12
-    /// attempts with backoff from a quarter floor up to 64 floors, a
-    /// deadline at 16 floors (comfortably above the worst recoverable
-    /// hedged read under a moderate brownout, so only genuine tail
-    /// events trip it) with at most 2 deadline-capped retries per
-    /// read, a hedge after a fixed 3 floors, and a breaker opening
-    /// after 4 consecutive failures with a 4-floor cooldown and 2
-    /// probes.
-    ///
-    /// It is the simulator's own client, not a copy of the runtime's
-    /// chain: a `Job`'s default cloud origin shares the breaker
-    /// settings and full jitter, but takes 8 attempts on a 100 µs
-    /// wall-clock backoff, hedges after the measured p95 latency (a
-    /// 200 µs floor), and sets no deadline.
-    pub fn hardened(latency_floor: f64) -> Self {
-        Self {
-            attempts: 12,
-            base_backoff: latency_floor / 4.0,
-            max_backoff: latency_floor * 64.0,
-            jitter: 1.0,
-            deadline: Some(16.0 * latency_floor),
-            deadline_retries: 2,
-            hedge_delay: Some(3.0 * latency_floor),
-            breaker: Some(BreakerConfig::new(4, 4.0 * latency_floor, 2)),
-            seed: 0x0AF5_0A11,
-        }
-    }
+/// The hardened client, scaled off the store's latency floor (model
+/// seconds): 12 attempts with backoff from a quarter floor up to 64
+/// floors, a hedge once a request outlives the median of the last 64
+/// latencies (3 floors at least), and a breaker opening after 4
+/// consecutive failures with a 4-floor cooldown and 2 probes.
+pub fn hardened_client(latency_floor: f64) -> ResilienceConfig {
+    let floor = Duration::from_secs_f64(latency_floor);
+    let retry = RetryPolicy::new(12, floor / 4, 1.0, CLIENT_SEED).with_max_backoff(floor * 64);
+    ResilienceConfig::retry_only(retry)
+        .with_hedge(HedgeConfig::new(0.5, floor * 3, 64))
+        .with_breaker(BreakerConfig::new(4, 4.0 * latency_floor, 2))
 }
 
 /// A scenario's cloud origin: store economics, disturbance clauses,
-/// and the client resilience stack.
+/// and the client.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CloudSpec {
     /// Per-request latency floor, model seconds.
@@ -119,8 +68,8 @@ pub struct CloudSpec {
     pub curve: ThroughputCurve,
     /// Seeded disturbances (shared policy-layer clauses).
     pub faults: CloudFaults,
-    /// The client stack.
-    pub resilience: CloudResilience,
+    /// The client, its `Duration`s read as model seconds.
+    pub resilience: ResilienceConfig,
 }
 
 impl CloudSpec {
@@ -132,7 +81,7 @@ impl CloudSpec {
         latency_floor: f64,
         curve: ThroughputCurve,
         faults: CloudFaults,
-        resilience: CloudResilience,
+        resilience: ResilienceConfig,
     ) -> Self {
         assert!(
             latency_floor.is_finite() && latency_floor >= 0.0,
@@ -151,11 +100,13 @@ impl CloudSpec {
 /// Mutable model state for one simulation run.
 pub(crate) struct CloudModel {
     spec: CloudSpec,
-    breaker: Option<CircuitBreaker>,
-    tracer: Tracer,
-    /// Per-read draw counter (the deterministic "randomness" stream).
+    core: ResilienceCore,
+    /// Per-read draw counter of the faults (the deterministic
+    /// "randomness" stream).
     draws: u64,
-    stats: ResilienceStats,
+    /// Scripted attempt outcomes that replace the fault draws.
+    #[cfg(test)]
+    script: Option<std::collections::VecDeque<Result<f64, SourceError>>>,
 }
 
 impl CloudModel {
@@ -164,19 +115,19 @@ impl CloudModel {
         Self::with_obs(spec, &ObsCtx::new())
     }
 
-    /// The model of `spec`'s origin. The breaker registers its
-    /// transition counters in `obs`, and both the breaker and the hedge
-    /// logic emit model-clock trace events through its tracer.
+    /// The model of `spec`'s origin. The client's `resilience.*` and
+    /// `breaker.*` counters register in `obs`, and its hedges and
+    /// breaker transitions emit model-clock trace events through its
+    /// tracer.
     pub(crate) fn with_obs(spec: CloudSpec, obs: &ObsCtx) -> Self {
-        let breaker = spec.resilience.breaker.map(|cfg| {
-            CircuitBreaker::new_in_registry(cfg, &obs.registry).with_tracer(obs.tracer.clone())
-        });
+        let core = ResilienceCore::new(spec.resilience.clone(), &obs.registry)
+            .with_tracer(obs.tracer.clone());
         Self {
             spec,
-            breaker,
-            tracer: obs.tracer.clone(),
+            core,
             draws: 0,
-            stats: ResilienceStats::default(),
+            #[cfg(test)]
+            script: None,
         }
     }
 
@@ -184,8 +135,8 @@ impl CloudModel {
     /// while the breaker is open and cooling, the signal the engine
     /// feeds into the degraded source selection.
     pub(crate) fn available(&self, now: f64) -> bool {
-        self.breaker
-            .as_ref()
+        self.core
+            .breaker()
             .is_none_or(|b| b.health(now) != SourceHealth::Unavailable)
     }
 
@@ -193,14 +144,6 @@ impl CloudModel {
         let h = mix64(self.spec.faults.seed ^ salt, self.draws);
         self.draws += 1;
         unit(h)
-    }
-
-    fn backoff(&mut self, retry: u32) -> f64 {
-        let r = &self.spec.resilience;
-        let ceiling = (r.base_backoff * 2f64.powi(retry.min(1024) as i32)).min(r.max_backoff);
-        let u = unit(mix64(r.seed, self.draws));
-        self.draws += 1;
-        ceiling * ((1.0 - r.jitter) + r.jitter * u)
     }
 
     /// One disturbed service draw at model time `t`: the latency a
@@ -216,110 +159,87 @@ impl CloudModel {
         latency + size as f64 * bfactor / per_client
     }
 
+    /// One attempt's outcome at model time `t`: its service latency, or
+    /// a throttle. Bursts are bounded: `throttles` counts the read's
+    /// throttles so far, so a clean draw comes by attempt
+    /// `throttle_burst`.
+    fn outcome(
+        &mut self,
+        t: f64,
+        size: u64,
+        gamma: usize,
+        throttles: &mut u32,
+    ) -> Result<f64, SourceError> {
+        #[cfg(test)]
+        if let Some(script) = &mut self.script {
+            return script.pop_front().expect("the script covers every attempt");
+        }
+        let (_, extra) = self.spec.faults.brownout_at(t);
+        let p_throttle = (self.spec.faults.throttle_rate + extra).min(0.999);
+        if *throttles < self.spec.faults.throttle_burst && self.draw(0x7407_71E5) < p_throttle {
+            *throttles += 1;
+            let retry_after = Duration::from_secs_f64(self.spec.faults.retry_after);
+            return Err(SourceError::Throttled { retry_after });
+        }
+        Ok(self.service_time(t, size, gamma))
+    }
+
     /// Cost in model seconds of completing one origin read of `size`
     /// bytes starting at model time `now` with `gamma` concurrent
-    /// clients. Always terminates with the bytes delivered: after the
-    /// attempt budget the final read is paid in full, un-deadlined (the
-    /// throttle-burst bound guarantees a clean draw by then).
+    /// clients. Always terminates with the bytes delivered: when the
+    /// core gives up, one last full read completes the request, as the
+    /// loader's settle loop would.
     pub(crate) fn read_cost(&mut self, now: f64, size: u64, gamma: usize) -> f64 {
-        self.stats.reads += 1;
-        let res = self.spec.resilience.clone();
+        self.core.begin(1);
         let mut t = now;
-        let mut consecutive_throttles = 0u32;
-        let mut deadline_retries = 0u32;
-        for attempt in 0..res.attempts {
+        let mut throttles = 0;
+        for attempt in 0.. {
             // Breaker gate: the engine steers eligible fetches away
             // from an unavailable origin; a read that still arrives
-            // here has nowhere else to go and waits for the next probe.
-            if let Some(b) = &self.breaker {
-                if !b.allow(t) {
-                    if let Some(reopen) = b.reopen_at() {
-                        t = t.max(reopen);
-                    }
-                    // At the reopen time the breaker admits a probe.
-                    if !b.allow(t) {
-                        // Half-open probe slots exhausted (cannot occur
-                        // in the sequential engine, but stay safe).
-                        t += res.base_backoff.max(self.spec.latency_floor);
+            // here has nowhere else to go and waits for the next probe,
+            // which a sequential caller is always admitted as.
+            if !self.core.admit(t) {
+                let reopen = self.core.breaker().and_then(CircuitBreaker::reopen_at);
+                t = t.max(reopen.expect("only an open breaker refuses a sequential caller"));
+                let probe = self.core.admit(t);
+                debug_assert!(probe, "a due probe is admitted");
+            }
+            let mut latency = match self.outcome(t, size, gamma, &mut throttles) {
+                Ok(latency) => latency,
+                Err(e) => match self.core.on_failure(t, attempt, &e) {
+                    Some(wait) => {
+                        t += wait.as_secs_f64();
                         continue;
                     }
-                }
-            }
-            // Throttle draw: bounded burst per request, so a clean
-            // service draw is guaranteed by attempt `throttle_burst`.
-            let (_, extra) = self.spec.faults.brownout_at(t);
-            let p_throttle = (self.spec.faults.throttle_rate + extra).min(0.999);
-            if consecutive_throttles < self.spec.faults.throttle_burst
-                && self.draw(0x7407_71E5) < p_throttle
-            {
-                consecutive_throttles += 1;
-                self.stats.throttled += 1;
-                self.stats.retries += 1;
-                if let Some(b) = &self.breaker {
-                    b.on_failure(t);
-                }
-                t += self.spec.faults.retry_after.max(self.backoff(attempt));
-                continue;
-            }
-            let mut latency = self.service_time(t, size, gamma);
-            // Hedge: a duplicate request after the fixed delay; the
-            // attempt completes at the earlier of the two.
-            if let Some(hd) = res.hedge_delay {
+                    None => break,
+                },
+            };
+            // Hedge: a duplicate request once the attempt outlives the
+            // core's delay; the attempt completes at the earlier of
+            // the two.
+            let (mut own, mut hedge_won) = (latency, false);
+            if let Some(hd) = self.core.hedge_delay().map(|d| d.as_secs_f64()) {
                 if latency > hd {
-                    self.stats.hedges_fired += 1;
-                    self.tracer
-                        .instant_at(names::EV_HEDGE_FIRED, "cloud", t + hd, vec![]);
-                    let hedged = hd + self.service_time(t + hd, size, gamma);
-                    if hedged < latency {
-                        self.stats.hedges_won += 1;
-                        latency = hedged;
+                    self.core.hedge_fired(t + hd, vec![]);
+                    let hedge = self.service_time(t + hd, size, gamma);
+                    if hd + hedge < latency {
+                        (latency, own, hedge_won) = (hd + hedge, hedge, true);
                     }
                 }
             }
-            // Deadline: abandon the attempt at the deadline and retry —
-            // but only `deadline_retries` times per read. Under a
-            // sustained brownout no attempt can meet the deadline;
-            // after the cap the client degrades to one patient read
-            // (paying the slow read once beats paying the deadline
-            // `attempts` times *and then* the slow read).
-            if let Some(dl) = res.deadline {
-                if latency > dl && deadline_retries < res.deadline_retries {
-                    deadline_retries += 1;
-                    self.stats.deadline_misses += 1;
-                    self.stats.retries += 1;
-                    if let Some(b) = &self.breaker {
-                        b.on_failure(t + dl);
-                    }
-                    t += dl + self.backoff(attempt);
-                    continue;
-                }
-            }
-            if let Some(b) = &self.breaker {
-                b.on_success(t + latency);
-            }
+            self.core
+                .on_success(t + latency, Duration::from_secs_f64(own), hedge_won);
             return t + latency - now;
         }
-        // Attempt budget exhausted on throttles/deadlines: one final
-        // un-deadlined read completes the request.
-        self.stats.exhausted += 1;
         let latency = self.service_time(t, size, gamma);
-        if let Some(b) = &self.breaker {
-            b.on_success(t + latency);
-        }
+        self.core
+            .on_success(t + latency, Duration::from_secs_f64(latency), false);
         t + latency - now
     }
 
-    /// Accumulated resilience counters, breaker transitions folded in.
+    /// The client's counters, breaker transitions folded in.
     pub(crate) fn stats(&self) -> ResilienceStats {
-        let mut s = self.stats;
-        if let Some(b) = &self.breaker {
-            let (to_open, to_half_open, to_closed, rejections) = b.transitions();
-            s.breaker_to_open = to_open;
-            s.breaker_to_half_open = to_half_open;
-            s.breaker_to_closed = to_closed;
-            s.breaker_open_rejections = rejections;
-        }
-        s
+        self.core.stats()
     }
 }
 
@@ -328,7 +248,7 @@ mod tests {
     use super::*;
     use nopfs_policy::CloudFaults;
 
-    fn flat_spec(faults: CloudFaults, resilience: CloudResilience) -> CloudSpec {
+    fn flat_spec(faults: CloudFaults, resilience: ResilienceConfig) -> CloudSpec {
         CloudSpec::new(
             0.01,
             ThroughputCurve::flat(100_000_000.0),
@@ -339,10 +259,7 @@ mod tests {
 
     #[test]
     fn quiet_store_costs_latency_plus_transfer() {
-        let mut m = CloudModel::new(flat_spec(
-            CloudFaults::none(1),
-            CloudResilience::naive(0.001),
-        ));
+        let mut m = CloudModel::new(flat_spec(CloudFaults::none(1), naive_client(0.001)));
         // 1 MB at 100 MB/s (γ=1) + 10 ms floor = 20 ms.
         let c = m.read_cost(0.0, 1_000_000, 1);
         assert!((c - 0.02).abs() < 1e-9, "cost {c}");
@@ -356,7 +273,7 @@ mod tests {
     #[test]
     fn brownout_inflates_inside_the_window_only() {
         let faults = CloudFaults::none(2).brownout(10.0, 5.0, 4.0, 0.0);
-        let mut m = CloudModel::new(flat_spec(faults, CloudResilience::naive(0.001)));
+        let mut m = CloudModel::new(flat_spec(faults, naive_client(0.001)));
         let quiet = m.read_cost(0.0, 1_000_000, 1);
         let browned = m.read_cost(12.0, 1_000_000, 1);
         let after = m.read_cost(20.0, 1_000_000, 1);
@@ -375,7 +292,7 @@ mod tests {
             ..CloudFaults::none(3)
         }
         .brownout(0.0, 2.0, 1.0, 0.95);
-        let mut m = CloudModel::new(flat_spec(faults, CloudResilience::hardened(0.01)));
+        let mut m = CloudModel::new(flat_spec(faults, hardened_client(0.01)));
         let mut t = 0.0;
         for _ in 0..50 {
             let c = m.read_cost(t, 1_000, 1);
@@ -398,8 +315,8 @@ mod tests {
             spike_factor: 50.0,
             ..CloudFaults::none(4)
         };
-        let mut naive = CloudModel::new(flat_spec(faults.clone(), CloudResilience::naive(0.001)));
-        let mut hedged = CloudModel::new(flat_spec(faults, CloudResilience::hardened(0.01)));
+        let mut naive = CloudModel::new(flat_spec(faults.clone(), naive_client(0.001)));
+        let mut hedged = CloudModel::new(flat_spec(faults, hardened_client(0.01)));
         let (mut tn, mut th) = (0.0, 0.0);
         for _ in 0..200 {
             tn += naive.read_cost(tn, 10_000, 1);
@@ -424,15 +341,15 @@ mod tests {
         };
         // Enough attempts to cross the 4-failure threshold, few enough
         // that the read gives up while the breaker is still open.
-        let mut res = CloudResilience::hardened(0.01);
-        res.attempts = 6;
+        let mut res = hardened_client(0.01);
+        res.retry.attempts = 6;
         let mut m = CloudModel::new(flat_spec(faults, res));
         assert!(m.available(0.0));
         let c = m.read_cost(0.0, 1_000, 1);
         assert!(c.is_finite());
         assert!(m.stats().breaker_to_open > 0);
         // Just after the failures: open and cooling.
-        let opened = m.breaker.as_ref().unwrap().reopen_at();
+        let opened = m.core.breaker().unwrap().reopen_at();
         if let Some(reopen) = opened {
             assert!(!m.available(reopen - 0.01));
             assert!(m.available(reopen + 0.01));
@@ -460,8 +377,145 @@ mod tests {
             }
             costs
         };
-        let a = run(flat_spec(faults.clone(), CloudResilience::hardened(0.01)));
-        let b = run(flat_spec(faults, CloudResilience::hardened(0.01)));
+        let a = run(flat_spec(faults.clone(), hardened_client(0.01)));
+        let b = run(flat_spec(faults, hardened_client(0.01)));
         assert_eq!(a, b);
+    }
+
+    /// A source that answers each read with the next scripted outcome.
+    struct Scripted {
+        script: std::sync::Mutex<std::collections::VecDeque<Result<(), SourceError>>>,
+    }
+
+    impl nopfs_storage::DataSource for Scripted {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+        fn read(&self, id: u64) -> Result<bytes::Bytes, SourceError> {
+            let next = self.script.lock().unwrap().pop_front();
+            next.expect("the script covers every attempt")
+                .map(|()| bytes::Bytes::from(vec![id as u8; 8]))
+        }
+        fn write(&self, _: u64, _: bytes::Bytes) -> Result<(), SourceError> {
+            Err(SourceError::Io("read-only".into()))
+        }
+        fn contains(&self, _: u64) -> bool {
+            true
+        }
+        fn capacity(&self) -> Option<u64> {
+            None
+        }
+        fn used(&self) -> u64 {
+            0
+        }
+        fn evict(&self, _: u64) -> bool {
+            false
+        }
+        fn count(&self) -> usize {
+            0
+        }
+        fn size_of(&self, _: u64) -> Option<u64> {
+            Some(8)
+        }
+    }
+
+    #[test]
+    fn runtime_and_model_clients_decide_alike_on_one_script() {
+        use nopfs_storage::{BreakerState, DataSource, ResilientSource};
+        use nopfs_util::timing::TimeScale;
+        use std::time::Instant;
+
+        // Three reads: a transient error, then the bytes; a throttle
+        // whose `retry_after` outlasts any first backoff, an error,
+        // then the bytes; and four errors in a row, the last of which
+        // both opens the breaker (threshold 4) and spends the budget
+        // (4 attempts). No hedge, and a cooldown no run outlasts, so
+        // wall time decides nothing.
+        let io = || Err(SourceError::Io("transient".into()));
+        let retry_after = Duration::from_millis(3);
+        let throttled = Err(SourceError::Throttled { retry_after });
+        let reads: [Vec<Result<(), SourceError>>; 3] = [
+            vec![io(), Ok(())],
+            vec![throttled, io(), Ok(())],
+            vec![io(), io(), io(), io()],
+        ];
+        let cfg = ResilienceConfig::retry_only(RetryPolicy::new(
+            4,
+            Duration::from_micros(500),
+            1.0,
+            0x5C41,
+        ))
+        .with_breaker(BreakerConfig::new(4, 1e9, 1));
+        // The waits both clients must take: the k-th retry of the run
+        // draws the k-th jitter, a throttle waits at least its hint.
+        let backoff = |retry: u32, draw: u64| cfg.retry.backoff(retry, draw).as_secs_f64();
+        let waits = [
+            backoff(0, 0),
+            backoff(0, 1).max(retry_after.as_secs_f64()) + backoff(1, 2),
+            backoff(0, 3) + backoff(1, 4) + backoff(2, 5),
+        ];
+
+        let source = std::sync::Arc::new(Scripted {
+            script: std::sync::Mutex::new(reads.iter().flatten().cloned().collect()),
+        });
+        let runtime = ResilientSource::new(source.clone(), cfg.clone(), TimeScale::realtime());
+        let (latency, size) = (0.001, 1_000);
+        let mut model = CloudModel::new(flat_spec(CloudFaults::none(1), cfg));
+        model.script = Some(
+            reads
+                .iter()
+                .flatten()
+                .map(|r| r.clone().map(|()| latency))
+                .collect(),
+        );
+
+        let mut now = 0.0;
+        let mut left = reads.iter().map(Vec::len).sum::<usize>();
+        for (k, read) in reads.iter().enumerate() {
+            let t0 = Instant::now();
+            let answer = runtime.read(k as u64);
+            let wall = t0.elapsed().as_secs_f64();
+            let cost = model.read_cost(now, size, 1);
+            now += cost;
+            // Both consumed exactly this read's attempts.
+            left -= read.len();
+            assert_eq!(
+                source.script.lock().unwrap().len(),
+                left,
+                "runtime, read {k}"
+            );
+            assert_eq!(
+                model.script.as_ref().unwrap().len(),
+                left,
+                "model, read {k}"
+            );
+            // Both waited the same backoffs: the model exactly, the
+            // runtime's sleeps at least.
+            let served = if k < 2 {
+                assert_eq!(answer.unwrap()[0], k as u8);
+                latency
+            } else {
+                assert_eq!(answer, Err(SourceError::Io("transient".into())));
+                // The model's last full read after the core gave up.
+                0.01 + size as f64 / 1e8
+            };
+            assert!((cost - waits[k] - served).abs() < 1e-12, "read {k}: {cost}");
+            assert!(wall >= waits[k], "read {k}: slept {wall} < {}", waits[k]);
+        }
+        let stats = runtime.stats();
+        assert_eq!(stats, model.stats());
+        assert_eq!(
+            stats,
+            ResilienceStats {
+                reads: 3,
+                retries: 6,
+                exhausted: 1,
+                throttled: 1,
+                breaker_to_open: 1,
+                ..ResilienceStats::default()
+            }
+        );
+        assert_eq!(runtime.breaker().unwrap().state(), BreakerState::Open);
+        assert_eq!(model.core.breaker().unwrap().state(), BreakerState::Open);
     }
 }

@@ -820,12 +820,13 @@ mod tests {
 
     #[test]
     fn cloud_brownout_hurts_naive_clients_more_than_hardened_ones() {
-        use crate::cloud::{CloudResilience, CloudSpec};
+        use crate::cloud::{hardened_client, naive_client, CloudSpec};
         use nopfs_policy::CloudFaults;
+        use nopfs_storage::ResilienceConfig;
 
         let base = contended_scenario();
         let floor = 0.002;
-        let with = |faults: CloudFaults, res: CloudResilience| {
+        let with = |faults: CloudFaults, res: ResilienceConfig| {
             let mut s = base.clone();
             let curve = s.system.pfs_read.clone();
             s = s.with_cloud(CloudSpec::new(floor, curve, faults, res));
@@ -833,7 +834,7 @@ mod tests {
         };
         // The fault-free reference on the same store economics.
         let quiet = run(
-            &with(CloudFaults::none(9), CloudResilience::hardened(floor)),
+            &with(CloudFaults::none(9), hardened_client(floor)),
             PolicyId::NoPfs,
         )
         .unwrap();
@@ -852,15 +853,11 @@ mod tests {
         }
         .brownout(0.0, 0.3 * quiet.execution_time, 3.0, 0.4);
         let hardened = run(
-            &with(storm.clone(), CloudResilience::hardened(floor)),
+            &with(storm.clone(), hardened_client(floor)),
             PolicyId::NoPfs,
         )
         .unwrap();
-        let naive = run(
-            &with(storm, CloudResilience::naive(floor / 4.0)),
-            PolicyId::NoPfs,
-        )
-        .unwrap();
+        let naive = run(&with(storm, naive_client(floor / 4.0)), PolicyId::NoPfs).unwrap();
 
         // Disturbances cost time for everyone, but the hedged + breaker
         // client stays close to fault-free while the unbounded client

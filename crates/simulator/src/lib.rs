@@ -23,7 +23,8 @@
 //! and the multi-tenant interference study (Fig. 2's shared-PFS
 //! contention across co-scheduled jobs) via [`cluster`]. Scenarios can
 //! route the origin through an analytic object-store model with seeded
-//! disturbances and a full client resilience stack via [`cloud`].
+//! disturbances and the runtime's own client (the storage crate's
+//! resilience core, on the model clock) via [`cloud`].
 //!
 //! Every entry point runs the same lockstep loop, the one job state of
 //! [`engine`]: a solo [`run`] is a cluster of one job, [`run_cluster`]
@@ -42,7 +43,7 @@ pub mod result;
 pub mod scenario;
 
 pub use churn::{churn_sweep, run_elastic, run_elastic_with_obs, ChurnRow, ElasticSimResult};
-pub use cloud::{CloudResilience, CloudSpec};
+pub use cloud::{hardened_client, naive_client, CloudSpec};
 pub use cluster::{run_cluster, SimTenant};
 pub use engine::{run, run_with_obs};
 pub use nopfs_policy::{Capabilities, PolicyId};

@@ -4,11 +4,14 @@
 //! characterization literature) show transient read errors are the
 //! norm, not the exception: loaders must retry with backoff rather
 //! than crash. [`RetryPolicy`] is a seeded, capped, full-jitter
-//! exponential backoff. The retry loop that follows it is
-//! [`crate::ResilientSource`]'s; [`crate::ResilienceConfig::retry_only`]
-//! is that wrapper with nothing but the loop. It retries retryable
-//! failures (per the [`crate::ErrorClass`] taxonomy) and refuses to
-//! retry permanent ones ([`crate::SourceError::NotFound`] /
+//! exponential backoff, and [`RetryPolicy::backoff`] is the workspace's
+//! one backoff formula. The decision that follows it is
+//! [`crate::ResilienceCore::on_failure`]'s, which both the runtime's
+//! [`crate::ResilientSource`] and the simulator's cloud model run;
+//! [`crate::ResilienceConfig::retry_only`] is that client with nothing
+//! but the retry. It retries retryable failures (per the
+//! [`crate::ErrorClass`] taxonomy) and refuses to retry permanent ones
+//! ([`crate::SourceError::NotFound`] /
 //! [`crate::SourceError::Full`] / [`crate::SourceError::Unavailable`]
 //! — a missing sample does not come back, no matter how often one
 //! asks).

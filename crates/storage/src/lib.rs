@@ -38,6 +38,8 @@
 //!   [`resilience::ResilienceStats`] next to the per-tier
 //!   [`tier::TierStats`]. It is the workspace's one retrying source:
 //!   [`resilience::ResilienceConfig::retry_only`] is the plain retry.
+//!   Its decisions are [`resilience::ResilienceCore`]'s, which the
+//!   simulator's cloud model runs too.
 
 pub mod backend;
 pub mod fault;
@@ -55,8 +57,8 @@ pub use metadata::MetadataStore;
 pub use objectstore::{ObjectStoreBackend, ObjectStoreConfig, ObjectStoreStats};
 pub use reorder::ReorderStage;
 pub use resilience::{
-    BreakerConfig, BreakerState, CircuitBreaker, HedgeConfig, ResilienceConfig, ResilienceStats,
-    ResilientSource,
+    BreakerConfig, BreakerState, CircuitBreaker, HedgeConfig, ResilienceConfig, ResilienceCore,
+    ResilienceStats, ResilientSource,
 };
 pub use shard::{ShardedMap, SHARDS};
 pub use staging::{ProducerGuard, ProducerLost, StagingBuffer, StagingStats};

@@ -21,18 +21,21 @@
 //!   the fetch path can degrade gracefully to peers or lower tiers, and
 //!   half-open probes re-close the breaker once the backend recovers.
 //!
-//! Layering, outermost first: breaker → retry → hedge. The runtime sets
-//! no per-attempt deadline; the simulator's closed-form client
-//! (`nopfs_simulator::CloudResilience`) models one. Everything
-//! observable is counted in [`ResilienceStats`], read through
-//! [`ResilientSource::stats`] next to the per-tier
+//! Layering, outermost first: breaker → retry → hedge, with no
+//! per-attempt deadline. Every decision of that client — admit, hedge
+//! delay, what a success or a failure books, and whether to retry —
+//! is made by one clock-free [`ResilienceCore`]: [`ResilientSource`]
+//! runs it with real reads on the wall clock, and the simulator's
+//! cloud model (`nopfs_simulator::cloud`) runs it on modelled costs.
+//! Everything observable is counted in [`ResilienceStats`], read
+//! through [`ResilientSource::stats`] next to the per-tier
 //! [`crate::TierStats`].
 
 use crate::fault::RetryPolicy;
 use crate::tier::{DataSource, SourceError, SourceHealth};
 use crate::SampleId;
 use bytes::Bytes;
-use nopfs_obs::{names, Counter, Histogram, Registry, Tracer};
+use nopfs_obs::{names, ArgValue, Counter, Histogram, Registry, Tracer};
 use nopfs_util::timing::TimeScale;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,14 +114,9 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// A new breaker, initially closed, with private counters.
-    pub fn new(cfg: BreakerConfig) -> Self {
-        Self::new_in_registry(cfg, &Registry::new())
-    }
-
-    /// Like [`Self::new`], but transition counters register in
-    /// `registry` as `breaker.*` metrics.
-    pub fn new_in_registry(cfg: BreakerConfig, registry: &Registry) -> Self {
+    /// A new breaker, initially closed, whose transition counters
+    /// register in `registry` as `breaker.*` metrics.
+    pub fn new(cfg: BreakerConfig, registry: &Registry) -> Self {
         Self {
             cfg,
             inner: Mutex::new(BreakerInner::default()),
@@ -302,46 +300,52 @@ impl HedgeConfig {
 /// the extra load at ~5%).
 #[derive(Debug)]
 struct LatencyTracker {
+    /// The recorded latencies, at most `len` of them.
     window: Vec<Duration>,
+    /// The window's length, kept here because `Vec::with_capacity`
+    /// only bounds the capacity from below.
+    len: usize,
+    /// The slot the next latency overwrites once the window is full:
+    /// the oldest.
     next: usize,
-    filled: bool,
 }
 
 impl LatencyTracker {
-    fn new(window: usize) -> Self {
+    fn new(len: usize) -> Self {
         Self {
-            window: Vec::with_capacity(window),
+            window: Vec::with_capacity(len),
+            len,
             next: 0,
-            filled: false,
         }
     }
 
     fn record(&mut self, latency: Duration) {
-        if self.window.len() < self.window.capacity() {
+        if self.window.len() < self.len {
             self.window.push(latency);
         } else {
             self.window[self.next] = latency;
-            self.next = (self.next + 1) % self.window.len();
-            self.filled = true;
         }
+        self.next = (self.next + 1) % self.len;
     }
 
-    /// The hedge delay: the configured quantile of the window once it
-    /// has filled at least once, `min_delay` before that (no evidence,
-    /// no aggression), floored at `min_delay` always.
+    /// The hedge delay: `min_delay` until the window has filled (no
+    /// evidence, no aggression), then the configured quantile of the
+    /// window, floored at `min_delay` always.
     fn delay(&self, cfg: &HedgeConfig) -> Duration {
-        if !self.filled && self.window.len() < self.window.capacity() {
+        if self.window.len() < self.len {
             return cfg.min_delay;
         }
-        let mut sorted = self.window.clone();
-        sorted.sort_unstable();
-        let rank = ((sorted.len() as f64 - 1.0) * cfg.quantile).round() as usize;
-        sorted[rank.min(sorted.len() - 1)].max(cfg.min_delay)
+        let mut window = self.window.clone();
+        let rank = ((window.len() as f64 - 1.0) * cfg.quantile).round() as usize;
+        let (_, quantile, _) = window.select_nth_unstable(rank.min(self.len - 1));
+        (*quantile).max(cfg.min_delay)
     }
 }
 
-/// Everything a [`ResilientSource`] layers over a backend.
-#[derive(Debug, Clone)]
+/// Everything the client layers over a backend. [`ResilientSource`]
+/// reads its `Duration`s as wall time; the simulator's cloud model
+/// reads them as model seconds.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResilienceConfig {
     /// Retry schedule for retryable failures.
     pub retry: RetryPolicy,
@@ -390,9 +394,6 @@ pub struct ResilienceStats {
     pub hedges_fired: u64,
     /// Hedged reads where the hedge answered first.
     pub hedges_won: u64,
-    /// Attempts that missed their deadline: filled by the simulator's
-    /// deadlined client only, since a [`ResilientSource`] sets none.
-    pub deadline_misses: u64,
     /// Attempts rejected by backend throttling.
     pub throttled: u64,
     /// Reads failed fast because the breaker was open.
@@ -413,7 +414,6 @@ impl ResilienceStats {
         self.exhausted += other.exhausted;
         self.hedges_fired += other.hedges_fired;
         self.hedges_won += other.hedges_won;
-        self.deadline_misses += other.deadline_misses;
         self.throttled += other.throttled;
         self.breaker_open_rejections += other.breaker_open_rejections;
         self.breaker_to_open += other.breaker_to_open;
@@ -422,58 +422,202 @@ impl ResilienceStats {
     }
 }
 
-/// The resilience layer's registry handles (`resilience.*` metrics);
-/// [`ResilienceStats`] is the typed view over them.
+/// The client's decisions, written once and clocked by the caller, like
+/// the [`CircuitBreaker`] it holds: every `now` is model seconds on the
+/// caller's clock. Besides the breaker it holds the latency window, the
+/// jitter draw counter and the `resilience.*` counters, and it is the
+/// only place that books a read, retry, hedge, throttle or exhaustion.
+/// [`ResilientSource`] runs it with real reads on the wall clock; the
+/// simulator's cloud model runs it on modelled costs.
 #[derive(Debug)]
-struct Counters {
+pub struct ResilienceCore {
+    cfg: ResilienceConfig,
+    breaker: Option<CircuitBreaker>,
+    tracker: Mutex<LatencyTracker>,
+    draws: AtomicU64,
+    tracer: Tracer,
+    // The `resilience.*` counters, viewed as `ResilienceStats`.
     reads: Counter,
     retries: Counter,
     exhausted: Counter,
     hedges_fired: Counter,
     hedges_won: Counter,
     throttled: Counter,
-    /// End-to-end read latency (ns), breaker rejections included.
-    read_latency: Histogram,
 }
 
-impl Counters {
-    fn new(registry: &Registry) -> Self {
+impl ResilienceCore {
+    /// The core of `cfg`; its `resilience.*` and `breaker.*` counters
+    /// register in `registry`.
+    pub fn new(cfg: ResilienceConfig, registry: &Registry) -> Self {
         Self {
+            breaker: cfg.breaker.map(|b| CircuitBreaker::new(b, registry)),
+            tracker: Mutex::new(LatencyTracker::new(cfg.hedge.map_or(1, |h| h.window))),
+            cfg,
+            draws: AtomicU64::new(0),
+            tracer: Tracer::noop(),
             reads: registry.counter(names::RES_READS),
             retries: registry.counter(names::RES_RETRIES),
             exhausted: registry.counter(names::RES_EXHAUSTED),
             hedges_fired: registry.counter(names::RES_HEDGES_FIRED),
             hedges_won: registry.counter(names::RES_HEDGES_WON),
             throttled: registry.counter(names::RES_THROTTLED),
-            read_latency: registry.histogram(names::RES_READ_LATENCY),
+        }
+    }
+
+    /// Attaches a tracer: hedge firings and breaker transitions emit
+    /// model-clock instants into it.
+    #[must_use]
+    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
+        self.breaker = self.breaker.map(|b| b.with_tracer(tracer.clone()));
+        self.tracer = tracer;
+        self
+    }
+
+    /// The breaker, when configured.
+    pub fn breaker(&self) -> Option<&CircuitBreaker> {
+        self.breaker.as_ref()
+    }
+
+    /// Books `n` reads entering the client.
+    pub fn begin(&self, n: u64) {
+        self.reads.add(n);
+    }
+
+    /// Whether a request is admitted at `now`: always without a
+    /// breaker, else the breaker's answer (a refusal counts one
+    /// rejection).
+    pub fn admit(&self, now: f64) -> bool {
+        self.breaker.as_ref().is_none_or(|b| b.allow(now))
+    }
+
+    /// How long a request may run before its hedge fires: `None`
+    /// without hedging, else the latency window's quantile, floored at
+    /// `min_delay`.
+    pub fn hedge_delay(&self) -> Option<Duration> {
+        let h = self.cfg.hedge.as_ref()?;
+        Some(self.tracker.lock().delay(h))
+    }
+
+    /// Books a hedge fired at `now`; `args` ride on its trace instant.
+    pub fn hedge_fired(&self, now: f64, args: Vec<(&'static str, ArgValue)>) {
+        self.hedges_fired.inc();
+        self.tracer
+            .instant_at(names::EV_HEDGE_FIRED, "resilience", now, args);
+    }
+
+    /// Books a success at `now`: `latency` is the answering request's
+    /// own, and `hedge_won` whether the hedge gave the answer.
+    pub fn on_success(&self, now: f64, latency: Duration, hedge_won: bool) {
+        if let Some(b) = &self.breaker {
+            b.on_success(now);
+        }
+        if hedge_won {
+            self.hedges_won.inc();
+        }
+        if self.cfg.hedge.is_some() {
+            self.tracker.lock().record(latency);
+        }
+    }
+
+    /// Books `err`, the failure of attempt number `attempt` (0-based)
+    /// at `now`, and decides what follows. `Some(wait)`: retry after
+    /// `max(RetryPolicy::backoff, retry_after)`. `None`: give up —
+    /// at once, booking nothing, on an error that is not retryable (a
+    /// missing sample says nothing about the backend's health), or when
+    /// the budget is spent, booked as `exhausted`.
+    pub fn on_failure(&self, now: f64, attempt: u32, err: &SourceError) -> Option<Duration> {
+        if !err.is_retryable() {
+            return None;
+        }
+        self.count_throttle(err);
+        if let Some(b) = &self.breaker {
+            b.on_failure(now);
+        }
+        if attempt + 1 >= self.cfg.retry.attempts {
+            self.exhausted.inc();
+            return None;
+        }
+        self.retries.inc();
+        let draw = self.draws.fetch_add(1, Ordering::Relaxed);
+        let backoff = self.cfg.retry.backoff(attempt, draw);
+        Some(match err {
+            SourceError::Throttled { retry_after } => backoff.max(*retry_after),
+            _ => backoff,
+        })
+    }
+
+    /// Books one vectored attempt at `now` once: the breaker sees one
+    /// failure if any id failed retryably, else one success, and each
+    /// retryable straggler counts its throttle and the retry that
+    /// re-drives it.
+    pub fn on_batch(&self, now: f64, results: &[Result<Bytes, SourceError>]) {
+        let mut failed = false;
+        for e in results.iter().filter_map(|r| r.as_ref().err()) {
+            if e.is_retryable() {
+                failed = true;
+                self.count_throttle(e);
+                self.retries.inc();
+            }
+        }
+        if let Some(b) = &self.breaker {
+            if failed {
+                b.on_failure(now);
+            } else {
+                b.on_success(now);
+            }
+        }
+    }
+
+    fn count_throttle(&self, err: &SourceError) {
+        if matches!(err, SourceError::Throttled { .. }) {
+            self.throttled.inc();
+        }
+    }
+
+    /// The counters so far, breaker transitions folded in.
+    pub fn stats(&self) -> ResilienceStats {
+        let (to_open, to_half_open, to_closed, rejections) = self
+            .breaker
+            .as_ref()
+            .map_or((0, 0, 0, 0), CircuitBreaker::transitions);
+        ResilienceStats {
+            reads: self.reads.get(),
+            retries: self.retries.get(),
+            exhausted: self.exhausted.get(),
+            hedges_fired: self.hedges_fired.get(),
+            hedges_won: self.hedges_won.get(),
+            throttled: self.throttled.get(),
+            breaker_open_rejections: rejections,
+            breaker_to_open: to_open,
+            breaker_to_half_open: to_half_open,
+            breaker_to_closed: to_closed,
         }
     }
 }
 
-/// One attempt's answer, how long it took, and whether the hedge gave it.
+/// One attempt's answer, the answering request's own latency, and
+/// whether the hedge gave it.
 type Attempt = (Result<Bytes, SourceError>, Duration, bool);
 
 /// A [`DataSource`] wrapper combining hedging, retry, and circuit
 /// breaking — the full failure domain for an object-store (or any
 /// flaky) origin. Layering, outermost first: breaker (fail fast while
-/// open) → retry loop → hedge.
+/// open) → retry loop → hedge. It runs a [`ResilienceCore`] with real
+/// reads on the wall clock.
 pub struct ResilientSource {
     inner: Arc<dyn DataSource>,
-    cfg: ResilienceConfig,
-    breaker: Option<CircuitBreaker>,
-    tracker: Mutex<LatencyTracker>,
-    counters: Counters,
-    tracer: Tracer,
+    core: ResilienceCore,
+    /// End-to-end read latency (ns), breaker rejections included.
+    read_latency: Histogram,
     scale: TimeScale,
     start: Instant,
-    draws: AtomicU64,
 }
 
 impl std::fmt::Debug for ResilientSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResilientSource")
             .field("inner", &self.inner.name())
-            .field("cfg", &self.cfg)
+            .field("core", &self.core)
             .finish()
     }
 }
@@ -493,19 +637,12 @@ impl ResilientSource {
         scale: TimeScale,
         registry: &Registry,
     ) -> Self {
-        let window = cfg.hedge.map_or(1, |h| h.window);
         Self {
-            breaker: cfg
-                .breaker
-                .map(|b| CircuitBreaker::new_in_registry(b, registry)),
-            tracker: Mutex::new(LatencyTracker::new(window)),
             inner,
-            cfg,
-            counters: Counters::new(registry),
-            tracer: Tracer::noop(),
+            core: ResilienceCore::new(cfg, registry),
+            read_latency: registry.histogram(names::RES_READ_LATENCY),
             scale,
             start: Instant::now(),
-            draws: AtomicU64::new(0),
         }
     }
 
@@ -513,58 +650,34 @@ impl ResilientSource {
     /// model-clock instants into it.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.breaker = self.breaker.map(|b| b.with_tracer(tracer.clone()));
-        self.tracer = tracer;
+        self.core = self.core.with_tracer(tracer);
         self
     }
 
-    /// Model time since construction, the breaker's clock.
+    /// Model time since construction, the core's clock.
     fn now(&self) -> f64 {
         self.scale.to_model(self.start.elapsed())
     }
 
-    /// The wrapped source.
-    pub fn inner(&self) -> &Arc<dyn DataSource> {
-        &self.inner
-    }
-
     /// The breaker, when configured (for tests and telemetry).
     pub fn breaker(&self) -> Option<&CircuitBreaker> {
-        self.breaker.as_ref()
+        self.core.breaker()
     }
 
     /// The layer's counters so far (retries, hedges, breaker
     /// transitions).
     pub fn stats(&self) -> ResilienceStats {
-        let (to_open, to_half_open, to_closed, rejections) = self
-            .breaker
-            .as_ref()
-            .map_or((0, 0, 0, 0), |b| b.transitions());
-        let c = &self.counters;
-        ResilienceStats {
-            reads: c.reads.get(),
-            retries: c.retries.get(),
-            exhausted: c.exhausted.get(),
-            hedges_fired: c.hedges_fired.get(),
-            hedges_won: c.hedges_won.get(),
-            throttled: c.throttled.get(),
-            breaker_open_rejections: rejections,
-            breaker_to_open: to_open,
-            breaker_to_half_open: to_half_open,
-            breaker_to_closed: to_closed,
-            ..ResilienceStats::default()
-        }
+        self.core.stats()
     }
 
     /// One attempt: the primary read and, once it has outlived the
     /// hedge delay, a duplicate. The first success wins; when both
     /// fail, the later failure is the answer.
     fn attempt(&self, id: SampleId) -> Attempt {
-        // Fast path: nothing to race, read inline (no thread spawn).
-        let Some(h) = &self.cfg.hedge else {
-            let t0 = Instant::now();
-            let r = self.inner.read(id);
-            return (r, t0.elapsed(), false);
+        // Fast path: nothing to race, read inline (no thread spawn, and
+        // no clock: only the hedge's latency window reads the latency).
+        let Some(hedge_delay) = self.core.hedge_delay() else {
+            return (self.inner.read(id), Duration::ZERO, false);
         };
         let (tx, rx) = mpsc::channel::<Attempt>();
         let spawn = |hedge: bool| {
@@ -578,17 +691,11 @@ impl ResilientSource {
             });
         };
         spawn(false);
-        let hedge_delay = self.tracker.lock().delay(h);
         match rx.recv_timeout(hedge_delay) {
             Ok(done) => return done,
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                self.counters.hedges_fired.inc();
-                self.tracer.instant_at(
-                    names::EV_HEDGE_FIRED,
-                    "resilience",
-                    self.now(),
-                    vec![("sample", id.into())],
-                );
+                self.core
+                    .hedge_fired(self.now(), vec![("sample", id.into())]);
                 spawn(true);
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => unreachable!("senders outlive us"),
@@ -603,71 +710,46 @@ impl ResilientSource {
     /// One breaker admission: `Err` is the fail-fast answer while the
     /// breaker is open.
     fn admit(&self) -> Result<(), SourceError> {
-        match &self.breaker {
-            Some(b) if !b.allow(self.now()) => Err(SourceError::Unavailable(format!(
-                "{}: circuit open",
-                self.inner.name()
-            ))),
-            _ => Ok(()),
+        if self.core.admit(self.now()) {
+            return Ok(());
         }
+        Err(SourceError::Unavailable(format!(
+            "{}: circuit open",
+            self.inner.name()
+        )))
     }
 
-    /// **The** retry loop behind every read: breaker → retry → hedge.
-    /// Between attempts it counts a retry and sleeps
-    /// the jittered backoff — or the server-suggested `retry_after`,
-    /// whichever is longer.
+    /// **The** retry loop behind every read: breaker → retry → hedge,
+    /// each decision the core's. Between attempts it sleeps the wait
+    /// the core returns.
     fn retry(&self, id: SampleId) -> Result<Bytes, SourceError> {
-        let mut last = None;
-        for attempt in 0..self.cfg.retry.attempts {
+        let mut attempt = 0;
+        loop {
             self.admit()?;
             let err = match self.attempt(id) {
                 (Ok(data), latency, hedge_won) => {
-                    if let Some(b) = &self.breaker {
-                        b.on_success(self.now());
-                    }
-                    if hedge_won {
-                        self.counters.hedges_won.inc();
-                    }
-                    self.tracker.lock().record(latency);
+                    self.core.on_success(self.now(), latency, hedge_won);
                     return Ok(data);
                 }
-                // NotFound/Full say nothing about backend health: pass
-                // through without tripping.
-                (Err(e), ..) if !e.is_retryable() => return Err(e),
-                (Err(e), ..) => {
-                    if matches!(e, SourceError::Throttled { .. }) {
-                        self.counters.throttled.inc();
-                    }
-                    e
-                }
+                (Err(e), ..) => e,
             };
-            if let Some(b) = &self.breaker {
-                b.on_failure(self.now());
+            match self.core.on_failure(self.now(), attempt, &err) {
+                Some(wait) => std::thread::sleep(wait),
+                None => return Err(err),
             }
-            if attempt + 1 < self.cfg.retry.attempts {
-                let draw = self.draws.fetch_add(1, Ordering::Relaxed);
-                self.counters.retries.inc();
-                let backoff = self.cfg.retry.backoff(attempt, draw);
-                std::thread::sleep(match &err {
-                    SourceError::Throttled { retry_after } => backoff.max(*retry_after),
-                    _ => backoff,
-                });
-            }
-            last = Some(err);
+            attempt += 1;
         }
-        self.counters.exhausted.inc();
-        Err(last.expect("loop ran at least once"))
     }
 }
 
 impl DataSource for ResilientSource {
     fn read(&self, id: SampleId) -> Result<Bytes, SourceError> {
         // Only pay for the clock when a histogram is listening.
-        let t0 = self.counters.read_latency.is_active().then(Instant::now);
-        self.counters.reads.inc();
+        let t0 = self.read_latency.is_active().then(Instant::now);
+        self.core.begin(1);
         let result = self.retry(id);
         if let Some(t0) = t0 {
-            self.counters.read_latency.record_duration(t0.elapsed());
+            self.read_latency.record_duration(t0.elapsed());
         }
         result
     }
@@ -677,39 +759,24 @@ impl DataSource for ResilientSource {
     /// open breaker answers every id `Unavailable` without touching the
     /// inner source) and goes down as one inner vectored read, so a
     /// coalescing backend keeps its batching; its outcome is booked
-    /// once. Each retryable straggler then counts a retry and is
-    /// re-driven through the retry loop — after the inner call has
-    /// returned, so no backoff sleeps inside the inner source's reader
-    /// registration. Permanent errors are returned in place.
+    /// once. Each retryable straggler is then re-driven through the
+    /// retry loop — after the inner call has returned, so no backoff
+    /// sleeps inside the inner source's reader registration. Permanent
+    /// errors are returned in place.
     fn read_each(&self, ids: &[SampleId], sink: &mut dyn FnMut(Result<Bytes, SourceError>)) {
         if let &[id] = ids {
             return sink(self.read(id));
         }
-        self.counters.reads.add(ids.len() as u64);
+        self.core.begin(ids.len() as u64);
         if let Err(e) = self.admit() {
             return ids.iter().for_each(|_| sink(Err(e.clone())));
         }
         let mut results = Vec::with_capacity(ids.len());
         self.inner.read_each(ids, &mut |r| results.push(r));
-        if let Some(b) = &self.breaker {
-            if results
-                .iter()
-                .any(|r| matches!(r, Err(e) if e.is_retryable()))
-            {
-                b.on_failure(self.now());
-            } else {
-                b.on_success(self.now());
-            }
-        }
+        self.core.on_batch(self.now(), &results);
         for (r, &id) in results.into_iter().zip(ids) {
             sink(match r {
-                Err(e) if e.is_retryable() => {
-                    if matches!(e, SourceError::Throttled { .. }) {
-                        self.counters.throttled.inc();
-                    }
-                    self.counters.retries.inc();
-                    self.retry(id)
-                }
+                Err(e) if e.is_retryable() => self.retry(id),
                 other => other,
             });
         }
@@ -748,7 +815,7 @@ impl DataSource for ResilientSource {
     }
 
     fn health(&self) -> SourceHealth {
-        match &self.breaker {
+        match self.core.breaker() {
             Some(b) => b.health(self.now()),
             None => self.inner.health(),
         }
@@ -1039,7 +1106,7 @@ pub(crate) mod tests {
 
     #[test]
     fn breaker_walks_closed_open_half_open_closed() {
-        let b = CircuitBreaker::new(BreakerConfig::new(3, 10.0, 2));
+        let b = CircuitBreaker::new(BreakerConfig::new(3, 10.0, 2), &Registry::new());
         assert_eq!(b.state(), BreakerState::Closed);
         // Two failures: still closed (threshold 3).
         b.on_failure(1.0);
@@ -1071,7 +1138,7 @@ pub(crate) mod tests {
 
     #[test]
     fn failed_half_open_probe_reopens_and_success_resets_the_streak() {
-        let b = CircuitBreaker::new(BreakerConfig::new(2, 5.0, 1));
+        let b = CircuitBreaker::new(BreakerConfig::new(2, 5.0, 1), &Registry::new());
         b.on_failure(0.0);
         b.on_success(0.5); // streak broken
         b.on_failure(1.0);
@@ -1201,6 +1268,43 @@ pub(crate) mod tests {
         assert_eq!(stats.retries, faulty.failures());
         assert_eq!(stats.retries, 50 * 4 * 2, "every read met its burst");
         assert_eq!(stats.breaker_to_open, 0, "threshold 8 > burst bound 2");
+    }
+
+    #[test]
+    fn core_hedge_delay_is_the_floor_until_the_window_fills_then_its_quantile() {
+        let (n, floor) = (5u64, Duration::from_millis(2));
+        let ms = Duration::from_millis;
+        let core = ResilienceCore::new(
+            ResilienceConfig::retry_only(fast_retry(1))
+                .with_hedge(HedgeConfig::new(0.5, floor, n as usize)),
+            &Registry::new(),
+        );
+        assert_eq!(core.hedge_delay(), Some(floor), "no latency yet");
+        for k in 1..n {
+            core.on_success(0.0, ms(10 * k), false);
+            assert_eq!(core.hedge_delay(), Some(floor), "{k} of {n} latencies");
+        }
+        // The N-th latency fills the window: 10..=50 ms, median 30 ms.
+        core.on_success(0.0, ms(50), false);
+        assert_eq!(core.hedge_delay(), Some(ms(30)));
+        // Tiny latencies push the quantile below the floor: floored.
+        for _ in 0..n {
+            core.on_success(0.0, Duration::from_micros(1), false);
+            assert!(core.hedge_delay() >= Some(floor));
+        }
+        assert_eq!(core.hedge_delay(), Some(floor));
+        // The window holds exactly N: three slow reads evict three of
+        // the five tiny ones, and the median is slow.
+        for _ in 0..3 {
+            core.on_success(0.0, ms(100), false);
+        }
+        assert_eq!(core.hedge_delay(), Some(ms(100)));
+        // Without a hedge there is no delay to ask for.
+        let plain = ResilienceCore::new(
+            ResilienceConfig::retry_only(fast_retry(1)),
+            &Registry::new(),
+        );
+        assert_eq!(plain.hedge_delay(), None);
     }
 
     #[test]

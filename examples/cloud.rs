@@ -4,9 +4,9 @@
 //! per-request latency floor, parallelism-dependent throughput, and
 //! seeded disturbances (tail-latency spikes, throttle bursts, a
 //! brownout window). Two clients face the identical disturbance seeds:
-//! a **hardened** one (per-attempt deadlines, capped full-jitter
-//! retries, hedged second requests, a circuit breaker that steers
-//! fetches to peers and local tiers while the origin is sick) and an
+//! a **hardened** one (capped full-jitter retries, hedged second
+//! requests, a circuit breaker that steers fetches to peers and local
+//! tiers while the origin is sick) and an
 //! unbounded **naive** one. The example self-checks the failure
 //! domain's headline on the simulator — bounded degradation, never
 //! losing to naive — and then proves on the threaded runtime that a

@@ -22,13 +22,13 @@
 use bytes::Bytes;
 use nopfs::clairvoyance::SetupPass;
 use nopfs::core::{ElasticReport, Job, JobConfig};
-use nopfs::obs::names;
+use nopfs::obs::{names, Registry};
 use nopfs::perfmodel::presets::fig8_small_cluster;
 use nopfs::perfmodel::SystemSpec;
 use nopfs::perfmodel::ThroughputCurve;
 use nopfs::policy::fault::{respec, ShuffleSpec};
 use nopfs::policy::{elastic_global_stream, CloudFaults, FaultPlan, PolicyId, ReadErrors};
-use nopfs::simulator::{run, run_elastic, CloudResilience, CloudSpec, Scenario};
+use nopfs::simulator::{hardened_client, naive_client, run, run_elastic, CloudSpec, Scenario};
 use nopfs::storage::{
     BreakerConfig, BreakerState, CircuitBreaker, DataSource, HedgeConfig, ObjectStoreBackend,
     ObjectStoreConfig, ResilienceConfig, ResilientSource, RetryPolicy, SourceHealth,
@@ -379,14 +379,14 @@ proptest! {
             SEED,
         );
         let curve = ThroughputCurve::flat(1e9);
-        let with = |faults: CloudFaults, res: CloudResilience| {
+        let with = |faults: CloudFaults, res: ResilienceConfig| {
             scenario
                 .clone()
                 .with_cloud(CloudSpec::new(FLOOR, curve.clone(), faults, res))
         };
         let ambient = cloud_faults(seed, spike, throttle.0, throttle.1);
         let quiet = run(
-            &with(CloudFaults::none(seed), CloudResilience::hardened(FLOOR)),
+            &with(CloudFaults::none(seed), hardened_client(FLOOR)),
             PolicyId::NoPfs,
         )
         .expect("NoPfs supports every scenario");
@@ -397,12 +397,12 @@ proptest! {
             storm.3,
         );
         let hardened = run(
-            &with(stormy.clone(), CloudResilience::hardened(FLOOR)),
+            &with(stormy.clone(), hardened_client(FLOOR)),
             PolicyId::NoPfs,
         )
         .expect("valid cloud spec");
         let naive = run(
-            &with(stormy, CloudResilience::naive(FLOOR / 4.0)),
+            &with(stormy, naive_client(FLOOR / 4.0)),
             PolicyId::NoPfs,
         )
         .expect("valid cloud spec");
@@ -489,7 +489,7 @@ proptest! {
         events in proptest::collection::vec((0..3u8, 0.0f64..2.0), 1..120),
     ) {
         let cooldown = cfg.1;
-        let b = CircuitBreaker::new(BreakerConfig::new(cfg.0, cooldown, cfg.2));
+        let b = CircuitBreaker::new(BreakerConfig::new(cfg.0, cooldown, cfg.2), &Registry::new());
         let mut now = 0.0f64;
         for &(kind, dt) in &events {
             now += dt;
