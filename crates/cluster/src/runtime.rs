@@ -390,9 +390,9 @@ mod tests {
         use nopfs_policy::FaultPlan;
         // Two identical tenants; one has a rank slowed 8x. Stragglers
         // cost time, never content.
-        // Per-sample compute waits of 0.1 model s at this scale exceed
-        // the spin threshold, so paced tenants sleep and the comparison
-        // survives a CPU-contended (parallel test) machine.
+        // Per-sample compute waits of 0.1 model s at this scale are
+        // 500 µs sleeps, long beside a timer overshoot, so the
+        // comparison survives a CPU-contended (parallel test) machine.
         let scale = TimeScale::new(5e-3);
         // Compute-bound tenants (0.1 model s per sample), so the 8x
         // compute straggle is the dominant term by construction.

@@ -140,7 +140,7 @@ fn settle(
                     panic!("origin read of sample {id} still failing after {BUDGET:?}: {e}");
                 }
                 attempt += 1;
-                // Escalate 50µs → 2ms, then hold: long enough to drain
+                // Escalate 100µs → 2ms, then hold: long enough to drain
                 // transient bursts, short enough that breaker reopening
                 // after a brownout is observed almost immediately.
                 let us = (50u64 << attempt.min(10)).min(2_000);

@@ -667,11 +667,11 @@ impl WorkerCtx {
                 break; // window closed
             }
             // Preprocess-and-store: the model's write_i(k), linear in
-            // the bytes, so the run pays it as one wait (per-sample
-            // waits are short enough to be spun away whole). Each of
-            // the p0 threads pays it independently, so the aggregate
-            // preprocessing rate scales with the thread count, as in
-            // the performance model.
+            // the bytes, so the run pays it as one wait (one sleep, not
+            // one per sample). Each of the p0 threads pays it
+            // independently, so the aggregate preprocessing rate
+            // scales with the thread count, as in the performance
+            // model.
             let bytes: u64 = scratch.run.iter().map(|(_, d)| d.len() as u64).sum();
             let wait = config.scale.to_wall(config.system.write_time(bytes));
             if !wait.is_zero() {

@@ -89,7 +89,10 @@ impl TokenBucket {
     /// balance may go negative) and the caller then waits until its own
     /// debt is repaid by the refill rate. Because debts queue up in lock
     /// order, concurrent callers are served FIFO at the aggregate rate,
-    /// and requests larger than the burst capacity cannot deadlock.
+    /// and requests larger than the burst capacity cannot deadlock. The
+    /// [`precise_wait`] is shortened by what the thread's last sleep overran,
+    /// which the refill credited too; as the bucket's schedule does not
+    /// move, no caller gets ahead of it by more than one overshoot.
     ///
     /// A rate change made while a caller is already waiting does not
     /// retroactively shorten or lengthen that caller's wait; this
@@ -186,6 +189,21 @@ mod tests {
         let dt = t0.elapsed().as_secs_f64();
         assert!(dt > 0.07, "aggregate pacing violated: {dt}s");
         assert!(dt < 0.5);
+    }
+
+    #[test]
+    fn a_late_waiter_is_not_refunded_twice() {
+        // The refill credits a waiter's timer overshoot, and so does the
+        // thread's shortened next wait; together they must not add up.
+        let (rate, burst, calls, bytes) = (10_000_000.0, 10_000.0, 200, 5_000);
+        let tb = TokenBucket::new(rate, burst);
+        let t0 = Instant::now();
+        for _ in 0..calls {
+            tb.acquire(bytes);
+        }
+        let dt = t0.elapsed().as_secs_f64();
+        let floor = ((calls * bytes) as f64 - burst) / rate - 1e-3;
+        assert!(dt >= floor, "finished in {dt}s, before {floor}s");
     }
 
     #[test]

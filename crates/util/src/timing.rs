@@ -3,35 +3,42 @@
 //! The paper's experiments span minutes to hours on 32–1024 GPUs; the
 //! reproduction runs scaled-down versions in seconds on a handful of
 //! threads. [`TimeScale`] maps *model seconds* (the performance model's
-//! unit) to *wall time*, and [`precise_wait`] implements a hybrid
-//! sleep/spin delay so that even sub-millisecond scaled durations keep
-//! their correct relative magnitudes (plain `thread::sleep` has ~50 µs+
-//! granularity and would flatten the distributions the violin plots in
-//! Figs. 10–15 depend on).
+//! unit) to *wall time*, and [`precise_wait`] sleeps through them: each
+//! thread's waits total the model's to within one timer overshoot, and
+//! a single wait jitters by about that overshoot, with no thread spinning.
 
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
-/// Threshold below which we spin instead of sleeping; OS sleep overshoot
-/// is typically tens of microseconds, so sleeping for less than this is
-/// mostly noise.
-const SPIN_THRESHOLD: Duration = Duration::from_micros(200);
+thread_local! {
+    /// How far this thread's last sleep overran its request, not yet
+    /// taken off a later wait.
+    static DEBT: Cell<Duration> = const { Cell::new(Duration::ZERO) };
+}
 
-/// Waits for approximately `d`, combining `thread::sleep` for the bulk of
-/// the interval with a spin loop for the final stretch.
+/// Waits for `d`, less what the calling thread's earlier sleeps overran.
 ///
-/// Accuracy is a few microseconds, versus tens to hundreds for a bare
-/// sleep. Zero-length waits return immediately.
+/// A wait no longer than that debt returns at once and reduces it; a
+/// longer one sleeps for the difference, and the sleep's overshoot
+/// becomes the debt, so the debt never exceeds one overshoot. The time a
+/// thread spends in its waits is their sum plus its debt: never less (a
+/// thread's first wait is never early) and at most one overshoot more.
+/// Zero-length waits return immediately.
 pub fn precise_wait(d: Duration) {
     if d.is_zero() {
         return;
     }
-    let deadline = Instant::now() + d;
-    if d > SPIN_THRESHOLD {
-        std::thread::sleep(d - SPIN_THRESHOLD);
-    }
-    while Instant::now() < deadline {
-        std::hint::spin_loop();
-    }
+    DEBT.with(|debt| {
+        let owed = debt.get();
+        if d <= owed {
+            debt.set(owed - d);
+        } else {
+            let sleep = d - owed;
+            let start = Instant::now();
+            std::thread::sleep(sleep);
+            debt.set(start.elapsed().saturating_sub(sleep));
+        }
+    });
 }
 
 /// Maps model time (the unit of the paper's performance model) to wall
@@ -138,18 +145,98 @@ mod tests {
         assert!(t0.elapsed() < Duration::from_millis(1));
     }
 
+    /// Runs `f` on a thread of its own, which owes no overshoot yet.
+    fn on_fresh_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::spawn(f).join().unwrap()
+    }
+
+    fn debt() -> Duration {
+        DEBT.with(Cell::get)
+    }
+
     #[test]
-    fn precise_wait_never_returns_early_on_a_spun_wait() {
-        // 100 µs is below the spin threshold: the whole wait is spun.
-        // How far past the deadline it returns is the scheduler's
-        // doing, not this function's, so only the lower side is held.
-        let target = Duration::from_micros(100);
-        for _ in 0..20 {
+    fn back_to_back_waits_never_total_short() {
+        // One wait may end early by the overshoot its thread's last
+        // sleep carried over, so what holds is the total: k waits take
+        // at least k·d, for every k. How far past that they return is
+        // the scheduler's doing, so only the lower side is held.
+        on_fresh_thread(|| {
+            let target = Duration::from_micros(100);
             let t0 = Instant::now();
-            precise_wait(target);
-            let e = t0.elapsed();
-            assert!(e >= target, "returned early: {e:?}");
+            for k in 1..=20u32 {
+                precise_wait(target);
+                let e = t0.elapsed();
+                assert!(e >= target * k, "{k} waits of {target:?} took {e:?}");
+            }
+        });
+    }
+
+    #[test]
+    fn a_fresh_threads_first_wait_is_never_early() {
+        for us in [1, 50, 300] {
+            let target = Duration::from_micros(us);
+            let e = on_fresh_thread(move || {
+                assert_eq!(debt(), Duration::ZERO);
+                let t0 = Instant::now();
+                precise_wait(target);
+                t0.elapsed()
+            });
+            assert!(e >= target, "returned early: {e:?} < {target:?}");
         }
+    }
+
+    #[test]
+    fn a_wait_within_the_debt_does_not_sleep_and_the_debt_stays_under_one_overshoot() {
+        on_fresh_thread(|| {
+            let waits = [100_000, 1_000, 2_000, 50_000, 500].map(Duration::from_nanos);
+            let (mut paid_from_debt, mut last_overshoot) = (0, Duration::ZERO);
+            for &target in waits.iter().cycle().take(200) {
+                let owed = debt();
+                let t0 = Instant::now();
+                precise_wait(target);
+                let e = t0.elapsed();
+                let owes = debt();
+                if target <= owed {
+                    // No sleep: the debt falls by exactly the wait.
+                    assert_eq!(owes, owed - target);
+                    paid_from_debt += 1;
+                } else {
+                    // Slept `target - owed`; the caller saw it overrun
+                    // by at least what the thread now owes.
+                    last_overshoot = e.saturating_sub(target - owed);
+                }
+                assert!(owes <= last_overshoot, "{owes:?} > {last_overshoot:?}");
+            }
+            assert!(paid_from_debt > 0, "no wait fell within a debt");
+        });
+    }
+
+    /// CPU time the calling thread has used.
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    fn thread_cpu_time() -> Duration {
+        extern "C" {
+            fn clock_gettime(clock: i32, ts: *mut [i64; 2]) -> i32;
+        }
+        const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+        let mut ts = [0i64; 2];
+        // SAFETY: `ts` is a live buffer laid out as a 64-bit Linux
+        // `timespec` (seconds, nanoseconds); the call keeps no pointer.
+        let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+        assert_eq!(rc, 0, "clock_gettime: {}", std::io::Error::last_os_error());
+        Duration::new(ts[0] as u64, ts[1] as u32)
+    }
+
+    #[test]
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    fn waits_sleep_instead_of_spinning() {
+        on_fresh_thread(|| {
+            let (wall, cpu) = (Instant::now(), thread_cpu_time());
+            for _ in 0..40 {
+                precise_wait(Duration::from_micros(300));
+            }
+            let (wall, cpu) = (wall.elapsed(), thread_cpu_time() - cpu);
+            assert!(cpu * 4 < wall, "40 waits used {cpu:?} of CPU in {wall:?}");
+        });
     }
 
     #[test]
