@@ -10,20 +10,18 @@
 //! storage backends — so that runtime comparisons isolate the policy,
 //! exactly as the paper's head-to-head experiments do.
 //!
-//! Every overlapped baseline — PyTorch's double buffering
-//! (`PolicyId::StagingBuffer`), the LBANN store, DeepIO, parallel
-//! staging, locality-aware loading — runs on one loader that executes
-//! the policy's shared decision core, the object the simulator prices.
-//! DALI is PyTorch's loader on a system with faster preprocessing.
-//! The synchronous naive loader and the no-I/O bound are the two
-//! others. [`registry`] builds any of them, and NoPFS's workers, from a
-//! `PolicyId`.
+//! Every baseline with a shared decision core — the synchronous naive
+//! loader, PyTorch's double buffering (`PolicyId::StagingBuffer`), the
+//! LBANN store, DeepIO, parallel staging, locality-aware loading — runs
+//! on one loader that executes that core, the object the simulator
+//! prices. DALI is PyTorch's loader on a system with faster
+//! preprocessing. The no-I/O bound is the one other. [`registry`]
+//! builds any of them, and NoPFS's workers, from a `PolicyId`.
 //!
 //! All loaders implement [`DataLoader`], and so does
 //! `nopfs_core::WorkerHandle`, so training loops and benches are
 //! generic over the policy.
 
-mod naive;
 mod noio;
 mod plan_loader;
 pub mod registry;

@@ -8,19 +8,31 @@
 //! - a **prestage thread** loads the core's prestage list from the PFS
 //!   into the class backends, then barriers with its peers (the
 //!   non-overlapped prestaging phase of DeepIO / ParallelStaging /
-//!   LBANN-preloading);
+//!   LBANN-preloading) and opens the rank's fill gate;
 //! - **staging prefetch threads** walk the core-transformed access
 //!   stream and serve each access from the source the core decides —
 //!   local class backend, a peer over the modelled interconnect, or
 //!   the PFS (caching first-touch fills where the core says so);
 //! - a **serving loop** ([`nopfs_core::peer::serve`], the one NoPFS
-//!   workers run) answers peers' fetch frames from the local backends,
-//!   paying the modelled wire cost.
+//!   workers run) answers peers' fetch frames from the rank's own
+//!   backends, paying the modelled wire cost.
 //!
-//! One implementation therefore covers every overlapped core-backed
-//! policy — down to `StagingBuffer`, whose core sends every access to
-//! the PFS and prestages nothing, which is PyTorch's double buffering;
-//! the policies differ only in the decisions their cores return.
+//! **The fill gate.** A core plans fills only in its prestage list or
+//! in epoch 0 ([`PolicyCore::cache_class`]). Stream positions at or
+//! past a rank's gate wait until its prestage thread has seen every
+//! position before the gate fetched and made its cluster barrier —
+//! the epoch synchronization LBANN relies on. The gate is the worker's
+//! epoch length when the core plans first-touch fills, 0 otherwise.
+//! Every planned fill has therefore landed, or failed for good, before
+//! an access that reads it, so a cache or peer miss is final: the
+//! fetch reads the PFS at once, and the fetch counts are the
+//! simulator's. No rank reads another rank's storage.
+//!
+//! One implementation therefore covers every core-backed policy — down
+//! to `StagingBuffer`, whose core sends every access to the PFS and
+//! prestages nothing (PyTorch's double buffering), and `Naive`, the
+//! same core not overlapped: it starts no staging threads, and its
+//! `next_sample` runs their per-position body inline.
 
 use crate::DataLoader;
 use bytes::Bytes;
@@ -34,12 +46,12 @@ use nopfs_pfs::Pfs;
 use nopfs_policy::{build_core, PolicyCore, PolicyId, Source, Unsupported};
 use nopfs_storage::{ReorderStage, TierStack};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Launches core-driven loaders, one per worker thread, for any
-/// overlapped policy with a shared decision core.
+/// Launches core-driven loaders, one per worker thread, for any policy
+/// with a shared decision core.
 pub(crate) struct PlanRunner {
     config: JobConfig,
     sizes: Arc<Vec<u64>>,
@@ -52,9 +64,9 @@ impl PlanRunner {
     ///
     /// # Errors
     /// [`Unsupported`] when the policy cannot run the configuration
-    /// (e.g. the LBANN data store with an over-sized dataset), has no
-    /// shared core (`NoPfs`, `Perfect`) or is synchronous (`Naive`);
-    /// the registry builds those three loaders itself.
+    /// (e.g. the LBANN data store with an over-sized dataset) or has no
+    /// shared core (`NoPfs`, `Perfect`); the registry builds those two
+    /// loaders itself.
     pub(crate) fn new(
         policy: PolicyId,
         config: JobConfig,
@@ -67,129 +79,124 @@ impl PlanRunner {
                 "{policy} has no shared decision core to run prefetch threads over"
             ))
         })?;
-        let core: Arc<dyn PolicyCore> = Arc::from(core);
-        if !core.overlapped() {
-            return Err(Unsupported(format!(
-                "{policy} is synchronous; the plan loader overlaps reads with prefetch threads"
-            )));
-        }
         Ok(Self {
             config,
             sizes,
-            core,
+            core: Arc::from(core),
         })
     }
 
     /// Launches every rank's loader (prestaging runs in the background;
-    /// the first `next_sample` blocks until it completes cluster-wide).
+    /// a position past the gate blocks until it opens cluster-wide).
     pub(crate) fn launch_all(&self, pfs: &Pfs) -> Vec<PlanLoader> {
         let n = self.config.system.workers;
         let spec = self.config.shuffle_spec(self.sizes.len() as u64);
         // The core's transformed streams: the one derivation shared
         // with the simulator's per-epoch transform calls.
-        let streams: Vec<Arc<Vec<SampleId>>> =
-            nopfs_policy::transformed_streams(Some(self.core.as_ref()), &spec, self.config.epochs)
-                .into_iter()
-                .map(Arc::new)
-                .collect();
+        let streams =
+            nopfs_policy::transformed_streams(Some(self.core.as_ref()), &spec, self.config.epochs);
+        // A first-touch fill of any rank may be read by every rank, so
+        // one such fill gates every rank's later epochs.
+        let fills = streams.iter().enumerate().any(|(w, s)| {
+            s.iter()
+                .take(spec.worker_epoch_len(w) as usize)
+                .any(|&k| self.core.cache_class(w, k, 0).is_some())
+        });
         let endpoints = cluster::<Msg>(
             n,
             NetConfig::new(self.config.system.interconnect, self.config.scale),
         );
-        // One fill board per rank, visible to every loader for the
-        // fill-progress checks. Each board owns its rank's storage
-        // hierarchy (class tiers over the shared PFS origin).
-        let boards: Vec<Arc<FillBoard>> = (0..n)
-            .map(|rank| {
-                let obs = self.config.obs.scoped([("rank", rank.to_string())]);
-                Arc::new(FillBoard::new(nopfs_core::class_tier_stack_in_registry(
-                    &self.config.system,
-                    self.config.scale,
-                    Arc::new(pfs.clone()),
-                    &obs.registry,
-                )))
-            })
-            .collect();
-        endpoints
+        streams
             .into_iter()
+            .zip(endpoints)
             .enumerate()
-            .map(|(rank, endpoint)| {
-                PlanLoader::launch(
-                    rank,
-                    self.config.clone(),
-                    Arc::clone(&self.sizes),
-                    Arc::clone(&self.core),
-                    Arc::clone(&streams[rank]),
-                    spec.worker_epoch_len(rank),
-                    endpoint,
-                    boards.clone(),
-                )
+            .map(|(rank, (stream, endpoint))| {
+                let epoch_len = spec.worker_epoch_len(rank);
+                let gate = if fills { epoch_len } else { 0 };
+                PlanLoader::launch(self, rank, Arc::new(stream), epoch_len, gate, endpoint, pfs)
             })
             .collect()
     }
 }
 
-/// "Prestage finished" latch: flips once the prestage thread has loaded
-/// its list and barriered with every peer.
-struct ReadyLatch {
-    done: Mutex<bool>,
+/// A rank's fill gate (see the module docs). It also carries the
+/// rank's stop flag, so that stopping wakes the gate's waiter.
+struct Gate {
+    /// The first stream position that waits for the gate to open.
+    at: u64,
+    open: AtomicBool,
+    stop: AtomicBool,
+    /// Positions before `at` fetched so far.
+    fetched: Mutex<u64>,
     cv: Condvar,
 }
 
-impl ReadyLatch {
-    fn new() -> Self {
+impl Gate {
+    fn new(at: u64) -> Self {
         Self {
-            done: Mutex::new(false),
+            at,
+            open: AtomicBool::new(false),
+            stop: AtomicBool::new(false),
+            fetched: Mutex::new(0),
             cv: Condvar::new(),
         }
     }
 
-    fn set(&self) {
-        *self.done.lock().expect("latch poisoned") = true;
+    fn lock(&self) -> MutexGuard<'_, u64> {
+        self.fetched.lock().expect("gate poisoned")
+    }
+
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    /// Whether position `pos` may be fetched, after waiting for the
+    /// gate to open when `pos` lies at or past it; `false` once the
+    /// rank is stopping.
+    fn pass(&self, pos: u64) -> bool {
+        if pos >= self.at && !self.open.load(Ordering::SeqCst) {
+            self.wait_open();
+        }
+        !self.stopped()
+    }
+
+    fn wait_open(&self) {
+        let open = self
+            .cv
+            .wait_while(self.lock(), |_| !self.open.load(Ordering::SeqCst));
+        drop(open.expect("gate poisoned"));
+    }
+
+    /// Records that position `pos` was fetched.
+    fn fetched(&self, pos: u64) {
+        if pos < self.at {
+            let mut fetched = self.lock();
+            *fetched += 1;
+            if *fetched == self.at {
+                self.cv.notify_all();
+            }
+        }
+    }
+
+    /// Opens the gate: once every position before it was fetched (or
+    /// the rank stops), and then `barrier` has returned.
+    fn open_after(&self, barrier: impl FnOnce()) {
+        let filled = self
+            .cv
+            .wait_while(self.lock(), |fetched| *fetched < self.at && !self.stopped());
+        drop(filled.expect("gate poisoned"));
+        barrier();
+        self.raise(&self.open);
+    }
+
+    fn stop(&self) {
+        self.raise(&self.stop);
+    }
+
+    fn raise(&self, flag: &AtomicBool) {
+        let _fetched = self.lock();
+        flag.store(true, Ordering::SeqCst);
         self.cv.notify_all();
-    }
-
-    fn wait(&self) {
-        let mut done = self.done.lock().expect("latch poisoned");
-        while !*done {
-            done = self.cv.wait(done).expect("latch poisoned");
-        }
-    }
-}
-
-/// How long a fetch waits for a *planned* cache fill (a peer's or its
-/// own first-touch insert) before falling back to the PFS. Real LBANN
-/// and locality-aware deployments synchronize epochs, so a sample's
-/// epoch-0 reader has always cached it before anyone asks in epoch 1;
-/// our raw-consumption harnesses have no such barrier, so the loader
-/// waits out scheduling skew itself. Fills that *failed* (store-full
-/// inserts) are marked on the owner's board and never waited for; the
-/// deadline is only the safety net for peers that stopped early.
-const FILL_GRACE: std::time::Duration = std::time::Duration::from_millis(500);
-
-/// One rank's fill progress, shared with every peer: the rank's tier
-/// stack (whose catalog the rank's server answers from) and which
-/// planned fills permanently failed, so waiters fall back to the PFS
-/// immediately instead of burning the grace period.
-pub(crate) struct FillBoard {
-    tiers: TierStack,
-    failed: Mutex<std::collections::HashSet<SampleId>>,
-}
-
-impl FillBoard {
-    fn new(tiers: TierStack) -> Self {
-        Self {
-            tiers,
-            failed: Mutex::new(std::collections::HashSet::new()),
-        }
-    }
-
-    fn mark_failed(&self, k: SampleId) {
-        self.failed.lock().expect("board poisoned").insert(k);
-    }
-
-    fn has_failed(&self, k: SampleId) -> bool {
-        self.failed.lock().expect("board poisoned").contains(&k)
     }
 }
 
@@ -197,89 +204,62 @@ struct PlanCtx {
     rank: usize,
     config: JobConfig,
     core: Arc<dyn PolicyCore>,
-    endpoint: Arc<Endpoint<Msg>>,
-    /// This rank's storage hierarchy (class tiers over the shared PFS
-    /// origin), shared with peers via its fill board.
+    endpoint: Endpoint<Msg>,
+    /// This rank's storage hierarchy: class tiers over the shared PFS
+    /// origin, which its serving loop answers peers from.
     tiers: TierStack,
-    /// Every rank's fill board, for fill-progress checks (an
-    /// in-process stand-in for the epoch synchronization real
-    /// first-touch stores rely on; the data itself still moves through
-    /// the modelled interconnect).
-    boards: Vec<Arc<FillBoard>>,
-    stats: Arc<StatsCollector>,
-    stop: Arc<AtomicBool>,
+    stats: StatsCollector,
     stage: ReorderStage,
     epoch_len: u64,
-    ready: Arc<ReadyLatch>,
+    gate: Gate,
 }
 
 impl PlanCtx {
-    /// Waits (bounded) until `owner` has cached `k`, returning whether
-    /// it did. Immediate when already cached or when the owner's fill
-    /// permanently failed; bails on shutdown.
-    fn wait_for_fill(&self, owner: usize, k: SampleId) -> bool {
-        let board = &self.boards[owner];
-        let deadline = Instant::now() + FILL_GRACE;
-        loop {
-            if board.tiers.locate(k).is_some() {
-                return true;
-            }
-            if board.has_failed(k)
-                || self.stop.load(Ordering::Relaxed)
-                || Instant::now() >= deadline
-            {
-                return false;
-            }
-            std::thread::sleep(std::time::Duration::from_micros(50));
+    /// The staging body for stream position `pos`, which holds `k`:
+    /// passes the gate, fetches, and pays the model's preprocess-and-
+    /// store `write_i(k)`. `None` once the rank is stopping.
+    fn produce(&self, pos: u64, k: SampleId, peers: &mut PeerClient) -> Option<Bytes> {
+        if !self.gate.pass(pos) {
+            return None;
         }
+        let data = self.fetch(k, pos.checked_div(self.epoch_len).unwrap_or(0), peers);
+        self.gate.fetched(pos);
+        let wt = self.config.system.write_time(data.len() as u64);
+        self.config.scale.wait(wt);
+        Some(data)
     }
 
-    /// Serves one access from the source the core decides, with PFS
-    /// fallback when a cache or peer does not actually hold the sample
-    /// (store-full inserts, epoch races). A peer is asked through the
-    /// calling thread's `peers` client, in a frame of one sample.
+    /// Serves one access from the source the core decides. A cache or
+    /// peer that does not hold the sample (a planned fill that did not
+    /// fit) is final: the fetch reads the PFS at once. A peer is asked
+    /// through the calling thread's `peers` client, in a frame of one
+    /// sample.
     fn fetch(&self, k: SampleId, epoch: u64, peers: &mut PeerClient) -> Bytes {
-        match self.core.source(self.rank, k, epoch) {
-            Source::Local(_) => {
-                if self.wait_for_fill(self.rank, k) {
-                    if let Some(data) = self.tiers.get_cached(k) {
-                        self.stats.add_local(1);
-                        return data;
-                    }
-                }
-                // The planned fill failed (store full): the PFS always
-                // works.
-                self.pfs_fallback(k, epoch)
-            }
+        let cached = match self.core.source(self.rank, k, epoch) {
+            Source::Local(_) => self
+                .tiers
+                .get_cached(k)
+                .inspect(|_| self.stats.add_local(1)),
             Source::Remote { owner, .. } => {
-                let owner = owner as usize;
-                if self.wait_for_fill(owner, k) {
-                    peers.want(owner, k);
-                    peers.post(&self.endpoint);
-                    peers.collect();
-                    if let Some(data) = peers.take(owner, k) {
-                        self.stats.add_remote(1);
-                        return data;
-                    }
-                }
-                self.pfs_fallback(k, epoch)
+                let owner = usize::from(owner);
+                peers.want(owner, k);
+                peers.post(&self.endpoint);
+                peers.collect();
+                peers.take(owner, k).inspect(|_| self.stats.add_remote(1))
             }
-            Source::Pfs => self.pfs_fallback(k, epoch),
-        }
+            Source::Pfs => None,
+        };
+        cached.unwrap_or_else(|| self.pfs_fallback(k, epoch))
     }
 
     fn pfs_fallback(&self, k: SampleId, epoch: u64) -> Bytes {
         let data = origin_read_retry(&self.tiers, k, &self.stats);
         self.stats.add_pfs(1);
         // First-touch caching where the core plans it (LBANN dynamic,
-        // locality-aware epoch 0). A failed fill (tier full) is
-        // published so peers stop waiting for it.
+        // locality-aware epoch 0). A fill that does not fit is dropped,
+        // and its readers' misses go to the PFS.
         if let Some(c) = self.core.cache_class(self.rank, k, epoch) {
-            if self.tiers.locate(k).is_none()
-                && self.tiers.fill(c as usize, k, data.clone()).is_err()
-            {
-                self.boards[self.rank].mark_failed(k);
-            }
+            let _ = self.tiers.fill(usize::from(c), k, data.clone());
         }
         data
     }
@@ -290,38 +270,41 @@ pub(crate) struct PlanLoader {
     ctx: Arc<PlanCtx>,
     threads: Vec<JoinHandle<()>>,
     server: Option<JoinHandle<()>>,
-    total: u64,
+    stream: Arc<Vec<SampleId>>,
+    /// A non-overlapped core's peer client, made on the consuming
+    /// thread.
+    peers: Option<PeerClient>,
     consumed: u64,
-    batch_size: usize,
     finished: bool,
 }
 
 impl PlanLoader {
-    #[allow(clippy::too_many_arguments)]
     fn launch(
+        runner: &PlanRunner,
         rank: usize,
-        config: JobConfig,
-        sizes: Arc<Vec<u64>>,
-        core: Arc<dyn PolicyCore>,
         stream: Arc<Vec<SampleId>>,
         epoch_len: u64,
+        gate: u64,
         endpoint: Endpoint<Msg>,
-        boards: Vec<Arc<FillBoard>>,
+        pfs: &Pfs,
     ) -> Self {
+        let config = &runner.config;
         let obs = config.obs.scoped([("rank", rank.to_string())]);
-        let stage = ReorderStage::new_in_registry(config.system.staging.capacity, &obs.registry);
         let ctx = Arc::new(PlanCtx {
             rank,
             config: config.clone(),
-            core,
-            endpoint: Arc::new(endpoint),
-            tiers: boards[rank].tiers.clone(),
-            boards,
-            stats: Arc::new(StatsCollector::in_registry(&obs.registry)),
-            stop: Arc::new(AtomicBool::new(false)),
-            stage,
+            core: Arc::clone(&runner.core),
+            endpoint,
+            tiers: nopfs_core::class_tier_stack_in_registry(
+                &config.system,
+                config.scale,
+                Arc::new(pfs.clone()),
+                &obs.registry,
+            ),
+            stats: StatsCollector::in_registry(&obs.registry),
+            stage: ReorderStage::new_in_registry(config.system.staging.capacity, &obs.registry),
             epoch_len,
-            ready: Arc::new(ReadyLatch::new()),
+            gate: Gate::new(gate),
         });
 
         let mut threads = Vec::new();
@@ -329,14 +312,14 @@ impl PlanLoader {
         // The prestage thread: bulk-load this worker's plan in vectored
         // chunks (the prestage list is placement-ordered, so adjacent
         // ids coalesce well at the origin), then barrier so no rank
-        // trains before the cluster's caches are staged (the
+        // passes its gate before the cluster's caches are staged (the
         // simulator's non-overlapped prestage phase).
         {
             const PRESTAGE_CHUNK: usize = 16;
             let ctx = Arc::clone(&ctx);
             threads.push(std::thread::spawn(move || {
                 for chunk in ctx.core.prestage_list(ctx.rank).chunks(PRESTAGE_CHUNK) {
-                    if ctx.stop.load(Ordering::Relaxed) {
+                    if ctx.gate.stopped() {
                         break; // peers still get the barrier below
                     }
                     let missing: Vec<(SampleId, u8)> = chunk
@@ -362,46 +345,41 @@ impl PlanLoader {
                     while let Some(&(class, _)) = fills.first() {
                         let n = fills.iter().take_while(|&&(c, _)| c == class).count();
                         let mut items: Vec<_> = fills.drain(..n).map(|(_, item)| item).collect();
-                        ctx.tiers.fill_many(usize::from(class), &mut items, |k, r| {
+                        ctx.tiers.fill_many(usize::from(class), &mut items, |_, r| {
                             if r.is_ok() {
                                 ctx.stats.count_prestage();
-                            } else {
-                                ctx.boards[ctx.rank].mark_failed(k);
                             }
                         });
                     }
                 }
-                ctx.endpoint.barrier();
-                ctx.ready.set();
+                ctx.gate.open_after(|| ctx.endpoint.barrier());
             }));
         }
 
-        // Staging prefetch threads: claim stream positions once the
-        // prestage latch opens.
+        // Staging prefetch threads (none for a non-overlapped core):
+        // claim stream positions and stage what they fetch.
         let position = Arc::new(AtomicU64::new(0));
-        for _ in 0..config.system.staging.threads.max(1) {
+        let staging = if ctx.core.overlapped() {
+            config.system.staging.threads.max(1)
+        } else {
+            0
+        };
+        for _ in 0..staging {
             let ctx = Arc::clone(&ctx);
             let stream = Arc::clone(&stream);
-            let sizes = Arc::clone(&sizes);
+            let sizes = Arc::clone(&runner.sizes);
             let position = Arc::clone(&position);
             threads.push(std::thread::spawn(move || {
-                ctx.ready.wait();
                 let mut peers = PeerClient::new();
                 loop {
-                    if ctx.stop.load(Ordering::Relaxed) {
-                        break;
-                    }
                     let pos = position.fetch_add(1, Ordering::SeqCst);
-                    if pos >= stream.len() as u64 {
+                    let Some(&k) = stream.get(pos as usize) else {
                         break;
-                    }
-                    let k = stream[pos as usize];
-                    let epoch = pos.checked_div(ctx.epoch_len).unwrap_or(0);
-                    let data = ctx.fetch(k, epoch, &mut peers);
+                    };
+                    let Some(data) = ctx.produce(pos, k, &mut peers) else {
+                        break; // stopping
+                    };
                     debug_assert_eq!(data.len() as u64, sizes[k as usize]);
-                    // Preprocess-and-store: the model's write_i(k).
-                    let wt = ctx.config.system.write_time(data.len() as u64);
-                    ctx.config.scale.wait(wt);
                     if !ctx.stage.push(pos, k, data) {
                         break; // stage closed
                     }
@@ -419,9 +397,9 @@ impl PlanLoader {
             ctx,
             threads,
             server: Some(server),
-            total: stream.len() as u64,
+            stream,
+            peers: None,
             consumed: 0,
-            batch_size: config.batch_size,
             finished: false,
         }
     }
@@ -431,10 +409,10 @@ impl PlanLoader {
             return;
         }
         self.finished = true;
-        self.ctx.stop.store(true, Ordering::SeqCst);
+        self.ctx.gate.stop();
         // The prestage barrier must resolve cluster-wide before this
         // rank's shutdown barrier, or the two would pair up wrongly.
-        self.ctx.ready.wait();
+        self.ctx.gate.wait_open();
         self.ctx.stage.close();
         for t in self.threads.drain(..) {
             t.join().expect("loader thread panicked");
@@ -457,19 +435,24 @@ impl DataLoader for PlanLoader {
     }
 
     fn total_len(&self) -> u64 {
-        self.total
+        self.stream.len() as u64
     }
 
     fn batch_size(&self) -> usize {
-        self.batch_size
+        self.ctx.config.batch_size
     }
 
     fn next_sample(&mut self) -> Option<(SampleId, Bytes)> {
-        if self.consumed >= self.total {
-            return None;
-        }
+        let pos = self.consumed;
+        let &k = self.stream.get(pos as usize)?;
         let t0 = Instant::now();
-        let item = self.ctx.stage.pop()?;
+        let item = if self.ctx.core.overlapped() {
+            self.ctx.stage.pop()?
+        } else {
+            // Nothing overlaps a synchronous read: all of it is stall.
+            let peers = self.peers.get_or_insert_with(PeerClient::new);
+            (k, self.ctx.produce(pos, k, peers)?)
+        };
         self.ctx.stats.add_stall(t0.elapsed());
         self.ctx.stats.add_consumed(1);
         self.consumed += 1;
@@ -488,6 +471,7 @@ impl DataLoader for PlanLoader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_policy;
     use nopfs_perfmodel::presets::fig8_small_cluster;
     use nopfs_perfmodel::{SystemSpec, ThroughputCurve};
     use nopfs_util::timing::TimeScale;
@@ -526,7 +510,7 @@ mod tests {
         (config, sizes, pfs): (JobConfig, Arc<Vec<u64>>, Pfs),
         f: impl Fn(&mut dyn DataLoader) -> R + Sync,
     ) -> Vec<R> {
-        crate::run_policy(policy, config, sizes, &pfs, f)
+        run_policy(policy, config, sizes, &pfs, f)
             .unwrap_or_else(|e| panic!("{policy}: {e}"))
             .per_worker
     }
@@ -655,9 +639,80 @@ mod tests {
     }
 
     #[test]
+    fn a_first_touch_fill_that_lands_late_is_still_owner_served() {
+        // Two ranks whose RAM holds 78 samples each: every fill fits.
+        let mut sys = system(78, 0, 512);
+        sys.workers = 2;
+        let (config, sizes, pfs) = setup(64, 512, sys, 2);
+        // A sample rank 0 reads in epoch 1 from its owner, rank 1, whose
+        // epoch-0 read of it fails 400 times first: that fill lands late.
+        let spec = config.shuffle_spec(64);
+        let core = nopfs_policy::core::LbannCore::new(&config.system, &sizes, &spec, false)
+            .expect("the dataset fits the store");
+        let streams = nopfs_policy::transformed_streams(Some(&core), &spec, 2);
+        let k = streams[0][spec.worker_epoch_len(0) as usize..]
+            .iter()
+            .copied()
+            .find(|&k| core.owner_of(k) == 1)
+            .expect("rank 0 reads a sample of rank 1 in epoch 1");
+        pfs.inject_fault(k, 400);
+        let merged = merged(&run(PolicyId::LbannDynamic, (config, sizes, pfs), drain));
+        assert_eq!(merged.pfs_fetches, 64, "epoch 0 only: {merged:?}");
+        assert_eq!(merged.local_fetches + merged.remote_fetches, 64);
+    }
+
+    #[test]
+    fn reads_everything_from_the_pfs() {
+        let config = JobConfig::new(5, 2, 4, fig8_small_cluster(), TimeScale::new(1e-6));
+        let sizes = Arc::new(vec![256u64; 32]);
+        let pfs = Pfs::in_memory(
+            nopfs_perfmodel::ThroughputCurve::flat(1e12),
+            TimeScale::new(1e-6),
+        );
+        for id in 0..32u64 {
+            pfs.put(id, Bytes::from(vec![id as u8; 256]));
+        }
+        let stats = run_policy(PolicyId::Naive, config, sizes, &pfs, |loader| {
+            while let Some((id, data)) = loader.next_sample() {
+                assert_eq!(data[0], id as u8);
+            }
+            loader.stats()
+        })
+        .expect("supported")
+        .per_worker;
+        let total_pfs: u64 = stats.iter().map(|s| s.pfs_fetches).sum();
+        assert_eq!(total_pfs, 64, "every access is a PFS read");
+        assert!(stats.iter().all(|s| s.local_fetches == 0));
+        assert!(stats.iter().all(|s| s.stall_time.as_nanos() > 0));
+    }
+
+    #[test]
+    fn retries_transient_faults() {
+        let config = JobConfig::new(5, 1, 2, fig8_small_cluster(), TimeScale::new(1e-6));
+        let mut cfg = config;
+        cfg.system.workers = 2;
+        let sizes = Arc::new(vec![64u64; 8]);
+        let pfs = Pfs::in_memory(
+            nopfs_perfmodel::ThroughputCurve::flat(1e12),
+            TimeScale::new(1e-6),
+        );
+        for id in 0..8u64 {
+            pfs.put(id, Bytes::from(vec![0u8; 64]));
+        }
+        pfs.inject_fault(3, 2);
+        let counts = run_policy(PolicyId::Naive, cfg, sizes, &pfs, |l| {
+            std::iter::from_fn(|| l.next_sample()).count()
+        })
+        .expect("supported")
+        .per_worker;
+        assert_eq!(counts.iter().sum::<usize>(), 8);
+    }
+
+    #[test]
     fn nopfs_and_perfect_have_no_plan_runner() {
         let (config, sizes, _) = setup(16, 1_000, system(8, 8, 1_000), 1);
         assert!(PlanRunner::new(PolicyId::NoPfs, config.clone(), Arc::clone(&sizes)).is_err());
-        assert!(PlanRunner::new(PolicyId::Perfect, config, sizes).is_err());
+        assert!(PlanRunner::new(PolicyId::Perfect, config.clone(), Arc::clone(&sizes)).is_err());
+        assert!(PlanRunner::new(PolicyId::Naive, config, sizes).is_ok());
     }
 }

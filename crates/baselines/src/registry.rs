@@ -7,19 +7,18 @@
 //! | policy                  | runtime implementation                        |
 //! |-------------------------|-----------------------------------------------|
 //! | `Perfect`               | the no-I/O loader (pregenerated RAM data)     |
-//! | `Naive`                 | the naive loader (synchronous PFS reads)      |
 //! | `NoPfs`                 | `nopfs_core::Job`'s workers                   |
 //! | every other baseline    | the plan loader over the policy's shared core |
 //!
 //! The plan loader's staging threads walk the core-transformed stream
 //! and fetch from the source the core decides, so `StagingBuffer`
 //! (PyTorch's double buffering, whose core reads every sample from the
-//! PFS) runs on the same loader as the LBANN store and DeepIO.
+//! PFS) runs on the same loader as the LBANN store and DeepIO, and so
+//! does `Naive`, the same core read inline by `next_sample`.
 //!
 //! [`build_loaders`] is the one dispatch; [`LoaderSet::drive`] runs a
 //! closure on every rank; [`run_policy`] is the two together.
 
-use crate::naive::NaiveRunner;
 use crate::noio::NoIoRunner;
 use crate::plan_loader::PlanRunner;
 use crate::DataLoader;
@@ -172,7 +171,6 @@ pub fn build_loaders(
     let mut setup = None;
     let loaders = match policy {
         PolicyId::Perfect => boxed(NoIoRunner::new(config, sizes).launch_all()),
-        PolicyId::Naive => boxed(NaiveRunner::new(config, sizes).launch_all(pfs)),
         PolicyId::NoPfs => {
             let job = Job::new(config, sizes);
             setup = Some(job.setup_stats().clone());

@@ -57,7 +57,8 @@ pub enum Source {
 /// consult one core from many threads.
 pub trait PolicyCore: Send + Sync {
     /// Whether reads overlap with compute through prefetch threads
-    /// (false only for the synchronous Naive policy).
+    /// (false only for the synchronous Naive policy, whose runtime
+    /// loader reads each access inline when the consumer asks for it).
     fn overlapped(&self) -> bool {
         true
     }
@@ -98,6 +99,14 @@ pub trait PolicyCore: Send + Sync {
 
     /// The class a non-local fetch should be cached into afterwards
     /// (first-touch policies), or `None` to not cache.
+    ///
+    /// The contract the runtime's fill gate relies on: a core plans
+    /// fills only in its [`prestage_list`](Self::prestage_list) or in
+    /// epoch 0 — `cache_class` is `None` from epoch 1 on — and an
+    /// epoch-0 access that it caches reads the PFS
+    /// ([`source`](Self::source) is [`Source::Pfs`]). So once every
+    /// rank's epoch 0 has been fetched, every planned fill has landed
+    /// or failed for good.
     fn cache_class(&self, _worker: usize, _sample: SampleId, _epoch: u64) -> Option<u8> {
         None
     }
@@ -939,6 +948,21 @@ mod tests {
                 // Every core decides a source for every sample.
                 let _ = core.source(0, 0, 0);
                 assert!(core.coverage() > 0.0);
+                // The fill contract: first-touch fills only in epoch 0,
+                // and only of accesses that read the PFS.
+                for w in 0..sys.workers {
+                    for k in 0..64 {
+                        for epoch in 0..3 {
+                            match core.cache_class(w, k, epoch) {
+                                None => {}
+                                Some(_) if epoch == 0 => {
+                                    assert_eq!(core.source(w, k, 0), Source::Pfs, "{p}");
+                                }
+                                Some(_) => panic!("{p}: fill planned in epoch {epoch}"),
+                            }
+                        }
+                    }
+                }
             }
         }
     }

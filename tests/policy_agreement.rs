@@ -14,6 +14,9 @@
 //!   replays (exact, element for element);
 //! - **prestage presence** — the runtime performs a prestaging phase
 //!   exactly when the simulator prices one;
+//! - **fetch-source parity** — every core-backed policy reads as many
+//!   samples locally, from peers and from the PFS as the simulator
+//!   prices;
 //! - **Table 1 spot checks** — fully-randomizing policies deliver every
 //!   sample exactly once per epoch; DeepIO's opportunistic mode loses
 //!   dataset coverage in both harnesses when caches shrink.
@@ -205,9 +208,28 @@ fn every_policy_agrees_across_harnesses() {
                 sim.prestage_time
             );
 
-            // Fetch-source parity for the PFS-only cores: every sample a
-            // rank delivered was read from the PFS, none from a cache, a
-            // peer or a prestage.
+            // Fetch-source parity for every core-backed policy: the
+            // runtime read as many samples from its own caches, its
+            // peers and the PFS as the simulator priced, exactly.
+            if !matches!(policy, PolicyId::NoPfs | PolicyId::Perfect) {
+                let mut merged = WorkerStats::default();
+                for (_, s) in &runtime {
+                    merged.merge(s);
+                }
+                assert_eq!(
+                    [
+                        merged.local_fetches,
+                        merged.remote_fetches,
+                        merged.pfs_fetches
+                    ],
+                    sim.fetch_counts[1..=3],
+                    "{policy}/{}: fetch sources diverged (runtime local/remote/pfs, sim)",
+                    cfg.name
+                );
+            }
+
+            // For the PFS-only cores: every sample a rank delivered was
+            // read from the PFS, none from a cache, a peer or a prestage.
             if matches!(policy, PolicyId::Naive | PolicyId::StagingBuffer) {
                 for (w, (got, s)) in runtime.iter().enumerate() {
                     assert_eq!(
