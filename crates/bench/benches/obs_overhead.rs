@@ -10,7 +10,6 @@
 //! worker records per fetch must be noise. Slower tiers only dilute
 //! the overhead further.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use nopfs_obs::Registry;
 use std::hint::black_box;
 use std::time::Instant;
@@ -59,24 +58,16 @@ fn measure(registry: &Registry, sample: &[u8]) -> f64 {
     samples[samples.len() / 2]
 }
 
-fn bench_overhead(c: &mut Criterion) {
+fn main() {
     let sample: Vec<u8> = (0..SAMPLE_BYTES).map(|i| (i * 131) as u8).collect();
     let active = Registry::new();
     let noop = Registry::noop();
-
-    c.bench_function("obs/fetch_active_registry", |b| {
-        b.iter(|| fetch_loop(&active, &sample));
-    });
-    c.bench_function("obs/fetch_noop_registry", |b| {
-        b.iter(|| fetch_loop(&noop, &sample));
-    });
 
     let t_active = measure(&active, &sample);
     let t_noop = measure(&noop, &sample);
     let per_op_active = t_active / ITERS as f64 * 1e9;
     let per_op_noop = t_noop / ITERS as f64 * 1e9;
     let overhead = (t_active - t_noop) / t_noop * 100.0;
-    println!();
     println!("--- instrumentation overhead (per 4 KiB RAM-tier fetch) ---");
     println!("    noop   registry: {per_op_noop:>8.2} ns/fetch");
     println!("    active registry: {per_op_active:>8.2} ns/fetch");
@@ -91,6 +82,3 @@ fn bench_overhead(c: &mut Criterion) {
     );
     println!("    [PASS] overhead within 5% budget");
 }
-
-criterion_group!(benches, bench_overhead);
-criterion_main!(benches);

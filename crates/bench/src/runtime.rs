@@ -26,9 +26,6 @@ pub enum RuntimePolicy {
     Lbann,
     /// NoPFS.
     NoPfs,
-    /// Synchronous PFS reads (reference only; not in the paper's
-    /// runtime figures).
-    Naive,
 }
 
 impl RuntimePolicy {
@@ -40,7 +37,6 @@ impl RuntimePolicy {
             RuntimePolicy::Dali => "PyTorch+DALI",
             RuntimePolicy::Lbann => "LBANN",
             RuntimePolicy::NoPfs => "NoPFS",
-            RuntimePolicy::Naive => "Naive",
         }
     }
 
@@ -53,7 +49,6 @@ impl RuntimePolicy {
             RuntimePolicy::PyTorch | RuntimePolicy::Dali => PolicyId::StagingBuffer,
             RuntimePolicy::Lbann => PolicyId::LbannDynamic,
             RuntimePolicy::NoPfs => PolicyId::NoPfs,
-            RuntimePolicy::Naive => PolicyId::Naive,
         }
     }
 }

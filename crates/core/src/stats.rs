@@ -161,8 +161,8 @@ impl StatsCollector {
 /// `shuffle_generations` is the load-bearing number: the single-pass
 /// engine generates each epoch's shuffle exactly once, so a correct
 /// setup records exactly `E` generations no matter how many workers the
-/// job has. Tests assert this; the `micro` bench quantifies the wall
-/// time it saves.
+/// job has. Tests assert this; the ledger's `clairvoyance.setup_pass_ms`
+/// row times the pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetupStats {
     /// Epoch shuffles generated during setup (always `E` on the

@@ -186,6 +186,7 @@ pub fn run_training_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use nopfs_baselines::run_policy;
     use nopfs_core::JobConfig;
     use nopfs_perfmodel::presets::fig8_small_cluster;
@@ -199,39 +200,56 @@ mod tests {
         JobConfig::new(3, epochs, 4, sys, TimeScale::new(1e-6))
     }
 
-    /// Runs `f` on every rank of the no-I/O lower bound's loader set.
-    fn run_noio<R: Send>(
+    /// Runs `f` on every rank of `policy`'s loader set. The PFS holds
+    /// the dataset for the loaders that read it.
+    fn run_loaders<R: Send>(
+        policy: PolicyId,
         cfg: &JobConfig,
         sizes: Arc<Vec<u64>>,
         f: impl Fn(&mut dyn DataLoader) -> R + Sync,
     ) -> Vec<R> {
         let pfs = Pfs::in_memory(cfg.system.pfs_read.clone(), cfg.scale);
-        run_policy(PolicyId::Perfect, cfg.clone(), sizes, &pfs, f)
-            .expect("the lower bound runs any configuration")
+        if policy != PolicyId::Perfect {
+            for (id, &size) in sizes.iter().enumerate() {
+                pfs.put(id as u64, Bytes::from(vec![id as u8; size as usize]));
+            }
+        }
+        run_policy(policy, cfg.clone(), sizes, &pfs, f)
+            .unwrap_or_else(|e| panic!("{policy}: {e}"))
             .per_worker
     }
 
     #[test]
     fn counts_epochs_and_batches() {
-        let cfg = config(2, 3);
-        let sizes = Arc::new(vec![1_000u64; 40]); // 20/worker/epoch
-        let loop_cfg = TrainLoopConfig {
-            compute_rate: 1e9,
-            scale: cfg.scale,
-            grad_elems: 0,
-        };
-        let metrics = run_noio(&cfg, sizes, |loader| {
-            run_training_loop(loader, &loop_cfg, None)
-        });
-        for m in metrics {
-            assert_eq!(m.epoch_times.len(), 3);
-            // 20 samples / batch 4 = 5 batches per epoch.
-            assert_eq!(m.batches_per_epoch, vec![5, 5, 5]);
-            assert_eq!(m.batch_times.len(), 15);
-            assert_eq!(m.epoch_batches(1).len(), 5);
-            assert_eq!(m.batches_after_warmup().len(), 10);
-            assert_eq!(m.stats.samples_consumed, 60);
-            assert!(m.epoch_times.iter().all(|&t| t > 0.0));
+        for policy in [PolicyId::Perfect, PolicyId::NoPfs, PolicyId::StagingBuffer] {
+            let cfg = config(2, 3);
+            let sizes = Arc::new(vec![1_000u64; 40]); // 20/worker/epoch
+            let loop_cfg = TrainLoopConfig {
+                compute_rate: 1e9,
+                scale: cfg.scale,
+                grad_elems: 0,
+            };
+            let metrics = run_loaders(policy, &cfg, sizes, |loader| {
+                run_training_loop(loader, &loop_cfg, None)
+            });
+            for m in metrics {
+                assert_eq!(m.epoch_times.len(), 3, "{policy}");
+                // 20 samples / batch 4 = 5 batches per epoch.
+                assert_eq!(m.batches_per_epoch, vec![5, 5, 5], "{policy}");
+                assert_eq!(m.batch_times.len(), 15, "{policy}");
+                assert_eq!(m.epoch_batches(1).len(), 5, "{policy}");
+                assert_eq!(m.batches_after_warmup().len(), 10, "{policy}");
+                assert_eq!(m.stats.samples_consumed, 60, "{policy}");
+                assert!(m.epoch_times.iter().all(|&t| t > 0.0), "{policy}");
+                if policy != PolicyId::Perfect {
+                    // Each staged position is fetched once.
+                    assert_eq!(
+                        m.stats.total_fetches(),
+                        m.stats.samples_consumed,
+                        "{policy}"
+                    );
+                }
+            }
         }
     }
 
@@ -248,7 +266,9 @@ mod tests {
             scale: cfg.scale,
             grad_elems: 0,
         };
-        let metrics = run_noio(&cfg, sizes, |l| run_training_loop(l, &loop_cfg, None));
+        let metrics = run_loaders(PolicyId::Perfect, &cfg, sizes, |l| {
+            run_training_loop(l, &loop_cfg, None)
+        });
         let t = metrics[0].epoch_times[0];
         assert!(t >= 0.16 - 1e-6, "epoch time {t} beats the model");
         assert_eq!(metrics[0].batch_times.len(), 4);
@@ -270,7 +290,7 @@ mod tests {
                 .map(Some)
                 .collect::<Vec<_>>(),
         );
-        let metrics = run_noio(&cfg, sizes, |loader| {
+        let metrics = run_loaders(PolicyId::Perfect, &cfg, sizes, |loader| {
             let rank = loader.rank();
             let ep = endpoints.lock()[rank].take().expect("one take per rank");
             let loop_cfg = TrainLoopConfig {
