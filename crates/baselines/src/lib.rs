@@ -5,25 +5,25 @@
 //! (double buffering with GPU-offloaded preprocessing), the LBANN data
 //! store (first-touch in-memory caching with owner-served remote
 //! fetches), and a synthetic-data "No I/O" lower bound. This crate
-//! implements each of those loaders **on the same substrates NoPFS
-//! uses** — the synthetic PFS, the modelled interconnect, the throttled
-//! storage backends — so that runtime comparisons isolate the policy,
-//! exactly as the paper's head-to-head experiments do.
+//! runs each of those loaders **on the pipeline NoPFS uses** — the
+//! synthetic PFS, the modelled interconnect, the throttled storage
+//! backends, and NoPFS's own worker — so that runtime comparisons
+//! isolate the policy, exactly as the paper's head-to-head experiments
+//! do.
 //!
 //! Every baseline with a shared decision core — the synchronous naive
 //! loader, PyTorch's double buffering (`PolicyId::StagingBuffer`), the
-//! LBANN store, DeepIO, parallel staging, locality-aware loading — runs
-//! on one loader that executes that core, the object the simulator
-//! prices. DALI is PyTorch's loader on a system with faster
-//! preprocessing. The no-I/O bound is the one other. [`registry`]
-//! builds any of them, and NoPFS's workers, from a `PolicyId`.
+//! LBANN store, DeepIO, parallel staging, locality-aware loading — is a
+//! `nopfs_core::Job::with_core`: NoPFS's worker, with that core, the
+//! object the simulator prices, deciding each sample's source. DALI is
+//! PyTorch's loader on a system with faster preprocessing. The no-I/O
+//! bound is the one other loader. [`registry`] builds any of them, and
+//! NoPFS's workers, from a `PolicyId`.
 //!
-//! All loaders implement [`DataLoader`], and so does
-//! `nopfs_core::WorkerHandle`, so training loops and benches are
-//! generic over the policy.
+//! Both loaders implement [`DataLoader`] (`nopfs_core::WorkerHandle`
+//! here), so training loops and benches are generic over the policy.
 
 mod noio;
-mod plan_loader;
 pub mod registry;
 
 use bytes::Bytes;

@@ -7,20 +7,19 @@
 //! | policy                  | runtime implementation                        |
 //! |-------------------------|-----------------------------------------------|
 //! | `Perfect`               | the no-I/O loader (pregenerated RAM data)     |
-//! | `NoPfs`                 | `nopfs_core::Job`'s workers                   |
-//! | every other baseline    | the plan loader over the policy's shared core |
+//! | `NoPfs`                 | the workers of `nopfs_core::Job::new`         |
+//! | every other baseline    | the workers of `nopfs_core::Job::with_core`   |
 //!
-//! The plan loader's staging threads walk the core-transformed stream
+//! A core-backed job's staging threads walk the core-transformed stream
 //! and fetch from the source the core decides, so `StagingBuffer`
 //! (PyTorch's double buffering, whose core reads every sample from the
-//! PFS) runs on the same loader as the LBANN store and DeepIO, and so
-//! does `Naive`, the same core read inline by `next_sample`.
+//! PFS) runs on the same worker as NoPFS, the LBANN store and DeepIO,
+//! and so does `Naive`, the same core read inline by its consumer.
 //!
 //! [`build_loaders`] is the one dispatch; [`LoaderSet::drive`] runs a
 //! closure on every rank; [`run_policy`] is the two together.
 
 use crate::noio::NoIoRunner;
-use crate::plan_loader::PlanRunner;
 use crate::DataLoader;
 use nopfs_core::stats::SetupStats;
 use nopfs_core::{Job, JobConfig};
@@ -176,7 +175,7 @@ pub fn build_loaders(
             setup = Some(job.setup_stats().clone());
             boxed(job.launch_workers(pfs))
         }
-        _ => boxed(PlanRunner::new(policy, config, sizes)?.launch_all(pfs)),
+        _ => boxed(Job::with_core(policy, config, sizes)?.launch_workers(pfs)),
     };
     Ok(LoaderSet { loaders, setup })
 }
@@ -268,6 +267,8 @@ impl Drop for SoloLoader {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use nopfs_core::stats::WorkerStats;
+    use nopfs_core::SampleId;
     use nopfs_perfmodel::presets::fig8_small_cluster;
     use nopfs_perfmodel::{SystemSpec, ThroughputCurve};
     use nopfs_util::timing::TimeScale;
@@ -377,5 +378,256 @@ mod tests {
         }
         // 16 samples x 2 epochs, epoch len 16, batch 4.
         assert_eq!(shapes, vec![4; 8]);
+    }
+
+    fn tiered_system(ram_samples: u64, ssd_samples: u64, sample_bytes: u64) -> SystemSpec {
+        let mut sys = fig8_small_cluster();
+        sys.staging.capacity = 64 * sample_bytes;
+        sys.staging.threads = 2;
+        sys.classes[0].capacity = ram_samples * sample_bytes;
+        sys.classes[1].capacity = ssd_samples * sample_bytes;
+        sys
+    }
+
+    fn tiered_setup(
+        n_samples: u64,
+        sample_bytes: u64,
+        sys: SystemSpec,
+        epochs: u64,
+    ) -> (JobConfig, Arc<Vec<u64>>, Pfs) {
+        let config = JobConfig::new(17, epochs, 4, sys, TimeScale::new(1e-6));
+        let sizes = Arc::new(vec![sample_bytes; n_samples as usize]);
+        let pfs = Pfs::in_memory(ThroughputCurve::flat(1e12), TimeScale::new(1e-6));
+        for id in 0..n_samples {
+            pfs.put(
+                id,
+                Bytes::from(vec![(id % 256) as u8; sample_bytes as usize]),
+            );
+        }
+        (config, sizes, pfs)
+    }
+
+    /// Drives `policy` through the registry and returns each rank's
+    /// result of `f`.
+    fn run<R: Send>(
+        policy: PolicyId,
+        (config, sizes, pfs): (JobConfig, Arc<Vec<u64>>, Pfs),
+        f: impl Fn(&mut dyn DataLoader) -> R + Sync,
+    ) -> Vec<R> {
+        run_policy(policy, config, sizes, &pfs, f)
+            .unwrap_or_else(|e| panic!("{policy}: {e}"))
+            .per_worker
+    }
+
+    /// Consumes the whole stream, checking each payload, and returns
+    /// the loader's statistics.
+    fn drain(l: &mut dyn DataLoader) -> WorkerStats {
+        while let Some((id, data)) = l.next_sample() {
+            assert_eq!(data[0], (id % 256) as u8);
+        }
+        l.stats()
+    }
+
+    fn merged(stats: &[WorkerStats]) -> WorkerStats {
+        let mut merged = WorkerStats::default();
+        for s in stats {
+            merged.merge(s);
+        }
+        merged
+    }
+
+    #[test]
+    fn deep_io_ordered_serves_shards_and_pfs() {
+        // RAM holds 8 samples per worker => 32 of 64 cached.
+        let setup = tiered_setup(64, 1_000, tiered_system(8, 0, 1_000), 2);
+        let merged = merged(&run(PolicyId::DeepIoOrdered, setup, drain));
+        assert_eq!(merged.samples_consumed, 128);
+        assert_eq!(merged.prestage_fetches, 32, "shards prestaged once");
+        // Cached halves come from caches, uncached from the PFS.
+        assert_eq!(merged.local_fetches + merged.remote_fetches, 64);
+        assert_eq!(merged.pfs_fetches, 64);
+    }
+
+    #[test]
+    fn deep_io_opportunistic_never_reads_pfs_after_prestage() {
+        let setup = tiered_setup(64, 1_000, tiered_system(8, 0, 1_000), 2);
+        let ids = run(PolicyId::DeepIoOpportunistic, setup, |l| {
+            let mut got = vec![];
+            while let Some((id, _)) = l.next_sample() {
+                got.push(id);
+            }
+            (got, l.stats())
+        });
+        let (ids, stats): (Vec<_>, Vec<_>) = ids.into_iter().unzip();
+        let seen: std::collections::HashSet<SampleId> = ids.into_iter().flatten().collect();
+        assert_eq!(
+            merged(&stats).pfs_fetches,
+            0,
+            "opportunistic mode avoids the PFS"
+        );
+        assert!(
+            (seen.len() as u64) < 64,
+            "substitution shrinks coverage: {} of 64",
+            seen.len()
+        );
+    }
+
+    #[test]
+    fn parallel_staging_full_copy_is_all_local() {
+        let setup = tiered_setup(40, 1_000, tiered_system(25, 25, 1_000), 2);
+        for s in run(PolicyId::ParallelStaging, setup, drain) {
+            assert_eq!(s.pfs_fetches, 0);
+            assert_eq!(s.remote_fetches, 0);
+            assert_eq!(s.prestage_fetches, 40, "full dataset staged per worker");
+        }
+    }
+
+    #[test]
+    fn lbann_preloading_is_owner_served_from_epoch_zero() {
+        let setup = tiered_setup(64, 1_000, tiered_system(40, 0, 1_000), 2);
+        let merged = merged(&run(PolicyId::LbannPreloading, setup, drain));
+        assert_eq!(merged.prestage_fetches, 64, "store preloaded");
+        assert_eq!(merged.pfs_fetches, 0, "epoch 0 already owner-served");
+        assert_eq!(merged.local_fetches + merged.remote_fetches, 128);
+    }
+
+    #[test]
+    fn lbann_dynamic_epoch0_pfs_then_owner_served() {
+        // Each worker's RAM holds 78 samples: the store never fills.
+        let setup = tiered_setup(64, 512, tiered_system(78, 0, 512), 3);
+        let merged = merged(&run(PolicyId::LbannDynamic, setup, drain));
+        // Epoch 0: all 64 from the PFS. Epochs 1-2: 128 owner-served.
+        assert_eq!(merged.pfs_fetches, 64);
+        assert_eq!(merged.local_fetches + merged.remote_fetches, 128);
+        // First-touch means ~1/N local: remote must dominate at N=4.
+        assert!(merged.remote_fetches > merged.local_fetches);
+    }
+
+    #[test]
+    fn lbann_dynamic_store_full_falls_back_to_pfs() {
+        // Aggregate memory fits exactly, but worker shares are uneven
+        // enough that some inserts fail: the loader must still deliver
+        // everything via the PFS fallback.
+        let mut sys = tiered_system(0, 0, 512);
+        sys.classes[0].capacity = 8_320; // 16.25 samples per worker
+        let counts = run(PolicyId::LbannDynamic, tiered_setup(64, 512, sys, 2), |l| {
+            std::iter::from_fn(|| l.next_sample()).count()
+        });
+        assert_eq!(counts.iter().sum::<usize>(), 128);
+    }
+
+    #[test]
+    fn locality_aware_caches_first_touch_then_goes_local() {
+        let setup = tiered_setup(64, 1_000, tiered_system(40, 40, 1_000), 3);
+        let merged = merged(&run(PolicyId::LocalityAware, setup, drain));
+        assert_eq!(merged.samples_consumed, 192);
+        // Epoch 0 is all-PFS; afterwards the reassigned batches are
+        // dominated by local hits.
+        assert!(merged.pfs_fetches >= 64);
+        assert!(
+            merged.local_fetches > merged.remote_fetches,
+            "reassignment should localize consumption: {merged:?}"
+        );
+    }
+
+    #[test]
+    fn early_stop_shuts_down_cleanly() {
+        // A prestaging policy and one that starts reading at once.
+        for policy in [PolicyId::DeepIoOrdered, PolicyId::StagingBuffer] {
+            let setup = tiered_setup(400, 1_000, tiered_system(50, 50, 1_000), 3);
+            let counts = run(policy, setup, |l| {
+                (0..5).take_while(|_| l.next_sample().is_some()).count()
+            });
+            assert!(counts.iter().all(|&c| c == 5), "{policy}: {counts:?}");
+        }
+    }
+
+    #[test]
+    fn a_first_touch_fill_that_lands_late_is_still_owner_served() {
+        // Two ranks whose RAM holds 78 samples each: every fill fits.
+        let mut sys = tiered_system(78, 0, 512);
+        sys.workers = 2;
+        let (config, sizes, pfs) = tiered_setup(64, 512, sys, 2);
+        // A sample rank 0 reads in epoch 1 from its owner, rank 1, whose
+        // epoch-0 read of it fails 400 times first: that fill lands late.
+        let spec = config.shuffle_spec(64);
+        let core = nopfs_policy::core::LbannCore::new(&config.system, &sizes, &spec, false)
+            .expect("the dataset fits the store");
+        let streams = nopfs_policy::transformed_streams(Some(&core), &spec, 2);
+        let k = streams[0][spec.worker_epoch_len(0) as usize..]
+            .iter()
+            .copied()
+            .find(|&k| core.owner_of(k) == 1)
+            .expect("rank 0 reads a sample of rank 1 in epoch 1");
+        pfs.inject_fault(k, 400);
+        let merged = merged(&run(PolicyId::LbannDynamic, (config, sizes, pfs), drain));
+        assert_eq!(merged.pfs_fetches, 64, "epoch 0 only: {merged:?}");
+        assert_eq!(merged.local_fetches + merged.remote_fetches, 64);
+    }
+
+    #[test]
+    fn reads_everything_from_the_pfs() {
+        let config = JobConfig::new(5, 2, 4, fig8_small_cluster(), TimeScale::new(1e-6));
+        let sizes = Arc::new(vec![256u64; 32]);
+        let pfs = Pfs::in_memory(
+            nopfs_perfmodel::ThroughputCurve::flat(1e12),
+            TimeScale::new(1e-6),
+        );
+        for id in 0..32u64 {
+            pfs.put(id, Bytes::from(vec![id as u8; 256]));
+        }
+        let stats = run_policy(PolicyId::Naive, config, sizes, &pfs, |loader| {
+            while let Some((id, data)) = loader.next_sample() {
+                assert_eq!(data[0], id as u8);
+            }
+            loader.stats()
+        })
+        .expect("supported")
+        .per_worker;
+        let total_pfs: u64 = stats.iter().map(|s| s.pfs_fetches).sum();
+        assert_eq!(total_pfs, 64, "every access is a PFS read");
+        assert!(stats.iter().all(|s| s.local_fetches == 0));
+        assert!(stats.iter().all(|s| s.stall_time.as_nanos() > 0));
+    }
+
+    #[test]
+    fn retries_transient_faults() {
+        let config = JobConfig::new(5, 1, 2, fig8_small_cluster(), TimeScale::new(1e-6));
+        let mut cfg = config;
+        cfg.system.workers = 2;
+        let sizes = Arc::new(vec![64u64; 8]);
+        let pfs = Pfs::in_memory(
+            nopfs_perfmodel::ThroughputCurve::flat(1e12),
+            TimeScale::new(1e-6),
+        );
+        for id in 0..8u64 {
+            pfs.put(id, Bytes::from(vec![0u8; 64]));
+        }
+        pfs.inject_fault(3, 2);
+        let counts = run_policy(PolicyId::Naive, cfg, sizes, &pfs, |l| {
+            std::iter::from_fn(|| l.next_sample()).count()
+        })
+        .expect("supported")
+        .per_worker;
+        assert_eq!(counts.iter().sum::<usize>(), 8);
+    }
+
+    #[test]
+    fn lbann_dynamic_asks_each_owner_once_per_run() {
+        use nopfs_obs::{names, ObsCtx};
+        // Two staging threads and a stage of 128 samples: runs of eight
+        // positions, of epochs of 16 per rank. Epoch 1 is owner-served,
+        // and a run's samples of one owner go out in one frame.
+        let mut sys = tiered_system(78, 0, 512);
+        sys.staging.capacity = 128 * 512;
+        let (config, sizes, pfs) = tiered_setup(64, 512, sys, 2);
+        let obs = ObsCtx::new();
+        let config = config.with_obs(obs.clone());
+        let merged = merged(&run(PolicyId::LbannDynamic, (config, sizes, pfs), drain));
+        let frames = obs.snapshot().counter_total(names::WORKER_PEER_FRAMES);
+        assert!(
+            frames > 0 && frames < merged.remote_fetches,
+            "{frames} frames for {merged:?}"
+        );
     }
 }

@@ -121,6 +121,25 @@ impl CacheAssignment {
         }
     }
 
+    /// The assignment that fills `lists[j]` into class `j` in list
+    /// order: a plan made elsewhere (a baseline's prestage list), with
+    /// no sample in two lists.
+    pub fn from_lists(lists: Vec<Vec<SampleId>>, sizes: &[u64]) -> Self {
+        let mut class_of = vec![UNASSIGNED; sizes.len()];
+        let mut used_bytes = vec![0; lists.len()];
+        for (j, list) in lists.iter().enumerate() {
+            for &k in list {
+                class_of[k as usize] = j as u8;
+                used_bytes[j] += sizes[k as usize];
+            }
+        }
+        Self {
+            class_of,
+            prefetch_order: lists,
+            used_bytes,
+        }
+    }
+
     /// Storage class holding `sample`, if assigned locally.
     pub fn class_of(&self, sample: SampleId) -> Option<u8> {
         match self.class_of[sample as usize] {
@@ -237,8 +256,12 @@ impl GlobalPlacement {
                 )
             })
             .collect();
+        Self::from_assignments(assignments, sizes)
+    }
 
-        let f = spec.num_samples as usize;
+    /// The placement of `assignments[w]` per worker `w` over `sizes`.
+    pub fn from_assignments(assignments: Vec<CacheAssignment>, sizes: &[u64]) -> Self {
+        let f = sizes.len();
         let mut holder_offsets = Vec::with_capacity(f + 1);
         let mut holders = Vec::with_capacity(
             assignments

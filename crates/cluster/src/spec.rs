@@ -1,9 +1,9 @@
 //! The tenancy configuration layer: who runs what, where, and when.
 
+use nopfs_core::JobConfig;
 use nopfs_datasets::DatasetProfile;
 use nopfs_obs::ObsCtx;
 use nopfs_perfmodel::{SystemSpec, ThroughputCurve};
-use nopfs_policy::fault::ShuffleSpec;
 use nopfs_policy::{FaultPlan, PolicyId};
 use nopfs_util::timing::TimeScale;
 
@@ -190,50 +190,15 @@ impl ClusterSpec {
     /// Checks the configuration.
     ///
     /// # Panics
-    /// Panics on an empty cluster or an infeasible tenant: an LBANN
-    /// tenant whose dataset exceeds its aggregate worker memory (the
-    /// data store's documented requirement, checked by the shared
-    /// policy layer), a fault plan its run shape cannot satisfy, a
-    /// crash/churn plan on a baseline tenant (only the elastic NoPFS
-    /// runtime re-splits memberships and replays crashes), or a plan
-    /// that would give a synchronized tenant's ranks ragged step counts
-    /// (its per-step allreduce would deadlock).
+    /// Panics on an empty cluster or a tenant that
+    /// [`nopfs_train::admit`] refuses.
     pub fn validate(&self) {
         assert!(!self.tenants.is_empty(), "a cluster needs tenants");
         for t in &self.tenants {
-            t.system.validate();
-            if matches!(t.policy, PolicyId::LbannDynamic | PolicyId::LbannPreloading) {
-                if let Err(e) =
-                    nopfs_policy::core::lbann_feasible(&t.system, t.profile.total_bytes())
-                {
-                    panic!("tenant '{}': {}", t.name, e.0);
-                }
-            }
-            let elastic = t.needs_elastic();
-            assert!(
-                !elastic || t.policy == PolicyId::NoPfs,
-                "tenant '{}': crash/churn/cloud fault plans need the \
-                 elastic NoPFS runtime; {} tenants support stragglers \
-                 and read errors only",
-                t.name,
-                t.policy
-            );
-            // `nopfs_train::run_job`'s drop_last rule.
-            let spec = ShuffleSpec::new(
-                t.seed,
-                t.profile.num_samples,
-                t.system.workers,
-                t.batch,
-                !elastic,
-            );
-            let plan = &t.fault_plan;
-            let steps = || match t.grad_elems {
-                0 => Ok(()),
-                _ => plan.equal_steps(&spec, t.epochs),
-            };
-            if let Err(e) = plan.validate(&spec, t.epochs).and_then(|()| steps()) {
-                panic!("tenant '{}': {}", t.name, e.0);
-            }
+            let config = JobConfig::new(t.seed, t.epochs, t.batch, t.system.clone(), self.scale);
+            let sizes = &t.profile.sizes();
+            nopfs_train::admit(t.policy, config, sizes, &t.fault_plan, t.grad_elems)
+                .unwrap_or_else(|e| panic!("tenant '{}': {}", t.name, e.0));
         }
     }
 

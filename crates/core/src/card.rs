@@ -5,6 +5,7 @@
 
 use crate::SampleId;
 use nopfs_clairvoyance::placement::{GlobalPlacement, UNASSIGNED};
+use std::sync::Arc;
 
 /// Remote holders kept on the card — all of them for two ranks —; the
 /// rest go to the side table.
@@ -53,7 +54,7 @@ pub(crate) struct Cards {
 
 impl Cards {
     /// Every rank's cards under `placement` of samples of `sizes`.
-    pub fn plan(placement: &GlobalPlacement, sizes: &[u64]) -> Vec<Self> {
+    pub fn plan(placement: &GlobalPlacement, sizes: &[u64]) -> Vec<Arc<Self>> {
         let workers = placement.num_workers();
         assert!(workers <= 1 << 16, "a card names ranks in 16 bits");
         // index[w][k]: the position of sample k in w's prefetch list.
@@ -110,7 +111,7 @@ impl Cards {
                 spill,
             }
         };
-        (0..workers).map(rank_cards).collect()
+        (0..workers).map(rank_cards).map(Arc::new).collect()
     }
 
     /// Sample `k`'s card.

@@ -46,7 +46,7 @@ use nopfs_clairvoyance::engine::{fold_digest, SetupArtifacts, SetupPass};
 use nopfs_clairvoyance::placement::GlobalPlacement;
 use nopfs_net::{cluster, NetConfig};
 use nopfs_pfs::Pfs;
-use nopfs_policy::{FaultPlan, Unsupported};
+use nopfs_policy::{FaultPlan, PolicyId, Unsupported};
 use nopfs_storage::{DataSource, ObjectStoreConfig, ResilienceConfig, TierStack};
 use std::ops::Range;
 use std::sync::Arc;
@@ -120,6 +120,32 @@ impl Job {
             shared: Arc::new(shared),
             plan,
             artifacts: churns.then_some(artifacts),
+            cloud_origin: None,
+        })
+    }
+
+    /// Builds the fault-free job of a baseline with a shared decision
+    /// core (`nopfs_policy::build_core`), run on NoPFS's worker.
+    ///
+    /// # Errors
+    /// [`Unsupported`] when the policy cannot run the configuration or
+    /// has no shared core (`NoPfs`, `Perfect`).
+    ///
+    /// # Panics
+    /// Panics on an empty dataset or inconsistent configuration.
+    pub fn with_core(
+        policy: PolicyId,
+        config: JobConfig,
+        sizes: Arc<Vec<u64>>,
+    ) -> Result<Self, Unsupported> {
+        assert!(!sizes.is_empty(), "dataset must contain samples");
+        let setup_start = Instant::now();
+        let mut shared = Shared::with_core(policy, config, sizes)?;
+        shared.setup.setup_time = setup_start.elapsed();
+        Ok(Self {
+            shared: Arc::new(shared),
+            plan: FaultPlan::fault_free(),
+            artifacts: None,
             cloud_origin: None,
         })
     }

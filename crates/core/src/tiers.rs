@@ -1,7 +1,7 @@
 //! Building the worker-local storage hierarchy as a [`TierStack`].
 //!
-//! Every runtime loader — NoPFS's workers, the core-driven baseline
-//! loaders — materializes the same hierarchy from a [`SystemSpec`]: one
+//! Every runtime worker — NoPFS's and the core-backed baselines' —
+//! materializes the same hierarchy from a [`SystemSpec`]: one
 //! rate-throttled in-memory tier per storage class (Table 2's
 //! `d_j`/`r_j(p)`/`w_j(p)` rows, fastest first) bottoming out in the
 //! injected PFS handle as the origin. Tier index therefore equals

@@ -21,6 +21,10 @@
 //!   wire cost;
 //! - **the consumer** — [`WorkerHandle`], the training loop's
 //!   iterator over `(sample id, bytes)` in exact `R` order.
+//!
+//! The same worker runs every baseline with a shared decision core
+//! (`Shared::with_core`); it consults the policy only in
+//! `WorkerCtx::staging_probe`, and all else that differs is data.
 
 use crate::card::{Card, Cards, Holder};
 use crate::config::JobConfig;
@@ -31,15 +35,17 @@ use crate::tiers::{origin_read_many_retry, origin_read_retry};
 use crate::window::{OriginWindow, Taken};
 use crate::SampleId;
 use bytes::Bytes;
-use nopfs_clairvoyance::engine::SetupArtifacts;
-use nopfs_clairvoyance::placement::GlobalPlacement;
+use nopfs_clairvoyance::engine::{fold_digest, SetupArtifacts};
+use nopfs_clairvoyance::placement::{CacheAssignment, GlobalPlacement};
 use nopfs_clairvoyance::sampler::ShuffleSpec;
 use nopfs_net::Endpoint;
 use nopfs_obs::{names, Counter, ObsCtx, Registry};
 use nopfs_perfmodel::{Location, SystemSpec};
 use nopfs_pfs::Pfs;
+use nopfs_policy::{build_core, transformed_streams, PolicyCore, PolicyId, Source, Unsupported};
 use nopfs_storage::{ReorderStage, SourceHealth, TierStack, TierStats};
 use nopfs_util::timing::precise_wait;
+use parking_lot::{Condvar, Mutex};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,14 +54,24 @@ use std::time::{Duration, Instant};
 
 /// Job-wide immutable state shared by all of a worker's threads.
 ///
-/// The digests, streams, and placement are the single-pass engine's
-/// artifacts, planned once per membership by [`Shared::plan`];
-/// launching a worker reads them instead of regenerating any shuffle,
-/// and runs it on a window of its planned stream.
+/// The digests, streams, and placement are planned once per membership
+/// by [`Shared::plan`] (the single-pass engine's artifacts) or
+/// [`Shared::with_core`]; launching a worker reads them instead of
+/// regenerating any shuffle, and runs it on a window of its stream.
 pub(crate) struct Shared {
     pub config: JobConfig,
     pub sizes: Arc<Vec<u64>>,
+    /// What each rank's class prefetchers fill, and where.
     pub placement: Arc<GlobalPlacement>,
+    /// A baseline's decision core; `None` for NoPFS.
+    pub core: Option<Arc<dyn PolicyCore>>,
+    /// The epochs each rank fetches before its fill gate ([`Gate`]);
+    /// `None` for NoPFS, whose ranks run ungated.
+    pub gate_epochs: Option<u64>,
+    /// Origin lanes per rank (0 for a core).
+    pub lanes: usize,
+    /// Staging threads per rank: 0 for a core that is not overlapped.
+    pub staging_threads: u32,
     pub spec: ShuffleSpec,
     /// `cards[w]`: worker `w`'s card per sample — what its staging
     /// path reads about the sample, in one place.
@@ -163,16 +179,16 @@ impl Shared {
         config.system.workers = workers;
         let capacities = vec![config.system.class_capacities(); workers];
         let placement = Arc::new(arts.placement(&sizes, &capacities));
-        let cards = Cards::plan(&placement, &sizes)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
         Self {
+            cards: Cards::plan(&placement, &sizes),
+            core: None,
+            gate_epochs: None,
+            lanes: config.system.origin_lanes(placement.uncached_share()),
+            staging_threads: config.system.staging.threads.max(1),
             config,
             sizes,
             placement,
             spec: *arts.spec(),
-            cards,
             digests: arts.digests.clone(),
             streams: arts
                 .streams
@@ -183,6 +199,122 @@ impl Shared {
                 setup_time: Duration::ZERO,
             },
         }
+    }
+
+    /// Plans a job that runs `policy`'s decision core: its transformed
+    /// streams (the simulator's derivation), its prestage lists split by
+    /// class as the placement, a fill gate after epoch 0 when it plans
+    /// first-touch fills (else at 0), no origin lane, and no staging
+    /// thread when it is not overlapped. The caller stamps the setup time.
+    pub(crate) fn with_core(
+        policy: PolicyId,
+        config: JobConfig,
+        sizes: Arc<Vec<u64>>,
+    ) -> Result<Self, Unsupported> {
+        let spec = config.shuffle_spec(sizes.len() as u64);
+        let core = build_core(policy, &config.system, &sizes, &spec)?
+            .ok_or_else(|| Unsupported(format!("{policy} has no shared decision core")))?;
+        let workers = spec.num_workers;
+        let streams = transformed_streams(Some(core.as_ref()), &spec, config.epochs);
+        // Any rank may read a first-touch fill: one gates every rank.
+        let first_touch = streams.iter().enumerate().any(|(w, s)| {
+            s.iter()
+                .take(spec.worker_epoch_len(w) as usize)
+                .any(|&k| core.cache_class(w, k, 0).is_some())
+        });
+        let assignments = (0..workers)
+            .map(|w| {
+                let mut lists = vec![Vec::new(); config.system.classes.len()];
+                for (k, class) in core.prestage_list(w) {
+                    lists[usize::from(class)].push(k);
+                }
+                CacheAssignment::from_lists(lists, &sizes)
+            })
+            .collect();
+        let placement = Arc::new(GlobalPlacement::from_assignments(assignments, &sizes));
+        let staging_threads = if core.overlapped() {
+            config.system.staging.threads.max(1)
+        } else {
+            0
+        };
+        Ok(Self {
+            cards: Cards::plan(&placement, &sizes),
+            core: Some(Arc::from(core)),
+            gate_epochs: Some(u64::from(first_touch)),
+            lanes: 0,
+            staging_threads,
+            digests: (0..workers)
+                .zip(&streams)
+                .map(|(w, s)| fold_digest(w, s.iter().copied()))
+                .collect(),
+            streams: streams.into_iter().map(Arc::new).collect(),
+            setup: SetupStats {
+                shuffle_generations: config.epochs,
+                setup_time: Duration::ZERO,
+            },
+            config,
+            sizes,
+            placement,
+            spec,
+        })
+    }
+}
+
+/// A core-backed rank's fill gate. A core plans fills only in its
+/// prestage list (the rank's fill lists) and in epoch 0
+/// ([`PolicyCore::cache_class`]). A position at or past the gate is
+/// fetched once the rank has walked its fill lists and fetched every
+/// position before it, and the gate thread's cluster barrier has
+/// returned: every planned fill has landed, or failed for good, before
+/// an access that reads it, so a cache or peer miss is final and the
+/// fetch counts are the simulator's.
+struct Gate {
+    /// The first stream position that waits for the gate.
+    at: u64,
+    /// The positions before `at` still to fetch plus the fill lists
+    /// still to walk, and whether the gate is open.
+    state: Mutex<(u64, bool)>,
+    cv: Condvar,
+}
+
+impl Gate {
+    /// Waits for the gate to open when `pos` lies at or past it; then
+    /// whether the rank goes on (`stop` is not set).
+    fn pass(&self, pos: u64, stop: &AtomicBool) -> bool {
+        if pos >= self.at {
+            let mut state = self.state.lock();
+            while !state.1 {
+                self.cv.wait(&mut state);
+            }
+        }
+        !stop.load(Ordering::SeqCst)
+    }
+
+    /// Records that `n` of what the gate waits for are done.
+    fn done(&self, n: u64) {
+        if n > 0 {
+            self.state.lock().0 -= n;
+            self.cv.notify_all();
+        }
+    }
+
+    /// The gate thread's body: opens the gate once nothing before it is
+    /// left, or `stop` is set, and then `barrier` has returned.
+    fn open_after(&self, stop: &AtomicBool, barrier: impl FnOnce()) {
+        let mut state = self.state.lock();
+        while state.0 > 0 && !stop.load(Ordering::SeqCst) {
+            self.cv.wait(&mut state);
+        }
+        drop(state);
+        barrier();
+        self.state.lock().1 = true;
+        self.cv.notify_all();
+    }
+
+    /// Wakes the gate thread to see `stop`, set before the call.
+    fn wake(&self) {
+        let _state = self.state.lock();
+        self.cv.notify_all();
     }
 }
 
@@ -197,10 +329,10 @@ struct WorkerCtx {
     /// (tier index = class index), the PFS as origin. Owns the local
     /// cache catalog and per-tier statistics.
     tiers: TierStack,
-    stats: Arc<StatsCollector>,
-    stop: Arc<AtomicBool>,
+    stats: StatsCollector,
+    stop: AtomicBool,
     /// Per-class prefetch progress (index into the class list).
-    progress: Arc<Vec<AtomicU64>>,
+    progress: Vec<AtomicU64>,
     /// The reorder stage: the staging threads push runs in, the
     /// consumer pops samples out in stream order.
     stage: ReorderStage,
@@ -210,8 +342,11 @@ struct WorkerCtx {
     /// prefetchers and the staging threads.
     filling: FillClaims,
     /// Where the origin lanes park the samples no worker caches; `None`
-    /// when the placement covers the whole dataset (no lane runs).
+    /// when no lane runs.
     window: Option<OriginWindow>,
+    /// The fill gate of a core-backed rank; `None` for NoPFS.
+    gate: Option<Gate>,
+    epoch_len: u64,
     /// Time the staging threads waited for origin bytes, and spent in
     /// `write_time`; the samples they waited on another thread's fill
     /// for (`worker.staging.*`).
@@ -382,7 +517,7 @@ impl WorkerCtx {
                         return false;
                     }
                 },
-                _ => self.staging_probe(card, *local_tier, &mut sources.skips),
+                _ => self.staging_probe(pos, k, card, *local_tier, &mut sources.skips),
             };
             if let Pick::Peer(owner) = probe.0 {
                 peer.get_or_insert_with(|| PeerLeg::new(&self.obs.registry))
@@ -557,16 +692,41 @@ impl WorkerCtx {
         origin_read_retry(&self.tiers, k, &self.stats)
     }
 
-    /// Phase 1 of a staging fetch: the source decision for the sample
-    /// of `card`, found in `local_tier` as the run started, and nothing
-    /// but the decision. Each pick is counted once it is settled: a
-    /// local one when its tier's sweep is done, a peer one when its
-    /// frame is back, an origin one when it joins the run's origin
-    /// read; the run books the counts, and the holders the heuristic
-    /// passed over (`skips`), once. The class is where the
+    /// Phase 1 of a staging fetch: the source decision for sample `k`
+    /// at stream position `pos`, of `card`, found in `local_tier` as the
+    /// run started, and nothing but the decision. Each pick is counted
+    /// once it is settled: a local one when its tier's sweep is done, a
+    /// peer one when its frame is back, an origin one when it joins the
+    /// run's origin read; the run books the counts, and the holders the
+    /// heuristic passed over (`skips`), once. The class is where the
     /// self-healing fill stores the sample: the one the plan assigns
     /// it to, when it was not cataloged locally as the fetch started.
-    fn staging_probe(&self, card: &Card, local_tier: Option<usize>, skips: &mut u64) -> Probe {
+    ///
+    /// The one place the worker consults the policy: a core-backed rank
+    /// takes the core's source — a local pick it does not hold goes to
+    /// the origin — and fills where the core caches first touches.
+    fn staging_probe(
+        &self,
+        pos: u64,
+        k: SampleId,
+        card: &Card,
+        local_tier: Option<usize>,
+        skips: &mut u64,
+    ) -> Probe {
+        if let Some(core) = &self.shared.core {
+            // Core-backed ranks run whole streams, which `pos` counts.
+            let epoch = pos / self.epoch_len;
+            let pick = match core.source(self.rank, k, epoch) {
+                Source::Local(_) => local_tier.map_or(Pick::Origin, Pick::Local),
+                Source::Remote { owner, .. } => Pick::Peer(usize::from(owner)),
+                Source::Pfs => Pick::Origin,
+            };
+            let fill = match local_tier {
+                None => core.cache_class(self.rank, k, epoch).map(usize::from),
+                Some(_) => None,
+            };
+            return (pick, fill);
+        }
         let sys = &self.shared.config.system;
         // Remote candidates pass the progress heuristic: our own class-c
         // prefetcher's position is the proxy for the holder's (paper
@@ -643,44 +803,61 @@ impl WorkerCtx {
         }
     }
 
-    /// One staging prefetcher: claims a run of stream positions per
-    /// round from the counter it shares with its siblings, fetches the
-    /// run through the vectored staging path, pays its `write_time`
-    /// and stages it as one run. The stage admits a run in ascending
-    /// order, which keeps it deadlock-free: the thread holding the
-    /// globally next position offers it first, and the stage always
-    /// admits the head position.
-    fn run_staging(&self, stream: &[SampleId], position: &AtomicU64) {
+    /// The staging body for the `stream` positions `run`: passes the fill
+    /// gate, fetches the run into `scratch.run` and pays its
+    /// `write_time`. `false` once the rank is stopping.
+    fn produce(&self, stream: &[SampleId], run: Range<u64>, scratch: &mut StageScratch) -> bool {
+        let ks = &stream[run.start as usize..run.end as usize];
+        let passed = self
+            .gate
+            .as_ref()
+            .is_none_or(|g| g.pass(run.start, &self.stop));
+        if !passed || !self.fetch_many_for_staging(run.start, ks, scratch) {
+            return false;
+        }
+        if let Some(gate) = &self.gate {
+            gate.done(gate.at.min(run.end).saturating_sub(run.start));
+        }
+        // Preprocess-and-store: the model's write_i(k), linear in the
+        // bytes, so the run pays it as one wait (one sleep, not one per
+        // sample). Each of the p0 threads pays it independently, so the
+        // aggregate preprocessing rate scales with the thread count, as
+        // in the performance model.
         let config = &self.shared.config;
+        let bytes: u64 = scratch.run.iter().map(|(_, d)| d.len() as u64).sum();
+        let wait = config.scale.to_wall(config.system.write_time(bytes));
+        if !wait.is_zero() {
+            let writing = Instant::now();
+            precise_wait(wait);
+            self.write_nanos.add(writing.elapsed().as_nanos() as u64);
+        }
+        true
+    }
+
+    /// One staging prefetcher: claims a run of stream positions per
+    /// round from the counter it shares with its siblings, produces it
+    /// and stages it as one run — two, split at the fill gate, when it
+    /// spans the gate, so that the part before the gate waits on
+    /// nothing. The stage admits a run in ascending order, which keeps
+    /// it deadlock-free: the thread holding the globally next position
+    /// offers it first, and the stage always admits the head position.
+    fn run_staging(&self, stream: &[SampleId], position: &AtomicU64) {
         let mut scratch = StageScratch::default();
+        let gate = self.gate.as_ref().map_or(u64::MAX, |gate| gate.at);
         while !self.stop.load(Ordering::Relaxed) {
             let base = position.fetch_add(self.run_len, Ordering::SeqCst);
             if base >= stream.len() as u64 {
                 break;
             }
             let end = (base + self.run_len).min(stream.len() as u64);
-            if !self.fetch_many_for_staging(
-                base,
-                &stream[base as usize..end as usize],
-                &mut scratch,
-            ) {
-                break; // window closed
-            }
-            // Preprocess-and-store: the model's write_i(k), linear in
-            // the bytes, so the run pays it as one wait (one sleep, not
-            // one per sample). Each of the p0 threads pays it
-            // independently, so the aggregate preprocessing rate
-            // scales with the thread count, as in the performance
-            // model.
-            let bytes: u64 = scratch.run.iter().map(|(_, d)| d.len() as u64).sum();
-            let wait = config.scale.to_wall(config.system.write_time(bytes));
-            if !wait.is_zero() {
-                let writing = Instant::now();
-                precise_wait(wait);
-                self.write_nanos.add(writing.elapsed().as_nanos() as u64);
-            }
-            if !self.stage.push_run(base, &mut scratch.run) {
-                break; // stage closed
+            let split = gate.clamp(base, end);
+            let runs = [base..split, split..end];
+            for run in runs.into_iter().filter(|r| !r.is_empty()) {
+                if !self.produce(stream, run.clone(), &mut scratch)
+                    || !self.stage.push_run(run.start, &mut scratch.run)
+                {
+                    return; // stopping, or the stage closed
+                }
             }
         }
     }
@@ -702,8 +879,8 @@ pub struct WorkerHandle {
     /// The digest this rank claimed in the setup allgather: its
     /// window's.
     digest: u64,
-    epoch_len: u64,
-    batch_size: usize,
+    /// The consumer's staging buffers on a rank with no staging threads.
+    inline: Option<StageScratch>,
     finished: bool,
 }
 
@@ -753,20 +930,12 @@ impl WorkerHandle {
         let obs = shared.config.obs.scoped([("rank", rank.to_string())]);
         obs.registry.counter(names::WORKER_LAUNCHES).inc();
 
-        let stats = Arc::new(StatsCollector::in_registry(&obs.registry));
-        let stop = Arc::new(AtomicBool::new(false));
-        let progress = Arc::new(
-            (0..sys.classes.len())
-                .map(|_| AtomicU64::new(0))
-                .collect::<Vec<_>>(),
-        );
-        let stage = ReorderStage::new_in_registry(sys.staging.capacity, &obs.registry);
         // Origin look-ahead, sized by the performance model from the
         // plan alone: as many lanes as keep the never-cached share of
         // the stream arriving at the compute rate, a window of the
         // staging buffer's size. A plan that covers the dataset has no
         // lane and no window.
-        let lanes = sys.origin_lanes(shared.placement.uncached_share());
+        let lanes = shared.lanes;
         let origin_wait_nanos = obs
             .registry
             .counter(names::WORKER_STAGING_ORIGIN_WAIT_NANOS);
@@ -782,6 +951,15 @@ impl WorkerHandle {
         let stream = Arc::clone(&shared.streams[rank]);
         let (start, end) = (window.start as usize, window.end as usize);
         let epoch_len = shared.spec.worker_epoch_len(rank);
+        let cache_tiers = tiers.cache_tiers();
+        // Gated ranks run whole streams, whose positions the gate counts.
+        let gate = shared.gate_epochs.map(|epochs| {
+            assert_eq!(window, 0..stream.len() as u64);
+            let at = epochs * epoch_len;
+            let state = Mutex::new((at + cache_tiers as u64, false));
+            let cv = Condvar::new();
+            Gate { at, state, cv }
+        });
 
         let ctx = Arc::new(WorkerCtx {
             rank,
@@ -789,13 +967,15 @@ impl WorkerHandle {
             pfs,
             endpoint,
             tiers,
-            stats,
-            stop,
-            progress,
-            stage,
+            stats: StatsCollector::in_registry(&obs.registry),
+            stop: AtomicBool::new(false),
+            progress: (0..sys.classes.len()).map(|_| AtomicU64::new(0)).collect(),
+            stage: ReorderStage::new_in_registry(sys.staging.capacity, &obs.registry),
             run_len: stage_run_len(sys, &shared.sizes, epoch_len),
             filling: FillClaims::new(shared.sizes.len()),
             window: origin_window,
+            gate,
+            epoch_len,
             origin_wait_nanos,
             write_nanos,
             fill_waits,
@@ -814,8 +994,7 @@ impl WorkerHandle {
         // a sample whose fill a staging thread has claimed counts once
         // that fill is over). Its list drained, a prefetcher thread
         // turns into an origin lane instead of exiting: the lanes cost
-        // the launch no spawn.
-        let cache_tiers = ctx.tiers.cache_tiers();
+        // the launch no spawn. A gated rank's fills are prestaging.
         for class in 0..cache_tiers {
             let ctx = Arc::clone(&ctx);
             let stream = Arc::clone(&stream);
@@ -842,7 +1021,11 @@ impl WorkerHandle {
                         let _held = ctx.filling.held(&missing);
                         let datas = origin_read_many_retry(&ctx.tiers, &missing, &ctx.stats);
                         items.extend(missing.iter().copied().zip(datas));
-                        ctx.tiers.fill_many(class, &mut items, |_, _| {});
+                        ctx.tiers.fill_many(class, &mut items, |_, r| {
+                            if ctx.gate.is_some() && r.is_ok() {
+                                ctx.stats.count_prestage();
+                            }
+                        });
                     }
                     for &k in chunk {
                         ctx.filling.wait(k, &ctx.stop);
@@ -850,9 +1033,20 @@ impl WorkerHandle {
                     done += chunk.len() as u64;
                     ctx.progress[class].store(done, Ordering::Release);
                 }
+                if let Some(gate) = &ctx.gate {
+                    gate.done(1);
+                }
                 if class < lanes {
                     ctx.run_lane(&stream[start..end]);
                 }
+            }));
+        }
+
+        if ctx.gate.is_some() {
+            let ctx = Arc::clone(&ctx);
+            threads.push(std::thread::spawn(move || {
+                let gate = ctx.gate.as_ref().expect("a gated rank");
+                gate.open_after(&ctx.stop, || ctx.endpoint.barrier());
             }));
         }
 
@@ -862,7 +1056,7 @@ impl WorkerHandle {
         // prefetcher thread.
         let position = Arc::new(AtomicU64::new(0));
         let mut extra_lanes = lanes.saturating_sub(cache_tiers);
-        for _ in 0..sys.staging.threads.max(1) {
+        for _ in 0..shared.staging_threads {
             let ctx = Arc::clone(&ctx);
             let stream = Arc::clone(&stream);
             let position = Arc::clone(&position);
@@ -890,8 +1084,7 @@ impl WorkerHandle {
             ctx,
             threads,
             server: Some(server),
-            epoch_len,
-            batch_size: shared.config.batch_size,
+            inline: (shared.staging_threads == 0).then(StageScratch::default),
             finished: false,
         }
     }
@@ -922,69 +1115,26 @@ impl WorkerHandle {
 
     /// Samples this worker consumes per epoch.
     pub fn epoch_len(&self) -> u64 {
-        self.epoch_len
+        self.ctx.epoch_len
     }
 
     /// The epoch of the *next* sample to be yielded, counted over the
     /// whole run (an elastic segment that starts mid-epoch included).
     pub fn current_epoch(&self) -> u64 {
-        self.pos.checked_div(self.epoch_len).unwrap_or(0)
-    }
-
-    /// Opens one consumer wait on the staging buffer: marks an epoch
-    /// start in the trace and starts the stall clock.
-    fn begin_pop(&self) -> Instant {
-        if self.epoch_len > 0 && self.pos.is_multiple_of(self.epoch_len) {
-            self.ctx.obs.tracer.instant(
-                names::EV_EPOCH,
-                "worker",
-                vec![
-                    ("epoch", self.current_epoch().into()),
-                    ("rank", self.ctx.rank.into()),
-                ],
-            );
-        }
-        Instant::now()
-    }
-
-    /// Closes the wait opened at `t0` that delivered `got` samples:
-    /// the blocked time is recorded as consumer stall, once per wait.
-    fn end_pop(&mut self, t0: Instant, got: usize) {
-        if got == 0 {
-            return; // stage closed under us: nothing was delivered
-        }
-        let stalled = t0.elapsed();
-        if self.ctx.obs.tracer.is_active() && stalled > std::time::Duration::from_micros(50) {
-            // Only material stalls become spans; sub-50µs pops are the
-            // healthy case and would drown the ring.
-            self.ctx.obs.tracer.complete(
-                names::EV_STALL,
-                "worker",
-                t0,
-                vec![("stall_us", (stalled.as_micros() as u64).into())],
-            );
-        }
-        self.ctx.stats.add_stall(stalled);
-        self.ctx.stats.add_consumed(got as u64);
-        self.pos += got as u64;
+        self.pos.checked_div(self.ctx.epoch_len).unwrap_or(0)
     }
 
     /// Next sample in access-stream order, blocking on the staging
     /// buffer; `None` once the run is exhausted. Blocked time is
     /// recorded as consumer stall.
     pub fn next_sample(&mut self) -> Option<(SampleId, Bytes)> {
-        if self.pos >= self.window.end {
-            return None;
-        }
-        let t0 = self.begin_pop();
-        let item = self.ctx.stage.pop();
-        self.end_pop(t0, usize::from(item.is_some()));
-        item
+        let want = usize::from(self.pos < self.window.end);
+        self.pop(want)?.pop()
     }
 
     /// The configured per-worker mini-batch size.
     pub fn batch_size(&self) -> usize {
-        self.batch_size
+        self.ctx.shared.config.batch_size
     }
 
     /// Next local mini-batch (up to `batch_size` samples, never
@@ -993,20 +1143,71 @@ impl WorkerHandle {
     /// [`crate::next_batch_len`]. The batch is one wait on the staging
     /// buffer: its blocked time is one consumer stall.
     pub fn next_batch(&mut self) -> Option<Vec<(SampleId, Bytes)>> {
-        let want =
-            crate::next_batch_len(self.pos, self.window.end, self.epoch_len, self.batch_size);
+        let want = crate::next_batch_len(
+            self.pos,
+            self.window.end,
+            self.epoch_len(),
+            self.batch_size(),
+        );
+        self.pop(want)
+    }
+
+    /// The next `want` samples as one consumer wait, its blocked time
+    /// one consumer stall; `None` when there are none. They come off
+    /// the stage — or, on a rank that starts no staging threads, from
+    /// the staging body run here one position at a time, so that all of
+    /// their fetch is stall.
+    fn pop(&mut self, want: usize) -> Option<Vec<(SampleId, Bytes)>> {
         if want == 0 {
             return None;
         }
-        let mut batch = Vec::with_capacity(want);
-        let t0 = self.begin_pop();
-        let got = self.ctx.stage.pop_many(want, &mut batch);
-        self.end_pop(t0, got);
-        if batch.is_empty() {
-            None
-        } else {
-            Some(batch)
+        let ctx = &self.ctx;
+        if ctx.epoch_len > 0 && self.pos.is_multiple_of(ctx.epoch_len) {
+            ctx.obs.tracer.instant(
+                names::EV_EPOCH,
+                "worker",
+                vec![
+                    ("epoch", self.current_epoch().into()),
+                    ("rank", ctx.rank.into()),
+                ],
+            );
         }
+        let mut batch = Vec::with_capacity(want);
+        let t0 = Instant::now();
+        match &mut self.inline {
+            None => {
+                ctx.stage.pop_many(want, &mut batch);
+            }
+            Some(scratch) => {
+                let (start, end) = (self.window.start as usize, self.window.end as usize);
+                let stream = &ctx.shared.streams[ctx.rank][start..end];
+                let from = self.pos - self.window.start;
+                for pos in from..from + want as u64 {
+                    if !ctx.produce(stream, pos..pos + 1, scratch) {
+                        break;
+                    }
+                    batch.append(&mut scratch.run);
+                }
+            }
+        }
+        if batch.is_empty() {
+            return None; // stage closed under us: nothing was delivered
+        }
+        let stalled = t0.elapsed();
+        if ctx.obs.tracer.is_active() && stalled > Duration::from_micros(50) {
+            // Only material stalls become spans; sub-50µs pops are the
+            // healthy case and would drown the ring.
+            ctx.obs.tracer.complete(
+                names::EV_STALL,
+                "worker",
+                t0,
+                vec![("stall_us", (stalled.as_micros() as u64).into())],
+            );
+        }
+        ctx.stats.add_stall(stalled);
+        ctx.stats.add_consumed(batch.len() as u64);
+        self.pos += batch.len() as u64;
+        Some(batch)
     }
 
     /// Current I/O statistics snapshot.
@@ -1053,6 +1254,9 @@ impl WorkerHandle {
         }
         self.finished = true;
         self.ctx.stop.store(true, Ordering::SeqCst);
+        if let Some(gate) = &self.ctx.gate {
+            gate.wake();
+        }
         self.ctx.stage.close();
         if let Some(window) = &self.ctx.window {
             window.close();

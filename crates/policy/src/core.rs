@@ -14,7 +14,7 @@
 //! `NoPfs` and `Perfect` have no core: NoPFS's decisions are
 //! *dynamic* (live cache metadata in the runtime, modelled ready times
 //! in the simulator — both funneling into
-//! [`crate::decision::select_source`]), and the lower bound is
+//! [`crate::decision::select_source_degraded`]), and the lower bound is
 //! definitionally harness-specific.
 
 use crate::decision::staging_share;

@@ -70,7 +70,9 @@ impl ElasticSimResult {
     }
 }
 
-/// Simulates `policy` on `scenario` under `plan`.
+/// Simulates `policy` on `scenario` under `plan`. Epoch boundaries,
+/// replans and crash recoveries become model-clock trace instants of
+/// the scenario's observability context.
 ///
 /// # Errors
 /// [`SimError::Unsupported`] when the plan fails validation (e.g.
@@ -81,21 +83,8 @@ pub fn run_elastic(
     policy: PolicyId,
     plan: &FaultPlan,
 ) -> Result<ElasticSimResult, SimError> {
-    run_elastic_with_obs(scenario, policy, plan, &nopfs_obs::ObsCtx::new())
-}
-
-/// [`run_elastic`] with an observability context: epoch boundaries,
-/// replans, and crash recoveries become model-clock trace instants.
-///
-/// # Errors
-/// Same contract as [`run_elastic`].
-pub fn run_elastic_with_obs(
-    scenario: &Scenario,
-    policy: PolicyId,
-    plan: &FaultPlan,
-    obs: &nopfs_obs::ObsCtx,
-) -> Result<ElasticSimResult, SimError> {
     use nopfs_obs::names;
+    let obs = &scenario.obs;
     plan.validate(&scenario.shuffle_spec(), scenario.epochs)
         .map_err(|u| SimError::Unsupported(u.0))?;
     let memberships = plan.memberships(scenario.system.workers, scenario.epochs);
@@ -128,7 +117,7 @@ pub fn run_elastic_with_obs(
                     vec![("workers", (n as u64).into())],
                 );
             }
-            let job = JobState::new(&scenarios[&n], policy, obs)?;
+            let job = JobState::new(&scenarios[&n], policy)?;
             // Resharding pays its (possibly empty) prestage phase anew:
             // the newcomer-inclusive shard map has to be filled.
             execution_time += job.prestage_seconds();

@@ -19,7 +19,7 @@
 //! policy consumes — the simulator's access streams are untouched, the
 //! analogue of the runtime's bit-identical global stream guarantee.
 
-use nopfs_obs::ObsCtx;
+use nopfs_obs::{Registry, Tracer};
 use nopfs_perfmodel::ThroughputCurve;
 use nopfs_policy::CloudFaults;
 use nopfs_storage::{
@@ -112,16 +112,16 @@ pub(crate) struct CloudModel {
 impl CloudModel {
     #[cfg(test)]
     pub(crate) fn new(spec: CloudSpec) -> Self {
-        Self::with_obs(spec, &ObsCtx::new())
+        Self::with_tracer(spec, Tracer::noop())
     }
 
     /// The model of `spec`'s origin. The client's `resilience.*` and
-    /// `breaker.*` counters register in `obs`, and its hedges and
-    /// breaker transitions emit model-clock trace events through its
-    /// tracer.
-    pub(crate) fn with_obs(spec: CloudSpec, obs: &ObsCtx) -> Self {
-        let core = ResilienceCore::new(spec.resilience.clone(), &obs.registry)
-            .with_tracer(obs.tracer.clone());
+    /// `breaker.*` counters are the run's own, so that clones of one
+    /// scenario count apart; its hedges and breaker transitions emit
+    /// model-clock trace events through `tracer`.
+    pub(crate) fn with_tracer(spec: CloudSpec, tracer: Tracer) -> Self {
+        let core =
+            ResilienceCore::new(spec.resilience.clone(), &Registry::new()).with_tracer(tracer);
         Self {
             spec,
             core,

@@ -24,7 +24,6 @@
 use crate::engine::run_jobs;
 use crate::result::{SimError, SimResult};
 use crate::scenario::Scenario;
-use nopfs_obs::ObsCtx;
 use nopfs_policy::PolicyId;
 
 /// One co-scheduled job: a scenario, its loader policy, and when it
@@ -73,10 +72,7 @@ impl SimTenant {
 /// cannot run its scenario.
 pub fn run_cluster(tenants: &[SimTenant]) -> Result<Vec<SimResult>, SimError> {
     assert!(!tenants.is_empty(), "a cluster needs at least one tenant");
-    run_jobs(
-        tenants.iter().map(|t| (&t.scenario, t.policy, t.start)),
-        &ObsCtx::new(),
-    )
+    run_jobs(tenants.iter().map(|t| (&t.scenario, t.policy, t.start)))
 }
 
 #[cfg(test)]

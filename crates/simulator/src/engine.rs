@@ -26,7 +26,7 @@ use crate::policies::{self, PolicyImpl};
 use crate::result::{Breakdown, SimError, SimResult};
 use crate::scenario::Scenario;
 use nopfs_clairvoyance::SampleId;
-use nopfs_obs::{names, Counter, ObsCtx, Tracer};
+use nopfs_obs::{names, Counter, Tracer};
 use nopfs_perfmodel::equations::ConsumeAccumulator;
 use nopfs_perfmodel::{Location, SystemSpec};
 use nopfs_policy::PolicyId;
@@ -239,11 +239,8 @@ pub(crate) struct JobState<'a> {
 
 impl<'a> JobState<'a> {
     /// A job of `policy_id` on `scenario` with no epoch scheduled yet.
-    pub(crate) fn new(
-        scenario: &'a Scenario,
-        policy_id: PolicyId,
-        obs: &ObsCtx,
-    ) -> Result<Self, SimError> {
+    pub(crate) fn new(scenario: &'a Scenario, policy_id: PolicyId) -> Result<Self, SimError> {
+        let obs = &scenario.obs;
         let policy = policies::build(policy_id, scenario)?;
         let sys = &scenario.system;
         let n = sys.workers;
@@ -269,7 +266,7 @@ impl<'a> JobState<'a> {
             cloud: scenario
                 .cloud
                 .clone()
-                .map(|spec| CloudModel::with_obs(spec, obs)),
+                .map(|spec| CloudModel::with_tracer(spec, obs.tracer.clone())),
             start: 0.0,
             seqs: Vec::new(),
             iterations: 0,
@@ -486,29 +483,14 @@ pub(crate) fn lockstep(jobs: &mut [JobState]) {
     }
 }
 
-/// Simulates `policy` on `scenario`.
+/// Simulates `policy` on `scenario`, counting and tracing into the
+/// scenario's observability context.
 ///
 /// Returns [`SimError::Unsupported`] when the policy cannot run the
 /// scenario (e.g. the LBANN data store with a dataset larger than
 /// aggregate worker memory).
 pub fn run(scenario: &Scenario, policy: PolicyId) -> Result<SimResult, SimError> {
-    run_with_obs(scenario, policy, &ObsCtx::new())
-}
-
-/// [`run`] with an observability context: modelled fetches count into
-/// the registry (`sim.fetch{loc=…}`) and the engine emits model-clock
-/// trace events — an epoch instant per epoch boundary, plus the cloud
-/// origin's breaker transitions and hedges when the scenario has a
-/// cloud clause and the context's tracer is active.
-///
-/// # Errors
-/// Same contract as [`run`].
-pub fn run_with_obs(
-    scenario: &Scenario,
-    policy: PolicyId,
-    obs: &ObsCtx,
-) -> Result<SimResult, SimError> {
-    let mut results = run_jobs([(scenario, policy, 0.0)], obs)?;
+    let mut results = run_jobs([(scenario, policy, 0.0)])?;
     Ok(results.pop().expect("one job, one result"))
 }
 
@@ -516,12 +498,11 @@ pub fn run_with_obs(
 /// epochs on one shared PFS; one result per job, in order.
 pub(crate) fn run_jobs<'a>(
     jobs: impl IntoIterator<Item = (&'a Scenario, PolicyId, f64)>,
-    obs: &ObsCtx,
 ) -> Result<Vec<SimResult>, SimError> {
     let mut jobs = jobs
         .into_iter()
         .map(|(scenario, policy, start)| {
-            let mut job = JobState::new(scenario, policy, obs)?;
+            let mut job = JobState::new(scenario, policy)?;
             job.start = start;
             job.schedule(0..scenario.epochs);
             Ok(job)
@@ -534,6 +515,7 @@ pub(crate) fn run_jobs<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nopfs_obs::ObsCtx;
     use nopfs_perfmodel::presets::{fig8_small_cluster, saturating_pfs_curve};
     use nopfs_util::units::MB;
 
@@ -580,7 +562,7 @@ mod tests {
     fn obs_run_counts_fetches_and_emits_epoch_instants() {
         let s = contended_scenario();
         let obs = ObsCtx::traced();
-        let r = run_with_obs(&s, PolicyId::NoPfs, &obs).unwrap();
+        let r = run(&s.clone().with_obs(obs.clone()), PolicyId::NoPfs).unwrap();
         // Every modelled fetch lands in the registry, by source.
         let snap = obs.snapshot();
         assert_eq!(
@@ -681,7 +663,7 @@ mod tests {
         // Epoch boundaries on the model clock, from the engine's own
         // epoch instants; the caches are warm from the third epoch on.
         let obs = ObsCtx::traced();
-        run_with_obs(&s, PolicyId::NoPfs, &obs).unwrap();
+        run(&s.clone().with_obs(obs.clone()), PolicyId::NoPfs).unwrap();
         let starts: Vec<f64> = obs
             .tracer
             .export()

@@ -42,10 +42,10 @@ pub mod policies;
 pub mod result;
 pub mod scenario;
 
-pub use churn::{churn_sweep, run_elastic, run_elastic_with_obs, ChurnRow, ElasticSimResult};
+pub use churn::{churn_sweep, run_elastic, ChurnRow, ElasticSimResult};
 pub use cloud::{hardened_client, naive_client, CloudSpec};
 pub use cluster::{run_cluster, SimTenant};
-pub use engine::{run, run_with_obs};
+pub use engine::run;
 pub use nopfs_policy::{Capabilities, PolicyId};
 pub use result::{Breakdown, SimError, SimResult};
 pub use scenario::{Scenario, StorageRegime};

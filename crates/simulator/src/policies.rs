@@ -9,7 +9,7 @@
 //! policies are simulator-specific: `Perfect` (definitionally a bound)
 //! and `NoPfs`, whose candidates come from modelled prefetch ready
 //! times — though its final pick still goes through the shared
-//! [`nopfs_policy::decision::select_source`] code path, exactly like
+//! [`nopfs_policy::decision::select_source_degraded`] code path, exactly like
 //! the runtime's staging fetches.
 
 use crate::result::SimError;
@@ -19,7 +19,7 @@ use nopfs_clairvoyance::placement::GlobalPlacement;
 use nopfs_clairvoyance::sampler::EpochShuffle;
 use nopfs_clairvoyance::SampleId;
 use nopfs_perfmodel::{Location, SystemSpec};
-use nopfs_policy::decision::{select_source, select_source_degraded, staging_share};
+use nopfs_policy::decision::{select_source_degraded, staging_share};
 use nopfs_policy::PolicyId;
 use nopfs_policy::{build_core, PolicyCore, Source};
 use std::collections::HashSet;
@@ -50,22 +50,12 @@ pub(crate) trait PolicyImpl {
         seqs
     }
 
-    /// Picks the fetch source for one access.
-    fn source(
-        &mut self,
-        worker: usize,
-        sample: SampleId,
-        size: u64,
-        now: f64,
-        gamma: usize,
-    ) -> Location;
-
-    /// Like [`Self::source`], but told whether the origin is accepting
-    /// traffic (`origin_ok` is false while a cloud origin's circuit
-    /// breaker is open and cooling). Policies that pick sources by cost
-    /// should steer away from an unavailable origin; the default
-    /// ignores the hint — baseline policies have fixed source rules and
-    /// simply wait the origin out, which is exactly their weakness.
+    /// Picks the fetch source for one access, told whether the origin
+    /// is accepting traffic (`origin_ok` is false while a cloud origin's
+    /// circuit breaker is open and cooling). Policies that pick sources
+    /// by cost steer away from an unavailable origin; the baselines
+    /// ignore the hint — their source rules are fixed, and they simply
+    /// wait the origin out, which is exactly their weakness.
     fn source_degraded(
         &mut self,
         worker: usize,
@@ -73,10 +63,8 @@ pub(crate) trait PolicyImpl {
         size: u64,
         now: f64,
         gamma: usize,
-        _origin_ok: bool,
-    ) -> Location {
-        self.source(worker, sample, size, now, gamma)
-    }
+        origin_ok: bool,
+    ) -> Location;
 
     /// How many origin lanes per worker read `sample` ahead of the
     /// staging pipeline whenever it is fetched from the PFS; 0 (the
@@ -168,7 +156,15 @@ impl PolicyImpl for CoreAdapter {
         self.core.transform_epoch(epoch, seqs, global)
     }
 
-    fn source(&mut self, w: usize, k: SampleId, _s: u64, _now: f64, _g: usize) -> Location {
+    fn source_degraded(
+        &mut self,
+        w: usize,
+        k: SampleId,
+        _size: u64,
+        _now: f64,
+        _gamma: usize,
+        _origin_ok: bool,
+    ) -> Location {
         match self.core.source(w, k, self.epoch) {
             Source::Local(c) => Location::Local(c),
             Source::Remote { class, .. } => Location::Remote(class),
@@ -193,7 +189,15 @@ impl PolicyImpl for CoreAdapter {
 struct Perfect;
 
 impl PolicyImpl for Perfect {
-    fn source(&mut self, _w: usize, _k: SampleId, _s: u64, _now: f64, _g: usize) -> Location {
+    fn source_degraded(
+        &mut self,
+        _w: usize,
+        _k: SampleId,
+        _size: u64,
+        _now: f64,
+        _gamma: usize,
+        _origin_ok: bool,
+    ) -> Location {
         Location::Staging
     }
 }
@@ -202,7 +206,7 @@ impl PolicyImpl for Perfect {
 /// the storage hierarchy, class prefetchers filling in first-access
 /// order concurrently with training, and per-access source selection by
 /// modelled fetch time over {local class, remote holder, PFS} — the
-/// final pick made by the shared [`select_source`], the same code path
+/// final pick made by the shared [`select_source_degraded`], the same code path
 /// the threaded runtime's staging fetches go through.
 ///
 /// Prefetch progress is modelled by per-sample *ready times*: each class
@@ -307,14 +311,6 @@ impl NoPfs {
 }
 
 impl PolicyImpl for NoPfs {
-    fn source(&mut self, w: usize, k: SampleId, size: u64, now: f64, gamma: usize) -> Location {
-        // The same shared code path the runtime's staging fetches go
-        // through: the {local, remote, origin} wrapper over the
-        // ordered-tier-list argmin (`select_source_tiered`).
-        let (local, remote) = self.candidates(w, k, now);
-        select_source(&self.sys, local, remote, size, gamma)
-    }
-
     fn source_degraded(
         &mut self,
         w: usize,
@@ -324,9 +320,12 @@ impl PolicyImpl for NoPfs {
         gamma: usize,
         origin_ok: bool,
     ) -> Location {
-        // Graceful degradation, same shared rule as the runtime: an
-        // unavailable origin is dropped from the candidate list when
-        // any peer or local tier can serve the sample.
+        // The same shared code path the runtime's staging fetches go
+        // through: the {local, remote, origin} wrapper over the
+        // ordered-tier-list argmin (`select_source_tiered`), with the
+        // same graceful degradation: an unavailable origin is dropped
+        // from the candidate list when any peer or local tier can serve
+        // the sample.
         let (local, remote) = self.candidates(w, k, now);
         select_source_degraded(&self.sys, local, remote, size, gamma, origin_ok)
     }
@@ -386,7 +385,7 @@ mod tests {
             .find(|&k| np.placement.assignment(0).class_of(k) == Some(0))
             .expect("worker 0 caches something in RAM");
         // Far in the future everything is prefetched.
-        let loc = np.source(0, k, 1_000_000, 1e12, 4);
+        let loc = np.source_degraded(0, k, 1_000_000, 1e12, 4, true);
         assert_eq!(loc, Location::Local(0));
     }
 
@@ -395,7 +394,7 @@ mod tests {
         let s = tiny_scenario(200, 1_000_000);
         let mut np = NoPfs::new(&s);
         // At time zero nothing is prefetched anywhere.
-        let loc = np.source(0, 7, 1_000_000, 0.0, 4);
+        let loc = np.source_degraded(0, 7, 1_000_000, 0.0, 4, true);
         assert_eq!(loc, Location::Pfs);
     }
 
@@ -416,7 +415,7 @@ mod tests {
         .unwrap()
         .unwrap();
         for k in 0..1000u64 {
-            let loc = p.source(0, k, 1_000_000, 0.0, 1);
+            let loc = p.source_degraded(0, k, 1_000_000, 0.0, 1, true);
             let expect = match core.source(0, k, 0) {
                 Source::Local(c) => Location::Local(c),
                 Source::Remote { class, .. } => Location::Remote(class),

@@ -8,6 +8,7 @@
 
 use crate::cloud::CloudSpec;
 use nopfs_clairvoyance::sampler::ShuffleSpec;
+use nopfs_obs::ObsCtx;
 use nopfs_perfmodel::SystemSpec;
 
 /// Which of the paper's four caching regimes a scenario falls into.
@@ -54,6 +55,9 @@ pub struct Scenario {
     /// When set, the origin is an object store priced by the analytic
     /// cloud model instead of the PFS curve (see [`crate::cloud`]).
     pub cloud: Option<CloudSpec>,
+    /// Where a run counts its modelled fetches (`sim.fetch{loc=…}`) and
+    /// emits its model-clock trace events.
+    pub obs: ObsCtx,
 }
 
 impl Scenario {
@@ -84,6 +88,7 @@ impl Scenario {
             seed,
             drop_last: false,
             cloud: None,
+            obs: ObsCtx::new(),
         };
         // Force the shuffle-spec invariants now rather than mid-run.
         let _ = s.shuffle_spec();
@@ -94,6 +99,13 @@ impl Scenario {
     #[must_use]
     pub fn with_cloud(mut self, cloud: CloudSpec) -> Self {
         self.cloud = Some(cloud);
+        self
+    }
+
+    /// Replaces the observability context (default: [`ObsCtx::new`]).
+    #[must_use]
+    pub fn with_obs(mut self, obs: ObsCtx) -> Self {
+        self.obs = obs;
         self
     }
 

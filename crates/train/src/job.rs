@@ -75,16 +75,11 @@ impl JobRun {
 /// [`registry::run_policy`] and realize its stragglers and read errors
 /// only.
 ///
-/// `run_job` sets the config's `drop_last`: on, so that every rank
-/// takes the same steps (the frameworks' reason for dropping the last
-/// partial global batch), unless the plan needs elastic handling,
-/// whose churn must keep the epoch length.
+/// The job runs on the config [`admit`] returns.
 ///
 /// # Errors
-/// [`Unsupported`] when the policy cannot run the configuration, a
-/// baseline is given a crash, churn or cloud plan, the plan does not
-/// fit the run shape, or — with a gradient to allreduce — some
-/// membership would give its ranks different step counts.
+/// [`Unsupported`] when [`admit`] refuses the job, or the policy
+/// cannot run the configuration.
 pub fn run_job(
     policy: PolicyId,
     config: JobConfig,
@@ -93,16 +88,8 @@ pub fn run_job(
     plan: &FaultPlan,
     loop_cfg: &TrainLoopConfig,
 ) -> Result<JobRun, Unsupported> {
+    let config = admit(policy, config, &sizes, plan, loop_cfg.grad_elems)?;
     let (epochs, workers) = (config.epochs, config.system.workers);
-    let elastic = plan.needs_elastic(workers, epochs);
-    if elastic && policy != PolicyId::NoPfs {
-        let msg = format!("{policy} realizes stragglers and read errors only, not this plan");
-        return Err(Unsupported(msg));
-    }
-    let config = config.drop_last(!elastic);
-    if loop_cfg.grad_elems > 0 {
-        plan.equal_steps(&config.shuffle_spec(sizes.len() as u64), epochs)?;
-    }
     let memberships = plan.memberships(workers, epochs);
     let ranks = memberships.iter().copied().max().unwrap_or(1);
     let loops: Vec<Mutex<RankLoop>> = (0..ranks)
@@ -162,6 +149,43 @@ pub fn run_job(
         setup,
         elastic,
     })
+}
+
+/// The one admission check of a [`run_job`] of `policy` on `config`
+/// over a dataset of `sizes` under `plan`, with `grad_elems` gradient
+/// elements allreduced per step. Returns the config the job runs on:
+/// `drop_last` on, so that every rank takes the same steps, unless the
+/// plan needs elastic handling, whose churn must keep the epoch length.
+///
+/// # Errors
+/// [`Unsupported`] when the LBANN store cannot hold the dataset, a
+/// baseline is given a crash, churn or cloud plan, the plan does not fit
+/// the run shape, or a gradient allreduce would meet ragged steps.
+pub fn admit(
+    policy: PolicyId,
+    config: JobConfig,
+    sizes: &[u64],
+    plan: &FaultPlan,
+    grad_elems: usize,
+) -> Result<JobConfig, Unsupported> {
+    let (epochs, workers) = (config.epochs, config.system.workers);
+    if matches!(policy, PolicyId::LbannDynamic | PolicyId::LbannPreloading) {
+        nopfs_policy::core::lbann_feasible(&config.system, sizes.iter().sum())?;
+    }
+    let elastic = plan.needs_elastic(workers, epochs);
+    if elastic && policy != PolicyId::NoPfs {
+        return Err(Unsupported(format!(
+            "{policy} realizes stragglers and read errors only; crash, churn and cloud \
+             plans need the elastic NoPFS runtime"
+        )));
+    }
+    let config = config.drop_last(!elastic);
+    let spec = config.shuffle_spec(sizes.len() as u64);
+    plan.validate(&spec, epochs)?;
+    if grad_elems > 0 {
+        plan.equal_steps(&spec, epochs)?;
+    }
+    Ok(config)
 }
 
 #[cfg(test)]

@@ -26,6 +26,6 @@ pub mod job;
 pub mod loop_runner;
 pub mod model;
 
-pub use job::{run_job, JobRun};
+pub use job::{admit, run_job, JobRun};
 pub use loop_runner::{run_training_loop, RunMetrics, TrainLoopConfig};
 pub use model::{LogisticModel, SyntheticTask};

@@ -21,7 +21,7 @@
 use nopfs::cluster::{run_cluster, ClusterSpec, TenantSpec};
 use nopfs::obs::{names, Json, ObsCtx};
 use nopfs::simulator::Scenario;
-use nopfs::simulator::{run_with_obs, PolicyId};
+use nopfs::simulator::{run, PolicyId};
 use nopfs_datasets::DatasetProfile;
 use nopfs_perfmodel::presets::fig8_small_cluster;
 use nopfs_perfmodel::{SystemSpec, ThroughputCurve};
@@ -193,7 +193,7 @@ fn main() {
         42,
     );
     let obs = ObsCtx::traced();
-    let sim = run_with_obs(&scenario, PolicyId::NoPfs, &obs).expect("sim runs");
+    let sim = run(&scenario.clone().with_obs(obs.clone()), PolicyId::NoPfs).expect("sim runs");
     let snap = obs.snapshot();
     let counted = snap.counter_total(names::SIM_FETCH);
     let expected: u64 = sim.fetch_counts.iter().sum();

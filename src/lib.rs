@@ -14,9 +14,10 @@
 //! - [`perfmodel`] — the storage-hierarchy performance model (Sec. 4).
 //! - [`simulator`] — the I/O policy simulator (Sec. 6).
 //! - [`baselines`] — the runtime loaders of Sec. 7's comparison points
-//!   (PyTorch-like double buffering, DALI, the LBANN store, DeepIO, …)
-//!   on one core-driven loader, plus the naive and no-I/O loaders,
-//!   all built from a `PolicyId` by [`baselines::registry`].
+//!   (the naive loader, PyTorch-like double buffering, DALI, the LBANN
+//!   store, DeepIO, …), each a shared decision core run on NoPFS's own
+//!   worker, plus the no-I/O loader, all built from a `PolicyId` by
+//!   [`baselines::registry`].
 //! - [`pfs`], [`net`], [`storage`] — the synthetic substrates standing
 //!   in for GPFS/Lustre, MPI, and tiered node-local storage; the
 //!   [`storage::DataSource`] trait and [`storage::TierStack`] compose
